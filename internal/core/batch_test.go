@@ -9,10 +9,10 @@ import (
 	"repro/internal/nn"
 )
 
-// The batched inference paths (obsScoreBatch, ScoreBatch,
-// SelfApplyAllWS-built context) must agree with the scalar reference
-// paths within 1e-12 — the scalar paths are what the seed shipped, so
-// this pins the perf rewrite to the original semantics.
+// The batched inference paths (obsScoreBatchCtx, ScoreBatch,
+// SelfApplyAllWS-built context) must agree with the written-out
+// reference paths within 1e-12 — those are what the seed shipped, so
+// this pins the perf rewrites to the original semantics.
 
 const batchTol = 1e-12
 
@@ -50,8 +50,9 @@ func TestContextMatchesPerPointAttention(t *testing.T) {
 }
 
 // TestCandidatesMatchScalarObsScore: every candidate probability out of
-// the batched pool scoring equals the scalar obsScore re-normalized by
-// the cached pool softmax.
+// the factored pool scoring equals the written-out Eq. 7/8 reference
+// (refObsScores) softmax-normalized over the same pool, and the one-row
+// shortcut Score of a chosen candidate is bit-equal to its pool score.
 func TestCandidatesMatchScalarObsScore(t *testing.T) {
 	m, sess := trainedModel(t)
 	for i := 0; i < len(sess.ct); i++ {
@@ -59,11 +60,13 @@ func TestCandidatesMatchScalarObsScore(t *testing.T) {
 		if len(cands) == 0 {
 			t.Fatalf("point %d: no candidates", i)
 		}
+		want := refPoolObs(m, sess.ct, i, sess.ctx.Row(i))
 		for _, c := range cands {
-			sc := sess.obsScore(i, c.Seg, c.Dist)
-			want := math.Exp(sc-sess.obsMax[i]) / sess.obsZ[i]
-			if math.Abs(want-c.Obs) > batchTol {
-				t.Fatalf("point %d seg %d: batched Obs %v vs scalar %v", i, c.Seg, c.Obs, want)
+			if math.Abs(want[c.Seg]-c.Obs) > batchTol {
+				t.Fatalf("point %d seg %d: factored Obs %v vs reference %v", i, c.Seg, c.Obs, want[c.Seg])
+			}
+			if got := sess.Score(sess.ct, i, &c); got != c.Obs {
+				t.Fatalf("point %d seg %d: one-row Score %v vs pool Obs %v", i, c.Seg, got, c.Obs)
 			}
 		}
 	}

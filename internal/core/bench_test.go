@@ -43,34 +43,34 @@ func benchSession(b *testing.B) (*session, []hmm.Candidate, []hmm.Candidate) {
 	return sess, from, to
 }
 
-// BenchmarkObsScoreScalar is the seed's per-candidate observation
-// scoring path (allocates per call: feature rows + MLP activations).
-func BenchmarkObsScoreScalar(b *testing.B) {
+// BenchmarkObsScoreOneRow is the shortcut pass's per-pseudo-candidate
+// observation scoring: one-row calls into the pool kernel.
+func BenchmarkObsScoreOneRow(b *testing.B) {
 	sess, _, to := benchSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range to {
-			sess.obsScore(1, to[j].Seg, to[j].Dist)
+			sess.Score(sess.ct, 1, &to[j])
 		}
 	}
 }
 
-// BenchmarkObsScoreBatch is the batched pool scoring: two MLP batches
-// through pooled workspace scratch, zero steady-state allocations.
+// BenchmarkObsScoreBatch is the batched pool scoring: the factored
+// Eq. 7 layer plus the fuse MLP through pooled workspace scratch, zero
+// steady-state allocations.
 func BenchmarkObsScoreBatch(b *testing.B) {
 	sess, _, to := benchSession(b)
-	prev := nn.SetMatMulWorkers(1)
-	defer nn.SetMatMulWorkers(prev)
+	m, tower, half := sess.m, sess.ct[1].Tower, sess.obsCtx.Row(1)
 	sess.ws.Reset()
 	scores := sess.ws.TakeVec(len(to))
-	sess.obsScoreBatch(sess.ws, 1, to, scores) // warm slabs
+	m.obsScoreBatchCtx(sess.ws, tower, half, to, scores) // warm slabs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess.ws.Reset()
 		scores := sess.ws.TakeVec(len(to))
-		sess.obsScoreBatch(sess.ws, 1, to, scores)
+		m.obsScoreBatchCtx(sess.ws, tower, half, to, scores)
 	}
 }
 

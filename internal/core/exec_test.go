@@ -62,9 +62,9 @@ func TestExecSchedulerMatchParity(t *testing.T) {
 	}
 }
 
-// TestExecSchedulerStreamParity: the streaming session's learned
-// scoring also routes through the executor, so a stream over a
-// scheduled model must emit exactly the direct stream's output.
+// TestExecSchedulerStreamParity: a stream over a scheduled model must
+// emit exactly the direct stream's output (streaming sessions score
+// inline, so an installed executor must not change them).
 func TestExecSchedulerStreamParity(t *testing.T) {
 	d := testDataset(t, 10)
 	m := streamModel(t, d)

@@ -32,11 +32,12 @@ type MLPExecutor interface {
 type Model struct {
 	Cfg Config
 
-	// Exec, when non-nil, receives every batched MLP forward pass of
-	// the scoring hot path (observation pool scoring and the k×k
-	// transition fan-out). Shallow model copies share it, so a served
-	// request pinned to one model snapshot keeps its executor. Nil
-	// scores inline — the offline default.
+	// Exec, when non-nil, receives the batched MLP forward passes of the
+	// transition hot path (the per-step Eq. 10 road-probability fill and
+	// the k×k Eq. 12 fan-out); observation scoring is always inline.
+	// Shallow model copies share it, so a served request pinned to one
+	// model snapshot keeps its executor. Nil scores inline — the offline
+	// default.
 	Exec MLPExecutor
 
 	Net    *roadnet.Network
@@ -59,6 +60,14 @@ type Model struct {
 	// emb holds the frozen |V|×Dim node embeddings computed after
 	// training; refreshed by RefreshEmbeddings.
 	emb *nn.Mat
+
+	// obsSeg is the segment half of Eq. 7's first layer, one row per
+	// segment: obsSeg[s] = segEmb(s)·W1_seg + b1, where ObsMLP's first
+	// weight is split by rows as W1 = [W1_seg ; W1_ctx] over its
+	// [segment ; context] input. Frozen beside emb by RefreshEmbeddings
+	// and read-only afterwards, so anything that mutates ObsMLP or the
+	// encoder must be followed by RefreshEmbeddings.
+	obsSeg *nn.Mat
 
 	// distScale normalizes the explicit distance feature; calibrated
 	// from the training data (mean point-to-positive-road distance) and
@@ -134,10 +143,24 @@ func (m *Model) AllParams() []*nn.Param {
 }
 
 // RefreshEmbeddings recomputes and freezes the node embeddings from the
-// current encoder weights. Call after training and before matching.
+// current encoder weights, and with them the per-segment half of
+// Eq. 7's first layer (obsSeg; segments occupy one contiguous node range
+// of emb). Call after training and before matching.
 func (m *Model) RefreshEmbeddings() {
 	tp := nn.NewTape()
 	m.emb = m.Enc.Forward(tp, m.Graph).Val.Clone()
+	l1 := m.ObsMLP.Layers[0]
+	segHalf := nn.Linear{W: &nn.Param{W: l1.W.W.Rows(0, m.Cfg.Dim)}, B: l1.B}
+	m.obsSeg = nn.NewMat(m.Graph.NumSegs, m.Cfg.Dim)
+	segHalf.ApplyInto(m.obsSeg, m.emb.Rows(m.Graph.NumTowers, m.Graph.NumNodes()))
+}
+
+// obsCtxInto writes the context half of Eq. 7's first layer,
+// ctx·W1_ctx, into dst: one row per context-aware point representation
+// (Eq. 6) in ctx.
+func (m *Model) obsCtxInto(dst, ctx *nn.Mat) {
+	d := m.Cfg.Dim
+	nn.MatMulInto(dst, ctx, m.ObsMLP.Layers[0].W.W.Rows(d, 2*d))
 }
 
 // Embeddings returns the frozen |V|×Dim embedding matrix (nil before

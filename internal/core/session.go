@@ -42,13 +42,15 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // hmm.TransitionBatchModel fast path).
 //
 // All learned scoring is batch-oriented: the per-point candidate pool
-// is scored through the Eq. 7/8 MLPs as one pool×d matrix product, and
-// each Viterbi step's k×k transition fan-out is fused through the
-// Eq. 12 MLP in a single product (see ScoreBatch). The scalar paths are
-// kept for shortcut pseudo-candidates and as the equivalence reference;
-// batched and scalar scoring agree bit-for-bit on the MLP stages
-// because row-at-a-time and batched matrix products accumulate each
-// output row in the same order.
+// is scored through the factored Eq. 7 layer and the Eq. 8 fuse MLP as
+// one pool-sized batch (Model.obsScoreBatchCtx; shortcut
+// pseudo-candidates are one-row calls into the same kernel), and each
+// Viterbi step's k×k transition fan-out is fused through the Eq. 12 MLP
+// in a single product (see ScoreBatch). The scalar transition path is
+// kept for the shortcut pass and as the equivalence reference; batched
+// and scalar scoring agree bit-for-bit on the MLP stages because
+// row-at-a-time and batched matrix products accumulate each output row
+// in the same order.
 type session struct {
 	m  *Model
 	ct traj.CellTrajectory
@@ -60,6 +62,10 @@ type session struct {
 
 	ptEmb *nn.Mat // n×d raw point embeddings
 	ctx   *nn.Mat // n×d context-aware representations (Eq. 6)
+
+	// obsCtx is ctx·W1_ctx, the per-point half of Eq. 7's first layer
+	// (n×d; see Model.obsImplicit).
+	obsCtx *nn.Mat
 
 	// transKeys caches the key-side attention state of Eq. 9 over the
 	// trajectory's point embeddings, shared by every roadProb query.
@@ -101,6 +107,7 @@ func (m *Model) newSession(ct traj.CellTrajectory) *session {
 		ws:     nn.GetWorkspace(),
 		ptEmb:  nn.NewMat(n, d),
 		ctx:    nn.NewMat(n, d),
+		obsCtx: nn.NewMat(n, d),
 		roadP:  make(map[roadnet.SegmentID]float64),
 		obsZ:   make([]float64, n),
 		obsMax: make([]float64, n),
@@ -112,6 +119,7 @@ func (m *Model) newSession(ct traj.CellTrajectory) *session {
 	s.ws.Reset()
 	copy(s.ctx.W, m.ObsAtt.SelfApplyAllWS(s.ws, s.ptEmb).W)
 	s.ws.Reset()
+	m.obsCtxInto(s.obsCtx, s.ctx)
 	if !m.Cfg.DisableImplicitTrans {
 		s.transKeys = m.TransAtt.PrecomputeKeys(s.ptEmb)
 	}
@@ -137,49 +145,6 @@ func softmaxP1(l0, l1 float64) float64 {
 	e0 := math.Exp(l0 - mx)
 	e1 := math.Exp(l1 - mx)
 	return e1 / (e0 + e1)
-}
-
-// implicitObs evaluates Eq. 7 for one candidate: the probability that
-// segment sid is the true location of point i given the context-aware
-// representation. Scalar reference path; Candidates scores whole pools
-// through implicitObsBatch instead.
-func (s *session) implicitObs(i int, sid roadnet.SegmentID) float64 {
-	if s.m.Cfg.DisableImplicitObs {
-		return 0.5
-	}
-	d := s.m.Cfg.Dim
-	feat := nn.NewMat(1, 2*d)
-	copy(feat.W[:d], s.m.segEmb(sid))
-	copy(feat.W[d:], s.ctx.Row(i))
-	logits := s.m.ObsMLP.Apply(feat)
-	return softmaxP1(logits.W[0], logits.W[1])
-}
-
-// obsScore evaluates the fused point-road log-odds (Eq. 8's MLP) for
-// one candidate. The explicit distance feature is presented as a
-// calibrated Gaussian (the paper batch-normalizes it; a Gaussian of the
-// calibrated scale carries the same information in a shape the small
-// fuse MLP can use directly, so the classical Eq. 2 behaviour is the
-// learner's starting point rather than something it must rediscover).
-// Scalar reference path, used for shortcut pseudo-candidates.
-func (s *session) obsScore(i int, sid roadnet.SegmentID, dist float64) float64 {
-	feat := nn.RowVec(
-		s.implicitObs(i, sid),
-		s.m.gaussDist(dist),
-		s.m.Graph.CoOccurrenceNorm(s.ct[i].Tower, sid),
-	)
-	logits := s.m.ObsFuse.Apply(feat)
-	return logits.W[1] - logits.W[0]
-}
-
-// obsScoreBatch fills scores with the fused Eq. 8 log-odds of every
-// candidate of point i in two batched MLP applications: one P×2d
-// product through the Eq. 7 MLP and one P×3 product through the fuse
-// MLP, instead of P single-row calls. ws scratch; scores caller-owned.
-// The arithmetic lives in Model.obsScoreBatchCtx (stream.go), shared
-// with the streaming session.
-func (s *session) obsScoreBatch(ws *nn.Workspace, i int, cands []hmm.Candidate, scores []float64) {
-	s.m.obsScoreBatchCtx(ws, s.ct[i].Tower, s.ctx.Row(i), cands, scores)
 }
 
 // roadProb evaluates Eq. 10 with caching: the likelihood that segment
@@ -275,7 +240,7 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 // retained. The distance floor keeps the physical prior intact when
 // the learned ranking is uncertain (the paper's P_O likewise folds the
 // explicit distance feature into its ranking, §IV-C). The whole pool is
-// scored as one batch (obsScoreBatch).
+// scored as one batch (Model.obsScoreBatchCtx).
 func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 	pool := s.m.candidatePool(s.ct, i)
 	cands := poolCandidates(s.m.Net, s.ct[i].P, pool)
@@ -288,7 +253,7 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 			s.obsT0 = t
 		}
 	}
-	s.obsScoreBatch(s.ws, i, cands, scores)
+	s.m.obsScoreBatchCtx(s.ws, s.ct[i].Tower, s.obsCtx.Row(i), cands, scores)
 	if s.span != nil {
 		s.obsT += time.Since(t).Seconds()
 	}
@@ -302,15 +267,20 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 }
 
 // Score implements hmm.ObservationModel for shortcut pseudo-candidates:
-// the fused score normalized by the point's cached pool softmax.
+// a one-row call into the pool-scoring kernel, normalized by the
+// point's cached pool softmax. Runs on the match goroutine (the
+// shortcut pass is sequential), so the session workspace is free.
 func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	sc := s.obsScore(i, c.Seg, c.Dist)
+	s.ws.Reset()
+	one := [1]hmm.Candidate{*c}
+	sc := s.ws.TakeVec(1)
+	s.m.obsScoreBatchCtx(s.ws, s.ct[i].Tower, s.obsCtx.Row(i), one[:], sc)
 	if s.obsZ[i] == 0 {
 		// Candidates was never called for this point (single-point
 		// trajectories bypass transitions); fall back to the sigmoid.
-		return 1 / (1 + math.Exp(-sc))
+		return 1 / (1 + math.Exp(-sc[0]))
 	}
-	return math.Exp(sc-s.obsMax[i]) / s.obsZ[i]
+	return math.Exp(sc[0]-s.obsMax[i]) / s.obsZ[i]
 }
 
 // TransScore implements hmm.TransitionModel: the learned transition

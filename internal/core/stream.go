@@ -93,34 +93,55 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 	return out, mx, z
 }
 
-// obsScoreBatchCtx fills scores with the fused Eq. 8 log-odds of every
-// candidate of one point in two batched MLP applications, given the
-// point's tower and its context-aware representation row (Eq. 6). This
-// is the shared core of the batch session's obsScoreBatch and the
-// streaming session's per-push scoring; both are bit-identical to the
-// scalar path because row-at-a-time and batched matrix products
-// accumulate each output row in the same order.
-func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxRow []float64, cands []hmm.Candidate, scores []float64) {
-	p := len(cands)
-	d := m.Cfg.Dim
-	imp := ws.TakeVec(p)
+// obsImplicit fills imp with Eq. 7's implicit point-road probability
+// for every candidate of one point. The first layer of ObsMLP is
+// factored over its [segment ; context] input, W1 = [W1_seg ; W1_ctx]:
+// the hidden row is ReLU(obsSeg[s] + ctxHalf), where obsSeg is the
+// per-segment table frozen by RefreshEmbeddings and ctxHalf is the
+// point's ctx_i·W1_ctx (Model.obsCtxInto) — d adds per pool row in
+// place of a 2d×d product. Only the association of the first-layer sum
+// differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
+func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Candidate, imp []float64) {
 	if m.Cfg.DisableImplicitObs {
 		for j := range imp {
 			imp[j] = 0.5
 		}
-	} else {
-		feat := ws.Take(p, 2*d)
-		for j := range cands {
-			row := feat.Row(j)
-			copy(row[:d], m.segEmb(cands[j].Seg))
-			copy(row[d:], ctxRow)
-		}
-		logits := m.applyMLP(ws, m.ObsMLP, feat) // p×2
-		for j := 0; j < p; j++ {
-			lr := logits.Row(j)
-			imp[j] = softmaxP1(lr[0], lr[1])
+		return
+	}
+	p := len(cands)
+	hid := ws.Take(p, m.Cfg.Dim)
+	for j := range cands {
+		row := hid.Row(j)
+		for k, v := range m.obsSeg.Row(int(cands[j].Seg)) {
+			v += ctxHalf[k]
+			if v < 0 {
+				v = 0
+			}
+			row[k] = v
 		}
 	}
+	logits := ws.Take(p, 2)
+	m.ObsMLP.Layers[1].ApplyInto(logits, hid)
+	for j := 0; j < p; j++ {
+		lr := logits.Row(j)
+		imp[j] = softmaxP1(lr[0], lr[1])
+	}
+}
+
+// obsScoreBatchCtx fills scores with the fused Eq. 8 log-odds of every
+// candidate of one point, given the point's tower and the context half
+// of its Eq. 7 first layer (see obsImplicit). The explicit distance
+// feature is presented as a calibrated Gaussian (the paper
+// batch-normalizes it; a Gaussian of the calibrated scale carries the
+// same information in a shape the small fuse MLP can use directly, so
+// the classical Eq. 2 behaviour is the learner's starting point rather
+// than something it must rediscover). Batch pools, streaming pushes and
+// one-row shortcut pseudo-candidates all score through here, so they
+// share one arithmetic order and are bit-equal by construction.
+func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHalf []float64, cands []hmm.Candidate, scores []float64) {
+	p := len(cands)
+	imp := ws.TakeVec(p)
+	m.obsImplicit(ws, ctxHalf, cands, imp)
 	fuse := ws.Take(p, 3)
 	for j := range cands {
 		row := fuse.Row(j)
@@ -128,7 +149,10 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxRo
 		row[1] = m.gaussDist(cands[j].Dist)
 		row[2] = m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	logits := m.applyMLP(ws, m.ObsFuse, fuse) // p×2
+	// Inline, not through Model.Exec: a pool×3 product is too small to
+	// be worth a coalescing window, and the shortcut pass's one-row
+	// calls would each wait one out.
+	logits := m.ObsFuse.ApplyWS(ws, fuse) // p×2
 	for j := 0; j < p; j++ {
 		lr := logits.Row(j)
 		scores[j] = lr[1] - lr[0]
@@ -141,11 +165,13 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxRo
 // over consecutive segment bearings.
 func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (lenSim, turnSim float64) {
 	lenSim = math.Exp(-math.Abs(straight-route.Dist) / 500)
-	var turn float64
-	for j := 1; j < len(route.Segs); j++ {
-		a := net.Segment(route.Segs[j-1])
-		b := net.Segment(route.Segs[j])
-		turn += geoAngleDiff(a.Bearing(), b.Bearing())
+	var turn, prev float64
+	for j, sid := range route.Segs {
+		b := net.Segment(sid).Bearing()
+		if j > 0 {
+			turn += geoAngleDiff(prev, b)
+		}
+		prev = b
 	}
 	turnSim = math.Exp(-turn / math.Pi)
 	return lenSim, turnSim
@@ -207,6 +233,18 @@ func (s *streamSession) ctxRow(i int) []float64 {
 	return s.ctxW[i*d : (i+1)*d]
 }
 
+// obsCtxHalf returns, in ws scratch, the context half of point i's
+// Eq. 7 first layer: one 1×d · d×d product per scored point. The row
+// is copied into scratch so no Mat header over ctxW escapes to the heap.
+func (s *streamSession) obsCtxHalf(ws *nn.Workspace, i int) []float64 {
+	d := s.m.Cfg.Dim
+	ctx := ws.Take(1, d)
+	copy(ctx.W, s.ctxRow(i))
+	half := ws.Take(1, d)
+	s.m.obsCtxInto(half, ctx)
+	return half.W
+}
+
 // ensureKeys (re)builds the Eq. 9 key cache over every point seen so
 // far. Each rebuild invalidates the road-probability cache: Eq. 10
 // conditions on the whole trajectory context, which just changed.
@@ -252,7 +290,7 @@ func (s *streamSession) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candi
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	scores := ws.TakeVec(len(cands))
-	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.ctxRow(i), cands, scores)
+	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.obsCtxHalf(ws, i), cands, scores)
 	out, mx, z := selectTopK(cands, scores, k)
 	s.obsMax[i], s.obsZ[i] = mx, z
 	return out
@@ -268,7 +306,7 @@ func (s *streamSession) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) f
 	defer nn.PutWorkspace(ws)
 	one := []hmm.Candidate{*c}
 	sc := ws.TakeVec(1)
-	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.ctxRow(i), one, sc)
+	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.obsCtxHalf(ws, i), one, sc)
 	if s.obsZ[i] == 0 {
 		return 1 / (1 + math.Exp(-sc[0]))
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/hmm"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -477,9 +478,14 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 		posCount++
 		mk := func(sid roadnet.SegmentID, label int) ex {
 			d := m.Net.DistTo(sid, s.tr.Cell[i].P)
+			// The implicit feature comes from the kernel inference
+			// scores with, so the fuse net trains on what it will see.
+			var imp [1]float64
+			sess.ws.Reset()
+			m.obsImplicit(sess.ws, sess.obsCtx.Row(i), []hmm.Candidate{{Seg: sid}}, imp[:])
 			return ex{
 				f: [3]float64{
-					sess.implicitObs(i, sid),
+					imp[0],
 					m.gaussDist(d),
 					m.Graph.CoOccurrenceNorm(s.tr.Cell[i].Tower, sid),
 				},

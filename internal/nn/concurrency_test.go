@@ -15,12 +15,13 @@ import (
 // in CI.
 func TestSetMatMulWorkersRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	// Big enough to clear matmulParallelMinFlops: 128*96*64 ≈ 786k.
-	a := NewMat(128, 96)
+	// Enough rows to clear matmulParallelMinFlops.
+	rows := matmulParallelMinFlops/(96*64) + 8
+	a := NewMat(rows, 96)
 	a.Xavier(rng)
 	b := NewMat(96, 64)
 	b.Xavier(rng)
-	want := NewMat(128, 64)
+	want := NewMat(rows, 64)
 	prev := SetMatMulWorkers(1)
 	MatMulInto(want, a, b)
 	SetMatMulWorkers(prev)
@@ -39,7 +40,7 @@ func TestSetMatMulWorkersRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := NewMat(128, 64)
+			out := NewMat(rows, 64)
 			for r := 0; r < 20; r++ {
 				MatMulInto(out, a, b)
 				for i := range want.W {

@@ -190,12 +190,13 @@ func TestBatchedInferenceZeroAllocs(t *testing.T) {
 // GOMAXPROCS 1 and N.
 func TestMatMulParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	// Big enough to clear matmulParallelMinFlops: 128*96*64 ≈ 786k.
-	a := NewMat(128, 96)
+	// Enough rows to clear matmulParallelMinFlops.
+	rows := matmulParallelMinFlops/(96*64) + 8
+	a := NewMat(rows, 96)
 	a.Xavier(rng)
 	b := NewMat(96, 64)
 	b.Xavier(rng)
-	want := NewMat(128, 64)
+	want := NewMat(rows, 64)
 	prev := SetMatMulWorkers(1)
 	MatMulInto(want, a, b)
 	SetMatMulWorkers(prev)
@@ -204,7 +205,7 @@ func TestMatMulParallelMatchesSequential(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{2, 3, 8} {
 			SetMatMulWorkers(workers)
-			got := NewMat(128, 64)
+			got := NewMat(rows, 64)
 			MatMulInto(got, a, b)
 			for i := range want.W {
 				if want.W[i] != got.W[i] {
@@ -225,7 +226,7 @@ func TestMatMulParallelMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := NewMat(128, 64)
+			out := NewMat(rows, 64)
 			MatMulInto(out, a, b)
 			for i := range want.W {
 				if want.W[i] != out.W[i] {

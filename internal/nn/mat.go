@@ -93,6 +93,12 @@ func (m *Mat) ScaleInPlace(s float64) {
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) []float64 { return m.W[i*m.C : (i+1)*m.C] }
 
+// Rows returns rows [lo, hi) as a matrix aliasing the same storage
+// (row-major, so a row range is one contiguous slice).
+func (m *Mat) Rows(lo, hi int) *Mat {
+	return &Mat{R: hi - lo, C: m.C, W: m.W[lo*m.C : hi*m.C : hi*m.C]}
+}
+
 // MaxAbs returns the largest absolute element value.
 func (m *Mat) MaxAbs() float64 {
 	var mx float64
@@ -140,8 +146,13 @@ func SetMatMulWorkers(n int) int {
 }
 
 // matmulParallelMinFlops is the approximate multiply-add count below
-// which forking workers costs more than the product itself.
-const matmulParallelMinFlops = 1 << 17
+// which a product stays on the calling goroutine: about a millisecond
+// of work. Forking a smaller product buys less than waking an idle
+// thread costs, makes the caller's latency depend on when that thread
+// gets scheduled, and only oversubscribes the cores when several
+// requests are matching at once — the per-step Eq. 10 fills (tens of
+// rows through a 2d×d layer) are that size at dim 128.
+const matmulParallelMinFlops = 1 << 22
 
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be
 // preallocated a.R×b.C. Used by both the forward pass and the backward

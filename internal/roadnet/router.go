@@ -85,14 +85,12 @@ type cacheSlot struct {
 	ref    bool
 }
 
-// ssspResult holds a bounded single-source shortest-path tree. tie
-// carries each node's canonical tie-break key alongside its distance
-// (see segTie); parents always describe the unique minimum-(dist, tie)
-// path from the source.
+// ssspResult holds a bounded single-source shortest-path tree; parents
+// always describe the unique minimum-(dist, tie) path from the source
+// (see segTie).
 type ssspResult struct {
 	source NodeID
 	dist   map[NodeID]float64
-	tie    map[NodeID]uint64
 	parent map[NodeID]SegmentID // segment used to reach the node
 }
 
@@ -506,14 +504,15 @@ func (q *keyPQ) Pop() interface{} {
 }
 
 // dijkstra runs a bounded single-source shortest-path search under the
-// canonical (distance, tie) key order.
+// canonical (distance, tie) key order. Each node's tie-break key is
+// needed only while the search runs, so it stays out of the cached tree.
 func (r *Router) dijkstra(from NodeID) *ssspResult {
 	t := &ssspResult{
 		source: from,
 		dist:   map[NodeID]float64{from: 0},
-		tie:    map[NodeID]uint64{from: 0},
 		parent: map[NodeID]SegmentID{},
 	}
+	tie := map[NodeID]uint64{from: 0}
 	settled := make(map[NodeID]bool)
 	q := &keyPQ{{node: from}}
 	for q.Len() > 0 {
@@ -532,9 +531,9 @@ func (r *Router) dijkstra(from NodeID) *ssspResult {
 				continue
 			}
 			nt := cur.tie + segTie(sid)
-			if od, ok := t.dist[seg.To]; !ok || keyLess(nd, nt, od, t.tie[seg.To]) {
+			if od, ok := t.dist[seg.To]; !ok || keyLess(nd, nt, od, tie[seg.To]) {
 				t.dist[seg.To] = nd
-				t.tie[seg.To] = nt
+				tie[seg.To] = nt
 				t.parent[seg.To] = sid
 				heap.Push(q, keyItem{seg.To, nd, nt})
 			}
@@ -545,7 +544,6 @@ func (r *Router) dijkstra(from NodeID) *ssspResult {
 	for n, d := range t.dist {
 		if d > r.maxDist {
 			delete(t.dist, n)
-			delete(t.tie, n)
 			delete(t.parent, n)
 		}
 	}
