@@ -293,12 +293,23 @@ func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candid
 	}
 	straight := s.ct[i-1].P.Dist(s.ct[i].P)
 	f := s.transFeatures(s.ws, i, route, straight)
-	logits := s.m.TransFuse.Apply(nn.RowVec(f[0], f[1], f[2]))
+	return s.m.fuseTrans(s.ws, f), true
+}
+
+// fuseTrans evaluates Eq. 12 for one pair's features — the one-row form
+// of ScoreBatch's fuse, same arithmetic per row. ws is Reset here, so
+// the features must have been computed already (transFeatures and
+// roadProb Reset it too).
+func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
+	ws.Reset()
+	row := ws.Take(1, 3)
+	copy(row.W, f[:])
+	logits := m.TransFuse.ApplyWS(ws, row)
 	p := softmaxP1(logits.W[0], logits.W[1])
-	if g := s.m.transGamma.W.W[0]; g != 1 {
+	if g := m.transGamma.W.W[0]; g != 1 {
 		p = math.Pow(p, g)
 	}
-	return p, true
+	return p
 }
 
 // roadProbFill batch-computes every uncached Eq. 10 road probability

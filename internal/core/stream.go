@@ -167,7 +167,7 @@ func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (len
 	lenSim = math.Exp(-math.Abs(straight-route.Dist) / 500)
 	var turn, prev float64
 	for j, sid := range route.Segs {
-		b := net.Segment(sid).Bearing()
+		b := net.Bearing(sid)
 		if j > 0 {
 			turn += geoAngleDiff(prev, b)
 		}
@@ -327,27 +327,20 @@ func (t streamTrans) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candidat
 	if !ok || len(route.Segs) == 0 {
 		return 0, false
 	}
-	var pRoute float64
-	if s.m.Cfg.DisableImplicitTrans {
-		pRoute = 0.5
-	} else {
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	pRoute := 0.5
+	if !s.m.Cfg.DisableImplicitTrans {
 		s.ensureKeys()
-		ws := nn.GetWorkspace()
 		var sum float64
 		for _, sid := range route.Segs {
 			sum += s.roadProb(ws, sid)
 		}
-		nn.PutWorkspace(ws)
 		pRoute = sum / float64(len(route.Segs))
 	}
 	straight := ct[i-1].P.Dist(ct[i].P)
 	lenSim, turnSim := routeSims(s.m.Net, route, straight)
-	logits := s.m.TransFuse.Apply(nn.RowVec(pRoute, lenSim, turnSim))
-	p := softmaxP1(logits.W[0], logits.W[1])
-	if g := s.m.transGamma.W.W[0]; g != 1 {
-		p = math.Pow(p, g)
-	}
-	return p, true
+	return s.m.fuseTrans(ws, [3]float64{pRoute, lenSim, turnSim}), true
 }
 
 // NewStream returns an online fixed-lag matcher driven by the trained

@@ -6,7 +6,7 @@ import (
 )
 
 // Ablation bench (DESIGN.md §6): the many-to-many shortest-path cache.
-// Map matching queries repeat source nodes heavily; the LRU of SSSP
+// Map matching queries repeat source nodes heavily; the CLOCK cache of SSSP
 // trees turns repeated Dijkstra runs into lookups.
 
 func benchQueries(n *Network, rng *rand.Rand, count int) [][2]NodeID {

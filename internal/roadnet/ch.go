@@ -366,7 +366,7 @@ func (st *contractState) witnessSearch(u, v NodeID, maxD float64, cap, targets i
 	w.q = append(w.q, keyItem{node: u})
 	settled := 0
 	for len(w.q) > 0 && settled < cap && targets > 0 {
-		cur := heap.Pop(&w.q).(keyItem)
+		cur := w.q.pop()
 		if w.verS[cur.node] == w.cur {
 			continue
 		}
@@ -392,7 +392,7 @@ func (st *contractState) witnessSearch(u, v NodeID, maxD float64, cap, targets i
 				continue
 			}
 			w.dist[e.to], w.tie[e.to], w.verD[e.to] = nd, nt, w.cur
-			heap.Push(&w.q, keyItem{node: e.to, dist: nd, tie: nt})
+			w.q.push(keyItem{node: e.to, dist: nd, tie: nt})
 		}
 	}
 }
@@ -584,7 +584,7 @@ func (h *Hierarchy) buildLabel(root NodeID, forward bool, maxDist float64) *chLa
 	lab := &chLabel{}
 	settled := 0
 	for len(s.q) > 0 {
-		cur := heap.Pop(&s.q).(keyItem)
+		cur := s.q.pop()
 		if s.done[cur.node] {
 			continue
 		}
@@ -634,7 +634,7 @@ func (h *Hierarchy) buildLabel(root NodeID, forward bool, maxDist float64) *chLa
 				continue
 			}
 			s.dist[next], s.tie[next], s.par[next] = nd, nt, ei
-			heap.Push(&s.q, keyItem{node: next, dist: nd, tie: nt})
+			s.q.push(keyItem{node: next, dist: nd, tie: nt})
 		}
 	}
 	obsCHSettled.Add(int64(settled))
@@ -724,14 +724,15 @@ func (h *Hierarchy) distLabels(lf, lb *chLabel, maxDist float64) (float64, bool)
 	return d, true
 }
 
-// pathLabels returns the canonical shortest path and its distance.
-func (h *Hierarchy) pathLabels(lf, lb *chLabel, maxDist float64) ([]SegmentID, float64, bool) {
+// pathLabels returns the canonical shortest path, with pad unset slots
+// on either side of it, and its distance.
+func (h *Hierarchy) pathLabels(lf, lb *chLabel, maxDist float64, pad int) ([]SegmentID, float64, bool) {
 	obsCHQueries.Inc()
 	fi, bi, ok := labelMeet(lf, lb)
 	if !ok {
 		return nil, 0, false
 	}
-	var segs []SegmentID
+	segs := make([]SegmentID, pad)
 	d := 0.0
 	h.walkLabels(lf, lb, fi, bi, func(sid SegmentID) {
 		segs = append(segs, sid)
@@ -740,7 +741,7 @@ func (h *Hierarchy) pathLabels(lf, lb *chLabel, maxDist float64) ([]SegmentID, f
 	if d > maxDist {
 		return nil, 0, false
 	}
-	return segs, d, true
+	return append(segs, make([]SegmentID, pad)...), d, true
 }
 
 // shortcutRecord is the serializable form of one shortcut: endpoints

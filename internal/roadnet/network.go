@@ -107,6 +107,7 @@ type Network struct {
 	inSegs  []SegmentID // packed incoming segment ids, grouped by To node
 
 	shapeSlab []geo.Point // all segment polylines, contiguous
+	bearing   []float64   // Segment.Bearing() per segment id
 
 	index  *spatial.Grid // over segment geometry
 	bounds geo.Rect
@@ -123,6 +124,10 @@ func (n *Network) Node(id NodeID) *Node { return &n.nodes[id] }
 
 // Segment returns the segment with the given id. It panics on a bad id.
 func (n *Network) Segment(id SegmentID) *Segment { return &n.segments[id] }
+
+// Bearing returns Segment(id).Bearing() from a table built with the
+// network, for callers that read it once per routed segment.
+func (n *Network) Bearing(id SegmentID) float64 { return n.bearing[id] }
 
 // Out returns the ids of segments leaving the node. The returned slice
 // is a view into shared storage and must not be modified.
@@ -299,11 +304,13 @@ func assemble(nodes []Node, segments []Segment) *Network {
 		total += len(segments[i].Shape)
 	}
 	slab := make([]geo.Point, 0, total)
+	n.bearing = make([]float64, len(segments))
 	for i := range segments {
 		s := &segments[i]
 		a := len(slab)
 		slab = append(slab, s.Shape...)
 		s.Shape = geo.Polyline(slab[a:len(slab):len(slab)])
+		n.bearing[i] = s.Bearing()
 	}
 	n.shapeSlab = slab
 

@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 	"time"
@@ -70,6 +69,8 @@ type Router struct {
 	hand     int // CLOCK sweep position
 	capacity int
 
+	scratch sync.Pool // *searchScratch
+
 	// CH label caches (hierarchy mode only), same CLOCK policy.
 	fwdLabels labelCache
 	bwdLabels labelCache
@@ -85,13 +86,22 @@ type cacheSlot struct {
 	ref    bool
 }
 
-// ssspResult holds a bounded single-source shortest-path tree; parents
-// always describe the unique minimum-(dist, tie) path from the source
-// (see segTie).
+// ssspResult holds a bounded single-source shortest-path tree as two
+// NodeID-indexed arrays (12 bytes per network node); parents always
+// describe the unique minimum-(dist, tie) path from the source (see
+// segTie). Immutable once cached.
 type ssspResult struct {
-	source NodeID
-	dist   map[NodeID]float64
-	parent map[NodeID]SegmentID // segment used to reach the node
+	dist   []float64 // +Inf = not reached within MaxDist
+	parent []int32   // segment used to reach the node; -1 = none
+}
+
+// searchScratch is the per-search state of dijkstra that no cached tree
+// keeps: tie-break keys, settled marks and the heap's backing array.
+// tie[v] is only read once dist[v] is finite, so it needs no clearing.
+type searchScratch struct {
+	tie     []uint64
+	settled []bool
+	q       keyPQ
 }
 
 // RouterOption configures a Router.
@@ -156,44 +166,46 @@ func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 		lb := r.label(&r.bwdLabels, to, false)
 		return r.hier.distLabels(lf, lb, r.maxDist)
 	}
-	t := r.tree(from)
-	d, ok := t.dist[to]
-	return d, ok
+	if d := r.tree(from).dist[to]; !math.IsInf(d, 1) {
+		return d, true
+	}
+	return 0, false
 }
 
 // NodePath returns the segment sequence and length of the shortest
 // route between two nodes, or ok=false if unreachable within the bound.
 // An empty path with ok=true means from == to.
 func (r *Router) NodePath(from, to NodeID) ([]SegmentID, float64, bool) {
+	return r.nodePath(from, to, 0)
+}
+
+// nodePath is NodePath with pad unset slots on either side of the path,
+// where RouteBetween puts its end segments.
+func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool) {
 	if from == to {
 		return nil, 0, true
 	}
 	if r.hier != nil {
 		lf := r.label(&r.fwdLabels, from, true)
 		lb := r.label(&r.bwdLabels, to, false)
-		return r.hier.pathLabels(lf, lb, r.maxDist)
+		return r.hier.pathLabels(lf, lb, r.maxDist, pad)
 	}
+	// Walk parents back from to: once to count, once to fill.
 	t := r.tree(from)
-	d, ok := t.dist[to]
-	if !ok {
-		return nil, 0, false
-	}
-	// Walk parents back from to.
-	var rev []SegmentID
-	cur := to
-	for cur != from {
-		seg, ok := t.parent[cur]
-		if !ok {
-			return nil, 0, false // defensive: broken tree
+	hops := 0
+	for cur := to; cur != from; hops++ {
+		seg := t.parent[cur]
+		if seg < 0 {
+			return nil, 0, false // to was not reached
 		}
-		rev = append(rev, seg)
-		cur = r.net.Segment(seg).From
+		cur = r.net.segments[seg].From
 	}
-	path := make([]SegmentID, len(rev))
-	for i, s := range rev {
-		path[len(rev)-1-i] = s
+	segs := make([]SegmentID, hops+2*pad)
+	for i, cur := pad+hops-1, to; i >= pad; i-- {
+		segs[i] = SegmentID(t.parent[cur])
+		cur = r.net.segments[segs[i]].From
 	}
-	return path, d, true
+	return segs, t.dist[to], true
 }
 
 // RouteBetween returns the route from point a to point b, both given as
@@ -219,15 +231,12 @@ func (r *Router) RouteBetween(a, b PointOnRoad) (Route, bool) {
 			Segs: []SegmentID{a.Seg, b.Seg},
 		}, true
 	}
-	mid, d, ok := r.NodePath(segA.To, segB.From)
+	segs, d, ok := r.nodePath(segA.To, segB.From, 1)
 	if !ok {
 		obsRouteMisses.Inc()
 		return Route{}, false
 	}
-	segs := make([]SegmentID, 0, len(mid)+2)
-	segs = append(segs, a.Seg)
-	segs = append(segs, mid...)
-	segs = append(segs, b.Seg)
+	segs[0], segs[len(segs)-1] = a.Seg, b.Seg
 	return Route{Dist: head + d + tail, Segs: segs}, true
 }
 
@@ -424,27 +433,6 @@ func (r *Router) label(c *labelCache, node NodeID, forward bool) *chLabel {
 	return l
 }
 
-// pqItem is a priority-queue entry for plain weighted Dijkstra
-// (ShortestPathWeighted).
-type pqItem struct {
-	node NodeID
-	dist float64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // segTie returns the canonical tie-break value of a segment: a fixed
 // pseudo-random 44-bit integer derived from the id (splitmix64 mix).
 // Routing orders paths by the lexicographic key (distance, sum of
@@ -481,49 +469,80 @@ type keyItem struct {
 	tie  uint64
 }
 
+func (a keyItem) less(b keyItem) bool {
+	if a.dist != b.dist || a.tie != b.tie {
+		return keyLess(a.dist, a.tie, b.dist, b.tie)
+	}
+	return a.node < b.node
+}
+
+// keyPQ is a binary min-heap of keyItems. A search re-pushes a node
+// only with a strictly smaller key, so the items it holds are totally
+// ordered and pop order does not depend on the heap's layout.
 type keyPQ []keyItem
 
-func (q keyPQ) Len() int { return len(q) }
-func (q keyPQ) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
+func (q *keyPQ) push(it keyItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	if q[i].tie != q[j].tie {
-		return q[i].tie < q[j].tie
-	}
-	return q[i].node < q[j].node
+	h[i] = it
+	*q = h
 }
-func (q keyPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *keyPQ) Push(x interface{}) { *q = append(*q, x.(keyItem)) }
-func (q *keyPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+
+// pop removes and returns the minimum item of a non-empty heap.
+func (q *keyPQ) pop() keyItem {
+	h := *q
+	n := len(h) - 1
+	top, it := h[0], h[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+	*q = h[:n]
+	return top
 }
 
 // dijkstra runs a bounded single-source shortest-path search under the
-// canonical (distance, tie) key order. Each node's tie-break key is
-// needed only while the search runs, so it stays out of the cached tree.
+// canonical (distance, tie) key order. Nothing beyond the bound is ever
+// pushed, so every finite dist is final. The search state other than
+// the tree itself comes from the scratch pool.
 func (r *Router) dijkstra(from NodeID) *ssspResult {
-	t := &ssspResult{
-		source: from,
-		dist:   map[NodeID]float64{from: 0},
-		parent: map[NodeID]SegmentID{},
+	n := r.net.NumNodes()
+	t := &ssspResult{dist: make([]float64, n), parent: make([]int32, n)}
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+		t.parent[i] = -1
 	}
-	tie := map[NodeID]uint64{from: 0}
-	settled := make(map[NodeID]bool)
-	q := &keyPQ{{node: from}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(keyItem)
-		if settled[cur.node] {
+	s, _ := r.scratch.Get().(*searchScratch)
+	if s == nil {
+		s = &searchScratch{tie: make([]uint64, n), settled: make([]bool, n)}
+	} else {
+		clear(s.settled)
+	}
+	q := s.q[:0]
+	t.dist[from], s.tie[from] = 0, 0
+	q.push(keyItem{node: from})
+	for len(q) > 0 {
+		cur := q.pop()
+		if s.settled[cur.node] {
 			continue
 		}
-		settled[cur.node] = true
-		if cur.dist > r.maxDist {
-			break
-		}
+		s.settled[cur.node] = true
 		for _, sid := range r.net.Out(cur.node) {
 			seg := r.net.Segment(sid)
 			nd := cur.dist + seg.Length
@@ -531,22 +550,16 @@ func (r *Router) dijkstra(from NodeID) *ssspResult {
 				continue
 			}
 			nt := cur.tie + segTie(sid)
-			if od, ok := t.dist[seg.To]; !ok || keyLess(nd, nt, od, tie[seg.To]) {
+			if keyLess(nd, nt, t.dist[seg.To], s.tie[seg.To]) {
 				t.dist[seg.To] = nd
-				tie[seg.To] = nt
-				t.parent[seg.To] = sid
-				heap.Push(q, keyItem{seg.To, nd, nt})
+				s.tie[seg.To] = nt
+				t.parent[seg.To] = int32(sid)
+				q.push(keyItem{seg.To, nd, nt})
 			}
 		}
 	}
-	// Drop unsettled frontier entries beyond the bound so dist only
-	// contains final values.
-	for n, d := range t.dist {
-		if d > r.maxDist {
-			delete(t.dist, n)
-			delete(t.parent, n)
-		}
-	}
+	s.q = q
+	r.scratch.Put(s)
 	return t
 }
 

@@ -2,8 +2,11 @@ package roadnet
 
 import (
 	"bytes"
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -205,25 +208,34 @@ func TestRouterCacheEviction(t *testing.T) {
 	}
 }
 
+// Concurrent cold builds from distinct sources draw their search state
+// from one scratch pool; every answer must still equal what a router
+// that never shares anything computes. Run under -race in CI.
 func TestRouterConcurrent(t *testing.T) {
-	n := buildGrid(t, 8, 8)
-	r := NewRouter(n, WithCacheSize(4))
-	done := make(chan bool)
+	n := buildJittered(t, 8, 8, 0.1, 3)
+	want := NewRouter(n)
+	r := NewRouter(n, WithCacheSize(4)) // 64 sources over 4 slots: mostly cold
+	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
+		wg.Add(1)
 		go func(seed int64) {
+			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 100; i++ {
 				a := NodeID(rng.Intn(64))
 				b := NodeID(rng.Intn(64))
-				r.NodeDist(a, b)
-				r.NodePath(a, b)
+				d, ok := r.NodeDist(a, b)
+				path, _, _ := r.NodePath(a, b)
+				wd, wok := want.NodeDist(a, b)
+				wpath, _, _ := want.NodePath(a, b)
+				if ok != wok || d != wd || !slices.Equal(path, wpath) {
+					t.Errorf("%d->%d: got %v/%v %v, want %v/%v %v", a, b, d, ok, path, wd, wok, wpath)
+					return
+				}
 			}
-			done <- true
 		}(int64(g))
 	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
+	wg.Wait()
 }
 
 func TestGeometry(t *testing.T) {
@@ -340,6 +352,8 @@ func TestRouteDistMatchesRouteBetween(t *testing.T) {
 	}
 }
 
+// Warm lookups are allocation-pinned: distances allocate nothing, a
+// materialised route allocates exactly its Segs slice.
 func TestRouteDistNoAllocs(t *testing.T) {
 	n := buildGrid(t, 5, 5)
 	r := NewRouter(n)
@@ -350,5 +364,238 @@ func TestRouteDistNoAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { r.RouteDist(a, b) }); allocs != 0 {
 		t.Errorf("warm RouteDist allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.NodeDist(1, 23) }); allocs != 0 {
+		t.Errorf("warm NodeDist allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { r.RouteBetween(a, b) }); allocs != 1 {
+		t.Errorf("warm RouteBetween allocates %.1f/op, want 1 (the Segs slice)", allocs)
+	}
+}
+
+// A cold tree build allocates the tree (header, dist, parent) and
+// nothing that scales with the network: search state is pooled.
+func TestTreeBuildAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes sync.Pool caching")
+	}
+	for _, side := range []int{5, 40} {
+		n := buildGrid(t, side, side)
+		r := NewRouter(n)
+		r.dijkstra(0) // grows the pooled heap to this network's frontier
+		if allocs := testing.AllocsPerRun(50, func() { r.dijkstra(0) }); allocs != 3 {
+			t.Errorf("%dx%d: cold tree build allocates %.1f objects, want 3", side, side, allocs)
+		}
+	}
+}
+
+// refPQ and refDijkstra are the map-and-container/heap search the
+// router used before its trees became slices, kept as the oracle the
+// slice search must reproduce bit for bit.
+type refPQ []keyItem
+
+func (q refPQ) Len() int { return len(q) }
+func (q refPQ) Less(i, j int) bool {
+	if q[i].dist != q[j].dist {
+		return q[i].dist < q[j].dist
+	}
+	if q[i].tie != q[j].tie {
+		return q[i].tie < q[j].tie
+	}
+	return q[i].node < q[j].node
+}
+func (q refPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x interface{}) { *q = append(*q, x.(keyItem)) }
+func (q *refPQ) Pop() interface{} {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func refDijkstra(n *Network, from NodeID, maxDist float64) (map[NodeID]float64, map[NodeID]SegmentID) {
+	dist := map[NodeID]float64{from: 0}
+	parent := map[NodeID]SegmentID{}
+	tie := map[NodeID]uint64{from: 0}
+	settled := map[NodeID]bool{}
+	q := &refPQ{{node: from}}
+	for q.Len() > 0 {
+		cur := heap.Pop(q).(keyItem)
+		if settled[cur.node] {
+			continue
+		}
+		settled[cur.node] = true
+		for _, sid := range n.Out(cur.node) {
+			seg := n.Segment(sid)
+			nd := cur.dist + seg.Length
+			if nd > maxDist {
+				continue
+			}
+			nt := cur.tie + segTie(sid)
+			if od, ok := dist[seg.To]; !ok || keyLess(nd, nt, od, tie[seg.To]) {
+				dist[seg.To] = nd
+				tie[seg.To] = nt
+				parent[seg.To] = sid
+				heap.Push(q, keyItem{seg.To, nd, nt})
+			}
+		}
+	}
+	return dist, parent
+}
+
+// refPath walks the reference tree the way NodePath used to.
+func refPath(n *Network, parent map[NodeID]SegmentID, from, to NodeID) []SegmentID {
+	var path []SegmentID
+	for cur := to; cur != from; cur = n.Segment(path[len(path)-1]).From {
+		path = append(path, parent[cur])
+	}
+	slices.Reverse(path)
+	return path
+}
+
+// buildOneWay is a 6x6 lattice whose rows alternate direction (one-way
+// streets) under two-way columns, plus a two-node island nothing
+// reaches.
+func buildOneWay(t testing.TB) *Network {
+	t.Helper()
+	const w, h = 6, 6
+	var b Builder
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			b.AddNode(geo.Pt(float64(i)*100, float64(j)*130))
+		}
+	}
+	id := func(i, j int) NodeID { return NodeID(j*w + i) }
+	add := func(from, to NodeID, twoWay bool) {
+		var err error
+		if twoWay {
+			_, _, err = b.AddTwoWay(from, to, Local)
+		} else {
+			_, err = b.AddSegment(from, to, Local)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			if i+1 < w {
+				if j%2 == 0 {
+					add(id(i, j), id(i+1, j), false)
+				} else {
+					add(id(i+1, j), id(i, j), false)
+				}
+			}
+			if j+1 < h {
+				add(id(i, j), id(i, j+1), true)
+			}
+		}
+	}
+	add(b.AddNode(geo.Pt(9000, 9000)), b.AddNode(geo.Pt(9100, 9000)), true)
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// The slice-backed search must reproduce the reference tree from every
+// source: same reached set, same dist bits, same parent segment.
+func TestDijkstraMatchesReference(t *testing.T) {
+	cases := []struct {
+		name    string
+		net     *Network
+		partial bool // some nodes must stay unreached from some source
+		opts    []RouterOption
+	}{
+		{"exact-tie lattice", buildGrid(t, 7, 6), false, nil},
+		{"jittered grid", buildJittered(t, 9, 9, 0.2, 5), false, nil},
+		{"one-ways and an island", buildOneWay(t), true, nil},
+		{"tight bound on a lattice", buildGrid(t, 7, 6), true, []RouterOption{WithMaxDist(350)}},
+		{"tight bound on a jittered grid", buildJittered(t, 9, 9, 0.2, 5), true, []RouterOption{WithMaxDist(420)}},
+	}
+	for _, c := range cases {
+		r := NewRouter(c.net, c.opts...)
+		reached := 0
+		for src := 0; src < c.net.NumNodes(); src++ {
+			dist, parent := refDijkstra(c.net, NodeID(src), r.MaxDist())
+			tree := r.dijkstra(NodeID(src))
+			reached += len(dist)
+			for v := 0; v < c.net.NumNodes(); v++ {
+				wd, wok := dist[NodeID(v)]
+				if got := tree.dist[v]; wok != !math.IsInf(got, 1) || (wok && math.Float64bits(got) != math.Float64bits(wd)) {
+					t.Fatalf("%s: dist %d->%d = %v, reference %v/%v", c.name, src, v, got, wd, wok)
+				}
+				wp, wok := parent[NodeID(v)]
+				if got := tree.parent[v]; wok != (got >= 0) || (wok && SegmentID(got) != wp) {
+					t.Fatalf("%s: parent %d->%d = %d, reference %d/%v", c.name, src, v, got, wp, wok)
+				}
+			}
+		}
+		if n := c.net.NumNodes(); c.partial && (reached == n*n || reached == n) {
+			t.Errorf("%s: reference reached %d of %d node pairs; the case tests nothing partial", c.name, reached, n*n)
+		}
+	}
+}
+
+// RouteBetween must equal the route assembled from the reference tree —
+// distance bits and segment list — on every pair shape: ahead on the
+// same segment, behind on it (loops through the network), adjacent,
+// multi-hop and unreachable.
+func TestRouteBetweenMatchesReference(t *testing.T) {
+	for _, n := range []*Network{buildGrid(t, 6, 6), buildJittered(t, 9, 9, 0.2, 5), buildOneWay(t)} {
+		r := NewRouter(n)
+		rng := rand.New(rand.NewSource(17))
+		shapes := map[string]int{}
+		for trial := 0; trial < 3000; trial++ {
+			a := PointOnRoad{SegmentID(rng.Intn(n.NumSegments())), rng.Float64()}
+			b := PointOnRoad{SegmentID(rng.Intn(n.NumSegments())), rng.Float64()}
+			switch trial % 3 {
+			case 1: // same segment, either order
+				b.Seg = a.Seg
+			case 2: // adjacent, when a's segment has a successor
+				if next := n.Next(a.Seg); len(next) > 0 {
+					b.Seg = next[rng.Intn(len(next))]
+				}
+			}
+			segA, segB := n.Segment(a.Seg), n.Segment(b.Seg)
+			var want Route
+			wok := true
+			switch {
+			case a.Seg == b.Seg && b.Frac >= a.Frac:
+				shapes["ahead"]++
+				want = Route{Dist: (b.Frac - a.Frac) * segA.Length, Segs: []SegmentID{a.Seg}}
+			case segA.To == segB.From:
+				shapes["adjacent"]++
+				want = Route{Dist: (1-a.Frac)*segA.Length + b.Frac*segB.Length, Segs: []SegmentID{a.Seg, b.Seg}}
+			default:
+				dist, parent := refDijkstra(n, segA.To, r.MaxDist())
+				d, ok := dist[segB.From]
+				if wok = ok; !ok {
+					shapes["unreachable"]++
+					break
+				}
+				if a.Seg == b.Seg {
+					shapes["behind"]++
+				} else {
+					shapes["far"]++
+				}
+				want.Dist = (1-a.Frac)*segA.Length + d + b.Frac*segB.Length
+				want.Segs = append([]SegmentID{a.Seg}, refPath(n, parent, segA.To, segB.From)...)
+				want.Segs = append(want.Segs, b.Seg)
+			}
+			got, ok := r.RouteBetween(a, b)
+			if ok != wok || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) || !slices.Equal(got.Segs, want.Segs) {
+				t.Fatalf("RouteBetween(%v,%v) = %+v/%v, reference %+v/%v", a, b, got, ok, want, wok)
+			}
+			if d, okD := r.RouteDist(a, b); okD != wok || math.Float64bits(d) != math.Float64bits(want.Dist) {
+				t.Fatalf("RouteDist(%v,%v) = %v/%v, reference %v/%v", a, b, d, okD, want.Dist, wok)
+			}
+		}
+		for _, shape := range []string{"ahead", "behind", "adjacent", "far"} {
+			if shapes[shape] == 0 {
+				t.Errorf("no %q pair drawn: %v", shape, shapes)
+			}
+		}
 	}
 }

@@ -2,6 +2,27 @@ package roadnet
 
 import "container/heap"
 
+// pqItem is a priority-queue entry for plain weighted Dijkstra
+// (ShortestPathWeighted).
+type pqItem struct {
+	node NodeID
+	dist float64
+}
+
+type pq []pqItem
+
+func (q pq) Len() int            { return len(q) }
+func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *pq) Pop() interface{} {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
 // ShortestPathWeighted runs an uncached Dijkstra search from one node
 // to another under a caller-supplied edge weight (for example, length
 // perturbed by per-trip noise to simulate realistic non-shortest
