@@ -63,7 +63,7 @@ type transitionStep struct {
 
 // runFullscale executes the paper-scale workload and returns the
 // result section plus a human-readable rendering.
-func runFullscale(scale float64, trips, parallel int) (*fullscaleResult, string, error) {
+func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 	fs := &fullscaleResult{TransitionK: fullscaleK}
 	var b strings.Builder
 
@@ -184,8 +184,6 @@ func runFullscale(scale float64, trips, parallel int) (*fullscaleResult, string,
 	m := snap.Histograms["hmm.match.seconds"]
 	fmt.Fprintf(&b, "matched %d test trips in %.1fs (p50 %.3fs, p95 %.3fs, p99 %.3fs)\n",
 		fs.MatchedTrips, fs.MatchWallS, m.P50, m.P95, m.P99)
-	_ = parallel // matching stays sequential; transition timing must not overlap
-
 	return fs, b.String(), nil
 }
 

@@ -19,8 +19,7 @@
 // files in the repo root are committed runs of this mode. -compare
 // diffs the finished run against such a committed document (wall-clock
 // and counter deltas) and exits nonzero when the counter schema
-// drifted. -parallel N fans each Viterbi step's transition batch out
-// over N workers; matched output is identical for any value.
+// drifted.
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k
@@ -82,9 +81,6 @@ type output struct {
 	// Snapshot carries the durable-session micro-benchmarks when the
 	// run was -snapshot (additive; absent otherwise).
 	Snapshot *snapshotResult `json:"snapshot,omitempty"`
-	// ServeClients carries the concurrent-clients serving workload when
-	// the run was -serve-clients (additive; absent otherwise).
-	ServeClients *serveClientsResult `json:"serve_clients,omitempty"`
 	// Obs is the full telemetry snapshot of the run.
 	Obs obs.Snapshot `json:"obs"`
 }
@@ -103,14 +99,8 @@ func main() {
 	out := flag.String("out", "", "also write results to this file")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of text")
 	compare := flag.String("compare", "", "baseline lhmm-bench JSON file to diff this run against (exits nonzero on counter-schema drift)")
-	parallel := flag.Int("parallel", 0, "transition fan-out workers per match (<=1 keeps matching sequential; matched output is identical)")
 	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (CH vs flat routed-transition throughput, match latency) instead of -exp")
 	snapshot := flag.Bool("snapshot", false, "run the durable-session micro-benchmarks (snapshot encode/restore latency, bytes per session) instead of -exp")
-	serveClients := flag.Int("serve-clients", 0, "run the concurrent-clients serving workload with N clients instead of -exp (0 disables)")
-	serveURL := flag.String("serve-url", "", "drive a live lhmm-serve at this base URL (default: self-host the batching-off/on A/B in process)")
-	serveDur := flag.Duration("serve-duration", 10*time.Second, "measurement duration per -serve-clients arm")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "coalescing window of the self-hosted batching-on arm")
-	serveDim := flag.Int("serve-dim", 0, "embedding dimension of the self-hosted serving model (0 = library default; the paper uses 128)")
 	of := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -134,7 +124,7 @@ func main() {
 		}
 	}()
 
-	if *asJSON || *compare != "" || *fullscale || *snapshot || *serveClients > 0 {
+	if *asJSON || *compare != "" || *fullscale || *snapshot {
 		// JSON, compare, and fullscale runs measure from a clean
 		// telemetry slate so committed BENCH_*.json files diff as true
 		// per-run deltas (fullscale also reads the match-latency
@@ -162,24 +152,7 @@ func main() {
 	var results []experiment
 	var fsRes *fullscaleResult
 	var snapRes *snapshotResult
-	var scRes *serveClientsResult
-	if *serveClients > 0 {
-		start := time.Now()
-		sc, text, err := runServeClients(*scale, *trips, *serveClients, *serveDim, *serveURL, *batchWindow, *serveDur)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lhmm-bench: serve-clients: %v\n", err)
-			os.Exit(1)
-		}
-		wall := time.Since(start).Seconds()
-		scRes = sc
-		results = append(results, experiment{ID: "serve-clients", WallS: wall, Text: text})
-		obs.Logger().Info("lhmm-bench: serve-clients done", "wall_s", wall)
-		if !*asJSON {
-			fmt.Fprintf(w, "== serve-clients (%.1fs) ==\n%s\n", wall, text)
-		} else {
-			fmt.Fprintf(os.Stderr, "lhmm-bench: serve-clients done in %.1fs\n%s", wall, text)
-		}
-	} else if *snapshot {
+	if *snapshot {
 		start := time.Now()
 		sr, text, err := runSnapshotBench(*scale, *trips)
 		if err != nil {
@@ -197,7 +170,7 @@ func main() {
 		}
 	} else if *fullscale {
 		start := time.Now()
-		fs, text, err := runFullscale(*scale, *trips, *parallel)
+		fs, text, err := runFullscale(*scale, *trips)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lhmm-bench: fullscale: %v\n", err)
 			os.Exit(1)
@@ -212,12 +185,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lhmm-bench: fullscale done in %.1fs\n%s", wall, text)
 		}
 	} else {
-		hzCfg := lhmm.DefaultSuite("hangzhou", *scale, *trips)
-		xmCfg := lhmm.DefaultSuite("xiamen", *scale, *trips)
-		hzCfg.LHMM.Parallel = *parallel
-		xmCfg.LHMM.Parallel = *parallel
-		hz := lhmm.NewSuite(hzCfg)
-		xm := lhmm.NewSuite(xmCfg)
+		hz := lhmm.NewSuite(lhmm.DefaultSuite("hangzhou", *scale, *trips))
+		xm := lhmm.NewSuite(lhmm.DefaultSuite("xiamen", *scale, *trips))
 
 		ids := []string{*exp}
 		if *exp == "all" {
@@ -251,7 +220,6 @@ func main() {
 		doc = buildDoc(results, *scale, *trips, time.Since(runStart).Seconds())
 		doc.Fullscale = fsRes
 		doc.Snapshot = snapRes
-		doc.ServeClients = scRes
 	}
 	if *asJSON {
 		enc := json.NewEncoder(w)
@@ -373,33 +341,6 @@ func compareRuns(w io.Writer, base, fresh *output) error {
 			b.RestoreUs, f.RestoreUs, pctDelta(b.RestoreUs, f.RestoreUs))
 		fmt.Fprintf(w, "  %-18s %8dB  -> %8dB   %s\n", "bytes_per_session",
 			b.BytesPerSession, f.BytesPerSession, pctDelta(float64(b.BytesPerSession), float64(f.BytesPerSession)))
-	}
-	// Concurrent-clients serving workload: deltas are a signal, never a
-	// gate — serving throughput moves with host load, so a regression
-	// here flags for a human, it does not fail the run.
-	if base.ServeClients != nil && fresh.ServeClients != nil {
-		b, f := base.ServeClients, fresh.ServeClients
-		if b.Clients != f.Clients {
-			fmt.Fprintf(w, "  note: serve-clients count differs (%d vs %d); deltas reflect load, not performance\n",
-				b.Clients, f.Clients)
-		}
-		armDelta := func(name string, ba, fa *serveArm) {
-			if ba == nil || fa == nil {
-				return
-			}
-			fmt.Fprintf(w, "  %-22s %8.1f rps -> %8.1f rps %s\n", name+"_rps",
-				ba.ThroughputRPS, fa.ThroughputRPS, pctDelta(ba.ThroughputRPS, fa.ThroughputRPS))
-			fmt.Fprintf(w, "  %-22s %8.1fms  -> %8.1fms  %s\n", name+"_p99",
-				ba.P99Ms, fa.P99Ms, pctDelta(ba.P99Ms, fa.P99Ms))
-		}
-		armDelta("serve_live", b.Live, f.Live)
-		armDelta("serve_off", b.Off, f.Off)
-		armDelta("serve_shadow_on", b.ShadowOn, f.ShadowOn)
-		armDelta("serve_on", b.On, f.On)
-		if b.SpeedupX > 0 && f.SpeedupX > 0 {
-			fmt.Fprintf(w, "  %-22s %7.2fx    -> %7.2fx   %s\n", "serve_speedup",
-				b.SpeedupX, f.SpeedupX, pctDelta(b.SpeedupX, f.SpeedupX))
-		}
 	}
 	names := make([]string, 0, len(base.Obs.Counters))
 	for name := range base.Obs.Counters {

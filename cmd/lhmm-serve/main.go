@@ -49,7 +49,6 @@ import (
 	lhmm "repro"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/shadow"
 	"repro/internal/traj"
@@ -70,7 +69,6 @@ func run(args []string) error {
 	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "seed the model was trained with")
-	parallel := fs.Int("parallel", 0, "transition fan-out workers per match (<=1 sequential; output identical)")
 	onBreak := fs.String("on-break", "error", "default dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "default input validation: strict|drop|off")
 	lag := fs.Int("lag", 2, "default streaming emit lag in points")
@@ -92,11 +90,6 @@ func run(args []string) error {
 	captureSample := fs.Float64("capture-sample", 1, "fraction of eligible match requests to capture in [0,1]")
 	checkpointDir := fs.String("checkpoint-dir", "", "durable-session store: snapshot in-flight streaming sessions here and restore them on boot (empty disables)")
 	checkpointInterval := fs.Duration("checkpoint-interval", 5*time.Second, "periodic dirty-session checkpoint sweep cadence")
-	batchWindow := fs.Duration("batch-window", 0, "cross-request micro-batch coalescing window (0 disables batching; float64 output is byte-identical either way)")
-	batchMax := fs.Int("batch-max", 0, "flush a micro-batch early once it holds this many rows (0 = default 512)")
-	batchWorkers := fs.Int("batch-workers", 0, "micro-batch executor goroutines (0 = GOMAXPROCS)")
-	f32 := fs.Bool("f32", false, "score micro-batches on the approximate float32 path (NOT byte-identical; excluded from parity)")
-	batchMemo := fs.Int("batch-memo", 64<<20, "byte budget of the cross-batch scored-row memo (0 disables; hits are bit-identical to recomputing)")
 	shadowModel := fs.String("shadow-model", "", "candidate model weights to shadow-score against live traffic (also loadable at runtime via POST /v1/shadow/load)")
 	shadowSample := fs.Float64("shadow-sample", 1, "fraction of completed match requests and sessions mirrored through the shadow candidate in [0,1]")
 	shadowWorkers := fs.Int("shadow-workers", 2, "shadow mirror worker goroutines")
@@ -143,41 +136,23 @@ func run(args []string) error {
 		return err
 	}
 
-	// The batching scheduler is created before the loader so every
-	// loaded model — initial, hot-reloaded, or checkpoint-recovered —
-	// carries it as its executor. Nil when batching is off, keeping the
-	// scoring path exactly as before.
-	var scheduler *sched.Scheduler
-	if *batchWindow > 0 {
-		scheduler = sched.New(sched.Config{
-			Window:    *batchWindow,
-			MaxRows:   *batchMax,
-			Workers:   *batchWorkers,
-			F32:       *f32,
-			MemoBytes: *batchMemo,
-		})
-	} else if *f32 {
-		return errors.New("-f32 requires -batch-window > 0")
-	}
-
-	// The loader runs once at startup and again on every reload: it
-	// rebuilds a fresh model skeleton over the resident dataset and
-	// restores the (possibly replaced) weights file. Load validates
-	// every parameter before writing any, so a bad file fails the whole
-	// reload and the registry keeps the old model.
-	loader := func() (*lhmm.Model, error) {
+	// loadModel runs once at startup, again on every reload, and for
+	// each shadow candidate: it rebuilds a fresh model skeleton over the
+	// resident dataset and restores the weights file at path. Load
+	// validates every parameter before writing any, so a bad file fails
+	// the whole load and the registry keeps the old model.
+	loadModel := func(path string) (*lhmm.Model, error) {
 		cfg := lhmm.DefaultConfig()
 		cfg.Dim = *dim
 		cfg.K = *k
 		cfg.Seed = *seed
-		cfg.Parallel = *parallel
 		cfg.OnBreak = breakPolicy
 		cfg.Sanitize = sanitizeMode
 		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
 		if err != nil {
 			return nil, err
 		}
-		wf, err := os.Open(*modelPath)
+		wf, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
@@ -185,13 +160,10 @@ func run(args []string) error {
 		if err := m.Load(wf); err != nil {
 			return nil, err
 		}
-		if scheduler != nil {
-			m.Exec = scheduler
-		}
 		return m, nil
 	}
 
-	reg := serve.NewRegistry(loader)
+	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return loadModel(*modelPath) })
 	if err := reg.Reload(); err != nil {
 		return fmt.Errorf("initial model load: %w", err)
 	}
@@ -214,31 +186,6 @@ func run(args []string) error {
 		defer capture.Close() //nolint:errcheck // exiting anyway
 		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing matches to %s (sample %.2f)\n",
 			*captureOut, *captureSample)
-	}
-	// The shadow loader mirrors the registry loader but opens an
-	// arbitrary candidate path and never attaches the serving scheduler
-	// (mirrored work must not ride live micro-batches).
-	shadowLoader := func(path string) (*lhmm.Model, error) {
-		cfg := lhmm.DefaultConfig()
-		cfg.Dim = *dim
-		cfg.K = *k
-		cfg.Seed = *seed
-		cfg.Parallel = *parallel
-		cfg.OnBreak = breakPolicy
-		cfg.Sanitize = sanitizeMode
-		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		wf, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer wf.Close()
-		if err := m.Load(wf); err != nil {
-			return nil, err
-		}
-		return m, nil
 	}
 	var shadowCapture *serve.Capture
 	if *shadowCaptureOut != "" {
@@ -276,9 +223,8 @@ func run(args []string) error {
 		DriftBaseline:     baseline,
 		DriftBaselinePath: *driftBaseline,
 		Capture:           capture,
-		Sched:             scheduler,
 		Shadow: serve.ShadowConfig{
-			Loader:    shadowLoader,
+			Loader:    loadModel,
 			ModelPath: *shadowModel,
 			Sample:    *shadowSample,
 			Workers:   *shadowWorkers,
@@ -340,14 +286,6 @@ func run(args []string) error {
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "lhmm-serve: serving %s on %s (dim %d, k %d, %d workers)\n",
 		ds.Name, *addr, *dim, *k, *workers)
-	if scheduler != nil {
-		prec := "float64, byte-identical"
-		if *f32 {
-			prec = "float32, approximate"
-		}
-		fmt.Fprintf(os.Stderr, "lhmm-serve: micro-batching scoring (window %s, %s)\n",
-			*batchWindow, prec)
-	}
 	if *shadowModel != "" {
 		fmt.Fprintf(os.Stderr, "lhmm-serve: shadow-scoring candidate %s (sample %.2f)\n",
 			*shadowModel, *shadowSample)

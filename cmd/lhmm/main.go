@@ -191,7 +191,6 @@ func cmdTrain(args []string) error {
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "training seed")
 	trace := fs.Bool("trace", false, "collect per-trajectory match traces during calibration")
-	parallel := fs.Int("parallel", 0, "transition fan-out workers per match (<=1 sequential; output identical)")
 	driftBaseline := fs.String("drift-baseline", "", "drift baseline output file (default <model>.baseline.json; 'none' skips)")
 	cleanup, err := parseWithObs(fs, args)
 	if err != nil {
@@ -208,7 +207,6 @@ func cmdTrain(args []string) error {
 	cfg.K = *k
 	cfg.Seed = *seed
 	cfg.Trace = *trace
-	cfg.Parallel = *parallel
 	model, err := lhmm.Train(ds, cfg)
 	if err != nil {
 		return err
@@ -277,7 +275,6 @@ func cmdMatch(args []string) error {
 	geojson := fs.String("geojson", "", "optional GeoJSON output file")
 	traceOut := fs.String("trace", "", "write the per-trajectory match trace as JSON ('-' for stdout; with -json it is embedded in the response instead)")
 	explain := fs.Bool("explain", false, "collect the per-decision explanation (top-k candidates, margins, chosen routes); with -json it is embedded in the response, matching POST /v1/match?explain=1")
-	parallel := fs.Int("parallel", 0, "transition fan-out workers per match (<=1 sequential; output identical)")
 	onBreak := fs.String("on-break", "error", "dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "input validation: strict|drop|off")
 	cleanup, err := parseWithObs(fs, args)
@@ -298,7 +295,6 @@ func cmdMatch(args []string) error {
 	}
 	model.Cfg.Trace = *traceOut != ""
 	model.Cfg.Explain = *explain
-	model.Cfg.Parallel = *parallel
 	if model.Cfg.OnBreak, err = lhmm.ParseBreakPolicy(*onBreak); err != nil {
 		return err
 	}
@@ -696,7 +692,6 @@ func cmdEval(args []string) error {
 	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "seed the model was trained with")
-	parallel := fs.Int("parallel", 0, "transition fan-out workers per match (<=1 sequential; output identical)")
 	onBreak := fs.String("on-break", "error", "dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "input validation: strict|drop|off")
 	cleanup, err := parseWithObs(fs, args)
@@ -732,7 +727,6 @@ func cmdEval(args []string) error {
 			if err != nil {
 				return err
 			}
-			model.Cfg.Parallel = *parallel
 			model.Cfg.OnBreak = breakPolicy
 			model.Cfg.Sanitize = sanitizeMode
 			m = lhmm.AsMethod("LHMM", model)

@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
-	"repro/internal/hmm"
 	"repro/internal/nn"
 )
 
@@ -98,69 +96,4 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestScoreBatchParallelIdentical: worker count must not change a
-// single bit of the batch output (features are pair-indexed, roadProb
-// is deterministic, and the fused product is one shared matrix).
-func TestScoreBatchParallelIdentical(t *testing.T) {
-	m, sess := trainedModel(t)
-	i := 1
-	from := sess.Candidates(sess.ct, i-1, m.Cfg.K)
-	to := sess.Candidates(sess.ct, i, m.Cfg.K)
-	want := make([]float64, len(from)*len(to))
-	sess.ScoreBatch(sess.ct, i, from, to, want)
-	for _, workers := range []int{2, 3, 8} {
-		m.Cfg.Parallel = workers
-		got := make([]float64, len(want))
-		sess.ScoreBatch(sess.ct, i, from, to, got)
-		for p := range want {
-			if want[p] != got[p] && !(math.IsNaN(want[p]) && math.IsNaN(got[p])) {
-				t.Fatalf("workers=%d pair %d: %v vs %v", workers, p, got[p], want[p])
-			}
-		}
-	}
-	m.Cfg.Parallel = 0
-}
-
-// TestParallelMatchIdentical: full end-to-end matching with the
-// parallel fan-out returns the same result as sequential. Run under
-// -race this also validates the concurrent session/router caches.
-func TestParallelMatchIdentical(t *testing.T) {
-	d := testDataset(t, 14)
-	m, err := Train(d, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nTrips := len(d.Test)
-	if nTrips > 4 {
-		nTrips = 4
-	}
-	want := make([]*hmm.Result, nTrips)
-	for i := 0; i < nTrips; i++ {
-		res, err := m.Match(d.Trips[d.Test[i]].Cell)
-		if err != nil {
-			t.Fatalf("sequential match %d: %v", i, err)
-		}
-		want[i] = res
-	}
-	for _, workers := range []int{2, 4} {
-		m.Cfg.Parallel = workers
-		for i := 0; i < nTrips; i++ {
-			res, err := m.Match(d.Trips[d.Test[i]].Cell)
-			if err != nil {
-				t.Fatalf("parallel match %d: %v", i, err)
-			}
-			if !reflect.DeepEqual(res.Matched, want[i].Matched) {
-				t.Fatalf("workers=%d trip %d: Matched diverged", workers, i)
-			}
-			if !reflect.DeepEqual(res.Path, want[i].Path) {
-				t.Fatalf("workers=%d trip %d: Path diverged", workers, i)
-			}
-			if res.Score != want[i].Score {
-				t.Fatalf("workers=%d trip %d: Score %v vs %v", workers, i, res.Score, want[i].Score)
-			}
-		}
-	}
-	m.Cfg.Parallel = 0
 }

@@ -104,14 +104,6 @@ type Config struct {
 	// ExplainLowMargin is the margin (nats) below which a decision is
 	// flagged low-confidence (default 0.05).
 	ExplainLowMargin float64
-
-	// Parallel bounds the worker pool the per-step transition fan-out
-	// (route construction + explicit features) runs on during
-	// inference. <=1 (the default) keeps matching single-threaded.
-	// Matched output is identical for any value: parallel workers only
-	// fill a pair-indexed feature table, and the Viterbi recurrence
-	// stays sequential.
-	Parallel int
 }
 
 // DefaultConfig returns the configuration used by the experiment

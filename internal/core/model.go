@@ -13,32 +13,11 @@ import (
 	"repro/internal/traj"
 )
 
-// MLPExecutor runs batched MLP forward passes on behalf of a model.
-// The serving layer installs a cross-request micro-batching scheduler
-// here (internal/sched) so concurrent requests share matrix products;
-// offline matching leaves it nil and scores directly. Implementations
-// must write exactly x.R×mlp.OutDim() float64s into out before
-// returning and must be safe for concurrent use. In float64 mode the
-// written rows must be bit-identical to mlp.ApplyWS over the same
-// rows — MLP application is row-independent, so any batching that
-// preserves per-row accumulation order satisfies this.
-type MLPExecutor interface {
-	ApplyMLP(mlp *nn.MLP, x, out *nn.Mat)
-}
-
 // Model is a trained LHMM: the multi-relational graph and encoder, the
 // observation and transition probability learners, and frozen node
 // embeddings for inference.
 type Model struct {
 	Cfg Config
-
-	// Exec, when non-nil, receives the batched MLP forward passes of the
-	// transition hot path (the per-step Eq. 10 road-probability fill and
-	// the k×k Eq. 12 fan-out); observation scoring is always inline.
-	// Shallow model copies share it, so a served request pinned to one
-	// model snapshot keeps its executor. Nil scores inline — the offline
-	// default.
-	Exec MLPExecutor
 
 	Net    *roadnet.Network
 	Cells  *cellular.Net
@@ -175,19 +154,6 @@ func (m *Model) towerEmb(id cellular.TowerID) []float64 {
 // segEmb returns the frozen embedding row of a segment.
 func (m *Model) segEmb(id roadnet.SegmentID) []float64 {
 	return m.emb.Row(m.Graph.SegNode(id))
-}
-
-// applyMLP routes a batched MLP forward pass through the installed
-// executor (cross-request micro-batching) or, with none installed,
-// straight to the inline workspace path. The returned matrix aliases
-// ws either way and is invalidated by ws.Reset.
-func (m *Model) applyMLP(ws *nn.Workspace, mlp *nn.MLP, x *nn.Mat) *nn.Mat {
-	if m.Exec == nil {
-		return mlp.ApplyWS(ws, x)
-	}
-	out := ws.Take(x.R, mlp.OutDim())
-	m.Exec.ApplyMLP(mlp, x, out)
-	return out
 }
 
 // gaussDist maps a point-to-road distance to the calibrated Gaussian

@@ -67,28 +67,24 @@ func TestChaosLearnedPipeline(t *testing.T) {
 	if len(trips) > 3 {
 		trips = trips[:3]
 	}
-	for _, parallel := range []int{0, 4} {
-		for _, policy := range []hmm.BreakPolicy{hmm.BreakSkip, hmm.BreakSplit} {
-			faultinject.DisarmAll()
-			if err := faultinject.Arm("hmm.candidates.empty:5,core.trans.nan:3,hmm.trans.nan:2"); err != nil {
-				t.Fatal(err)
+	for _, policy := range []hmm.BreakPolicy{hmm.BreakSkip, hmm.BreakSplit} {
+		faultinject.DisarmAll()
+		if err := faultinject.Arm("hmm.candidates.empty:5,core.trans.nan:3,hmm.trans.nan:2"); err != nil {
+			t.Fatal(err)
+		}
+		m.Cfg.OnBreak = policy
+		m.Cfg.Sanitize = traj.SanitizeDrop
+		for _, tr := range trips {
+			res, err := m.Match(tr.Cell)
+			if err != nil {
+				t.Fatalf("policy=%v trip %d: %v", policy, tr.ID, err)
 			}
-			m.Cfg.Parallel = parallel
-			m.Cfg.OnBreak = policy
-			m.Cfg.Sanitize = traj.SanitizeDrop
-			for _, tr := range trips {
-				res, err := m.Match(tr.Cell)
-				if err != nil {
-					t.Fatalf("parallel=%d policy=%v trip %d: %v", parallel, policy, tr.ID, err)
-				}
-				if len(res.Matched) == 0 {
-					t.Fatalf("parallel=%d policy=%v trip %d: empty result", parallel, policy, tr.ID)
-				}
+			if len(res.Matched) == 0 {
+				t.Fatalf("policy=%v trip %d: empty result", policy, tr.ID)
 			}
 		}
 	}
 	faultinject.DisarmAll()
-	m.Cfg.Parallel = 0
 	m.Cfg.OnBreak = hmm.BreakError
 	m.Cfg.Sanitize = traj.SanitizeStrict
 	res, err := m.Match(trips[0].Cell)

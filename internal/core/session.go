@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -56,8 +54,7 @@ type session struct {
 	ct traj.CellTrajectory
 
 	// ws is the match-goroutine scratch workspace (from the shared nn
-	// pool, returned by release). Parallel transition workers take
-	// their own.
+	// pool, returned by release).
 	ws *nn.Workspace
 
 	ptEmb *nn.Mat // n×d raw point embeddings
@@ -71,10 +68,8 @@ type session struct {
 	// trajectory's point embeddings, shared by every roadProb query.
 	transKeys *nn.AttKeys
 
-	// roadP caches Eq. 10 per segment. roadMu guards it when the
-	// transition fan-out runs on multiple workers.
-	roadMu sync.Mutex
-	roadP  map[roadnet.SegmentID]float64
+	// roadP caches Eq. 10 per segment.
+	roadP map[roadnet.SegmentID]float64
 
 	// obsZ caches, per point, the softmax denominator over the
 	// candidate pool (Eq. 7 normalizes P_O across the candidate roads
@@ -85,7 +80,7 @@ type session struct {
 	// deg counts batched scoring events that fell back to the
 	// classical explicit feature because the learned score came out
 	// NaN/Inf (degraded mode); folded into Result.Degraded by Match.
-	deg atomic.Int64
+	deg int
 
 	// span, when non-nil, is the request's match span; observation-
 	// scoring wall-clock accumulates into obsT (first call stamped in
@@ -148,31 +143,24 @@ func softmaxP1(l0, l1 float64) float64 {
 }
 
 // roadProb evaluates Eq. 10 with caching: the likelihood that segment
-// sid belongs to this trajectory. Safe for concurrent use (the cache is
-// mutex-guarded; the underlying inference is deterministic, so a rare
-// duplicated computation stores the same value). ws supplies scratch
-// and is Reset here — callers must not hold live ws buffers across it.
-func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
-	s.roadMu.Lock()
+// sid belongs to this trajectory. A miss Resets s.ws — callers must
+// not hold live workspace buffers across it.
+func (s *session) roadProb(sid roadnet.SegmentID) float64 {
 	if p, ok := s.roadP[sid]; ok {
-		s.roadMu.Unlock()
 		obsRoadProbHits.Inc()
 		return p
 	}
-	s.roadMu.Unlock()
 	obsRoadProbMiss.Inc()
 	d := s.m.Cfg.Dim
-	ws.Reset()
+	s.ws.Reset()
 	segRow := &nn.Mat{R: 1, C: d, W: s.m.segEmb(sid)}
-	xl, _ := s.transKeys.QueryWS(ws, segRow)
-	feat := ws.Take(1, 2*d)
+	xl, _ := s.transKeys.QueryWS(s.ws, segRow)
+	feat := s.ws.Take(1, 2*d)
 	copy(feat.W[:d], segRow.W)
 	copy(feat.W[d:], xl.W)
-	logits := s.m.TransMLP.ApplyWS(ws, feat)
+	logits := s.m.TransMLP.ApplyWS(s.ws, feat)
 	p := softmaxP1(logits.W[0], logits.W[1])
-	s.roadMu.Lock()
 	s.roadP[sid] = p
-	s.roadMu.Unlock()
 	return p
 }
 
@@ -181,14 +169,14 @@ func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
 // similarity, turn similarity]. straight is the hoisted straight-line
 // distance between points i-1 and i (identical for every pair of the
 // step's fan-out).
-func (s *session) transFeatures(ws *nn.Workspace, i int, route roadnet.Route, straight float64) [3]float64 {
+func (s *session) transFeatures(i int, route roadnet.Route, straight float64) [3]float64 {
 	var pRoute float64
 	if s.m.Cfg.DisableImplicitTrans {
 		pRoute = 0.5
 	} else {
 		var sum float64
 		for _, sid := range route.Segs {
-			sum += s.roadProb(ws, sid)
+			sum += s.roadProb(sid)
 		}
 		pRoute = sum / float64(len(route.Segs))
 	}
@@ -292,7 +280,7 @@ func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candid
 		return 0, false
 	}
 	straight := s.ct[i-1].P.Dist(s.ct[i].P)
-	f := s.transFeatures(s.ws, i, route, straight)
+	f := s.transFeatures(i, route, straight)
 	return s.m.fuseTrans(s.ws, f), true
 }
 
@@ -315,8 +303,7 @@ func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
 // roadProbFill batch-computes every uncached Eq. 10 road probability
 // referenced by the step's reachable routes: one multi-row attention
 // read-out (nn.AttKeys.QueryAllWS) plus one R×2d product through the
-// relevance MLP — routed through Model.Exec when a scheduler is
-// installed — instead of R single-row passes. Per-row arithmetic
+// relevance MLP instead of R single-row passes. Per-row arithmetic
 // mirrors roadProb exactly (MatMulInto is row-independent and the
 // qdot/softmax/read-out order is shared), so cached values are
 // bit-identical whichever path computed them; the scalar TransScore
@@ -329,7 +316,6 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 	// (deterministic: routes are pair-indexed).
 	var need []roadnet.SegmentID
 	seen := make(map[roadnet.SegmentID]bool)
-	s.roadMu.Lock()
 	for p := range routes {
 		if math.IsNaN(mask[p]) {
 			continue
@@ -344,7 +330,6 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 			}
 		}
 	}
-	s.roadMu.Unlock()
 	obsRoadProbMiss.Add(int64(len(need)))
 	if len(need) == 0 {
 		return
@@ -361,26 +346,22 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 		copy(row[:d], segs.Row(r))
 		copy(row[d:], xl.Row(r))
 	}
-	logits := s.m.applyMLP(s.ws, s.m.TransMLP, feat)
-	s.roadMu.Lock()
+	logits := s.m.TransMLP.ApplyWS(s.ws, feat)
 	for r, sid := range need {
 		lr := logits.Row(r)
 		s.roadP[sid] = softmaxP1(lr[0], lr[1])
 	}
-	s.roadMu.Unlock()
 }
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
 // transition fan-out of one Viterbi step in a single fused-MLP batch.
-// Route construction runs on Cfg.Parallel workers (the router's SSSP
-// cache is concurrency-safe), then every road probability the step's
+// A route is built per pair, then every road probability the step's
 // routes reference is batch-filled in one shot (roadProbFill), the
 // explicit features are assembled from the warm cache, and one
 // (k·k)×3 matrix product through the Eq. 12 fuse MLP scores every
 // reachable pair at once. The per-step straight-line distance is
 // hoisted out of the pair loop. Results are identical to pairwise
-// TransScore regardless of worker count: feature rows are
-// pair-indexed, cached road probabilities are bit-identical whichever
+// TransScore: cached road probabilities are bit-identical whichever
 // path computed them, and the MLP products are row-independent.
 func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) {
 	nFrom, nTo := len(from), len(to)
@@ -390,43 +371,16 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	feat := s.ws.Take(nPairs, 3)
 	routes := make([]roadnet.Route, nPairs)
 
-	// Phase 1: a route per pair, fanned out over workers. out doubles as
-	// the reachability mask (NaN = unreachable).
-	routePair := func(p int) {
-		j, kk := p/nTo, p%nTo
-		route, ok := s.m.Router.RouteBetween(from[j].Pos(), to[kk].Pos())
+	// Phase 1: a route per pair. out doubles as the reachability mask
+	// (NaN = unreachable).
+	for p := 0; p < nPairs; p++ {
+		route, ok := s.m.Router.RouteBetween(from[p/nTo].Pos(), to[p%nTo].Pos())
 		if !ok || len(route.Segs) == 0 {
 			out[p] = math.NaN()
-			return
+			continue
 		}
 		routes[p] = route
 		out[p] = 0
-	}
-	workers := s.m.Cfg.Parallel
-	if workers > nPairs {
-		workers = nPairs
-	}
-	if workers <= 1 {
-		for p := 0; p < nPairs; p++ {
-			routePair(p)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					p := int(next.Add(1)) - 1
-					if p >= nPairs {
-						return
-					}
-					routePair(p)
-				}
-			}()
-		}
-		wg.Wait()
 	}
 
 	// Phase 2: batch every uncached road probability the step needs,
@@ -441,7 +395,7 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 			row[0], row[1], row[2] = 0, 0, 0
 			continue
 		}
-		f := s.transFeatures(s.ws, i, routes[p], straight)
+		f := s.transFeatures(i, routes[p], straight)
 		row[0], row[1], row[2] = f[0], f[1], f[2]
 	}
 
@@ -453,7 +407,7 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	// feature — exactly the classical Eq. 3 exponential with β=500,
 	// already computed into the feature row — instead of silently
 	// reading as "unreachable" and breaking the chain.
-	logits := s.m.applyMLP(s.ws, s.m.TransFuse, feat) // nPairs×2
+	logits := s.m.TransFuse.ApplyWS(s.ws, feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
 	for p := 0; p < nPairs; p++ {
 		if math.IsNaN(out[p]) {
@@ -472,10 +426,10 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 				pr = fb
 			} else {
 				out[p] = math.NaN()
-				s.deg.Add(1)
+				s.deg++
 				continue
 			}
-			s.deg.Add(1)
+			s.deg++
 		}
 		out[p] = pr
 	}
@@ -581,7 +535,6 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 			// with what the matcher sees); do not re-run it inside.
 			Sanitize:         traj.SanitizeOff,
 			Trace:            m.Cfg.Trace,
-			Parallel:         m.Cfg.Parallel,
 			Explain:          m.Cfg.Explain,
 			ExplainTopK:      m.Cfg.ExplainTopK,
 			ExplainLowMargin: m.Cfg.ExplainLowMargin,
@@ -597,7 +550,7 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		return nil, err
 	}
 	res.Sanitize = srep
-	if d := int(sess.deg.Load()); d > 0 {
+	if d := sess.deg; d > 0 {
 		// Fold the batched-path fallbacks into the result and the
 		// shared degraded counter (the hmm layer counted its own).
 		res.Degraded += d

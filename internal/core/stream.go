@@ -149,9 +149,6 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHa
 		row[1] = m.gaussDist(cands[j].Dist)
 		row[2] = m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	// Inline, not through Model.Exec: a pool×3 product is too small to
-	// be worth a coalescing window, and the shortcut pass's one-row
-	// calls would each wait one out.
 	logits := m.ObsFuse.ApplyWS(ws, fuse) // p×2
 	for j := 0; j < p; j++ {
 		lr := logits.Row(j)

@@ -541,7 +541,7 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 		}
 		ratio := float64(onPath) / float64(len(route.Segs))
 		straight := s.tr.Cell[i-1].P.Dist(s.tr.Cell[i].P)
-		exs = append(exs, ex{f: sess.transFeatures(sess.ws, i, route, straight), ratio: ratio})
+		exs = append(exs, ex{f: sess.transFeatures(i, route, straight), ratio: ratio})
 	}
 	candK := m.Cfg.K / 3
 	if candK < 4 {

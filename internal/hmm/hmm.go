@@ -18,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -117,9 +115,8 @@ type TransitionModel interface {
 // implement: score the whole |from|×|to| transition fan-out of one
 // Viterbi step in a single call, so implementations can batch their
 // per-pair inference (one k²×d matrix product instead of k² row
-// products) and parallelize route construction internally. The matcher
-// prefers it over pairwise Score when present; both must return the
-// same probabilities.
+// products). The matcher prefers it over pairwise Score when present;
+// both must return the same probabilities.
 type TransitionBatchModel interface {
 	// ScoreBatch fills out[j*len(to)+kk] with P_T(from[j] → to[kk]) for
 	// movement into point i, or NaN where the movement is impossible.
@@ -304,14 +301,6 @@ type Config struct {
 	// ExplainLowMargin is the margin (nats) below which a decision is
 	// flagged low-confidence (default 0.05).
 	ExplainLowMargin float64
-	// Parallel bounds the worker pool the per-step transition fan-out
-	// runs on when the transition model only supports pairwise Score
-	// (batch models parallelize internally). <=1 keeps the fan-out on
-	// the calling goroutine. Values >1 require Trans.Score (and the
-	// router behind it) to be safe for concurrent use; the matched
-	// output is identical either way because the Viterbi recurrence
-	// itself always runs sequentially over the memoized step table.
-	Parallel int
 }
 
 // Matcher runs HMM path-finding with pluggable probability models —
@@ -332,9 +321,9 @@ func (m *Matcher) Match(ct traj.CellTrajectory) (*Result, error) {
 
 // MatchContext is Match with cancellation: the context is checked
 // between points during candidate preparation and between Viterbi
-// steps (and inside the parallel transition fan-out), so a canceled or
-// deadline-expired context stops the match within one step's work and
-// returns the context error wrapped.
+// steps (and between columns of a pairwise transition fan-out), so a
+// canceled or deadline-expired context stops the match within one
+// step's work and returns the context error wrapped.
 func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Result, error) {
 	if len(ct) == 0 {
 		obsMatchErrors.Inc()
@@ -380,7 +369,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		start = time.Now()
 	}
 	var nCand, nEval, nBlocked int64
-	var deg atomic.Int64 // degraded-mode scoring events this match
+	var deg int64 // degraded-mode scoring events this match
 	var es *explainState
 	if m.Cfg.Explain {
 		es = newExplainState(len(ct), m.Cfg.ExplainTopK, m.Cfg.ExplainLowMargin)
@@ -411,7 +400,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		for j := range layer {
 			if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
 				layer[j].Obs = m.fallbackObs(layer[j].Dist)
-				deg.Add(1)
+				deg++
 				if es != nil {
 					es.fellback[i][j] = true
 				}
@@ -503,7 +492,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			}
 		}
 		// Phase 1: score the whole transition fan-out into the step
-		// table — batched, parallel, or pairwise-sequential.
+		// table — batched or pairwise.
 		tdone := stage(&st.TransitionS)
 		batchBuf = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], steps[i], batchBuf, &deg)
 		tdone()
@@ -651,10 +640,10 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		obsExplainLowMargin.Add(nLowMargin)
 	}
 	if obs.DefaultDrift.Enabled() {
-		feedDrift(keep, deg.Load(), nCand, nEval)
+		feedDrift(keep, deg, nCand, nEval)
 	}
 
-	res.Degraded = int(deg.Load())
+	res.Degraded = int(deg)
 	obsMatches.Inc()
 	obsCandidates.Add(nCand)
 	obsTransEval.Add(nEval)
@@ -663,7 +652,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	obsShortcutTries.Add(int64(attempts))
 	obsShortcutAdopt.Add(int64(adoptions))
 	obsPointsSkipped.Add(nSkipped)
-	obsMatchDegraded.Add(deg.Load())
+	obsMatchDegraded.Add(deg)
 	obsMatchGaps.Add(int64(len(res.Gaps)))
 	obsDeadPoints.Add(int64(deadCount))
 	if timed {
@@ -713,13 +702,11 @@ var nopStage = func() {}
 // fillSteps populates the step table for the transition into point i:
 // steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN where
 // unreachable. A TransitionBatchModel scores the whole fan-out in one
-// call; otherwise pairwise Score runs on Cfg.Parallel workers (each
-// owning a disjoint set of target columns, so no write contention and
-// scheduling cannot change the table). Workers drain early when ctx is
-// canceled; the caller's per-step ctx check surfaces the error. It
-// returns the (possibly grown) scratch buffer for reuse by the next
-// step.
-func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, steps [][]float64, buf []float64, deg *atomic.Int64) []float64 {
+// call; otherwise pairwise Score fills it column by column, stopping
+// early when ctx is canceled (the caller's per-step ctx check surfaces
+// the error). It returns the (possibly grown) scratch buffer for reuse
+// by the next step.
+func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, steps [][]float64, buf []float64, deg *int64) []float64 {
 	if bm, ok := m.Trans.(TransitionBatchModel); ok {
 		nTo := len(to)
 		if need := len(from) * nTo; cap(buf) < need {
@@ -738,7 +725,7 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 				if math.IsInf(pt, 0) {
 					var ok bool
 					pt, ok = m.fallbackTrans(ct, i, &from[j], &to[kk])
-					deg.Add(1)
+					*deg++
 					if !ok {
 						continue
 					}
@@ -750,45 +737,16 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 		}
 		return buf
 	}
-	workers := m.Cfg.Parallel
-	if workers > len(to) {
-		workers = len(to)
-	}
-	scoreCol := func(kk int) {
+	for kk := range to {
+		if ctx.Err() != nil {
+			return buf
+		}
 		for j := range from {
 			if w, ok := m.stepScore(ct, i, &from[j], &to[kk], deg); ok {
 				steps[j][kk] = w
 			}
 		}
 	}
-	if workers <= 1 {
-		for kk := range to {
-			if ctx.Err() != nil {
-				return buf
-			}
-			scoreCol(kk)
-		}
-		return buf
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				kk := int(next.Add(1)) - 1
-				if kk >= len(to) {
-					return
-				}
-				scoreCol(kk)
-			}
-		}()
-	}
-	wg.Wait()
 	return buf
 }
 
@@ -797,7 +755,7 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 // misbehaving learned model) degrades to the classical Eq. 3
 // exponential instead of poisoning the Viterbi table; deg (optional)
 // counts those events.
-func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, deg *atomic.Int64) (float64, bool) {
+func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, deg *int64) (float64, bool) {
 	pt, ok := m.Trans.Score(ct, i, from, to)
 	if fpTransNaN.Fail() {
 		pt = math.NaN()
@@ -807,7 +765,7 @@ func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, 
 	}
 	if math.IsNaN(pt) || math.IsInf(pt, 0) {
 		if deg != nil {
-			deg.Add(1)
+			*deg++
 		}
 		pt, ok = m.fallbackTrans(ct, i, from, to)
 		if !ok {

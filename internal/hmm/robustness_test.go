@@ -282,13 +282,10 @@ func TestMatchContextCancel(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []int{0, 4} {
-		m := classicMatcher(net, r, 5, 0)
-		m.Cfg.Parallel = parallel
-		_, err := m.MatchContext(ctx, lineTraj())
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("parallel=%d: err = %v, want context.Canceled", parallel, err)
-		}
+	m := classicMatcher(net, r, 5, 0)
+	_, err := m.MatchContext(ctx, lineTraj())
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
@@ -317,7 +314,7 @@ func TestMatchSanitize(t *testing.T) {
 
 // TestChaosFailpoints arms the matcher-level failpoints and checks the
 // Skip policy absorbs injected dead candidate sets and NaN transition
-// scores without errors or panics, sequentially and in parallel.
+// scores without errors or panics.
 func TestChaosFailpoints(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	net, r := gridWorld(t, 6, 6)
@@ -326,22 +323,19 @@ func TestChaosFailpoints(t *testing.T) {
 		"hmm.trans.nan:2",
 		"hmm.candidates.empty:4,hmm.trans.nan:3",
 	} {
-		for _, parallel := range []int{0, 4} {
-			faultinject.DisarmAll()
-			if err := faultinject.Arm(spec); err != nil {
-				t.Fatal(err)
+		faultinject.DisarmAll()
+		if err := faultinject.Arm(spec); err != nil {
+			t.Fatal(err)
+		}
+		m := classicMatcher(net, r, 5, 1)
+		m.Cfg.OnBreak = BreakSkip
+		for trial := 0; trial < 4; trial++ {
+			res, err := m.Match(lineTraj())
+			if err != nil {
+				t.Fatalf("spec %q: %v", spec, err)
 			}
-			m := classicMatcher(net, r, 5, 1)
-			m.Cfg.OnBreak = BreakSkip
-			m.Cfg.Parallel = parallel
-			for trial := 0; trial < 4; trial++ {
-				res, err := m.Match(lineTraj())
-				if err != nil {
-					t.Fatalf("spec %q parallel %d: %v", spec, parallel, err)
-				}
-				if len(res.Matched) != 5 {
-					t.Fatalf("spec %q: matched %d points", spec, len(res.Matched))
-				}
+			if len(res.Matched) != 5 {
+				t.Fatalf("spec %q: matched %d points", spec, len(res.Matched))
 			}
 		}
 	}

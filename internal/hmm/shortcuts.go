@@ -3,7 +3,6 @@ package hmm
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -20,7 +19,7 @@ import (
 //
 // It returns how many table entries improved (adoptions) and how many
 // shortcut constructions were examined (attempts) for telemetry.
-func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *atomic.Int64) (adoptions, attempts int) {
+func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *int64) (adoptions, attempts int) {
 	n := len(ct)
 	for i := 2; i < n; i++ {
 		// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead

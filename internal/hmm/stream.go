@@ -154,13 +154,14 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 		}
 	default:
 		restarts := 0
+		var deg int64
 		for kk := range layer {
 			best, bestJ := math.Inf(-1), -1
 			for j := range s.layers[i-1] {
 				if math.IsInf(s.f[i-1][j], -1) {
 					continue
 				}
-				w, ok := s.M.stepScore(s.ct, i, &s.layers[i-1][j], &layer[kk], &s.deg)
+				w, ok := s.M.stepScore(s.ct, i, &s.layers[i-1][j], &layer[kk], &deg)
 				if !ok {
 					continue
 				}
@@ -177,6 +178,7 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 			f[kk] = best
 			pre[kk] = bestJ
 		}
+		s.deg.Add(deg)
 		if restarts == len(layer) {
 			// The chain broke here: every candidate restarted from its
 			// observation score (the streaming analogue of the batch

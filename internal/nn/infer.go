@@ -33,12 +33,6 @@ func (l *Linear) ApplyInto(dst, x *Mat) {
 	}
 }
 
-// OutDim returns the MLP's output width (columns of the last layer).
-func (m *MLP) OutDim() int { return m.Layers[len(m.Layers)-1].W.W.C }
-
-// InDim returns the MLP's input width (rows of the first layer weight).
-func (m *MLP) InDim() int { return m.Layers[0].W.W.R }
-
 // Apply runs the MLP forward without autodiff.
 func (m *MLP) Apply(x *Mat) *Mat {
 	for i, l := range m.Layers {

@@ -1,10 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -129,4 +134,99 @@ func TestReloadHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("match after failed reload: %d (%s), want 200", resp.StatusCode, body)
 	}
+}
+
+// TestServeReloadUnderLoad fires POST /v1/reload concurrently with
+// eight clients' match requests against a registry that flips between
+// two models with different weights. A request pins one snapshot:
+// every response byte-equals one model's direct output — a body scored
+// partly on old and partly on new weights would match neither.
+func TestServeReloadUnderLoad(t *testing.T) {
+	ds, mA := fixture(t)
+	tr := ds.TestTrips()[0]
+
+	// Model B: same skeleton, different seed — visibly different scores.
+	cfgB := fixCfg
+	cfgB.Seed = 99
+	mB, err := core.New(fixDS, fixDS.TrainTrips(), cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mB.RefreshEmbeddings()
+
+	encode := func(m *core.Model) []byte {
+		res, err := m.MatchContext(context.Background(), tr.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(ResultJSON(res)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wantA, wantB := encode(mA), encode(mB)
+	if bytes.Equal(wantA, wantB) {
+		t.Fatal("fixture models agree; reload test has no signal")
+	}
+
+	var flip atomic.Int64
+	reg := NewRegistry(func() (*core.Model, error) {
+		if flip.Add(1)%2 == 0 {
+			return mB, nil
+		}
+		return mA, nil
+	})
+	if err := reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(reg, Config{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := PointsRequest(tr.Cell)
+	stop := make(chan struct{})
+	var reloads sync.WaitGroup
+	reloads.Add(1)
+	go func() {
+		defer reloads.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, body := postJSON(t, ts.URL+"/v1/reload", struct{}{})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("reload: %d: %s", resp.StatusCode, body)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				resp, body := postJSON(t, ts.URL+"/v1/match", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("match: %d: %s", resp.StatusCode, body)
+					return
+				}
+				if !bytes.Equal(body, wantA) && !bytes.Equal(body, wantB) {
+					t.Error("response matches neither snapshot: weights mixed mid-request")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reloads.Wait()
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hmm"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/shadow"
 	"repro/internal/traj"
 )
@@ -85,12 +84,6 @@ type Config struct {
 	// Dir, in-flight sessions are periodically snapshotted to disk and
 	// restored on boot. Zero Dir disables checkpointing entirely.
 	Checkpoint CheckpointConfig
-	// Sched, when set, is the cross-request micro-batching scheduler
-	// whose lifecycle the server owns: Close flushes and stops it after
-	// the last in-flight match. The loader installs it as each loaded
-	// model's Exec — the server itself never routes through it directly,
-	// so a model without an executor serves unchanged.
-	Sched *sched.Scheduler
 	// Shadow configures candidate-model shadow scoring. With a nil
 	// Loader the subsystem is absent entirely: no endpoints, no mirror,
 	// and the serving path is byte-identical to a build without it.
@@ -290,10 +283,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close releases background resources (the session janitor, the
-// checkpoint writer, and the batching scheduler). Call after Drain —
-// the scheduler flushes its open micro-batches on Close, and any
-// straggler submission after that falls back to direct scoring, so no
-// request is ever stranded.
+// checkpoint writer, and the shadow mirror). Call after Drain.
 func (s *Server) Close() {
 	s.sess.Stop()
 	if s.ckpt != nil {
@@ -301,9 +291,6 @@ func (s *Server) Close() {
 	}
 	if s.shadow != nil {
 		s.shadow.mirror.Stop()
-	}
-	if s.cfg.Sched != nil {
-		s.cfg.Sched.Close()
 	}
 }
 

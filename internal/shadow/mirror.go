@@ -16,9 +16,7 @@ import (
 // bounded worker pool. The serving path only ever pays one non-blocking
 // channel send: a full queue drops the sample and counts it, so shadow
 // work can never add latency to live matching. Both replays run with
-// Config.Explain set (batch jobs) on private model copies with the
-// batching executor detached, so mirrored work never rides the serving
-// scheduler's micro-batches either.
+// Config.Explain set (batch jobs) on private model copies.
 //
 // Re-running the active model — rather than reusing the served result —
 // is what makes decision-level comparison free for the serving path:
@@ -230,14 +228,12 @@ func (m *Mirror) worker() {
 	}
 }
 
-// shadowCopy returns a private copy of model with cfg applied and the
-// batching executor detached (shadow work must not share the serving
-// scheduler), explain on for batch jobs, tracing always off.
+// shadowCopy returns a private copy of model with explain on for batch
+// jobs and tracing always off.
 func shadowCopy(model *core.Model, explain bool) *core.Model {
 	cp := *model
 	cp.Cfg.Trace = false
 	cp.Cfg.Explain = explain
-	cp.Exec = nil
 	return &cp
 }
 
