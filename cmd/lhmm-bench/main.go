@@ -78,9 +78,6 @@ type output struct {
 	// Fullscale carries the paper-scale workload section when the run
 	// was -fullscale (additive; absent on table/figure runs).
 	Fullscale *fullscaleResult `json:"fullscale,omitempty"`
-	// Snapshot carries the durable-session micro-benchmarks when the
-	// run was -snapshot (additive; absent otherwise).
-	Snapshot *snapshotResult `json:"snapshot,omitempty"`
 	// Obs is the full telemetry snapshot of the run.
 	Obs obs.Snapshot `json:"obs"`
 }
@@ -100,7 +97,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of text")
 	compare := flag.String("compare", "", "baseline lhmm-bench JSON file to diff this run against (exits nonzero on counter-schema drift)")
 	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (CH vs flat routed-transition throughput, match latency) instead of -exp")
-	snapshot := flag.Bool("snapshot", false, "run the durable-session micro-benchmarks (snapshot encode/restore latency, bytes per session) instead of -exp")
 	of := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -124,7 +120,7 @@ func main() {
 		}
 	}()
 
-	if *asJSON || *compare != "" || *fullscale || *snapshot {
+	if *asJSON || *compare != "" || *fullscale {
 		// JSON, compare, and fullscale runs measure from a clean
 		// telemetry slate so committed BENCH_*.json files diff as true
 		// per-run deltas (fullscale also reads the match-latency
@@ -151,24 +147,7 @@ func main() {
 	runStart := time.Now()
 	var results []experiment
 	var fsRes *fullscaleResult
-	var snapRes *snapshotResult
-	if *snapshot {
-		start := time.Now()
-		sr, text, err := runSnapshotBench(*scale, *trips)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lhmm-bench: snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		wall := time.Since(start).Seconds()
-		snapRes = sr
-		results = append(results, experiment{ID: "snapshot", WallS: wall, Text: text})
-		obs.Logger().Info("lhmm-bench: snapshot done", "wall_s", wall)
-		if !*asJSON {
-			fmt.Fprintf(w, "== snapshot (%.1fs) ==\n%s\n", wall, text)
-		} else {
-			fmt.Fprintf(os.Stderr, "lhmm-bench: snapshot done in %.1fs\n%s", wall, text)
-		}
-	} else if *fullscale {
+	if *fullscale {
 		start := time.Now()
 		fs, text, err := runFullscale(*scale, *trips)
 		if err != nil {
@@ -219,7 +198,6 @@ func main() {
 	if *asJSON || *compare != "" {
 		doc = buildDoc(results, *scale, *trips, time.Since(runStart).Seconds())
 		doc.Fullscale = fsRes
-		doc.Snapshot = snapRes
 	}
 	if *asJSON {
 		enc := json.NewEncoder(w)
@@ -330,17 +308,6 @@ func compareRuns(w io.Writer, base, fresh *output) error {
 			mark = "  ** outside ±50% tolerance"
 		}
 		fmt.Fprintf(w, "  %-12s %9.6fs -> %9.6fs  %s%s\n", q.name, q.base, q.cur, pctDelta(q.base, q.cur), mark)
-	}
-	// Durable-session micro-benchmarks: same treatment — deltas are a
-	// signal, never a gate (only printed when both runs carry them).
-	if base.Snapshot != nil && fresh.Snapshot != nil {
-		b, f := base.Snapshot, fresh.Snapshot
-		fmt.Fprintf(w, "  %-18s %9.1fus -> %9.1fus  %s\n", "snapshot_encode_us",
-			b.SnapshotEncodeUs, f.SnapshotEncodeUs, pctDelta(b.SnapshotEncodeUs, f.SnapshotEncodeUs))
-		fmt.Fprintf(w, "  %-18s %9.1fus -> %9.1fus  %s\n", "restore_us",
-			b.RestoreUs, f.RestoreUs, pctDelta(b.RestoreUs, f.RestoreUs))
-		fmt.Fprintf(w, "  %-18s %8dB  -> %8dB   %s\n", "bytes_per_session",
-			b.BytesPerSession, f.BytesPerSession, pctDelta(float64(b.BytesPerSession), float64(f.BytesPerSession)))
 	}
 	names := make([]string, 0, len(base.Obs.Counters))
 	for name := range base.Obs.Counters {

@@ -34,24 +34,23 @@ func benchModel(b *testing.B) (*Model, traj.CellTrajectory) {
 
 // benchSession prepares a session with candidates for points 0 and 1 so
 // both observation and transition scoring have warm state.
-func benchSession(b *testing.B) (*session, []hmm.Candidate, []hmm.Candidate) {
+func benchSession(b *testing.B) (*session, traj.CellTrajectory, []hmm.Candidate, []hmm.Candidate) {
 	m, ct := benchModel(b)
 	sess := m.newSession(ct)
-	b.Cleanup(sess.release)
 	from := sess.Candidates(ct, 0, m.Cfg.K)
 	to := sess.Candidates(ct, 1, m.Cfg.K)
-	return sess, from, to
+	return sess, ct, from, to
 }
 
 // BenchmarkObsScoreOneRow is the shortcut pass's per-pseudo-candidate
 // observation scoring: one-row calls into the pool kernel.
 func BenchmarkObsScoreOneRow(b *testing.B) {
-	sess, _, to := benchSession(b)
+	sess, ct, _, to := benchSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range to {
-			sess.Score(sess.ct, 1, &to[j])
+			sess.Score(ct, 1, &to[j])
 		}
 	}
 }
@@ -60,30 +59,31 @@ func BenchmarkObsScoreOneRow(b *testing.B) {
 // Eq. 7 layer plus the fuse MLP through pooled workspace scratch, zero
 // steady-state allocations.
 func BenchmarkObsScoreBatch(b *testing.B) {
-	sess, _, to := benchSession(b)
-	m, tower, half := sess.m, sess.ct[1].Tower, sess.obsCtx.Row(1)
-	sess.ws.Reset()
-	scores := sess.ws.TakeVec(len(to))
-	m.obsScoreBatchCtx(sess.ws, tower, half, to, scores) // warm slabs
+	sess, ct, _, to := benchSession(b)
+	m, tower, half := sess.m, ct[1].Tower, sess.row(sess.obsCtx, 1)
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	scores := ws.TakeVec(len(to))
+	m.obsScoreBatchCtx(ws, tower, half, to, scores) // warm slabs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.ws.Reset()
-		scores := sess.ws.TakeVec(len(to))
-		m.obsScoreBatchCtx(sess.ws, tower, half, to, scores)
+		ws.Reset()
+		scores := ws.TakeVec(len(to))
+		m.obsScoreBatchCtx(ws, tower, half, to, scores)
 	}
 }
 
 // BenchmarkTransScoreScalar is the seed's pairwise transition scoring
 // over one k×k Viterbi step.
 func BenchmarkTransScoreScalar(b *testing.B) {
-	sess, from, to := benchSession(b)
+	sess, ct, from, to := benchSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range from {
 			for kk := range to {
-				sess.TransScore(sess.ct, 1, &from[j], &to[kk])
+				sess.TransScore(ct, 1, &from[j], &to[kk])
 			}
 		}
 	}
@@ -92,15 +92,15 @@ func BenchmarkTransScoreScalar(b *testing.B) {
 // BenchmarkTransScoreBatch is the fused k×k transition batch for the
 // same step.
 func BenchmarkTransScoreBatch(b *testing.B) {
-	sess, from, to := benchSession(b)
+	sess, ct, from, to := benchSession(b)
 	prev := nn.SetMatMulWorkers(1)
 	defer nn.SetMatMulWorkers(prev)
 	out := make([]float64, len(from)*len(to))
-	sess.ScoreBatch(sess.ct, 1, from, to, out) // warm caches + slabs
+	sess.ScoreBatch(ct, 1, from, to, out) // warm caches + slabs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.ScoreBatch(sess.ct, 1, from, to, out)
+		sess.ScoreBatch(ct, 1, from, to, out)
 	}
 }
 

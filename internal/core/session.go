@@ -14,9 +14,14 @@ import (
 	"repro/internal/traj"
 )
 
-// Inference telemetry (internal/obs). Counters are interned by name,
-// so "hmm.match.degraded" here is the same instrument the hmm matcher
-// increments for its scalar-path fallbacks.
+// This file holds the one learned per-trajectory state, session, and
+// everything that scores against it: the observation side (Candidates,
+// Score), the transition side (roadProb/roadProbFill, TransScore,
+// ScoreBatch) and the batch entry point MatchContext. A session is
+// filled either whole (newSession, below) or causally, point by point
+// (extend, stream.go); every scoring method is indifferent to which.
+
+// Inference telemetry (internal/obs).
 var (
 	obsCoreMatches   = obs.Default.Counter("core.matches")
 	obsCoreMatchErrs = obs.Default.Counter("core.match.errors")
@@ -25,7 +30,6 @@ var (
 	obsRoadProbMiss  = obs.Default.Counter("core.roadprob.cache.misses")
 	obsObsBatched    = obs.Default.Counter("core.obs.batched.rows")
 	obsTransBatched  = obs.Default.Counter("core.trans.batched.rows")
-	obsCoreDegraded  = obs.Default.Counter("hmm.match.degraded")
 	obsCoreSanitized = obs.Default.Counter("hmm.match.sanitized")
 )
 
@@ -35,9 +39,21 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 
 // session holds the per-trajectory inference state: point embeddings,
 // context-aware point representations (Eq. 6), and a cache of per-road
-// trajectory relevance scores (Eq. 10). It implements both
-// hmm.ObservationModel and hmm.TransitionModel (including the batched
-// hmm.TransitionBatchModel fast path).
+// trajectory relevance scores (Eq. 10). It implements
+// hmm.ObservationModel itself and, through transAdapter,
+// hmm.TransitionModel with the batched hmm.TransitionBatchModel fast
+// path.
+//
+// The per-point rows are flat and append-grown, so the same state
+// serves a batch match (newSession fills all n rows at once, each point
+// attending over the whole trajectory) and a streaming one (extend
+// appends a row per pushed point, attending over the points seen so
+// far); embW, ctxW, obsZ and obsMax are what an lhmm-session/v1
+// snapshot serialises, the rest is derived from them. One session
+// serves one match or one hmm.StreamMatcher and is not safe for
+// concurrent use — the serving layer serializes pushes per session.
+// Scratch comes from the shared nn workspace pool per call, so an idle
+// session pins none.
 //
 // All learned scoring is batch-oriented: the per-point candidate pool
 // is scored through the factored Eq. 7 layer and the Eq. 8 fuse MLP as
@@ -50,25 +66,23 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // row-at-a-time and batched matrix products accumulate each output row
 // in the same order.
 type session struct {
-	m  *Model
-	ct traj.CellTrajectory
+	m *Model
 
-	// ws is the match-goroutine scratch workspace (from the shared nn
-	// pool, returned by release).
-	ws *nn.Workspace
-
-	ptEmb *nn.Mat // n×d raw point embeddings
-	ctx   *nn.Mat // n×d context-aware representations (Eq. 6)
+	n    int       // points absorbed so far
+	embW []float64 // n×d raw point embeddings
+	ctxW []float64 // n×d context-aware representations (Eq. 6)
 
 	// obsCtx is ctx·W1_ctx, the per-point half of Eq. 7's first layer
 	// (n×d; see Model.obsImplicit).
-	obsCtx *nn.Mat
+	obsCtx []float64
 
-	// transKeys caches the key-side attention state of Eq. 9 over the
-	// trajectory's point embeddings, shared by every roadProb query.
-	transKeys *nn.AttKeys
+	// keys caches the key-side attention state of Eq. 9 over the first
+	// keysN point embeddings, shared by every roadProb query; rebuilt
+	// when the trajectory has grown (ensureKeys).
+	keys  *nn.AttKeys
+	keysN int
 
-	// roadP caches Eq. 10 per segment.
+	// roadP caches Eq. 10 per segment for the current keys.
 	roadP map[roadnet.SegmentID]float64
 
 	// obsZ caches, per point, the softmax denominator over the
@@ -76,11 +90,6 @@ type session struct {
 	// of the point); obsMax the max score for stable exponentials.
 	obsZ   []float64
 	obsMax []float64
-
-	// deg counts batched scoring events that fell back to the
-	// classical explicit feature because the learned score came out
-	// NaN/Inf (degraded mode); folded into Result.Degraded by Match.
-	deg int
 
 	// span, when non-nil, is the request's match span; observation-
 	// scoring wall-clock accumulates into obsT (first call stamped in
@@ -92,42 +101,41 @@ type session struct {
 	obsT  float64
 }
 
-// newSession precomputes the trajectory-level state. The model must
-// have frozen embeddings (RefreshEmbeddings).
+// newSession fills a session with the whole trajectory at once: Eq. 6
+// for every point in one batched self-attention pass over all of them,
+// and the Eq. 9 keys once. The model must have frozen embeddings
+// (RefreshEmbeddings).
 func (m *Model) newSession(ct traj.CellTrajectory) *session {
 	n, d := len(ct), m.Cfg.Dim
 	s := &session{
 		m:      m,
-		ct:     ct,
-		ws:     nn.GetWorkspace(),
-		ptEmb:  nn.NewMat(n, d),
-		ctx:    nn.NewMat(n, d),
-		obsCtx: nn.NewMat(n, d),
-		roadP:  make(map[roadnet.SegmentID]float64),
+		n:      n,
+		embW:   make([]float64, n*d),
+		ctxW:   make([]float64, n*d),
+		obsCtx: make([]float64, n*d),
 		obsZ:   make([]float64, n),
 		obsMax: make([]float64, n),
 	}
 	for i, cp := range ct {
-		copy(s.ptEmb.Row(i), m.towerEmb(cp.Tower))
+		copy(s.row(s.embW, i), m.towerEmb(cp.Tower))
 	}
-	// Eq. 6 for every point in one batched self-attention pass.
-	s.ws.Reset()
-	copy(s.ctx.W, m.ObsAtt.SelfApplyAllWS(s.ws, s.ptEmb).W)
-	s.ws.Reset()
-	m.obsCtxInto(s.obsCtx, s.ctx)
-	if !m.Cfg.DisableImplicitTrans {
-		s.transKeys = m.TransAtt.PrecomputeKeys(s.ptEmb)
-	}
+	ws := nn.GetWorkspace()
+	copy(s.ctxW, m.ObsAtt.SelfApplyAllWS(ws, s.rows(s.embW)).W)
+	nn.PutWorkspace(ws)
+	m.obsCtxInto(s.rows(s.obsCtx), s.rows(s.ctxW))
+	s.ensureKeys()
 	return s
 }
 
-// release returns the session's pooled resources. The session must not
-// be used afterwards.
-func (s *session) release() {
-	if s.ws != nil {
-		nn.PutWorkspace(s.ws)
-		s.ws = nil
-	}
+// rows views one of the session's flat n×d arrays as a matrix.
+func (s *session) rows(w []float64) *nn.Mat {
+	return &nn.Mat{R: s.n, C: s.m.Cfg.Dim, W: w[:s.n*s.m.Cfg.Dim]}
+}
+
+// row returns point i's row of one of the flat n×d arrays.
+func (s *session) row(w []float64, i int) []float64 {
+	d := s.m.Cfg.Dim
+	return w[i*d : (i+1)*d]
 }
 
 // softmaxP1 is the positive-class probability of a 2-logit softmax,
@@ -143,55 +151,46 @@ func softmaxP1(l0, l1 float64) float64 {
 }
 
 // roadProb evaluates Eq. 10 with caching: the likelihood that segment
-// sid belongs to this trajectory. A miss Resets s.ws — callers must
-// not hold live workspace buffers across it.
-func (s *session) roadProb(sid roadnet.SegmentID) float64 {
+// sid belongs to this trajectory, memoized per segment until the keys
+// are rebuilt. A miss Resets ws — callers must not hold live workspace
+// buffers across it.
+func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
 	if p, ok := s.roadP[sid]; ok {
 		obsRoadProbHits.Inc()
 		return p
 	}
 	obsRoadProbMiss.Inc()
 	d := s.m.Cfg.Dim
-	s.ws.Reset()
+	ws.Reset()
 	segRow := &nn.Mat{R: 1, C: d, W: s.m.segEmb(sid)}
-	xl, _ := s.transKeys.QueryWS(s.ws, segRow)
-	feat := s.ws.Take(1, 2*d)
+	xl, _ := s.keys.QueryWS(ws, segRow)
+	feat := ws.Take(1, 2*d)
 	copy(feat.W[:d], segRow.W)
 	copy(feat.W[d:], xl.W)
-	logits := s.m.TransMLP.ApplyWS(s.ws, feat)
+	logits := s.m.TransMLP.ApplyWS(ws, feat)
 	p := softmaxP1(logits.W[0], logits.W[1])
 	s.roadP[sid] = p
 	return p
 }
 
-// transFeatures assembles the Eq. 12 input for a movement into point i
-// along the given route: [implicit route relevance (Eq. 11), length
-// similarity, turn similarity]. straight is the hoisted straight-line
-// distance between points i-1 and i (identical for every pair of the
-// step's fan-out).
-func (s *session) transFeatures(i int, route roadnet.Route, straight float64) [3]float64 {
+// transFeatures assembles the Eq. 12 input for a movement along the
+// given route: [implicit route relevance (Eq. 11), length similarity,
+// turn similarity]. straight is the hoisted straight-line distance
+// between the step's two points (identical for every pair of the
+// step's fan-out). The keys must be current (ensureKeys).
+func (s *session) transFeatures(ws *nn.Workspace, route roadnet.Route, straight float64) [3]float64 {
 	var pRoute float64
 	if s.m.Cfg.DisableImplicitTrans {
 		pRoute = 0.5
 	} else {
 		var sum float64
 		for _, sid := range route.Segs {
-			sum += s.roadProb(sid)
+			sum += s.roadProb(ws, sid)
 		}
 		pRoute = sum / float64(len(route.Segs))
 	}
 	lenSim, turnSim := routeSims(s.m.Net, route, straight)
 	return [3]float64{pRoute, lenSim, turnSim}
-}
-
-// geoAngleDiff is a tiny local wrapper to avoid importing geo for one
-// function in this file's hot path.
-func geoAngleDiff(a, b float64) float64 {
-	d := math.Mod(math.Abs(a-b), 2*math.Pi)
-	if d > math.Pi {
-		d = 2*math.Pi - d
-	}
-	return d
 }
 
 // candidatePool returns the restricted search space the learned P_O
@@ -230,10 +229,12 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 // explicit distance feature into its ranking, §IV-C). The whole pool is
 // scored as one batch (Model.obsScoreBatchCtx).
 func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
-	pool := s.m.candidatePool(s.ct, i)
-	cands := poolCandidates(s.m.Net, s.ct[i].P, pool)
-	s.ws.Reset()
-	scores := s.ws.TakeVec(len(cands))
+	s.extend(ct)
+	pool := s.m.candidatePool(ct, i)
+	cands := poolCandidates(s.m.Net, ct[i].P, pool)
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	scores := ws.TakeVec(len(cands))
 	var t time.Time
 	if s.span != nil {
 		t = time.Now()
@@ -241,7 +242,7 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 			s.obsT0 = t
 		}
 	}
-	s.m.obsScoreBatchCtx(s.ws, s.ct[i].Tower, s.obsCtx.Row(i), cands, scores)
+	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.row(s.obsCtx, i), cands, scores)
 	if s.span != nil {
 		s.obsT += time.Since(t).Seconds()
 	}
@@ -249,20 +250,20 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 	// pseudo-candidates score consistently later (selectTopK returns
 	// the pool max and normalizer it used).
 	out, mx, z := selectTopK(cands, scores, k)
-	s.obsMax[i] = mx
-	s.obsZ[i] = z
+	s.obsMax[i], s.obsZ[i] = mx, z
 	return out
 }
 
-// Score implements hmm.ObservationModel for shortcut pseudo-candidates:
-// a one-row call into the pool-scoring kernel, normalized by the
-// point's cached pool softmax. Runs on the match goroutine (the
-// shortcut pass is sequential), so the session workspace is free.
+// Score implements hmm.ObservationModel for arbitrary candidates — the
+// shortcut pass's pseudo-candidates: a one-row call into the
+// pool-scoring kernel, normalized by the point's cached pool softmax.
 func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	s.ws.Reset()
+	s.extend(ct)
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
 	one := [1]hmm.Candidate{*c}
-	sc := s.ws.TakeVec(1)
-	s.m.obsScoreBatchCtx(s.ws, s.ct[i].Tower, s.obsCtx.Row(i), one[:], sc)
+	sc := ws.TakeVec(1)
+	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.row(s.obsCtx, i), one[:], sc)
 	if s.obsZ[i] == 0 {
 		// Candidates was never called for this point (single-point
 		// trajectories bypass transitions); fall back to the sigmoid.
@@ -275,13 +276,16 @@ func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64
 // probability of Eq. 12. Scalar reference path, used by the shortcut
 // pass; the Viterbi fan-out goes through ScoreBatch.
 func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
+	s.extend(ct)
 	route, ok := s.m.Router.RouteBetween(from.Pos(), to.Pos())
 	if !ok || len(route.Segs) == 0 {
 		return 0, false
 	}
-	straight := s.ct[i-1].P.Dist(s.ct[i].P)
-	f := s.transFeatures(i, route, straight)
-	return s.m.fuseTrans(s.ws, f), true
+	s.ensureKeys()
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	f := s.transFeatures(ws, route, ct[i-1].P.Dist(ct[i].P))
+	return s.m.fuseTrans(ws, f), true
 }
 
 // fuseTrans evaluates Eq. 12 for one pair's features — the one-row form
@@ -308,7 +312,7 @@ func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
 // qdot/softmax/read-out order is shared), so cached values are
 // bit-identical whichever path computed them; the scalar TransScore
 // path keeps reading the same cache.
-func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
+func (s *session) roadProbFill(ws *nn.Workspace, routes []roadnet.Route, mask []float64) {
 	if s.m.Cfg.DisableImplicitTrans {
 		return
 	}
@@ -335,18 +339,18 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 		return
 	}
 	d := s.m.Cfg.Dim
-	segs := s.ws.Take(len(need), d)
+	segs := ws.Take(len(need), d)
 	for r, sid := range need {
 		copy(segs.Row(r), s.m.segEmb(sid))
 	}
-	xl := s.transKeys.QueryAllWS(s.ws, segs)
-	feat := s.ws.Take(len(need), 2*d)
+	xl := s.keys.QueryAllWS(ws, segs)
+	feat := ws.Take(len(need), 2*d)
 	for r := 0; r < len(need); r++ {
 		row := feat.Row(r)
 		copy(row[:d], segs.Row(r))
 		copy(row[d:], xl.Row(r))
 	}
-	logits := s.m.TransMLP.ApplyWS(s.ws, feat)
+	logits := s.m.TransMLP.ApplyWS(ws, feat)
 	for r, sid := range need {
 		lr := logits.Row(r)
 		s.roadP[sid] = softmaxP1(lr[0], lr[1])
@@ -362,13 +366,17 @@ func (s *session) roadProbFill(routes []roadnet.Route, mask []float64) {
 // reachable pair at once. The per-step straight-line distance is
 // hoisted out of the pair loop. Results are identical to pairwise
 // TransScore: cached road probabilities are bit-identical whichever
-// path computed them, and the MLP products are row-independent.
-func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) {
+// path computed them, and the MLP products are row-independent. The
+// return value counts the scores degraded in phase 3.
+func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
+	s.extend(ct)
+	s.ensureKeys()
 	nFrom, nTo := len(from), len(to)
 	nPairs := nFrom * nTo
-	straight := s.ct[i-1].P.Dist(s.ct[i].P)
-	s.ws.Reset()
-	feat := s.ws.Take(nPairs, 3)
+	straight := ct[i-1].P.Dist(ct[i].P)
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	feat := ws.Take(nPairs, 3)
 	routes := make([]roadnet.Route, nPairs)
 
 	// Phase 1: a route per pair. out doubles as the reachability mask
@@ -385,17 +393,17 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 
 	// Phase 2: batch every uncached road probability the step needs,
 	// then assemble the explicit features from the warm cache. Sharing
-	// s.ws with transFeatures is safe only because roadProbFill
+	// ws with transFeatures is safe only because roadProbFill
 	// guarantees every roadProb read below is a cache hit (a miss would
 	// Reset the workspace under the live feat buffer).
-	s.roadProbFill(routes, out)
+	s.roadProbFill(ws, routes, out)
 	for p := 0; p < nPairs; p++ {
 		row := feat.Row(p)
 		if math.IsNaN(out[p]) {
 			row[0], row[1], row[2] = 0, 0, 0
 			continue
 		}
-		f := s.transFeatures(i, routes[p], straight)
+		f := s.transFeatures(ws, routes[p], straight)
 		row[0], row[1], row[2] = f[0], f[1], f[2]
 	}
 
@@ -407,7 +415,7 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	// feature — exactly the classical Eq. 3 exponential with β=500,
 	// already computed into the feature row — instead of silently
 	// reading as "unreachable" and breaking the chain.
-	logits := s.m.TransFuse.ApplyWS(s.ws, feat) // nPairs×2
+	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
 	for p := 0; p < nPairs; p++ {
 		if math.IsNaN(out[p]) {
@@ -422,18 +430,15 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 			pr = math.NaN()
 		}
 		if math.IsNaN(pr) || math.IsInf(pr, 0) {
-			if fb := feat.Row(p)[1]; !math.IsNaN(fb) && !math.IsInf(fb, 0) {
-				pr = fb
-			} else {
-				out[p] = math.NaN()
-				s.deg++
-				continue
+			degraded++
+			if pr = feat.Row(p)[1]; math.IsNaN(pr) || math.IsInf(pr, 0) {
+				pr = math.NaN()
 			}
-			s.deg++
 		}
 		out[p] = pr
 	}
 	obsTransBatched.Add(int64(nPairs))
+	return degraded
 }
 
 // transAdapter exposes the session's transition scoring under the
@@ -446,8 +451,8 @@ func (t transAdapter) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candida
 }
 
 // ScoreBatch forwards the batched fast path (hmm.TransitionBatchModel).
-func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) {
-	t.s.ScoreBatch(ct, i, from, to, out)
+func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
+	return t.s.ScoreBatch(ct, i, from, to, out)
 }
 
 // Match map-matches one cellular trajectory with the trained model.
@@ -517,7 +522,6 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		spanT = time.Now()
 	}
 	sess := m.newSession(ct)
-	defer sess.release()
 	if msp != nil {
 		msp.ChildAt("session_init", spanT, time.Since(spanT))
 		sess.span = msp
@@ -550,12 +554,6 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		return nil, err
 	}
 	res.Sanitize = srep
-	if d := sess.deg; d > 0 {
-		// Fold the batched-path fallbacks into the result and the
-		// shared degraded counter (the hmm layer counted its own).
-		res.Degraded += d
-		obsCoreDegraded.Add(int64(d))
-	}
 	if msp != nil {
 		msp.SetAttr("degraded", res.Degraded)
 		msp.SetAttr("gaps", len(res.Gaps))

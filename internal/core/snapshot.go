@@ -170,7 +170,7 @@ const candWire = 8 + 5*8 // one candidate on the wire
 // hold whatever lock serializes pushes to this session for the
 // duration of the call.
 func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte) ([]byte, error) {
-	ss, ok := sm.M.Obs.(*streamSession)
+	ss, ok := sm.M.Obs.(*session)
 	if !ok {
 		return nil, fmt.Errorf("core: snapshot: matcher is not driven by a learned streaming session (obs model %T)", sm.M.Obs)
 	}
@@ -575,20 +575,21 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 		}
 	}
 
-	ss := &streamSession{
+	ss := &session{
 		m:      m,
 		n:      len(st.Points),
 		embW:   sess.embW,
 		ctxW:   sess.ctxW,
-		roadP:  make(map[roadnet.SegmentID]float64),
+		obsCtx: make([]float64, len(sess.ctxW)),
 		obsZ:   sess.obsZ,
 		obsMax: sess.obsMax,
 	}
+	m.obsCtxInto(ss.rows(ss.obsCtx), ss.rows(ss.ctxW))
 	mm := &hmm.Matcher{
 		Net:    m.Net,
 		Router: m.Router,
 		Obs:    ss,
-		Trans:  streamTrans{ss},
+		Trans:  transAdapter{ss},
 		Cfg: hmm.Config{
 			K:        m.Cfg.K,
 			OnBreak:  hdr.OnBreak,

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -256,6 +259,45 @@ func snapshotFixture(t testing.TB) (*Model, [32]byte, []byte) {
 		t.Fatal(err)
 	}
 	return m, wh, data
+}
+
+// TestSnapshotWireStable pins the lhmm-session/v1 bytes: the fixture's
+// encoded length equals the size of the field list in the format
+// comment (snapshot.go), and — on amd64, float bits being
+// architecture-dependent — its digest equals the one the same fixture
+// produced before the batch and streaming sessions were unified, so a
+// checkpoint written by an older build restores under this one.
+func TestSnapshotWireStable(t *testing.T) {
+	m, wh, data := snapshotFixture(t)
+	snap, err := DecodeStreamSnapshot(m, wh, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snap.SM.ExportState()
+	n, d := len(st.Points), m.Cfg.Dim
+	const cand = 8 + 5*8                          // seg i64 + frac, projX, projY, dist, obs f64
+	want := 8 + 2                                 // magic, version
+	want += 1 + 1 + 4 + 8 + 32 + 4 + len(snap.ID) // header
+	want += 4 + n*(4+3*8) + n                     // n, points, dead
+	want += 4 + 8 + 8 + 4 + 4                     // emitted, lastT, degraded, badCoords, badTimes
+	want += 4 + len(st.Matched)*cand              // matched
+	want += 4 + len(st.Gaps)*(4+4+1)              // gaps
+	want += 4 + (2*n*d+2*n)*8                     // dim, embW, ctxW, obsZ, obsMax
+	want += 4                                     // CRC
+	for _, layer := range st.Layers {
+		want += 4 + len(layer)*(cand+8+4) // count, candidates, f, pre
+	}
+	if len(data) != want {
+		t.Errorf("fixture snapshot is %d bytes, the format's field list adds up to %d", len(data), want)
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	const golden = "acda2a4893f9e3a7379dcf2373cb1d153cd34bdadf05b81b0f533cd8531c1dd7"
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Errorf("fixture snapshot sha-256 %s, want %s (%d bytes)", got, golden, len(data))
+	}
 }
 
 // refit recomputes the CRC footer after a deliberate body mutation, so

@@ -13,14 +13,15 @@ import (
 	"repro/internal/traj"
 )
 
-// This file holds the learned streaming matcher: a per-trajectory
-// session that grows incrementally as points arrive, so a trained
-// Model can drive hmm.StreamMatcher without knowing the trajectory up
-// front. The batch session (session.go) precomputes Eq. 6/9 over the
-// whole trajectory; the streaming session computes them causally —
-// point i attends over points 0..i only, because the future has not
-// been observed yet. Scoring is otherwise the same arithmetic: the
-// shared helpers below are used verbatim by both paths.
+// This file holds the streaming side of the learned matcher — the
+// causal fill of a session (extend, ensureKeys) and Model.NewStream,
+// which lets a trained Model drive hmm.StreamMatcher without knowing
+// the trajectory up front — and the Model-level scoring kernels every
+// session scores through, however it was filled. newSession
+// (session.go) computes Eq. 6/9 over the whole trajectory; extend
+// computes them causally — point i attends over points 0..i only,
+// because the future has not been observed yet. That is the only
+// difference between a batch and a streaming match.
 
 // poolCandidates materializes a candidate pool as hmm.Candidates with
 // their projections and point-to-road distances filled in.
@@ -174,170 +175,58 @@ func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (len
 	return lenSim, turnSim
 }
 
-// streamSession is the incremental analogue of session: per-point
-// embeddings and context representations are appended as points
-// arrive, the Eq. 9 key cache is rebuilt lazily whenever the
-// trajectory has grown (attention context changes with every new
-// point), and the Eq. 10 road-probability cache is invalidated with
-// it. One streamSession serves exactly one hmm.StreamMatcher and, like
-// the matcher itself, is not safe for concurrent use — the serving
-// layer serializes pushes per session.
-type streamSession struct {
-	m *Model
-
-	n    int       // points absorbed so far
-	embW []float64 // n×d raw point embeddings, append-grown
-	ctxW []float64 // n×d causal context rows (Eq. 6 over points 0..i)
-
-	// keys caches the key-side attention state of Eq. 9 over the first
-	// keysN point embeddings; rebuilt when the trajectory grows.
-	keys  *nn.AttKeys
-	keysN int
-
-	// roadP caches Eq. 10 per segment for the current keys; cleared on
-	// every keys rebuild because the trajectory context changed.
-	roadP map[roadnet.SegmentID]float64
-
-	// obsZ/obsMax cache, per point, the pool softmax normalizer and max
-	// (same contract as session.obsZ/obsMax).
-	obsZ   []float64
-	obsMax []float64
+// geoAngleDiff is the absolute difference of two bearings folded into
+// [0, π]. Kept beside its only caller instead of geo.AngleDiff because
+// the two round differently (this one reduces with math.Mod), and
+// every path digest is pinned to this arithmetic.
+func geoAngleDiff(a, b float64) float64 {
+	d := math.Mod(math.Abs(a-b), 2*math.Pi)
+	if d > math.Pi {
+		d = 2*math.Pi - d
+	}
+	return d
 }
 
-// extend absorbs any trajectory points not yet seen: their raw
-// embeddings and causal context-aware representations (attention of
-// point i over points 0..i — the batch session attends over the whole
-// trajectory, which a stream cannot).
-func (s *streamSession) extend(ct traj.CellTrajectory) {
+// extend absorbs any trajectory points the session has not seen yet:
+// their raw embeddings, causal context-aware representations (attention
+// of point i over points 0..i — newSession attends over the whole
+// trajectory, which a stream cannot) and Eq. 7 context halves. A no-op
+// once n == len(ct), which is always the case for a session newSession
+// filled.
+func (s *session) extend(ct traj.CellTrajectory) {
+	if s.n >= len(ct) {
+		return
+	}
 	d := s.m.Cfg.Dim
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
 	for i := s.n; i < len(ct); i++ {
 		s.embW = append(s.embW, s.m.towerEmb(ct[i].Tower)...)
 		kv := &nn.Mat{R: i + 1, C: d, W: s.embW[: (i+1)*d : (i+1)*d]}
 		q := &nn.Mat{R: 1, C: d, W: s.embW[i*d : (i+1)*d]}
-		ws := nn.GetWorkspace()
-		out, _ := s.m.ObsAtt.ApplyWS(ws, q, kv, kv)
-		s.ctxW = append(s.ctxW, out.W...)
-		nn.PutWorkspace(ws)
+		ws.Reset()
+		ctx, _ := s.m.ObsAtt.ApplyWS(ws, q, kv, kv)
+		s.ctxW = append(s.ctxW, ctx.W...)
+		half := ws.Take(1, d)
+		s.m.obsCtxInto(half, ctx)
+		s.obsCtx = append(s.obsCtx, half.W...)
 		s.obsZ = append(s.obsZ, 0)
 		s.obsMax = append(s.obsMax, 0)
 		s.n = i + 1
 	}
 }
 
-// ctxRow returns point i's causal context representation.
-func (s *streamSession) ctxRow(i int) []float64 {
-	d := s.m.Cfg.Dim
-	return s.ctxW[i*d : (i+1)*d]
-}
-
-// obsCtxHalf returns, in ws scratch, the context half of point i's
-// Eq. 7 first layer: one 1×d · d×d product per scored point. The row
-// is copied into scratch so no Mat header over ctxW escapes to the heap.
-func (s *streamSession) obsCtxHalf(ws *nn.Workspace, i int) []float64 {
-	d := s.m.Cfg.Dim
-	ctx := ws.Take(1, d)
-	copy(ctx.W, s.ctxRow(i))
-	half := ws.Take(1, d)
-	s.m.obsCtxInto(half, ctx)
-	return half.W
-}
-
-// ensureKeys (re)builds the Eq. 9 key cache over every point seen so
-// far. Each rebuild invalidates the road-probability cache: Eq. 10
-// conditions on the whole trajectory context, which just changed.
-func (s *streamSession) ensureKeys() {
-	if s.keys != nil && s.keysN == s.n {
+// ensureKeys (re)builds the Eq. 9 key cache over every point absorbed
+// so far; a no-op once keysN == n. Each rebuild invalidates the
+// road-probability cache: Eq. 10 conditions on the whole trajectory
+// context, which just changed.
+func (s *session) ensureKeys() {
+	if s.m.Cfg.DisableImplicitTrans || s.keys != nil && s.keysN == s.n {
 		return
 	}
-	d := s.m.Cfg.Dim
-	kv := &nn.Mat{R: s.n, C: d, W: s.embW[: s.n*d : s.n*d]}
-	s.keys = s.m.TransAtt.PrecomputeKeys(kv)
+	s.keys = s.m.TransAtt.PrecomputeKeys(s.rows(s.embW))
 	s.keysN = s.n
 	s.roadP = make(map[roadnet.SegmentID]float64, len(s.roadP))
-}
-
-// roadProb evaluates Eq. 10 against the causal key cache, memoized per
-// segment until the trajectory grows.
-func (s *streamSession) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
-	if p, ok := s.roadP[sid]; ok {
-		obsRoadProbHits.Inc()
-		return p
-	}
-	obsRoadProbMiss.Inc()
-	d := s.m.Cfg.Dim
-	ws.Reset()
-	segRow := &nn.Mat{R: 1, C: d, W: s.m.segEmb(sid)}
-	xl, _ := s.keys.QueryWS(ws, segRow)
-	feat := ws.Take(1, 2*d)
-	copy(feat.W[:d], segRow.W)
-	copy(feat.W[d:], xl.W)
-	logits := s.m.TransMLP.ApplyWS(ws, feat)
-	p := softmaxP1(logits.W[0], logits.W[1])
-	s.roadP[sid] = p
-	return p
-}
-
-// Candidates implements hmm.ObservationModel: identical ranking to the
-// batch session (pool scoring, pool softmax, nearest-third floor), but
-// with the point's causal context representation.
-func (s *streamSession) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
-	s.extend(ct)
-	pool := s.m.candidatePool(ct, i)
-	cands := poolCandidates(s.m.Net, ct[i].P, pool)
-	ws := nn.GetWorkspace()
-	defer nn.PutWorkspace(ws)
-	scores := ws.TakeVec(len(cands))
-	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.obsCtxHalf(ws, i), cands, scores)
-	out, mx, z := selectTopK(cands, scores, k)
-	s.obsMax[i], s.obsZ[i] = mx, z
-	return out
-}
-
-// Score implements hmm.ObservationModel for arbitrary candidates,
-// normalized by the point's cached pool softmax (the streaming matcher
-// never synthesizes shortcut pseudo-candidates, but the interface — and
-// any future caller — gets the same contract as the batch session).
-func (s *streamSession) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
-	s.extend(ct)
-	ws := nn.GetWorkspace()
-	defer nn.PutWorkspace(ws)
-	one := []hmm.Candidate{*c}
-	sc := ws.TakeVec(1)
-	s.m.obsScoreBatchCtx(ws, ct[i].Tower, s.obsCtxHalf(ws, i), one, sc)
-	if s.obsZ[i] == 0 {
-		return 1 / (1 + math.Exp(-sc[0]))
-	}
-	return math.Exp(sc[0]-s.obsMax[i]) / s.obsZ[i]
-}
-
-// streamTrans adapts the streaming session to hmm.TransitionModel (the
-// session's own Score method is taken by hmm.ObservationModel).
-type streamTrans struct{ s *streamSession }
-
-// Score is the learned transition probability of Eq. 12 with causal
-// trajectory context. The streaming matcher scores each fan-out
-// pairwise at push time, so no batched variant is needed.
-func (t streamTrans) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
-	s := t.s
-	s.extend(ct)
-	route, ok := s.m.Router.RouteBetween(from.Pos(), to.Pos())
-	if !ok || len(route.Segs) == 0 {
-		return 0, false
-	}
-	ws := nn.GetWorkspace()
-	defer nn.PutWorkspace(ws)
-	pRoute := 0.5
-	if !s.m.Cfg.DisableImplicitTrans {
-		s.ensureKeys()
-		var sum float64
-		for _, sid := range route.Segs {
-			sum += s.roadProb(ws, sid)
-		}
-		pRoute = sum / float64(len(route.Segs))
-	}
-	straight := ct[i-1].P.Dist(ct[i].P)
-	lenSim, turnSim := routeSims(s.m.Net, route, straight)
-	return s.m.fuseTrans(ws, [3]float64{pRoute, lenSim, turnSim}), true
 }
 
 // NewStream returns an online fixed-lag matcher driven by the trained
@@ -360,12 +249,12 @@ func (m *Model) NewStream(lag int) *hmm.StreamMatcher {
 	if m.emb == nil {
 		panic(fmt.Sprintf("core: NewStream on model %p without embeddings; call RefreshEmbeddings after training or loading", m))
 	}
-	ss := &streamSession{m: m, roadP: make(map[roadnet.SegmentID]float64)}
+	ss := &session{m: m}
 	return hmm.NewStreamMatcher(&hmm.Matcher{
 		Net:    m.Net,
 		Router: m.Router,
 		Obs:    ss,
-		Trans:  streamTrans{ss},
+		Trans:  transAdapter{ss},
 		Cfg: hmm.Config{
 			K:        m.Cfg.K,
 			OnBreak:  m.Cfg.OnBreak,

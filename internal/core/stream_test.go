@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/traj"
 )
 
@@ -157,10 +159,9 @@ func TestNewStreamFirstPointAgreesWithBatch(t *testing.T) {
 	one := tr.Cell[:1]
 
 	sess := m.newSession(one)
-	defer sess.release()
 	batch := sess.Candidates(one, 0, m.Cfg.K)
 
-	ss := &streamSession{m: m, roadP: nil}
+	ss := &session{m: m}
 	stream := ss.Candidates(one, 0, m.Cfg.K)
 
 	if len(batch) != len(stream) {
@@ -171,5 +172,55 @@ func TestNewStreamFirstPointAgreesWithBatch(t *testing.T) {
 			t.Fatalf("candidate %d differs: batch (%d, %v) vs stream (%d, %v)",
 				i, batch[i].Seg, batch[i].Obs, stream[i].Seg, stream[i].Obs)
 		}
+	}
+}
+
+// TestStreamPushCountsBatchDegraded: a learned stream scores its fan-out
+// through ScoreBatch like a batch match, so a fused score that comes out
+// non-finite on a push must reach every place a degraded event is read —
+// StreamMatcher.Degraded, the shared hmm.match.degraded counter, and the
+// snapshot's degraded field across a restore.
+func TestStreamPushCountsBatchDegraded(t *testing.T) {
+	t.Cleanup(faultinject.DisarmAll)
+	obs.Default.Enable()
+	t.Cleanup(obs.Default.Disable)
+	counter := obs.Default.Counter("hmm.match.degraded")
+	before := counter.Value()
+
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	tr := d.TestTrips()[0]
+	if err := faultinject.Arm("core.trans.nan:3"); err != nil {
+		t.Fatal(err)
+	}
+	sm := m.NewStream(2)
+	for _, p := range tr.Cell {
+		if _, err := sm.Push(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultinject.DisarmAll()
+	deg := sm.Degraded()
+	if deg == 0 {
+		t.Fatal("armed core.trans.nan left StreamMatcher.Degraded at 0")
+	}
+	if got := counter.Value() - before; got != int64(deg) {
+		t.Errorf("hmm.match.degraded moved by %d, stream counted %d", got, deg)
+	}
+	wh := m.WeightsHash()
+	data, err := EncodeStreamSnapshot(sm, "degraded", wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := InspectStreamSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeStreamSnapshot(m, wh, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Degraded != int64(deg) || snap.SM.Degraded() != deg {
+		t.Errorf("degraded count %d: snapshot says %d, restored matcher %d", deg, info.Degraded, snap.SM.Degraded())
 	}
 }

@@ -438,7 +438,6 @@ func (m *Model) trainFuse(samples []*tripSample, rng *rand.Rand) error {
 				lossN++
 				opt.Step(transParams)
 			}
-			sess.release()
 		}
 		meanLoss := math.NaN()
 		if lossN > 0 {
@@ -467,6 +466,8 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 		posBudget = 1
 	}
 	order := rng.Perm(len(s.tr.Cell))
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
 	var posCount int
 	for _, i := range order {
 		if posCount >= posBudget {
@@ -481,8 +482,8 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 			// The implicit feature comes from the kernel inference
 			// scores with, so the fuse net trains on what it will see.
 			var imp [1]float64
-			sess.ws.Reset()
-			m.obsImplicit(sess.ws, sess.obsCtx.Row(i), []hmm.Candidate{{Seg: sid}}, imp[:])
+			ws.Reset()
+			m.obsImplicit(ws, sess.row(sess.obsCtx, i), []hmm.Candidate{{Seg: sid}}, imp[:])
 			return ex{
 				f: [3]float64{
 					imp[0],
@@ -528,6 +529,8 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 	if len(s.tr.Cell) < 2 {
 		return nil, nil
 	}
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
 	addRoute := func(i int, from, to roadnet.PointOnRoad) {
 		route, ok := m.Router.RouteBetween(from, to)
 		if !ok || len(route.Segs) == 0 {
@@ -541,7 +544,7 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 		}
 		ratio := float64(onPath) / float64(len(route.Segs))
 		straight := s.tr.Cell[i-1].P.Dist(s.tr.Cell[i].P)
-		exs = append(exs, ex{f: sess.transFeatures(i, route, straight), ratio: ratio})
+		exs = append(exs, ex{f: sess.transFeatures(ws, route, straight), ratio: ratio})
 	}
 	candK := m.Cfg.K / 3
 	if candK < 4 {

@@ -32,7 +32,7 @@ func randomWalks(n, steps int, seed int64) []traj.CellTrajectory {
 // pairwise path exactly.
 type batchEcho struct{ ExponentialTransition }
 
-func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) {
+func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int {
 	nTo := len(to)
 	for j := range from {
 		for kk := range to {
@@ -43,6 +43,7 @@ func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candida
 			out[j*nTo+kk] = p
 		}
 	}
+	return 0
 }
 
 func TestBatchModelIdenticalToPairwise(t *testing.T) {

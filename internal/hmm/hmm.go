@@ -120,8 +120,11 @@ type TransitionModel interface {
 type TransitionBatchModel interface {
 	// ScoreBatch fills out[j*len(to)+kk] with P_T(from[j] → to[kk]) for
 	// movement into point i, or NaN where the movement is impossible.
-	// out has length len(from)*len(to).
-	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64)
+	// out has length len(from)*len(to). It returns how many of those
+	// scores the model itself had to degrade (a non-finite learned score
+	// replaced by, or dropped for want of, a classical fallback), which
+	// the matcher adds to the match's degraded count.
+	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) (degraded int)
 }
 
 // BreakPolicy selects how the matcher treats a dead point — one whose
@@ -341,11 +344,6 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		obsMatchErrors.Inc()
 		return nil, fmt.Errorf("hmm: no valid points left after sanitization (dropped %d)", srep.Dropped())
 	}
-	k := m.Cfg.K
-	if k <= 0 {
-		k = 30
-	}
-
 	// Telemetry: counters accumulate into locals and flush once at the
 	// end; the per-stage clock only runs when tracing is on — either a
 	// MatchTrace (Cfg.Trace) or a request span arriving on ctx, which
@@ -387,24 +385,9 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			obsMatchErrors.Inc()
 			return nil, fmt.Errorf("hmm: match canceled at point %d: %w", i, err)
 		}
-		layer := m.Obs.Candidates(ct, i, k)
-		if fpDeadCandidates.Fail() {
-			layer = nil
-		}
-		// Degraded mode: a NaN/Inf observation probability would poison
-		// every path through this point; fall back to the classical
-		// Eq. 2 Gaussian of the candidate's distance.
-		if es != nil && len(layer) > 0 {
-			es.fellback[i] = make([]bool, len(layer))
-		}
-		for j := range layer {
-			if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
-				layer[j].Obs = m.fallbackObs(layer[j].Dist)
-				deg++
-				if es != nil {
-					es.fellback[i][j] = true
-				}
-			}
+		layer, fellback := m.candidates(ct, i, es != nil, &deg)
+		if es != nil {
+			es.fellback[i] = fellback
 		}
 		layers[i] = layer
 		if len(layer) == 0 {
@@ -457,83 +440,34 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	f := make([][]float64, n)
 	pre := make([][]int, n) // index into layers[i-1]; -1 for none
 	steps := make([][][]float64, n)
-	first := alive[0]
-	f[first] = make([]float64, len(layers[first]))
-	pre[first] = make([]int, len(layers[first]))
-	for j := range layers[first] {
-		f[first][j] = m.accum(layers[first][j].Obs)
-		pre[first][j] = -1
-	}
 	var nBreaks int64
-	var batchBuf []float64 // reused across steps by the batch-model path
-	for ai := 1; ai < len(alive); ai++ {
+	for _, i := range alive {
 		if err := ctx.Err(); err != nil {
 			obsMatchErrors.Inc()
-			return nil, fmt.Errorf("hmm: match canceled at step %d: %w", alive[ai], err)
+			return nil, fmt.Errorf("hmm: match canceled at step %d: %w", i, err)
 		}
-		i, p := alive[ai], alive[ai-1]
-		f[i] = make([]float64, len(layers[i]))
-		pre[i] = make([]int, len(layers[i]))
-		if p != i-1 {
-			// Dead gap: no transition evidence bridges it (the models
-			// score adjacent points only), so the chain restarts from
-			// fresh observation scores on the far side.
-			for kk := range layers[i] {
-				f[i][kk] = m.accum(layers[i][kk].Obs)
-				pre[i][kk] = -1
-			}
+		if i == 0 || dead[i-1] {
+			f[i], pre[i] = m.restart(layers[i])
 			continue
-		}
-		steps[i] = make([][]float64, len(layers[i-1]))
-		for j := range layers[i-1] {
-			steps[i][j] = make([]float64, len(layers[i]))
-			for kk := range steps[i][j] {
-				steps[i][j][kk] = math.NaN()
-			}
 		}
 		// Phase 1: score the whole transition fan-out into the step
 		// table — batched or pairwise.
 		tdone := stage(&st.TransitionS)
-		batchBuf = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], steps[i], batchBuf, &deg)
+		steps[i] = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], &deg)
 		tdone()
 		// Phase 2: the Viterbi recurrence over the memoized table,
 		// always sequential so results do not depend on scheduling.
-		restarts, reachable := 0, 0
-		for kk := range layers[i] {
-			best, bestJ := math.Inf(-1), -1
-			for j := range layers[i-1] {
-				w := steps[i][j][kk]
-				if math.IsNaN(w) {
-					nBlocked++
-					continue
-				}
-				reachable++
-				if math.IsInf(f[i-1][j], -1) {
-					continue
-				}
-				if s := f[i-1][j] + w; s > best {
-					best, bestJ = s, j
-				}
-			}
-			if bestJ < 0 {
-				// All predecessors unreachable: restart scoring here so
-				// one broken layer cannot void the whole trajectory.
-				f[i][kk] = m.accum(layers[i][kk].Obs)
-				pre[i][kk] = -1
-				restarts++
-				continue
-			}
-			f[i][kk] = best
-			pre[i][kk] = bestJ
-		}
+		var ss stepStats
+		f[i], pre[i], ss = m.recur(steps[i], f[i-1], layers[i])
+		nBlocked += int64(ss.blocked)
 		nEval += int64(len(layers[i]) * len(layers[i-1]))
 		if trace != nil {
 			pt := &trace.Points[i]
 			pt.TransEvaluated = len(layers[i]) * len(layers[i-1])
-			pt.TransReachable = reachable
-			pt.Restarts = restarts
+			pt.TransReachable = ss.reachable
+			pt.Restarts = ss.restarts
 		}
-		if restarts == len(layers[i]) {
+		if ss.restarts == len(layers[i]) {
 			// Every candidate restarted: the chain broke at this point
 			// and recovers from fresh observation scores.
 			nBreaks++
@@ -563,23 +497,19 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		Sanitize:          srep,
 		Trace:             trace,
 	}
-	argmaxF := func(i int) int {
-		best, idx := math.Inf(-1), 0
-		for j := range f[i] {
-			if f[i][j] > best {
-				best, idx = f[i][j], j
-			}
-		}
-		return idx
-	}
 	last := alive[len(alive)-1]
-	idx := argmaxF(last)
-	res.Score = f[last][idx]
+	res.Score = f[last][argmaxF(f[last])]
 	noRouteTo := make(map[int]bool)
+	var onBreak func(Gap)
+	if m.Cfg.OnBreak == BreakSplit {
+		onBreak = func(g Gap) {
+			res.Gaps = append(res.Gaps, g)
+			noRouteTo[g.To] = true
+		}
+	}
 	var nSkipped int64
 	driftTransOn := driftTransition.Enabled()
-	for ai := len(alive) - 1; ai >= 0; ai-- {
-		i := alive[ai]
+	walkBack(f, pre, dead, 0, func(i, idx, from int) {
 		res.Matched[i] = layers[i][idx]
 		res.Skipped[i] = layers[i][idx].pseudo
 		if es != nil {
@@ -591,38 +521,13 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 				trace.Points[i].Skipped = true
 			}
 		}
-		if ai == 0 {
-			break
-		}
-		p := alive[ai-1]
-		if p != i-1 {
-			// Dead gap on the chosen path.
-			if m.Cfg.OnBreak == BreakSplit {
-				res.Gaps = append(res.Gaps, Gap{From: p, To: i, Reason: GapNoCandidates})
-				noRouteTo[i] = true
-			}
-			idx = argmaxF(p)
-			continue
-		}
-		next := pre[i][idx]
-		if next < 0 {
-			// Restarted chain: pick the best candidate of the previous
-			// layer independently — a stitch boundary under Split.
-			if m.Cfg.OnBreak == BreakSplit {
-				res.Gaps = append(res.Gaps, Gap{From: p, To: i, Reason: GapViterbiBreak})
-				noRouteTo[i] = true
-			}
-			idx = argmaxF(p)
-			continue
-		}
-		if driftTransOn && steps[i] != nil && next < len(steps[i]) && idx < len(steps[i][next]) {
+		if driftTransOn && from >= 0 && from < len(steps[i]) && idx < len(steps[i][from]) {
 			// Drift signal: the memoized step weight of the chosen
 			// transition. Bounds-checked because shortcut pseudo-
 			// candidates extend the layers but not the step tables.
-			driftTransition.Observe(steps[i][next][idx])
+			driftTransition.Observe(steps[i][from][idx])
 		}
-		idx = next
-	}
+	}, onBreak)
 	// Gaps were appended walking backward; restore trajectory order.
 	for a, b := 0, len(res.Gaps)-1; a < b; a, b = a+1, b-1 {
 		res.Gaps[a], res.Gaps[b] = res.Gaps[b], res.Gaps[a]
@@ -699,47 +604,91 @@ func emitStageSpans(sp *obs.Span, start time.Time, st obs.StageTimings) {
 // nopStage is the shared no-op stage closer used when tracing is off.
 var nopStage = func() {}
 
-// fillSteps populates the step table for the transition into point i:
-// steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN where
-// unreachable. A TransitionBatchModel scores the whole fan-out in one
-// call; otherwise pairwise Score fills it column by column, stopping
-// early when ctx is canceled (the caller's per-step ctx check surfaces
-// the error). It returns the (possibly grown) scratch buffer for reuse
-// by the next step.
-func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, steps [][]float64, buf []float64, deg *int64) []float64 {
-	if bm, ok := m.Trans.(TransitionBatchModel); ok {
-		nTo := len(to)
-		if need := len(from) * nTo; cap(buf) < need {
-			buf = make([]float64, need)
-		} else {
-			buf = buf[:need]
+// candidates prepares point i's candidate layer, Cfg.K roads (default
+// 30). Degraded mode: a NaN/Inf observation probability would poison
+// every path through the point, so it falls back to the classical
+// Eq. 2 Gaussian of the candidate's distance, counted in deg and — when
+// explain is set — flagged per candidate in fellback.
+func (m *Matcher) candidates(ct traj.CellTrajectory, i int, explain bool, deg *int64) (layer []Candidate, fellback []bool) {
+	k := m.Cfg.K
+	if k <= 0 {
+		k = 30
+	}
+	layer = m.Obs.Candidates(ct, i, k)
+	if fpDeadCandidates.Fail() {
+		layer = nil
+	}
+	if explain && len(layer) > 0 {
+		fellback = make([]bool, len(layer))
+	}
+	for j := range layer {
+		if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
+			layer[j].Obs = m.fallbackObs(layer[j].Dist)
+			*deg++
+			if explain {
+				fellback[j] = true
+			}
 		}
-		bm.ScoreBatch(ct, i, from, to, buf)
+	}
+	return layer, fellback
+}
+
+// restart seeds a layer's column of the Viterbi table from observation
+// scores alone: the first alive point, and the far side of a dead gap —
+// the models score adjacent points only, so no transition evidence
+// bridges one.
+func (m *Matcher) restart(layer []Candidate) (f []float64, pre []int) {
+	f, pre = make([]float64, len(layer)), make([]int, len(layer))
+	for j := range layer {
+		f[j] = m.accum(layer[j].Obs)
+		pre[j] = -1
+	}
+	return f, pre
+}
+
+// fillSteps scores the transition fan-out into point i as a fresh step
+// table: steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN
+// where unreachable. A TransitionBatchModel scores the whole fan-out in
+// one call, straight into the table's backing array; otherwise pairwise
+// Score fills it column by column, stopping early when ctx is canceled
+// (the caller's per-step ctx check surfaces the error).
+func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, deg *int64) [][]float64 {
+	nTo := len(to)
+	flat := make([]float64, len(from)*nTo)
+	steps := make([][]float64, len(from))
+	for j := range steps {
+		steps[j] = flat[j*nTo : (j+1)*nTo : (j+1)*nTo]
+	}
+	if bm, ok := m.Trans.(TransitionBatchModel); ok {
+		*deg += int64(bm.ScoreBatch(ct, i, from, to, flat))
 		for j := range from {
 			row := steps[j]
-			base := j * nTo
 			for kk := range to {
 				// NaN is the batch protocol's unreachable sentinel; an
 				// Inf, however, is a misbehaving model — degrade it.
-				pt := buf[base+kk]
+				pt := row[kk]
 				if math.IsInf(pt, 0) {
 					var ok bool
 					pt, ok = m.fallbackTrans(ct, i, &from[j], &to[kk])
 					*deg++
 					if !ok {
-						continue
+						pt = math.NaN()
 					}
 				}
 				if !math.IsNaN(pt) {
-					row[kk] = m.accum(pt * to[kk].Obs)
+					pt = m.accum(pt * to[kk].Obs)
 				}
+				row[kk] = pt
 			}
 		}
-		return buf
+		return steps
+	}
+	for p := range flat {
+		flat[p] = math.NaN()
 	}
 	for kk := range to {
 		if ctx.Err() != nil {
-			return buf
+			break
 		}
 		for j := range from {
 			if w, ok := m.stepScore(ct, i, &from[j], &to[kk], deg); ok {
@@ -747,7 +696,102 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 			}
 		}
 	}
-	return buf
+	return steps
+}
+
+// stepStats counts the outcomes of one forward step.
+type stepStats struct {
+	restarts  int // candidates with no reachable predecessor
+	reachable int // fan-out pairs the transition model could route
+	blocked   int // fan-out pairs it could not
+}
+
+// recur is the Viterbi recurrence of Algorithm 1 for one point: each
+// candidate of layer to takes the best fPrev[j] + steps[j][kk] over its
+// reachable predecessors. A candidate with none restarts from its own
+// observation score (pre −1), so one broken layer cannot void the whole
+// trajectory.
+func (m *Matcher) recur(steps [][]float64, fPrev []float64, to []Candidate) (f []float64, pre []int, st stepStats) {
+	f, pre = make([]float64, len(to)), make([]int, len(to))
+	for kk := range to {
+		best, bestJ := math.Inf(-1), -1
+		for j := range steps {
+			w := steps[j][kk]
+			if math.IsNaN(w) {
+				st.blocked++
+				continue
+			}
+			st.reachable++
+			if math.IsInf(fPrev[j], -1) {
+				continue
+			}
+			if s := fPrev[j] + w; s > best {
+				best, bestJ = s, j
+			}
+		}
+		if bestJ < 0 {
+			f[kk], pre[kk] = m.accum(to[kk].Obs), -1
+			st.restarts++
+			continue
+		}
+		f[kk], pre[kk] = best, bestJ
+	}
+	return f, pre, st
+}
+
+// argmaxF returns the index of the largest score in a table column.
+func argmaxF(v []float64) int {
+	best, idx := math.Inf(-1), 0
+	for j, x := range v {
+		if x > best {
+			best, idx = x, j
+		}
+	}
+	return idx
+}
+
+// walkBack is the backward pass of Algorithm 1. It starts at the best
+// candidate of the last alive point and follows the backpointers toward
+// the head of the trajectory, stopping below point stop. visit is called
+// for every alive point i ≥ stop, last to first, with the chosen
+// candidate idx and its backpointer from into point i-1 — −1 where the
+// chain does not enter i through a backpointer. There the walk resumes
+// from the previous alive point's own best candidate and, if onBreak is
+// non-nil, reports the boundary first: GapNoCandidates when dead points
+// lie between the two, GapViterbiBreak when the recurrence restarted at i.
+func walkBack(f [][]float64, pre [][]int, dead []bool, stop int, visit func(i, idx, from int), onBreak func(Gap)) {
+	prevAlive := func(i int) int {
+		for i--; i >= 0 && dead[i]; i-- {
+		}
+		return i
+	}
+	i := prevAlive(len(dead))
+	if i < 0 {
+		return
+	}
+	for idx := argmaxF(f[i]); i >= stop; {
+		p, from := prevAlive(i), -1
+		if p >= 0 && p == i-1 {
+			from = pre[i][idx]
+		}
+		visit(i, idx, from)
+		if p < 0 {
+			return
+		}
+		if from >= 0 {
+			idx = from
+		} else {
+			if onBreak != nil {
+				reason := GapViterbiBreak
+				if p != i-1 {
+					reason = GapNoCandidates
+				}
+				onBreak(Gap{From: p, To: i, Reason: reason})
+			}
+			idx = argmaxF(f[p])
+		}
+		i = p
+	}
 }
 
 // stepScore is Eq. 13: W(a→b) = P_T(a→b) · P_O(b|x_i), accumulated

@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -28,6 +29,12 @@ var (
 // enough look-ahead for the transition evidence to disambiguate, while
 // keeping bounded latency for real-time pipelines (SnapNet's setting
 // [12]).
+//
+// It owns the growing table and the emission window and nothing else:
+// each push runs MatchContext's own forward step on the new point
+// (candidates, then restart or fillSteps + recur — so a
+// TransitionBatchModel scores the fan-out in one call here too) and its
+// own backward pass (walkBack) over the unfinalized tail.
 //
 // The matcher's fault-tolerance configuration carries over: the
 // Cfg.OnBreak policy decides whether a dead point (no candidates)
@@ -101,117 +108,48 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 	obsStreamPushes.Inc()
 	s.ct = append(s.ct, p)
 	i := len(s.ct) - 1
-	k := s.M.Cfg.K
-	if k <= 0 {
-		k = 30
-	}
-	layer := s.M.Obs.Candidates(s.ct, i, k)
-	if fpDeadCandidates.Fail() {
-		layer = nil
-	}
-	for j := range layer {
-		if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
-			layer[j].Obs = s.M.fallbackObs(layer[j].Dist)
-			s.deg.Add(1)
-			obsMatchDegraded.Inc()
-		}
-	}
-	if len(layer) == 0 {
+	var deg int64
+	defer func() {
+		s.deg.Add(deg)
+		obsMatchDegraded.Add(deg)
+	}()
+	layer, _ := s.M.candidates(s.ct, i, false, &deg)
+	var f []float64
+	var pre []int
+	switch {
+	case len(layer) == 0:
 		if s.M.Cfg.OnBreak == BreakError {
 			obsStreamErrors.Inc()
 			return nil, fmt.Errorf("hmm: stream: no candidates for point %d", i)
 		}
-		// Dead point: consume the index with placeholder state so the
-		// emitted stream stays aligned with the pushed points.
-		s.layers = append(s.layers, nil)
-		s.f = append(s.f, nil)
-		s.pre = append(s.pre, nil)
-		s.dead = append(s.dead, true)
+		// Dead point: consume the index with nil rows so the emitted
+		// stream stays aligned with the pushed points.
+		layer = nil
 		obsDeadPoints.Inc()
-		out := s.emitUpTo(len(s.ct) - 1 - s.Lag)
-		obsStreamEmitted.Add(int64(len(out)))
-		obsStreamPending.Set(int64(s.Pending()))
-		return out, nil
-	}
-	s.dead = append(s.dead, false)
-	s.layers = append(s.layers, layer)
-	f := make([]float64, len(layer))
-	pre := make([]int, len(layer))
-	pa := s.prevAlive(i)
-	switch {
-	case pa < 0:
-		// First alive point.
-		for j := range layer {
-			f[j] = s.M.accum(layer[j].Obs)
-			pre[j] = -1
-		}
-	case pa != i-1:
-		// Dead gap immediately behind: no transition evidence bridges
-		// it, so the chain restarts from fresh observation scores.
-		for j := range layer {
-			f[j] = s.M.accum(layer[j].Obs)
-			pre[j] = -1
-		}
+	case i == 0 || s.dead[i-1]:
+		// First alive point, or a dead gap immediately behind.
+		f, pre = s.M.restart(layer)
 	default:
-		restarts := 0
-		var deg int64
-		for kk := range layer {
-			best, bestJ := math.Inf(-1), -1
-			for j := range s.layers[i-1] {
-				if math.IsInf(s.f[i-1][j], -1) {
-					continue
-				}
-				w, ok := s.M.stepScore(s.ct, i, &s.layers[i-1][j], &layer[kk], &deg)
-				if !ok {
-					continue
-				}
-				if sc := s.f[i-1][j] + w; sc > best {
-					best, bestJ = sc, j
-				}
-			}
-			if bestJ < 0 {
-				f[kk] = s.M.accum(layer[kk].Obs)
-				pre[kk] = -1
-				restarts++
-				continue
-			}
-			f[kk] = best
-			pre[kk] = bestJ
-		}
-		s.deg.Add(deg)
-		if restarts == len(layer) {
+		steps := s.M.fillSteps(context.TODO(), s.ct, i, s.layers[i-1], layer, &deg)
+		var st stepStats
+		f, pre, st = s.M.recur(steps, s.f[i-1], layer)
+		if st.restarts == len(layer) {
 			// The chain broke here: every candidate restarted from its
 			// observation score (the streaming analogue of the batch
 			// matcher's break-and-recover event).
 			obsStreamBreaks.Inc()
 		}
 	}
+	s.dead = append(s.dead, layer == nil)
+	s.layers = append(s.layers, layer)
 	s.f = append(s.f, f)
 	s.pre = append(s.pre, pre)
 
-	out := s.emitUpTo(len(s.ct) - 1 - s.Lag)
-	obsStreamEmitted.Add(int64(len(out)))
-	obsStreamPending.Set(int64(s.Pending()))
-	return out, nil
-}
-
-// prevAlive returns the last alive index before i, or -1.
-func (s *StreamMatcher) prevAlive(i int) int {
-	for p := i - 1; p >= 0; p-- {
-		if !s.dead[p] {
-			return p
-		}
-	}
-	return -1
+	return s.emitUpTo(i - s.Lag), nil
 }
 
 // Flush finalizes all remaining points and returns their matches.
-func (s *StreamMatcher) Flush() []Candidate {
-	out := s.emitUpTo(len(s.ct) - 1)
-	obsStreamEmitted.Add(int64(len(out)))
-	obsStreamPending.Set(int64(s.Pending()))
-	return out
-}
+func (s *StreamMatcher) Flush() []Candidate { return s.emitUpTo(len(s.ct) - 1) }
 
 // Pending returns the current emit lag: points pushed but not yet
 // finalized. It grows toward Lag during warm-up, holds at Lag in
@@ -219,70 +157,34 @@ func (s *StreamMatcher) Flush() []Candidate {
 func (s *StreamMatcher) Pending() int { return len(s.ct) - s.emitted }
 
 // emitUpTo finalizes matches for points [emitted, until] by
-// backtracking from the current best terminal candidate. Dead points
-// emit a zero Candidate; under the Split policy, chain breaks whose
-// entry point falls inside the newly finalized window are recorded as
-// Gaps (each boundary exactly once, since the window only advances).
+// backtracking from the current best terminal candidate, no further
+// back than the first unfinalized point. Dead points emit a zero
+// Candidate; under the Split policy, chain breaks whose entry point
+// falls inside the newly finalized window are recorded as Gaps (each
+// boundary exactly once, since the window only advances).
 func (s *StreamMatcher) emitUpTo(until int) []Candidate {
-	if until < s.emitted || len(s.ct) == 0 {
-		return nil
-	}
-	split := s.M.Cfg.OnBreak == BreakSplit
-	argmaxF := func(i int) int {
-		best, idx := math.Inf(-1), 0
-		for j, v := range s.f[i] {
-			if v > best {
-				best, idx = v, j
-			}
-		}
-		return idx
-	}
-	last := len(s.ct) - 1
-	for last >= 0 && s.dead[last] {
-		last--
-	}
-	chain := make([]int, len(s.ct))
-	for i := range chain {
-		chain[i] = -1
-	}
-	if last >= 0 {
-		idx := argmaxF(last)
-		i := last
-		for i >= 0 {
-			chain[i] = idx
-			p := s.prevAlive(i)
-			if p < 0 {
-				break
-			}
-			inWindow := i >= s.emitted && i <= until
-			if p != i-1 {
-				if split && inWindow {
-					s.gaps = append(s.gaps, Gap{From: p, To: i, Reason: GapNoCandidates})
-					obsMatchGaps.Inc()
-				}
-				idx = argmaxF(p)
-			} else if next := s.pre[i][idx]; next < 0 {
-				if split && inWindow {
-					s.gaps = append(s.gaps, Gap{From: p, To: i, Reason: GapViterbiBreak})
-					obsMatchGaps.Inc()
-				}
-				idx = argmaxF(p)
-			} else {
-				idx = next
-			}
-			i = p
-		}
-	}
 	var out []Candidate
-	for i := s.emitted; i <= until; i++ {
-		var c Candidate
-		if !s.dead[i] && chain[i] >= 0 {
-			c = s.layers[i][chain[i]]
+	if until >= s.emitted {
+		out = make([]Candidate, until-s.emitted+1)
+		var onBreak func(Gap)
+		if s.M.Cfg.OnBreak == BreakSplit {
+			onBreak = func(g Gap) {
+				if g.To <= until {
+					s.gaps = append(s.gaps, g)
+					obsMatchGaps.Inc()
+				}
+			}
 		}
-		s.matched = append(s.matched, c)
-		out = append(out, c)
+		walkBack(s.f, s.pre, s.dead, s.emitted, func(i, idx, _ int) {
+			if i <= until {
+				out[i-s.emitted] = s.layers[i][idx]
+			}
+		}, onBreak)
+		s.matched = append(s.matched, out...)
+		s.emitted = until + 1
 	}
-	s.emitted = until + 1
+	obsStreamEmitted.Add(int64(len(out)))
+	obsStreamPending.Set(int64(s.Pending()))
 	return out
 }
 
