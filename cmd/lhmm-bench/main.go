@@ -6,8 +6,6 @@
 //	lhmm-bench -exp table2                 # one experiment
 //	lhmm-bench -exp all -scale 0.05       # the whole evaluation section
 //	lhmm-bench -exp table2 -json          # machine-readable results
-//	lhmm-bench -exp table2 -json -compare BENCH_baseline.json
-//	                                      # diff against a committed run
 //
 // Experiments: table1 table2 table3 fig7a fig7b fig8 fig9 fig10a
 // fig10b fig11. Results print to stdout; -out duplicates them to a
@@ -16,10 +14,7 @@
 // rendered text, and the full observability snapshot (router cache hit
 // rate, shortcut activations, Viterbi breaks, latency histograms) so
 // successive runs can be diffed for perf trajectory — BENCH_*.json
-// files in the repo root are committed runs of this mode. -compare
-// diffs the finished run against such a committed document (wall-clock
-// and counter deltas) and exits nonzero when the counter schema
-// drifted.
+// files in the repo root are committed runs of this mode.
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k
@@ -42,7 +37,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -95,7 +89,6 @@ func main() {
 	trips := flag.Int("trips", 220, "trips per dataset")
 	out := flag.String("out", "", "also write results to this file")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of text")
-	compare := flag.String("compare", "", "baseline lhmm-bench JSON file to diff this run against (exits nonzero on counter-schema drift)")
 	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (CH vs flat routed-transition throughput, match latency) instead of -exp")
 	of := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -120,8 +113,8 @@ func main() {
 		}
 	}()
 
-	if *asJSON || *compare != "" || *fullscale {
-		// JSON, compare, and fullscale runs measure from a clean
+	if *asJSON || *fullscale {
+		// JSON and fullscale runs measure from a clean
 		// telemetry slate so committed BENCH_*.json files diff as true
 		// per-run deltas (fullscale also reads the match-latency
 		// histogram for its text report).
@@ -194,30 +187,12 @@ func main() {
 		}
 	}
 
-	var doc *output
-	if *asJSON || *compare != "" {
-		doc = buildDoc(results, *scale, *trips, time.Since(runStart).Seconds())
-		doc.Fullscale = fsRes
-	}
 	if *asJSON {
+		doc := buildDoc(results, *scale, *trips, time.Since(runStart).Seconds())
+		doc.Fullscale = fsRes
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, "lhmm-bench:", err)
-			os.Exit(1)
-		}
-	}
-	if *compare != "" {
-		base, err := loadBaseline(*compare)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lhmm-bench:", err)
-			os.Exit(1)
-		}
-		cw := io.Writer(os.Stdout)
-		if *asJSON && *out == "" {
-			cw = os.Stderr // JSON owns stdout
-		}
-		if err := compareRuns(cw, base, doc); err != nil {
 			fmt.Fprintln(os.Stderr, "lhmm-bench:", err)
 			os.Exit(1)
 		}
@@ -244,104 +219,6 @@ func buildDoc(results []experiment, scale float64, trips int, totalS float64) *o
 		MatchP99S:           match.P99,
 		Obs:                 snap,
 	}
-}
-
-// loadBaseline reads a committed lhmm-bench JSON document.
-func loadBaseline(path string) (*output, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc output
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &doc, nil
-}
-
-// compareRuns prints per-experiment wall-clock and counter deltas of
-// this run against a baseline document. It returns an error on schema
-// mismatch or counter-schema drift — a baseline counter whose name is
-// no longer registered in this binary (zero-valued counters still
-// register, so small-scale runs don't false-positive).
-func compareRuns(w io.Writer, base, fresh *output) error {
-	if base.Schema != fresh.Schema {
-		return fmt.Errorf("schema mismatch: baseline %q vs this run %q", base.Schema, fresh.Schema)
-	}
-	fmt.Fprintf(w, "== compare vs baseline (baseline scale %g / %d trips; run scale %g / %d trips) ==\n",
-		base.Scale, base.Trips, fresh.Scale, fresh.Trips)
-	if base.Scale != fresh.Scale || base.Trips != fresh.Trips {
-		fmt.Fprintln(w, "note: run sizes differ; deltas reflect scale, not performance")
-	}
-	baseExp := make(map[string]experiment, len(base.Experiments))
-	for _, e := range base.Experiments {
-		baseExp[e.ID] = e
-	}
-	for _, e := range fresh.Experiments {
-		be, ok := baseExp[e.ID]
-		if !ok {
-			fmt.Fprintf(w, "  %-8s %9s -> %8.2fs\n", e.ID, "(new)", e.WallS)
-			continue
-		}
-		fmt.Fprintf(w, "  %-8s %8.2fs -> %8.2fs  %s\n", e.ID, be.WallS, e.WallS, pctDelta(be.WallS, e.WallS))
-	}
-	fmt.Fprintf(w, "  %-8s %8.2fs -> %8.2fs  %s\n", "total",
-		base.TotalWallS, fresh.TotalWallS, pctDelta(base.TotalWallS, fresh.TotalWallS))
-	// Match-latency quantiles: flagged (but non-fatal) outside a ±50%
-	// tolerance band — bench hosts are noisy, so quantile drift is a
-	// signal, not a gate. Zero or absent baseline quantiles (older
-	// baselines predate them) are skipped.
-	const qTol = 0.50
-	for _, q := range []struct {
-		name      string
-		base, cur float64
-	}{
-		{"match_p50_s", base.MatchP50S, fresh.MatchP50S},
-		{"match_p95_s", base.MatchP95S, fresh.MatchP95S},
-		{"match_p99_s", base.MatchP99S, fresh.MatchP99S},
-	} {
-		if q.base <= 0 || q.cur <= 0 {
-			continue
-		}
-		mark := ""
-		if rel := (q.cur - q.base) / q.base; rel > qTol || rel < -qTol {
-			mark = "  ** outside ±50% tolerance"
-		}
-		fmt.Fprintf(w, "  %-12s %9.6fs -> %9.6fs  %s%s\n", q.name, q.base, q.cur, pctDelta(q.base, q.cur), mark)
-	}
-	names := make([]string, 0, len(base.Obs.Counters))
-	for name := range base.Obs.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	registered := make(map[string]bool)
-	for _, name := range obs.Default.CounterNames() {
-		registered[name] = true
-	}
-	var missing []string
-	for _, name := range names {
-		if !registered[name] {
-			missing = append(missing, name)
-			continue
-		}
-		bv, fv := base.Obs.Counters[name], fresh.Obs.Counters[name]
-		if bv != fv {
-			fmt.Fprintf(w, "  %-36s %12d -> %12d  (%+d)\n", name, bv, fv, fv-bv)
-		}
-	}
-	if len(missing) > 0 {
-		return fmt.Errorf("counter-schema drift: baseline counters no longer registered: %s",
-			strings.Join(missing, ", "))
-	}
-	return nil
-}
-
-// pctDelta renders the relative change, or nothing when the base is 0.
-func pctDelta(old, new float64) string {
-	if old == 0 {
-		return ""
-	}
-	return fmt.Sprintf("(%+.1f%%)", (new-old)/old*100)
 }
 
 // writeFig11Artifacts saves the case study as SVG and GeoJSON files

@@ -15,8 +15,6 @@
 //	GET    /v1/sessions/{id}          session progress counters
 //	DELETE /v1/sessions/{id}          discard a session
 //	POST   /v1/reload                 hot-reload model weights from -model
-//	GET    /v1/shadow                 shadow-scoring agreement report + promotion verdict
-//	POST   /v1/shadow/load            load/replace the shadow candidate (body: {"path": "..."})
 //	GET    /v1/quality                windowed quality/SLO report
 //	GET    /v1/drift                  learned-score drift vs the -drift-baseline (PSI/KL per signal)
 //	GET    /healthz /readyz           liveness, readiness (with quality detail)
@@ -50,7 +48,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/shadow"
 	"repro/internal/traj"
 )
 
@@ -66,9 +63,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "dataset.json", "dataset file from `lhmm datagen`")
 	modelPath := fs.String("model", "model.json", "model weights file (re-read on reload)")
-	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
-	seed := fs.Int64("seed", 1, "seed the model was trained with")
 	onBreak := fs.String("on-break", "error", "default dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "default input validation: strict|drop|off")
 	lag := fs.Int("lag", 2, "default streaming emit lag in points")
@@ -90,15 +85,6 @@ func run(args []string) error {
 	captureSample := fs.Float64("capture-sample", 1, "fraction of eligible match requests to capture in [0,1]")
 	checkpointDir := fs.String("checkpoint-dir", "", "durable-session store: snapshot in-flight streaming sessions here and restore them on boot (empty disables)")
 	checkpointInterval := fs.Duration("checkpoint-interval", 5*time.Second, "periodic dirty-session checkpoint sweep cadence")
-	shadowModel := fs.String("shadow-model", "", "candidate model weights to shadow-score against live traffic (also loadable at runtime via POST /v1/shadow/load)")
-	shadowSample := fs.Float64("shadow-sample", 1, "fraction of completed match requests and sessions mirrored through the shadow candidate in [0,1]")
-	shadowWorkers := fs.Int("shadow-workers", 2, "shadow mirror worker goroutines")
-	shadowQueue := fs.Int("shadow-queue", 256, "shadow mirror queue depth; full queue drops samples, never delays serving")
-	shadowCaptureOut := fs.String("shadow-capture-out", "", "write disagreeing mirrored requests as capture JSONL to this file (for lhmm replay forensics)")
-	shadowMinSamples := fs.Int("shadow-min-samples", 50, "mirrored samples required before the /v1/shadow verdict leaves insufficient_data")
-	shadowMinAgreement := fs.Float64("shadow-min-agreement", 0.98, "minimum per-point agreement rate for a ready verdict")
-	shadowMaxRegression := fs.Float64("shadow-max-quality-regression", 0.05, "max allowed increase of candidate degraded/gap/failure rates over the active model")
-	sloShadowAgreement := fs.Float64("slo-shadow-agreement", 0, "shadow agreement floor before /readyz reports a shadow_divergence quality detail (0 disables)")
 	of := obs.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -136,34 +122,15 @@ func run(args []string) error {
 		return err
 	}
 
-	// loadModel runs once at startup, again on every reload, and for
-	// each shadow candidate: it rebuilds a fresh model skeleton over the
-	// resident dataset and restores the weights file at path. Load
-	// validates every parameter before writing any, so a bad file fails
-	// the whole load and the registry keeps the old model.
-	loadModel := func(path string) (*lhmm.Model, error) {
-		cfg := lhmm.DefaultConfig()
-		cfg.Dim = *dim
-		cfg.K = *k
-		cfg.Seed = *seed
-		cfg.OnBreak = breakPolicy
-		cfg.Sanitize = sanitizeMode
-		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		wf, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer wf.Close()
-		if err := m.Load(wf); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-
-	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return loadModel(*modelPath) })
+	// The loader runs once at startup and again on every reload. It
+	// builds a fresh model over the resident dataset from the weights
+	// file, validating every parameter before writing any, so a bad file
+	// fails the whole load and the registry keeps the old model.
+	cfg := lhmm.DefaultConfig()
+	cfg.K = *k
+	cfg.OnBreak = breakPolicy
+	cfg.Sanitize = sanitizeMode
+	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return lhmm.LoadModel(ds, *modelPath, cfg) })
 	if err := reg.Reload(); err != nil {
 		return fmt.Errorf("initial model load: %w", err)
 	}
@@ -187,17 +154,6 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing matches to %s (sample %.2f)\n",
 			*captureOut, *captureSample)
 	}
-	var shadowCapture *serve.Capture
-	if *shadowCaptureOut != "" {
-		// Sample rate 1: the mirror already sampled; every disagreement
-		// that reaches the capture must be persisted.
-		shadowCapture, err = serve.OpenCaptureFile(*shadowCaptureOut, 1)
-		if err != nil {
-			return err
-		}
-		defer shadowCapture.Close() //nolint:errcheck // exiting anyway
-		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing shadow disagreements to %s\n", *shadowCaptureOut)
-	}
 
 	srv, err := serve.New(reg, serve.Config{
 		Workers:      *workers,
@@ -211,31 +167,17 @@ func run(args []string) error {
 			Interval: *checkpointInterval,
 		},
 		Quality: obs.QualityConfig{
-			Window:             *sloWindow,
-			MaxDegradedRate:    *sloDegraded,
-			MaxGapRate:         *sloGap,
-			MaxEmptyRate:       *sloEmpty,
-			MaxShedRate:        *sloShed,
-			MaxP99:             *sloP99,
-			MaxDriftPSI:        *sloDriftPSI,
-			MinShadowAgreement: *sloShadowAgreement,
+			Window:          *sloWindow,
+			MaxDegradedRate: *sloDegraded,
+			MaxGapRate:      *sloGap,
+			MaxEmptyRate:    *sloEmpty,
+			MaxShedRate:     *sloShed,
+			MaxP99:          *sloP99,
+			MaxDriftPSI:     *sloDriftPSI,
 		},
 		DriftBaseline:     baseline,
 		DriftBaselinePath: *driftBaseline,
 		Capture:           capture,
-		Shadow: serve.ShadowConfig{
-			Loader:    loadModel,
-			ModelPath: *shadowModel,
-			Sample:    *shadowSample,
-			Workers:   *shadowWorkers,
-			Queue:     *shadowQueue,
-			Capture:   shadowCapture,
-			Thresholds: shadow.Thresholds{
-				MinSamples:           *shadowMinSamples,
-				MinAgreement:         *shadowMinAgreement,
-				MaxQualityRegression: *shadowMaxRegression,
-			},
-		},
 	})
 	if err != nil {
 		return err
@@ -285,11 +227,7 @@ func run(args []string) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "lhmm-serve: serving %s on %s (dim %d, k %d, %d workers)\n",
-		ds.Name, *addr, *dim, *k, *workers)
-	if *shadowModel != "" {
-		fmt.Fprintf(os.Stderr, "lhmm-serve: shadow-scoring candidate %s (sample %.2f)\n",
-			*shadowModel, *shadowSample)
-	}
+		ds.Name, *addr, reg.Model().Cfg.Dim, *k, *workers)
 
 	select {
 	case err := <-serveErr:

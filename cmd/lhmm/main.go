@@ -29,6 +29,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/geo"
 	"repro/internal/metrics"
+	"repro/internal/mrg"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shadow"
@@ -242,23 +243,12 @@ func cmdTrain(args []string) error {
 	return nil
 }
 
-// loadModel rebuilds the model skeleton for the dataset and restores
-// saved weights.
-func loadModel(ds *traj.Dataset, path string, dim, k int, seed int64) (*lhmm.Model, error) {
+// loadModel restores the saved model at path over ds; everything but
+// k is read from the file or defaulted.
+func loadModel(ds *traj.Dataset, path string, k int) (*lhmm.Model, error) {
 	cfg := lhmm.DefaultConfig()
-	cfg.Dim = dim
 	cfg.K = k
-	cfg.Seed = seed
-	model, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return model, model.Load(f)
+	return lhmm.LoadModel(ds, path, cfg)
 }
 
 func cmdMatch(args []string) error {
@@ -266,9 +256,7 @@ func cmdMatch(args []string) error {
 	data := fs.String("data", "dataset.json", "dataset file")
 	modelPath := fs.String("model", "model.json", "model weights file")
 	trip := fs.Int("trip", 0, "test-trip index to match")
-	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
-	seed := fs.Int64("seed", 1, "seed the model was trained with")
 	trajPath := fs.String("traj", "", "match a trajectory from a MatchRequest JSON file instead of -trip ('-' for stdin)")
 	jsonOut := fs.Bool("json", false, "write the result as MatchResponse JSON on stdout (the lhmm-serve wire format)")
 	dumpTraj := fs.String("dump-traj", "", "write the -trip trajectory as MatchRequest JSON and exit ('-' for stdout; no model needed)")
@@ -289,7 +277,7 @@ func cmdMatch(args []string) error {
 	if *dumpTraj != "" {
 		return dumpTrajectory(ds, *trip, *dumpTraj)
 	}
-	model, err := loadModel(ds, *modelPath, *dim, *k, *seed)
+	model, err := loadModel(ds, *modelPath, *k)
 	if err != nil {
 		return err
 	}
@@ -501,22 +489,21 @@ func readMatchRequest(path string) (*serve.MatchRequest, error) {
 // digests. Identical digests prove the serving stack still answers
 // byte-for-byte what it answered at capture time — the regression
 // check for model rollouts and scoring refactors. With -against, every
-// record is additionally replayed through a second model and the same
-// decision-level agreement report as GET /v1/shadow is printed — the
-// offline half of the shadow-scoring loop.
+// record is additionally replayed through a candidate model and the
+// decision-level agreement report with its promotion verdict is
+// printed: the check to run, on captured traffic, before a retrained
+// model replaces the serving one.
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	data := fs.String("data", "dataset.json", "dataset file")
 	modelPath := fs.String("model", "model.json", "model weights file")
-	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
-	seed := fs.Int64("seed", 1, "seed the model was trained with")
 	capturesPath := fs.String("captures", "-", "capture JSONL file from lhmm-serve -capture-out ('-' for stdin)")
-	against := fs.String("against", "", "candidate model weights: replay through both models and print the /v1/shadow agreement report")
+	against := fs.String("against", "", "candidate model weights: replay through both models and print the agreement report and promotion verdict")
 	minSamples := fs.Int("min-samples", 1, "promotion-verdict sample floor for -against (offline runs have exactly the capture's records)")
 	minAgreement := fs.Float64("min-agreement", 0.98, "promotion-verdict agreement floor for -against")
 	maxRegression := fs.Float64("max-quality-regression", 0.05, "promotion-verdict quality-regression ceiling for -against")
-	tolerate := fs.Bool("tolerate", false, "report diffs but exit 0 (shadow-scoring mode)")
+	tolerate := fs.Bool("tolerate", false, "report diffs but exit 0 (candidate-comparison mode)")
 	verbose := fs.Bool("v", false, "print one line per replayed record")
 	cleanup, err := parseWithObs(fs, args)
 	if err != nil {
@@ -543,15 +530,21 @@ func cmdReplay(args []string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("no capture records in %s", *capturesPath)
 	}
-	model, err := loadModel(ds, *modelPath, *dim, *k, *seed)
+	model, err := loadModel(ds, *modelPath, *k)
 	if err != nil {
 		return err
 	}
 	var candModel *lhmm.Model
 	var stats *shadow.Stats
 	if *against != "" {
-		if candModel, err = loadModel(ds, *against, *dim, *k, *seed); err != nil {
+		if candModel, err = loadModel(ds, *against, *k); err != nil {
 			return fmt.Errorf("against model: %w", err)
+		}
+		// The candidate runs under the active model's configuration, so
+		// only the weights may differ, not their shapes.
+		if candModel.Cfg.Dim != model.Cfg.Dim {
+			return fmt.Errorf("against model: %q has %d columns in %s, %d in %s",
+				mrg.InitParam, candModel.Cfg.Dim, *against, model.Cfg.Dim, *modelPath)
 		}
 		stats = shadow.NewStats()
 	}
@@ -604,7 +597,7 @@ func cmdReplay(args []string) error {
 		}
 		if stats != nil {
 			// Candidate replay under the same captured effective config —
-			// only the weights differ, exactly like the live mirror.
+			// only the weights differ.
 			cm := *candModel
 			cm.Cfg = mm.Cfg
 			cRes, cErr := cm.Match(ct)
@@ -615,8 +608,6 @@ func cmdReplay(args []string) error {
 					ActiveDegraded: res.Degraded > 0,
 					ActiveGapped:   len(res.Gaps) > 0,
 					CandErr:        cErr,
-					ActiveRes:      res,
-					ActiveBody:     buf.Bytes(),
 				}
 			} else {
 				var cbuf bytes.Buffer
@@ -653,7 +644,6 @@ func cmdReplay(args []string) error {
 			MinAgreement:         *minAgreement,
 			MaxQualityRegression: *maxRegression,
 		})
-		rep.Enabled = true
 		rep.ModelPath = *against
 		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -689,9 +679,7 @@ func cmdEval(args []string) error {
 	data := fs.String("data", "dataset.json", "dataset file")
 	modelPath := fs.String("model", "", "LHMM weights (omit to evaluate baselines only)")
 	methods := fs.String("methods", "LHMM,STM,THMM", "comma-separated methods (Table II names)")
-	dim := fs.Int("dim", 32, "embedding dimension the model was trained with")
 	k := fs.Int("k", 30, "candidates per point")
-	seed := fs.Int64("seed", 1, "seed the model was trained with")
 	onBreak := fs.String("on-break", "error", "dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "input validation: strict|drop|off")
 	cleanup, err := parseWithObs(fs, args)
@@ -723,7 +711,7 @@ func cmdEval(args []string) error {
 			if *modelPath == "" {
 				return fmt.Errorf("method LHMM requires -model")
 			}
-			model, err := loadModel(ds, *modelPath, *dim, *k, *seed)
+			model, err := loadModel(ds, *modelPath, *k)
 			if err != nil {
 				return err
 			}

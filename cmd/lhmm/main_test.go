@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	lhmm "repro"
+	"repro/internal/serve"
+	"repro/internal/shadow"
 	"repro/internal/traj"
 )
 
@@ -39,7 +45,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	if err := cmdMatch([]string{
 		"-data", data, "-model", model, "-trip", "0",
-		"-dim", "8", "-k", "8", "-geojson", geojson,
+		"-k", "8", "-geojson", geojson,
 	}); err != nil {
 		t.Fatalf("match: %v", err)
 	}
@@ -52,8 +58,7 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	if err := cmdEval([]string{
-		"-data", data, "-model", model, "-methods", "LHMM,STM",
-		"-dim", "8", "-k", "8",
+		"-data", data, "-model", model, "-methods", "LHMM,STM", "-k", "8",
 	}); err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -63,12 +68,12 @@ func TestCLIPipeline(t *testing.T) {
 		t.Error("bad preset did not error")
 	}
 	if err := cmdMatch([]string{
-		"-data", data, "-model", model, "-trip", "9999", "-dim", "8", "-k", "8",
+		"-data", data, "-model", model, "-trip", "9999", "-k", "8",
 	}); err == nil {
 		t.Error("out-of-range trip did not error")
 	}
 	if err := cmdEval([]string{
-		"-data", data, "-methods", "LHMM", "-dim", "8", "-k", "8",
+		"-data", data, "-methods", "LHMM", "-k", "8",
 	}); err == nil {
 		t.Error("LHMM without -model did not error")
 	}
@@ -97,4 +102,182 @@ func TestDatasetFileCompat(t *testing.T) {
 		t.Error("splits do not partition trips")
 	}
 	var _ = lhmm.Config{} // the facade stays importable from cmd tests
+}
+
+// captureStdout runs f with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	ferr := f()
+	os.Stdout = saved
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), ferr
+}
+
+// againstReport extracts the JSON report `lhmm replay -against` prints
+// after its "shadow report" line.
+func againstReport(t *testing.T, out string) shadow.Report {
+	t.Helper()
+	_, rest, ok := strings.Cut(out, "shadow report (")
+	if !ok {
+		t.Fatalf("no report in output:\n%s", out)
+	}
+	var rep shadow.Report
+	if err := json.Unmarshal([]byte(rest[strings.Index(rest, "{"):]), &rep); err != nil {
+		t.Fatalf("report does not parse: %v\n%s", err, out)
+	}
+	return rep
+}
+
+// TestReplayAgainst holds the offline candidate comparison: requests
+// captured from an in-process server are replayed through the active
+// weights and a candidate file, and the verdict must tell an identical
+// candidate from a broken one.
+func TestReplayAgainst(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data.json")
+	model := filepath.Join(dir, "model.json")
+	captures := filepath.Join(dir, "captures.jsonl")
+	if err := cmdDatagen([]string{"-preset", "xiamen", "-scale", "0.02", "-trips", "30", "-out", data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdTrain([]string{"-data", data, "-model", model, "-dim", "8", "-epochs", "1", "-k", "8", "-drift-baseline", "none"}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := loadDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active, err := loadModel(ds, model, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Capture every test trip through a real server.
+	capt, err := serve.OpenCaptureFile(captures, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return active, nil })
+	if err := reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(reg, serve.Config{Capture: capt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	trips := ds.TestTrips()
+	for _, tr := range trips {
+		body, err := json.Marshal(serve.PointsRequest(tr.Cell))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("match: %d", resp.StatusCode)
+		}
+	}
+	ts.Close()
+	srv.Close()
+	if err := capt.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// rewrite saves a copy of the model file with edit applied to every
+	// tensor.
+	rewrite := func(name string, edit func(p map[string]any)) string {
+		raw, err := os.ReadFile(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			Params []map[string]any `json:"params"`
+		}
+		if err := json.Unmarshal(raw, &f); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range f.Params {
+			edit(p)
+		}
+		out, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	replay := func(against string) (string, error) {
+		return captureStdout(t, func() error {
+			return cmdReplay([]string{
+				"-data", data, "-model", model, "-k", "8", "-captures", captures,
+				"-against", against, "-min-samples", "1", "-tolerate",
+			})
+		})
+	}
+
+	t.Run("identical", func(t *testing.T) {
+		out, err := replay(model)
+		if err != nil {
+			t.Fatalf("replay: %v\n%s", err, out)
+		}
+		rep := againstReport(t, out)
+		if rep.Verdict != shadow.VerdictReady || rep.AgreementRate != 1 || rep.DigestMatchRate != 1 {
+			t.Fatalf("identical weights: verdict %q agreement %v digests %v, want ready 1 1",
+				rep.Verdict, rep.AgreementRate, rep.DigestMatchRate)
+		}
+		if rep.Samples != int64(len(trips)) || rep.Disagreements != 0 {
+			t.Fatalf("samples %d disagreements %d, want %d and 0", rep.Samples, rep.Disagreements, len(trips))
+		}
+	})
+
+	// Every weight negated: values stay finite, so the file loads, but
+	// rankings invert — a candidate that must not pass.
+	t.Run("negated", func(t *testing.T) {
+		negated := rewrite("negated.json", func(p map[string]any) {
+			w := p["w"].([]any)
+			for i := range w {
+				w[i] = -w[i].(float64)
+			}
+		})
+		out, err := replay(negated)
+		if err != nil {
+			t.Fatalf("replay under -tolerate: %v\n%s", err, out)
+		}
+		rep := againstReport(t, out)
+		if rep.Verdict != shadow.VerdictNotReady || rep.AgreementRate >= 1 || rep.Disagreements == 0 {
+			t.Fatalf("negated weights: verdict %q agreement %v disagreements %d, want not_ready <1 >0",
+				rep.Verdict, rep.AgreementRate, rep.Disagreements)
+		}
+	})
+
+	// A candidate trained at another dimension cannot run under the
+	// active model's configuration; it is refused by tensor name.
+	t.Run("dim-mismatch", func(t *testing.T) {
+		other := filepath.Join(dir, "dim12.json")
+		if err := cmdTrain([]string{"-data", data, "-model", other, "-dim", "12", "-epochs", "1", "-k", "8", "-drift-baseline", "none"}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := replay(other)
+		if err == nil || !strings.Contains(err.Error(), `"enc.init"`) {
+			t.Fatalf("dim mismatch: err %v, want one naming \"enc.init\"\n%s", err, out)
+		}
+	})
 }

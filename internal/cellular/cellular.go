@@ -144,7 +144,7 @@ type ServingModel struct {
 	// make farther towers more competitive (more positioning error).
 	// Default 400.
 	DistScale float64
-	// ShadowSigma is the standard deviation of the shadow-fading noise
+	// ShadowSigma is the standard deviation of the shadow fading noise
 	// added to each tower's effective distance, expressed as a fraction
 	// of the distance. Default 0.3.
 	ShadowSigma float64
@@ -216,7 +216,7 @@ func (m ServingModel) Serve(rng *rand.Rand, net *Net, p geo.Point, prev TowerID)
 			}
 		}
 	}
-	// Softmax over effective (shadow-faded) distances.
+	// Softmax over effective (shadow faded) distances.
 	weights := make([]float64, len(cands))
 	var sum float64
 	for i, id := range cands {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 
 	"repro/internal/cellular"
 	"repro/internal/mrg"
@@ -177,4 +178,36 @@ func (m *Model) Load(r io.Reader) error {
 	}
 	m.RefreshEmbeddings()
 	return nil
+}
+
+// LoadModel builds a model over ds for the weights file at path and
+// restores the weights into it. The embedding dimension comes from the
+// file (the column count of the encoder's initial embedding table), so
+// cfg.Dim is ignored; cfg.Seed only seeds weights the file overwrites.
+// The file is decoded once and validated in full, as Load does, before
+// any weight is written.
+func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	pf, err := nn.ReadParams(f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	_, dim, ok := pf.Shape(mrg.InitParam)
+	if !ok {
+		return nil, fmt.Errorf("core: load %s: %q not in file", path, mrg.InitParam)
+	}
+	cfg.Dim = dim
+	m, err := New(ds, ds.TrainTrips(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := pf.Apply(m.AllParams()); err != nil {
+		return nil, err
+	}
+	m.RefreshEmbeddings()
+	return m, nil
 }

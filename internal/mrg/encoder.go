@@ -63,6 +63,10 @@ type Encoder struct {
 	merged, mergedT *nn.Sparse
 }
 
+// InitParam names the |V|×dim initial embedding table in a saved
+// model; its column count is the model's embedding dimension.
+const InitParam = "enc.init"
+
 // NewEncoder builds an encoder for the given graph. dim is the
 // embedding size (the paper uses 128), rounds the number of message
 // passing iterations q (the paper uses 2).
@@ -74,7 +78,7 @@ func NewEncoder(g *Graph, mode EncoderMode, dim, rounds int, rng *rand.Rand) (*E
 		Mode:   mode,
 		Dim:    dim,
 		Rounds: rounds,
-		Init:   nn.NewParam("enc.init", g.NumNodes(), dim, rng),
+		Init:   nn.NewParam(InitParam, g.NumNodes(), dim, rng),
 	}
 	switch mode {
 	case MLPOnly:

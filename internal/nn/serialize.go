@@ -40,36 +40,63 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams restores weights written by SaveParams into the given
-// parameters, matching by name. Every parameter must be found with the
-// same shape; extra entries in the file are ignored. The file is
-// validated before any destination parameter is touched: truncated
-// files, tensors whose weight count disagrees with their declared
-// shape, and tensors containing NaN or ±Inf are all rejected with a
-// descriptive error — a model that loads is a model whose every weight
-// is finite, so corruption surfaces here instead of as NaN scores (or
-// panics) mid-match.
+// parameters, matching by name: ReadParams then Apply.
 func LoadParams(r io.Reader, params []*Param) error {
+	f, err := ReadParams(r)
+	if err != nil {
+		return err
+	}
+	return f.Apply(params)
+}
+
+// ParamFile is a decoded, validated parameter file: every tensor's
+// weight count matches its declared shape and every weight is finite.
+type ParamFile struct {
+	byName map[string]paramEntry
+}
+
+// ReadParams decodes a file written by SaveParams and validates it
+// before any destination parameter is touched: truncated files,
+// tensors whose weight count disagrees with their declared shape, and
+// tensors containing NaN or ±Inf are all rejected with a descriptive
+// error — a model that loads is a model whose every weight is finite,
+// so corruption surfaces here instead of as NaN scores (or panics)
+// mid-match.
+func ReadParams(r io.Reader) (*ParamFile, error) {
 	var f paramFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return fmt.Errorf("nn: load params: truncated file: %w", err)
+			return nil, fmt.Errorf("nn: load params: truncated file: %w", err)
 		}
-		return fmt.Errorf("nn: load params: %w", err)
+		return nil, fmt.Errorf("nn: load params: %w", err)
 	}
 	byName := make(map[string]paramEntry, len(f.Params))
 	for _, e := range f.Params {
 		if err := checkEntry(e); err != nil {
-			return err
+			return nil, err
 		}
 		byName[e.Name] = e
 	}
+	return &ParamFile{byName: byName}, nil
+}
+
+// Shape returns the declared shape of the named tensor, so a caller
+// can size the destination model from the file.
+func (f *ParamFile) Shape(name string) (r, c int, ok bool) {
+	e, ok := f.byName[name]
+	return e.R, e.C, ok
+}
+
+// Apply copies the file's weights into params. Every parameter must be
+// found with the same shape; extra entries in the file are ignored.
+func (f *ParamFile) Apply(params []*Param) error {
 	if fpLoadCorrupt.Fail() {
 		return fmt.Errorf("nn: load params: fault injected: %s", fpLoadCorrupt.Name())
 	}
 	// Validate every destination before writing any, so a bad file
 	// cannot leave a model half-loaded.
 	for _, p := range params {
-		e, ok := byName[p.Name]
+		e, ok := f.byName[p.Name]
 		if !ok {
 			return fmt.Errorf("nn: load params: %q not in file", p.Name)
 		}
@@ -79,7 +106,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		}
 	}
 	for _, p := range params {
-		copy(p.W.W, byName[p.Name].W)
+		copy(p.W.W, f.byName[p.Name].W)
 	}
 	return nil
 }

@@ -9,8 +9,10 @@ import (
 	"repro/internal/obs"
 
 	// Instruments register at package init via obs.Default; linking
-	// serve pulls in the whole matching stack (core, hmm, roadnet,
-	// eval) so every production metric name is on the lint's docket.
+	// serve pulls in the whole matching stack (core, hmm, roadnet) and
+	// eval the experiment harness, so every production metric name is
+	// on the lint's docket.
+	_ "repro/internal/eval"
 	_ "repro/internal/serve"
 )
 
@@ -37,6 +39,37 @@ func TestMetricNamesLint(t *testing.T) {
 	for _, name := range names {
 		if !metricName.MatchString(name) {
 			t.Errorf("metric %q violates the dotted lowercase snake.case convention %s", name, metricName)
+		}
+	}
+}
+
+// TestSeedCountersStillRegistered pins the counter names the seed's
+// committed bench run carried: dashboards and the committed
+// BENCH_*.json documents key on them, so renaming or dropping one is a
+// schema change to make on purpose, here.
+func TestSeedCountersStillRegistered(t *testing.T) {
+	registered := make(map[string]bool)
+	for _, name := range obs.Default.CounterNames() {
+		registered[name] = true
+	}
+	for _, name := range []string{
+		"core.matches",
+		"core.roadprob.cache.hits",
+		"core.roadprob.cache.misses",
+		"eval.trips",
+		"hmm.candidates",
+		"hmm.matches",
+		"hmm.shortcut.attempts",
+		"hmm.transitions.evaluated",
+		"hmm.transitions.unreachable",
+		"router.cache.hits",
+		"router.cache.misses",
+		"router.routes",
+		"router.routes.unreachable",
+		"train.epochs",
+	} {
+		if !registered[name] {
+			t.Errorf("counter %q is no longer registered", name)
 		}
 	}
 }

@@ -50,19 +50,6 @@ type QualityConfig struct {
 	// monitor.
 	DriftProbe func() float64
 
-	// MinShadowAgreement bounds the shadow candidate's per-point
-	// agreement rate from below (0 disables). A candidate disagreeing
-	// with the active model on live traffic is a quality detail worth
-	// surfacing in /readyz, not unreadiness — the active model is still
-	// the one answering.
-	MinShadowAgreement float64
-	// ShadowProbe, when set with MinShadowAgreement > 0, supplies the
-	// current shadow agreement rate on every evaluation. Like
-	// DriftProbe it is called with the monitor lock held, so it must be
-	// cheap and must not call back into the monitor (the serving layer
-	// wires a TTL-cached read).
-	ShadowProbe func() float64
-
 	// OnTransition, when set, is called (outside the monitor lock)
 	// whenever the degraded status flips, with the new status and the
 	// violated thresholds.
@@ -248,9 +235,6 @@ func (m *QualityMonitor) violationsLocked(t qSlot) []string {
 	if m.cfg.MaxDriftPSI > 0 && m.cfg.DriftProbe != nil && m.cfg.DriftProbe() > m.cfg.MaxDriftPSI {
 		v = append(v, "score_drift")
 	}
-	if m.cfg.MinShadowAgreement > 0 && m.cfg.ShadowProbe != nil && m.cfg.ShadowProbe() < m.cfg.MinShadowAgreement {
-		v = append(v, "shadow_divergence")
-	}
 	return v
 }
 
@@ -312,12 +296,9 @@ type QualityReport struct {
 	P99S         float64 `json:"p99_s"`
 	// DriftPSI is the current max per-signal score-drift PSI, present
 	// only when a DriftProbe is configured.
-	DriftPSI float64 `json:"drift_psi,omitempty"`
-	// ShadowAgreement is the shadow candidate's current per-point
-	// agreement rate, present only when a ShadowProbe is configured.
-	ShadowAgreement float64  `json:"shadow_agreement,omitempty"`
-	Status          string   `json:"status"` // "ok" | "degraded"
-	Violations      []string `json:"violations,omitempty"`
+	DriftPSI   float64  `json:"drift_psi,omitempty"`
+	Status     string   `json:"status"` // "ok" | "degraded"
+	Violations []string `json:"violations,omitempty"`
 
 	Thresholds QualityThresholds `json:"thresholds"`
 }
@@ -330,9 +311,7 @@ type QualityThresholds struct {
 	MaxShedRate     float64 `json:"max_shed_rate,omitempty"`
 	MaxP99S         float64 `json:"max_p99_s,omitempty"`
 	MaxDriftPSI     float64 `json:"max_drift_psi,omitempty"`
-	// MinShadowAgreement is the shadow_divergence floor (0 = disabled).
-	MinShadowAgreement float64 `json:"min_shadow_agreement,omitempty"`
-	MinSamples         int     `json:"min_samples"`
+	MinSamples      int     `json:"min_samples"`
 }
 
 // Report captures the windowed rates and status.
@@ -360,21 +339,17 @@ func (m *QualityMonitor) Report() QualityReport {
 		Status:       "ok",
 		Violations:   viol,
 		Thresholds: QualityThresholds{
-			MaxDegradedRate:    m.cfg.MaxDegradedRate,
-			MaxGapRate:         m.cfg.MaxGapRate,
-			MaxEmptyRate:       m.cfg.MaxEmptyRate,
-			MaxShedRate:        m.cfg.MaxShedRate,
-			MaxP99S:            m.cfg.MaxP99.Seconds(),
-			MaxDriftPSI:        m.cfg.MaxDriftPSI,
-			MinShadowAgreement: m.cfg.MinShadowAgreement,
-			MinSamples:         m.cfg.MinSamples,
+			MaxDegradedRate: m.cfg.MaxDegradedRate,
+			MaxGapRate:      m.cfg.MaxGapRate,
+			MaxEmptyRate:    m.cfg.MaxEmptyRate,
+			MaxShedRate:     m.cfg.MaxShedRate,
+			MaxP99S:         m.cfg.MaxP99.Seconds(),
+			MaxDriftPSI:     m.cfg.MaxDriftPSI,
+			MinSamples:      m.cfg.MinSamples,
 		},
 	}
 	if m.cfg.DriftProbe != nil {
 		r.DriftPSI = m.cfg.DriftProbe()
-	}
-	if m.cfg.ShadowProbe != nil {
-		r.ShadowAgreement = m.cfg.ShadowProbe()
 	}
 	if m.degraded {
 		r.Status = "degraded"

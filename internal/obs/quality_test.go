@@ -202,65 +202,6 @@ func TestQualitySlidingWindow(t *testing.T) {
 	}
 }
 
-// A shadow candidate diverging below the configured agreement floor
-// surfaces as a shadow_divergence violation; recovering agreement
-// clears it.
-func TestQualityShadowDivergence(t *testing.T) {
-	clk := newQMClock()
-	var mu sync.Mutex
-	agreement := 1.0
-	setAgreement := func(v float64) {
-		mu.Lock()
-		agreement = v
-		mu.Unlock()
-	}
-	m := NewQualityMonitor(QualityConfig{
-		Window:             10 * time.Second,
-		Slots:              5,
-		MinSamples:         1,
-		MinShadowAgreement: 0.95,
-		ShadowProbe: func() float64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return agreement
-		},
-		now: clk.now,
-	})
-
-	m.RecordMatch(time.Millisecond, false, false)
-	if m.Degraded() {
-		t.Fatal("degraded with full shadow agreement")
-	}
-
-	setAgreement(0.80)
-	m.RecordMatch(time.Millisecond, false, false)
-	if !m.Degraded() {
-		t.Fatal("not degraded at agreement 0.80 vs floor 0.95")
-	}
-	rep := m.Report()
-	if rep.ShadowAgreement != 0.80 {
-		t.Errorf("report shadow agreement %v, want 0.80", rep.ShadowAgreement)
-	}
-	if rep.Thresholds.MinShadowAgreement != 0.95 {
-		t.Errorf("report threshold %v, want 0.95", rep.Thresholds.MinShadowAgreement)
-	}
-	found := false
-	for _, v := range rep.Violations {
-		if v == "shadow_divergence" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violations %v, want shadow_divergence", rep.Violations)
-	}
-
-	setAgreement(0.99)
-	m.RecordMatch(time.Millisecond, false, false)
-	if m.Degraded() {
-		t.Fatal("still degraded after agreement recovered")
-	}
-}
-
 func TestQualityNilMonitor(t *testing.T) {
 	var m *QualityMonitor
 	m.RecordMatch(time.Second, true, true)

@@ -55,7 +55,7 @@ func bucketQuantile(bounds []float64, counts []int64, q float64) float64 {
 
 // BucketQuantile is the exported form of bucketQuantile for consumers
 // that keep their own bucket counts over a shared bound layout (the
-// shadow-scoring latency report).
+// candidate latency in `lhmm replay -against`'s report).
 func BucketQuantile(bounds []float64, counts []int64, q float64) float64 {
 	return bucketQuantile(bounds, counts, q)
 }

@@ -253,9 +253,7 @@ func (c *Checkpointer) SweepSync(ctx context.Context) error {
 	}
 }
 
-// persist encodes and durably writes one session's snapshot, with
-// bounded retry/backoff. Exhausted retries mark the store sick and
-// leave the session dirty for the next sweep.
+// persist encodes one session's snapshot and commits it to disk.
 func (c *Checkpointer) persist(s *Session) {
 	// Clear the queued flag before encoding: a push landing during the
 	// write re-queues the session rather than being lost.
@@ -269,9 +267,22 @@ func (c *Checkpointer) persist(s *Session) {
 		obs.Logger().Warn("serve: checkpoint encode failed", "session", s.ID, "err", err)
 		return
 	}
+	c.commit(s, data, seq)
+}
+
+// commit durably writes an encoded snapshot, with bounded
+// retry/backoff. Exhausted retries mark the store sick and leave the
+// session dirty for the next sweep. A session that left the manager
+// since it was encoded is not written: its Remove has deleted the
+// snapshot, and a file renamed into place afterwards is one nothing
+// would delete and the next boot would restore.
+func (c *Checkpointer) commit(s *Session, data []byte, seq uint64) {
 	backoff := c.cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		err = c.writeSnapshot(s.ID, data)
+		gone, err := c.writeLive(s, data)
+		if gone {
+			return
+		}
 		if err == nil {
 			break
 		}
@@ -291,6 +302,17 @@ func (c *Checkpointer) persist(s *Session) {
 	s.ckptSeq.Store(seq)
 	obsCkptWrites.Inc()
 	obsCkptBytes.Add(int64(len(data)))
+}
+
+// writeLive writes the snapshot unless Remove has run for the session,
+// under the lock Remove deletes the file under.
+func (c *Checkpointer) writeLive(s *Session, data []byte) (gone bool, err error) {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if s.ckptGone {
+		return true, nil
+	}
+	return false, c.writeSnapshot(s.ID, data)
 }
 
 // writeSnapshot runs the temp-file + fsync + atomic-rename protocol
@@ -371,13 +393,18 @@ func (c *Checkpointer) Sick() bool {
 	return c.sick
 }
 
-// Remove deletes a session's snapshot (finish, explicit delete, TTL
-// expiry). Missing files are fine — short sessions may finish before
-// their first checkpoint.
-func (c *Checkpointer) Remove(id string, expired bool) {
-	if err := os.Remove(c.path(id)); err != nil {
+// Remove deletes the snapshot of a session that left the manager
+// (finish, explicit delete, TTL expiry) and stops any write of it
+// still in flight from landing afterwards. Missing files are fine —
+// short sessions may finish before their first checkpoint.
+func (c *Checkpointer) Remove(s *Session, expired bool) {
+	s.ckptMu.Lock()
+	s.ckptGone = true
+	err := os.Remove(c.path(s.ID))
+	s.ckptMu.Unlock()
+	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			obs.Logger().Warn("serve: checkpoint remove failed", "session", id, "err", err)
+			obs.Logger().Warn("serve: checkpoint remove failed", "session", s.ID, "err", err)
 		}
 		return
 	}

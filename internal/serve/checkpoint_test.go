@@ -132,6 +132,77 @@ func TestCheckpointRestartRecovery(t *testing.T) {
 	}
 }
 
+// A snapshot encoded while its session was live must not reach the
+// store once the session has left the manager: Remove has already
+// deleted the file, so a late rename would leave a snapshot nothing
+// ever deletes and the next boot restores. The schedule is fixed, not
+// raced: encode, let the session leave, then commit the stale bytes —
+// the writer goroutine is never started, so nothing else touches the
+// store.
+func TestCheckpointNoOrphanAfterSessionLeaves(t *testing.T) {
+	_, m := fixture(t)
+	tr := sessionTrip(t)
+	for name, leave := range map[string]func(*SessionManager, *Session){
+		"finish": func(mgr *SessionManager, s *Session) {
+			if _, err := s.finish(); err != nil {
+				t.Fatal(err)
+			}
+			mgr.Remove(s.ID)
+		},
+		"delete": func(mgr *SessionManager, s *Session) { mgr.Remove(s.ID) },
+		"ttl eviction": func(mgr *SessionManager, s *Session) {
+			if n := mgr.Sweep(time.Now().Add(24 * time.Hour)); n != 1 {
+				t.Fatalf("janitor evicted %d sessions, want 1", n)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := ckptConfig(dir).Checkpoint
+			mgr := NewSessionManager(8, time.Minute)
+			ck, err := NewCheckpointer(cfg, mgr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr.onRemove = ck.Remove
+			var wh [32]byte
+			s, err := mgr.Create(m, wh, 2, time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := s.push(tr[:3], time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			// A first checkpoint, so the leave has a real file to delete.
+			ck.persist(s)
+			if _, err := os.Stat(ck.path(s.ID)); err != nil {
+				t.Fatalf("no checkpoint after persist: %v", err)
+			}
+			if _, _, _, err := s.push(tr[3:5], time.Now()); err != nil {
+				t.Fatal(err)
+			}
+			data, seq, err := s.encodeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			leave(mgr, s)
+			ck.commit(s, data, seq)
+			if _, err := os.Stat(ck.path(s.ID)); !os.IsNotExist(err) {
+				t.Fatalf("snapshot written after the session left: %v", err)
+			}
+			// The next boot finds nothing to restore.
+			mgr2 := NewSessionManager(8, time.Minute)
+			ck2, err := NewCheckpointer(cfg, mgr2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored, quarantined := ck2.Recover(m, wh, time.Now(), time.Minute); restored != 0 || quarantined != 0 {
+				t.Fatalf("restart restored %d and quarantined %d sessions, want 0 and 0", restored, quarantined)
+			}
+		})
+	}
+}
+
 // sessionTrip returns a streaming-suitable trip from the shared
 // fixture dataset.
 func sessionTrip(t *testing.T) traj.CellTrajectory {

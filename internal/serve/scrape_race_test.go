@@ -8,14 +8,13 @@ import (
 )
 
 // Hammers every observability surface concurrently with in-flight
-// matches and a mirroring shadow candidate. The assertions are thin on
-// purpose: the test exists to give the race detector (go test -race)
-// maximal interleaving across the metrics registry, drift monitor,
-// quality monitor, shadow stats, and the serving path at once.
+// matches. The assertions are thin on purpose: the test exists to give
+// the race detector (go test -race) maximal interleaving across the
+// metrics registry, drift monitor, quality monitor, and the serving
+// path at once.
 func TestConcurrentScrapesDuringMatches(t *testing.T) {
 	ds, m := fixture(t)
-	_, cand := fixture(t)
-	_, ts := shadowTestServer(t, m, cand, Config{})
+	_, ts := testServer(t, m, Config{})
 
 	trips := ds.TestTrips()
 	get := func(path string) {
@@ -33,8 +32,7 @@ func TestConcurrentScrapesDuringMatches(t *testing.T) {
 
 	const rounds = 20
 	var wg sync.WaitGroup
-	// Matchers: keep requests in flight (and the shadow mirror busy)
-	// for the whole scrape storm.
+	// Matchers: keep requests in flight for the whole scrape storm.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -49,7 +47,7 @@ func TestConcurrentScrapesDuringMatches(t *testing.T) {
 		}(w)
 	}
 	// Scrapers: every read-side surface, concurrently.
-	for _, path := range []string{"/metrics", "/metrics.json", "/v1/drift", "/v1/quality", "/v1/shadow", "/readyz", "/healthz"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/v1/drift", "/v1/quality", "/readyz", "/healthz"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()

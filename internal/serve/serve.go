@@ -31,7 +31,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hmm"
 	"repro/internal/obs"
-	"repro/internal/shadow"
 	"repro/internal/traj"
 )
 
@@ -84,10 +83,6 @@ type Config struct {
 	// Dir, in-flight sessions are periodically snapshotted to disk and
 	// restored on boot. Zero Dir disables checkpointing entirely.
 	Checkpoint CheckpointConfig
-	// Shadow configures candidate-model shadow scoring. With a nil
-	// Loader the subsystem is absent entirely: no endpoints, no mirror,
-	// and the serving path is byte-identical to a build without it.
-	Shadow ShadowConfig
 }
 
 func (c *Config) withDefaults() Config {
@@ -119,14 +114,13 @@ func (c *Config) withDefaults() Config {
 // Server is the lhmm-serve HTTP service. Create with New, expose via
 // Handler, stop with Drain then Close.
 type Server struct {
-	cfg    Config
-	reg    *Registry
-	sess   *SessionManager
-	adm    *admission
-	qm     *obs.QualityMonitor
-	ckpt   *Checkpointer // nil when checkpointing is disabled
-	shadow *shadowState  // nil when shadow scoring is not configured
-	mux    *http.ServeMux
+	cfg  Config
+	reg  *Registry
+	sess *SessionManager
+	adm  *admission
+	qm   *obs.QualityMonitor
+	ckpt *Checkpointer // nil when checkpointing is disabled
+	mux  *http.ServeMux
 
 	draining  chan struct{} // closed by Drain
 	drainOnce sync.Once
@@ -190,24 +184,6 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 			qcfg.DriftProbe = p.value
 		}
 	}
-	if c.Shadow.Loader != nil {
-		s.shadow = newShadowState(c.Shadow)
-		if c.Shadow.ModelPath != "" {
-			// Same contract as hot-reload: corrupt candidate weights never
-			// take the server down — shadow just stays idle.
-			if err := s.shadow.load(c.Shadow.ModelPath); err != nil {
-				obs.Logger().Warn("serve: boot shadow load failed; shadow idle", "error", err)
-			}
-		}
-		if qcfg.MinShadowAgreement > 0 && qcfg.ShadowProbe == nil {
-			minSamples := int64(c.Shadow.Thresholds.MinSamples)
-			if minSamples <= 0 {
-				minSamples = 50
-			}
-			p := &shadowProbe{st: s.shadow, min: minSamples}
-			qcfg.ShadowProbe = p.value
-		}
-	}
 	s.qm = obs.NewQualityMonitor(qcfg)
 	s.sess.Start()
 	s.mux = http.NewServeMux()
@@ -220,8 +196,6 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/quality", s.handleQuality)
 	s.mux.HandleFunc("GET /v1/drift", s.handleDrift)
 	s.mux.HandleFunc("POST /v1/reload", s.handleReload)
-	s.mux.HandleFunc("GET /v1/shadow", s.handleShadow)
-	s.mux.HandleFunc("POST /v1/shadow/load", s.handleShadowLoad)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -272,25 +246,15 @@ func (s *Server) Drain(ctx context.Context) error {
 			return err
 		}
 	}
-	if s.shadow != nil {
-		// Best-effort: shadow comparisons are observability, so an
-		// incomplete flush degrades the report, never the drain.
-		if err := s.shadow.mirror.Drain(ctx); err != nil {
-			obs.Logger().Warn("serve: shadow drain incomplete", "error", err)
-		}
-	}
 	return nil
 }
 
-// Close releases background resources (the session janitor, the
-// checkpoint writer, and the shadow mirror). Call after Drain.
+// Close releases background resources (the session janitor and the
+// checkpoint writer). Call after Drain.
 func (s *Server) Close() {
 	s.sess.Stop()
 	if s.ckpt != nil {
 		s.ckpt.Stop()
-	}
-	if s.shadow != nil {
-		s.shadow.mirror.Stop()
 	}
 }
 
@@ -502,13 +466,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, ResultJSON(res))
 	}
-	// Mirror completed plain matches through the shadow candidate: a
-	// single non-blocking enqueue after the response is written, so
-	// shadow scoring can never add serving latency. Debug/explain
-	// requests are excluded, mirroring the capture contract.
-	if s.shadow != nil && !debug && !explain {
-		s.shadow.mirror.Offer(shadowJob(ct, mm, &req))
-	}
 }
 
 // recordMatchFailure feeds a failed matching request into the quality
@@ -559,11 +516,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, errorCode(err), err)
 		return
-	}
-	// Sessions sampled for shadow scoring buffer their points and are
-	// replayed through the candidate when they finish.
-	if s.shadow != nil && s.shadow.mirror.SampleSession() {
-		sess.enableShadow(mm, lag)
 	}
 	writeJSON(w, http.StatusOK, SessionResponse{ID: sess.ID, Lag: lag})
 }
@@ -649,11 +601,6 @@ func (s *Server) handleSessionFinish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-	if s.shadow != nil {
-		if mdl, lag, pts := sess.shadowJob(); mdl != nil {
-			s.shadow.mirror.OfferStream(shadow.Job{Trajectory: pts, Model: mdl, Lag: lag})
-		}
-	}
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {

@@ -71,14 +71,12 @@ type Session struct {
 	ckptSeq    atomic.Uint64
 	ckptQueued atomic.Bool
 	finished   atomic.Bool
-
-	// Shadow mirroring (zero unless the session was sampled at create):
-	// the model+lag the session scores with, and every pushed point,
-	// buffered so finish can replay the whole stream through the shadow
-	// candidate. Guarded by mu like the matcher itself.
-	shadowModel *core.Model
-	shadowLag   int
-	shadowPts   traj.CellTrajectory
+	// ckptMu orders snapshot writes against the snapshot's removal when
+	// the session leaves the manager: a write holds it, and the removal
+	// sets ckptGone under it before deleting the file, so no write can
+	// land after the delete.
+	ckptMu   sync.Mutex
+	ckptGone bool
 }
 
 func (s *Session) touch(now time.Time) { s.lastNano.Store(now.UnixNano()) }
@@ -129,11 +127,6 @@ func (s *Session) push(pts traj.CellTrajectory, now time.Time) (fin []hmm.Candid
 	// error are absorbed), so the session is dirty either way. One
 	// atomic add; the scoring path itself is untouched.
 	s.seq.Add(1)
-	if s.shadowModel != nil {
-		// Buffer the raw points; the mirrored matcher replays them and
-		// deterministically reproduces any mid-stream error too.
-		s.shadowPts = append(s.shadowPts, pts...)
-	}
 	before := s.sm.Sanitize().Dropped()
 	degBefore := s.sm.Degraded()
 	for i, p := range pts {
@@ -159,22 +152,6 @@ func (s *Session) finish() (MatchResponse, error) {
 	s.finished.Store(true)
 	s.sm.Flush()
 	return streamResultJSON(s.sm), nil
-}
-
-// enableShadow marks the session for shadow mirroring at finish.
-func (s *Session) enableShadow(m *core.Model, lag int) {
-	s.mu.Lock()
-	s.shadowModel = m
-	s.shadowLag = lag
-	s.mu.Unlock()
-}
-
-// shadowJob hands out the buffered replay inputs (nil model when the
-// session was not sampled).
-func (s *Session) shadowJob() (*core.Model, int, traj.CellTrajectory) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shadowModel, s.shadowLag, s.shadowPts
 }
 
 // status snapshots the session's progress counters.
@@ -210,7 +187,7 @@ type SessionManager struct {
 	// leaving the manager; expired distinguishes TTL eviction from
 	// finish/delete. The checkpointer uses it to delete on-disk
 	// snapshots so the store cannot outgrow the live session set.
-	onRemove func(id string, expired bool)
+	onRemove func(s *Session, expired bool)
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -347,14 +324,14 @@ func (m *SessionManager) Get(id string) (*Session, error) {
 func (m *SessionManager) Remove(id string) {
 	sh := m.shard(id)
 	sh.mu.Lock()
-	_, ok := sh.m[id]
+	s, ok := sh.m[id]
 	delete(sh.m, id)
 	sh.mu.Unlock()
 	if ok {
 		m.count.Add(-1)
 		obsSessActive.Set(m.count.Load())
 		if m.onRemove != nil {
-			m.onRemove(id, false)
+			m.onRemove(s, false)
 		}
 	}
 }
@@ -368,7 +345,7 @@ func (m *SessionManager) Len() int { return int(m.count.Load()) }
 func (m *SessionManager) Sweep(now time.Time) int {
 	cutoff := now.Add(-m.ttl).UnixNano()
 	evicted := 0
-	var expired []string
+	var expired []*Session
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
@@ -377,7 +354,7 @@ func (m *SessionManager) Sweep(now time.Time) int {
 				delete(sh.m, id)
 				m.count.Add(-1)
 				evicted++
-				expired = append(expired, id)
+				expired = append(expired, s)
 			}
 		}
 		sh.mu.Unlock()
@@ -385,8 +362,8 @@ func (m *SessionManager) Sweep(now time.Time) int {
 	if m.onRemove != nil {
 		// Outside the shard locks: the hook deletes on-disk checkpoints
 		// (the store must not outlive its sessions).
-		for _, id := range expired {
-			m.onRemove(id, true)
+		for _, s := range expired {
+			m.onRemove(s, true)
 		}
 	}
 	if evicted > 0 {

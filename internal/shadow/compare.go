@@ -1,18 +1,16 @@
 // Package shadow compares a candidate model against the active model
-// on mirrored live traffic. It is the observability half of the
-// closed-loop continuous-learning story (ROADMAP item 5): before a
-// retrained model is promoted through the hot-reload registry, its
-// behaviour on real requests — chosen segments, decision margins,
-// learned scores, quality rates, wire bytes — is measured against the
-// serving model, decision by decision, and folded into a promotion
-// verdict. The comparison substrate is the explain machinery: both
-// models re-run the request with Config.Explain set, so per-point
-// margins and chosen routes are available without touching the
-// serving path.
+// on captured traffic: before a retrained model replaces the serving
+// one through hot-reload, `lhmm replay -against` re-runs every
+// captured request through both and measures the candidate's behaviour
+// — chosen segments, decision margins, learned scores, quality rates,
+// wire bytes — against the active model's, decision by decision, then
+// folds the result into a promotion verdict. The comparison substrate
+// is the explain machinery: both models run the request with
+// Config.Explain set, so per-point margins and chosen routes are
+// available.
 //
-// The package is serving-stack agnostic: it works on hmm.Result pairs
-// plus caller-encoded wire bodies, so lhmm-serve's mirror and the
-// offline `lhmm replay -against` mode share one comparison.
+// The package works on hmm.Result pairs plus caller-encoded wire
+// bodies and knows nothing about where they came from.
 package shadow
 
 import (
@@ -26,10 +24,6 @@ import (
 // Comparison is the decision-level diff of one request run through the
 // active and candidate models.
 type Comparison struct {
-	// Stream marks a finished streaming session replay (no explain
-	// artifacts, so no margin deltas).
-	Stream bool
-
 	// Points is the number of per-point decisions compared (the longer
 	// of the two matched sets; extra points on either side count as
 	// disagreements). Agreed counts points where both models chose the
@@ -71,15 +65,9 @@ type Comparison struct {
 	// CandErr is the candidate's match error when the active model
 	// answered and the candidate failed — always a disagreement.
 	CandErr error
-	// CandLatency is the candidate's match wall-clock (filled by the
-	// mirror worker; zero in offline comparisons that don't time it).
+	// CandLatency is the candidate's match wall-clock (filled by
+	// callers that time it; zero otherwise).
 	CandLatency time.Duration
-
-	// ActiveRes / ActiveBody are the active model's result and encoded
-	// wire body, carried so disagreement consumers (the capture writer)
-	// can persist exactly what the serving model answered.
-	ActiveRes  *hmm.Result
-	ActiveBody []byte
 }
 
 // Disagrees reports whether this request is a disagreement: any
@@ -93,9 +81,9 @@ func (c *Comparison) Disagrees() bool {
 // aBody/cBody must be the wire encodings of the two results (the exact
 // bytes a client would have received); digest equality is defined over
 // them. Margin deltas are collected when both results carry Explain
-// artifacts (batch matches mirrored with Config.Explain set); streaming
-// replays pass nil explains and still get segment agreement, score
-// deltas, and quality-rate flags.
+// artifacts (matches run with Config.Explain set); without them the
+// comparison still has segment agreement, score deltas, and
+// quality-rate flags.
 func Compare(a, c *hmm.Result, aBody, cBody []byte) Comparison {
 	cmp := Comparison{
 		DigestMatch:    bytes.Equal(aBody, cBody),
@@ -103,8 +91,6 @@ func Compare(a, c *hmm.Result, aBody, cBody []byte) Comparison {
 		CandDegraded:   c.Degraded > 0,
 		ActiveGapped:   len(a.Gaps) > 0,
 		CandGapped:     len(c.Gaps) > 0,
-		ActiveRes:      a,
-		ActiveBody:     aBody,
 	}
 	n := len(a.Matched)
 	if len(c.Matched) < n {
@@ -157,19 +143,6 @@ func Compare(a, c *hmm.Result, aBody, cBody []byte) Comparison {
 		}
 	}
 	return cmp
-}
-
-// StreamResult assembles the comparable view of a finished streaming
-// matcher: the same fields Compare reads from a batch Result, built
-// from the matcher's finalized state.
-func StreamResult(sm *hmm.StreamMatcher) *hmm.Result {
-	return &hmm.Result{
-		Matched:  sm.Matched(),
-		Dead:     sm.Dead(),
-		Gaps:     sm.Gaps(),
-		Path:     sm.Path(),
-		Degraded: sm.Degraded(),
-	}
 }
 
 // finite maps NaN/Inf to 0 (mirrors the wire encoder's sanitization,

@@ -3,64 +3,17 @@ package shadow
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// Shadow telemetry. Counters and histograms are cumulative across
-// candidate loads (Prometheus convention: rates come from deltas);
-// the Stats aggregates below reset on every candidate load so the
-// promotion verdict reflects only the candidate currently loaded.
-var (
-	obsSamples        = obs.Default.Counter("shadow.samples")
-	obsStreamSamples  = obs.Default.Counter("shadow.samples.stream")
-	obsDropped        = obs.Default.Counter("shadow.dropped")
-	obsMirrorErrors   = obs.Default.Counter("shadow.mirror.errors")
-	obsPointsCompared = obs.Default.Counter("shadow.points.compared")
-	obsPointsAgreed   = obs.Default.Counter("shadow.points.agreed")
-	obsDigestMatch    = obs.Default.Counter("shadow.digest.matches")
-	obsDigestMismatch = obs.Default.Counter("shadow.digest.mismatches")
-	obsDisagreements  = obs.Default.Counter("shadow.disagreements")
-	obsCandFailures   = obs.Default.Counter("shadow.candidate.failures")
-	obsScoreDelta     = obs.Default.Histogram("shadow.score.delta", obs.UnitBuckets)
-	obsMarginDelta    = obs.Default.Histogram("shadow.margin.delta", marginDeltaBuckets)
-	obsCandSeconds    = obs.Default.Histogram("shadow.candidate.seconds", obs.LatencyBuckets)
-)
-
-// marginDeltaBuckets cover absolute margin deltas in nats; explain
-// margins are capped at ±50, so deltas land in [0, 100].
-var marginDeltaBuckets = []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
-
-// activeStats is the Stats instance behind the scrape-time
-// lhmm_shadow_agreement_rate derived gauge: the mirror activates its
-// stats on creation, so the gauge tracks the live server's candidate.
-// Registered at package init so the metric-names lint and the
-// /metrics series set always include it (0.0 until a mirror exists).
-var activeStats atomic.Pointer[Stats]
-
-func init() {
-	obs.Default.Derived("shadow.agreement.rate", func() float64 {
-		s := activeStats.Load()
-		if s == nil {
-			return 0
-		}
-		r, _ := s.Agreement()
-		return r
-	})
-}
-
 // Stats aggregates comparisons for one candidate model. Safe for
-// concurrent use. Every Record also feeds the cumulative shadow.*
-// instruments on obs.Default.
+// concurrent use.
 type Stats struct {
 	mu sync.Mutex
 
-	samples       int64
-	streamSamples int64
-	errors        int64
-	dropped       int64
-	candFailures  int64
+	samples      int64
+	candFailures int64
 
 	points int64
 	agreed int64
@@ -91,65 +44,11 @@ func NewStats() *Stats {
 	return &Stats{lat: make([]int64, len(obs.LatencyBuckets)+1)}
 }
 
-// Activate makes this instance the one the lhmm_shadow_agreement_rate
-// derived gauge reads (latest wins — one live mirror per process).
-func (s *Stats) Activate() { activeStats.Store(s) }
-
-// Reset clears the per-candidate aggregates (a new candidate was
-// loaded; its verdict starts fresh). Cumulative obs counters are left
-// alone.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.samples, s.streamSamples, s.errors, s.dropped, s.candFailures = 0, 0, 0, 0, 0
-	s.points, s.agreed = 0, 0
-	s.digestMatch, s.digestMismatch, s.disagreements = 0, 0, 0
-	s.activeDegraded, s.candDegraded, s.activeGapped, s.candGapped = 0, 0, 0, 0
-	s.scoreDeltaN, s.scoreDeltaSum, s.scoreDeltaMax = 0, 0, 0
-	s.marginDeltaN, s.marginDeltaSum, s.marginDeltaAbsSum = 0, 0, 0
-	for i := range s.lat {
-		s.lat[i] = 0
-	}
-	s.latSum = 0
-}
-
-// Record folds one comparison into the aggregates and the cumulative
-// instruments.
+// Record folds one comparison into the aggregates.
 func (s *Stats) Record(cmp *Comparison) {
-	obsSamples.Inc()
-	if cmp.Stream {
-		obsStreamSamples.Inc()
-	}
-	obsPointsCompared.Add(int64(cmp.Points))
-	obsPointsAgreed.Add(int64(cmp.Agreed))
-	if cmp.CandErr == nil {
-		if cmp.DigestMatch {
-			obsDigestMatch.Inc()
-		} else {
-			obsDigestMismatch.Inc()
-		}
-	} else {
-		obsCandFailures.Inc()
-	}
-	if cmp.Disagrees() {
-		obsDisagreements.Inc()
-	}
-	if cmp.ScoreDeltas > 0 {
-		obsScoreDelta.Observe(cmp.SumAbsScoreDelta / float64(cmp.ScoreDeltas))
-	}
-	if cmp.MarginDeltas > 0 {
-		obsMarginDelta.Observe(cmp.SumAbsMarginDelta / float64(cmp.MarginDeltas))
-	}
-	if cmp.CandLatency > 0 {
-		obsCandSeconds.Observe(cmp.CandLatency.Seconds())
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samples++
-	if cmp.Stream {
-		s.streamSamples++
-	}
 	s.points += int64(cmp.Points)
 	s.agreed += int64(cmp.Agreed)
 	if cmp.CandErr == nil {
@@ -195,36 +94,6 @@ func (s *Stats) Record(cmp *Comparison) {
 	}
 }
 
-// RecordDrop counts a sampled request the mirror had to drop (queue
-// full — the serving path is never allowed to wait on shadow work).
-func (s *Stats) RecordDrop() {
-	obsDropped.Inc()
-	s.mu.Lock()
-	s.dropped++
-	s.mu.Unlock()
-}
-
-// RecordError counts a mirror-side failure that prevented a comparison
-// (the active re-run failing, an encoder error).
-func (s *Stats) RecordError() {
-	obsMirrorErrors.Inc()
-	s.mu.Lock()
-	s.errors++
-	s.mu.Unlock()
-}
-
-// Agreement returns the per-point agreement rate and the number of
-// samples behind it. With zero compared points the rate is 1 (no
-// evidence of divergence).
-func (s *Stats) Agreement() (rate float64, samples int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.points == 0 {
-		return 1, s.samples
-	}
-	return float64(s.agreed) / float64(s.points), s.samples
-}
-
 // Thresholds gate the promotion-readiness verdict. Zero values take
 // the documented defaults.
 type Thresholds struct {
@@ -258,16 +127,16 @@ const (
 	VerdictReady        = "ready"
 	VerdictNotReady     = "not_ready"
 	VerdictInsufficient = "insufficient_data"
-	VerdictDisabled     = "disabled"
 )
 
-// QualityRates are per-model windowed quality fractions over the
-// mirrored sample set.
+// QualityRates are per-model quality fractions over the compared
+// sample set.
 type QualityRates struct {
 	DegradedRate float64 `json:"degraded_rate"`
 	GapRate      float64 `json:"gap_rate"`
-	// FailureRate is the fraction of mirrored requests the model failed
-	// to answer (always 0 for the active model — it answered them live).
+	// FailureRate is the fraction of compared requests the model failed
+	// to answer (always 0 for the active model — a request it fails is
+	// not compared).
 	FailureRate float64 `json:"failure_rate"`
 }
 
@@ -279,19 +148,13 @@ type LatencyQuantiles struct {
 	MeanS float64 `json:"mean_s"`
 }
 
-// Report is the GET /v1/shadow body (and the `lhmm replay -against`
-// output): the aggregate comparison plus the promotion verdict.
+// Report is the `lhmm replay -against` output: the aggregate
+// comparison plus the promotion verdict.
 type Report struct {
-	// Enabled reports whether a candidate model is loaded; the serving
-	// layer fills it together with the provenance fields.
-	Enabled   bool   `json:"enabled"`
+	// ModelPath is the candidate's weights file (filled by the caller).
 	ModelPath string `json:"model_path,omitempty"`
-	LoadedAt  string `json:"loaded_at,omitempty"`
 
-	Samples       int64 `json:"samples"`
-	StreamSamples int64 `json:"stream_samples,omitempty"`
-	Errors        int64 `json:"errors,omitempty"`
-	Dropped       int64 `json:"dropped,omitempty"`
+	Samples int64 `json:"samples"`
 
 	PointsCompared int64   `json:"points_compared"`
 	PointsAgreed   int64   `json:"points_agreed"`
@@ -312,9 +175,8 @@ type Report struct {
 
 	CandidateLatency LatencyQuantiles `json:"candidate_latency"`
 
-	// Verdict is "ready", "not_ready", "insufficient_data", or
-	// "disabled"; Reasons lists the violated thresholds behind a
-	// not_ready verdict.
+	// Verdict is "ready", "not_ready", or "insufficient_data"; Reasons
+	// lists the violated thresholds behind a not_ready verdict.
 	Verdict    string     `json:"verdict"`
 	Reasons    []string   `json:"reasons,omitempty"`
 	Thresholds Thresholds `json:"thresholds"`
@@ -336,9 +198,6 @@ func (s *Stats) Report(t Thresholds) Report {
 
 	r := Report{
 		Samples:        s.samples,
-		StreamSamples:  s.streamSamples,
-		Errors:         s.errors,
-		Dropped:        s.dropped,
 		PointsCompared: s.points,
 		PointsAgreed:   s.agreed,
 		DigestMatches:  s.digestMatch,

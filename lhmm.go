@@ -184,6 +184,12 @@ func NewModel(ds *Dataset, trainTrips []*Trip, cfg Config) (*Model, error) {
 	return core.New(ds, trainTrips, cfg)
 }
 
+// LoadModel builds a model over ds from the weights file at path; the
+// embedding dimension is read from the file, not from cfg.
+func LoadModel(ds *Dataset, path string, cfg Config) (*Model, error) {
+	return core.LoadModel(ds, path, cfg)
+}
+
 // GenerateDataset builds a synthetic paired cellular+GPS dataset.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) {
 	return synth.GenerateDataset(cfg)
