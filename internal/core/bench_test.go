@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hmm"
 	"repro/internal/nn"
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -102,6 +103,41 @@ func BenchmarkTransScoreBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess.ScoreBatch(ct, 1, from, to, out)
 	}
+}
+
+// BenchmarkRoadProbFill is the Eq. 9–10 kernel at the repository
+// benchmark's shape — a 20-point trajectory at dim 128, 58 segments per
+// call (what one streaming push fills) — on an untrained model: the
+// arithmetic does not depend on the weights' values.
+func BenchmarkRoadProbFill(b *testing.B) {
+	d := testDataset(b, 10)
+	cfg := fastConfig()
+	cfg.Dim = 128
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.RefreshEmbeddings()
+	var ct traj.CellTrajectory
+	for _, tr := range d.Trips {
+		ct = append(ct, tr.Cell...)
+	}
+	sess := m.newSession(ct[:20])
+	segs := make([]roadnet.SegmentID, 58)
+	for i := range segs {
+		segs[i] = roadnet.SegmentID(i * 7 % m.Net.NumSegments())
+	}
+	probs := make([]float64, len(segs))
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	sess.roadProbRows(ws, segs, probs) // warm slabs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.Reset()
+		sess.roadProbRows(ws, segs, probs)
+	}
+	b.ReportMetric(float64(len(segs)), "rows/op")
 }
 
 // BenchmarkMatch is the end-to-end single-trajectory match.

@@ -49,6 +49,17 @@ type Model struct {
 	// encoder must be followed by RefreshEmbeddings.
 	obsSeg *nn.Mat
 
+	// transSeg and transQ are Eq. 10's and Eq. 9's per-segment constants,
+	// frozen the same way and under the same rule (anything that mutates
+	// TransMLP, TransAtt or the encoder must be followed by
+	// RefreshEmbeddings). transSeg[s] = segEmb(s)·W1_seg + b1 is the
+	// segment half of TransMLP's first layer, split by rows as
+	// W1 = [W1_seg ; W1_x] over its [segment ; read-out] input; transQ[s]
+	// is the query half of segment s's additive attention score
+	// (nn.Attention.QueryScoresInto). See session.roadProbRows.
+	transSeg *nn.Mat
+	transQ   []float64
+
 	// distScale normalizes the explicit distance feature; calibrated
 	// from the training data (mean point-to-positive-road distance) and
 	// stored as a 1×1 parameter so Save/Load round-trips it.
@@ -123,16 +134,29 @@ func (m *Model) AllParams() []*nn.Param {
 }
 
 // RefreshEmbeddings recomputes and freezes the node embeddings from the
-// current encoder weights, and with them the per-segment half of
-// Eq. 7's first layer (obsSeg; segments occupy one contiguous node range
-// of emb). Call after training and before matching.
+// current encoder weights, and with them the per-segment tables derived
+// from them: the segment halves of Eq. 7's and Eq. 10's first layers
+// (obsSeg, transSeg) and the query half of Eq. 9's scores (transQ).
+// Segments occupy one contiguous node range of emb. Call after training
+// and before matching.
 func (m *Model) RefreshEmbeddings() {
 	tp := nn.NewTape()
 	m.emb = m.Enc.Forward(tp, m.Graph).Val.Clone()
-	l1 := m.ObsMLP.Layers[0]
-	segHalf := nn.Linear{W: &nn.Param{W: l1.W.W.Rows(0, m.Cfg.Dim)}, B: l1.B}
-	m.obsSeg = nn.NewMat(m.Graph.NumSegs, m.Cfg.Dim)
-	segHalf.ApplyInto(m.obsSeg, m.emb.Rows(m.Graph.NumTowers, m.Graph.NumNodes()))
+	segs := m.emb.Rows(m.Graph.NumTowers, m.Graph.NumNodes())
+	m.obsSeg = m.segHalf(m.ObsMLP, segs)
+	m.transSeg = m.segHalf(m.TransMLP, segs)
+	m.transQ = make([]float64, segs.R)
+	m.TransAtt.QueryScoresInto(m.transQ, nil, segs)
+}
+
+// segHalf returns segs·W1_seg + b1, the segment half of the first layer
+// of an MLP whose input is [segment embedding ; per-point half].
+func (m *Model) segHalf(mlp *nn.MLP, segs *nn.Mat) *nn.Mat {
+	l1 := mlp.Layers[0]
+	half := nn.Linear{W: &nn.Param{W: l1.W.W.Rows(0, m.Cfg.Dim)}, B: l1.B}
+	out := nn.NewMat(segs.R, m.Cfg.Dim)
+	half.ApplyInto(out, segs)
+	return out
 }
 
 // obsCtxInto writes the context half of Eq. 7's first layer,
@@ -141,6 +165,14 @@ func (m *Model) RefreshEmbeddings() {
 func (m *Model) obsCtxInto(dst, ctx *nn.Mat) {
 	d := m.Cfg.Dim
 	nn.MatMulInto(dst, ctx, m.ObsMLP.Layers[0].W.W.Rows(d, 2*d))
+}
+
+// transValInto writes the read-out half of Eq. 10's first layer,
+// emb·W1_x, into dst: one row per raw point embedding (the values of
+// Eq. 9) in emb.
+func (m *Model) transValInto(dst, emb *nn.Mat) {
+	d := m.Cfg.Dim
+	nn.MatMulInto(dst, emb, m.TransMLP.Layers[0].W.W.Rows(d, 2*d))
 }
 
 // Embeddings returns the frozen |V|×Dim embedding matrix (nil before

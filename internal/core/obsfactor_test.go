@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"sync"
@@ -136,17 +135,7 @@ func TestObsSegTableFollowsWeights(t *testing.T) {
 	}
 	checkObsSegTable(t, m, "after Train")
 
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := New(d, d.TrainTrips(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
+	m2 := savedAndLoaded(t, d, cfg, m)
 	checkObsSegTable(t, m2, "after Load")
 	for i, v := range m.obsSeg.W {
 		if m2.obsSeg.W[i] != v {
@@ -180,8 +169,14 @@ func TestObsSegTableFollowsWeights(t *testing.T) {
 // sequential results.
 func TestObsSegTableConcurrentReaders(t *testing.T) {
 	d := testDataset(t, 10)
-	m := streamModel(t, d)
-	trips := d.TestTrips()
+	checkConcurrentReaders(t, streamModel(t, d), d.TestTrips())
+}
+
+// checkConcurrentReaders matches and streams up to three trips
+// sequentially, then again from concurrent goroutines sharing m, and
+// requires the same paths.
+func checkConcurrentReaders(t *testing.T, m *Model, trips []*traj.Trip) {
+	t.Helper()
 	if len(trips) > 3 {
 		trips = trips[:3]
 	}

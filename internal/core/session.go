@@ -52,8 +52,8 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // snapshot serialises, the rest is derived from them. One session
 // serves one match or one hmm.StreamMatcher and is not safe for
 // concurrent use — the serving layer serializes pushes per session.
-// Scratch comes from the shared nn workspace pool per call, so an idle
-// session pins none.
+// Matrix scratch comes from the shared nn workspace pool per call, so an
+// idle session pins none.
 //
 // All learned scoring is batch-oriented: the per-point candidate pool
 // is scored through the factored Eq. 7 layer and the Eq. 8 fuse MLP as
@@ -82,8 +82,19 @@ type session struct {
 	keys  *nn.AttKeys
 	keysN int
 
+	// transVal is emb·W1_x, the per-point half of Eq. 10's first layer
+	// (keysN×d; see roadProbRows). Grown with the keys.
+	transVal []float64
+
 	// roadP caches Eq. 10 per segment for the current keys.
 	roadP map[roadnet.SegmentID]float64
+
+	// Per-step scratch of ScoreBatch and roadProbFill, kept across steps
+	// so a warm step allocates nothing: the step's route per pair
+	// (cleared before ScoreBatch returns, so an idle session pins no
+	// route) and the segments its fill has to score.
+	routes []roadnet.Route
+	need   []roadnet.SegmentID
 
 	// obsZ caches, per point, the softmax denominator over the
 	// candidate pool (Eq. 7 normalizes P_O across the candidate roads
@@ -150,27 +161,66 @@ func softmaxP1(l0, l1 float64) float64 {
 	return e1 / (e0 + e1)
 }
 
-// roadProb evaluates Eq. 10 with caching: the likelihood that segment
-// sid belongs to this trajectory, memoized per segment until the keys
-// are rebuilt. A miss Resets ws — callers must not hold live workspace
-// buffers across it.
+// roadProbRows evaluates Eq. 10 for every segment of segs into probs:
+// the likelihood that the road belongs to this trajectory. It is the
+// only inference implementation of Eq. 9–10; the step fill, the one-row
+// roadProb and through it the phase-2 training features all score here,
+// so they are bit-equal by construction.
+//
+// TransMLP's first layer is factored over its [segEmb(s) ; x_l(s)]
+// input, W1 = [W1_seg ; W1_x], and the Eq. 9 read-out is linear in its
+// values, x_l(s) = Σ_i w_i(s)·e_i, so
+//
+//	x_l(s)·W1_x = Σ_i w_i(s)·(e_i·W1_x)
+//
+// and the hidden row is ReLU(transSeg[s] + Σ_i w_i(s)·transVal[i]):
+// the per-segment table and query score frozen by RefreshEmbeddings,
+// the trajectory's transVal, a softmax over the n keys and n·d
+// multiply-adds — no d×h query projection and no 2d×d product per
+// segment. Only the association of the first-layer sum differs from
+// TransMLP.Apply over explicit [segEmb ; TransAtt read-out] rows. The
+// keys must be current (ensureKeys); ws is not Reset.
+func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs []float64) {
+	m, d, n := s.m, s.m.Cfg.Dim, s.keysN
+	w := ws.TakeVec(n)
+	hid := ws.Take(len(segs), d)
+	for r, sid := range segs {
+		s.keys.WeightsInto(w, m.transQ[sid])
+		row := hid.Row(r)
+		copy(row, m.transSeg.Row(int(sid)))
+		for i, wi := range w {
+			for j, v := range s.transVal[i*d : (i+1)*d] {
+				row[j] += wi * v
+			}
+		}
+		for j, v := range row {
+			if v < 0 {
+				row[j] = 0
+			}
+		}
+	}
+	logits := ws.Take(len(segs), 2)
+	m.TransMLP.Layers[1].ApplyInto(logits, hid)
+	for r := range segs {
+		lr := logits.Row(r)
+		probs[r] = softmaxP1(lr[0], lr[1])
+	}
+}
+
+// roadProb evaluates Eq. 10 with caching, memoized per segment until the
+// keys are rebuilt. A miss Resets ws — callers must not hold live
+// workspace buffers across it.
 func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
 	if p, ok := s.roadP[sid]; ok {
 		obsRoadProbHits.Inc()
 		return p
 	}
 	obsRoadProbMiss.Inc()
-	d := s.m.Cfg.Dim
 	ws.Reset()
-	segRow := &nn.Mat{R: 1, C: d, W: s.m.segEmb(sid)}
-	xl, _ := s.keys.QueryWS(ws, segRow)
-	feat := ws.Take(1, 2*d)
-	copy(feat.W[:d], segRow.W)
-	copy(feat.W[d:], xl.W)
-	logits := s.m.TransMLP.ApplyWS(ws, feat)
-	p := softmaxP1(logits.W[0], logits.W[1])
-	s.roadP[sid] = p
-	return p
+	var p [1]float64
+	s.roadProbRows(ws, []roadnet.SegmentID{sid}, p[:])
+	s.roadP[sid] = p[0]
+	return p[0]
 }
 
 // transFeatures assembles the Eq. 12 input for a movement along the
@@ -304,63 +354,45 @@ func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
 	return p
 }
 
-// roadProbFill batch-computes every uncached Eq. 10 road probability
-// referenced by the step's reachable routes: one multi-row attention
-// read-out (nn.AttKeys.QueryAllWS) plus one R×2d product through the
-// relevance MLP instead of R single-row passes. Per-row arithmetic
-// mirrors roadProb exactly (MatMulInto is row-independent and the
-// qdot/softmax/read-out order is shared), so cached values are
-// bit-identical whichever path computed them; the scalar TransScore
-// path keeps reading the same cache.
+// roadProbFill computes every uncached Eq. 10 road probability the
+// step's reachable routes reference in one roadProbRows call, so every
+// roadProb read that follows in the step is a cache hit.
 func (s *session) roadProbFill(ws *nn.Workspace, routes []roadnet.Route, mask []float64) {
 	if s.m.Cfg.DisableImplicitTrans {
 		return
 	}
 	// Unique uncached segments across the step, in first-encounter order
-	// (deterministic: routes are pair-indexed).
-	var need []roadnet.SegmentID
-	seen := make(map[roadnet.SegmentID]bool)
+	// (deterministic: routes are pair-indexed). A zero entry reserves the
+	// segment until the fill below overwrites it, so a later encounter
+	// does not queue it twice.
+	need := s.need[:0]
 	for p := range routes {
 		if math.IsNaN(mask[p]) {
 			continue
 		}
 		for _, sid := range routes[p].Segs {
-			if seen[sid] {
-				continue
-			}
-			seen[sid] = true
 			if _, ok := s.roadP[sid]; !ok {
+				s.roadP[sid] = 0
 				need = append(need, sid)
 			}
 		}
 	}
+	s.need = need
 	obsRoadProbMiss.Add(int64(len(need)))
 	if len(need) == 0 {
 		return
 	}
-	d := s.m.Cfg.Dim
-	segs := ws.Take(len(need), d)
+	probs := ws.TakeVec(len(need))
+	s.roadProbRows(ws, need, probs)
 	for r, sid := range need {
-		copy(segs.Row(r), s.m.segEmb(sid))
-	}
-	xl := s.keys.QueryAllWS(ws, segs)
-	feat := ws.Take(len(need), 2*d)
-	for r := 0; r < len(need); r++ {
-		row := feat.Row(r)
-		copy(row[:d], segs.Row(r))
-		copy(row[d:], xl.Row(r))
-	}
-	logits := s.m.TransMLP.ApplyWS(ws, feat)
-	for r, sid := range need {
-		lr := logits.Row(r)
-		s.roadP[sid] = softmaxP1(lr[0], lr[1])
+		s.roadP[sid] = probs[r]
 	}
 }
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
 // transition fan-out of one Viterbi step in a single fused-MLP batch.
 // A route is built per pair, then every road probability the step's
-// routes reference is batch-filled in one shot (roadProbFill), the
+// routes reference is filled in one shot (roadProbFill), the
 // explicit features are assembled from the warm cache, and one
 // (k·k)×3 matrix product through the Eq. 12 fuse MLP scores every
 // reachable pair at once. The per-step straight-line distance is
@@ -377,7 +409,11 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	feat := ws.Take(nPairs, 3)
-	routes := make([]roadnet.Route, nPairs)
+	if cap(s.routes) < nPairs {
+		s.routes = make([]roadnet.Route, nPairs)
+	}
+	routes := s.routes[:nPairs]
+	defer clear(routes)
 
 	// Phase 1: a route per pair. out doubles as the reachability mask
 	// (NaN = unreachable).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cellular"
@@ -217,16 +218,24 @@ func (s *session) extend(ct traj.CellTrajectory) {
 }
 
 // ensureKeys (re)builds the Eq. 9 key cache over every point absorbed
-// so far; a no-op once keysN == n. Each rebuild invalidates the
+// so far and appends the new points' rows of transVal; a no-op once
+// keysN == n. Derived state like obsCtx, so a restored session builds
+// both on its first transition step. Each rebuild invalidates the
 // road-probability cache: Eq. 10 conditions on the whole trajectory
 // context, which just changed.
 func (s *session) ensureKeys() {
 	if s.m.Cfg.DisableImplicitTrans || s.keys != nil && s.keysN == s.n {
 		return
 	}
-	s.keys = s.m.TransAtt.PrecomputeKeys(s.rows(s.embW))
+	d, emb := s.m.Cfg.Dim, s.rows(s.embW)
+	s.keys = s.m.TransAtt.PrecomputeKeys(emb)
+	s.transVal = slices.Grow(s.transVal, (s.n-s.keysN)*d)[:s.n*d]
+	s.m.transValInto(s.rows(s.transVal).Rows(s.keysN, s.n), emb.Rows(s.keysN, s.n))
 	s.keysN = s.n
-	s.roadP = make(map[roadnet.SegmentID]float64, len(s.roadP))
+	if s.roadP == nil {
+		s.roadP = make(map[roadnet.SegmentID]float64)
+	}
+	clear(s.roadP)
 }
 
 // NewStream returns an online fixed-lag matcher driven by the trained

@@ -179,7 +179,7 @@ func TestEncoderGradientsFlow(t *testing.T) {
 		// but not all).
 		var withGrad int
 		for _, p := range enc.Params() {
-			if p.Grad.MaxAbs() > 0 {
+			if p.Grad != nil && p.Grad.MaxAbs() > 0 {
 				withGrad++
 			}
 			p.ZeroGrad()

@@ -26,11 +26,12 @@ func (a *Adam) Step(params []*Param) {
 			p.m = NewMat(p.W.R, p.W.C)
 			p.v = NewMat(p.W.R, p.W.C)
 		}
+		grad := p.grad().W
 		p.step++
 		bc1 := 1 - math.Pow(a.Beta1, float64(p.step))
 		bc2 := 1 - math.Pow(a.Beta2, float64(p.step))
 		for i := range p.W.W {
-			g := p.Grad.W[i]
+			g := grad[i]
 			p.m.W[i] = a.Beta1*p.m.W[i] + (1-a.Beta1)*g
 			p.v.W[i] = a.Beta2*p.v.W[i] + (1-a.Beta2)*g*g
 			mHat := p.m.W[i] / bc1
@@ -46,7 +47,7 @@ func (a *Adam) Step(params []*Param) {
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
-		for _, g := range p.Grad.W {
+		for _, g := range p.grad().W {
 			sq += g * g
 		}
 	}

@@ -137,9 +137,9 @@ func (a *Attention) SelfApplyAllWS(ws *Workspace, x *Mat) *Mat {
 }
 
 // AttKeys caches the key-side state of additive attention over a fixed
-// key/value matrix, so repeated single-query read-outs (the per-road
-// trajectory relevance of Eq. 10, asked for every candidate segment of
-// a trajectory) skip the n×h key projection and its tanh reduction.
+// key/value matrix, so repeated read-outs (the per-road trajectory
+// relevance of Eq. 10, asked for every route segment of a trajectory)
+// skip the n×h key projection and its tanh reduction.
 type AttKeys struct {
 	att  *Attention
 	kv   *Mat      // shared keys-and-values matrix
@@ -165,61 +165,55 @@ func (a *Attention) PrecomputeKeys(kv *Mat) *AttKeys {
 	return &AttKeys{att: a, kv: kv, kdot: kdot}
 }
 
-// QueryWS computes the attention read-out for one 1×d query against
-// the cached keys. The returned 1×d matrix and weights are owned by ws.
-func (ak *AttKeys) QueryWS(ws *Workspace, query *Mat) (*Mat, []float64) {
-	h := ak.att.Wq.W.C
-	q := ws.Take(1, h)
-	MatMulInto(q, query, ak.att.Wq.W)
-	wv := ak.att.Wv.W.W
-	var qdot float64
-	for j, v := range q.W {
-		qdot += math.Tanh(v) * wv[j]
+// QueryScoresInto writes the query half of the additive score for every
+// row of queries (m×d) into dst (length m): w_v[:h]·tanh(W_q·q). It is
+// constant across keys, so a fixed query set — the segment embeddings of
+// Eq. 9 — pays the d×h projection and its tanh reduction once per model
+// (core.Model.transQ) rather than once per read-out. ws supplies the m×h
+// projection scratch (nil allocates it).
+func (a *Attention) QueryScoresInto(dst []float64, ws *Workspace, queries *Mat) {
+	var q *Mat
+	if ws != nil {
+		q = ws.Take(queries.R, a.Wq.W.C)
+	} else {
+		q = NewMat(queries.R, a.Wq.W.C)
 	}
-	n := ak.kv.R
-	w := ws.TakeVec(n)
-	for i, kd := range ak.kdot {
-		w[i] = qdot + kd
-	}
-	softmaxInto(w, w)
-	out := ws.Take(1, ak.kv.C)
-	for j := range out.W {
-		out.W[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		row := ak.kv.Row(i)
-		wi := w[i]
-		for j, v := range row {
-			out.W[j] += wi * v
-		}
-	}
-	return out, w
-}
-
-// QueryAllWS computes the attention read-out for every row of queries
-// (m×d) against the cached keys in one pass: the query projection
-// Q = queries·W_q is a single matrix product and the per-row
-// qdot/softmax/read-out mirrors QueryWS's arithmetic order exactly, so
-// row r of the result is bit-identical to QueryWS over queries row r
-// alone (MatMulInto accumulates each output row independently). The
-// returned m×d matrix is owned by ws.
-func (ak *AttKeys) QueryAllWS(ws *Workspace, queries *Mat) *Mat {
-	h := ak.att.Wq.W.C
-	q := ws.Take(queries.R, h)
-	MatMulInto(q, queries, ak.att.Wq.W)
-	wv := ak.att.Wv.W.W
-	n := ak.kv.R
-	w := ws.TakeVec(n)
-	out := ws.Take(queries.R, ak.kv.C)
-	for r := 0; r < queries.R; r++ {
+	MatMulInto(q, queries, a.Wq.W)
+	wv := a.Wv.W.W
+	for r := range dst {
 		var qdot float64
 		for j, v := range q.Row(r) {
 			qdot += math.Tanh(v) * wv[j]
 		}
-		for i, kd := range ak.kdot {
-			w[i] = qdot + kd
-		}
-		softmaxInto(w, w)
+		dst[r] = qdot
+	}
+}
+
+// WeightsInto writes the attention weights of one query over the cached
+// keys into w (one entry per key), given the query's score half qdot
+// (QueryScoresInto): w_i = softmax_i(qdot + kdot_i).
+func (ak *AttKeys) WeightsInto(w []float64, qdot float64) {
+	for i, kd := range ak.kdot {
+		w[i] = qdot + kd
+	}
+	softmaxInto(w, w)
+}
+
+// QueryAllWS computes the attention read-out for every row of queries
+// (m×d) against the cached keys: the query halves in one product
+// (QueryScoresInto), then per row the weights (WeightsInto) and the
+// weighted sum of the values in key order. Rows are independent
+// (MatMulInto accumulates each output row on its own), so row r of the
+// result is bit-identical to the read-out of queries row r alone. The
+// returned m×d matrix is owned by ws.
+func (ak *AttKeys) QueryAllWS(ws *Workspace, queries *Mat) *Mat {
+	qdot := ws.TakeVec(queries.R)
+	ak.att.QueryScoresInto(qdot, ws, queries)
+	n := ak.kv.R
+	w := ws.TakeVec(n)
+	out := ws.Take(queries.R, ak.kv.C)
+	for r := 0; r < queries.R; r++ {
+		ak.WeightsInto(w, qdot[r])
 		orow := out.Row(r)
 		for j := range orow {
 			orow[j] = 0

@@ -109,7 +109,11 @@ func TestAttKeysQueryMatchesApply(t *testing.T) {
 		q.Xavier(rng)
 		wantOut, wantW := a.Apply(q, kv, kv)
 		ws.Reset()
-		gotOut, gotW := ak.QueryWS(ws, q)
+		gotOut := ak.QueryAllWS(ws, q)
+		var qdot [1]float64
+		a.QueryScoresInto(qdot[:], ws, q)
+		gotW := make([]float64, kv.R)
+		ak.WeightsInto(gotW, qdot[0])
 		for j := range wantOut.W {
 			if math.Abs(wantOut.W[j]-gotOut.W[j]) > 1e-12 {
 				t.Fatalf("trial %d: output mismatch at %d", trial, j)
@@ -124,9 +128,11 @@ func TestAttKeysQueryMatchesApply(t *testing.T) {
 }
 
 // TestAttKeysQueryAllMatchesQuery pins the multi-row read-out contract:
-// row r of QueryAllWS is bit-identical to QueryWS over that row alone
-// (the batched roadProb fill in core relies on this to stay equal to
-// the scalar path).
+// row r of QueryAllWS is bit-identical to QueryAllWS over that row alone
+// and is the weighted sum of the values under the two helpers it is
+// written over — QueryScoresInto (batched and nil-workspace forms agree
+// bit-for-bit per row) and WeightsInto. core's Eq. 10 kernel is built on
+// the same two helpers and relies on rows being independent.
 func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := NewAttention("a", 6, 4, rng)
@@ -140,13 +146,36 @@ func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 	ws.Reset()
 	all := ak.QueryAllWS(ws, qs)
 	got := append([]float64(nil), all.W...)
+	qdots := make([]float64, qs.R)
+	a.QueryScoresInto(qdots, nil, qs)
+	w := make([]float64, kv.R)
 	for r := 0; r < qs.R; r++ {
 		ws.Reset()
 		q := &Mat{R: 1, C: qs.C, W: qs.Row(r)}
-		want, _ := ak.QueryWS(ws, q)
-		for j, w := range want.W {
-			if g := got[r*all.C+j]; g != w {
-				t.Fatalf("row %d col %d: QueryAllWS %v != QueryWS %v", r, j, g, w)
+		want := ak.QueryAllWS(ws, q)
+		var qdot [1]float64
+		a.QueryScoresInto(qdot[:], ws, q)
+		if qdot[0] != qdots[r] {
+			t.Fatalf("row %d: one-row query score %v != batched %v", r, qdot[0], qdots[r])
+		}
+		ak.WeightsInto(w, qdot[0])
+		var sum float64
+		for _, wi := range w {
+			sum += wi
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("row %d: weights sum to %v", r, sum)
+		}
+		for j, wv := range want.W {
+			if g := got[r*all.C+j]; g != wv {
+				t.Fatalf("row %d col %d: batched %v != one-row %v", r, j, g, wv)
+			}
+			var ref float64
+			for i, wi := range w {
+				ref += wi * kv.At(i, j)
+			}
+			if wv != ref {
+				t.Fatalf("row %d col %d: read-out %v != Σ w_i·v_i %v", r, j, wv, ref)
 			}
 		}
 	}

@@ -150,8 +150,8 @@ func SetMatMulWorkers(n int) int {
 // of work. Forking a smaller product buys less than waking an idle
 // thread costs, makes the caller's latency depend on when that thread
 // gets scheduled, and only oversubscribes the cores when several
-// requests are matching at once — the per-step Eq. 10 fills (tens of
-// rows through a 2d×d layer) are that size at dim 128.
+// requests are matching at once — no product of a dim-128 match reaches
+// it; training's encoder products and the per-model table builds do.
 const matmulParallelMinFlops = 1 << 22
 
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be

@@ -144,7 +144,7 @@ func TestAdamStepDirection(t *testing.T) {
 		opt := NewAdam()
 		opt.WeightDecay = 0
 		// d/dw (w-target)² = 2(w-target)
-		p.Grad.W[0] = 2 * (p.W.W[0] - target)
+		p.Grad = RowVec(2 * (p.W.W[0] - target))
 		before := math.Abs(p.W.W[0] - target)
 		opt.Step([]*Param{p})
 		return math.Abs(p.W.W[0]-target) < before

@@ -11,6 +11,9 @@ import (
 type Param struct {
 	Name string
 	W    *Mat
+	// Grad is nil until a backward pass or the optimizer first needs it
+	// (grad), so a model that is only loaded and matched with holds no
+	// gradient matrices; nil reads as all zeros.
 	Grad *Mat
 	// Adam state, lazily allocated by the optimizer.
 	m, v *Mat
@@ -20,18 +23,30 @@ type Param struct {
 // NewParam allocates a named r×c parameter initialized with Xavier
 // uniform values.
 func NewParam(name string, r, c int, rng *rand.Rand) *Param {
-	p := &Param{Name: name, W: NewMat(r, c), Grad: NewMat(r, c)}
+	p := &Param{Name: name, W: NewMat(r, c)}
 	p.W.Xavier(rng)
 	return p
 }
 
 // NewZeroParam allocates a zero-initialized parameter (used for biases).
 func NewZeroParam(name string, r, c int) *Param {
-	return &Param{Name: name, W: NewMat(r, c), Grad: NewMat(r, c)}
+	return &Param{Name: name, W: NewMat(r, c)}
+}
+
+// grad returns the gradient matrix, allocating it (zeroed) on first use.
+func (p *Param) grad() *Mat {
+	if p.Grad == nil {
+		p.Grad = NewMat(p.W.R, p.W.C)
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
 
 // T is a tensor node on an autodiff tape: a value matrix, a gradient
 // buffer filled in by the backward pass, and a closure that propagates
@@ -109,7 +124,7 @@ func (tp *Tape) Backward(loss *T) error {
 		}
 	}
 	for _, b := range tp.params {
-		b.p.Grad.AddInPlace(b.node.Grad)
+		b.p.grad().AddInPlace(b.node.Grad)
 	}
 	return nil
 }

@@ -135,10 +135,47 @@ func TestAttentionLearnsToSelect(t *testing.T) {
 	}
 }
 
+// TestParamGradLazy: a parameter holds no gradient matrix until a
+// backward pass or the optimizer needs one, and a missing gradient is
+// all zeros to both — an Adam step from nil equals one from an explicit
+// zero gradient to the bit (weight decay and the moments still move).
+func TestParamGradLazy(t *testing.T) {
+	mk := func() *Param { return NewParam("w", 3, 2, rand.New(rand.NewSource(5))) }
+	lazy, eager := mk(), mk()
+	if lazy.Grad != nil || NewZeroParam("b", 1, 2).Grad != nil {
+		t.Fatal("a new parameter already holds a gradient matrix")
+	}
+	lazy.ZeroGrad() // nil-safe
+	if norm := ClipGradNorm([]*Param{lazy}, 1); norm != 0 {
+		t.Errorf("norm of a missing gradient = %v, want 0", norm)
+	}
+	lazy.Grad = nil
+	eager.Grad = NewMat(3, 2)
+	opt := NewAdam()
+	for step := 0; step < 3; step++ {
+		opt.Step([]*Param{lazy})
+		opt.Step([]*Param{eager})
+	}
+	for i, v := range eager.W.W {
+		if lazy.W.W[i] != v {
+			t.Fatalf("weight %d after 3 steps: from nil %v, from zeros %v", i, lazy.W.W[i], v)
+		}
+	}
+	// Backward allocates on first accumulation.
+	p := mk()
+	tp := NewTape()
+	if err := tp.Backward(tp.SumAll(tp.Var(p))); err != nil {
+		t.Fatal(err)
+	}
+	if p.Grad == nil || p.Grad.W[0] != 1 {
+		t.Fatalf("gradient after Backward: %+v", p.Grad)
+	}
+}
+
 func TestClipGradNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	p := NewParam("w", 1, 2, rng)
-	p.Grad.W[0], p.Grad.W[1] = 3, 4 // norm 5
+	p.Grad = RowVec(3, 4) // norm 5
 	norm := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Errorf("pre-clip norm = %v", norm)
