@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/hmm"
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -68,11 +70,42 @@ func TestCandidatesMatchScalarObsScore(t *testing.T) {
 	}
 }
 
+// checkStepAgainstScalar scores one step through ScoreBatch and holds it
+// to pairwise TransScore bit for bit, with NaN exactly where the scalar
+// path reports unreachable. It returns the batch scores and how many
+// pairs were unreachable.
+func checkStepAgainstScalar(t *testing.T, what string, sess *session, ct traj.CellTrajectory, i int, from, to []hmm.Candidate) (out []float64, unreachable int) {
+	t.Helper()
+	out = make([]float64, len(from)*len(to))
+	if deg := sess.ScoreBatch(ct, i, from, to, out); deg != 0 {
+		t.Fatalf("%s step %d: %d degraded scores from a healthy model", what, i, deg)
+	}
+	for j := range from {
+		for kk := range to {
+			got := out[j*len(to)+kk]
+			want, ok := sess.TransScore(ct, i, &from[j], &to[kk])
+			if !ok {
+				unreachable++
+				if !math.IsNaN(got) {
+					t.Fatalf("%s step %d pair (%d,%d): batch %v for unreachable pair", what, i, j, kk, got)
+				}
+				continue
+			}
+			if got != want {
+				t.Fatalf("%s step %d pair (%d,%d): batch %v vs scalar %v", what, i, j, kk, got, want)
+			}
+		}
+	}
+	return out, unreachable
+}
+
 // TestScoreBatchMatchesTransScore: the fused k×k transition batch
-// equals pairwise TransScore, with NaN exactly where the scalar path
-// reports unreachable — on a session filled whole and on one extended
-// causally, a point per step, whose keys and road-probability cache are
-// rebuilt every time the trajectory grows.
+// equals pairwise TransScore bit for bit, with NaN exactly where the
+// scalar path reports unreachable — on a session filled whole and on one
+// extended causally, a point per step, whose keys and road-probability
+// table are renewed every time the trajectory grows; then on hand-built
+// candidates covering every pair shape, under a bound that cuts pairs
+// off, without the implicit feature, and with a hierarchy attached.
 func TestScoreBatchMatchesTransScore(t *testing.T) {
 	m, whole, ct := trainedModel(t)
 	for _, tc := range []struct {
@@ -91,25 +124,104 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 			if sess.n != len(ct) {
 				t.Fatalf("%s step %d: session absorbed %d of %d points", tc.name, i, sess.n, len(ct))
 			}
-			out := make([]float64, len(from)*len(to))
-			if deg := sess.ScoreBatch(ct, i, from, to, out); deg != 0 {
-				t.Fatalf("%s step %d: %d degraded scores from a healthy model", tc.name, i, deg)
+			checkStepAgainstScalar(t, tc.name, sess, ct, i, from, to)
+			if !sess.whole && sess.roadP != nil {
+				t.Fatalf("%s step %d: causal session kept its road-probability table", tc.name, i)
 			}
-			for j := range from {
-				for kk := range to {
-					got := out[j*len(to)+kk]
-					want, ok := sess.TransScore(ct, i, &from[j], &to[kk])
-					if !ok {
-						if !math.IsNaN(got) {
-							t.Fatalf("%s step %d pair (%d,%d): batch %v for unreachable pair", tc.name, i, j, kk, got)
-						}
-						continue
-					}
-					if math.IsNaN(got) || math.Abs(want-got) > batchTol {
-						t.Fatalf("%s step %d pair (%d,%d): batch %v vs scalar %v", tc.name, i, j, kk, got, want)
+		}
+	}
+
+	// Every pair shape in one step: a0 and a1 end at one node through
+	// different segments (two folds over one tree), targets sit ahead of
+	// and behind a0 on its own segment, on a segment adjacent to it, and
+	// wherever the learned candidates of the two points fall.
+	net := m.Net
+	at := func(sid roadnet.SegmentID, frac float64) hmm.Candidate {
+		return hmm.Candidate{Seg: sid, Frac: frac, Proj: net.Segment(sid).PointAt(frac)}
+	}
+	var from, to []hmm.Candidate
+	for sid := roadnet.SegmentID(0); int(sid) < net.NumSegments() && from == nil; sid++ {
+		into, next := net.In(net.Segment(sid).To), net.Next(sid)
+		if len(into) < 2 || len(next) == 0 {
+			continue
+		}
+		other := into[0]
+		if other == sid {
+			other = into[1]
+		}
+		from = []hmm.Candidate{at(sid, 0.3), at(other, 0.6)}
+		to = []hmm.Candidate{at(sid, 0.7), at(sid, 0.1), at(sid, 0.3), at(next[0], 0.4), at(other, 0.2)}
+	}
+	if from == nil {
+		t.Fatal("fixture network has no node with two segments in and one out")
+	}
+	from = append(from, whole.Candidates(ct, 0, m.Cfg.K)...)
+	to = append(to, whole.Candidates(ct, 1, m.Cfg.K)...)
+
+	loose := m.Router
+	defer func() { m.Router = loose }()
+	var flatOut []float64
+	for _, rc := range []struct {
+		name string
+		opts []roadnet.RouterOption
+	}{
+		{"flat", nil},
+		{"flat, tight bound", []roadnet.RouterOption{roadnet.WithMaxDist(900)}},
+		{"hierarchy, tight bound", []roadnet.RouterOption{roadnet.WithMaxDist(900), roadnet.WithHierarchy(roadnet.BuildHierarchy(net))}},
+	} {
+		m.Router = roadnet.NewRouter(net, rc.opts...)
+		for _, noImplicit := range []bool{false, true} {
+			name := rc.name
+			if noImplicit {
+				name += ", no implicit feature"
+			}
+			m.Cfg.DisableImplicitTrans = noImplicit
+			out, unreachable := checkStepAgainstScalar(t, name, m.newSession(ct), ct, 1, from, to)
+			m.Cfg.DisableImplicitTrans = false
+			if tight := rc.opts != nil; tight != (unreachable > 0) || unreachable == len(out) {
+				t.Fatalf("%s: %d of %d pairs unreachable", name, unreachable, len(out))
+			}
+			// The hierarchy must reproduce the flat router's step exactly.
+			if rc.name == "flat, tight bound" && !noImplicit {
+				flatOut = out
+			}
+			if rc.name == "hierarchy, tight bound" && !noImplicit {
+				for p := range out {
+					if math.Float64bits(out[p]) != math.Float64bits(flatOut[p]) {
+						t.Fatalf("pair %d: hierarchy %v vs flat %v", p, out[p], flatOut[p])
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestRoadTableStampWrap: when the table's stamp counter is about to
+// wrap the stamps are cleared, so a step straddling the wrap refills and
+// scores exactly as before.
+func TestRoadTableStampWrap(t *testing.T) {
+	m, sess, ct := trainedModel(t)
+	from := sess.Candidates(ct, 0, m.Cfg.K)
+	to := sess.Candidates(ct, 1, m.Cfg.K)
+	want := make([]float64, len(from)*len(to))
+	sess.ScoreBatch(ct, 1, from, to, want)
+	tab := sess.roadP
+	for i := range tab.stamp {
+		if tab.stamp[i] != 0 {
+			tab.stamp[i] = math.MaxUint32
+		}
+	}
+	tab.base, tab.cur = math.MaxUint32, math.MaxUint32
+	for round := 0; round < 2; round++ {
+		got := make([]float64, len(want))
+		sess.ScoreBatch(ct, 1, from, to, got)
+		for p := range want {
+			if math.Float64bits(got[p]) != math.Float64bits(want[p]) {
+				t.Fatalf("round %d pair %d: %v after the wrap, %v before", round, p, got[p], want[p])
+			}
+		}
+	}
+	if tab.cur != 2 || tab.base != 1 {
+		t.Fatalf("after the wrap and two steps: cur %d base %d, want 2 and 1", tab.cur, tab.base)
 	}
 }

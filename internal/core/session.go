@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -16,7 +18,7 @@ import (
 
 // This file holds the one learned per-trajectory state, session, and
 // everything that scores against it: the observation side (Candidates,
-// Score), the transition side (roadProb/roadProbFill, TransScore,
+// Score), the transition side (roadProbRows/roadProb, TransScore,
 // ScoreBatch) and the batch entry point MatchContext. A session is
 // filled either whole (newSession, below) or causally, point by point
 // (extend, stream.go); every scoring method is indifferent to which.
@@ -52,8 +54,9 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // snapshot serialises, the rest is derived from them. One session
 // serves one match or one hmm.StreamMatcher and is not safe for
 // concurrent use — the serving layer serializes pushes per session.
-// Matrix scratch comes from the shared nn workspace pool per call, so an
-// idle session pins none.
+// Matrix scratch comes from the shared nn workspace pool per call and a
+// step's fold scratch from foldPool, so an idle session pins neither;
+// nor, between pushes, the segment-indexed roadP table (see roadTable).
 //
 // All learned scoring is batch-oriented: the per-point candidate pool
 // is scored through the factored Eq. 7 layer and the Eq. 8 fuse MLP as
@@ -77,8 +80,8 @@ type session struct {
 	obsCtx []float64
 
 	// keys caches the key-side attention state of Eq. 9 over the first
-	// keysN point embeddings, shared by every roadProb query; rebuilt
-	// when the trajectory has grown (ensureKeys).
+	// keysN point embeddings, shared by every roadProb query; grown by
+	// the new points' rows when the trajectory has grown (ensureKeys).
 	keys  *nn.AttKeys
 	keysN int
 
@@ -86,15 +89,13 @@ type session struct {
 	// (keysN×d; see roadProbRows). Grown with the keys.
 	transVal []float64
 
-	// roadP caches Eq. 10 per segment for the current keys.
-	roadP map[roadnet.SegmentID]float64
-
-	// Per-step scratch of ScoreBatch and roadProbFill, kept across steps
-	// so a warm step allocates nothing: the step's route per pair
-	// (cleared before ScoreBatch returns, so an idle session pins no
-	// route) and the segments its fill has to score.
-	routes []roadnet.Route
-	need   []roadnet.SegmentID
+	// roadP caches Eq. 10 per segment for the current keys; nil while
+	// the session holds no table. A session filled whole keeps the table
+	// it borrowed until releaseTable (the shortcut pass and later steps
+	// hit it); a causal one, whose every push invalidates it, hands it
+	// back at the end of each scoring call.
+	roadP *roadTable
+	whole bool
 
 	// obsZ caches, per point, the softmax denominator over the
 	// candidate pool (Eq. 7 normalizes P_O across the candidate roads
@@ -120,6 +121,7 @@ func (m *Model) newSession(ct traj.CellTrajectory) *session {
 	n, d := len(ct), m.Cfg.Dim
 	s := &session{
 		m:      m,
+		whole:  true,
 		n:      n,
 		embW:   make([]float64, n*d),
 		ctxW:   make([]float64, n*d),
@@ -207,20 +209,74 @@ func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs
 	}
 }
 
-// roadProb evaluates Eq. 10 with caching, memoized per segment until the
-// keys are rebuilt. A miss Resets ws — callers must not hold live
-// workspace buffers across it.
+// roadTable is the segment-indexed Eq. 10 cache (12 bytes per segment):
+// p[s] is current while stamp[s] >= base. cur — the largest stamp in use
+// — advances once per ScoreBatch step, so inside a step stamp[s] == cur
+// also says "this step already referenced s", queued for its fill or
+// counted as a hit; lifting base to a fresh cur invalidates every entry
+// in O(1). Tables are pooled across sessions and invalidated on the way
+// out of the pool, so an idle streaming session pins no |S|-sized array.
+type roadTable struct {
+	p         []float64
+	stamp     []uint32
+	base, cur uint32
+}
+
+var roadTablePool sync.Pool // *roadTable
+
+// advance starts a new stamp value; when the counter would wrap, the
+// stamps are cleared and counting restarts (the cache empties).
+func (t *roadTable) advance() {
+	if t.cur == math.MaxUint32 {
+		clear(t.stamp)
+		t.base, t.cur = 1, 0
+	}
+	t.cur++
+}
+
+func (t *roadTable) invalidate() {
+	t.advance()
+	t.base = t.cur
+}
+
+// table returns the session's road-probability table, borrowing an empty
+// one from the pool when it holds none.
+func (s *session) table() *roadTable {
+	if s.roadP == nil {
+		t, _ := roadTablePool.Get().(*roadTable)
+		if nSegs := s.m.Net.NumSegments(); t == nil || len(t.p) < nSegs {
+			t = &roadTable{p: make([]float64, nSegs), stamp: make([]uint32, nSegs)}
+		}
+		t.invalidate()
+		s.roadP = t
+	}
+	return s.roadP
+}
+
+// releaseTable hands the table back to the pool: MatchContext and
+// transFuseExamples when they are done with a whole-trajectory session,
+// every scoring call of a causal one.
+func (s *session) releaseTable() {
+	if s.roadP != nil {
+		roadTablePool.Put(s.roadP)
+		s.roadP = nil
+	}
+}
+
+// roadProb evaluates Eq. 10 with caching, memoized per segment in the
+// table ScoreBatch fills, until the keys grow. A miss Resets ws —
+// callers must not hold live workspace buffers across it.
 func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
-	if p, ok := s.roadP[sid]; ok {
+	t := s.table()
+	if t.stamp[sid] >= t.base {
 		obsRoadProbHits.Inc()
-		return p
+		return t.p[sid]
 	}
 	obsRoadProbMiss.Inc()
 	ws.Reset()
-	var p [1]float64
-	s.roadProbRows(ws, []roadnet.SegmentID{sid}, p[:])
-	s.roadP[sid] = p[0]
-	return p[0]
+	s.roadProbRows(ws, []roadnet.SegmentID{sid}, t.p[sid:sid+1])
+	t.stamp[sid] = t.cur
+	return t.p[sid]
 }
 
 // transFeatures assembles the Eq. 12 input for a movement along the
@@ -332,6 +388,9 @@ func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candid
 		return 0, false
 	}
 	s.ensureKeys()
+	if !s.whole {
+		defer s.releaseTable()
+	}
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	f := s.transFeatures(ws, route, ct[i-1].P.Dist(ct[i].P))
@@ -354,103 +413,254 @@ func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
 	return p
 }
 
-// roadProbFill computes every uncached Eq. 10 road probability the
-// step's reachable routes reference in one roadProbRows call, so every
-// roadProb read that follows in the step is a cache hit.
-func (s *session) roadProbFill(ws *nn.Workspace, routes []roadnet.Route, mask []float64) {
-	if s.m.Cfg.DisableImplicitTrans {
-		return
+// foldAcc is what ScoreBatch's fold knows about a route prefix: Eq. 11's
+// numerator, the turn sum, the bearing of the last segment taken and the
+// number of segments.
+type foldAcc struct {
+	sum, turn, last float64
+	segs            int32
+}
+
+// over continues the prefix over one more segment with road probability
+// p and the given bearing — the same additions, in the same order, that
+// transFeatures and routeSims make walking a materialized route.
+func (v foldAcc) over(p, bearing float64) foldAcc {
+	return foldAcc{sum: v.sum + p, turn: v.turn + geoAngleDiff(v.last, bearing), last: bearing, segs: v.segs + 1}
+}
+
+// foldScratch is one ScoreBatch step's scratch: the node-indexed
+// accumulators (32·|N| bytes) and the step-sized lists. Pooled and held
+// for one call, so no session pins one.
+type foldScratch struct {
+	acc   []foldAcc
+	kind  []pairKind          // per pair
+	dist  []float64           // per pair: tree distance of a tree pair
+	steps []roadnet.TreeStep  // every from-candidate's tree steps, back to back
+	ends  []int               // ends[a] = end of from-candidate a's steps
+	tgt   []roadnet.NodeID    // one from-candidate's tree targets,
+	tdist []float64           // and what TreeWalk says of them
+	need  []roadnet.SegmentID // segments the step's fill has to score
+}
+
+var foldPool sync.Pool // *foldScratch
+
+// pairKind orders the cases of a candidate pair exactly as
+// Router.RouteBetween does: both on one segment with b ahead (the route
+// is that segment), a's segment ending where b's starts (the two
+// segments), otherwise a's segment, the shortest path from its end node
+// to the start node of b's, and b's segment.
+type pairKind uint8
+
+const (
+	pairSame pairKind = iota
+	pairAdjacent
+	pairTree
+)
+
+func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
+	switch {
+	case a.Seg == b.Seg && b.Frac >= a.Frac:
+		return pairSame
+	case segA.To == segB.From:
+		return pairAdjacent
 	}
-	// Unique uncached segments across the step, in first-encounter order
-	// (deterministic: routes are pair-indexed). A zero entry reserves the
-	// segment until the fill below overwrites it, so a later encounter
-	// does not queue it twice.
-	need := s.need[:0]
-	for p := range routes {
-		if math.IsNaN(mask[p]) {
-			continue
-		}
-		for _, sid := range routes[p].Segs {
-			if _, ok := s.roadP[sid]; !ok {
-				s.roadP[sid] = 0
-				need = append(need, sid)
-			}
-		}
-	}
-	s.need = need
-	obsRoadProbMiss.Add(int64(len(need)))
-	if len(need) == 0 {
-		return
-	}
-	probs := ws.TakeVec(len(need))
-	s.roadProbRows(ws, need, probs)
-	for r, sid := range need {
-		s.roadP[sid] = probs[r]
-	}
+	return pairTree
 }
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
-// transition fan-out of one Viterbi step in a single fused-MLP batch.
-// A route is built per pair, then every road probability the step's
-// routes reference is filled in one shot (roadProbFill), the
-// explicit features are assembled from the warm cache, and one
-// (k·k)×3 matrix product through the Eq. 12 fuse MLP scores every
-// reachable pair at once. The per-step straight-line distance is
-// hoisted out of the pair loop. Results are identical to pairwise
-// TransScore: cached road probabilities are bit-identical whichever
-// path computed them, and the MLP products are row-independent. The
-// return value counts the scores degraded in phase 3.
+// transition fan-out of one Viterbi step, scored without materializing
+// a route. Everything Eq. 12 reads off a route — the mean road relevance
+// (Eq. 11), the length and the turn sum — is a left-to-right fold over
+// its segments, and the routes out of one from-candidate share a
+// shortest-path tree, so the step runs in four passes:
+//
+//   - discover: one Router.TreeWalk per from-candidate yields the tree
+//     distance of each of its targets and the union of their paths as
+//     parent-first steps; every segment on a reachable pair's route is
+//     queued once for Eq. 10 unless the table already holds it;
+//   - fill: one roadProbRows call over the queue;
+//   - fold: per from-candidate, seed its end node with its own segment
+//     and scan its steps once, acc[node] = acc[parent].over(segment);
+//     each target reads its start node's accumulator and closes it with
+//     its own segment;
+//   - fuse: one (k·k)×3 product through the Eq. 12 MLP.
+//
+// The fold accumulates source→target, the order transFeatures and
+// routeSims walk a materialized route in, so results are bit-identical
+// to pairwise TransScore (road probabilities are bit-identical whichever
+// path computed them, and the MLP products are row-independent). Two
+// from-candidates ending at one node are folded separately: their seeds
+// differ, and sharing would re-associate the sums. The return value
+// counts the scores degraded in the fuse pass.
 func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
 	s.extend(ct)
 	s.ensureKeys()
-	nFrom, nTo := len(from), len(to)
-	nPairs := nFrom * nTo
+	net := s.m.Net
+	nTo := len(to)
+	nPairs := len(from) * nTo
 	straight := ct[i-1].P.Dist(ct[i].P)
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	feat := ws.Take(nPairs, 3)
-	if cap(s.routes) < nPairs {
-		s.routes = make([]roadnet.Route, nPairs)
-	}
-	routes := s.routes[:nPairs]
-	defer clear(routes)
 
-	// Phase 1: a route per pair. out doubles as the reachability mask
-	// (NaN = unreachable).
-	for p := 0; p < nPairs; p++ {
-		route, ok := s.m.Router.RouteBetween(from[p/nTo].Pos(), to[p%nTo].Pos())
-		if !ok || len(route.Segs) == 0 {
-			out[p] = math.NaN()
-			continue
+	fs, _ := foldPool.Get().(*foldScratch)
+	if fs == nil || len(fs.acc) < net.NumNodes() {
+		fs = &foldScratch{acc: make([]foldAcc, net.NumNodes())}
+	}
+	defer foldPool.Put(fs)
+	fs.kind = slices.Grow(fs.kind[:0], nPairs)[:nPairs]
+	fs.dist = slices.Grow(fs.dist[:0], nPairs)[:nPairs]
+	kind, dist := fs.kind, fs.dist
+	steps, ends, need := fs.steps[:0], fs.ends[:0], fs.need[:0]
+
+	// Without the implicit feature no road probability is read: P stays
+	// nil and is never indexed.
+	implicit := !s.m.Cfg.DisableImplicitTrans
+	var tab *roadTable
+	var P []float64
+	if implicit {
+		tab = s.table()
+		if !s.whole {
+			defer s.releaseTable()
 		}
-		routes[p] = route
-		out[p] = 0
+		tab.advance()
+		P = tab.p
 	}
-
-	// Phase 2: batch every uncached road probability the step needs,
-	// then assemble the explicit features from the warm cache. Sharing
-	// ws with transFeatures is safe only because roadProbFill
-	// guarantees every roadProb read below is a cache hit (a miss would
-	// Reset the workspace under the live feat buffer).
-	s.roadProbFill(ws, routes, out)
-	for p := 0; p < nPairs; p++ {
-		row := feat.Row(p)
-		if math.IsNaN(out[p]) {
-			row[0], row[1], row[2] = 0, 0, 0
-			continue
+	hits := 0
+	// touch notes that the step reads segment sid's road probability.
+	touch := func(sid roadnet.SegmentID) {
+		switch st := tab.stamp[sid]; {
+		case st == tab.cur:
+			return
+		case st >= tab.base:
+			hits++
+		default:
+			need = append(need, sid)
 		}
-		f := s.transFeatures(ws, routes[p], straight)
-		row[0], row[1], row[2] = f[0], f[1], f[2]
+		tab.stamp[sid] = tab.cur
 	}
 
-	// Phase 3: one batched product through the fuse MLP. NaN in out is
-	// the unreachable sentinel of the batch protocol, so a learned
-	// score that itself comes out non-finite (corrupt weights, a NaN
-	// that slipped past load validation, fault injection) must be
-	// caught here: it degrades to the explicit length-similarity
-	// feature — exactly the classical Eq. 3 exponential with β=500,
-	// already computed into the feature row — instead of silently
-	// reading as "unreachable" and breaking the chain.
+	// Discover. out doubles as the reachability mask (NaN = unreachable);
+	// only a tree pair can be unreachable.
+	unreachable := 0
+	for a := range from {
+		segA := net.Segment(from[a].Seg)
+		tgt := fs.tgt[:0]
+		for b := range to {
+			segB := net.Segment(to[b].Seg)
+			k := kindOf(&from[a], &to[b], segA, segB)
+			kind[a*nTo+b] = k
+			if k == pairTree {
+				tgt = append(tgt, segB.From)
+			}
+		}
+		fs.tgt = tgt
+		if len(tgt) > 0 {
+			n0 := len(steps)
+			fs.tdist = slices.Grow(fs.tdist[:0], len(tgt))[:len(tgt)]
+			steps = s.m.Router.TreeWalk(segA.To, tgt, fs.tdist, steps)
+			if implicit {
+				for _, st := range steps[n0:] {
+					touch(st.Seg)
+				}
+			}
+		}
+		ends = append(ends, len(steps))
+		reached, ti := false, 0
+		for b := range to {
+			p := a*nTo + b
+			if kind[p] == pairTree {
+				dist[p] = fs.tdist[ti]
+				ti++
+				if math.IsInf(dist[p], 1) {
+					out[p] = math.NaN()
+					unreachable++
+					continue
+				}
+			}
+			out[p] = 0
+			reached = true
+			if implicit {
+				touch(to[b].Seg)
+			}
+		}
+		if reached && implicit {
+			touch(from[a].Seg)
+		}
+	}
+	fs.steps, fs.ends, fs.need = steps, ends, need
+	roadnet.CountRoutes(nPairs, unreachable)
+
+	// Fill.
+	if implicit {
+		obsRoadProbHits.Add(int64(hits))
+		obsRoadProbMiss.Add(int64(len(need)))
+		if len(need) > 0 {
+			probs := ws.TakeVec(len(need))
+			s.roadProbRows(ws, need, probs)
+			for r, sid := range need {
+				P[sid] = probs[r]
+			}
+		}
+	}
+
+	// Fold.
+	acc := fs.acc
+	lo := 0
+	for a := range from {
+		segA := net.Segment(from[a].Seg)
+		head := (1 - from[a].Frac) * segA.Length // remaining length of a's segment
+		seed := foldAcc{last: net.Bearing(from[a].Seg), segs: 1}
+		if implicit {
+			seed.sum = P[from[a].Seg]
+		}
+		acc[segA.To] = seed
+		for _, st := range steps[lo:ends[a]] {
+			var p float64
+			if implicit {
+				p = P[st.Seg]
+			}
+			acc[st.Node] = acc[st.Parent].over(p, net.Bearing(st.Seg))
+		}
+		lo = ends[a]
+		for b := range to {
+			p := a*nTo + b
+			row := feat.Row(p)
+			if math.IsNaN(out[p]) {
+				row[0], row[1], row[2] = 0, 0, 0
+				continue
+			}
+			var pB float64
+			if implicit {
+				pB = P[to[b].Seg]
+			}
+			segB := net.Segment(to[b].Seg)
+			tail := to[b].Frac * segB.Length // consumed length of b's segment
+			route, d := seed, 0.0
+			switch kind[p] {
+			case pairSame:
+				d = (to[b].Frac - from[a].Frac) * segA.Length
+			case pairAdjacent:
+				route, d = seed.over(pB, net.Bearing(to[b].Seg)), head+tail
+			case pairTree:
+				route, d = acc[segB.From].over(pB, net.Bearing(to[b].Seg)), head+dist[p]+tail
+			}
+			row[0] = 0.5
+			if implicit {
+				row[0] = route.sum / float64(route.segs)
+			}
+			row[1], row[2] = explicitSims(straight, d, route.turn)
+		}
+	}
+
+	// Fuse: one batched product through the fuse MLP. NaN in out is the
+	// unreachable sentinel of the batch protocol, so a learned score that
+	// itself comes out non-finite (corrupt weights, a NaN that slipped
+	// past load validation, fault injection) must be caught here: it
+	// degrades to the explicit length-similarity feature — exactly the
+	// classical Eq. 3 exponential with β=500, already computed into the
+	// feature row — instead of silently reading as "unreachable" and
+	// breaking the chain.
 	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
 	for p := 0; p < nPairs; p++ {
@@ -558,6 +768,7 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		spanT = time.Now()
 	}
 	sess := m.newSession(ct)
+	defer sess.releaseTable()
 	if msp != nil {
 		msp.ChildAt("session_init", spanT, time.Since(spanT))
 		sess.span = msp

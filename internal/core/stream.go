@@ -163,7 +163,6 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHa
 // similarity against the straight-line distance and turn similarity
 // over consecutive segment bearings.
 func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (lenSim, turnSim float64) {
-	lenSim = math.Exp(-math.Abs(straight-route.Dist) / 500)
 	var turn, prev float64
 	for j, sid := range route.Segs {
 		b := net.Bearing(sid)
@@ -172,8 +171,14 @@ func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (len
 		}
 		prev = b
 	}
-	turnSim = math.Exp(-turn / math.Pi)
-	return lenSim, turnSim
+	return explicitSims(straight, route.Dist, turn)
+}
+
+// explicitSims maps a route's length and turn sum to the two explicit
+// Eq. 12 features; straight is the straight-line distance between the
+// step's points.
+func explicitSims(straight, dist, turn float64) (lenSim, turnSim float64) {
+	return math.Exp(-math.Abs(straight-dist) / 500), math.Exp(-turn / math.Pi)
 }
 
 // geoAngleDiff is the absolute difference of two bearings folded into
@@ -217,25 +222,29 @@ func (s *session) extend(ct traj.CellTrajectory) {
 	}
 }
 
-// ensureKeys (re)builds the Eq. 9 key cache over every point absorbed
-// so far and appends the new points' rows of transVal; a no-op once
+// ensureKeys grows the Eq. 9 key cache and transVal by the rows of the
+// points absorbed since the last call (both are per-point products, so
+// appending is bit-equal to building over all n at once); a no-op once
 // keysN == n. Derived state like obsCtx, so a restored session builds
-// both on its first transition step. Each rebuild invalidates the
-// road-probability cache: Eq. 10 conditions on the whole trajectory
+// both on its first transition step. Each growth invalidates a held
+// road-probability table: Eq. 10 conditions on the whole trajectory
 // context, which just changed.
 func (s *session) ensureKeys() {
 	if s.m.Cfg.DisableImplicitTrans || s.keys != nil && s.keysN == s.n {
 		return
 	}
 	d, emb := s.m.Cfg.Dim, s.rows(s.embW)
-	s.keys = s.m.TransAtt.PrecomputeKeys(emb)
+	if s.keys == nil {
+		s.keys = s.m.TransAtt.PrecomputeKeys(emb)
+	} else {
+		s.keys.Grow(emb)
+	}
 	s.transVal = slices.Grow(s.transVal, (s.n-s.keysN)*d)[:s.n*d]
 	s.m.transValInto(s.rows(s.transVal).Rows(s.keysN, s.n), emb.Rows(s.keysN, s.n))
 	s.keysN = s.n
-	if s.roadP == nil {
-		s.roadP = make(map[roadnet.SegmentID]float64)
+	if s.roadP != nil {
+		s.roadP.invalidate()
 	}
-	clear(s.roadP)
 }
 
 // NewStream returns an online fixed-lag matcher driven by the trained

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -222,5 +223,51 @@ func TestStreamPushCountsBatchDegraded(t *testing.T) {
 	}
 	if info.Degraded != int64(deg) || snap.SM.Degraded() != deg {
 		t.Errorf("degraded count %d: snapshot says %d, restored matcher %d", deg, info.Degraded, snap.SM.Degraded())
+	}
+}
+
+// TestIdleStreamPinsNoTable: between pushes a streaming session holds
+// nothing sized by the network — the road-probability table and the fold
+// scratch go back to their pools before ScoreBatch returns — so no slice
+// reachable from it has min(|S|, |N|) elements or more.
+func TestIdleStreamPinsNoTable(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	limit := min(m.Net.NumSegments(), m.Net.NumNodes())
+	sm := m.NewStream(2)
+	ss := sm.M.Obs.(*session)
+	var check func(path string, v reflect.Value)
+	check = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Slice:
+			if v.Cap() >= limit {
+				t.Errorf("idle session pins %s: len %d cap %d, network has %d segments and %d nodes",
+					path, v.Len(), v.Cap(), m.Net.NumSegments(), m.Net.NumNodes())
+			}
+		case reflect.Pointer:
+			if !v.IsNil() && v.Type() != reflect.TypeOf(m) {
+				check(path, v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				check(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		}
+	}
+	scored := 0
+	for _, p := range d.TestTrips()[0].Cell[:3] {
+		if _, err := sm.Push(p); err != nil {
+			t.Fatal(err)
+		}
+		if ss.keysN > 1 {
+			scored++ // a transition step ran and grew the keys
+		}
+		check("session", reflect.ValueOf(ss))
+	}
+	if scored == 0 {
+		t.Fatal("no push reached transition scoring")
+	}
+	if len(ss.embW) == 0 || limit <= len(ss.embW) {
+		t.Fatalf("fixture too small to tell: %d embedding values held, limit %d", len(ss.embW), limit)
 	}
 }

@@ -531,6 +531,7 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 	}
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
+	defer sess.releaseTable() // borrowed by transFeatures' roadProb reads
 	addRoute := func(i int, from, to roadnet.PointOnRoad) {
 		route, ok := m.Router.RouteBetween(from, to)
 		if !ok || len(route.Segs) == 0 {

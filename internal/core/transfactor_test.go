@@ -133,25 +133,56 @@ func TestRoadProbPathsBitEqual(t *testing.T) {
 		}
 	}
 
-	// The step fill: routes [5r, 5r+7) overlap their neighbours by two
-	// segments, and route 1 is masked out as unreachable, which leaves
-	// segments 7–9 referenced by no reachable route.
+	// The step fill, driven by a real step under a bound tight enough to
+	// cut some pairs off: afterwards the table holds exactly the segments
+	// of the reachable pairs' routes — a segment that lies only on routes
+	// the bound cut is never filled — each at the kernel's value.
+	loose := m.Router
+	defer func() { m.Router = loose }()
+	m.Router = roadnet.NewRouter(m.Net, roadnet.WithMaxDist(900))
 	fill := m.newSession(ct)
-	var routes []roadnet.Route
-	for lo := 0; lo < len(segs); lo += 5 {
-		routes = append(routes, roadnet.Route{Segs: segs[lo:min(lo+7, len(segs))]})
-	}
-	mask := make([]float64, len(routes))
-	mask[1] = math.NaN()
-	ws.Reset()
-	fill.roadProbFill(ws, routes, mask)
-	for r, sid := range segs {
-		p, ok := fill.roadP[sid]
-		if masked := r >= 7 && r <= 9; masked == ok {
-			t.Fatalf("seg %d: cached = %v, on an unreachable route only = %v", sid, ok, masked)
+	from := fill.Candidates(ct, 0, m.Cfg.K)
+	to := fill.Candidates(ct, 1, m.Cfg.K)
+	out := make([]float64, len(from)*len(to))
+	fill.ScoreBatch(ct, 1, from, to, out)
+	onReachable := make(map[roadnet.SegmentID]bool)
+	cut, cutOnly := 0, 0
+	for a := range from {
+		for b := range to {
+			if route, ok := m.Router.RouteBetween(from[a].Pos(), to[b].Pos()); ok {
+				for _, sid := range route.Segs {
+					onReachable[sid] = true
+				}
+			} else {
+				cut++
+			}
 		}
-		if ok && p != want[r] {
-			t.Fatalf("seg %d: step fill %v vs all rows %v", sid, p, want[r])
+	}
+	for a := range from {
+		for b := range to {
+			if _, ok := m.Router.RouteBetween(from[a].Pos(), to[b].Pos()); ok {
+				continue
+			}
+			if route, ok := loose.RouteBetween(from[a].Pos(), to[b].Pos()); ok {
+				for _, sid := range route.Segs {
+					if !onReachable[sid] {
+						cutOnly++
+					}
+				}
+			}
+		}
+	}
+	if cut == 0 || cut == len(out) || cutOnly == 0 {
+		t.Fatalf("fixture step: %d of %d pairs cut, %d segments on cut routes only", cut, len(out), cutOnly)
+	}
+	tab := fill.roadP
+	for r, sid := range segs {
+		cached := tab.stamp[sid] >= tab.base
+		if cached != onReachable[sid] {
+			t.Fatalf("seg %d: cached = %v, on a reachable route = %v", sid, cached, onReachable[sid])
+		}
+		if cached && tab.p[sid] != want[r] {
+			t.Fatalf("seg %d: step fill %v vs all rows %v", sid, tab.p[sid], want[r])
 		}
 	}
 }
@@ -258,10 +289,9 @@ func TestTransTablesConcurrentReaders(t *testing.T) {
 	checkConcurrentReaders(t, savedAndLoaded(t, d, fastConfig(), trained), d.TestTrips())
 }
 
-// TestTransScoringAllocs pins allocations per warm ScoreBatch step: one
-// per reachable pair (the Segs of its route, roadnet's) and nothing of
-// the session's own — the route table, the fill's work list and the
-// road-probability map are reused across steps.
+// TestTransScoringAllocs pins allocations per warm ScoreBatch step at
+// zero, cached or refilling: no route is materialized, and the fold
+// scratch, the road-probability table and the workspace are pooled.
 func TestTransScoringAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes sync.Pool caching")
@@ -280,14 +310,14 @@ func TestTransScoringAllocs(t *testing.T) {
 	if reachable == 0 {
 		t.Fatal("fixture step has no reachable pair")
 	}
-	if got := testing.AllocsPerRun(50, func() { sess.ScoreBatch(ct, 1, from, to, out) }); got > float64(reachable) {
-		t.Errorf("cached step: %v allocs, want <= %d (one per route)", got, reachable)
+	if got := testing.AllocsPerRun(50, func() { sess.ScoreBatch(ct, 1, from, to, out) }); got != 0 {
+		t.Errorf("cached step: %v allocs, want 0", got)
 	}
 	// A step that has to refill every road probability costs no more.
 	if got := testing.AllocsPerRun(50, func() {
-		clear(sess.roadP)
+		sess.roadP.invalidate()
 		sess.ScoreBatch(ct, 1, from, to, out)
-	}); got > float64(reachable) {
-		t.Errorf("refilling step: %v allocs, want <= %d (one per route)", got, reachable)
+	}); got != 0 {
+		t.Errorf("refilling step: %v allocs, want 0", got)
 	}
 }

@@ -136,10 +136,11 @@ func (a *Attention) SelfApplyAllWS(ws *Workspace, x *Mat) *Mat {
 	return out
 }
 
-// AttKeys caches the key-side state of additive attention over a fixed
-// key/value matrix, so repeated read-outs (the per-road trajectory
-// relevance of Eq. 10, asked for every route segment of a trajectory)
-// skip the n×h key projection and its tanh reduction.
+// AttKeys caches the key-side state of additive attention over a
+// key/value matrix that only ever grows by rows, so repeated read-outs
+// (the per-road trajectory relevance of Eq. 10, asked for every route
+// segment of a trajectory) skip the n×h key projection and its tanh
+// reduction.
 type AttKeys struct {
 	att  *Attention
 	kv   *Mat      // shared keys-and-values matrix
@@ -147,22 +148,36 @@ type AttKeys struct {
 }
 
 // PrecomputeKeys builds the key-side cache for kv (used as both keys
-// and values). kv is retained by reference and must stay unchanged for
-// the cache's lifetime.
+// and values). kv is retained by reference and its rows must stay
+// unchanged for the cache's lifetime.
 func (a *Attention) PrecomputeKeys(kv *Mat) *AttKeys {
+	ak := &AttKeys{att: a}
+	ak.Grow(kv)
+	return ak
+}
+
+// Grow extends the cache to all of kv, whose leading rows must be the
+// ones it already covers (the backing array may have moved): only the
+// new rows are projected. A key's score contribution depends on its own
+// row alone, so growing row by row is bit-equal to PrecomputeKeys over
+// the final matrix.
+func (ak *AttKeys) Grow(kv *Mat) {
+	a, seen := ak.att, len(ak.kdot)
+	ak.kv = kv
+	if kv.R == seen {
+		return
+	}
 	h := a.Wq.W.C
-	k := NewMat(kv.R, a.Wk.W.C)
-	MatMulInto(k, kv, a.Wk.W)
+	k := NewMat(kv.R-seen, a.Wk.W.C)
+	MatMulInto(k, kv.Rows(seen, kv.R), a.Wk.W)
 	wv := a.Wv.W.W
-	kdot := make([]float64, kv.R)
-	for i := range kdot {
+	for i := 0; i < k.R; i++ {
 		var s float64
 		for j, v := range k.Row(i) {
 			s += math.Tanh(v) * wv[h+j]
 		}
-		kdot[i] = s
+		ak.kdot = append(ak.kdot, s)
 	}
-	return &AttKeys{att: a, kv: kv, kdot: kdot}
 }
 
 // QueryScoresInto writes the query half of the additive score for every

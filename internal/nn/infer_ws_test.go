@@ -127,6 +127,49 @@ func TestAttKeysQueryMatchesApply(t *testing.T) {
 	}
 }
 
+// TestAttKeysGrowMatchesPrecompute: a cache grown a few rows at a time,
+// over a matrix whose backing array moves as it is appended to, ends
+// bit-equal to PrecomputeKeys over the final matrix — per-key scores and
+// read-outs — and Grow with nothing new is a no-op.
+func TestAttKeysGrowMatchesPrecompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	a := NewAttention("a", 6, 4, rng)
+	full := NewMat(11, 6)
+	full.Xavier(rng)
+	want := a.PrecomputeKeys(full)
+
+	var w []float64 // append-grown, like a streaming session's embeddings
+	var ak *AttKeys
+	for _, upTo := range []int{1, 2, 5, 5, 11} {
+		w = append(w, full.W[len(w):upTo*6]...)
+		kv := &Mat{R: upTo, C: 6, W: w[: upTo*6 : upTo*6]}
+		if ak == nil {
+			ak = a.PrecomputeKeys(kv)
+		} else {
+			ak.Grow(kv)
+		}
+		if len(ak.kdot) != upTo || ak.kv != kv {
+			t.Fatalf("grown to %d rows: cache covers %d, retargeted = %v", upTo, len(ak.kdot), ak.kv == kv)
+		}
+	}
+	for i, kd := range want.kdot {
+		if ak.kdot[i] != kd {
+			t.Fatalf("key %d: grown score %v != precomputed %v", i, ak.kdot[i], kd)
+		}
+	}
+	qs := NewMat(3, 6)
+	qs.Xavier(rng)
+	ws := GetWorkspace()
+	defer PutWorkspace(ws)
+	got := append([]float64(nil), ak.QueryAllWS(ws, qs).W...)
+	ws.Reset()
+	for j, v := range want.QueryAllWS(ws, qs).W {
+		if got[j] != v {
+			t.Fatalf("read-out value %d: grown %v != precomputed %v", j, got[j], v)
+		}
+	}
+}
+
 // TestAttKeysQueryAllMatchesQuery pins the multi-row read-out contract:
 // row r of QueryAllWS is bit-identical to QueryAllWS over that row alone
 // and is the weighted sum of the values under the two helpers it is

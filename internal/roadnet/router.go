@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,6 +71,7 @@ type Router struct {
 	capacity int
 
 	scratch sync.Pool // *searchScratch
+	walks   sync.Pool // *walkScratch
 
 	// CH label caches (hierarchy mode only), same CLOCK policy.
 	fwdLabels labelCache
@@ -102,6 +104,21 @@ type searchScratch struct {
 	tie     []uint64
 	settled []bool
 	q       keyPQ
+}
+
+// walkScratch is the per-call state of TreeWalk: mark[v] == epoch means
+// v's step was already emitted by this walk, so starting a walk is one
+// increment rather than a clear.
+type walkScratch struct {
+	mark  []uint32
+	epoch uint32
+}
+
+// TreeStep is one edge of a source's shortest-path tree: Node is entered
+// from Parent over Seg.
+type TreeStep struct {
+	Node, Parent NodeID
+	Seg          SegmentID
 }
 
 // RouterOption configures a Router.
@@ -206,6 +223,93 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 		cur = r.net.segments[segs[i]].From
 	}
 	return segs, t.dist[to], true
+}
+
+// TreeWalk is the one-source, many-targets form of NodePath for callers
+// that fold values along paths instead of reading segment lists. dist[i]
+// receives the route length from source to targets[i] (+Inf = unreachable
+// within the bound; the bits NodeDist reports), and the union of the
+// shortest paths to the reachable targets is appended to steps and
+// returned: every node on one of them once however many targets share
+// it, the source never, and a node's parent always before the node — so
+// one left-to-right scan of the steps accumulates any per-segment
+// quantity source→target in exactly the order a walk of each path on its
+// own would. Targets may repeat and may include the source.
+//
+// Flat, each target climbs the cached tree's parents to the first node an
+// earlier target already emitted, one cache lookup per call. With a
+// hierarchy each target's canonical path is unpacked as NodePath does and
+// walked from the source through the same marks; the union is the same
+// tree because both searches settle on the unique minimum-(dist, tie)
+// path (see segTie).
+func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps []TreeStep) []TreeStep {
+	ws, _ := r.walks.Get().(*walkScratch)
+	if ws == nil {
+		ws = &walkScratch{mark: make([]uint32, r.net.NumNodes())}
+	}
+	if ws.epoch == math.MaxUint32 {
+		clear(ws.mark)
+		ws.epoch = 0
+	}
+	ws.epoch++
+	mark, epoch := ws.mark, ws.epoch
+	mark[source] = epoch
+	segments := r.net.segments
+
+	var t *ssspResult // flat arm; searched when the first target needs it
+	var lf *chLabel   // hierarchy arm, likewise
+	for i, v := range targets {
+		switch {
+		case v == source:
+			dist[i] = 0
+		case r.hier != nil:
+			if lf == nil {
+				lf = r.label(&r.fwdLabels, source, true)
+			}
+			path, d, ok := r.hier.pathLabels(lf, r.label(&r.bwdLabels, v, false), r.maxDist, 0)
+			if !ok {
+				dist[i] = math.Inf(1)
+				continue
+			}
+			dist[i] = d
+			for _, sid := range path {
+				if seg := &segments[sid]; mark[seg.To] != epoch {
+					mark[seg.To] = epoch
+					steps = append(steps, TreeStep{Node: seg.To, Parent: seg.From, Seg: sid})
+				}
+			}
+		default:
+			if t == nil {
+				t = r.tree(source)
+			}
+			dist[i] = t.dist[v]
+			if math.IsInf(dist[i], 1) {
+				continue
+			}
+			// Every ancestor of a reached node was reached; the climb ends
+			// at the source's mark at the latest.
+			start := len(steps)
+			for cur := v; mark[cur] != epoch; {
+				mark[cur] = epoch
+				sid := SegmentID(t.parent[cur])
+				from := segments[sid].From
+				steps = append(steps, TreeStep{Node: cur, Parent: from, Seg: sid})
+				cur = from
+			}
+			slices.Reverse(steps[start:])
+		}
+	}
+	r.walks.Put(ws)
+	return steps
+}
+
+// CountRoutes records n routes a caller scored off TreeWalk output
+// instead of through RouteBetween or RouteDist, unreachable of them
+// beyond the bound, so router.routes and router.routes.unreachable keep
+// counting one per pair whichever way it was scored.
+func CountRoutes(n, unreachable int) {
+	obsRoutes.Add(int64(n))
+	obsRouteMisses.Add(int64(unreachable))
 }
 
 // RouteBetween returns the route from point a to point b, both given as
