@@ -105,13 +105,11 @@ func BenchmarkTransScoreBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRoadProbFill is the Eq. 9–10 kernel at the repository
-// benchmark's shape — a 20-point trajectory at dim 128, 58 segments per
-// call (what one streaming push fills) — on an untrained model: the
+// benchShapeSession is a session over a 20-point trajectory at the
+// repository benchmark's shape — dim 128 — on an untrained model: the
 // arithmetic does not depend on the weights' values.
-func BenchmarkRoadProbFill(b *testing.B) {
+func benchShapeSession(b *testing.B, cfg Config) (*session, traj.CellTrajectory) {
 	d := testDataset(b, 10)
-	cfg := fastConfig()
 	cfg.Dim = 128
 	m, err := New(d, d.TrainTrips(), cfg)
 	if err != nil {
@@ -122,7 +120,29 @@ func BenchmarkRoadProbFill(b *testing.B) {
 	for _, tr := range d.Trips {
 		ct = append(ct, tr.Cell...)
 	}
-	sess := m.newSession(ct[:20])
+	ct = ct[:20]
+	return m.newSession(ct), ct
+}
+
+// BenchmarkCandidates is the whole candidate stage of one point at the
+// repository benchmark's shape (k 30, a pool of 90 nearest segments
+// plus the tower's co-occurring roads): lookup, projection, Eq. 7–8
+// over the pool, selection.
+func BenchmarkCandidates(b *testing.B) {
+	sess, ct := benchShapeSession(b, DefaultConfig())
+	k := sess.m.Cfg.K
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess.Candidates(ct, i%len(ct), k)
+	}
+}
+
+// BenchmarkRoadProbFill is the Eq. 9–10 kernel at the same shape, 58
+// segments per call (what one streaming push fills).
+func BenchmarkRoadProbFill(b *testing.B) {
+	sess, _ := benchShapeSession(b, fastConfig())
+	m := sess.m
 	segs := make([]roadnet.SegmentID, 58)
 	for i := range segs {
 		segs[i] = roadnet.SegmentID(i * 7 % m.Net.NumSegments())

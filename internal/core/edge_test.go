@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/hmm"
 	"repro/internal/traj"
 )
 
@@ -105,5 +107,70 @@ func TestConfigDefaults(t *testing.T) {
 	// AttDim derived from Dim.
 	if c.AttDim == 0 {
 		t.Error("AttDim not defaulted")
+	}
+}
+
+// TestFarPoint: one finite point 1,000 km outside the city — nothing the
+// sanitizer rejects — must not empty the candidate pool. The spatial
+// lookup used to stop at the grid's diagonal and return no segments
+// there; selectTopK then indexed an empty pool, which failed a batch
+// match as a recovered panic and panicked a streaming push through the
+// caller.
+func TestFarPoint(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	ct := append(traj.CellTrajectory(nil), d.TestTrips()[0].Cell...)
+	far := len(ct) / 2
+	ct[far].P.X += 1e6
+	if got := m.Net.SegmentsNear(ct[far].P, m.Cfg.PoolSize); len(got) != m.Cfg.PoolSize {
+		t.Fatalf("SegmentsNear far outside: %d segments, want %d", len(got), m.Cfg.PoolSize)
+	}
+	for _, policy := range []hmm.BreakPolicy{hmm.BreakError, hmm.BreakSkip, hmm.BreakSplit} {
+		m.Cfg.OnBreak = policy
+		res, err := m.Match(ct)
+		if err != nil {
+			t.Fatalf("%v: batch match: %v", policy, err)
+		}
+		if len(res.Matched) != len(ct) || res.Dead[far] {
+			t.Errorf("%v: batch match left the far point without a road", policy)
+		}
+		sm := m.NewStream(2)
+		for i, p := range ct {
+			if _, err := sm.Push(p); err != nil {
+				t.Fatalf("%v: push %d: %v", policy, i, err)
+			}
+		}
+		sm.Flush()
+		if len(sm.Matched()) != len(ct) || sm.Dead()[far] {
+			t.Errorf("%v: stream left the far point without a road", policy)
+		}
+	}
+}
+
+// TestEmptyPoolIsADeadPoint: a point whose pool comes back empty has no
+// candidates, and the matcher's break policy decides what that means —
+// an ErrNoCandidates abort or a no-candidates gap, never an index into
+// the empty pool.
+func TestEmptyPoolIsADeadPoint(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	ct := d.TestTrips()[0].Cell
+	m.Cfg.PoolSize, m.Cfg.CoPool = 0, 0 // past withDefaults: an empty pool for every point
+	if got := m.newSession(ct).Candidates(ct, 0, m.Cfg.K); len(got) != 0 {
+		t.Fatalf("Candidates over an empty pool = %d candidates", len(got))
+	}
+	for _, policy := range []hmm.BreakPolicy{hmm.BreakError, hmm.BreakSplit} {
+		m.Cfg.OnBreak = policy
+		if _, err := m.Match(ct); !errors.Is(err, hmm.ErrNoCandidates) {
+			t.Errorf("%v: batch match err = %v, want ErrNoCandidates", policy, err)
+		}
+		sm := m.NewStream(1)
+		_, err := sm.Push(ct[0])
+		switch {
+		case policy == hmm.BreakError && err == nil:
+			t.Errorf("%v: push accepted a point without candidates", policy)
+		case policy == hmm.BreakSplit && (err != nil || !sm.Dead()[0]):
+			t.Errorf("%v: push err = %v, dead = %v; want a dead point", policy, err, sm.Dead())
+		}
 	}
 }

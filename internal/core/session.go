@@ -179,33 +179,23 @@ func softmaxP1(l0, l1 float64) float64 {
 // the per-segment table and query score frozen by RefreshEmbeddings,
 // the trajectory's transVal, a softmax over the n keys and n·d
 // multiply-adds — no d×h query projection and no 2d×d product per
-// segment. Only the association of the first-layer sum differs from
-// TransMLP.Apply over explicit [segEmb ; TransAtt read-out] rows. The
-// keys must be current (ensureKeys); ws is not Reset.
+// segment — read out of one d-sized scratch row by
+// nn.Linear.ApplyReLU2. Only the association of the first-layer sum
+// differs from TransMLP.Apply over explicit [segEmb ; TransAtt read-out]
+// rows. The keys must be current (ensureKeys); ws is not Reset.
 func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs []float64) {
 	m, d, n := s.m, s.m.Cfg.Dim, s.keysN
 	w := ws.TakeVec(n)
-	hid := ws.Take(len(segs), d)
+	hid := ws.TakeVec(d)
 	for r, sid := range segs {
 		s.keys.WeightsInto(w, m.transQ[sid])
-		row := hid.Row(r)
-		copy(row, m.transSeg.Row(int(sid)))
+		copy(hid, m.transSeg.Row(int(sid)))
 		for i, wi := range w {
 			for j, v := range s.transVal[i*d : (i+1)*d] {
-				row[j] += wi * v
+				hid[j] += wi * v
 			}
 		}
-		for j, v := range row {
-			if v < 0 {
-				row[j] = 0
-			}
-		}
-	}
-	logits := ws.Take(len(segs), 2)
-	m.TransMLP.Layers[1].ApplyInto(logits, hid)
-	for r := range segs {
-		lr := logits.Row(r)
-		probs[r] = softmaxP1(lr[0], lr[1])
+		probs[r] = softmaxP1(m.TransMLP.Layers[1].ApplyReLU2(hid))
 	}
 }
 
@@ -312,13 +302,8 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 	for len(pool) > 1 && m.Net.DistTo(pool[len(pool)-1], ct[i].P) > m.Cfg.PoolRadius {
 		pool = pool[:len(pool)-1]
 	}
-	seen := make(map[roadnet.SegmentID]bool, len(pool))
-	for _, sid := range pool {
-		seen[sid] = true
-	}
 	for _, sid := range m.Graph.TopCoRoads(ct[i].Tower, m.Cfg.CoPool) {
-		if !seen[sid] {
-			seen[sid] = true
+		if !slices.Contains(pool, sid) {
 			pool = append(pool, sid)
 		}
 	}
@@ -337,6 +322,9 @@ func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID
 func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 	s.extend(ct)
 	pool := s.m.candidatePool(ct, i)
+	if len(pool) == 0 {
+		return nil // a dead point: the matcher's OnBreak policy owns it
+	}
 	cands := poolCandidates(s.m.Net, ct[i].P, pool)
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)

@@ -101,8 +101,10 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 // the hidden row is ReLU(obsSeg[s] + ctxHalf), where obsSeg is the
 // per-segment table frozen by RefreshEmbeddings and ctxHalf is the
 // point's ctx_i·W1_ctx (Model.obsCtxInto) — d adds per pool row in
-// place of a 2d×d product. Only the association of the first-layer sum
-// differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
+// place of a 2d×d product, read out by nn.Linear.ApplyReLU2 from one
+// d-sized scratch row, so no pool×d hidden matrix exists. Only the
+// association of the first-layer sum differs from ObsMLP.Apply over
+// explicit [segEmb ; ctx] rows.
 func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Candidate, imp []float64) {
 	if m.Cfg.DisableImplicitObs {
 		for j := range imp {
@@ -110,23 +112,12 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 		}
 		return
 	}
-	p := len(cands)
-	hid := ws.Take(p, m.Cfg.Dim)
+	hid := ws.TakeVec(m.Cfg.Dim)
 	for j := range cands {
-		row := hid.Row(j)
 		for k, v := range m.obsSeg.Row(int(cands[j].Seg)) {
-			v += ctxHalf[k]
-			if v < 0 {
-				v = 0
-			}
-			row[k] = v
+			hid[k] = v + ctxHalf[k]
 		}
-	}
-	logits := ws.Take(p, 2)
-	m.ObsMLP.Layers[1].ApplyInto(logits, hid)
-	for j := 0; j < p; j++ {
-		lr := logits.Row(j)
-		imp[j] = softmaxP1(lr[0], lr[1])
+		imp[j] = softmaxP1(m.ObsMLP.Layers[1].ApplyReLU2(hid))
 	}
 }
 

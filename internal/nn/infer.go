@@ -33,6 +33,26 @@ func (l *Linear) ApplyInto(dst, x *Mat) {
 	}
 }
 
+// ApplyReLU2 returns ReLU(h)·W + b for a layer of two outputs — the
+// tail of a two-class MLP, given one pre-activation hidden row — without
+// a ReLU pass or a product: each positive unit goes straight into the two
+// running sums. It is bit-equal to the ReLU followed by ApplyInto: the
+// same left-to-right sum over the units, the same skip of units that are
+// zero after the ReLU (matMulRows skips a zero multiplier, and -0 is
+// one), a NaN unit carried into both sums, the bias added last.
+func (l *Linear) ApplyReLU2(h []float64) (float64, float64) {
+	w, b := l.W.W.W[:2*len(h)], l.B.W.W
+	var a0, a1 float64
+	for k, v := range h {
+		if v <= 0 {
+			continue
+		}
+		a0 += v * w[2*k]
+		a1 += v * w[2*k+1]
+	}
+	return a0 + b[0], a1 + b[1]
+}
+
 // Apply runs the MLP forward without autodiff.
 func (m *MLP) Apply(x *Mat) *Mat {
 	for i, l := range m.Layers {

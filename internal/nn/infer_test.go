@@ -64,3 +64,55 @@ func TestAttentionApplyMatchesForward(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyReLU2BitEqual: the fused two-logit read-out is the ReLU pass
+// followed by Linear.ApplyInto, bit for bit — on ordinary rows, rows
+// with exact zeros and negative zeros (units matMulRows skips), rows
+// with no positive unit (the sums stay at +0 and the bias comes out
+// alone) and a row with a NaN, which must reach both logits.
+func TestApplyReLU2BitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const d = 37
+	l := NewLinear("out", d, 2, rng)
+	l.B.W.W[0], l.B.W.W[1] = 0.25, -1.5
+	negZero := math.Copysign(0, -1)
+	rows := NewMat(64, d)
+	for i := 0; i < rows.R; i++ {
+		row := rows.Row(i)
+		for k := range row {
+			row[k] = rng.NormFloat64()
+			switch rng.Intn(8) {
+			case 0:
+				row[k] = 0
+			case 1:
+				row[k] = negZero
+			}
+		}
+		switch i {
+		case 0: // no positive unit
+			for k := range row {
+				row[k] = -math.Abs(row[k])
+			}
+		case 1:
+			clear(row)
+		case 2:
+			row[d/2] = math.NaN()
+		case 3:
+			row[0], row[d-1] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	hid := rows.Clone()
+	applyActInPlace(ActReLU, hid)
+	want := NewMat(rows.R, 2)
+	l.ApplyInto(want, hid)
+	for i := 0; i < rows.R; i++ {
+		g0, g1 := l.ApplyReLU2(rows.Row(i))
+		w := want.Row(i)
+		if math.Float64bits(g0) != math.Float64bits(w[0]) || math.Float64bits(g1) != math.Float64bits(w[1]) {
+			t.Fatalf("row %d: fused (%v, %v), ReLU then ApplyInto (%v, %v)", i, g0, g1, w[0], w[1])
+		}
+	}
+	if g0, g1 := l.ApplyReLU2(rows.Row(2)); !math.IsNaN(g0) || !math.IsNaN(g1) {
+		t.Fatalf("NaN unit did not reach both logits: (%v, %v)", g0, g1)
+	}
+}

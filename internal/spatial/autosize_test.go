@@ -109,3 +109,29 @@ func BenchmarkNearestAutoCell(b *testing.B) {
 	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(40000, 40000)}
 	benchmarkNearest(b, AutoCellSize(bounds, 100000, 0, 0))
 }
+
+// BenchmarkNearest is the candidate lookup at the repository benchmark's
+// shape: k = 90 (the learned matcher's pool) over a two-way street
+// lattice of about 8,000 segments, cells sized for ~4 items each.
+func BenchmarkNearest(b *testing.B) {
+	const side, step = 45, 200.0
+	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt((side-1)*step, (side-1)*step)}
+	g := NewGrid(bounds, AutoCellSize(bounds, 4*side*(side-1), 0, 0))
+	for i := 0; i < side; i++ {
+		for j := 0; j+1 < side; j++ {
+			u, v := float64(i)*step, float64(j)*step
+			for _, s := range []geo.Segment{
+				{A: geo.Pt(u, v), B: geo.Pt(u, v+step)}, {A: geo.Pt(u, v+step), B: geo.Pt(u, v)},
+				{A: geo.Pt(v, u), B: geo.Pt(v+step, u)}, {A: geo.Pt(v+step, u), B: geo.Pt(v, u)},
+			} {
+				g.Insert(SegmentItem{S: s})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Nearest(geo.Pt(rng.Float64()*bounds.Max.X, rng.Float64()*bounds.Max.Y), 90)
+	}
+}

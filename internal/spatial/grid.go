@@ -13,7 +13,9 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/geo"
 )
@@ -38,6 +40,8 @@ type Grid struct {
 	rows     int
 	cells    [][]int // cell -> item ids
 	items    []Item
+
+	nearest sync.Pool // *nearScratch
 }
 
 // AutoCellSize picks a cell size for indexing itemCount items spread
@@ -122,19 +126,21 @@ func (g *Grid) Insert(it Item) int {
 
 // cellAt maps a point to (col, row), clamped into the grid.
 func (g *Grid) cellAt(p geo.Point) (int, int) {
-	c := int((p.X - g.origin.X) / g.cellSize)
-	r := int((p.Y - g.origin.Y) / g.cellSize)
-	return clamp(c, 0, g.cols-1), clamp(r, 0, g.rows-1)
+	return cellIndex((p.X-g.origin.X)/g.cellSize, g.cols), cellIndex((p.Y-g.origin.Y)/g.cellSize, g.rows)
 }
 
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// cellIndex truncates a cell coordinate and clamps it into [0, n). The
+// clamp runs on the float: a coordinate beyond the int range (a finite
+// point absurdly far away) must land on its own side of the grid, and
+// converting it first would not say which.
+func cellIndex(f float64, n int) int {
+	if !(f > 0) {
+		return 0
 	}
-	if v > hi {
-		return hi
+	if f >= float64(n-1) {
+		return n - 1
 	}
-	return v
+	return int(f)
 }
 
 // Within returns the ids of all items whose exact distance to p is at
@@ -168,10 +174,20 @@ func (g *Grid) Within(p geo.Point, radius float64) []int {
 	return ids
 }
 
-// Nearest returns the ids of the k items nearest to p, in ascending
-// distance order. It returns fewer than k ids only when the index holds
+// Nearest returns the ids of the k items nearest to p, ascending by
+// (distance, id). It returns fewer than k ids only when the index holds
 // fewer than k items. The search expands ring by ring, so typical-case
 // cost is proportional to local density, not index size.
+//
+// A square of half-width radius around p is scanned, doubling the
+// radius until k hits lie within it: every item the square's cells do
+// not hold is farther than radius away, so those k are the k nearest of
+// the whole index, and (distance, id) being a total order, the result
+// does not depend on how the radius grew. Each doubling visits only the
+// cells the previous rectangle did not cover, each item's distance is
+// taken once, and the hits are ordered once, at the end. The search also
+// ends when the rectangle covers the whole grid — cellAt clamps, so for
+// a query far outside the bounds that is the only sound reason to stop.
 func (g *Grid) Nearest(p geo.Point, k int) []int {
 	if k <= 0 || len(g.items) == 0 {
 		return nil
@@ -179,48 +195,156 @@ func (g *Grid) Nearest(p geo.Point, k int) []int {
 	if k > len(g.items) {
 		k = len(g.items)
 	}
-	type hit struct {
-		id int
-		d  float64
-	}
-	var hits []hit
-	seen := make(map[int]bool)
-	// Expand the search radius until we have k hits whose distances are
-	// all certain (i.e. within the already-scanned radius).
-	radius := g.cellSize
-	maxRadius := math.Hypot(float64(g.cols), float64(g.rows)) * g.cellSize
-	for {
-		g.forCandidates(geo.RectAround(p, radius), func(id int) {
-			if seen[id] {
-				return
+	sc := g.scratch()
+	sc.hits = sc.hits[:0]
+	certain := 0 // hits[:certain] have d <= radius
+	// The cell rectangle scanned so far; empty before the first ring.
+	pc0, pr0, pc1, pr1 := 0, 0, -1, -1
+	for radius := g.cellSize; ; radius *= 2 {
+		c0, r0 := g.cellAt(geo.Pt(p.X-radius, p.Y-radius))
+		c1, r1 := g.cellAt(geo.Pt(p.X+radius, p.Y+radius))
+		for row := r0; row <= r1; row++ {
+			if row < pr0 || row > pr1 {
+				g.scanRow(sc, p, row, c0, c1)
+			} else {
+				g.scanRow(sc, p, row, c0, pc0-1)
+				g.scanRow(sc, p, row, pc1+1, c1)
 			}
-			seen[id] = true
-			hits = append(hits, hit{id, g.items[id].DistTo(p)})
-		})
-		sort.Slice(hits, func(i, j int) bool {
-			if hits[i].d != hits[j].d {
-				return hits[i].d < hits[j].d
+		}
+		pc0, pr0, pc1, pr1 = c0, r0, c1, r1
+		hits := sc.hits
+		for i := certain; i < len(hits); i++ {
+			if hits[i].d <= radius {
+				hits[i], hits[certain] = hits[certain], hits[i]
+				certain++
 			}
-			return hits[i].id < hits[j].id
-		})
-		// A hit is certain if its distance <= radius: anything outside
-		// the scanned square is farther than radius away.
-		if len(hits) >= k && hits[k-1].d <= radius {
+		}
+		if certain >= k {
 			break
 		}
-		if radius >= maxRadius {
-			break // scanned everything
+		// The whole grid scanned; +Inf ends a non-finite query, whose
+		// rectangle never grows.
+		if c0 == 0 && r0 == 0 && c1 == g.cols-1 && r1 == g.rows-1 || math.IsInf(radius, 1) {
+			certain = len(hits)
+			break
 		}
-		radius *= 2
 	}
+	hits := sc.hits[:certain] // the k nearest are among the certain
 	if k > len(hits) {
 		k = len(hits)
 	}
+	selectNearest(hits, k)
+	hits = hits[:k]
+	slices.SortFunc(hits, func(a, b nearHit) int {
+		switch {
+		case a.before(b):
+			return -1
+		case b.before(a):
+			return 1
+		}
+		return 0
+	})
 	ids := make([]int, k)
-	for i := 0; i < k; i++ {
+	for i := range ids {
 		ids[i] = hits[i].id
 	}
+	g.nearest.Put(sc)
 	return ids
+}
+
+// scanRow takes the distance of every item in cells [c0, c1] of one row
+// that the query has not met yet.
+func (g *Grid) scanRow(sc *nearScratch, p geo.Point, row, c0, c1 int) {
+	mark, epoch := sc.mark, sc.epoch
+	for _, cell := range g.cells[row*g.cols+c0 : row*g.cols+c1+1] {
+		for _, id := range cell {
+			if mark[id] != epoch {
+				mark[id] = epoch
+				sc.hits = append(sc.hits, nearHit{g.items[id].DistTo(p), id})
+			}
+		}
+	}
+}
+
+// nearHit is one scanned item of a Nearest query.
+type nearHit struct {
+	d  float64
+	id int
+}
+
+// before is the total order of a query's result: ascending (d, id).
+func (a nearHit) before(b nearHit) bool {
+	return a.d < b.d || a.d == b.d && a.id < b.id
+}
+
+// selectNearest permutes h so that its k smallest hits come first, in no
+// particular order (quickselect, median-of-three pivots), leaving the
+// caller to sort k hits instead of all of them.
+func selectNearest(h []nearHit, k int) {
+	lo, hi := 0, len(h)-1 // the boundary at k lies within h[lo:hi+1]
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if h[mid].before(h[lo]) {
+			h[mid], h[lo] = h[lo], h[mid]
+		}
+		if h[hi].before(h[lo]) {
+			h[hi], h[lo] = h[lo], h[hi]
+		}
+		if h[hi].before(h[mid]) {
+			h[hi], h[mid] = h[mid], h[hi]
+		}
+		pivot := h[mid]
+		i, j := lo, hi
+		for i <= j {
+			for h[i].before(pivot) {
+				i++
+			}
+			for pivot.before(h[j]) {
+				j--
+			}
+			if i <= j {
+				h[i], h[j] = h[j], h[i]
+				i++
+				j--
+			}
+		}
+		// h[lo:j+1] <= pivot <= h[i:hi+1], and anything between is the pivot:
+		// a boundary at j+1 or at i is already in place.
+		switch {
+		case k <= j:
+			hi = j
+		case k > i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// nearScratch is the per-query state of Nearest: mark[id] == epoch means
+// the query has already taken item id's distance, so starting a query is
+// one increment rather than a clear. Pooled on the grid and held for one
+// call, so concurrent queries never share one.
+type nearScratch struct {
+	mark  []uint32
+	epoch uint32
+	hits  []nearHit
+}
+
+// scratch borrows a query scratch with a fresh epoch, sized to the items
+// indexed so far; when the epoch would wrap, the marks are cleared and
+// counting restarts.
+func (g *Grid) scratch() *nearScratch {
+	sc, _ := g.nearest.Get().(*nearScratch)
+	if sc == nil || len(sc.mark) < len(g.items) {
+		sc = &nearScratch{mark: make([]uint32, len(g.items))}
+	}
+	if sc.epoch == math.MaxUint32 {
+		clear(sc.mark)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	return sc
 }
 
 // InRect returns the ids of all items whose bounds intersect r, in
