@@ -23,9 +23,6 @@ import (
 //  3. end-to-end match latency (hmm.match.seconds p50/p95/p99) running
 //     the classical matcher over held-out test trips with the CH
 //     router.
-//
-// The committed BENCH_fullscale.json in the repo root is a run of
-// `lhmm-bench -fullscale -scale 1 -json`.
 
 // fullscaleResult is the "fullscale" section of the -json document.
 type fullscaleResult struct {

@@ -13,8 +13,7 @@
 // (schema lhmm-bench/v1) carrying per-experiment wall-clock, the
 // rendered text, and the full observability snapshot (router cache hit
 // rate, shortcut activations, Viterbi breaks, latency histograms) so
-// successive runs can be diffed for perf trajectory — BENCH_*.json
-// files in the repo root are committed runs of this mode.
+// successive runs can be diffed.
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k
@@ -22,9 +21,10 @@
 // routed-transition throughput on CH-backed vs flat routers over
 // identical matcher-shaped candidate pairs (cross-checked bitwise),
 // and run the classical matcher over held-out trips for end-to-end
-// match-latency quantiles. BENCH_fullscale.json is a committed run:
+// match-latency quantiles. No run is committed; CI's fullscale-smoke
+// job asserts the run's invariants at reduced scale. At paper scale:
 //
-//	lhmm-bench -fullscale -scale 1 -trips 80 -json -out BENCH_fullscale.json
+//	lhmm-bench -fullscale -scale 1 -trips 80 -json -out fullscale.json
 //
 // Observability: -metrics dumps the telemetry snapshot on exit,
 // -log-level enables structured logs on stderr, and -debug-addr serves
@@ -52,7 +52,7 @@ type output struct {
 	Schema    string `json:"schema"`
 	Timestamp string `json:"timestamp"`
 	// Build stamps the producing binary (version, go toolchain, vcs
-	// commit) so committed BENCH_*.json runs are attributable.
+	// commit) so a saved run is attributable.
 	Build       obs.BuildInfo `json:"build"`
 	Scale       float64       `json:"scale"`
 	Trips       int           `json:"trips"`
@@ -115,8 +115,8 @@ func main() {
 
 	if *asJSON || *fullscale {
 		// JSON and fullscale runs measure from a clean
-		// telemetry slate so committed BENCH_*.json files diff as true
-		// per-run deltas (fullscale also reads the match-latency
+		// telemetry slate so two runs' documents diff as true per-run
+		// deltas (fullscale also reads the match-latency
 		// histogram for its text report).
 		obs.Default.Enable()
 		obs.Default.Reset()

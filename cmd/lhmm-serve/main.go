@@ -21,7 +21,7 @@
 //	GET    /metrics /metrics.json     Prometheus text exposition, JSON snapshot
 //
 // SIGHUP also triggers a hot reload; SIGINT/SIGTERM drain in-flight
-// matches (up to -drain-timeout) before exiting. A failed reload —
+// matches (up to 20s) before exiting. A failed reload —
 // missing, truncated, or corrupt weights — keeps the previous model
 // serving.
 //
@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -58,34 +59,43 @@ func main() {
 	}
 }
 
+// What the server is run with beyond its flags. Nothing in CI, the
+// README, the tests or the benchmark ever asked for another value
+// (DESIGN §8d has the audit), so these are not options.
+const (
+	// defaultLag is the emit lag of a session whose create request names
+	// none; POST /v1/sessions {"lag": N} is the one way to choose.
+	defaultLag = 2
+	// drainTimeout bounds the wait for in-flight matches on shutdown
+	// and for a SIGUSR2 sweep.
+	drainTimeout = 20 * time.Second
+
+	// The /v1/quality window and the rates past which /readyz says
+	// "degraded" (still 200), lhmm_serve_quality_degraded flips and one
+	// Warn line is logged. The windowed rates themselves are on
+	// /v1/quality and /metrics for anyone alerting at another level.
+	sloWindow       = time.Minute
+	sloDegradedRate = 0.05 // matches scored by the classical fallback
+	sloGapRate      = 0.20 // matches with gaps or breaks
+	sloEmptyRate    = 0.20 // requests failing with no candidates
+	sloShedRate     = 0.05 // requests shed by admission control
+	// sloDriftPSI is the conventional PSI action level; the score_drift
+	// check is on exactly when -drift-baseline gives it something to
+	// compare against.
+	sloDriftPSI = 0.25
+)
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("lhmm-serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "dataset.json", "dataset file from `lhmm datagen`")
 	modelPath := fs.String("model", "model.json", "model weights file (re-read on reload)")
 	k := fs.Int("k", 30, "candidates per point")
-	onBreak := fs.String("on-break", "error", "default dead-point policy: error|skip|split")
-	sanitize := fs.String("sanitize", "strict", "default input validation: strict|drop|off")
-	lag := fs.Int("lag", 2, "default streaming emit lag in points")
-	workers := fs.Int("workers", 4, "concurrent matching workers")
-	queue := fs.Int("queue", 64, "admission queue depth before shedding 429s")
-	maxSessions := fs.Int("max-sessions", 1024, "cap on live streaming sessions")
-	sessionTTL := fs.Duration("session-ttl", 5*time.Minute, "evict sessions idle longer than this")
-	timeout := fs.Duration("timeout", 30*time.Second, "per-request match timeout ceiling")
-	drainTimeout := fs.Duration("drain-timeout", 20*time.Second, "max wait for in-flight matches on shutdown")
-	sloWindow := fs.Duration("slo-window", time.Minute, "quality monitor sliding window")
-	sloDegraded := fs.Float64("slo-degraded-rate", 0.05, "max fraction of matches with degraded scoring before /readyz reports degraded")
-	sloGap := fs.Float64("slo-gap-rate", 0.20, "max fraction of matches with gaps or breaks")
-	sloEmpty := fs.Float64("slo-empty-rate", 0.20, "max fraction of requests failing with no candidates")
-	sloShed := fs.Float64("slo-shed-rate", 0.05, "max fraction of requests shed by admission control")
-	sloP99 := fs.Duration("slo-p99", 0, "p99 match latency objective (0 disables)")
-	sloDriftPSI := fs.Float64("slo-drift-psi", 0, "max learned-score drift PSI vs -drift-baseline before /readyz reports degraded (0 disables)")
-	driftBaseline := fs.String("drift-baseline", "", "training-time drift baseline file (enables GET /v1/drift and lhmm_drift_* gauges)")
-	captureOut := fs.String("capture-out", "", "capture sampled match requests + response digests as JSONL to this file (for lhmm replay)")
-	captureSample := fs.Float64("capture-sample", 1, "fraction of eligible match requests to capture in [0,1]")
+	driftBaseline := fs.String("drift-baseline", "", "training-time drift baseline file (enables GET /v1/drift, lhmm_drift_* gauges and the score_drift readiness check)")
+	captureOut := fs.String("capture-out", "", "capture match requests + response digests as JSONL to this file (for lhmm replay)")
 	checkpointDir := fs.String("checkpoint-dir", "", "durable-session store: snapshot in-flight streaming sessions here and restore them on boot (empty disables)")
 	checkpointInterval := fs.Duration("checkpoint-interval", 5*time.Second, "periodic dirty-session checkpoint sweep cadence")
-	of := obs.BindFlags(fs)
+	of := obs.BindTraceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -113,68 +123,58 @@ func run(args []string) error {
 		return err
 	}
 
-	breakPolicy, err := lhmm.ParseBreakPolicy(*onBreak)
-	if err != nil {
-		return err
-	}
-	sanitizeMode, err := lhmm.ParseSanitizeMode(*sanitize)
-	if err != nil {
-		return err
-	}
-
 	// The loader runs once at startup and again on every reload. It
 	// builds a fresh model over the resident dataset from the weights
 	// file, validating every parameter before writing any, so a bad file
-	// fails the whole load and the registry keeps the old model.
+	// fails the whole load and the registry keeps the old model. The
+	// dead-point policy and input validation stay at the library's
+	// defaults (error, strict); a request names its own in options.
 	cfg := lhmm.DefaultConfig()
 	cfg.K = *k
-	cfg.OnBreak = breakPolicy
-	cfg.Sanitize = sanitizeMode
 	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return lhmm.LoadModel(ds, *modelPath, cfg) })
 	if err := reg.Reload(); err != nil {
 		return fmt.Errorf("initial model load: %w", err)
 	}
 
+	quality := obs.QualityConfig{
+		Window:          sloWindow,
+		MaxDegradedRate: sloDegradedRate,
+		MaxGapRate:      sloGapRate,
+		MaxEmptyRate:    sloEmptyRate,
+		MaxShedRate:     sloShedRate,
+	}
 	var baseline *obs.DriftBaseline
 	if *driftBaseline != "" {
 		baseline, err = obs.LoadDriftBaseline(*driftBaseline)
 		if err != nil {
 			return fmt.Errorf("drift baseline: %w", err)
 		}
+		quality.MaxDriftPSI = sloDriftPSI
 		fmt.Fprintf(os.Stderr, "lhmm-serve: drift baseline %s (%d signals, model %q)\n",
 			*driftBaseline, len(baseline.Signals), baseline.Model)
 	}
 	var capture *serve.Capture
 	if *captureOut != "" {
-		capture, err = serve.OpenCaptureFile(*captureOut, *captureSample)
+		capture, err = serve.OpenCaptureFile(*captureOut)
 		if err != nil {
 			return err
 		}
 		defer capture.Close() //nolint:errcheck // exiting anyway
-		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing matches to %s (sample %.2f)\n",
-			*captureOut, *captureSample)
+		fmt.Fprintf(os.Stderr, "lhmm-serve: capturing matches to %s\n", *captureOut)
 	}
 
+	// One matching worker per hardware thread, never fewer than four,
+	// and sixteen waiters per worker before a request is shed.
+	workers := max(4, runtime.GOMAXPROCS(0))
 	srv, err := serve.New(reg, serve.Config{
-		Workers:      *workers,
-		Queue:        *queue,
-		MaxSessions:  *maxSessions,
-		SessionTTL:   *sessionTTL,
-		DefaultLag:   *lag,
-		MatchTimeout: *timeout,
+		Workers:    workers,
+		Queue:      16 * workers,
+		DefaultLag: defaultLag,
 		Checkpoint: serve.CheckpointConfig{
 			Dir:      *checkpointDir,
 			Interval: *checkpointInterval,
 		},
-		Quality: obs.QualityConfig{
-			Window:          *sloWindow,
-			MaxDegradedRate: *sloDegraded,
-			MaxGapRate:      *sloGap,
-			MaxEmptyRate:    *sloEmpty,
-			MaxShedRate:     *sloShed,
-			MaxP99:          *sloP99,
-			MaxDriftPSI:     *sloDriftPSI,
-		},
+		Quality:           quality,
 		DriftBaseline:     baseline,
 		DriftBaselinePath: *driftBaseline,
 		Capture:           capture,
@@ -212,7 +212,7 @@ func run(args []string) error {
 	signal.Notify(usr2, syscall.SIGUSR2)
 	go func() {
 		for range usr2 {
-			ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			if err := srv.CheckpointSweep(ctx); err != nil {
 				fmt.Fprintln(os.Stderr, "lhmm-serve: checkpoint sweep:", err)
 			} else {
@@ -227,7 +227,7 @@ func run(args []string) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "lhmm-serve: serving %s on %s (dim %d, k %d, %d workers)\n",
-		ds.Name, *addr, reg.Model().Cfg.Dim, *k, *workers)
+		ds.Name, *addr, reg.Model().Cfg.Dim, *k, workers)
 
 	select {
 	case err := <-serveErr:
@@ -236,7 +236,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "lhmm-serve: %s: draining\n", sig)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "lhmm-serve:", err)

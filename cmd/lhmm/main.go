@@ -104,10 +104,14 @@ fault injection (chaos testing): set LHMM_FAULTS=name[:N],... to arm
 failpoints, e.g. LHMM_FAULTS=hmm.candidates.empty:7`)
 }
 
-// parseWithObs parses the flag set with the shared observability trio
+// parseWithObs parses the flag set with the shared observability flags
 // bound, applies them, and returns the cleanup to run on exit.
 func parseWithObs(fs *flag.FlagSet, args []string) (func(), error) {
-	of := obs.BindFlags(fs)
+	return parseApply(fs, obs.BindFlags(fs), args)
+}
+
+// parseApply is parseWithObs over observability flags the caller bound.
+func parseApply(fs *flag.FlagSet, of *obs.Flags, args []string) (func(), error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -265,7 +269,7 @@ func cmdMatch(args []string) error {
 	explain := fs.Bool("explain", false, "collect the per-decision explanation (top-k candidates, margins, chosen routes); with -json it is embedded in the response, matching POST /v1/match?explain=1")
 	onBreak := fs.String("on-break", "error", "dead-point policy: error|skip|split")
 	sanitize := fs.String("sanitize", "strict", "input validation: strict|drop|off")
-	cleanup, err := parseWithObs(fs, args)
+	cleanup, err := parseApply(fs, obs.BindTraceFlags(fs), args)
 	if err != nil {
 		return err
 	}
@@ -324,22 +328,15 @@ func cmdMatch(args []string) error {
 		ct = tr.Cell
 	}
 	// One root span per CLI match when tracing is on (-trace-out): the
-	// same span tree a sampled server request produces, minus the HTTP
-	// layer.
-	ctx := context.Background()
-	var sp *obs.Span
-	if obs.DefaultTracer.ShouldSample() {
-		sp = obs.DefaultTracer.StartSpan("match", "", "")
-		sp.SetAttr("points", len(ct))
-		ctx = obs.ContextWithSpan(ctx, sp)
+	// same span tree a traced server request produces, minus the HTTP
+	// layer. sp is nil, and every call on it a no-op, when it is off.
+	sp := obs.DefaultTracer.StartSpan("match", "", "")
+	sp.SetAttr("points", len(ct))
+	res, err := model.MatchContext(obs.ContextWithSpan(context.Background(), sp), ct)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
 	}
-	res, err := model.MatchContext(ctx, ct)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-	}
+	sp.End()
 	if err != nil {
 		return err
 	}
@@ -497,12 +494,8 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	data := fs.String("data", "dataset.json", "dataset file")
 	modelPath := fs.String("model", "model.json", "model weights file")
-	k := fs.Int("k", 30, "candidates per point")
 	capturesPath := fs.String("captures", "-", "capture JSONL file from lhmm-serve -capture-out ('-' for stdin)")
 	against := fs.String("against", "", "candidate model weights: replay through both models and print the agreement report and promotion verdict")
-	minSamples := fs.Int("min-samples", 1, "promotion-verdict sample floor for -against (offline runs have exactly the capture's records)")
-	minAgreement := fs.Float64("min-agreement", 0.98, "promotion-verdict agreement floor for -against")
-	maxRegression := fs.Float64("max-quality-regression", 0.05, "promotion-verdict quality-regression ceiling for -against")
 	tolerate := fs.Bool("tolerate", false, "report diffs but exit 0 (candidate-comparison mode)")
 	verbose := fs.Bool("v", false, "print one line per replayed record")
 	cleanup, err := parseWithObs(fs, args)
@@ -530,36 +523,48 @@ func cmdReplay(args []string) error {
 	if len(recs) == 0 {
 		return fmt.Errorf("no capture records in %s", *capturesPath)
 	}
-	model, err := loadModel(ds, *modelPath, *k)
-	if err != nil {
-		return err
-	}
-	var candModel *lhmm.Model
-	var stats *shadow.Stats
-	if *against != "" {
-		if candModel, err = loadModel(ds, *against, *k); err != nil {
+	// One model per candidate count the file names: the pool sizes derive
+	// from K when a model is built, so a record reproduces only on a model
+	// built with the K it was captured under.
+	models := map[int]*lhmm.Model{}
+	candModels := map[int]*lhmm.Model{}
+	for i := range recs {
+		k := recs[i].Config.K
+		if k <= 0 {
+			return fmt.Errorf("capture %s: no k in its config", captureID(recs, i))
+		}
+		if models[k] != nil {
+			continue
+		}
+		if models[k], err = loadModel(ds, *modelPath, k); err != nil {
+			return err
+		}
+		if *against == "" {
+			continue
+		}
+		if candModels[k], err = loadModel(ds, *against, k); err != nil {
 			return fmt.Errorf("against model: %w", err)
 		}
 		// The candidate runs under the active model's configuration, so
 		// only the weights may differ, not their shapes.
-		if candModel.Cfg.Dim != model.Cfg.Dim {
+		if cd, d := candModels[k].Cfg.Dim, models[k].Cfg.Dim; cd != d {
 			return fmt.Errorf("against model: %q has %d columns in %s, %d in %s",
-				mrg.InitParam, candModel.Cfg.Dim, *against, model.Cfg.Dim, *modelPath)
+				mrg.InitParam, cd, *against, d, *modelPath)
 		}
+	}
+	var stats *shadow.Stats
+	if *against != "" {
 		stats = shadow.NewStats()
 	}
 
 	identical, diffs, failed := 0, 0, 0
 	for i := range recs {
 		rec := &recs[i]
-		id := rec.ID
-		if id == "" {
-			id = fmt.Sprintf("#%d", i+1)
-		}
+		id := captureID(recs, i)
 		// Replay under the captured effective configuration on a private
 		// model copy (the capture's Config already folds in any
 		// per-request overrides, so request options are not re-applied).
-		mm := *model
+		mm := *models[rec.Config.K]
 		if rec.Config.OnBreak != "" {
 			if mm.Cfg.OnBreak, err = lhmm.ParseBreakPolicy(rec.Config.OnBreak); err != nil {
 				return fmt.Errorf("capture %s: %w", id, err)
@@ -569,9 +574,6 @@ func cmdReplay(args []string) error {
 			if mm.Cfg.Sanitize, err = lhmm.ParseSanitizeMode(rec.Config.Sanitize); err != nil {
 				return fmt.Errorf("capture %s: %w", id, err)
 			}
-		}
-		if rec.Config.K > 0 {
-			mm.Cfg.K = rec.Config.K
 		}
 		mm.Cfg.Shortcuts = rec.Config.Shortcuts
 		if stats != nil {
@@ -598,7 +600,7 @@ func cmdReplay(args []string) error {
 		if stats != nil {
 			// Candidate replay under the same captured effective config —
 			// only the weights differ.
-			cm := *candModel
+			cm := *candModels[rec.Config.K]
 			cm.Cfg = mm.Cfg
 			cRes, cErr := cm.Match(ct)
 			var cmp shadow.Comparison
@@ -639,11 +641,10 @@ func cmdReplay(args []string) error {
 	fmt.Printf("replayed %d captures: %d identical, %d diffs, %d failed\n",
 		len(recs), identical, diffs, failed)
 	if stats != nil {
-		rep := stats.Report(shadow.Thresholds{
-			MinSamples:           *minSamples,
-			MinAgreement:         *minAgreement,
-			MaxQualityRegression: *maxRegression,
-		})
+		// An offline run has exactly the capture's records, so one is
+		// enough for a verdict; the agreement floor and the regression
+		// ceiling are the package's.
+		rep := stats.Report(shadow.Thresholds{MinSamples: 1})
 		rep.ModelPath = *against
 		out, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -655,6 +656,15 @@ func cmdReplay(args []string) error {
 		return fmt.Errorf("%d of %d captures did not reproduce", diffs+failed, len(recs))
 	}
 	return nil
+}
+
+// captureID names record i of a capture file: its own id, or its
+// position when it has none.
+func captureID(recs []serve.CaptureRecord, i int) string {
+	if id := recs[i].ID; id != "" {
+		return id
+	}
+	return fmt.Sprintf("#%d", i+1)
 }
 
 func shortHash(h string) string {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -158,42 +159,46 @@ func TestReplayAgainst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, err := loadModel(ds, model, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Capture every test trip through a real server.
-	capt, err := serve.OpenCaptureFile(captures, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := serve.NewRegistry(func() (*lhmm.Model, error) { return active, nil })
-	if err := reg.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(reg, serve.Config{Capture: capt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
 	trips := ds.TestTrips()
-	for _, tr := range trips {
-		body, err := json.Marshal(serve.PointsRequest(tr.Cell))
+
+	// serveTrips captures every test trip through a real server running
+	// the weights at k candidates per point.
+	serveTrips := func(capt *serve.Capture, k int) {
+		active, err := loadModel(ds, model, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(body))
+		reg := serve.NewRegistry(func() (*lhmm.Model, error) { return active, nil })
+		if err := reg.Reload(); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := serve.New(reg, serve.Config{Capture: capt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("match: %d", resp.StatusCode)
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		for _, tr := range trips {
+			body, err := json.Marshal(serve.PointsRequest(tr.Cell))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/v1/match", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("match: %d", resp.StatusCode)
+			}
 		}
 	}
-	ts.Close()
-	srv.Close()
+	capt, err := serve.OpenCaptureFile(captures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveTrips(capt, 8)
 	if err := capt.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,16 +232,24 @@ func TestReplayAgainst(t *testing.T) {
 	replay := func(against string) (string, error) {
 		return captureStdout(t, func() error {
 			return cmdReplay([]string{
-				"-data", data, "-model", model, "-k", "8", "-captures", captures,
-				"-against", against, "-min-samples", "1", "-tolerate",
+				"-data", data, "-model", model, "-captures", captures,
+				"-against", against, "-tolerate",
 			})
 		})
 	}
 
+	// The captures come from a server at k 8 and replay is told no k:
+	// each record is reproduced on a model built with the k it carries.
+	allIdentical := func(n int) string {
+		return fmt.Sprintf("replayed %d captures: %d identical, 0 diffs, 0 failed", n, n)
+	}
 	t.Run("identical", func(t *testing.T) {
 		out, err := replay(model)
 		if err != nil {
 			t.Fatalf("replay: %v\n%s", err, out)
+		}
+		if want := allIdentical(len(trips)); !strings.Contains(out, want) {
+			t.Fatalf("captures did not reproduce, want %q:\n%s", want, out)
 		}
 		rep := againstReport(t, out)
 		if rep.Verdict != shadow.VerdictReady || rep.AgreementRate != 1 || rep.DigestMatchRate != 1 {
@@ -278,6 +291,39 @@ func TestReplayAgainst(t *testing.T) {
 		out, err := replay(other)
 		if err == nil || !strings.Contains(err.Error(), `"enc.init"`) {
 			t.Fatalf("dim mismatch: err %v, want one naming \"enc.init\"\n%s", err, out)
+		}
+	})
+
+	// One file holding records captured at two candidate counts: each
+	// replays under its own, and a record naming none is refused.
+	t.Run("mixed-k", func(t *testing.T) {
+		mixed := filepath.Join(dir, "mixed.jsonl")
+		capt, err := serve.OpenCaptureFile(mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveTrips(capt, 8)
+		serveTrips(capt, 5)
+		if err := capt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := captureStdout(t, func() error {
+			return cmdReplay([]string{"-data", data, "-model", model, "-captures", mixed})
+		})
+		if want := allIdentical(2 * len(trips)); err != nil || !strings.Contains(out, want) {
+			t.Fatalf("mixed-k captures: err %v, want %q:\n%s", err, want, out)
+		}
+
+		raw, err := os.ReadFile(mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noK := filepath.Join(dir, "nok.jsonl")
+		if err := os.WriteFile(noK, bytes.Replace(raw, []byte(`"k":8`), []byte(`"k":0`), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmdReplay([]string{"-data", data, "-model", model, "-captures", noK}); err == nil || !strings.Contains(err.Error(), "no k") {
+			t.Fatalf("record without k: err %v, want it refused", err)
 		}
 	})
 }

@@ -94,8 +94,6 @@ func BenchmarkTransScoreScalar(b *testing.B) {
 // same step.
 func BenchmarkTransScoreBatch(b *testing.B) {
 	sess, ct, from, to := benchSession(b)
-	prev := nn.SetMatMulWorkers(1)
-	defer nn.SetMatMulWorkers(prev)
 	out := make([]float64, len(from)*len(to))
 	sess.ScoreBatch(ct, 1, from, to, out) // warm caches + slabs
 	b.ReportAllocs()

@@ -41,9 +41,6 @@ type Config struct {
 	// PoolSize is the minimum pool size (nearest segments top up the
 	// pool when the radius captures fewer). Default 3×K.
 	PoolSize int
-	// PoolMax caps the pool (nearest-first) so dense urban cores stay
-	// cheap to score. Default max(PoolSize, 400).
-	PoolMax int
 	// CoPool is how many top co-occurring roads of the point's tower
 	// join the pool. Default K.
 	CoPool int
@@ -149,12 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 3 * c.K
-	}
-	if c.PoolMax <= 0 {
-		c.PoolMax = c.PoolSize
-		if c.PoolMax < 400 {
-			c.PoolMax = 400
-		}
 	}
 	if c.CoPool <= 0 {
 		c.CoPool = c.K

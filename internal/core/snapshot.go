@@ -122,7 +122,7 @@ func (m *Model) ConfigFingerprint() uint64 {
 	put(uint64(m.Cfg.K))
 	put(math.Float64bits(m.Cfg.PoolRadius))
 	put(uint64(m.Cfg.PoolSize))
-	put(uint64(m.Cfg.PoolMax))
+	put(uint64(max(m.Cfg.PoolSize, 400))) // the deleted Config.PoolMax's default; keeps lhmm-session/v1 fingerprints stable
 	put(uint64(m.Cfg.CoPool))
 	put(b2u(m.Cfg.DisableImplicitObs))
 	put(b2u(m.Cfg.DisableImplicitTrans))

@@ -1,0 +1,13 @@
+package nn
+
+import "runtime"
+
+// SetMatMulWorkers bounds the worker pool large matrix products fan out
+// to (n < 1 resets to GOMAXPROCS) and returns the previous setting, so
+// tests can hold row-parallel products to sequential ones.
+func SetMatMulWorkers(n int) int {
+	if n < 1 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return int(matmulWorkers.Swap(int64(n)))
+}

@@ -126,24 +126,11 @@ func (m *Mat) mustSameShape(o *Mat, op string) {
 }
 
 // matmulWorkers bounds the goroutines a single large MatMulInto may
-// fan out to. It defaults to GOMAXPROCS and is adjusted (atomically)
-// by SetMatMulWorkers; 1 forces every product onto the calling
-// goroutine.
+// fan out to: GOMAXPROCS. Atomic because the package's tests change it
+// (SetMatMulWorkers, export_test.go) while products run.
 var matmulWorkers atomic.Int64
 
 func init() { matmulWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetMatMulWorkers bounds the worker pool large matrix products fan out
-// to (n < 1 resets to GOMAXPROCS). Row-parallel products are
-// bit-identical to sequential ones — each output row is computed by
-// exactly one worker in the same inner-loop order — so this is purely a
-// throughput knob. It returns the previous setting.
-func SetMatMulWorkers(n int) int {
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(matmulWorkers.Swap(int64(n)))
-}
 
 // matmulParallelMinFlops is the approximate multiply-add count below
 // which a product stays on the calling goroutine: about a millisecond
@@ -157,7 +144,7 @@ const matmulParallelMinFlops = 1 << 22
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be
 // preallocated a.R×b.C. Used by both the forward pass and the backward
 // closures. Large products are split row-blockwise across a bounded
-// worker pool (see SetMatMulWorkers); the result is bit-identical to
+// worker pool (matmulWorkers); the result is bit-identical to
 // the sequential order because every dst row is produced by one worker
 // with an unchanged accumulation order.
 func MatMulInto(dst, a, b *Mat) {

@@ -5,36 +5,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 )
 
 // Flags is the standard observability flag set shared by the CLIs.
 type Flags struct {
-	Metrics     string  // dump a metrics snapshot: file path, or "-" for stdout
-	LogLevel    string  // debug|info|warn|error|off
-	LogFormat   string  // text|json
-	DebugAddr   string  // serve pprof+expvar+/metrics on this address
-	TraceOut    string  // JSONL span export path ('-' for stderr)
-	TraceSample float64 // probabilistic trace sampling rate in [0,1]
+	Metrics   string // dump a metrics snapshot: file path, or "-" for stdout
+	LogLevel  string // debug|info|warn|error|off
+	LogFormat string // text|json
+	DebugAddr string // serve pprof+expvar+/metrics on this address
+	TraceOut  string // JSONL span export path ('-' for stderr)
 }
 
-// BindFlags registers the observability flags on fs and returns the
-// destination struct. Call Apply after fs.Parse. -trace-out and
-// -trace-sample default from LHMM_TRACE_OUT / LHMM_TRACE_SAMPLE so
-// tracing can be switched on without touching a deployment's argv.
+// BindFlags registers the observability flags every command takes on
+// fs and returns the destination struct. Call Apply after fs.Parse.
 func BindFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{TraceSample: 1}
-	if v := os.Getenv("LHMM_TRACE_SAMPLE"); v != "" {
-		if p, err := strconv.ParseFloat(v, 64); err == nil {
-			f.TraceSample = p
-		}
-	}
+	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "", "dump metrics snapshot as JSON to this file on exit ('-' for stderr)")
 	fs.StringVar(&f.LogLevel, "log-level", "", "structured log level: debug|info|warn|error (default off)")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "structured log format: text|json")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address")
-	fs.StringVar(&f.TraceOut, "trace-out", os.Getenv("LHMM_TRACE_OUT"), "export sampled request spans as JSONL to this file ('-' for stderr; env LHMM_TRACE_OUT)")
-	fs.Float64Var(&f.TraceSample, "trace-sample", f.TraceSample, "trace sampling probability in [0,1] (env LHMM_TRACE_SAMPLE)")
+	return f
+}
+
+// BindTraceFlags is BindFlags plus -trace-out, for the two commands
+// that root a span (lhmm-serve per request, lhmm match per run).
+func BindTraceFlags(fs *flag.FlagSet) *Flags {
+	f := BindFlags(fs)
+	fs.StringVar(&f.TraceOut, "trace-out", "", "export request spans as JSONL to this file ('-' for stderr)")
 	return f
 }
 
@@ -83,7 +80,6 @@ func (f *Flags) Apply() (func() error, error) {
 			traceFile = tf
 			DefaultTracer.SetOutput(tf)
 		}
-		DefaultTracer.SetSample(f.TraceSample)
 	}
 
 	cleanup := func() error {

@@ -44,8 +44,8 @@ func TestMetricNamesLint(t *testing.T) {
 }
 
 // TestSeedCountersStillRegistered pins the counter names the seed's
-// committed bench run carried: dashboards and the committed
-// BENCH_*.json documents key on them, so renaming or dropping one is a
+// committed bench run carried: dashboards and saved lhmm-bench/v1
+// documents key on them, so renaming or dropping one is a
 // schema change to make on purpose, here.
 func TestSeedCountersStillRegistered(t *testing.T) {
 	registered := make(map[string]bool)

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,11 +27,10 @@ import (
 // safely. Ending the root exports the whole tree to the Tracer's JSONL
 // sink, one span per line.
 
-// Tracer owns the sampling decision and the JSONL export sink. The
-// zero value is disabled; SetOutput enables it.
+// Tracer owns the JSONL export sink. The zero value is disabled;
+// SetOutput enables it, and an enabled tracer traces every request.
 type Tracer struct {
 	enabled atomic.Bool
-	sample  atomic.Uint64 // float64 bits of the sampling probability
 
 	mu sync.Mutex
 	w  io.Writer
@@ -42,12 +40,8 @@ type Tracer struct {
 // export through; disabled until SetOutput routes it somewhere.
 var DefaultTracer = NewTracer()
 
-// NewTracer returns a disabled tracer sampling at probability 1.
-func NewTracer() *Tracer {
-	t := &Tracer{}
-	t.sample.Store(math.Float64bits(1))
-	return t
-}
+// NewTracer returns a disabled tracer.
+func NewTracer() *Tracer { return &Tracer{} }
 
 // SetOutput routes exported spans to w as JSONL and enables the
 // tracer; a nil w disables it. The caller retains ownership of w
@@ -59,40 +53,8 @@ func (t *Tracer) SetOutput(w io.Writer) {
 	t.enabled.Store(w != nil)
 }
 
-// SetSample sets the probabilistic sampling rate in [0, 1]; requests
-// that arrive without an upstream sampled traceparent are traced with
-// this probability.
-func (t *Tracer) SetSample(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	t.sample.Store(math.Float64bits(p))
-}
-
-// Sample returns the current sampling probability.
-func (t *Tracer) Sample() float64 { return math.Float64frombits(t.sample.Load()) }
-
 // Enabled reports whether the tracer has an export sink.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// ShouldSample draws one sampling decision: false when disabled,
-// always true at rate 1, otherwise a pseudo-random draw.
-func (t *Tracer) ShouldSample() bool {
-	if !t.Enabled() {
-		return false
-	}
-	p := t.Sample()
-	if p >= 1 {
-		return true
-	}
-	if p <= 0 {
-		return false
-	}
-	return randFloat() < p
-}
 
 // export writes one trace's span records as JSONL, one span per line.
 func (t *Tracer) export(recs []SpanRecord) {
@@ -351,10 +313,6 @@ func nextRand() uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-func randFloat() float64 {
-	return float64(nextRand()>>11) / float64(1<<53)
 }
 
 func hexN(n int) string {

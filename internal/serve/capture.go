@@ -15,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Request capture: a sampled JSONL record of what the matcher was
+// Request capture: a JSONL record of what the matcher was
 // asked, under which effective configuration, and a digest of what it
 // answered. `lhmm replay` re-runs captured requests against a model
 // and diffs the response digests — the regression harness for model
@@ -68,40 +68,25 @@ type CaptureDigest struct {
 	Gaps     int     `json:"gaps,omitempty"`
 }
 
-// Capture writes sampled CaptureRecords as JSONL. Safe for concurrent
-// use; sampling is deterministic (every 1/rate-th eligible request),
-// so a smoke run with rate 1 captures everything and capture files are
-// reproducible under load tests.
+// Capture writes one CaptureRecord per eligible request as JSONL. Safe
+// for concurrent use.
 type Capture struct {
-	mu   sync.Mutex
-	w    io.Writer
-	c    io.Closer
-	rate float64
-	seq  int64
+	mu  sync.Mutex
+	w   io.Writer
+	c   io.Closer
+	seq int64
 }
 
-// NewCapture wraps w. rate is clamped to [0,1]; records are sampled so
-// that seq*rate crossing an integer boundary captures (rate 1 = all,
-// 0.1 = every 10th).
-func NewCapture(w io.Writer, rate float64) *Capture {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return &Capture{w: w, rate: rate}
-}
+// NewCapture wraps w.
+func NewCapture(w io.Writer) *Capture { return &Capture{w: w} }
 
 // OpenCaptureFile creates (or truncates) a capture file.
-func OpenCaptureFile(path string, rate float64) (*Capture, error) {
+func OpenCaptureFile(path string) (*Capture, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: capture out: %w", err)
 	}
-	c := NewCapture(f, rate)
-	c.c = f
-	return c, nil
+	return &Capture{w: f, c: f}, nil
 }
 
 // Close flushes nothing (writes are line-buffered by the OS) and
@@ -113,19 +98,16 @@ func (c *Capture) Close() error {
 	return c.c.Close()
 }
 
-// Record samples and writes one request/response pair. body must be
-// the exact bytes sent to the client. Errors are counted and logged,
-// never surfaced to the request path.
+// Record writes one request/response pair. body must be the exact
+// bytes sent to the client. Errors are counted and logged, never
+// surfaced to the request path.
 func (c *Capture) Record(req *MatchRequest, m *core.Model, res *hmm.Result, body []byte) {
-	if c == nil || c.rate <= 0 {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
-	if int64(float64(c.seq)*c.rate) == int64(float64(c.seq-1)*c.rate) {
-		return
-	}
 	sum := sha256.Sum256(body)
 	rec := CaptureRecord{
 		Schema:  CaptureSchema,

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/hmm"
 	"repro/internal/obs"
 )
 
@@ -82,7 +81,7 @@ func TestExplainEndpointBytePrefix(t *testing.T) {
 func TestCaptureRoundTrip(t *testing.T) {
 	ds, m := fixture(t)
 	var buf bytes.Buffer
-	_, ts := testServer(t, m, Config{Capture: NewCapture(&buf, 1)})
+	_, ts := testServer(t, m, Config{Capture: NewCapture(&buf)})
 	req := PointsRequest(ds.TestTrips()[0].Cell)
 
 	resp, plain := postJSON(t, ts.URL+"/v1/match", req)
@@ -121,33 +120,6 @@ func TestCaptureRoundTrip(t *testing.T) {
 	}
 	if rec.Config.K != m.Cfg.K || rec.Config.OnBreak != m.Cfg.OnBreak.String() {
 		t.Errorf("capture config %+v does not pin the effective model config", rec.Config)
-	}
-}
-
-// Sampling is deterministic: rate 0.5 captures exactly every other
-// eligible request, so capture files reproduce under load.
-func TestCaptureSampling(t *testing.T) {
-	_, m := fixture(t)
-	var buf bytes.Buffer
-	c := NewCapture(&buf, 0.5)
-	req := &MatchRequest{Points: []Point{{Tower: 0, T: 1}}}
-	res := &hmm.Result{}
-	for i := 0; i < 10; i++ {
-		c.Record(req, m, res, []byte("{}\n"))
-	}
-	recs, err := ReadCaptures(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 5 {
-		t.Fatalf("rate 0.5 captured %d of 10, want 5", len(recs))
-	}
-	if recs[0].ID != "c00000002" || recs[4].ID != "c00000010" {
-		t.Errorf("sampled IDs %s..%s, want the even sequence", recs[0].ID, recs[4].ID)
-	}
-
-	if zero := NewCapture(&bytes.Buffer{}, 0); zero != nil {
-		zero.Record(req, m, res, []byte("{}\n")) // must be a no-op, not a panic
 	}
 }
 

@@ -28,9 +28,8 @@ func (w *statusWriter) WriteHeader(code int) {
 // wrapped with request-ID, tracing, and access-log middleware.
 //
 // Every response echoes X-Request-ID (the client's, or a generated
-// one). A request carrying a sampled W3C traceparent is always traced
-// (when the tracer is enabled) and its trace continues under the
-// upstream trace ID; otherwise the tracer's sampling rate decides. A
+// one). With the tracer enabled every request is traced, and one
+// carrying a W3C traceparent continues under the upstream trace ID. A
 // traced response carries the outgoing traceparent header so clients
 // can correlate their copy of the trace.
 func (s *Server) Handler() http.Handler {
@@ -45,16 +44,12 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("X-Request-ID", reqID)
 
 		var traceID, parentID string
-		upstreamSampled := false
 		if tp := r.Header.Get("traceparent"); tp != "" {
-			if tid, sid, sampled, ok := obs.ParseTraceparent(tp); ok {
-				traceID, parentID, upstreamSampled = tid, sid, sampled
+			if tid, sid, _, ok := obs.ParseTraceparent(tp); ok {
+				traceID, parentID = tid, sid
 			}
 		}
-		var sp *obs.Span
-		if upstreamSampled || obs.DefaultTracer.ShouldSample() {
-			sp = obs.DefaultTracer.StartSpan("request", traceID, parentID)
-		}
+		sp := obs.DefaultTracer.StartSpan("request", traceID, parentID)
 		if sp != nil {
 			sp.SetAttr("method", r.Method)
 			sp.SetAttr("path", r.URL.Path)

@@ -48,8 +48,8 @@ var (
 
 // Config parameterizes a Server. Zero values get sane defaults.
 type Config struct {
-	// Workers bounds concurrent matching work (default GOMAXPROCS via
-	// the caller; here literally 4 if unset).
+	// Workers bounds concurrent matching work (default 4; lhmm-serve
+	// passes max(4, GOMAXPROCS)).
 	Workers int
 	// Queue bounds requests waiting for a worker before shedding 429s.
 	Queue int
@@ -76,8 +76,8 @@ type Config struct {
 	DriftBaseline *obs.DriftBaseline
 	// DriftBaselinePath is the provenance reported by /v1/drift.
 	DriftBaselinePath string
-	// Capture, when set, records sampled plain match requests and
-	// response digests for lhmm replay.
+	// Capture, when set, records plain match requests and response
+	// digests for lhmm replay.
 	Capture *Capture
 	// Checkpoint configures durable streaming sessions: with a non-empty
 	// Dir, in-flight sessions are periodically snapshotted to disk and
