@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cellular"
+	"repro/internal/hmm"
 	"repro/internal/metrics"
 	"repro/internal/mrg"
 	"repro/internal/roadnet"
@@ -103,6 +104,54 @@ func TestHMMFamilyMethods(t *testing.T) {
 		// Empty trajectory errors.
 		if _, err := m.Match(nil); err == nil {
 			t.Errorf("%s: empty trajectory did not error", m.Name())
+		}
+	}
+}
+
+// TestModelsKeepShortcutContract pins, for every model a baseline plugs
+// into hmm.Matcher, what the shortcut pass rests on when it reads the
+// forward pass's tables instead of calling the models again: Score of a
+// candidate Candidates returned is that candidate's Obs
+// (hmm.ObservationModel), and a transition scored twice gives the same
+// answer (hmm.TransitionModel), both with ==. The learned session is
+// held to the same by core's TestCandidatesMatchScalarObsScore and
+// TestScoreBatchMatchesTransScore.
+func TestModelsKeepShortcutContract(t *testing.T) {
+	d, router, _ := world(t, 14)
+	cfg := CommonConfig{K: 6}
+	ct := d.TestTrips()[0].Cell
+	if len(ct) > 5 {
+		ct = ct[:5]
+	}
+	for _, meth := range []Method{
+		NewSTMWithShortcuts(d.Net, router, cfg, 1), // hmm.GaussianObservation, stmTransition
+		NewIFM(d.Net, router, cfg),
+		NewMCM(d.Net, router, cfg),
+		NewSNet(d.Net, router, cfg),
+		NewTHMM(d.Net, router, cfg),
+		NewIVMM(d.Net, router, cfg), // ivmmObservation, hmm.ExponentialTransition
+	} {
+		m := meth.(*hmmMethod).matcher
+		var prev []hmm.Candidate
+		pairs := 0
+		for i := range ct {
+			cands := m.Obs.Candidates(ct, i, cfg.K)
+			for _, c := range cands {
+				if got := m.Obs.Score(ct, i, &c); got != c.Obs {
+					t.Fatalf("%s point %d seg %d: Score %v, Candidates gave Obs %v", meth.Name(), i, c.Seg, got, c.Obs)
+				}
+				for _, p := range prev {
+					w, ok := m.Trans.Score(ct, i, &p, &c)
+					if w2, ok2 := m.Trans.Score(ct, i, &p, &c); w2 != w || ok2 != ok {
+						t.Fatalf("%s step %d %d→%d: scored (%v, %v), then (%v, %v)", meth.Name(), i, p.Seg, c.Seg, w, ok, w2, ok2)
+					}
+					pairs++
+				}
+			}
+			prev = cands
+		}
+		if pairs == 0 {
+			t.Fatalf("%s: no transition scored", meth.Name())
 		}
 	}
 }

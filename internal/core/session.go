@@ -60,12 +60,14 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 //
 // All learned scoring is batch-oriented: the per-point candidate pool
 // is scored through the factored Eq. 7 layer and the Eq. 8 fuse MLP as
-// one pool-sized batch (Model.obsScoreBatchCtx; shortcut
-// pseudo-candidates are one-row calls into the same kernel), and each
-// Viterbi step's k×k transition fan-out is fused through the Eq. 12 MLP
-// in a single product (see ScoreBatch). The scalar transition path is
-// kept for the shortcut pass and as the equivalence reference; batched
-// and scalar scoring agree bit-for-bit on the MLP stages because
+// one pool-sized batch (Model.obsScoreBatchCtx; a shortcut
+// pseudo-candidate on a road outside the point's layer is a one-row
+// call into the same kernel), and each Viterbi step's k×k transition
+// fan-out is fused through the Eq. 12 MLP in a single product (see
+// ScoreBatch). The scalar transition path is kept for those
+// pseudo-candidates (the shortcut pass reads every other score from the
+// step tables) and as the equivalence reference; batched and scalar
+// scoring agree bit-for-bit on the MLP stages because
 // row-at-a-time and batched matrix products accumulate each output row
 // in the same order.
 type session struct {
@@ -348,9 +350,10 @@ func (s *session) Candidates(ct traj.CellTrajectory, i, k int) []hmm.Candidate {
 	return out
 }
 
-// Score implements hmm.ObservationModel for arbitrary candidates — the
-// shortcut pass's pseudo-candidates: a one-row call into the
-// pool-scoring kernel, normalized by the point's cached pool softmax.
+// Score implements hmm.ObservationModel for arbitrary candidates — a
+// shortcut pseudo-candidate on a road the point's layer does not hold:
+// a one-row call into the pool-scoring kernel, normalized by the
+// point's cached pool softmax, so a layer candidate scores its Obs.
 func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64 {
 	s.extend(ct)
 	ws := nn.GetWorkspace()
@@ -367,8 +370,9 @@ func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64
 }
 
 // TransScore implements hmm.TransitionModel: the learned transition
-// probability of Eq. 12. Scalar reference path, used by the shortcut
-// pass; the Viterbi fan-out goes through ScoreBatch.
+// probability of Eq. 12. Scalar reference path: the Viterbi fan-out
+// goes through ScoreBatch and the shortcut pass reads its table, so
+// only a pseudo-candidate outside the layer is scored here.
 func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
 	s.extend(ct)
 	route, ok := s.m.Router.RouteBetween(from.Pos(), to.Pos())

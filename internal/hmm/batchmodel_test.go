@@ -33,10 +33,16 @@ func randomWalks(n, steps int, seed int64) []traj.CellTrajectory {
 type batchEcho struct{ ExponentialTransition }
 
 func (b *batchEcho) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int {
+	return scoreBatchPairwise(b, ct, i, from, to, out)
+}
+
+// scoreBatchPairwise fills a ScoreBatch table from the model's own
+// pairwise Score, NaN where it reports the movement impossible.
+func scoreBatchPairwise(tm TransitionModel, ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int {
 	nTo := len(to)
 	for j := range from {
 		for kk := range to {
-			p, ok := b.Score(ct, i, &from[j], &to[kk])
+			p, ok := tm.Score(ct, i, &from[j], &to[kk])
 			if !ok {
 				p = math.NaN()
 			}

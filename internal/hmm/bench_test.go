@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
 
@@ -42,3 +43,76 @@ func BenchmarkMatchNoShortcuts(b *testing.B)   { benchMatch(b, 10, 0) }
 func BenchmarkMatchOneShortcut(b *testing.B)   { benchMatch(b, 10, 1) }
 func BenchmarkMatchFourShortcuts(b *testing.B) { benchMatch(b, 10, 4) }
 func BenchmarkMatchLargeK(b *testing.B)        { benchMatch(b, 30, 1) }
+
+// distinctTrans scales Eq. 3 by a factor particular to the road left.
+// On a lattice many candidates are the same place — the shared end node
+// of several roads — with the same route distances, so a model of
+// distance alone ties their two-step scores exactly, as a model that
+// looks at the roads of the route (Eq. 11) does not.
+type distinctTrans struct{ ExponentialTransition }
+
+func (d *distinctTrans) Score(ct traj.CellTrajectory, i int, from, to *Candidate) (float64, bool) {
+	p, ok := d.ExponentialTransition.Score(ct, i, from, to)
+	return p * (1 - 1e-6*float64(from.Seg)), ok
+}
+
+// shortcutPassFixture is a 12-point trajectory's lattice at k = 30 with
+// the forward pass done — where Algorithm 2 begins — and a function
+// that undoes what a pass adopted, without allocating.
+func shortcutPassFixture(t testing.TB, trans func(*roadnet.Router) TransitionModel) (m *Matcher, ct traj.CellTrajectory, lt lattice, reset func()) {
+	net, r := gridWorld(t, 25, 12)
+	m = classicMatcher(net, r, 30, 1)
+	m.Trans = trans(r)
+	ct = benchTrajectory(rand.New(rand.NewSource(7)), 12)
+	lt = forwardLattice(t, m, ct)
+	orig := lt.clone()
+	return m, ct, lt, func() {
+		for i := range orig.f {
+			lt.layers[i] = lt.layers[i][:len(orig.layers[i])]
+			lt.f[i] = append(lt.f[i][:0], orig.f[i]...)
+			lt.pre[i] = append(lt.pre[i][:0], orig.pre[i]...)
+		}
+	}
+}
+
+// BenchmarkShortcutPass is Algorithm 2 alone over a prebuilt lattice,
+// classical models: a quarter of its candidates tie and take the full
+// ranking (see distinctTrans).
+func BenchmarkShortcutPass(b *testing.B) {
+	m, ct, lt, reset := shortcutPassFixture(b, func(r *roadnet.Router) TransitionModel {
+		return &ExponentialTransition{Router: r, Beta: 200}
+	})
+	var deg int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reset()
+		if st := m.addShortcuts(ct, lt.layers, lt.f, lt.pre, lt.steps, &deg); st.attempts == 0 {
+			b.Fatal("no shortcut attempted")
+		}
+	}
+}
+
+// TestShortcutPassAllocs: the pass's own scratch is allocated per match.
+// With no tie and nothing adopted, what is left per attempt is what
+// locates the pseudo-candidate — the route's segment list and the
+// candidate itself, which the models take by pointer — not a ranking
+// slice, an index slice and a sort per candidate, nor a second and
+// third route for the two step scores.
+func TestShortcutPassAllocs(t *testing.T) {
+	m, ct, lt, reset := shortcutPassFixture(t, func(r *roadnet.Router) TransitionModel {
+		return &distinctTrans{ExponentialTransition{Router: r, Beta: 200}}
+	})
+	var deg int64
+	var st shortcutStats
+	allocs := testing.AllocsPerRun(20, func() {
+		reset()
+		st = m.addShortcuts(ct, lt.layers, lt.f, lt.pre, lt.steps, &deg)
+	})
+	if st.attempts < 100 || st.ties != 0 || st.adoptions != 0 {
+		t.Fatalf("fixture: %+v; want hundreds of attempts, no tie, no adoption", st)
+	}
+	if perMatch := int(allocs) - 2*st.attempts; perMatch > 2 {
+		t.Errorf("%v allocations for %d attempts: %d beyond two each, want ≤ 2 per match", allocs, st.attempts, perMatch)
+	}
+}

@@ -39,6 +39,9 @@ var (
 	obsViterbiBreaks = obs.Default.Counter("hmm.viterbi.breaks")
 	obsShortcutTries = obs.Default.Counter("hmm.shortcut.attempts")
 	obsShortcutAdopt = obs.Default.Counter("hmm.shortcut.adoptions")
+	// Attempts that had to call the models; attempts − scored read the
+	// step tables (shortcuts.go).
+	obsShortcutCalls = obs.Default.Counter("hmm.shortcut.scored")
 	obsPointsSkipped = obs.Default.Counter("hmm.points.skipped")
 	obsMatchSeconds  = obs.Default.Histogram("hmm.match.seconds", obs.LatencyBuckets)
 
@@ -97,8 +100,11 @@ type ObservationModel interface {
 	// trajectory, each with its observation probability, sorted by
 	// descending probability.
 	Candidates(ct traj.CellTrajectory, i, k int) []Candidate
-	// Score fills the observation probability for an arbitrary
-	// candidate of point i (used to score shortcut pseudo-candidates).
+	// Score returns the observation probability of an arbitrary
+	// candidate of point i (a shortcut pseudo-candidate on a road outside
+	// the point's layer). For a candidate Candidates returned for the
+	// same point it returns that candidate's Obs: the shortcut pass
+	// relies on it and reads the layer's Obs instead of calling.
 	Score(ct traj.CellTrajectory, i int, c *Candidate) float64
 }
 
@@ -107,7 +113,10 @@ type ObservationModel interface {
 type TransitionModel interface {
 	// Score returns P_T for moving from the candidate of point i-1 to
 	// the candidate of point i via the shortest path. ok=false means
-	// the movement is impossible (unreachable within bounds).
+	// the movement is impossible (unreachable within bounds). It is a
+	// pure function of its arguments — the trajectory, i and the two
+	// candidates' road positions: the shortcut pass reads a pair the
+	// forward pass scored from the step table instead of calling again.
 	Score(ct traj.CellTrajectory, i int, from, to *Candidate) (float64, bool)
 }
 
@@ -116,7 +125,8 @@ type TransitionModel interface {
 // Viterbi step in a single call, so implementations can batch their
 // per-pair inference (one k²×d matrix product instead of k² row
 // products). The matcher prefers it over pairwise Score when present;
-// both must return the same probabilities.
+// like Score it is a pure function of its arguments, and the two agree
+// bit for bit, NaN exactly where Score reports ok=false.
 type TransitionBatchModel interface {
 	// ScoreBatch fills out[j*len(to)+kk] with P_T(from[j] → to[kk]) for
 	// movement into point i, or NaN where the movement is impossible.
@@ -478,9 +488,9 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 
 	// Shortcut optimization (Algorithm 2).
 	done = stage(&st.ShortcutsS)
-	adoptions, attempts := 0, 0
+	var sc shortcutStats
 	if m.Cfg.Shortcuts > 0 && len(alive) >= 3 {
-		adoptions, attempts = m.addShortcuts(ct, layers, f, pre, steps, &deg)
+		sc = m.addShortcuts(ct, layers, f, pre, steps, &deg)
 	}
 	done()
 
@@ -493,7 +503,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		Skipped:           make([]bool, n),
 		Dead:              dead,
 		Candidates:        keep,
-		ShortcutAdoptions: adoptions,
+		ShortcutAdoptions: sc.adoptions,
 		Sanitize:          srep,
 		Trace:             trace,
 	}
@@ -554,8 +564,9 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	obsTransEval.Add(nEval)
 	obsTransBlocked.Add(nBlocked)
 	obsViterbiBreaks.Add(nBreaks)
-	obsShortcutTries.Add(int64(attempts))
-	obsShortcutAdopt.Add(int64(adoptions))
+	obsShortcutTries.Add(int64(sc.attempts))
+	obsShortcutAdopt.Add(int64(sc.adoptions))
+	obsShortcutCalls.Add(int64(sc.scored))
 	obsPointsSkipped.Add(nSkipped)
 	obsMatchDegraded.Add(deg)
 	obsMatchGaps.Add(int64(len(res.Gaps)))
@@ -567,8 +578,8 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			st.TotalS = elapsed
 			if trace != nil {
 				trace.Stages = st
-				trace.ShortcutAdoptions = adoptions
-				trace.ShortcutAttempts = attempts
+				trace.ShortcutAdoptions = sc.adoptions
+				trace.ShortcutAttempts = sc.attempts
 			}
 			emitStageSpans(sp, start, st)
 		}

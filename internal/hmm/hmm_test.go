@@ -126,12 +126,11 @@ func TestMatchPrefersSmootherPath(t *testing.T) {
 	}
 }
 
-// TestShortcutSkipsNoisyPoint builds the paper's Observation 1 scenario
-// directly: a point with such a high positioning error that its entire
-// candidate set lies on a disconnected side street (an unqualified
-// candidate set). Ordinary Viterbi is forced through it; the shortcut
-// restores the projected road on the true street and skips the point.
-func TestShortcutSkipsNoisyPoint(t *testing.T) {
+// noisyPointWorld is the paper's Observation 1 scenario: a main street,
+// a side street no route reaches, and a track along the main street
+// whose third point is thrown beside the side street.
+func noisyPointWorld(t testing.TB) (*roadnet.Network, *roadnet.Router, traj.CellTrajectory) {
+	t.Helper()
 	var b roadnet.Builder
 	// Main street: nodes along y=300 every 100 m.
 	var main []roadnet.NodeID
@@ -153,14 +152,21 @@ func TestShortcutSkipsNoisyPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := roadnet.NewRouter(net)
-
 	// The middle point's error puts it next to the isolated street, so
 	// with K=2 its candidates are both on it.
-	ct := trajAlong(
+	return net, roadnet.NewRouter(net), trajAlong(
 		geo.Pt(30, 310), geo.Pt(130, 295), geo.Pt(250, 690), geo.Pt(370, 305), geo.Pt(480, 300),
 		geo.Pt(600, 295),
 	)
+}
+
+// TestShortcutSkipsNoisyPoint builds the paper's Observation 1 scenario
+// directly: a point with such a high positioning error that its entire
+// candidate set lies on a disconnected side street (an unqualified
+// candidate set). Ordinary Viterbi is forced through it; the shortcut
+// restores the projected road on the true street and skips the point.
+func TestShortcutSkipsNoisyPoint(t *testing.T) {
+	net, r, ct := noisyPointWorld(t)
 	base := classicMatcher(net, r, 2, 0)
 	with := classicMatcher(net, r, 2, 1)
 
@@ -407,5 +413,26 @@ func TestMatchCountersRecorded(t *testing.T) {
 	}
 	if got := cands.Value() - candsBefore; got <= 0 {
 		t.Errorf("hmm.candidates delta = %d, want > 0", got)
+	}
+}
+
+// TestShortcutCountersRecorded: a match flushes how many shortcut
+// attempts it made and how many of them had to call the models — here
+// the ones around the noisy point, whose projected road its layer does
+// not hold; the rest were read from the step tables.
+func TestShortcutCountersRecorded(t *testing.T) {
+	obs.Default.Enable()
+	t.Cleanup(obs.Default.Disable)
+	attempts := obs.Default.Counter("hmm.shortcut.attempts")
+	scored := obs.Default.Counter("hmm.shortcut.scored")
+	attempts0, scored0 := attempts.Value(), scored.Value()
+
+	net, r, ct := noisyPointWorld(t)
+	if _, err := classicMatcher(net, r, 2, 1).Match(ct); err != nil {
+		t.Fatal(err)
+	}
+	a, s := attempts.Value()-attempts0, scored.Value()-scored0
+	if s <= 0 || s >= a {
+		t.Errorf("hmm.shortcut.scored delta = %d of %d attempts, want some but not all", s, a)
 	}
 }

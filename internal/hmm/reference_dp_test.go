@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -242,4 +243,301 @@ func TestStreamPushAllocsBounded(t *testing.T) {
 	if early, late := median(bytes[100:200]), median(bytes[pushes-100:]); early != late {
 		t.Errorf("bytes per push: %d in pushes 100-200, %d in the last 100", early, late)
 	}
+}
+
+// refAddShortcuts is Algorithm 2 as it was written before the pass
+// learned to read the step tables, kept verbatim as the oracle: every
+// attempt scores its pseudo-candidate through the models, and every
+// candidate ranks its grand-predecessors with bestOneHopPredecessors.
+func (m *Matcher) refAddShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *int64) (adoptions, attempts int) {
+	n := len(ct)
+	for i := 2; i < n; i++ {
+		// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead
+		// point anywhere in the window leaves its step table nil (the
+		// chain restarted there) and the window is skipped.
+		if steps[i] == nil || steps[i-1] == nil {
+			continue
+		}
+		nCur := len(layers[i]) // layers may grow behind us; bound to the original set
+		for kk := 0; kk < nCur; kk++ {
+			cur := &layers[i][kk]
+			if cur.pseudo {
+				continue
+			}
+			preds := m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
+			for _, j := range preds {
+				attempts++
+				grand := &layers[i-2][j]
+				route, ok := m.Router.RouteBetween(grand.Pos(), cur.Pos())
+				if !ok || len(route.Segs) == 0 {
+					continue
+				}
+				u, ok := m.projectOntoRoute(route, ct[i-1])
+				if !ok {
+					continue
+				}
+				u.Obs = m.Obs.Score(ct, i-1, &u)
+				w1, ok1 := m.stepScore(ct, i-1, grand, &u, deg)
+				w2, ok2 := m.stepScore(ct, i, &u, cur, deg)
+				if !ok1 || !ok2 {
+					continue
+				}
+				fPrime := f[i-2][j] + w1 + w2
+				if fPrime > f[i][kk] {
+					adoptions++
+					// Materialize the pseudo-candidate in layer i-1.
+					layers[i-1] = append(layers[i-1], u)
+					f[i-1] = append(f[i-1], f[i-2][j]+w1)
+					pre[i-1] = append(pre[i-1], j)
+					f[i][kk] = fPrime
+					pre[i][kk] = len(layers[i-1]) - 1
+				}
+			}
+		}
+	}
+	return adoptions, attempts
+}
+
+// lattice is what Match holds when the forward pass is done and
+// Algorithm 2 begins.
+type lattice struct {
+	layers [][]Candidate
+	f      [][]float64
+	pre    [][]int
+	steps  [][][]float64
+}
+
+// forwardLattice runs candidate preparation and the forward pass the
+// way MatchContext does, for a trajectory without dead points.
+func forwardLattice(t testing.TB, m *Matcher, ct traj.CellTrajectory) lattice {
+	t.Helper()
+	n := len(ct)
+	lt := lattice{make([][]Candidate, n), make([][]float64, n), make([][]int, n), make([][][]float64, n)}
+	var deg int64
+	for i := range ct {
+		if lt.layers[i], _ = m.candidates(ct, i, false, &deg); len(lt.layers[i]) == 0 {
+			t.Fatalf("point %d has no candidates", i)
+		}
+		if i == 0 {
+			lt.f[i], lt.pre[i] = m.restart(lt.layers[i])
+			continue
+		}
+		lt.steps[i] = m.fillSteps(context.Background(), ct, i, lt.layers[i-1], lt.layers[i], &deg)
+		lt.f[i], lt.pre[i], _ = m.recur(lt.steps[i], lt.f[i-1], lt.layers[i])
+	}
+	return lt
+}
+
+// clone copies what Algorithm 2 writes; the step tables are read-only.
+func (lt lattice) clone() lattice {
+	c := lattice{make([][]Candidate, len(lt.layers)), make([][]float64, len(lt.f)), make([][]int, len(lt.pre)), lt.steps}
+	for i := range lt.layers {
+		c.layers[i], c.f[i], c.pre[i] = slices.Clone(lt.layers[i]), slices.Clone(lt.f[i]), slices.Clone(lt.pre[i])
+	}
+	return c
+}
+
+// shortcutWorld is a w×h lattice of two-way 100 m streets — every road
+// is a pair of twin candidates, equal in distance and observation score
+// — with islands above it no route reaches: each island is two parallel
+// two-way streets 30 m apart, so a point beside one has its four nearest
+// roads there and, for K ≤ 4, an unqualified candidate set
+// (Observation 1). It returns the network and a spot beside each island.
+func shortcutWorld(t testing.TB, rng *rand.Rand, w, h int) (*roadnet.Network, []geo.Point) {
+	t.Helper()
+	var b roadnet.Builder
+	id := func(i, j int) roadnet.NodeID { return roadnet.NodeID(j*w + i) }
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			b.AddNode(geo.Pt(float64(i)*100, float64(j)*100))
+		}
+	}
+	twoWay := func(a, c roadnet.NodeID) {
+		if _, _, err := b.AddTwoWay(a, c, roadnet.Local); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			if i+1 < w {
+				twoWay(id(i, j), id(i+1, j))
+			}
+			if j+1 < h {
+				twoWay(id(i, j), id(i, j+1))
+			}
+		}
+	}
+	var spots []geo.Point
+	for x := 50.0; x+200 < float64(w)*100; x += 300 {
+		y := float64(h-1)*100 + 250 + rng.Float64()*200
+		for _, dy := range []float64{0, 30} {
+			twoWay(b.AddNode(geo.Pt(x, y+dy)), b.AddNode(geo.Pt(x+200, y+dy)))
+		}
+		spots = append(spots, geo.Pt(x+40+rng.Float64()*120, y+10))
+	}
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net, spots
+}
+
+// quantTrans rounds Eq. 3 to eighths, so exact ties between two-step
+// scores are common, and scores a fan-out through the same function: a
+// TransitionBatchModel that agrees with its pairwise Score bit for bit.
+type quantTrans struct{ ExponentialTransition }
+
+func (q *quantTrans) Score(ct traj.CellTrajectory, i int, from, to *Candidate) (float64, bool) {
+	p, ok := q.ExponentialTransition.Score(ct, i, from, to)
+	return math.Round(p*8) / 8, ok
+}
+
+func (q *quantTrans) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) int {
+	return scoreBatchPairwise(q, ct, i, from, to, out)
+}
+
+// TestShortcutPassMatchesReference holds Algorithm 2 to refAddShortcuts
+// exactly — the grown layers, f, pre, adoptions, attempts, and the
+// Result a Match builds from them — on random trajectories over
+// shortcutWorld built so that shortcuts fire: points thrown beside an
+// island (alone, in pairs, two points apart), small K, a distance-
+// bounded router. It covers one, two and four predecessors per
+// candidate, both scorings, the classical pairwise models and a batch
+// model with quantized scores, and asserts that the fixtures reached
+// every path of the pass: attempts read from the step tables and
+// attempts scored through the models, adoptions through each, exact
+// ties sent to the full ranking, and the f[i-2] fallback ranking
+// deciding between twins. It also checks the corollary of reading the
+// tables: an attempt read from them can only win after an earlier
+// adoption raised f[i-2][j], so the first adoption of a match is always
+// a scored one.
+func TestShortcutPassMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var total shortcutStats
+	var fallbackTies, chained int
+	for trial := 0; trial < 240; trial++ {
+		w, h := 7+rng.Intn(4), 2+rng.Intn(3)
+		net, spots := shortcutWorld(t, rng, w, h)
+		router := roadnet.NewRouter(net, roadnet.WithMaxDist([]float64{450, 900, 30000}[rng.Intn(3)]))
+		n := 4 + rng.Intn(8)
+		pts := make([]geo.Point, n)
+		x, y := rng.Float64()*100, float64(h-1)*100-rng.Float64()*60
+		for i := range pts {
+			pts[i] = geo.Pt(x, y+rng.Float64()*40-20)
+			if rng.Float64() < 0.3 {
+				pts[i] = spots[rng.Intn(len(spots))]
+			}
+			x += 60 + rng.Float64()*120
+		}
+		ct := trajAlong(pts...)
+		m := &Matcher{
+			Net:    net,
+			Router: router,
+			Obs:    &GaussianObservation{Net: net, Sigma: []float64{100, 250}[trial/2%2]},
+			Trans:  &ExponentialTransition{Router: router, Beta: 200},
+			Cfg: Config{
+				K:         2 + rng.Intn(5),
+				Shortcuts: []int{1, 1, 2, 4}[trial%4],
+				Scoring:   []Scoring{ScoreSum, ScoreLogProd}[trial/4%2],
+			},
+		}
+		if trial/8%2 == 1 {
+			m.Trans = &quantTrans{ExponentialTransition{Router: router, Beta: 200}}
+		}
+		name := fmt.Sprintf("trial %d (shortcuts %d, scoring %d, k %d, %T)", trial, m.Cfg.Shortcuts, m.Cfg.Scoring, m.Cfg.K, m.Trans)
+
+		lt := forwardLattice(t, m, ct)
+		if m.Cfg.Shortcuts == 1 {
+			fallbackTies += countFallbackTies(lt)
+		}
+		want, got := lt.clone(), lt.clone()
+		var wantDeg, gotDeg int64
+		wantAdopt, wantTries := m.refAddShortcuts(ct, want.layers, want.f, want.pre, want.steps, &wantDeg)
+		st := m.addShortcuts(ct, got.layers, got.f, got.pre, got.steps, &gotDeg)
+		if st.adoptions != wantAdopt || st.attempts != wantTries || gotDeg != wantDeg {
+			t.Fatalf("%s: %d adoptions of %d attempts (%d degraded), reference %d of %d (%d)",
+				name, st.adoptions, st.attempts, gotDeg, wantAdopt, wantTries, wantDeg)
+		}
+		if !reflect.DeepEqual(got.layers, want.layers) {
+			t.Fatalf("%s: layers\n%+v\nreference\n%+v", name, got.layers, want.layers)
+		}
+		if !reflect.DeepEqual(got.f, want.f) || !reflect.DeepEqual(got.pre, want.pre) {
+			t.Fatalf("%s: f %v pre %v, reference f %v pre %v", name, got.f, got.pre, want.f, want.pre)
+		}
+		if st.adoptions > 0 && st.scoredAdoptions == 0 {
+			t.Fatalf("%s: %d adoptions, all read from the step tables", name, st.adoptions)
+		}
+		if st.scored > st.attempts || st.scoredAdoptions > st.adoptions {
+			t.Fatalf("%s: inconsistent counts %+v", name, st)
+		}
+		total.attempts += st.attempts
+		total.scored += st.scored
+		total.adoptions += st.adoptions
+		total.scoredAdoptions += st.scoredAdoptions
+		total.ties += st.ties
+		if st.adoptions > st.scoredAdoptions {
+			chained++
+		}
+
+		// The Result is the reference lattice walked back and expanded.
+		res, err := m.Match(ct)
+		if err != nil {
+			t.Fatalf("%s: Match: %v", name, err)
+		}
+		wantMatched, wantSkipped := make([]Candidate, n), make([]bool, n)
+		walkBack(want.f, want.pre, make([]bool, n), 0, func(i, idx, _ int) {
+			wantMatched[i], wantSkipped[i] = want.layers[i][idx], want.layers[i][idx].pseudo
+		}, nil)
+		alive := make([]int, n)
+		for i := range alive {
+			alive[i] = i
+		}
+		if !reflect.DeepEqual(res.Matched, wantMatched) || !slices.Equal(res.Skipped, wantSkipped) {
+			t.Fatalf("%s: Match chose %+v skipped %v, reference %+v skipped %v", name, res.Matched, res.Skipped, wantMatched, wantSkipped)
+		}
+		if wantPath := m.expandPath(wantMatched, alive, nil); !slices.Equal(res.Path, wantPath) {
+			t.Fatalf("%s: Match path %v, reference %v", name, res.Path, wantPath)
+		}
+		if wantScore := slices.Max(want.f[n-1]); res.Score != wantScore || res.ShortcutAdoptions != wantAdopt {
+			t.Fatalf("%s: Match score %v with %d adoptions, reference %v with %d", name, res.Score, res.ShortcutAdoptions, wantScore, wantAdopt)
+		}
+	}
+	table, tableAdopt := total.attempts-total.scored, total.adoptions-total.scoredAdoptions
+	t.Logf("attempts: %d read from the step tables (%d adopted), %d scored (%d adopted); %d matches chained a table adoption onto a scored one; %d exact ties ranked in full; %d fallback rankings tied",
+		table, tableAdopt, total.scored, total.scoredAdoptions, chained, total.ties, fallbackTies)
+	if table == 0 || total.scored == 0 || tableAdopt == 0 || total.scoredAdoptions == 0 || total.ties == 0 || fallbackTies == 0 {
+		t.Fatal("the fixtures missed a path of the pass; want every count above > 0")
+	}
+}
+
+// countFallbackTies counts the candidates of a lattice whose shortcut
+// window has no reachable pair of steps — Eq. 20 then ranks the
+// grand-predecessors by f[i-2] — and whose two best f[i-2] are equal.
+func countFallbackTies(lt lattice) (ties int) {
+	for i := 2; i < len(lt.layers); i++ {
+		top := slices.Max(lt.f[i-2])
+		twice := 0
+		for _, v := range lt.f[i-2] {
+			if v == top {
+				twice++
+			}
+		}
+		if twice < 2 {
+			continue
+		}
+		for kk := range lt.layers[i] {
+			reachable := false
+			for j := range lt.steps[i-1] {
+				for l, w1 := range lt.steps[i-1][j] {
+					if !math.IsNaN(w1 + lt.steps[i][l][kk]) {
+						reachable = true
+					}
+				}
+			}
+			if !reachable {
+				ties++
+			}
+		}
+	}
+	return ties
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -275,6 +276,38 @@ func TestDegradedTransFallback(t *testing.T) {
 		if res.Matched[i].Seg != want.Matched[i].Seg {
 			t.Errorf("point %d: matched %d, want %d", i, res.Matched[i].Seg, want.Matched[i].Seg)
 		}
+	}
+}
+
+// nanScore corrupts the one-row observation score only: the layers'
+// own candidates are healthy, a shortcut pseudo-candidate is not.
+type nanScore struct{ ObservationModel }
+
+func (nanScore) Score(traj.CellTrajectory, int, *Candidate) float64 { return math.NaN() }
+
+// TestShortcutPseudoObsDegrades: a non-finite observation score for a
+// shortcut's pseudo-candidate degrades to the Eq. 2 fallback and is
+// counted, like a layer candidate's. Unguarded, the NaN made every such
+// attempt lose its comparison silently: no shortcut, Degraded 0.
+func TestShortcutPseudoObsDegrades(t *testing.T) {
+	net, r, ct := noisyPointWorld(t)
+	want, err := classicMatcher(net, r, 2, 1).Match(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := classicMatcher(net, r, 2, 1)
+	m.Obs = nanScore{m.Obs}
+	m.Cfg.FallbackSigma = 100 // the classical matcher's sigma
+	res, err := m.Match(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded == 0 {
+		t.Error("no degraded events counted")
+	}
+	if !res.Skipped[2] || res.Score != want.Score || !reflect.DeepEqual(res.Matched, want.Matched) {
+		t.Errorf("degraded match: skipped %v score %v, classical fallback reference skipped %v score %v",
+			res.Skipped, res.Score, want.Skipped, want.Score)
 	}
 }
 

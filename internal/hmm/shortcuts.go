@@ -8,6 +8,16 @@ import (
 	"repro/internal/traj"
 )
 
+// shortcutStats counts what one Algorithm 2 pass did: the telemetry
+// Match flushes, and what the oracle test asserts its fixtures reached.
+type shortcutStats struct {
+	attempts        int // shortcut constructions examined
+	scored          int // attempts that had to call the models; the rest read the step tables
+	adoptions       int // table entries improved
+	scoredAdoptions int // adoptions among the scored attempts
+	ties            int // candidates whose Eq. 20 winner was tied and went to the full ranking
+}
+
 // addShortcuts implements Algorithm 2: for each candidate c_i^k
 // (i ≥ 3 in the paper's 1-based indexing), find its best one-hop
 // predecessors c_{i-2}^j (Eq. 20), build the shortcut shortest path,
@@ -17,10 +27,21 @@ import (
 // Adopted pseudo-candidates are appended to layer i-1 with their f and
 // pre entries, so the backward pass can walk through them.
 //
-// It returns how many table entries improved (adoptions) and how many
-// shortcut constructions were examined (attempts) for telemetry.
-func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *int64) (adoptions, attempts int) {
+// The pass reads what the forward pass already holds wherever that is
+// exact (DESIGN §8b). The projected road is usually one of layer i-1's
+// own candidates, the same (Seg, Frac) out of the same Net.Project, and
+// then its observation score and both step scores are the entries
+// fillSteps wrote: a model is a pure function of its arguments (see
+// ObservationModel.Score and TransitionModel.Score), so calling it
+// again would return them. Only a road outside the layer is scored. And
+// with one predecessor per candidate (Cfg.Shortcuts == 1) Eq. 20's
+// argmax comes from per-column maxima of the two step tables (colTops)
+// instead of a k×k scan and a sort per candidate.
+func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *int64) (st shortcutStats) {
 	n := len(ct)
+	var tops colTops
+	var one [1]int
+	single := m.Cfg.Shortcuts == 1 // the paper's choice, and the default
 	for i := 2; i < n; i++ {
 		// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead
 		// point anywhere in the window leaves its step table nil (the
@@ -28,17 +49,37 @@ func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [
 		if steps[i] == nil || steps[i-1] == nil {
 			continue
 		}
-		// Pre-compute, per middle candidate l, its best grand-predecessor
-		// score: bestTwo[l] pairs with Eq. 20's inner max over j.
-		nCur := len(layers[i]) // layers may grow behind us; bound to the original set
+		if single {
+			tops.fill(steps[i-1], len(steps[i]))
+		}
+		// Layers may grow behind us; the step tables cover, and both
+		// loops stay within, the original candidate sets.
+		nMid, nCur := len(steps[i]), len(layers[i])
 		for kk := 0; kk < nCur; kk++ {
 			cur := &layers[i][kk]
 			if cur.pseudo {
 				continue
 			}
-			preds := m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
+			var preds []int
+			win, unique := -1, false
+			if single {
+				win, unique = tops.winner(steps[i], kk)
+			}
+			if unique {
+				one[0] = win
+				preds = one[:]
+			} else {
+				// More than one predecessor asked for (Fig. 9), an exact
+				// tie (the ranking's sort order decides, and every
+				// digest pins it), or no reachable pair (the ranking
+				// falls back to f[i-2]).
+				if win >= 0 {
+					st.ties++
+				}
+				preds = m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
+			}
 			for _, j := range preds {
-				attempts++
+				st.attempts++
 				grand := &layers[i-2][j]
 				route, ok := m.Router.RouteBetween(grand.Pos(), cur.Pos())
 				if !ok || len(route.Segs) == 0 {
@@ -48,15 +89,35 @@ func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [
 				if !ok {
 					continue
 				}
-				u.Obs = m.Obs.Score(ct, i-1, &u)
-				w1, ok1 := m.stepScore(ct, i-1, grand, &u, deg)
-				w2, ok2 := m.stepScore(ct, i, &u, cur, deg)
-				if !ok1 || !ok2 {
-					continue
+				var w1, w2 float64
+				l := indexOfRoad(layers[i-1][:nMid], &u)
+				if l >= 0 {
+					u.Obs = layers[i-1][l].Obs
+					w1, w2 = steps[i-1][j][l], steps[i][l][kk]
+					if math.IsNaN(w1) || math.IsNaN(w2) {
+						continue // unreachable when the table was filled
+					}
+				} else {
+					st.scored++
+					u.Obs = m.Obs.Score(ct, i-1, &u)
+					if math.IsNaN(u.Obs) || math.IsInf(u.Obs, 0) {
+						// Degraded mode, as for a layer's own candidates.
+						u.Obs = m.fallbackObs(u.Dist)
+						*deg++
+					}
+					var ok1, ok2 bool
+					w1, ok1 = m.stepScore(ct, i-1, grand, &u, deg)
+					w2, ok2 = m.stepScore(ct, i, &u, cur, deg)
+					if !ok1 || !ok2 {
+						continue
+					}
 				}
 				fPrime := f[i-2][j] + w1 + w2
 				if fPrime > f[i][kk] {
-					adoptions++
+					st.adoptions++
+					if l < 0 {
+						st.scoredAdoptions++
+					}
 					// Materialize the pseudo-candidate in layer i-1.
 					layers[i-1] = append(layers[i-1], u)
 					f[i-1] = append(f[i-1], f[i-2][j]+w1)
@@ -67,7 +128,84 @@ func (m *Matcher) addShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [
 			}
 		}
 	}
-	return adoptions, attempts
+	return st
+}
+
+// indexOfRoad returns the index of the layer candidate at u's position
+// on u's road, or −1.
+func indexOfRoad(layer []Candidate, u *Candidate) int {
+	for l := range layer {
+		if layer[l].Seg == u.Seg && layer[l].Frac == u.Frac {
+			return l
+		}
+	}
+	return -1
+}
+
+// colTops holds, for each middle candidate l of one shortcut window, the
+// largest and second-largest step score into it, A[j][l] over the
+// grand-predecessors j, and the j behind the largest. Eq. 20 with one
+// predecessor asks for argmax_j max_l (A[j][l] + B[l][k]); since
+// rounded addition is monotone, max_j fl(A[j][l] + b) is fl(max_j
+// A[j][l] + b), so the argmax is the j behind max_l (v1[l] + B[l][k]),
+// and the best any other j reaches is the same expression with that j's
+// columns read from v2. One fill per point and two O(k) scans per
+// candidate, where the full ranking costs O(k²) and a sort for each.
+type colTops []colTop
+
+type colTop struct {
+	v1, v2 float64 // −Inf where absent
+	j1     int
+}
+
+// fill computes the column tops of a = steps[i-1], whose rows are the
+// nMid-wide step scores out of the original (non-pseudo) candidates of
+// layer i-2. NaN (unreachable) and −Inf never enter: neither is greater
+// than anything, exactly the entries the full ranking skips.
+func (t *colTops) fill(a [][]float64, nMid int) {
+	if cap(*t) < nMid {
+		*t = make(colTops, nMid)
+	}
+	top := (*t)[:nMid]
+	*t = top
+	for l := range top {
+		top[l] = colTop{v1: math.Inf(-1), v2: math.Inf(-1), j1: -1}
+	}
+	for j, row := range a {
+		for l, w := range row {
+			if c := &top[l]; w > c.v1 {
+				c.v1, c.v2, c.j1 = w, c.v1, j
+			} else if w > c.v2 {
+				c.v2 = w
+			}
+		}
+	}
+}
+
+// winner returns the grand-predecessor j with the largest two-step score
+// into candidate kk of the window's last layer (b = steps[i]), and
+// whether it is the only one with that score; −1 when no pair of steps
+// is reachable. A NaN in b makes its sum NaN, which compares false.
+func (t colTops) winner(b [][]float64, kk int) (j int, unique bool) {
+	best, j := math.Inf(-1), -1
+	for l := range t {
+		if s := t[l].v1 + b[l][kk]; s > best {
+			best, j = s, t[l].j1
+		}
+	}
+	if j < 0 {
+		return -1, false
+	}
+	for l := range t {
+		rest := t[l].v1
+		if t[l].j1 == j {
+			rest = t[l].v2
+		}
+		if rest+b[l][kk] >= best {
+			return j, false
+		}
+	}
+	return j, true
 }
 
 // bestOneHopPredecessors returns the indices (into layers[i-2]) of the
