@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	lhmm-serve -addr :8080 -data data.json -model model.json
+//	lhmm-serve -addr :8080 -data data.json -model model.lhmm
 //
 // Endpoints:
 //
@@ -89,7 +89,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lhmm-serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "dataset.json", "dataset file from `lhmm datagen`")
-	modelPath := fs.String("model", "model.json", "model weights file (re-read on reload)")
+	modelPath := fs.String("model", "model.lhmm", "model weights file (re-read on reload)")
 	k := fs.Int("k", 30, "candidates per point")
 	driftBaseline := fs.String("drift-baseline", "", "training-time drift baseline file (enables GET /v1/drift, lhmm_drift_* gauges and the score_drift readiness check)")
 	captureOut := fs.String("capture-out", "", "capture match requests + response digests as JSONL to this file (for lhmm replay)")

@@ -5,9 +5,9 @@
 // Usage:
 //
 //	lhmm datagen -preset hangzhou -scale 0.05 -trips 200 -out data.json
-//	lhmm train   -data data.json -model model.json
-//	lhmm match   -data data.json -model model.json -trip 3 [-geojson out.geojson]
-//	lhmm eval    -data data.json -model model.json [-methods LHMM,STM,THMM]
+//	lhmm train   -data data.json -model model.lhmm
+//	lhmm match   -data data.json -model model.lhmm -trip 3 [-geojson out.geojson]
+//	lhmm eval    -data data.json -model model.lhmm [-methods LHMM,STM,THMM]
 //
 // All generation is deterministic given -seed.
 package main
@@ -190,7 +190,7 @@ func loadDataset(path string) (*traj.Dataset, error) {
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	data := fs.String("data", "dataset.json", "dataset file from `lhmm datagen`")
-	out := fs.String("model", "model.json", "output model weights file")
+	out := fs.String("model", "model.lhmm", "output model weights file")
 	dim := fs.Int("dim", 32, "embedding dimension")
 	epochs := fs.Int("epochs", 4, "phase-1 training epochs")
 	k := fs.Int("k", 30, "candidates per point")
@@ -258,7 +258,7 @@ func loadModel(ds *traj.Dataset, path string, k int) (*lhmm.Model, error) {
 func cmdMatch(args []string) error {
 	fs := flag.NewFlagSet("match", flag.ExitOnError)
 	data := fs.String("data", "dataset.json", "dataset file")
-	modelPath := fs.String("model", "model.json", "model weights file")
+	modelPath := fs.String("model", "model.lhmm", "model weights file")
 	trip := fs.Int("trip", 0, "test-trip index to match")
 	k := fs.Int("k", 30, "candidates per point")
 	trajPath := fs.String("traj", "", "match a trajectory from a MatchRequest JSON file instead of -trip ('-' for stdin)")
@@ -493,7 +493,7 @@ func readMatchRequest(path string) (*serve.MatchRequest, error) {
 func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	data := fs.String("data", "dataset.json", "dataset file")
-	modelPath := fs.String("model", "model.json", "model weights file")
+	modelPath := fs.String("model", "model.lhmm", "model weights file")
 	capturesPath := fs.String("captures", "-", "capture JSONL file from lhmm-serve -capture-out ('-' for stdin)")
 	against := fs.String("against", "", "candidate model weights: replay through both models and print the agreement report and promotion verdict")
 	tolerate := fs.Bool("tolerate", false, "report diffs but exit 0 (candidate-comparison mode)")

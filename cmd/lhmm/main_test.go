@@ -23,7 +23,7 @@ import (
 func TestCLIPipeline(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.json")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.lhmm")
 	geojson := filepath.Join(dir, "trip.geojson")
 
 	if err := cmdDatagen([]string{
@@ -147,7 +147,7 @@ func againstReport(t *testing.T, out string) shadow.Report {
 func TestReplayAgainst(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.json")
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model.lhmm")
 	captures := filepath.Join(dir, "captures.jsonl")
 	if err := cmdDatagen([]string{"-preset", "xiamen", "-scale", "0.02", "-trips", "30", "-out", data}); err != nil {
 		t.Fatal(err)
@@ -203,28 +203,22 @@ func TestReplayAgainst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// rewrite saves a copy of the model file with edit applied to every
-	// tensor.
-	rewrite := func(name string, edit func(p map[string]any)) string {
-		raw, err := os.ReadFile(model)
+	// rewrite saves a copy of the model with edit applied to every
+	// tensor's weights.
+	rewrite := func(name string, edit func(w []float64)) string {
+		m, err := loadModel(ds, model, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var f struct {
-			Params []map[string]any `json:"params"`
+		for _, p := range m.AllParams() {
+			edit(p.W.W)
 		}
-		if err := json.Unmarshal(raw, &f); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range f.Params {
-			edit(p)
-		}
-		out, err := json.Marshal(f)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, out, 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -264,10 +258,9 @@ func TestReplayAgainst(t *testing.T) {
 	// Every weight negated: values stay finite, so the file loads, but
 	// rankings invert — a candidate that must not pass.
 	t.Run("negated", func(t *testing.T) {
-		negated := rewrite("negated.json", func(p map[string]any) {
-			w := p["w"].([]any)
+		negated := rewrite("negated.lhmm", func(w []float64) {
 			for i := range w {
-				w[i] = -w[i].(float64)
+				w[i] = -w[i]
 			}
 		})
 		out, err := replay(negated)
@@ -284,7 +277,7 @@ func TestReplayAgainst(t *testing.T) {
 	// A candidate trained at another dimension cannot run under the
 	// active model's configuration; it is refused by tensor name.
 	t.Run("dim-mismatch", func(t *testing.T) {
-		other := filepath.Join(dir, "dim12.json")
+		other := filepath.Join(dir, "dim12.lhmm")
 		if err := cmdTrain([]string{"-data", data, "-model", other, "-dim", "12", "-epochs", "1", "-k", "8", "-drift-baseline", "none"}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -219,12 +220,11 @@ func (m *Model) Load(r io.Reader) error {
 // The file is decoded once and validated in full, as Load does, before
 // any weight is written.
 func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	pf, err := nn.ReadParams(f)
-	f.Close()
+	pf, err := nn.ReadParams(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}

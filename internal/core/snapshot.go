@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/hmm"
+	"repro/internal/nn"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -75,25 +76,14 @@ var (
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WeightsHash digests every trainable parameter and calibration scalar
-// (name, shape, and raw float bits, in AllParams order). Two models
-// with equal hashes score identically; the frozen embeddings are a
+// (name, shape, and raw float bits, in AllParams order): the SHA-256 of
+// the entry section Save writes (nn.WriteParamEntries). Two models with
+// equal hashes score identically; the frozen embeddings are a
 // deterministic function of the encoder parameters and the graph, so
 // they are covered transitively.
 func (m *Model) WeightsHash() [32]byte {
 	h := sha256.New()
-	var buf [8]byte
-	for _, p := range m.AllParams() {
-		h.Write([]byte(p.Name))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint32(buf[:4], uint32(p.W.R))
-		h.Write(buf[:4])
-		binary.LittleEndian.PutUint32(buf[:4], uint32(p.W.C))
-		h.Write(buf[:4])
-		for _, v := range p.W.W {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
+	nn.WriteParamEntries(h, m.AllParams()) // a hash.Hash never fails a Write
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

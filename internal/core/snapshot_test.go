@@ -304,6 +304,26 @@ func TestSnapshotWireStable(t *testing.T) {
 	}
 }
 
+// TestTrainWeightsGolden pins the WeightsHash of a tiny Train run — on
+// amd64, like TestSnapshotWireStable — to the value recorded before the
+// encoder backward went row-sparse and matMulRows register-blocked.
+// Kernel work must leave training's arithmetic bit for bit where it was
+// (the byte-identical `lhmm train` model file); this fails loudly if it
+// moves.
+func TestTrainWeightsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	m, err := Train(testDataset(t, 14), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "3828b1fb2e48e6128a8a3d9f8e75d2379929654502cea5bdcd5fd9223a0df08c"
+	if wh := m.WeightsHash(); hex.EncodeToString(wh[:]) != golden {
+		t.Fatalf("trained WeightsHash %x, want %s", wh, golden)
+	}
+}
+
 // refit recomputes the CRC footer after a deliberate body mutation, so
 // the test reaches the check behind the CRC gate.
 func refit(data []byte) []byte {

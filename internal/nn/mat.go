@@ -175,23 +175,90 @@ func MatMulInto(dst, a, b *Mat) {
 	matMulRows(dst, a, b, 0, a.R)
 }
 
-// matMulRows computes dst rows [lo, hi) of a·b.
+// matMulRows computes dst rows [lo, hi) of a·b, four rows per pass over
+// each row of b, so one load of b[k][j] feeds four accumulations. A k
+// where one of the four multipliers is zero, and the rows past the last
+// block of four, go one row at a time (axpy). The column loops are
+// unrolled, by two in the four-row pass and by four in axpy, with scalar
+// tails. Each dst element is still summed on its own from +0 over k
+// ascending, and a zero multiplier a[i][k] is still skipped per
+// (row, k): only the interleaving across elements differs from a
+// one-row loop, so the result is bit-identical to it (refMatMulRows in
+// the tests).
 func matMulRows(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		ar := a.W[i*a.C : (i+1)*a.C]
-		dr := dst.W[i*dst.C : (i+1)*dst.C]
-		for j := range dr {
-			dr[j] = 0
-		}
-		for k, av := range ar {
-			if av == 0 {
+	n, kn := b.C, a.C
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0 := a.W[i*kn : (i+1)*kn]
+		a1 := a.W[(i+1)*kn : (i+2)*kn][:len(a0)]
+		a2 := a.W[(i+2)*kn : (i+3)*kn][:len(a0)]
+		a3 := a.W[(i+3)*kn : (i+4)*kn][:len(a0)]
+		d0 := dst.W[i*n : (i+1)*n]
+		d1 := dst.W[(i+1)*n : (i+2)*n]
+		d2 := dst.W[(i+2)*n : (i+3)*n]
+		d3 := dst.W[(i+3)*n : (i+4)*n]
+		clear(d0)
+		clear(d1)
+		clear(d2)
+		clear(d3)
+		for k, v0 := range a0 {
+			v1, v2, v3 := a1[k], a2[k], a3[k]
+			br := b.W[k*n : (k+1)*n]
+			if v0 == 0 || v1 == 0 || v2 == 0 || v3 == 0 {
+				axpy(d0, v0, br)
+				axpy(d1, v1, br)
+				axpy(d2, v2, br)
+				axpy(d3, v3, br)
 				continue
 			}
-			br := b.W[k*b.C : (k+1)*b.C]
-			for j, bv := range br {
-				dr[j] += av * bv
+			d0, d1, d2, d3 := d0[:len(br)], d1[:len(br)], d2[:len(br)], d3[:len(br)]
+			j := 0
+			for ; j+2 <= len(br); j += 2 {
+				b0, b1 := br[j], br[j+1]
+				d0[j] += v0 * b0
+				d0[j+1] += v0 * b1
+				d1[j] += v1 * b0
+				d1[j+1] += v1 * b1
+				d2[j] += v2 * b0
+				d2[j+1] += v2 * b1
+				d3[j] += v3 * b0
+				d3[j+1] += v3 * b1
+			}
+			for ; j < len(br); j++ {
+				bv := br[j]
+				d0[j] += v0 * bv
+				d1[j] += v1 * bv
+				d2[j] += v2 * bv
+				d3[j] += v3 * bv
 			}
 		}
+	}
+	for ; i < hi; i++ {
+		dr := dst.W[i*n : (i+1)*n]
+		clear(dr)
+		for k, av := range a.W[i*kn : (i+1)*kn] {
+			axpy(dr, av, b.W[k*n:(k+1)*n])
+		}
+	}
+}
+
+// axpy adds av·b to d elementwise, and nothing when av is zero (either
+// sign): the per-(row, k) skip of matMulRows.
+func axpy(d []float64, av float64, b []float64) {
+	if av == 0 {
+		return
+	}
+	d = d[:len(b)]
+	j := 0
+	for ; j+4 <= len(b); j += 4 {
+		bb, dd := b[j:j+4:j+4], d[j:j+4:j+4]
+		dd[0] += av * bb[0]
+		dd[1] += av * bb[1]
+		dd[2] += av * bb[2]
+		dd[3] += av * bb[3]
+	}
+	for ; j < len(b); j++ {
+		d[j] += av * b[j]
 	}
 }
 

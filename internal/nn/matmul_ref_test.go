@@ -1,0 +1,261 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refMatMulRows is the one-row product loop matMulRows replaced, kept
+// verbatim as the oracle its blocked form must match bit for bit.
+func refMatMulRows(dst, a, b *Mat, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ar := a.W[i*a.C : (i+1)*a.C]
+		dr := dst.W[i*dst.C : (i+1)*dst.C]
+		for j := range dr {
+			dr[j] = 0
+		}
+		for k, av := range ar {
+			if av == 0 {
+				continue
+			}
+			br := b.W[k*b.C : (k+1)*b.C]
+			for j, bv := range br {
+				dr[j] += av * bv
+			}
+		}
+	}
+}
+
+// refMatMulBackward is the MatMul backward closure matMulBackward
+// replaced — two full products through transposes — kept verbatim as
+// the oracle, with out.Grad passed as dOut.
+func refMatMulBackward(a, b *T, dOut *Mat) {
+	// dA += dOut · Bᵀ
+	bt := NewMat(b.C(), b.R())
+	TransposeInto(bt, b.Val)
+	da := NewMat(a.R(), a.C())
+	MatMulInto(da, dOut, bt)
+	a.Grad.AddInPlace(da)
+	// dB += Aᵀ · dOut
+	at := NewMat(a.C(), a.R())
+	TransposeInto(at, a.Val)
+	db := NewMat(b.R(), b.C())
+	MatMulInto(db, at, dOut)
+	b.Grad.AddInPlace(db)
+}
+
+// hwNaN is the NaN the hardware makes for Inf−Inf or 0·Inf. When both
+// operands of a sum are NaN, which one's bits come out depends on the
+// operand order the compiler picked (and -race picks differently), so
+// the oracles inject only this NaN: every NaN a product then holds has
+// the same bits, and bitwise equality stays well defined.
+var hwNaN = func() float64 { inf := math.Inf(1); return inf - inf }()
+
+// oracleMat fills an r×c matrix from rng with the values that decide
+// exactness: a share of exact zeros of both signs, and — when special
+// — a NaN and ±Inf.
+func oracleMat(rng *rand.Rand, r, c int, zeros float64, special bool) *Mat {
+	m := NewMat(r, c)
+	for i := range m.W {
+		switch u := rng.Float64(); {
+		case u < zeros/2:
+			m.W[i] = 0
+		case u < zeros:
+			m.W[i] = math.Copysign(0, -1)
+		default:
+			m.W[i] = rng.NormFloat64()
+		}
+	}
+	if special {
+		for _, v := range []float64{hwNaN, math.Inf(1), math.Inf(-1)} {
+			m.W[rng.Intn(len(m.W))] = v
+		}
+	}
+	return m
+}
+
+func sameBits(t *testing.T, what string, got, want *Mat) {
+	t.Helper()
+	for i := range want.W {
+		if math.Float64bits(got.W[i]) != math.Float64bits(want.W[i]) {
+			t.Fatalf("%s: element %d (row %d) is %v (%#x), oracle %v (%#x)", what, i, i/want.C,
+				got.W[i], math.Float64bits(got.W[i]), want.W[i], math.Float64bits(want.W[i]))
+		}
+	}
+}
+
+// oracleShapes are product shapes r×k·k×c: odd row counts reach the
+// blocked kernel's tail, and the last is large enough to fork.
+var oracleShapes = [][3]int{
+	{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 3}, {7, 16, 9}, {9, 3, 17},
+	{13, 32, 8}, {33, 17, 31}, {64, 64, 64},
+	{matmulParallelMinFlops/(96*64) + 7, 96, 64},
+}
+
+// TestMatMulRowsMatchesRef holds the register-blocked product to the
+// one-row loop with bitwise equality: zeros and −0 in both operands,
+// NaN and ±Inf in either, sequential and row-parallel.
+func TestMatMulRowsMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	defer SetMatMulWorkers(SetMatMulWorkers(0))
+	for _, workers := range []int{1, 4} {
+		SetMatMulWorkers(workers)
+		for _, sh := range oracleShapes {
+			for _, tc := range []struct {
+				zeros        float64
+				specA, specB bool
+			}{{0, false, false}, {0.4, false, false}, {0.4, true, false}, {0.4, false, true}, {0.9, true, true}} {
+				a := oracleMat(rng, sh[0], sh[1], tc.zeros, tc.specA)
+				b := oracleMat(rng, sh[1], sh[2], tc.zeros, tc.specB)
+				got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
+				got.Fill(7) // the kernel must overwrite, not accumulate
+				MatMulInto(got, a, b)
+				refMatMulRows(want, a, b, 0, a.R)
+				sameBits(t, fmt.Sprintf("workers %d, %v, %+v", workers, sh, tc), got, want)
+			}
+		}
+	}
+}
+
+// oracleGrad builds a gradient for an r×c product output: kind picks
+// all-zero, one non-zero row, about 5% of rows, or dense; zero rows are
+// +0 or −0 at random.
+func oracleGrad(rng *rand.Rand, r, c int, kind string) *Mat {
+	g := NewMat(r, c)
+	live := func(int) bool { return true }
+	switch kind {
+	case "zero":
+		live = func(int) bool { return false }
+	case "one-row":
+		row := rng.Intn(r)
+		live = func(i int) bool { return i == row }
+	case "sparse":
+		live = func(int) bool { return rng.Float64() < 0.05 }
+	}
+	for i := 0; i < r; i++ {
+		row := g.Row(i)
+		if !live(i) {
+			if rng.Intn(2) == 0 {
+				for j := range row {
+					row[j] = math.Copysign(0, -1)
+				}
+			}
+			continue
+		}
+		for j := range row {
+			if rng.Float64() < 0.2 {
+				row[j] = 0
+			} else {
+				row[j] = rng.NormFloat64()
+			}
+		}
+	}
+	return g
+}
+
+// TestMatMulBackwardMatchesRef holds the row-restricted backward to the
+// two full products bit for bit, on a.Grad and b.Grad, for all-zero,
+// single-row, 5% and dense gradients, with zeros, −0, NaN and ±Inf in
+// the operands, accumulating onto zero and non-zero gradients, with the
+// row-parallel fork off and on.
+func TestMatMulBackwardMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	defer SetMatMulWorkers(SetMatMulWorkers(0))
+	for _, workers := range []int{1, 4} {
+		SetMatMulWorkers(workers)
+		for _, sh := range oracleShapes {
+			for _, kind := range []string{"zero", "one-row", "sparse", "dense"} {
+				for _, spec := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+					for _, warm := range []bool{false, true} {
+						aVal := oracleMat(rng, sh[0], sh[1], 0.3, spec[0])
+						bVal := oracleMat(rng, sh[1], sh[2], 0.3, spec[1])
+						dOut := oracleGrad(rng, sh[0], sh[2], kind)
+						node := func(val *Mat, grad *Mat) *T { return &T{Val: val, Grad: grad.Clone()} }
+						ga, gb := NewMat(sh[0], sh[1]), NewMat(sh[1], sh[2])
+						if warm { // gradients other consumers already added to
+							ga, gb = oracleMat(rng, sh[0], sh[1], 0, false), oracleMat(rng, sh[1], sh[2], 0, false)
+						}
+						a, b := node(aVal, ga), node(bVal, gb)
+						ra, rb := node(aVal, ga), node(bVal, gb)
+						matMulBackward(a, b, dOut)
+						refMatMulBackward(ra, rb, dOut)
+						what := fmt.Sprintf("workers %d, %v, %s grad, specials %v, warm %v", workers, sh, kind, spec, warm)
+						sameBits(t, what+": a.Grad", a.Grad, ra.Grad)
+						sameBits(t, what+": b.Grad", b.Grad, rb.Grad)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestForwardTapeAllocatesNoGrad: a forward-only tape over one round of
+// the graph encoder (Eq. 4–5) allocates no gradient buffer; Backward
+// allocates every one.
+func TestForwardTapeAllocatesNoGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const nodes, dim = 12, 6
+	adj, err := NewSparse(nodes, nodes, []Triple{{0, 1, 1}, {1, 2, 1}, {2, 0, 1}, {5, 7, 1}, {11, 3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adjT, err := adj.Transpose()
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := NewParam("init", nodes, dim, rng)
+	wRel, w0, wAgg := NewParam("rel", dim, dim, rng), NewParam("w0", dim, dim, rng), NewParam("agg", dim, dim, rng)
+	tp := NewTape()
+	h := tp.Var(init)
+	z := tp.SpMM(adj, adjT, tp.MatMul(h, tp.Var(wRel)))
+	h = tp.ReLU(tp.Add(tp.MatMul(z, tp.Var(wAgg)), tp.MatMul(h, tp.Var(w0))))
+	for i, n := range tp.nodes {
+		if n.Grad != nil {
+			t.Fatalf("forward-only tape: node %d holds a %d×%d gradient", i, n.Grad.R, n.Grad.C)
+		}
+	}
+	if err := tp.Backward(tp.SumAll(h)); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range tp.nodes {
+		if n.Grad == nil || n.Grad.R != n.Val.R || n.Grad.C != n.Val.C {
+			t.Fatalf("after Backward: node %d gradient %+v", i, n.Grad)
+		}
+	}
+}
+
+// BenchmarkEncoderProduct times one product of the graph encoder's
+// shape at the benchmark's scale and dimension (8,364 nodes × 128 ·
+// 128×128), dense and with 40% zero multipliers (the ReLU'd layers).
+func BenchmarkEncoderProduct(b *testing.B) {
+	for _, zeros := range []float64{0, 0.4} {
+		b.Run(fmt.Sprintf("zeros=%.0f%%", 100*zeros), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(34))
+			a, w := oracleMat(rng, 8364, 128, zeros, false), oracleMat(rng, 128, 128, 0, false)
+			dst := NewMat(a.R, w.C)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulInto(dst, a, w)
+			}
+		})
+	}
+}
+
+// BenchmarkMatMulBackward times the backward of that product for a
+// gradient with about 5% non-zero rows, as the encoder's receptive field
+// leaves it.
+func BenchmarkMatMulBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(35))
+	aVal, bVal := oracleMat(rng, 8364, 128, 0.4, false), oracleMat(rng, 128, 128, 0, false)
+	dOut := oracleGrad(rng, 8364, 128, "sparse")
+	a := &T{Val: aVal, Grad: NewMat(aVal.R, aVal.C)}
+	w := &T{Val: bVal, Grad: NewMat(bVal.R, bVal.C)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matMulBackward(a, w, dOut)
+	}
+}

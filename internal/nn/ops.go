@@ -13,21 +13,89 @@ func (tp *Tape) MatMul(a, b *T) *T {
 	val := NewMat(a.R(), b.C())
 	MatMulInto(val, a.Val, b.Val)
 	var out *T
-	out = tp.node(val, func() {
-		// dA += dOut · Bᵀ
+	out = tp.node(val, func() { matMulBackward(a, b, out.Grad) })
+	return out
+}
+
+// matMulBackward adds dOut·Bᵀ to a.Grad and Aᵀ·dOut to b.Grad, doing
+// arithmetic only for the rows of dOut that hold a non-zero — in the
+// graph encoder's backward, the few rows its receptive field reaches.
+// The result is bit-identical to the two full products
+// (refMatMulBackward in the tests):
+//
+//   - A zero row of dOut makes a +0 row of dOut·Bᵀ: matMulRows skips
+//     every zero multiplier, so B is never read. Adding +0 changes no
+//     gradient, because gradients start at +0 and are only ever added
+//     to, and under round-to-nearest x + y is −0 only when both are −0:
+//     no gradient is ever −0.
+//   - Each element of Aᵀ·dOut still sums a[k][i]·dOut[k][j] over k
+//     ascending from +0, skipping a[k][i] == 0. A zero row k adds ±0
+//     wherever a[k][i] is finite, which leaves the (never −0) sum as it
+//     was, so the row is skipped — unless row k of A holds a NaN or
+//     ±Inf, since 0·Inf = NaN must still propagate. The sum runs k-outer
+//     over A in place, with no transpose of A.
+func matMulBackward(a, b *T, dOut *Mat) {
+	var rows []int
+	for r := 0; r < dOut.R; r++ {
+		if !zeroRow(dOut.Row(r)) {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) > 0 {
 		bt := NewMat(b.C(), b.R())
 		TransposeInto(bt, b.Val)
-		da := NewMat(a.R(), a.C())
-		MatMulInto(da, out.Grad, bt)
-		a.Grad.AddInPlace(da)
-		// dB += Aᵀ · dOut
-		at := NewMat(a.C(), a.R())
-		TransposeInto(at, a.Val)
-		db := NewMat(b.R(), b.C())
-		MatMulInto(db, at, out.Grad)
-		b.Grad.AddInPlace(db)
-	})
-	return out
+		g := dOut
+		if len(rows) < dOut.R {
+			g = NewMat(len(rows), dOut.C)
+			for t, r := range rows {
+				copy(g.Row(t), dOut.Row(r))
+			}
+		}
+		da := NewMat(g.R, a.C())
+		MatMulInto(da, g, bt)
+		for t, r := range rows {
+			ga, dr := a.Grad.Row(r), da.Row(t)
+			for j := range ga {
+				ga[j] += dr[j]
+			}
+		}
+	}
+	db := NewMat(b.R(), b.C())
+	next := 0
+	for k := 0; k < dOut.R; k++ {
+		ar := a.Val.Row(k)
+		if next < len(rows) && rows[next] == k {
+			next++
+		} else if finite(ar) {
+			continue
+		}
+		gr := dOut.Row(k)
+		for i, av := range ar {
+			axpy(db.Row(i), av, gr)
+		}
+	}
+	b.Grad.AddInPlace(db)
+}
+
+// zeroRow reports whether every value in r is zero (either sign).
+func zeroRow(r []float64) bool {
+	for _, v := range r {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// finite reports whether every value in r is finite: v−v is 0 for a
+// finite v and NaN for NaN and ±Inf.
+func finite(r []float64) bool {
+	for _, v := range r {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Add returns a + b elementwise. Shapes must match.

@@ -1,11 +1,14 @@
 package nn
 
 import (
-	"encoding/json"
-	"errors"
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/faultinject"
 )
@@ -14,27 +17,95 @@ import (
 // boundary (chaos tests; no-op unless armed via faultinject).
 var fpLoadCorrupt = faultinject.New("nn.load.corrupt")
 
-// paramFile is the on-disk JSON schema for a parameter set.
-type paramFile struct {
-	Params []paramEntry `json:"params"`
-}
+// lhmm-weights/v1 — the model weights file written by SaveParams:
+//
+//	magic   "LHMMWGTS" (8 bytes)
+//	version u16 (1)
+//	count   u32
+//	entries count × (name bytes · 0x00 · R u32 · C u32 · R·C × f64)
+//	footer  CRC-32C (Castagnoli) over everything before it, u32
+//
+// All integers and float bit patterns are little-endian. A name is 1 to
+// 256 bytes with no NUL, unique in the file; R and C are at least 1.
+// Floats are raw IEEE-754 bits, so weights round-trip exactly. The entry
+// section is also what core.Model.WeightsHash digests (WriteParamEntries).
+const (
+	weightsMagic = "LHMMWGTS"
+	// WeightsVersion is the lhmm-weights wire version SaveParams writes
+	// and the only one ReadParams accepts. Bump it when the meaning of a
+	// stored tensor changes, so older files are refused, not mis-read.
+	WeightsVersion = 1
+	weightsMaxName = 256
+	weightsHdrLen  = len(weightsMagic) + 2 + 4
+)
 
+var weightsCRCTable = crc32.MakeTable(crc32.Castagnoli)
+
+// paramEntry is one decoded tensor.
 type paramEntry struct {
-	Name string    `json:"name"`
-	R    int       `json:"r"`
-	C    int       `json:"c"`
-	W    []float64 `json:"w"`
+	Name string
+	R, C int
+	W    []float64
 }
 
-// SaveParams serializes parameters (weights only; optimizer state is
-// not persisted) as JSON.
+// SaveParams writes parameters (weights only; optimizer state is not
+// persisted) as an lhmm-weights/v1 file. It refuses what ReadParams
+// refuses — a bad or repeated name, a non-finite weight — so every file
+// it writes loads.
 func SaveParams(w io.Writer, params []*Param) error {
-	f := paramFile{Params: make([]paramEntry, len(params))}
-	for i, p := range params {
-		f.Params[i] = paramEntry{Name: p.Name, R: p.W.R, C: p.W.C, W: p.W.W}
+	seen := make(map[string]bool, len(params))
+	for _, p := range params {
+		if err := checkEntry(paramEntry{Name: p.Name, R: p.W.R, C: p.W.C, W: p.W.W}); err != nil {
+			return fmt.Errorf("nn: save params: %w", err)
+		}
+		if seen[p.Name] {
+			return fmt.Errorf("nn: save params: duplicate tensor %q", p.Name)
+		}
+		seen[p.Name] = true
 	}
-	if err := json.NewEncoder(w).Encode(f); err != nil {
+	crc := crc32.New(weightsCRCTable)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	hdr := append([]byte(weightsMagic), 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint16(hdr[8:], WeightsVersion)
+	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(params)))
+	bw.Write(hdr) // a bufio.Writer keeps its first error for the next Write and Flush
+	if err := WriteParamEntries(bw, params); err != nil {
 		return fmt.Errorf("nn: save params: %w", err)
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("nn: save params: %w", err)
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32())); err != nil {
+		return fmt.Errorf("nn: save params: %w", err)
+	}
+	return nil
+}
+
+// WriteParamEntries writes the entry section of an lhmm-weights file
+// for params, in order: per tensor its name and a NUL, R and C as u32,
+// then R·C raw little-endian float64s. It validates nothing (SaveParams
+// does), so a digest of any weights — core.Model.WeightsHash — can use
+// it.
+func WriteParamEntries(w io.Writer, params []*Param) error {
+	const chunk = 32 << 10
+	buf := make([]byte, 0, chunk+8)
+	for _, p := range params {
+		buf = append(buf[:0], p.Name...)
+		buf = append(buf, 0)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.W.R))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.W.C))
+		for _, v := range p.W.W {
+			if len(buf) >= chunk {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -49,42 +120,118 @@ func LoadParams(r io.Reader, params []*Param) error {
 	return f.Apply(params)
 }
 
-// ParamFile is a decoded, validated parameter file: every tensor's
-// weight count matches its declared shape and every weight is finite.
+// ParamFile is a decoded, validated parameter file: every tensor has a
+// unique name, a shape of at least 1×1, and only finite weights.
 type ParamFile struct {
-	byName map[string]paramEntry
+	entries []paramEntry // in file order
+	byName  map[string]int
 }
 
-// ReadParams decodes a file written by SaveParams and validates it
-// before any destination parameter is touched: truncated files,
-// tensors whose weight count disagrees with their declared shape, and
-// tensors containing NaN or ±Inf are all rejected with a descriptive
-// error — a model that loads is a model whose every weight is finite,
-// so corruption surfaces here instead of as NaN scores (or panics)
-// mid-match.
+// ReadParams decodes an lhmm-weights/v1 file and validates it before
+// any destination parameter is touched. Rejected with a descriptive
+// error: a file without the magic (the JSON weights of builds before
+// the binary format included — those must be retrained), another
+// version, a truncated file, bytes after the CRC footer, a CRC
+// mismatch, a bad or repeated tensor name, an empty shape, and NaN or
+// ±Inf weights. A model that loads is a model whose every weight is
+// finite, so corruption surfaces here instead of as NaN scores (or
+// panics) mid-match. Memory grows with the bytes read, never with a
+// shape the file merely declares.
 func ReadParams(r io.Reader) (*ParamFile, error) {
-	var f paramFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("nn: load params: truncated file: %w", err)
-		}
+	// A reader that knows its length (bytes.Reader, strings.Reader)
+	// holds those bytes, so sizing the buffer by it keeps allocation
+	// following the input and copies an in-memory file once.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("nn: load params: %w", err)
 	}
-	byName := make(map[string]paramEntry, len(f.Params))
-	for _, e := range f.Params {
+	f, err := decodeParams(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("nn: load params: %w", err)
+	}
+	return f, nil
+}
+
+func decodeParams(data []byte) (*ParamFile, error) {
+	if len(data) < len(weightsMagic) || string(data[:len(weightsMagic)]) != weightsMagic {
+		return nil, fmt.Errorf("not an lhmm-weights/v%d file (no %s magic); weights saved as JSON by older builds cannot be read: retrain the model", WeightsVersion, weightsMagic)
+	}
+	if len(data) < weightsHdrLen+4 {
+		return nil, fmt.Errorf("truncated file: %d bytes", len(data))
+	}
+	if v := binary.LittleEndian.Uint16(data[8:]); v != WeightsVersion {
+		return nil, fmt.Errorf("lhmm-weights version %d, this build reads version %d: retrain the model", v, WeightsVersion)
+	}
+	count := binary.LittleEndian.Uint32(data[10:])
+	rest := data[weightsHdrLen:]
+	f := &ParamFile{byName: make(map[string]int)}
+	for n := uint32(0); n < count; n++ {
+		var e paramEntry
+		var err error
+		if e, rest, err = decodeEntry(rest); err != nil {
+			return nil, fmt.Errorf("tensor %d: %w", n, err)
+		}
 		if err := checkEntry(e); err != nil {
 			return nil, err
 		}
-		byName[e.Name] = e
+		if _, dup := f.byName[e.Name]; dup {
+			return nil, fmt.Errorf("duplicate tensor %q (corrupt file)", e.Name)
+		}
+		f.byName[e.Name] = len(f.entries)
+		f.entries = append(f.entries, e)
 	}
-	return &ParamFile{byName: byName}, nil
+	switch {
+	case len(rest) < 4:
+		return nil, fmt.Errorf("truncated file: no CRC footer")
+	case len(rest) > 4:
+		return nil, fmt.Errorf("%d bytes after the CRC footer (corrupt file)", len(rest)-4)
+	}
+	body := data[:len(data)-4]
+	if got, want := crc32.Checksum(body, weightsCRCTable), binary.LittleEndian.Uint32(rest); got != want {
+		return nil, fmt.Errorf("CRC mismatch: %08x, footer says %08x (corrupt file)", got, want)
+	}
+	return f, nil
+}
+
+// decodeEntry decodes the tensor at the start of b and returns the bytes
+// after it. The weights are allocated only once b is known to hold them.
+func decodeEntry(b []byte) (paramEntry, []byte, error) {
+	var e paramEntry
+	end := bytes.IndexByte(b[:min(len(b), weightsMaxName+1)], 0)
+	if end < 0 {
+		if len(b) <= weightsMaxName {
+			return e, nil, fmt.Errorf("truncated file: unterminated name")
+		}
+		return e, nil, fmt.Errorf("name longer than %d bytes (corrupt file)", weightsMaxName)
+	}
+	e.Name, b = string(b[:end]), b[end+1:]
+	if len(b) < 8 {
+		return e, nil, fmt.Errorf("truncated file: %q has no shape", e.Name)
+	}
+	r, c := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+	b = b[8:]
+	e.R, e.C = int(r), int(c)
+	if n := uint64(r) * uint64(c); n > uint64(len(b))/8 {
+		return e, nil, fmt.Errorf("truncated file: %q declares %d×%d weights, %d bytes remain", e.Name, r, c, len(b))
+	}
+	e.W = make([]float64, e.R*e.C)
+	for i := range e.W {
+		e.W[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return e, b[8*len(e.W):], nil
 }
 
 // Shape returns the declared shape of the named tensor, so a caller
 // can size the destination model from the file.
 func (f *ParamFile) Shape(name string) (r, c int, ok bool) {
-	e, ok := f.byName[name]
-	return e.R, e.C, ok
+	i, ok := f.byName[name]
+	if !ok {
+		return 0, 0, false
+	}
+	return f.entries[i].R, f.entries[i].C, true
 }
 
 // Apply copies the file's weights into params. Every parameter must be
@@ -96,35 +243,41 @@ func (f *ParamFile) Apply(params []*Param) error {
 	// Validate every destination before writing any, so a bad file
 	// cannot leave a model half-loaded.
 	for _, p := range params {
-		e, ok := f.byName[p.Name]
+		i, ok := f.byName[p.Name]
 		if !ok {
 			return fmt.Errorf("nn: load params: %q not in file", p.Name)
 		}
-		if e.R != p.W.R || e.C != p.W.C {
+		if e := &f.entries[i]; e.R != p.W.R || e.C != p.W.C {
 			return fmt.Errorf("nn: load params: %q shape %d×%d, file has %d×%d",
 				p.Name, p.W.R, p.W.C, e.R, e.C)
 		}
 	}
 	for _, p := range params {
-		copy(p.W.W, f.byName[p.Name].W)
+		copy(p.W.W, f.entries[f.byName[p.Name]].W)
 	}
 	return nil
 }
 
-// checkEntry validates one decoded tensor: the weight count must match
-// the declared shape (a mismatch means a truncated or hand-edited
-// file) and every weight must be finite (standard JSON cannot encode
-// NaN/Inf, but writers in other formats and future binary schemas can;
-// the invariant "a loaded model has only finite weights" is enforced
-// here regardless of the wire format).
+// checkEntry validates one tensor, read or about to be written: a name
+// of 1 to 256 bytes without NUL (the wire terminator), a shape of at
+// least 1×1 whose element count the weights match, and only finite
+// weights. A raw float64 carries NaN and ±Inf as readily as any other
+// bits, so the invariant "a loaded model has only finite weights" is
+// enforced here, not left to the encoding.
 func checkEntry(e paramEntry) error {
-	if len(e.W) != e.R*e.C {
-		return fmt.Errorf("nn: load params: %q has %d weights for declared shape %d×%d (truncated or corrupt file)",
-			e.Name, len(e.W), e.R, e.C)
+	switch {
+	case e.Name == "" || len(e.Name) > weightsMaxName:
+		return fmt.Errorf("tensor name %q is not 1 to %d bytes", e.Name, weightsMaxName)
+	case strings.IndexByte(e.Name, 0) >= 0:
+		return fmt.Errorf("tensor name %q contains a NUL byte", e.Name)
+	case e.R < 1 || e.C < 1:
+		return fmt.Errorf("%q has empty shape %d×%d", e.Name, e.R, e.C)
+	case len(e.W) != e.R*e.C:
+		return fmt.Errorf("%q has %d weights for shape %d×%d", e.Name, len(e.W), e.R, e.C)
 	}
 	for i, w := range e.W {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("nn: load params: %q weight %d is %v (corrupt file)", e.Name, i, w)
+		if w-w != 0 {
+			return fmt.Errorf("%q weight %d is %v", e.Name, i, w)
 		}
 	}
 	return nil

@@ -2,15 +2,18 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
 )
 
-func testParams(t *testing.T) []*Param {
+func testParams(t testing.TB) []*Param {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	return []*Param{
@@ -19,8 +22,46 @@ func testParams(t *testing.T) []*Param {
 	}
 }
 
+// encodeWeights writes an lhmm-weights/v1 file from the layout in
+// serialize.go's format comment, sharing no code with SaveParams, so it
+// checks the writer and lets a test build files the writer refuses to.
+// count is the declared entry count (normally len(entries)), and each
+// entry's W is written as is, whatever its R and C claim.
+func encodeWeights(count uint32, entries ...paramEntry) []byte {
+	b := []byte("LHMMWGTS")
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, count)
+	for _, e := range entries {
+		b = append(append(b, e.Name...), 0)
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.R))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.C))
+		for _, w := range e.W {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+func entriesOf(params []*Param) []paramEntry {
+	out := make([]paramEntry, len(params))
+	for i, p := range params {
+		out[i] = paramEntry{Name: p.Name, R: p.W.R, C: p.W.C, W: p.W.W}
+	}
+	return out
+}
+
+func saved(t testing.TB, params []*Param) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := testParams(t)
+	src[0].W.W[5] = math.Copysign(0, -1) // raw bits: −0 survives
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, src); err != nil {
 		t.Fatal(err)
@@ -34,16 +75,37 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i, p := range dst {
 		for j := range p.W.W {
-			if p.W.W[j] != src[i].W.W[j] {
+			if math.Float64bits(p.W.W[j]) != math.Float64bits(src[i].W.W[j]) {
 				t.Fatalf("param %q weight %d: %v != %v", p.Name, j, p.W.W[j], src[i].W.W[j])
 			}
 		}
 	}
 }
 
+// TestWeightsWireLayout pins SaveParams to the documented layout: its
+// bytes equal the independent encoder's, and the entry section is
+// exactly what WriteParamEntries (and so core.Model.WeightsHash) sees.
+func TestWeightsWireLayout(t *testing.T) {
+	params := testParams(t)
+	got := saved(t, params)
+	if want := encodeWeights(2, entriesOf(params)...); !bytes.Equal(got, want) {
+		t.Fatalf("SaveParams wrote %d bytes, the documented layout is %d bytes", len(got), len(want))
+	}
+	var entries bytes.Buffer
+	if err := WriteParamEntries(&entries, params); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[weightsHdrLen:len(got)-4], entries.Bytes()) {
+		t.Fatal("the file's entry section differs from WriteParamEntries")
+	}
+	if n := len(got); n != weightsHdrLen+2*(len("layer.w")+1+8)+8*(12+4)+4 {
+		t.Fatalf("file is %d bytes", n)
+	}
+}
+
 func TestCheckEntryRejectsNaNInf(t *testing.T) {
-	// Standard JSON cannot carry NaN/Inf, so exercise the validation
-	// layer directly: the invariant holds for any wire format.
+	// A raw float64 carries NaN and ±Inf like any other bits, so the
+	// validation layer, not the encoding, keeps them out of a model.
 	base := paramEntry{Name: "w", R: 2, C: 2, W: []float64{1, 2, 3, 4}}
 	if err := checkEntry(base); err != nil {
 		t.Fatalf("clean entry rejected: %v", err)
@@ -58,51 +120,141 @@ func TestCheckEntryRejectsNaNInf(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorruptNumericSpellings: a file whose CRC is intact
+// but whose weights are NaN or ±Inf — written by another tool, or by a
+// model gone bad — fails at load, and SaveParams refuses to write it.
 func TestLoadRejectsCorruptNumericSpellings(t *testing.T) {
-	// Files hand-edited or written by a non-JSON-strict tool: literal
-	// NaN tokens and overflowing exponents. All must fail cleanly at
-	// load.
-	for _, corrupt := range []string{
-		`{"params":[{"name":"layer.w","r":3,"c":4,"w":[1,2,3,4,5,6,7,8,9,10,11,NaN]},{"name":"layer.b","r":1,"c":4,"w":[0,0,0,0]}]}`,
-		`{"params":[{"name":"layer.w","r":3,"c":4,"w":[1,2,3,4,5,6,7,8,9,10,11,1e999]},{"name":"layer.b","r":1,"c":4,"w":[0,0,0,0]}]}`,
-	} {
-		if err := LoadParams(strings.NewReader(corrupt), testParams(t)); err == nil {
-			t.Errorf("corrupt file accepted: %.60s", corrupt)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		params := testParams(t)
+		params[0].W.W[11] = bad
+		if err := LoadParams(bytes.NewReader(encodeWeights(2, entriesOf(params)...)), testParams(t)); err == nil {
+			t.Errorf("file with weight %v accepted", bad)
+		}
+		if err := SaveParams(&bytes.Buffer{}, params); err == nil {
+			t.Errorf("SaveParams wrote weight %v", bad)
 		}
 	}
 }
 
-func TestLoadRejectsTruncatedFile(t *testing.T) {
-	src := testParams(t)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src); err != nil {
-		t.Fatal(err)
+// TestLoadRefusesJSONWeights: the JSON weights of builds before
+// lhmm-weights/v1 are refused with an error that names the format and
+// says to retrain.
+func TestLoadRefusesJSONWeights(t *testing.T) {
+	old := `{"params":[{"name":"layer.w","r":3,"c":4,"w":[1,2,3,4,5,6,7,8,9,10,11,12]},{"name":"layer.b","r":1,"c":4,"w":[0,0,0,0]}]}`
+	err := LoadParams(strings.NewReader(old), testParams(t))
+	if err == nil || !strings.Contains(err.Error(), "lhmm-weights/v1") || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("JSON weights: err %v, want one naming lhmm-weights/v1 and saying to retrain", err)
 	}
-	full := buf.Bytes()
-	// Cut the stream at several byte offsets: every prefix must fail
-	// with an error, never panic or succeed.
-	for _, frac := range []float64{0.1, 0.5, 0.9, 0.99} {
-		cut := int(float64(len(full)) * frac)
-		err := LoadParams(bytes.NewReader(full[:cut]), testParams(t))
-		if err == nil {
-			t.Errorf("truncated file (%d of %d bytes) accepted", cut, len(full))
+	v2 := saved(t, testParams(t))
+	binary.LittleEndian.PutUint16(v2[8:], 2)
+	if err := LoadParams(bytes.NewReader(v2), testParams(t)); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version 2 file: err %v", err)
+	}
+}
+
+// TestLoadRejectsTruncatedFile cuts a small file at every byte offset:
+// every prefix fails with an error, none panics or loads.
+func TestLoadRejectsTruncatedFile(t *testing.T) {
+	full := saved(t, testParams(t))
+	for cut := 0; cut < len(full); cut++ {
+		if err := LoadParams(bytes.NewReader(full[:cut]), testParams(t)); err == nil {
+			t.Fatalf("truncated file (%d of %d bytes) accepted", cut, len(full))
 		}
 	}
-	// Empty file.
-	if err := LoadParams(bytes.NewReader(nil), testParams(t)); err == nil {
-		t.Error("empty file accepted")
+}
+
+// TestLoadRejectsTrailingBytes: bytes after the CRC footer mean the
+// file is not what was written. (The JSON reader stopped after one
+// value and loaded such a file.)
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	full := saved(t, testParams(t))
+	for _, tail := range []string{"garbage{{{", "\x00", `{"params":[]} garbage{{{`} {
+		f := append(append([]byte(nil), full...), tail...)
+		if err := LoadParams(bytes.NewReader(f), testParams(t)); err == nil {
+			t.Errorf("file followed by %q accepted", tail)
+		}
+	}
+}
+
+// TestLoadRejectsDuplicateName: two tensors under one name cannot both
+// be applied; the file is refused, not silently resolved to the last
+// (as the JSON reader did), and SaveParams does not write one.
+func TestLoadRejectsDuplicateName(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	dup := []*Param{NewParam("layer.w", 3, 4, rng), NewParam("layer.w", 3, 4, rng), NewParam("layer.b", 1, 4, rng)}
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, dup); err == nil {
+		if err := LoadParams(&buf, testParams(t)); err == nil {
+			t.Fatal("a file with a duplicate tensor name was written and loaded")
+		}
+	}
+	err := LoadParams(bytes.NewReader(encodeWeights(3, entriesOf(dup)...)), testParams(t))
+	if err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate tensor name: err %v", err)
+	}
+}
+
+// TestLoadRejectsFlippedBit: one flipped payload bit leaves a well-formed
+// file of finite weights, which only the CRC catches.
+func TestLoadRejectsFlippedBit(t *testing.T) {
+	f := saved(t, testParams(t))
+	f[weightsHdrLen+len("layer.w")+1+8] ^= 1 // lowest mantissa bit of the first weight
+	err := LoadParams(bytes.NewReader(f), testParams(t))
+	if err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("flipped payload bit: err %v, want a CRC mismatch", err)
+	}
+}
+
+// TestLoadRejectsHugeDeclaredShape: a 64-byte file declaring a
+// 65,535 × 65,535 tensor (32 GiB) is refused without allocating for
+// it — memory follows the bytes read, not the shape declared.
+func TestLoadRejectsHugeDeclaredShape(t *testing.T) {
+	f := encodeWeights(1, paramEntry{Name: "w", R: 65535, C: 65535, W: make([]float64, 4)})
+	f = append(f, make([]byte, 64-len(f))...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadParams(bytes.NewReader(f))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("huge declared shape accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(f), alloc)
+	}
+}
+
+// TestLoadRejectsMalformedEntries covers the structural checks one by
+// one, each in a file whose CRC is valid.
+func TestLoadRejectsMalformedEntries(t *testing.T) {
+	w := paramEntry{Name: "layer.w", R: 3, C: 4, W: make([]float64, 12)}
+	b := paramEntry{Name: "layer.b", R: 1, C: 4, W: make([]float64, 4)}
+	for name, f := range map[string][]byte{
+		"empty name":    encodeWeights(2, w, paramEntry{R: 1, C: 4, W: make([]float64, 4)}),
+		"long name":     encodeWeights(2, w, paramEntry{Name: strings.Repeat("x", 257), R: 1, C: 4, W: make([]float64, 4)}),
+		"zero rows":     encodeWeights(3, w, b, paramEntry{Name: "z", R: 0, C: 4}),
+		"count too big": encodeWeights(3, w, b),
+		"count too low": encodeWeights(1, w, b),
+	} {
+		if _, err := ReadParams(bytes.NewReader(f)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	long := paramEntry{Name: strings.Repeat("x", 256), R: 1, C: 1, W: []float64{1}}
+	if _, err := ReadParams(bytes.NewReader(encodeWeights(1, long))); err != nil {
+		t.Errorf("256-byte name refused: %v", err)
 	}
 }
 
 func TestLoadRejectsShortTensor(t *testing.T) {
-	// Declared 3×4 but only 5 weights: a truncated tensor must not
-	// partially overwrite the destination.
-	shortJSON := `{"params":[
-		{"name":"layer.w","r":3,"c":4,"w":[1,2,3,4,5]},
-		{"name":"layer.b","r":1,"c":4,"w":[0,0,0,0]}]}`
+	// Declared 3×4 but only 5 weights before the next tensor: a
+	// truncated tensor must not partially overwrite the destination.
+	short := encodeWeights(2,
+		paramEntry{Name: "layer.w", R: 3, C: 4, W: []float64{1, 2, 3, 4, 5}},
+		paramEntry{Name: "layer.b", R: 1, C: 4, W: []float64{0, 0, 0, 0}})
 	dst := testParams(t)
 	before := append([]float64(nil), dst[0].W.W...)
-	if err := LoadParams(strings.NewReader(shortJSON), dst); err == nil {
+	if err := LoadParams(bytes.NewReader(short), dst); err == nil {
 		t.Fatal("short tensor accepted")
 	}
 	for i, w := range dst[0].W.W {
@@ -151,5 +303,48 @@ func TestLoadFaultInjection(t *testing.T) {
 	faultinject.DisarmAll()
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), testParams(t)); err != nil {
 		t.Errorf("disarmed load failed: %v", err)
+	}
+}
+
+// FuzzReadParams: no input panics the decoder, and any input it accepts
+// is a file SaveParams writes byte for byte from the decoded tensors.
+func FuzzReadParams(f *testing.F) {
+	valid := saved(f, testParams(f))
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte(nil), valid...), 0))
+	f.Add(encodeWeights(1, paramEntry{Name: "w", R: 65535, C: 65535}))
+	f.Add([]byte(`{"params":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pf, err := ReadParams(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		params := make([]*Param, len(pf.entries))
+		for i, e := range pf.entries {
+			params[i] = &Param{Name: e.Name, W: FromSlice(e.R, e.C, e.W)}
+		}
+		var buf bytes.Buffer
+		if err := SaveParams(&buf, params); err != nil {
+			t.Fatalf("accepted file does not re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different ones", len(data), buf.Len())
+		}
+	})
+}
+
+// BenchmarkReadParams decodes a 10 MB weights file, the size of the
+// benchmark's trained model.
+func BenchmarkReadParams(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	data := saved(b, []*Param{NewParam("enc.init", 9000, 128, rng), NewParam("w", 128, 128, rng)})
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadParams(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -50,7 +50,8 @@ func (p *Param) ZeroGrad() {
 
 // T is a tensor node on an autodiff tape: a value matrix, a gradient
 // buffer filled in by the backward pass, and a closure that propagates
-// the node's gradient to its inputs.
+// the node's gradient to its inputs. Grad is nil until Backward starts,
+// so a tape that only runs forward allocates no gradient buffers.
 type T struct {
 	tape *Tape
 	Val  *Mat
@@ -85,7 +86,7 @@ func NewTape() *Tape { return &Tape{} }
 // node appends a new tensor node with the given value and backward
 // closure.
 func (tp *Tape) node(val *Mat, back func()) *T {
-	t := &T{tape: tp, Val: val, Grad: NewMat(val.R, val.C), back: back}
+	t := &T{tape: tp, Val: val, back: back}
 	tp.nodes = append(tp.nodes, t)
 	return t
 }
@@ -106,8 +107,9 @@ func (tp *Tape) Var(p *Param) *T {
 	return t
 }
 
-// Backward seeds the gradient of loss (which must be a 1×1 node on this
-// tape) with 1 and propagates through the tape in reverse, then
+// Backward allocates every node's gradient buffer (zeroed), seeds the
+// gradient of loss (which must be a 1×1 node on this tape) with 1 and
+// propagates through the tape in reverse, then
 // accumulates parameter gradients into their Grad buffers. It returns
 // an error if loss is not scalar or not on this tape.
 func (tp *Tape) Backward(loss *T) error {
@@ -116,6 +118,11 @@ func (tp *Tape) Backward(loss *T) error {
 	}
 	if loss.Val.R != 1 || loss.Val.C != 1 {
 		return fmt.Errorf("nn: Backward: loss must be 1×1, got %d×%d", loss.Val.R, loss.Val.C)
+	}
+	for _, n := range tp.nodes {
+		if n.Grad == nil {
+			n.Grad = NewMat(n.Val.R, n.Val.C)
+		}
 	}
 	loss.Grad.W[0] = 1
 	for i := len(tp.nodes) - 1; i >= 0; i-- {
