@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hmm"
+	"repro/internal/nn"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
 )
@@ -71,9 +72,10 @@ func TestCandidatesMatchScalarObsScore(t *testing.T) {
 }
 
 // checkStepAgainstScalar scores one step through ScoreBatch and holds it
-// to pairwise TransScore bit for bit, with NaN exactly where the scalar
-// path reports unreachable. It returns the batch scores and how many
-// pairs were unreachable.
+// to the pairwise TransScore oracle bit for bit, with NaN exactly where
+// the oracle reports unreachable; so is every pair scored alone, as the
+// shortcut pass scores a pseudo-candidate (transAdapter.Score). It
+// returns the batch scores and how many pairs were unreachable.
 func checkStepAgainstScalar(t *testing.T, what string, sess *session, ct traj.CellTrajectory, i int, from, to []hmm.Candidate) (out []float64, unreachable int) {
 	t.Helper()
 	out = make([]float64, len(from)*len(to))
@@ -84,6 +86,10 @@ func checkStepAgainstScalar(t *testing.T, what string, sess *session, ct traj.Ce
 		for kk := range to {
 			got := out[j*len(to)+kk]
 			want, ok := sess.TransScore(ct, i, &from[j], &to[kk])
+			one, oneOK := transAdapter{sess}.Score(ct, i, &from[j], &to[kk])
+			if oneOK != ok || ok && one != want {
+				t.Fatalf("%s step %d pair (%d,%d): one-pair %v (ok %v) vs oracle %v (ok %v)", what, i, j, kk, one, oneOK, want, ok)
+			}
 			if !ok {
 				unreachable++
 				if !math.IsNaN(got) {
@@ -92,7 +98,7 @@ func checkStepAgainstScalar(t *testing.T, what string, sess *session, ct traj.Ce
 				continue
 			}
 			if got != want {
-				t.Fatalf("%s step %d pair (%d,%d): batch %v vs scalar %v", what, i, j, kk, got, want)
+				t.Fatalf("%s step %d pair (%d,%d): batch %v vs oracle %v", what, i, j, kk, got, want)
 			}
 		}
 	}
@@ -100,8 +106,8 @@ func checkStepAgainstScalar(t *testing.T, what string, sess *session, ct traj.Ce
 }
 
 // TestScoreBatchMatchesTransScore: the fused k×k transition batch
-// equals pairwise TransScore bit for bit, with NaN exactly where the
-// scalar path reports unreachable — on a session filled whole and on one
+// equals the pairwise TransScore oracle bit for bit, with NaN exactly
+// where the oracle reports unreachable — on a session filled whole and on one
 // extended causally, a point per step, whose keys and road-probability
 // table are renewed every time the trajectory grows; then on hand-built
 // candidates covering every pair shape, under a bound that cuts pairs
@@ -192,6 +198,45 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPairFeaturesMatchOracle: a phase-2 feature row — one pair through
+// the fold (pairFeatures) — equals the oracle's, walking the pair's
+// materialized route, with and without the implicit feature. The pairs
+// are the road positions phase 2 samples: candidates of consecutive
+// points, each projected onto its road as the injected ground-truth
+// pairs are. The two sides use separate sessions, so neither reads a
+// road probability the other filled.
+func TestPairFeaturesMatchOracle(t *testing.T) {
+	m, _, ct := trainedModel(t)
+	defer func() { m.Cfg.DisableImplicitTrans = false }()
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	for _, noImplicit := range []bool{false, true} {
+		m.Cfg.DisableImplicitTrans = noImplicit
+		fold, oracle := m.newSession(ct), m.newSession(ct)
+		pairs := 0
+		for i := 1; i < len(ct) && i <= 4; i++ {
+			straight := ct[i-1].P.Dist(ct[i].P)
+			from, to := fold.Candidates(ct, i-1, m.Cfg.K), fold.Candidates(ct, i, m.Cfg.K)
+			for _, a := range from {
+				for _, b := range to {
+					route, ok := m.Router.RouteBetween(a.Pos(), b.Pos())
+					if !ok || len(route.Segs) == 0 {
+						continue
+					}
+					got := fold.pairFeatures(ws, ct, i, a.Pos(), b.Pos())
+					if want := oracle.transFeatures(ws, route, straight); got != want {
+						t.Fatalf("implicit off %v, step %d, %v → %v: fold %v vs oracle %v", noImplicit, i, a.Pos(), b.Pos(), got, want)
+					}
+					pairs++
+				}
+			}
+		}
+		if pairs == 0 {
+			t.Fatalf("implicit off %v: no reachable pair", noImplicit)
 		}
 	}
 }

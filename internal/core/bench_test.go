@@ -75,23 +75,8 @@ func BenchmarkObsScoreBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTransScoreScalar is the seed's pairwise transition scoring
-// over one k×k Viterbi step.
-func BenchmarkTransScoreScalar(b *testing.B) {
-	sess, ct, from, to := benchSession(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range from {
-			for kk := range to {
-				sess.TransScore(ct, 1, &from[j], &to[kk])
-			}
-		}
-	}
-}
-
-// BenchmarkTransScoreBatch is the fused k×k transition batch for the
-// same step.
+// BenchmarkTransScoreBatch is the fused k×k transition batch of one
+// Viterbi step.
 func BenchmarkTransScoreBatch(b *testing.B) {
 	sess, ct, from, to := benchSession(b)
 	out := make([]float64, len(from)*len(to))

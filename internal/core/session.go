@@ -18,8 +18,8 @@ import (
 
 // This file holds the one learned per-trajectory state, session, and
 // everything that scores against it: the observation side (Candidates,
-// Score), the transition side (roadProbRows/roadProb, TransScore,
-// ScoreBatch) and the batch entry point MatchContext. A session is
+// Score), the transition side (roadProbRows, foldFeatures, ScoreBatch)
+// and the batch entry point MatchContext. A session is
 // filled either whole (newSession, below) or causally, point by point
 // (extend, stream.go); every scoring method is indifferent to which.
 
@@ -63,13 +63,14 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // one pool-sized batch (Model.obsScoreBatchCtx; a shortcut
 // pseudo-candidate on a road outside the point's layer is a one-row
 // call into the same kernel), and each Viterbi step's k×k transition
-// fan-out is fused through the Eq. 12 MLP in a single product (see
-// ScoreBatch). The scalar transition path is kept for those
-// pseudo-candidates (the shortcut pass reads every other score from the
-// step tables) and as the equivalence reference; batched and scalar
-// scoring agree bit-for-bit on the MLP stages because
-// row-at-a-time and batched matrix products accumulate each output row
-// in the same order.
+// fan-out is folded down shortest-path trees and fused through the
+// Eq. 12 MLP in a single product (see ScoreBatch). Eq. 11–12 have that
+// one implementation: a pseudo-candidate pair is a one-pair ScoreBatch
+// (transAdapter.Score), and phase-2 training reads its feature rows from
+// one-pair calls to the feature passes (foldFeatures). The
+// route-materialising TransScore they replaced is the test oracle
+// (transref_test.go), equal with == because row-at-a-time and batched
+// matrix products accumulate each output row in the same order.
 type session struct {
 	m *Model
 
@@ -82,7 +83,7 @@ type session struct {
 	obsCtx []float64
 
 	// keys caches the key-side attention state of Eq. 9 over the first
-	// keysN point embeddings, shared by every roadProb query; grown by
+	// keysN point embeddings, shared by every road-relevance row; grown by
 	// the new points' rows when the trajectory has grown (ensureKeys).
 	keys  *nn.AttKeys
 	keysN int
@@ -167,9 +168,8 @@ func softmaxP1(l0, l1 float64) float64 {
 
 // roadProbRows evaluates Eq. 10 for every segment of segs into probs:
 // the likelihood that the road belongs to this trajectory. It is the
-// only inference implementation of Eq. 9–10; the step fill, the one-row
-// roadProb and through it the phase-2 training features all score here,
-// so they are bit-equal by construction.
+// only inference implementation of Eq. 9–10; the step fill scores here
+// for matching and for the phase-2 training features alike.
 //
 // TransMLP's first layer is factored over its [segEmb(s) ; x_l(s)]
 // input, W1 = [W1_seg ; W1_x], and the Eq. 9 read-out is linear in its
@@ -255,42 +255,6 @@ func (s *session) releaseTable() {
 	}
 }
 
-// roadProb evaluates Eq. 10 with caching, memoized per segment in the
-// table ScoreBatch fills, until the keys grow. A miss Resets ws —
-// callers must not hold live workspace buffers across it.
-func (s *session) roadProb(ws *nn.Workspace, sid roadnet.SegmentID) float64 {
-	t := s.table()
-	if t.stamp[sid] >= t.base {
-		obsRoadProbHits.Inc()
-		return t.p[sid]
-	}
-	obsRoadProbMiss.Inc()
-	ws.Reset()
-	s.roadProbRows(ws, []roadnet.SegmentID{sid}, t.p[sid:sid+1])
-	t.stamp[sid] = t.cur
-	return t.p[sid]
-}
-
-// transFeatures assembles the Eq. 12 input for a movement along the
-// given route: [implicit route relevance (Eq. 11), length similarity,
-// turn similarity]. straight is the hoisted straight-line distance
-// between the step's two points (identical for every pair of the
-// step's fan-out). The keys must be current (ensureKeys).
-func (s *session) transFeatures(ws *nn.Workspace, route roadnet.Route, straight float64) [3]float64 {
-	var pRoute float64
-	if s.m.Cfg.DisableImplicitTrans {
-		pRoute = 0.5
-	} else {
-		var sum float64
-		for _, sid := range route.Segs {
-			sum += s.roadProb(ws, sid)
-		}
-		pRoute = sum / float64(len(route.Segs))
-	}
-	lenSim, turnSim := routeSims(s.m.Net, route, straight)
-	return [3]float64{pRoute, lenSim, turnSim}
-}
-
 // candidatePool returns the restricted search space the learned P_O
 // ranks (§IV-C "limits the candidate search space by the explicit
 // features"): the PoolSize nearest segments (clipped to PoolRadius),
@@ -369,42 +333,6 @@ func (s *session) Score(ct traj.CellTrajectory, i int, c *hmm.Candidate) float64
 	return math.Exp(sc[0]-s.obsMax[i]) / s.obsZ[i]
 }
 
-// TransScore implements hmm.TransitionModel: the learned transition
-// probability of Eq. 12. Scalar reference path: the Viterbi fan-out
-// goes through ScoreBatch and the shortcut pass reads its table, so
-// only a pseudo-candidate outside the layer is scored here.
-func (s *session) TransScore(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
-	s.extend(ct)
-	route, ok := s.m.Router.RouteBetween(from.Pos(), to.Pos())
-	if !ok || len(route.Segs) == 0 {
-		return 0, false
-	}
-	s.ensureKeys()
-	if !s.whole {
-		defer s.releaseTable()
-	}
-	ws := nn.GetWorkspace()
-	defer nn.PutWorkspace(ws)
-	f := s.transFeatures(ws, route, ct[i-1].P.Dist(ct[i].P))
-	return s.m.fuseTrans(ws, f), true
-}
-
-// fuseTrans evaluates Eq. 12 for one pair's features — the one-row form
-// of ScoreBatch's fuse, same arithmetic per row. ws is Reset here, so
-// the features must have been computed already (transFeatures and
-// roadProb Reset it too).
-func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
-	ws.Reset()
-	row := ws.Take(1, 3)
-	copy(row.W, f[:])
-	logits := m.TransFuse.ApplyWS(ws, row)
-	p := softmaxP1(logits.W[0], logits.W[1])
-	if g := m.transGamma.W.W[0]; g != 1 {
-		p = math.Pow(p, g)
-	}
-	return p
-}
-
 // foldAcc is what ScoreBatch's fold knows about a route prefix: Eq. 11's
 // numerator, the turn sum, the bearing of the last segment taken and the
 // number of segments.
@@ -414,8 +342,8 @@ type foldAcc struct {
 }
 
 // over continues the prefix over one more segment with road probability
-// p and the given bearing — the same additions, in the same order, that
-// transFeatures and routeSims make walking a materialized route.
+// p and the given bearing — the same additions, in the same order, as
+// walking the materialized route from its first segment.
 func (v foldAcc) over(p, bearing float64) foldAcc {
 	return foldAcc{sum: v.sum + p, turn: v.turn + geoAngleDiff(v.last, bearing), last: bearing, segs: v.segs + 1}
 }
@@ -459,12 +387,15 @@ func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
 	return pairTree
 }
 
-// ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
-// transition fan-out of one Viterbi step, scored without materializing
-// a route. Everything Eq. 12 reads off a route — the mean road relevance
-// (Eq. 11), the length and the turn sum — is a left-to-right fold over
-// its segments, and the routes out of one from-candidate share a
-// shortest-path tree, so the step runs in four passes:
+// foldFeatures is ScoreBatch's feature passes: the Eq. 12 input
+// [Eq. 11 mean road relevance, length similarity, turn similarity] of
+// every pair of the fan-out from → to into point i, as the rows of an
+// (|from|·|to|)×3 matrix taken from ws, without materializing a route.
+// out doubles as the reachability mask: NaN where the pair is
+// unreachable (its row is zero), 0 elsewhere. Everything Eq. 12 reads
+// off a route is a left-to-right fold over its segments, and the routes
+// out of one from-candidate share a shortest-path tree, so it runs in
+// three passes:
 //
 //   - discover: one Router.TreeWalk per from-candidate yields the tree
 //     distance of each of its targets and the union of their paths as
@@ -474,25 +405,19 @@ func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
 //   - fold: per from-candidate, seed its end node with its own segment
 //     and scan its steps once, acc[node] = acc[parent].over(segment);
 //     each target reads its start node's accumulator and closes it with
-//     its own segment;
-//   - fuse: one (k·k)×3 product through the Eq. 12 MLP.
+//     its own segment.
 //
-// The fold accumulates source→target, the order transFeatures and
-// routeSims walk a materialized route in, so results are bit-identical
-// to pairwise TransScore (road probabilities are bit-identical whichever
-// path computed them, and the MLP products are row-independent). Two
-// from-candidates ending at one node are folded separately: their seeds
-// differ, and sharing would re-associate the sums. The return value
-// counts the scores degraded in the fuse pass.
-func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
+// The fold accumulates source→target, the order of the route itself, so
+// every row is bit-identical to the one walking the materialized route
+// gives. Two from-candidates ending at one node are folded separately:
+// their seeds differ, and sharing would re-associate the sums.
+func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) *nn.Mat {
 	s.extend(ct)
 	s.ensureKeys()
 	net := s.m.Net
 	nTo := len(to)
 	nPairs := len(from) * nTo
 	straight := ct[i-1].P.Dist(ct[i].P)
-	ws := nn.GetWorkspace()
-	defer nn.PutWorkspace(ws)
 	feat := ws.Take(nPairs, 3)
 
 	fs, _ := foldPool.Get().(*foldScratch)
@@ -644,17 +569,26 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 			row[1], row[2] = explicitSims(straight, d, route.turn)
 		}
 	}
+	return feat
+}
 
-	// Fuse: one batched product through the fuse MLP. NaN in out is the
-	// unreachable sentinel of the batch protocol, so a learned score that
-	// itself comes out non-finite (corrupt weights, a NaN that slipped
-	// past load validation, fault injection) must be caught here: it
-	// degrades to the explicit length-similarity feature — exactly the
-	// classical Eq. 3 exponential with β=500, already computed into the
-	// feature row — instead of silently reading as "unreachable" and
-	// breaking the chain.
+// ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
+// transition fan-out of one Viterbi step, its feature rows from
+// foldFeatures and Eq. 12 as one (k·k)×3 product through the fuse MLP.
+// NaN in out is the unreachable sentinel of the batch protocol, so a
+// learned score that itself comes out non-finite (corrupt weights, a NaN
+// that slipped past load validation, fault injection) must be caught
+// here: it degrades to the explicit length-similarity feature — exactly
+// the classical Eq. 3 exponential with β=500, already computed into the
+// feature row — instead of silently reading as "unreachable" and
+// breaking the chain. The return value counts those degraded scores.
+func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
+	ws := nn.GetWorkspace()
+	defer nn.PutWorkspace(ws)
+	feat := s.foldFeatures(ws, ct, i, from, to, out)
 	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
+	nPairs := feat.R
 	for p := 0; p < nPairs; p++ {
 		if math.IsNaN(out[p]) {
 			continue
@@ -684,8 +618,17 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 // hmm.ObservationModel).
 type transAdapter struct{ s *session }
 
+// Score is the one-pair ScoreBatch, for a shortcut pseudo-candidate
+// outside the layer (the shortcut pass reads every other pair from the
+// step tables). A degraded pair comes back NaN, so the matcher counts it
+// and applies its own Eq. 3 fallback, the same exponential.
 func (t transAdapter) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candidate) (float64, bool) {
-	return t.s.TransScore(ct, i, from, to)
+	a, b := [1]hmm.Candidate{*from}, [1]hmm.Candidate{*to}
+	var out [1]float64
+	if t.s.ScoreBatch(ct, i, a[:], b[:], out[:]) > 0 {
+		return math.NaN(), true
+	}
+	return out[0], !math.IsNaN(out[0])
 }
 
 // ScoreBatch forwards the batched fast path (hmm.TransitionBatchModel).

@@ -150,21 +150,6 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHa
 	obsObsBatched.Add(int64(p))
 }
 
-// routeSims computes the explicit Eq. 12 features of a route: length
-// similarity against the straight-line distance and turn similarity
-// over consecutive segment bearings.
-func routeSims(net *roadnet.Network, route roadnet.Route, straight float64) (lenSim, turnSim float64) {
-	var turn, prev float64
-	for j, sid := range route.Segs {
-		b := net.Bearing(sid)
-		if j > 0 {
-			turn += geoAngleDiff(prev, b)
-		}
-		prev = b
-	}
-	return explicitSims(straight, route.Dist, turn)
-}
-
 // explicitSims maps a route's length and turn sum to the two explicit
 // Eq. 12 features; straight is the straight-line distance between the
 // step's points.
@@ -173,9 +158,9 @@ func explicitSims(straight, dist, turn float64) (lenSim, turnSim float64) {
 }
 
 // geoAngleDiff is the absolute difference of two bearings folded into
-// [0, π]. Kept beside its only caller instead of geo.AngleDiff because
-// the two round differently (this one reduces with math.Mod), and
-// every path digest is pinned to this arithmetic.
+// [0, π], the turn between consecutive route segments. Kept here instead
+// of geo.AngleDiff because the two round differently (this one reduces
+// with math.Mod), and every path digest is pinned to this arithmetic.
 func geoAngleDiff(a, b float64) float64 {
 	d := math.Mod(math.Abs(a-b), 2*math.Pi)
 	if d > math.Pi {

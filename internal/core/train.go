@@ -513,7 +513,9 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 // transFuseExamples builds the phase-2 transition examples: candidate
 // routes between consecutive points with soft targets equal to the
 // fraction of route segments on the ground-truth path ("the ratio of
-// traveled roads to the moving path", §IV-D).
+// traveled roads to the moving path", §IV-D). The features come from
+// the fold inference scores with (pairFeatures); only the target needs
+// the materialized route.
 //
 // Pairs are sampled from the same distribution inference sees — the
 // top candidates by learned observation probability — plus one
@@ -531,7 +533,7 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 	}
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
-	defer sess.releaseTable() // borrowed by transFeatures' roadProb reads
+	defer sess.releaseTable() // borrowed by the feature passes' fill
 	addRoute := func(i int, from, to roadnet.PointOnRoad) {
 		route, ok := m.Router.RouteBetween(from, to)
 		if !ok || len(route.Segs) == 0 {
@@ -544,8 +546,7 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 			}
 		}
 		ratio := float64(onPath) / float64(len(route.Segs))
-		straight := s.tr.Cell[i-1].P.Dist(s.tr.Cell[i].P)
-		exs = append(exs, ex{f: sess.transFeatures(ws, route, straight), ratio: ratio})
+		exs = append(exs, ex{f: sess.pairFeatures(ws, s.tr.Cell, i, from, to), ratio: ratio})
 	}
 	candK := m.Cfg.K / 3
 	if candK < 4 {
@@ -590,4 +591,16 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 		targets.Set(i, 1, e.ratio)
 	}
 	return feats, targets
+}
+
+// pairFeatures is the Eq. 12 input of the one movement from → to into
+// point i: a one-pair call to ScoreBatch's feature passes, so phase 2
+// trains the fuse MLP on exactly the rows inference feeds it. The pair
+// must be reachable; ws is Reset.
+func (s *session) pairFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, from, to roadnet.PointOnRoad) [3]float64 {
+	a := [1]hmm.Candidate{{Seg: from.Seg, Frac: from.Frac}}
+	b := [1]hmm.Candidate{{Seg: to.Seg, Frac: to.Frac}}
+	var out [1]float64
+	ws.Reset()
+	return [3]float64(s.foldFeatures(ws, ct, i, a[:], b[:], out[:]).W)
 }

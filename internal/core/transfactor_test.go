@@ -106,8 +106,7 @@ func TestRoadProbMatchesReference(t *testing.T) {
 // embeddings, so a session filled whole and one extended causally over
 // the same points must score every segment identically, whichever shape
 // the call takes: all rows at once, the step fill over routes, or the
-// one-row roadProb behind the scalar TransScore and the phase-2
-// training features.
+// one-row roadProb behind the TransScore oracle.
 func TestRoadProbPathsBitEqual(t *testing.T) {
 	m, whole, ct := trainedModel(t)
 	segs := allSegs(m)

@@ -91,6 +91,22 @@ func (r *binReader) u64() uint64 {
 
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
+// fits reports whether count records of size bytes each are left to
+// read, failing the reader as truncated when they are not. The decoder
+// asks before every make, so a header cannot make it allocate more than
+// the file's own bytes could fill.
+func (r *binReader) fits(count uint64, size int) bool {
+	if r.err == nil && count > uint64(len(r.buf)-r.off)/uint64(size) {
+		r.err = fmt.Errorf("roadnet: truncated binary network (%d records of %d bytes at offset %d of %d)", count, size, r.off, len(r.buf))
+	}
+	return r.err == nil
+}
+
+// maxExtent bounds a decoded network's width and height in meters (a
+// quarter of the Earth's circumference): the spatial index is sized by
+// the extent, and no projected road map is wider.
+const maxExtent = 1e7
+
 // WriteBinary serializes the network — and, when h is non-nil, its
 // Contraction Hierarchy — in the LNET binary format.
 func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
@@ -162,7 +178,10 @@ func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
 }
 
 // ReadBinary deserializes a network written by WriteBinary. The
-// returned Hierarchy is nil when the file has no CH section.
+// returned Hierarchy is nil when the file has no CH section. Any other
+// input is an error, not a panic, and no count its header declares is
+// allocated before the file is checked to hold that many records; an
+// accepted input re-encodes to the same bytes (FuzzReadBinary).
 func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	buf, err := io.ReadAll(rd)
 	if err != nil {
@@ -184,23 +203,27 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		return nil, nil, fmt.Errorf("roadnet: unknown binary network flags %#x", flags)
 	}
 	nNodes, nSegs, nVia := r.u64(), r.u64(), r.u64()
-	const sane = 1 << 31
-	if nNodes == 0 || nSegs == 0 || nNodes > sane || nSegs > sane || nVia > sane {
+	if nNodes == 0 || nSegs == 0 {
 		return nil, nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points)", nNodes, nSegs, nVia)
 	}
 
+	if !r.fits(nNodes, 16) {
+		return nil, nil, r.err
+	}
 	nodes := make([]Node, nNodes)
+	bounds := geo.Rect{Min: geo.Pt(math.Inf(1), math.Inf(1)), Max: geo.Pt(math.Inf(-1), math.Inf(-1))}
 	for i := range nodes {
 		nodes[i] = Node{ID: NodeID(i), P: geo.Pt(r.f64(), r.f64())}
+		bounds = bounds.Extend(nodes[i].P)
+	}
+	if !r.fits(nSegs, 17) {
+		return nil, nil, r.err
 	}
 	segments := make([]Segment, nSegs)
 	for i := range segments {
 		from, to := NodeID(r.u32()), NodeID(r.u32())
 		class := Class(r.u8())
 		speed := r.f64()
-		if r.err != nil {
-			return nil, nil, r.err
-		}
 		if int(from) >= len(nodes) || int(to) >= len(nodes) {
 			return nil, nil, fmt.Errorf("roadnet: segment %d references node out of range", i)
 		}
@@ -209,26 +232,35 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		}
 		segments[i] = Segment{ID: SegmentID(i), From: from, To: to, Class: class, Speed: speed}
 	}
+	if !r.fits(nSegs+1, 4) {
+		return nil, nil, r.err
+	}
+	// The offsets run from 0 to nVia and never decrease, so every
+	// segment's slice of the via points below is in range.
 	viaOff := make([]uint32, nSegs+1)
 	for i := range viaOff {
 		viaOff[i] = r.u32()
+		if i > 0 && viaOff[i] < viaOff[i-1] {
+			return nil, nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i-1)
+		}
 	}
-	if r.err == nil && uint64(viaOff[nSegs]) != nVia {
-		return nil, nil, fmt.Errorf("roadnet: via offsets end at %d, header says %d", viaOff[nSegs], nVia)
+	if viaOff[0] != 0 || uint64(viaOff[nSegs]) != nVia {
+		return nil, nil, fmt.Errorf("roadnet: via offsets run %d..%d, header says 0..%d", viaOff[0], viaOff[nSegs], nVia)
+	}
+	if !r.fits(nVia, 16) {
+		return nil, nil, r.err
 	}
 	viaPts := make([]geo.Point, nVia)
 	for i := range viaPts {
 		viaPts[i] = geo.Pt(r.f64(), r.f64())
+		bounds = bounds.Extend(viaPts[i])
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if !(bounds.Width() <= maxExtent && bounds.Height() <= maxExtent) {
+		return nil, nil, fmt.Errorf("roadnet: binary network spans %v (non-finite, or wider than %g m)", bounds, float64(maxExtent))
 	}
 	for i := range segments {
 		s := &segments[i]
 		a, b := viaOff[i], viaOff[i+1]
-		if b < a {
-			return nil, nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i)
-		}
 		shape := make(geo.Polyline, 0, int(b-a)+2)
 		shape = append(shape, nodes[s.From].P)
 		shape = append(shape, viaPts[a:b]...)
@@ -241,21 +273,22 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 
 	var h *Hierarchy
 	if flags&lnetFlagCH != 0 {
+		if !r.fits(nNodes, 4) {
+			return nil, nil, r.err
+		}
 		rank := make([]int32, nNodes)
 		seen := make([]bool, nNodes)
 		for i := range rank {
 			v := r.u32()
-			if r.err == nil && (uint64(v) >= nNodes || seen[v]) {
+			if uint64(v) >= nNodes || seen[v] {
 				return nil, nil, fmt.Errorf("roadnet: node ranks are not a permutation")
 			}
-			if r.err == nil {
-				seen[v] = true
-			}
+			seen[v] = true
 			rank[i] = int32(v)
 		}
 		nSC := r.u64()
-		if nSC > sane {
-			return nil, nil, fmt.Errorf("roadnet: implausible shortcut count %d", nSC)
+		if !r.fits(nSC, 16) {
+			return nil, nil, r.err
 		}
 		shortcuts := make([]shortcutRecord, nSC)
 		for i := range shortcuts {
@@ -264,16 +297,10 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 				A: int32(r.u32()), B: int32(r.u32()),
 			}
 		}
-		if r.err != nil {
-			return nil, nil, r.err
-		}
 		h, err = hierarchyFromParts(net, rank, shortcuts)
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	if r.err != nil {
-		return nil, nil, r.err
 	}
 	if r.off != len(payload) {
 		return nil, nil, fmt.Errorf("roadnet: %d trailing bytes in binary network", len(payload)-r.off)

@@ -2,7 +2,11 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -174,6 +178,121 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	if _, _, err := ReadBinary(bytes.NewReader(extra)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// Node 0's x, with a valid CRC: a NaN would size the spatial index
+	// from NaN bounds, a far-off node would size it by a continent.
+	for _, x := range []float64{math.NaN(), 1e12} {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(bad[36:], math.Float64bits(x))
+		if _, _, err := ReadBinary(bytes.NewReader(refitCRC(bad))); err == nil {
+			t.Errorf("node at x = %v accepted", x)
+		}
+	}
+}
+
+// lnetFile frames a hand-written LNET body (everything after the flags)
+// with the magic, version, flags and a valid CRC-32 footer.
+func lnetFile(flags uint32, body func(w *binWriter)) []byte {
+	w := binWriter{buf: []byte(lnetMagic)}
+	w.u32(lnetVersion)
+	w.u32(flags)
+	body(&w)
+	w.u32(crc32.ChecksumIEEE(w.buf))
+	return w.buf
+}
+
+// refitCRC rewrites the CRC-32 footer of b so it passes the checksum
+// gate (no-op on inputs too short to carry one).
+func refitCRC(b []byte) []byte {
+	if len(b) < 4 {
+		return b
+	}
+	out := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestReadBinaryRejectsViaOffsetsOutOfRange: a file whose via offsets
+// rise past the via points and fall back to the header's count passes
+// the end-offset check; it must be refused before a shape is sliced out
+// of them.
+func TestReadBinaryRejectsViaOffsetsOutOfRange(t *testing.T) {
+	data := lnetFile(0, func(w *binWriter) {
+		w.u64(2) // nodes
+		w.u64(2) // segments
+		w.u64(0) // via points
+		for i := 0; i < 2; i++ {
+			w.f64(float64(i) * 100)
+			w.f64(0)
+		}
+		for i := 0; i < 2; i++ {
+			w.u32(uint32(i))
+			w.u32(uint32(1 - i))
+			w.u8(uint8(Local))
+			w.f64(10)
+		}
+		for _, off := range []uint32{0, 5, 0} {
+			w.u32(off)
+		}
+	})
+	if len(data) != 118 {
+		t.Fatalf("fixture is %d bytes, want 118", len(data))
+	}
+	if _, _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		t.Fatal("via offsets [0 5 0] over 0 via points accepted")
+	}
+}
+
+// TestReadBinaryBoundsAllocationByFileSize: a 40-byte file whose header
+// declares 2²⁰ nodes and 2²⁰ segments holds none of them, and must be
+// refused as truncated without allocating for them first.
+func TestReadBinaryBoundsAllocationByFileSize(t *testing.T) {
+	data := lnetFile(0, func(w *binWriter) {
+		w.u64(1 << 20)
+		w.u64(1 << 20)
+		w.u64(0)
+	})
+	if len(data) != 40 {
+		t.Fatalf("fixture is %d bytes, want 40", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncation error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("refusing a 40-byte file allocated %d bytes", got)
+	}
+}
+
+// FuzzReadBinary: ReadBinary never panics, and whatever it accepts
+// WriteBinary re-encodes to the same bytes. Each input is also tried
+// with its CRC footer refitted, so mutations reach the body.
+func FuzzReadBinary(f *testing.F) {
+	n := buildShaped(f)
+	for _, h := range []*Hierarchy{nil, BuildHierarchy(n)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, n, h); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, in := range [][]byte{b, refitCRC(b)} {
+			net, h, err := ReadBinary(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			var out bytes.Buffer
+			if err := WriteBinary(&out, net, h); err != nil {
+				t.Fatalf("re-encoding an accepted network: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), in) {
+				t.Fatalf("accepted %d bytes re-encode to %d different ones", len(in), out.Len())
+			}
+		}
+	})
 }
 
 func TestWriteBinaryRejectsForeignHierarchy(t *testing.T) {
