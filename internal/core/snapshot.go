@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"repro/internal/cellular"
 	"repro/internal/hmm"
 	"repro/internal/nn"
 	"repro/internal/roadnet"
@@ -195,8 +196,8 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 	w.u32(uint32(n))
 	for _, p := range st.Points {
 		w.i32(int32(p.Tower))
-		w.f64(p.X)
-		w.f64(p.Y)
+		w.f64(p.P.X)
+		w.f64(p.P.Y)
 		w.f64(p.T)
 	}
 	for _, dead := range st.Dead {
@@ -209,8 +210,8 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 	w.u32(uint32(st.Emitted))
 	w.f64(st.LastT)
 	w.i64(st.Degraded)
-	w.u32(uint32(st.SanitizeBadCoords))
-	w.u32(uint32(st.SanitizeBadTimes))
+	w.u32(uint32(st.Sanitize.BadCoords))
+	w.u32(uint32(st.Sanitize.BadTimes))
 	for i := 0; i < n; i++ {
 		layer := st.Layers[i]
 		w.u32(uint32(len(layer)))
@@ -408,12 +409,11 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 
 	st := &hmm.StreamState{Lag: hdr.Lag}
 	n := r.count("point", 4+3*8)
-	st.Points = make([]hmm.StreamPoint, n)
+	st.Points = make(traj.CellTrajectory, n)
 	for i := range st.Points {
-		st.Points[i].Tower = int(r.i32())
-		st.Points[i].X = r.f64()
-		st.Points[i].Y = r.f64()
-		st.Points[i].T = r.f64()
+		p := &st.Points[i]
+		p.Tower = cellular.TowerID(r.i32())
+		p.P.X, p.P.Y, p.T = r.f64(), r.f64(), r.f64()
 		if r.err != nil {
 			return nil, nil, nil, r.err
 		}
@@ -436,8 +436,8 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 	st.Emitted = int(r.u32())
 	st.LastT = r.f64()
 	st.Degraded = r.i64()
-	st.SanitizeBadCoords = int(r.u32())
-	st.SanitizeBadTimes = int(r.u32())
+	st.Sanitize.BadCoords = int(r.u32())
+	st.Sanitize.BadTimes = int(r.u32())
 
 	st.Layers = make([][]hmm.Candidate, n)
 	st.F = make([][]float64, n)
@@ -542,7 +542,7 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 	}
 	nSeg, nTow := m.Net.NumSegments(), m.Cells.NumTowers()
 	for i := range st.Points {
-		if t := st.Points[i].Tower; t < 0 || t >= nTow {
+		if t := int(st.Points[i].Tower); t < 0 || t >= nTow {
 			return nil, fmt.Errorf("%w: point %d tower %d out of range [0,%d)", ErrSnapshotCorrupt, i, t, nTow)
 		}
 	}
@@ -648,8 +648,8 @@ func InspectStreamSnapshot(data []byte) (*SnapshotInfo, error) {
 		DeadPoints:  dead,
 		Gaps:        len(st.Gaps),
 		Degraded:    st.Degraded,
-		BadCoords:   st.SanitizeBadCoords,
-		BadTimes:    st.SanitizeBadTimes,
+		BadCoords:   st.Sanitize.BadCoords,
+		BadTimes:    st.Sanitize.BadTimes,
 		LastT:       st.LastT,
 		Dim:         sess.dim,
 		Fingerprint: fmt.Sprintf("%016x", hdr.Fingerprint),

@@ -187,6 +187,56 @@ func TestSnapshotRestoreFidelity(t *testing.T) {
 	}
 }
 
+// A push that fails with ErrNoCandidates (a dead point under the
+// default BreakError policy) leaves a session that still encodes, and
+// whose snapshot, taken right after the failure, restores and continues
+// bit-identically to the session that was never interrupted.
+func TestSnapshotAfterFailedPush(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	wh := m.WeightsHash()
+	tr := d.TestTrips()[0]
+	if len(tr.Cell) < 5 {
+		t.Skip("trip too short")
+	}
+	defer faultinject.DisarmAll()
+	// run streams the trip with every third candidate call empty (points
+	// 2, 5, …), round-tripping the session through a snapshot before
+	// point snapAt (never when snapAt < 0).
+	run := func(snapAt int) streamRun {
+		faultinject.DisarmAll()
+		if err := faultinject.Arm("hmm.candidates.empty:3"); err != nil {
+			t.Fatal(err)
+		}
+		sm := m.NewStream(2)
+		var emitted []hmm.Candidate
+		for i, p := range tr.Cell {
+			if i == snapAt {
+				data, err := EncodeStreamSnapshot(sm, "failed-push", wh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := DecodeStreamSnapshot(m, wh, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sm = snap.SM
+			}
+			out, err := sm.Push(p)
+			if dead := i%3 == 2; dead != errors.Is(err, hmm.ErrNoCandidates) || !dead && err != nil {
+				t.Fatalf("push %d: err = %v", i, err)
+			}
+			emitted = append(emitted, out...)
+		}
+		return finishRun(sm, emitted)
+	}
+	base := run(-1)
+	if !base.state.Dead[2] {
+		t.Fatal("point 2 is not dead after its failed push")
+	}
+	sameRun(t, base, run(3))
+}
+
 // A snapshot can be taken and restored at any point, including before
 // anything was pushed and after the last point.
 func TestSnapshotAtBoundaries(t *testing.T) {

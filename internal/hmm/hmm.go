@@ -350,7 +350,8 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	if srep.Dropped() > 0 {
 		obsSanitizedPts.Add(int64(srep.Dropped()))
 	}
-	if len(ct) == 0 {
+	n := len(ct)
+	if n == 0 {
 		obsMatchErrors.Inc()
 		return nil, fmt.Errorf("hmm: no valid points left after sanitization (dropped %d)", srep.Dropped())
 	}
@@ -361,7 +362,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	sp := obs.SpanFromContext(ctx)
 	var trace *obs.MatchTrace
 	if m.Cfg.Trace {
-		trace = obs.NewMatchTrace(len(ct))
+		trace = obs.NewMatchTrace(n)
 	}
 	traced := trace != nil || sp != nil
 	var st obs.StageTimings
@@ -380,35 +381,29 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	var deg int64 // degraded-mode scoring events this match
 	var es *explainState
 	if m.Cfg.Explain {
-		es = newExplainState(len(ct), m.Cfg.ExplainTopK, m.Cfg.ExplainLowMargin)
+		es = newExplainState(n, m.Cfg.ExplainTopK, m.Cfg.ExplainLowMargin)
 	}
 
-	// Step 1: candidate preparation. Dead points (no candidates) are
-	// fatal under the Error policy and recorded for segmentation under
-	// Skip/Split.
+	// Step 1: candidate preparation, every layer before the first
+	// Viterbi step. Dead points (no candidates) are fatal under the
+	// Error policy and recorded for segmentation under Skip/Split.
 	done := stage(&st.CandidatesS)
-	layers := make([][]Candidate, len(ct))
-	dead := make([]bool, len(ct))
-	deadCount := 0
+	tb := table{make([][]Candidate, 0, n), make([][]float64, 0, n), make([][]int, 0, n), make([]bool, 0, n)}
+	alive := make([]int, 0, n)
 	for i := range ct {
 		if err := ctx.Err(); err != nil {
 			obsMatchErrors.Inc()
 			return nil, fmt.Errorf("hmm: match canceled at point %d: %w", i, err)
 		}
-		layer, fellback := m.candidates(ct, i, es != nil, &deg)
-		if es != nil {
-			es.fellback[i] = fellback
+		layer, err := m.layer(&tb, ct, es, &deg)
+		if err != nil {
+			obsMatchErrors.Inc()
+			return nil, err
 		}
-		layers[i] = layer
-		if len(layer) == 0 {
-			if m.Cfg.OnBreak == BreakError {
-				obsMatchErrors.Inc()
-				return nil, fmt.Errorf("hmm: %w for point %d", ErrNoCandidates, i)
-			}
-			dead[i] = true
-			deadCount++
+		if layer == nil {
 			continue
 		}
+		alive = append(alive, i)
 		nCand += int64(len(layer))
 		if trace != nil {
 			pt := &trace.Points[i]
@@ -423,57 +418,43 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			pt.MeanObs = sum / float64(len(layer))
 		}
 	}
-	if deadCount == len(ct) {
+	if len(alive) == 0 {
 		obsMatchErrors.Inc()
-		return nil, fmt.Errorf("hmm: %w for any of the %d points", ErrNoCandidates, len(ct))
+		return nil, fmt.Errorf("hmm: %w for any of the %d points", ErrNoCandidates, n)
 	}
-	alive := make([]int, 0, len(ct)-deadCount)
-	for i := range ct {
-		if !dead[i] {
-			alive = append(alive, i)
-		}
-	}
-	keep := make([][]Candidate, len(layers))
+	layers, dead := tb.layers, tb.dead
+	keep := make([][]Candidate, n)
 	for i := range layers {
 		keep[i] = append([]Candidate(nil), layers[i]...)
 	}
 	done()
 
-	// Steps 2–3: candidate graph scores + Viterbi forward pass over the
-	// alive points. Step scores between consecutive layers are memoized
-	// (steps[i][j][kk] = W(c_{i-1}^j → c_i^kk), NaN when unreachable) so
-	// the shortcut pass can reuse them instead of re-running the
-	// transition model; steps[i] stays nil across a dead gap, where the
-	// chain restarts from observation scores.
+	// Steps 2–3: candidate graph scores + Viterbi forward pass. Step
+	// scores between consecutive layers are memoized (steps[i][j][kk] =
+	// W(c_{i-1}^j → c_i^kk), NaN when unreachable) so the shortcut pass
+	// can reuse them instead of re-running the transition model;
+	// steps[i] stays nil at a dead point and across a dead gap.
 	done = stage(&st.ViterbiS)
-	n := len(ct)
-	f := make([][]float64, n)
-	pre := make([][]int, n) // index into layers[i-1]; -1 for none
+	var transS *float64
+	if traced {
+		transS = &st.TransitionS
+	}
 	steps := make([][][]float64, n)
 	var nBreaks int64
-	for _, i := range alive {
+	for i := range ct {
 		if err := ctx.Err(); err != nil {
 			obsMatchErrors.Inc()
 			return nil, fmt.Errorf("hmm: match canceled at step %d: %w", i, err)
 		}
-		if i == 0 || dead[i-1] {
-			f[i], pre[i] = m.restart(layers[i])
+		var ss stepStats
+		if steps[i], ss = m.advance(ctx, &tb, ct, transS, &deg); steps[i] == nil {
 			continue
 		}
-		// Phase 1: score the whole transition fan-out into the step
-		// table — batched or pairwise.
-		tdone := stage(&st.TransitionS)
-		steps[i] = m.fillSteps(ctx, ct, i, layers[i-1], layers[i], &deg)
-		tdone()
-		// Phase 2: the Viterbi recurrence over the memoized table,
-		// always sequential so results do not depend on scheduling.
-		var ss stepStats
-		f[i], pre[i], ss = m.recur(steps[i], f[i-1], layers[i])
 		nBlocked += int64(ss.blocked)
-		nEval += int64(len(layers[i]) * len(layers[i-1]))
+		nEval += int64(ss.reachable + ss.blocked)
 		if trace != nil {
 			pt := &trace.Points[i]
-			pt.TransEvaluated = len(layers[i]) * len(layers[i-1])
+			pt.TransEvaluated = ss.reachable + ss.blocked
 			pt.TransReachable = ss.reachable
 			pt.Restarts = ss.restarts
 		}
@@ -484,6 +465,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			trace.AddBreak(i)
 		}
 	}
+	f, pre := tb.f, tb.pre
 	done()
 
 	// Shortcut optimization (Algorithm 2).
@@ -570,7 +552,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	obsPointsSkipped.Add(nSkipped)
 	obsMatchDegraded.Add(deg)
 	obsMatchGaps.Add(int64(len(res.Gaps)))
-	obsDeadPoints.Add(int64(deadCount))
+	obsDeadPoints.Add(int64(n - len(alive)))
 	if timed {
 		elapsed := time.Since(start).Seconds()
 		obsMatchSeconds.Observe(elapsed)
@@ -614,6 +596,67 @@ func emitStageSpans(sp *obs.Span, start time.Time, st obs.StageTimings) {
 
 // nopStage is the shared no-op stage closer used when tracing is off.
 var nopStage = func() {}
+
+// table is the forward state of Algorithm 1, grown one point at a time
+// by both matchers: per point, the candidate layer, the Viterbi scores
+// and backpointers (pre[i][j] indexes layers[i-1]; −1 for none), and
+// whether the point is dead. A dead point holds nil rows, so every
+// slice stays index-aligned with the trajectory.
+type table struct {
+	layers [][]Candidate
+	f      [][]float64
+	pre    [][]int
+	dead   []bool
+}
+
+// layer is the first half of the forward step: it appends the
+// candidate layer of the next point, i = len(t.layers), and returns it.
+// A dead point is appended as nil whatever the policy; under BreakError
+// it is also an error wrapping ErrNoCandidates. es (optional) receives
+// the layer's degraded-fallback flags.
+func (m *Matcher) layer(t *table, ct traj.CellTrajectory, es *explainState, deg *int64) ([]Candidate, error) {
+	i := len(t.layers)
+	layer, fellback := m.candidates(ct, i, es != nil, deg)
+	if es != nil {
+		es.fellback[i] = fellback
+	}
+	if len(layer) == 0 {
+		layer = nil
+	}
+	t.layers = append(t.layers, layer)
+	t.dead = append(t.dead, layer == nil)
+	if layer == nil && m.Cfg.OnBreak == BreakError {
+		return nil, fmt.Errorf("hmm: %w for point %d", ErrNoCandidates, i)
+	}
+	return layer, nil
+}
+
+// advance is the second half: it appends the Viterbi rows of the next
+// point, i = len(t.f), whose layer is already in t. A dead point gets
+// nil rows; the first alive point and the far side of a dead gap
+// restart from observation scores; otherwise fillSteps scores the whole
+// transition fan-out into a step table (timed into transS when non-nil)
+// and recur runs the recurrence over it, always sequentially so results
+// do not depend on scheduling. It returns that step table — nil unless
+// the recurrence ran — and the step's stats.
+func (m *Matcher) advance(ctx context.Context, t *table, ct traj.CellTrajectory, transS *float64, deg *int64) (steps [][]float64, st stepStats) {
+	i := len(t.f)
+	var f []float64
+	var pre []int
+	switch {
+	case t.dead[i]:
+	case i == 0 || t.dead[i-1]:
+		f, pre = m.restart(t.layers[i])
+	default:
+		done := obs.Stage(transS)
+		steps = m.fillSteps(ctx, ct, i, t.layers[i-1], t.layers[i], deg)
+		done()
+		f, pre, st = m.recur(steps, t.f[i-1], t.layers[i])
+	}
+	t.f = append(t.f, f)
+	t.pre = append(t.pre, pre)
+	return steps, st
+}
 
 // candidates prepares point i's candidate layer, Cfg.K roads (default
 // 30). Degraded mode: a NaN/Inf observation probability would poison

@@ -311,21 +311,18 @@ type lattice struct {
 // way MatchContext does, for a trajectory without dead points.
 func forwardLattice(t testing.TB, m *Matcher, ct traj.CellTrajectory) lattice {
 	t.Helper()
-	n := len(ct)
-	lt := lattice{make([][]Candidate, n), make([][]float64, n), make([][]int, n), make([][][]float64, n)}
+	var tb table
+	steps := make([][][]float64, len(ct))
 	var deg int64
 	for i := range ct {
-		if lt.layers[i], _ = m.candidates(ct, i, false, &deg); len(lt.layers[i]) == 0 {
+		if layer, err := m.layer(&tb, ct, nil, &deg); err != nil || layer == nil {
 			t.Fatalf("point %d has no candidates", i)
 		}
-		if i == 0 {
-			lt.f[i], lt.pre[i] = m.restart(lt.layers[i])
-			continue
-		}
-		lt.steps[i] = m.fillSteps(context.Background(), ct, i, lt.layers[i-1], lt.layers[i], &deg)
-		lt.f[i], lt.pre[i], _ = m.recur(lt.steps[i], lt.f[i-1], lt.layers[i])
 	}
-	return lt
+	for i := range ct {
+		steps[i], _ = m.advance(context.Background(), &tb, ct, nil, &deg)
+	}
+	return lattice{tb.layers, tb.f, tb.pre, steps}
 }
 
 // clone copies what Algorithm 2 writes; the step tables are read-only.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cellular"
-	"repro/internal/geo"
 	"repro/internal/traj"
 )
 
@@ -34,7 +32,7 @@ type StreamState struct {
 	// Lag is the matcher's fixed emission lag.
 	Lag int
 	// Points are the accepted (pushed and not sanitizer-dropped) points.
-	Points []StreamPoint
+	Points traj.CellTrajectory
 	// Layers holds the candidate layer per point (nil for dead points).
 	Layers [][]Candidate
 	// F and Pre are the Viterbi forward scores and backpointers per
@@ -51,46 +49,32 @@ type StreamState struct {
 	Matched []Candidate
 	// Gaps are the stitch boundaries finalized so far (Split policy).
 	Gaps []Gap
-	// SanitizeBadCoords / SanitizeBadTimes reproduce the drop-mode
-	// sanitization report.
-	SanitizeBadCoords int
-	SanitizeBadTimes  int
-	// LastT is the last accepted timestamp (-Inf before the first).
+	// Sanitize is the drop-mode sanitization report.
+	Sanitize traj.SanitizeReport
+	// LastT is the last accepted timestamp (-Inf before the first, and
+	// always under SanitizeOff).
 	LastT float64
 	// Degraded counts scoring events that fell back to the classical
 	// Eq. 2/3 models so far.
 	Degraded int64
 }
 
-// StreamPoint is one accepted trajectory point in exported form
-// (mirror of traj.CellPoint with stable primitive fields).
-type StreamPoint struct {
-	Tower int
-	X, Y  float64
-	T     float64
-}
-
 // ExportState exports the matcher's complete resumable state. See
 // StreamState for the aliasing contract.
 func (s *StreamMatcher) ExportState() *StreamState {
-	pts := make([]StreamPoint, len(s.ct))
-	for i, p := range s.ct {
-		pts[i] = StreamPoint{Tower: int(p.Tower), X: p.P.X, Y: p.P.Y, T: p.T}
-	}
 	return &StreamState{
-		Lag:               s.Lag,
-		Points:            pts,
-		Layers:            s.layers,
-		F:                 s.f,
-		Pre:               s.pre,
-		Dead:              s.dead,
-		Emitted:           s.emitted,
-		Matched:           s.matched,
-		Gaps:              s.gaps,
-		SanitizeBadCoords: s.srep.BadCoords,
-		SanitizeBadTimes:  s.srep.BadTimes,
-		LastT:             s.lastT,
-		Degraded:          s.deg.Load(),
+		Lag:      s.Lag,
+		Points:   s.ct,
+		Layers:   s.t.layers,
+		F:        s.t.f,
+		Pre:      s.t.pre,
+		Dead:     s.t.dead,
+		Emitted:  s.emitted,
+		Matched:  s.matched,
+		Gaps:     s.gaps,
+		Sanitize: s.srep,
+		LastT:    s.lastT,
+		Degraded: s.deg.Load(),
 	}
 }
 
@@ -104,24 +88,10 @@ func NewStreamMatcherFromState(m *Matcher, st *StreamState) (*StreamMatcher, err
 		return nil, err
 	}
 	s := NewStreamMatcher(m, st.Lag)
-	ct := make(traj.CellTrajectory, len(st.Points))
-	for i, p := range st.Points {
-		ct[i] = traj.CellPoint{
-			Tower: cellular.TowerID(p.Tower),
-			P:     geo.Point{X: p.X, Y: p.Y},
-			T:     p.T,
-		}
-	}
-	s.ct = ct
-	s.layers = st.Layers
-	s.f = st.F
-	s.pre = st.Pre
-	s.dead = st.Dead
-	s.emitted = st.Emitted
-	s.matched = st.Matched
-	s.gaps = st.Gaps
-	s.srep = traj.SanitizeReport{BadCoords: st.SanitizeBadCoords, BadTimes: st.SanitizeBadTimes}
-	s.lastT = st.LastT
+	s.ct = st.Points
+	s.t = table{st.Layers, st.F, st.Pre, st.Dead}
+	s.emitted, s.matched, s.gaps = st.Emitted, st.Matched, st.Gaps
+	s.srep, s.lastT = st.Sanitize, st.LastT
 	s.deg.Store(st.Degraded)
 	return s, nil
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/traj"
 )
 
 // twoLayerState builds a minimal valid mid-stream state: two points,
@@ -11,9 +14,9 @@ import (
 func twoLayerState() *StreamState {
 	return &StreamState{
 		Lag: 1,
-		Points: []StreamPoint{
-			{Tower: 0, X: 1, Y: 2, T: 10},
-			{Tower: 1, X: 3, Y: 4, T: 20},
+		Points: traj.CellTrajectory{
+			{Tower: 0, P: geo.Pt(1, 2), T: 10},
+			{Tower: 1, P: geo.Pt(3, 4), T: 20},
 		},
 		Layers: [][]Candidate{
 			{{Seg: 1}, {Seg: 2}},
@@ -94,7 +97,7 @@ func TestStreamStateValidation(t *testing.T) {
 // A dead point carries nil rows and must round-trip as such.
 func TestStreamStateDeadPointRoundTrip(t *testing.T) {
 	st := twoLayerState()
-	st.Points = append(st.Points, StreamPoint{Tower: 2, X: 5, Y: 6, T: 30})
+	st.Points = append(st.Points, traj.CellPoint{Tower: 2, P: geo.Pt(5, 6), T: 30})
 	st.Layers = append(st.Layers, nil)
 	st.F = append(st.F, nil)
 	st.Pre = append(st.Pre, nil)

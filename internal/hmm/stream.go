@@ -31,16 +31,20 @@ var (
 // [12]).
 //
 // It owns the growing table and the emission window and nothing else:
-// each push runs MatchContext's own forward step on the new point
-// (candidates, then restart or fillSteps + recur — so a
-// TransitionBatchModel scores the fan-out in one call here too) and its
-// own backward pass (walkBack) over the unfinalized tail.
+// each push admits the point by traj.SanitizeReport.Admit, the rule
+// traj.Sanitize applies to a whole trajectory, then runs MatchContext's
+// own forward step on it — layer, then advance, so a
+// TransitionBatchModel scores the fan-out in one call here too — and
+// MatchContext's own backward pass (walkBack) over the unfinalized
+// tail.
 //
 // The matcher's fault-tolerance configuration carries over: the
 // Cfg.OnBreak policy decides whether a dead point (no candidates)
 // errors the push, is skipped, or opens a stitch gap; Cfg.Sanitize
 // applies per point as it arrives; and non-finite model scores degrade
-// to the classical Eq. 2/3 fallbacks exactly as in batch mode.
+// to the classical Eq. 2/3 fallbacks exactly as in batch mode. Whether
+// a push succeeds or fails, the accepted points and the table stay the
+// same length.
 //
 // Shortcuts are not applied in streaming mode: Algorithm 2 revises
 // earlier table entries, which would contradict already-emitted
@@ -52,10 +56,7 @@ type StreamMatcher struct {
 	Lag int
 
 	ct      traj.CellTrajectory
-	layers  [][]Candidate
-	f       [][]float64
-	pre     [][]int
-	dead    []bool
+	t       table
 	emitted int // points finalized so far
 	matched []Candidate
 	gaps    []Gap
@@ -74,78 +75,46 @@ func NewStreamMatcher(m *Matcher, lag int) *StreamMatcher {
 
 // Push processes the next trajectory point and returns any newly
 // finalized matches (zero or one per call in steady state). A dead
-// point — no candidates — errors under the BreakError policy and is
-// otherwise absorbed per the configured policy, contributing a zero
-// Candidate with Dead()[i] set to the emitted stream. A malformed
-// point (non-finite coordinates, non-increasing timestamp) errors
-// under strict sanitization and is dropped entirely — no index is
-// consumed — under drop mode.
+// point — no candidates — is absorbed per the configured policy,
+// contributing a zero Candidate with Dead()[i] set to the emitted
+// stream; under BreakError the push also fails with an error wrapping
+// ErrNoCandidates, and later pushes continue past it as past any dead
+// gap. A malformed point (non-finite coordinates, non-increasing
+// timestamp) errors under strict sanitization, with the error text
+// MatchContext gives, and is dropped entirely — no index is consumed —
+// under drop mode.
 func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
-	switch s.M.Cfg.Sanitize {
-	case traj.SanitizeOff:
-	default:
-		bad, why := "", ""
-		if !traj.FinitePoint(p) {
-			bad, why = "non-finite coordinates or timestamp", "coords"
-		} else if p.T <= s.lastT {
-			bad, why = fmt.Sprintf("timestamp %v does not increase over %v", p.T, s.lastT), "time"
-		}
-		if bad != "" {
-			if s.M.Cfg.Sanitize == traj.SanitizeStrict {
-				obsStreamErrors.Inc()
-				return nil, fmt.Errorf("hmm: stream: point %d: %s", len(s.ct), bad)
-			}
-			if why == "coords" {
-				s.srep.BadCoords++
-			} else {
-				s.srep.BadTimes++
-			}
-			obsSanitizedPts.Inc()
-			return nil, nil
-		}
-		s.lastT = p.T
+	keep, err := s.srep.Admit(s.M.Cfg.Sanitize, len(s.ct), p, &s.lastT)
+	if err != nil {
+		obsStreamErrors.Inc()
+		return nil, fmt.Errorf("hmm: %w", err)
+	}
+	if !keep {
+		obsSanitizedPts.Inc()
+		return nil, nil
 	}
 	obsStreamPushes.Inc()
 	s.ct = append(s.ct, p)
-	i := len(s.ct) - 1
 	var deg int64
 	defer func() {
 		s.deg.Add(deg)
 		obsMatchDegraded.Add(deg)
 	}()
-	layer, _ := s.M.candidates(s.ct, i, false, &deg)
-	var f []float64
-	var pre []int
+	layer, err := s.M.layer(&s.t, s.ct, nil, &deg)
+	steps, st := s.M.advance(context.TODO(), &s.t, s.ct, nil, &deg)
 	switch {
-	case len(layer) == 0:
-		if s.M.Cfg.OnBreak == BreakError {
-			obsStreamErrors.Inc()
-			return nil, fmt.Errorf("hmm: stream: no candidates for point %d", i)
-		}
-		// Dead point: consume the index with nil rows so the emitted
-		// stream stays aligned with the pushed points.
-		layer = nil
+	case err != nil:
+		obsStreamErrors.Inc()
+		return nil, err
+	case layer == nil:
 		obsDeadPoints.Inc()
-	case i == 0 || s.dead[i-1]:
-		// First alive point, or a dead gap immediately behind.
-		f, pre = s.M.restart(layer)
-	default:
-		steps := s.M.fillSteps(context.TODO(), s.ct, i, s.layers[i-1], layer, &deg)
-		var st stepStats
-		f, pre, st = s.M.recur(steps, s.f[i-1], layer)
-		if st.restarts == len(layer) {
-			// The chain broke here: every candidate restarted from its
-			// observation score (the streaming analogue of the batch
-			// matcher's break-and-recover event).
-			obsStreamBreaks.Inc()
-		}
+	case steps != nil && st.restarts == len(layer):
+		// The chain broke here: every candidate restarted from its
+		// observation score (the streaming analogue of the batch
+		// matcher's break-and-recover event).
+		obsStreamBreaks.Inc()
 	}
-	s.dead = append(s.dead, layer == nil)
-	s.layers = append(s.layers, layer)
-	s.f = append(s.f, f)
-	s.pre = append(s.pre, pre)
-
-	return s.emitUpTo(i - s.Lag), nil
+	return s.emitUpTo(len(s.ct) - 1 - s.Lag), nil
 }
 
 // Flush finalizes all remaining points and returns their matches.
@@ -175,9 +144,9 @@ func (s *StreamMatcher) emitUpTo(until int) []Candidate {
 				}
 			}
 		}
-		walkBack(s.f, s.pre, s.dead, s.emitted, func(i, idx, _ int) {
+		walkBack(s.t.f, s.t.pre, s.t.dead, s.emitted, func(i, idx, _ int) {
 			if i <= until {
-				out[i-s.emitted] = s.layers[i][idx]
+				out[i-s.emitted] = s.t.layers[i][idx]
 			}
 		}, onBreak)
 		s.matched = append(s.matched, out...)
@@ -193,9 +162,9 @@ func (s *StreamMatcher) emitUpTo(until int) []Candidate {
 // a zero Candidate.
 func (s *StreamMatcher) Matched() []Candidate { return s.matched }
 
-// Dead reports which accepted points had no candidates (only possible
-// under the Skip/Split policies).
-func (s *StreamMatcher) Dead() []bool { return s.dead }
+// Dead reports which accepted points had no candidates (under
+// BreakError, each of them also failed its push).
+func (s *StreamMatcher) Dead() []bool { return s.t.dead }
 
 // Gaps returns the stitch boundaries finalized so far, in emit order
 // (Split policy only). Gaps were appended as the backtrack walked each
@@ -216,7 +185,7 @@ func (s *StreamMatcher) Sanitize() traj.SanitizeReport { return s.srep }
 func (s *StreamMatcher) Path() []roadnet.SegmentID {
 	alive := make([]int, 0, len(s.matched))
 	for i := range s.matched {
-		if !s.dead[i] {
+		if !s.t.dead[i] {
 			alive = append(alive, i)
 		}
 	}

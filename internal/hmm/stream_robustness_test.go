@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -27,14 +28,50 @@ func pushAll(t *testing.T, s *StreamMatcher, ct traj.CellTrajectory) []Candidate
 	return append(out, s.Flush()...)
 }
 
+// A dead point under BreakError fails its push with ErrNoCandidates but
+// stays in the stream as a dead point: the table stays aligned with the
+// accepted points, the state exported right after the failure
+// restores, and later pushes continue as after any dead gap — emitting
+// exactly what a Skip-policy stream emits.
 func TestStreamDeadPointErrors(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
-	s := streamWithPolicy(net, r, BreakError, 1, 1)
-	if _, err := s.Push(traj.CellPoint{Tower: -1, P: geo.Pt(50, 100), T: 0}); err != nil {
-		t.Fatal(err)
+	ct := lineTraj()
+	want := pushAll(t, streamWithPolicy(net, r, BreakSkip, 1, 2), ct)
+
+	s := streamWithPolicy(net, r, BreakError, 1, 2)
+	var got []Candidate
+	for i, p := range ct {
+		out, err := s.Push(p)
+		got = append(got, out...)
+		if i != 2 {
+			if err != nil {
+				t.Fatalf("push %d: %v", i, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrNoCandidates) {
+			t.Fatalf("dead push: err = %v, want ErrNoCandidates", err)
+		}
+		st := s.ExportState()
+		if len(st.Points) != 3 || len(st.Layers) != 3 || len(st.F) != 3 || !st.Dead[2] {
+			t.Fatalf("after the failed push: %d points, %d layers, %d f, dead %v",
+				len(st.Points), len(st.Layers), len(st.F), st.Dead)
+		}
+		if s, err = NewStreamMatcherFromState(s.M, st); err != nil {
+			t.Fatalf("restore after the failed push: %v", err)
+		}
 	}
-	if _, err := s.Push(traj.CellPoint{Tower: -1, P: geo.Pt(150, 100), T: 60}); err == nil {
-		t.Fatal("dead point under BreakError did not error the push")
+	got = append(got, s.Flush()...)
+	if len(got) != len(want) {
+		t.Fatalf("emitted %d matches, Skip stream %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("point %d: emitted %+v, Skip stream %+v", i, got[i], want[i])
+		}
+	}
+	if !s.Dead()[2] || got[2] != (Candidate{}) {
+		t.Errorf("point 2: dead %v, emitted %+v; want a dead zero candidate", s.Dead()[2], got[2])
 	}
 }
 
@@ -139,17 +176,28 @@ func TestStreamSanitize(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	bad := traj.CellPoint{Tower: -1, P: geo.Pt(math.NaN(), 100), T: 60}
 
-	// Strict (the default): push errors.
-	s := NewStreamMatcher(classicMatcher(net, r, 5, 0), 1)
-	if _, err := s.Push(bad); err == nil {
-		t.Fatal("NaN point under strict sanitization did not error")
+	// Strict (the default): push errors, with the text the batch
+	// matcher gives for the same points.
+	good := traj.CellPoint{Tower: -1, P: geo.Pt(50, 100), T: 60}
+	for _, ct := range []traj.CellTrajectory{{bad}, {good, good}} {
+		s := NewStreamMatcher(classicMatcher(net, r, 5, 0), 1)
+		var err error
+		for _, p := range ct {
+			if _, err = s.Push(p); err != nil {
+				break
+			}
+		}
+		_, berr := classicMatcher(net, r, 5, 0).Match(ct)
+		if err == nil || berr == nil || err.Error() != berr.Error() {
+			t.Fatalf("strict sanitization: stream error %v, batch error %v", err, berr)
+		}
 	}
 
 	// Drop: the point is swallowed without consuming a stream index,
 	// and a stale timestamp is dropped too.
 	m := classicMatcher(net, r, 5, 0)
 	m.Cfg.Sanitize = traj.SanitizeDrop
-	s = NewStreamMatcher(m, 0)
+	s := NewStreamMatcher(m, 0)
 	ct := lineTraj()
 	var emitted int
 	for i, p := range ct {

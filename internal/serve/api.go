@@ -79,7 +79,8 @@ type MatchedPoint struct {
 	Obs     float64 `json:"obs"`
 	Skipped bool    `json:"skipped,omitempty"`
 	// Dead marks a point that had no candidate roads (Skip/Split break
-	// policies); its other fields are zero.
+	// policies, or a session push that failed on it); its other fields
+	// are zero.
 	Dead bool `json:"dead,omitempty"`
 }
 
@@ -131,32 +132,13 @@ type ExplainMatchResponse struct {
 func ResultJSON(res *hmm.Result) MatchResponse {
 	out := MatchResponse{
 		Path:          make([]int, len(res.Path)),
-		Matched:       make([]MatchedPoint, len(res.Matched)),
+		Matched:       matchedJSON(res.Matched, res.Dead, res.Skipped),
 		Score:         sanitizeFloat(res.Score),
 		Degraded:      res.Degraded,
 		DroppedPoints: res.Sanitize.Dropped(),
 	}
 	for i, s := range res.Path {
 		out.Path[i] = int(s)
-	}
-	for i := range res.Matched {
-		if i < len(res.Dead) && res.Dead[i] {
-			out.Matched[i] = MatchedPoint{Dead: true}
-			continue
-		}
-		c := &res.Matched[i]
-		mp := MatchedPoint{
-			Seg:  int(c.Seg),
-			Frac: c.Frac,
-			X:    c.Proj.X,
-			Y:    c.Proj.Y,
-			Dist: c.Dist,
-			Obs:  sanitizeFloat(c.Obs),
-		}
-		if i < len(res.Skipped) {
-			mp.Skipped = res.Skipped[i]
-		}
-		out.Matched[i] = mp
 	}
 	for _, g := range res.Gaps {
 		out.Gaps = append(out.Gaps, GapJSON{From: g.From, To: g.To, Reason: g.Reason.String()})
@@ -168,27 +150,10 @@ func ResultJSON(res *hmm.Result) MatchResponse {
 // session: the same MatchResponse shape, built from the matcher's
 // finalized state (streaming has no Eq. 14 path score).
 func streamResultJSON(sm *hmm.StreamMatcher) MatchResponse {
-	matched := sm.Matched()
-	dead := sm.Dead()
 	out := MatchResponse{
-		Matched:       make([]MatchedPoint, len(matched)),
+		Matched:       matchedJSON(sm.Matched(), sm.Dead(), nil),
 		Degraded:      sm.Degraded(),
 		DroppedPoints: sm.Sanitize().Dropped(),
-	}
-	for i := range matched {
-		if i < len(dead) && dead[i] {
-			out.Matched[i] = MatchedPoint{Dead: true}
-			continue
-		}
-		c := &matched[i]
-		out.Matched[i] = MatchedPoint{
-			Seg:  int(c.Seg),
-			Frac: c.Frac,
-			X:    c.Proj.X,
-			Y:    c.Proj.Y,
-			Dist: c.Dist,
-			Obs:  sanitizeFloat(c.Obs),
-		}
 	}
 	for _, s := range sm.Path() {
 		out.Path = append(out.Path, int(s))
@@ -199,27 +164,28 @@ func streamResultJSON(sm *hmm.StreamMatcher) MatchResponse {
 	return out
 }
 
-// matchedJSON converts newly finalized stream candidates, with dead
-// points (zero candidates) marked.
-func matchedJSON(out []hmm.Candidate) []MatchedPoint {
-	ms := make([]MatchedPoint, len(out))
-	for i := range out {
-		c := &out[i]
-		if c.Seg == 0 && c.Obs == 0 && c.Dist == 0 && c.Frac == 0 {
-			// A zero Candidate is the matcher's dead-point placeholder.
-			ms[i] = MatchedPoint{Dead: true}
+// matchedJSON converts matched candidates to the wire form. dead and
+// skipped, index-aligned with ms or nil, mark dead points (sent with
+// zero fields) and shortcut-skipped points.
+func matchedJSON(ms []hmm.Candidate, dead, skipped []bool) []MatchedPoint {
+	out := make([]MatchedPoint, len(ms))
+	for i := range ms {
+		if i < len(dead) && dead[i] {
+			out[i] = MatchedPoint{Dead: true}
 			continue
 		}
-		ms[i] = MatchedPoint{
-			Seg:  int(c.Seg),
-			Frac: c.Frac,
-			X:    c.Proj.X,
-			Y:    c.Proj.Y,
-			Dist: c.Dist,
-			Obs:  sanitizeFloat(c.Obs),
+		c := &ms[i]
+		out[i] = MatchedPoint{
+			Seg:     int(c.Seg),
+			Frac:    c.Frac,
+			X:       c.Proj.X,
+			Y:       c.Proj.Y,
+			Dist:    c.Dist,
+			Obs:     sanitizeFloat(c.Obs),
+			Skipped: i < len(skipped) && skipped[i],
 		}
 	}
-	return ms
+	return out
 }
 
 // SessionRequest is the body of POST /v1/sessions.

@@ -203,6 +203,39 @@ func TestCheckpointNoOrphanAfterSessionLeaves(t *testing.T) {
 	}
 }
 
+// A push that fails on a dead point (the default error break policy)
+// leaves a session the checkpointer can still encode — its on-push
+// checkpoint and a sweep both run, the first in the writer goroutine,
+// where a panic would take the process down — and that later pushes
+// extend: the next push answers 200, and finish reports the point dead.
+func TestCheckpointAfterFailedPush(t *testing.T) {
+	_, m := fixture(t)
+	tr := sessionTrip(t)
+	srv, ts := ckptServer(t, m, t.TempDir())
+	defer func() { ts.Close(); srv.Close() }()
+	t.Cleanup(faultinject.DisarmAll)
+
+	id := createSession(t, ts.URL, 2)
+	pushPoints(t, ts.URL, id, tr[:1])
+	if err := faultinject.Arm("hmm.candidates.empty"); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/points", PushRequest{Points: PointsRequest(tr[1:2]).Points})
+	faultinject.DisarmAll()
+	if resp.StatusCode < 500 {
+		t.Fatalf("push of a dead point: %d (%s), want 5xx", resp.StatusCode, body)
+	}
+	sweepNow(t, srv)
+	pushPoints(t, ts.URL, id, tr[2:3])
+	var fin MatchResponse
+	if err := json.Unmarshal(finishSession(t, ts.URL, id), &fin); err != nil {
+		t.Fatal(err)
+	}
+	if len(fin.Matched) != 3 || fin.Matched[0].Dead || !fin.Matched[1].Dead || fin.Matched[2].Dead {
+		t.Fatalf("finish after a failed push: %+v, want 3 points with only point 1 dead", fin.Matched)
+	}
+}
+
 // sessionTrip returns a streaming-suitable trip from the shared
 // fixture dataset.
 func sessionTrip(t *testing.T) traj.CellTrajectory {

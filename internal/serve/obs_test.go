@@ -78,6 +78,38 @@ func TestQualityEndpoint(t *testing.T) {
 	}
 }
 
+// A session push that fails on a dead point counts in /v1/quality as an
+// empty-candidate request, as a failed /v1/match does.
+func TestQualityCountsFailedPushEmpty(t *testing.T) {
+	_, m := fixture(t)
+	tr := sessionTrip(t)
+	_, ts := testServer(t, m, Config{})
+	t.Cleanup(faultinject.DisarmAll)
+
+	id := createSession(t, ts.URL, 2)
+	pushPoints(t, ts.URL, id, tr[:1])
+	if err := faultinject.Arm("hmm.candidates.empty"); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/points", PushRequest{Points: PointsRequest(tr[1:2]).Points})
+	faultinject.DisarmAll()
+	if resp.StatusCode < 500 {
+		t.Fatalf("push of a dead point: %d (%s), want 5xx", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/match", PointsRequest(tr)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("match: %d (%s)", resp.StatusCode, body)
+	}
+
+	resp, body = getJSON(t, ts.URL+"/v1/quality")
+	var rep obs.QualityReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("/v1/quality: %d: %v", resp.StatusCode, err)
+	}
+	if rep.Requests != 3 || rep.EmptyRate != 1.0/3 {
+		t.Fatalf("quality: %d requests, empty_rate %g; want 3 and 1/3", rep.Requests, rep.EmptyRate)
+	}
+}
+
 // ?debug=1 appends the MatchTrace; the leading bytes stay identical to
 // the non-debug encoding, so debug mode can never perturb parity.
 func TestDebugMatchTrace(t *testing.T) {

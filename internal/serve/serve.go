@@ -571,7 +571,7 @@ func (s *Server) handleSessionPush(w http.ResponseWriter, r *http.Request) {
 	}
 	s.qm.RecordMatch(time.Since(pushStart), degDelta > 0, false)
 	writeJSON(w, http.StatusOK, PushResponse{
-		Finalized: matchedJSON(fin),
+		Finalized: fin,
 		Pending:   sess.status().Pending,
 		Dropped:   dropped,
 		Degraded:  degDelta,

@@ -113,10 +113,10 @@ func newRestoredSession(snap *core.StreamSnapshot, wh [32]byte, now time.Time) *
 }
 
 // push feeds points through the session's matcher under its writer
-// lock and reports the newly finalized matches, the drop-mode
-// sanitization count, and the degraded-scoring delta this batch caused
-// (the quality monitor's per-push signal).
-func (s *Session) push(pts traj.CellTrajectory, now time.Time) (fin []hmm.Candidate, dropped, degraded int, err error) {
+// lock and reports the newly finalized matches in wire form, the
+// drop-mode sanitization count, and the degraded-scoring delta this
+// batch caused (the quality monitor's per-push signal).
+func (s *Session) push(pts traj.CellTrajectory, now time.Time) (fin []MatchedPoint, dropped, degraded int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done {
@@ -129,15 +129,17 @@ func (s *Session) push(pts traj.CellTrajectory, now time.Time) (fin []hmm.Candid
 	s.seq.Add(1)
 	before := s.sm.Sanitize().Dropped()
 	degBefore := s.sm.Degraded()
+	first := len(s.sm.Matched())
+	var out []hmm.Candidate
 	for i, p := range pts {
-		out, perr := s.sm.Push(p)
-		fin = append(fin, out...)
+		got, perr := s.sm.Push(p)
+		out = append(out, got...)
 		if perr != nil {
-			return fin, s.sm.Sanitize().Dropped() - before, s.sm.Degraded() - degBefore,
-				fmt.Errorf("point %d: %w", i, perr)
+			err = fmt.Errorf("point %d: %w", i, perr)
+			break
 		}
 	}
-	return fin, s.sm.Sanitize().Dropped() - before, s.sm.Degraded() - degBefore, nil
+	return matchedJSON(out, s.sm.Dead()[first:], nil), s.sm.Sanitize().Dropped() - before, s.sm.Degraded() - degBefore, err
 }
 
 // finish flushes the matcher and returns the complete result view.

@@ -69,65 +69,64 @@ type SanitizeReport struct {
 // Dropped returns the total number of removed points.
 func (r SanitizeReport) Dropped() int { return r.BadCoords + r.BadTimes }
 
-// FinitePoint reports whether the point's coordinates and timestamp
-// are all finite — the per-point half of Sanitize, exported for
-// streaming pipelines that validate points as they arrive.
-func FinitePoint(p CellPoint) bool { return finitePoint(p) }
-
 func finitePoint(p CellPoint) bool {
 	return !math.IsNaN(p.P.X) && !math.IsInf(p.P.X, 0) &&
 		!math.IsNaN(p.P.Y) && !math.IsInf(p.P.Y, 0) &&
 		!math.IsNaN(p.T) && !math.IsInf(p.T, 0)
 }
 
-// Sanitize validates a cellular trajectory per the mode. Strict mode
-// returns the input unchanged or an error naming the first malformed
-// point. Drop mode returns a copy with malformed points removed
-// (non-finite coordinates/timestamps first, then any point whose
-// timestamp does not strictly increase over the last kept point) and a
-// report of what went. Off returns the input unchanged. A clean
-// trajectory is returned as-is in every mode with a zero report.
+// Admit is the sanitize rule for one point, point i of a trajectory
+// read in order; *lastT is the timestamp of the last kept point (−Inf
+// before the first). It reports whether to keep p. A malformed point —
+// non-finite coordinates or timestamp, or a timestamp that does not
+// strictly increase over *lastT — is an error naming i in strict mode
+// and is counted in r and not kept in drop mode. Off keeps every point
+// and leaves *lastT alone. Sanitize applies it to a whole trajectory, a
+// StreamMatcher to each pushed point.
+func (r *SanitizeReport) Admit(mode SanitizeMode, i int, p CellPoint, lastT *float64) (bool, error) {
+	if mode == SanitizeOff {
+		return true, nil
+	}
+	switch {
+	case !finitePoint(p):
+		if mode == SanitizeStrict {
+			return false, fmt.Errorf("traj: point %d has non-finite coordinates or timestamp (%v, %v, t=%v)", i, p.P.X, p.P.Y, p.T)
+		}
+		r.BadCoords++
+		return false, nil
+	case p.T <= *lastT:
+		if mode == SanitizeStrict {
+			return false, fmt.Errorf("traj: point %d timestamp %v does not increase over %v", i, p.T, *lastT)
+		}
+		r.BadTimes++
+		return false, nil
+	}
+	*lastT = p.T
+	return true, nil
+}
+
+// Sanitize validates a cellular trajectory per the mode, one Admit per
+// point. Strict mode returns the input unchanged or an error naming the
+// first malformed point. Drop mode returns a copy with malformed points
+// removed and a report of what went. Off returns the input unchanged. A
+// clean trajectory is returned as-is in every mode with a zero report.
 func Sanitize(ct CellTrajectory, mode SanitizeMode) (CellTrajectory, SanitizeReport, error) {
 	var rep SanitizeReport
-	if mode == SanitizeOff || len(ct) == 0 {
-		return ct, rep, nil
-	}
-	clean := true
 	lastT := math.Inf(-1)
+	var out CellTrajectory // nil until the first dropped point
 	for i, p := range ct {
-		if !finitePoint(p) {
-			if mode == SanitizeStrict {
-				return nil, rep, fmt.Errorf("traj: point %d has non-finite coordinates or timestamp (%v, %v, t=%v)", i, p.P.X, p.P.Y, p.T)
-			}
-			clean = false
-			continue
+		keep, err := rep.Admit(mode, i, p, &lastT)
+		switch {
+		case err != nil:
+			return nil, rep, err
+		case !keep && out == nil:
+			out = append(make(CellTrajectory, 0, len(ct)-1), ct[:i]...)
+		case keep && out != nil:
+			out = append(out, p)
 		}
-		if p.T <= lastT {
-			if mode == SanitizeStrict {
-				return nil, rep, fmt.Errorf("traj: point %d timestamp %v does not increase over %v", i, p.T, lastT)
-			}
-			clean = false
-			continue
-		}
-		lastT = p.T
 	}
-	if clean {
+	if out == nil {
 		return ct, rep, nil
-	}
-	// Drop mode with something to drop: rebuild.
-	out := make(CellTrajectory, 0, len(ct))
-	lastT = math.Inf(-1)
-	for _, p := range ct {
-		if !finitePoint(p) {
-			rep.BadCoords++
-			continue
-		}
-		if p.T <= lastT {
-			rep.BadTimes++
-			continue
-		}
-		lastT = p.T
-		out = append(out, p)
 	}
 	return out, rep, nil
 }

@@ -134,21 +134,62 @@ func TestParseSanitizeMode(t *testing.T) {
 	}
 }
 
+// sameBits compares trajectories bit for bit (NaN equals itself).
+func sameBits(a, b CellTrajectory) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		if a[i].Tower != b[i].Tower || bits(a[i].P.X) != bits(b[i].P.X) ||
+			bits(a[i].P.Y) != bits(b[i].P.Y) || bits(a[i].T) != bits(b[i].T) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzSanitize feeds arbitrary point patterns through every mode and
 // asserts the invariants: no panic, strict never mutates, drop output
-// is finite with strictly increasing timestamps.
+// is finite with strictly increasing timestamps. It is also the oracle
+// of the one sanitize rule: Admit run point by point, as a
+// StreamMatcher runs it, keeps the same points, reports the same counts
+// and fails with the same error text as Sanitize.
 func FuzzSanitize(f *testing.F) {
 	f.Add(float64(1), float64(2), float64(3), float64(4), uint8(0))
 	f.Add(math.NaN(), float64(0), math.Inf(1), float64(-1), uint8(1))
 	f.Add(float64(0), float64(0), float64(0), float64(0), uint8(2))
+	f.Add(float64(5), float64(6), float64(9), float64(8), uint8(1))
 	f.Fuzz(func(t *testing.T, x, y, t0, t1 float64, mode uint8) {
 		ct := CellTrajectory{
 			{P: geo.Pt(x, y), T: t0},
 			{P: geo.Pt(y, x), T: t1},
 			{P: geo.Pt(x+1, y-1), T: t1},
+			{P: geo.Pt(x, y+1), T: t0 + 1},
 		}
 		m := SanitizeMode(mode % 3)
 		out, rep, err := Sanitize(ct, m)
+
+		var srep SanitizeReport
+		lastT := math.Inf(-1)
+		var kept CellTrajectory
+		var serr error
+		for i, p := range ct {
+			keep, err := srep.Admit(m, i, p, &lastT)
+			if err != nil {
+				serr = err
+				break
+			}
+			if keep {
+				kept = append(kept, p)
+			}
+		}
+		if (err == nil) != (serr == nil) || err != nil && err.Error() != serr.Error() {
+			t.Fatalf("Sanitize error %v, point-by-point Admit error %v", err, serr)
+		}
+		if err == nil && (!sameBits(out, kept) || rep != srep) {
+			t.Fatalf("Sanitize kept %v (%+v), point-by-point Admit %v (%+v)", out, rep, kept, srep)
+		}
 		if m == SanitizeStrict && err == nil {
 			// Accepted strictly: every point must be finite and ordered.
 			last := math.Inf(-1)
