@@ -143,6 +143,29 @@ func BenchmarkRoadProbFill(b *testing.B) {
 	b.ReportMetric(float64(len(segs)), "rows/op")
 }
 
+// BenchmarkPhase1Batch is one phase-1 step's forward and backward over
+// its batch's receptive field, at about the repository benchmark's
+// shape: dim 128, the default examples per trip, a city of 8,985 nodes.
+func BenchmarkPhase1Batch(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	m, samples, rng := phase1Fixture(b, testDatasetSized(b, 14, 6600), cfg)
+	draws := m.drawBatch(samples[:m.Cfg.BatchTrips], rng)
+	params := m.implicitParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tp := nn.NewTape()
+		loss, _, _ := receptiveBatchLoss(m, tp, draws)
+		if err := tp.Backward(loss); err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+	}
+}
+
 // BenchmarkMatch is the end-to-end single-trajectory match.
 func BenchmarkMatch(b *testing.B) {
 	m, ct := benchModel(b)

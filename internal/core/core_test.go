@@ -15,11 +15,18 @@ import (
 // testDataset builds a small deterministic paired dataset.
 func testDataset(t testing.TB, trips int) *traj.Dataset {
 	t.Helper()
+	return testDatasetSized(t, trips, 2200)
+}
+
+// testDatasetSized builds testDataset's city with the given half-width
+// in metres (towers, core and blocks unchanged).
+func testDatasetSized(t testing.TB, trips int, half float64) *traj.Dataset {
+	t.Helper()
 	cfg := synth.DatasetConfig{
 		Seed: 7,
 		City: synth.CityConfig{
 			Name:          "core-test",
-			HalfSize:      2200,
+			HalfSize:      half,
 			BlockSize:     250,
 			CoreRadius:    1100,
 			NodeJitter:    15,

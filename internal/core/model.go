@@ -139,10 +139,11 @@ func (m *Model) AllParams() []*nn.Param {
 // from them: the segment halves of Eq. 7's and Eq. 10's first layers
 // (obsSeg, transSeg) and the query half of Eq. 9's scores (transQ).
 // Segments occupy one contiguous node range of emb. Call after training
-// and before matching.
+// and before matching. The encoder runs over every node: the all-nodes
+// field is the graph's own adjacency, gathering nothing.
 func (m *Model) RefreshEmbeddings() {
 	tp := nn.NewTape()
-	m.emb = m.Enc.Forward(tp, m.Graph).Val.Clone()
+	m.emb = m.Enc.Forward(tp, m.Enc.Field(m.Graph, nil)).Val.Clone()
 	segs := m.emb.Rows(m.Graph.NumTowers, m.Graph.NumNodes())
 	m.obsSeg = m.segHalf(m.ObsMLP, segs)
 	m.transSeg = m.segHalf(m.TransMLP, segs)

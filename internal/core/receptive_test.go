@@ -1,0 +1,229 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/mrg"
+	"repro/internal/nn"
+	"repro/internal/traj"
+)
+
+// fullGraphBatchLoss is the phase-1 step as it was before the encoder
+// ran on the receptive field: the forward over every node, the losses
+// gathering each node's embedding by its id. It is the oracle of the
+// restricted step.
+func fullGraphBatchLoss(m *Model, tp *nn.Tape, draws []tripDraw) (*nn.T, int) {
+	f := m.Enc.Field(m.Graph, nil)
+	return m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+}
+
+// receptiveBatchLoss is trainImplicit's step: the forward over the rows
+// the draws reach.
+func receptiveBatchLoss(m *Model, tp *nn.Tape, draws []tripDraw) (*nn.T, int, *mrg.Field) {
+	f := m.Enc.Field(m.Graph, m.fieldRows(draws))
+	loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+	return loss, n, f
+}
+
+// phase1Fixture is an untrained model over d with its training samples,
+// distance scale and fuse nets prepared as Train prepares them, and the
+// rng in the state phase 1 starts from.
+func phase1Fixture(t testing.TB, d *traj.Dataset, cfg Config) (*Model, []*tripSample, *rand.Rand) {
+	t.Helper()
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var samples []*tripSample
+	for _, tr := range d.TrainTrips() {
+		if s := m.prepareSample(tr); s != nil {
+			samples = append(samples, s)
+		}
+	}
+	if len(samples) <= 2*m.Cfg.BatchTrips {
+		t.Fatalf("%d usable trips, want three batches of %d", len(samples), m.Cfg.BatchTrips)
+	}
+	m.calibrateDistScale(samples)
+	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
+	m.pretrainFuse(rng)
+	return m, samples, rng
+}
+
+// gradBits snapshots every parameter's gradient (nil reads as zeros)
+// and clears it.
+func gradBits(ps []*nn.Param) [][]uint64 {
+	out := make([][]uint64, len(ps))
+	for i, p := range ps {
+		out[i] = make([]uint64, len(p.W.W))
+		if p.Grad != nil {
+			for j, g := range p.Grad.W {
+				out[i][j] = math.Float64bits(g)
+			}
+		}
+		p.ZeroGrad()
+	}
+	return out
+}
+
+// TestReceptiveFieldTrainingExact holds phase 1's restricted step to the
+// full-graph step bit for bit: for every encoder mode, over three
+// consecutive batches with the optimizer stepping between them, the
+// loss and every parameter's gradient are Float64bits-equal, and every
+// restricted adjacency row is the graph's row mapped back to node ids.
+func TestReceptiveFieldTrainingExact(t *testing.T) {
+	d := testDataset(t, 14)
+	for _, mode := range []mrg.EncoderMode{mrg.HetGNN, mrg.HomoGNN, mrg.MLPOnly} {
+		cfg := fastConfig()
+		cfg.EncoderMode = mode
+		m, samples, rng := phase1Fixture(t, d, cfg)
+		params := m.implicitParams()
+		opt := nn.NewAdam()
+		opt.LR, opt.WeightDecay = m.Cfg.LR, m.Cfg.WeightDecay
+		perm := rng.Perm(len(samples))
+		for b := 0; b < 3; b++ {
+			var batch []*tripSample
+			for _, si := range perm[b*m.Cfg.BatchTrips : min((b+1)*m.Cfg.BatchTrips, len(perm))] {
+				batch = append(batch, samples[si])
+			}
+			draws := m.drawBatch(batch, rng)
+
+			tp := nn.NewTape()
+			loss, n, f := receptiveBatchLoss(m, tp, draws)
+			if loss == nil {
+				t.Fatalf("%v batch %d: no examples", mode, b)
+			}
+			if err := tp.Backward(loss); err != nil {
+				t.Fatal(err)
+			}
+			got := gradBits(params)
+
+			tp = nn.NewTape()
+			wantLoss, wantN := fullGraphBatchLoss(m, tp, draws)
+			if err := tp.Backward(wantLoss); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(loss.Val.W[0]) != math.Float64bits(wantLoss.Val.W[0]) || n != wantN {
+				t.Fatalf("%v batch %d: loss %v over %d, full graph %v over %d", mode, b, loss.Val.W[0], n, wantLoss.Val.W[0], wantN)
+			}
+			for i, p := range params {
+				for j, w := range p.Grad.W {
+					if got[i][j] != math.Float64bits(w) {
+						t.Fatalf("%v batch %d: %s grad[%d] = %v, full graph %v", mode, b, p.Name, j, math.Float64frombits(got[i][j]), w)
+					}
+				}
+			}
+			checkAdjacencyRows(t, m, f)
+			if mode == mrg.HetGNN && len(f.Rows(0)) >= m.Graph.NumNodes() {
+				t.Errorf("batch %d: the field reads all %d rows", b, m.Graph.NumNodes())
+			}
+			nn.ClipGradNorm(params, 5)
+			opt.Step(params)
+		}
+	}
+}
+
+// checkAdjacencyRows asserts that row i of each round's restricted
+// adjacency is the full graph's row of node Rows(l+1)[i]: the same
+// values over the same neighbours in the same order.
+func checkAdjacencyRows(t *testing.T, m *Model, f *mrg.Field) {
+	t.Helper()
+	g := m.Graph
+	var full []*nn.Sparse
+	switch m.Cfg.EncoderMode {
+	case mrg.MLPOnly:
+		return
+	case mrg.HomoGNN:
+		merged, _, err := g.Merged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = []*nn.Sparse{merged}
+	default:
+		full = []*nn.Sparse{g.CO, g.SQ, g.TP}
+	}
+	for l := 0; l < m.Cfg.Rounds; l++ {
+		for r, s := range full {
+			a, nodes := f.Adjacency(l, r)
+			for i, v := range f.Rows(l + 1) {
+				wantC, wantV := s.Row(v)
+				var ids []int
+				var vals []float64
+				if a != nil {
+					c, cv := a.Row(i)
+					for _, at := range c {
+						ids = append(ids, nodes[at])
+					}
+					vals = cv
+				}
+				if !slices.Equal(ids, wantC) || !slices.Equal(vals, wantV) {
+					t.Fatalf("round %d relation %d node %d: %v %v, graph %v %v", l, r, v, ids, vals, wantC, wantV)
+				}
+			}
+		}
+	}
+}
+
+// TestPhase1NonFiniteStepErrors: a NaN in an Init row the first batch
+// reads makes training fail at that step, before Adam writes NaN into
+// every weight.
+func TestPhase1NonFiniteStepErrors(t *testing.T) {
+	d := testDataset(t, 14)
+	m, err := New(d, d.TrainTrips(), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range d.TrainTrips() {
+		if m.prepareSample(tr) != nil {
+			// Every point's tower of a trip with examples is in its batch's field.
+			m.Enc.Init.W.Row(m.Graph.TowerNode(tr.Cell[0].Tower))[0] = math.NaN()
+			break
+		}
+	}
+	// ReLU maps a NaN pre-activation to 0, so the forward may not carry
+	// it to the loss; the backward's W_0 product reads the NaN row and
+	// carries it to the gradient.
+	err = m.fit(d, d.TrainTrips())
+	if err == nil || !strings.HasPrefix(err.Error(), "core: phase 1 epoch 1 batch ") ||
+		!(strings.HasSuffix(err.Error(), ": non-finite loss") || strings.HasSuffix(err.Error(), ": non-finite gradient norm")) {
+		t.Fatalf("fit with a NaN embedding: %v, want a phase 1 non-finite loss or gradient norm error", err)
+	}
+}
+
+// TestPhase1BatchAllocatesReceptiveField guards the work, not the time,
+// of a phase-1 step: one batch's forward and backward over its
+// receptive field allocates under a third of what the full-graph pass
+// allocates for the same examples. The city is the test city twice as
+// wide (4,193 nodes): on the test city itself a batch's field reads 469
+// of 1,089 rows and the losses outweigh the encoder, so the guard would
+// measure the losses.
+func TestPhase1BatchAllocatesReceptiveField(t *testing.T) {
+	m, samples, rng := phase1Fixture(t, testDatasetSized(t, 14, 4400), fastConfig())
+	draws := m.drawBatch(samples[:m.Cfg.BatchTrips], rng)
+	params := m.implicitParams()
+	step := func(loss func(*nn.Tape) *nn.T) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tp := nn.NewTape()
+		if err := tp.Backward(loss(tp)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	restricted := func(tp *nn.Tape) *nn.T { l, _, _ := receptiveBatchLoss(m, tp, draws); return l }
+	full := func(tp *nn.Tape) *nn.T { l, _ := fullGraphBatchLoss(m, tp, draws); return l }
+	step(full) // allocates the parameters' gradients once
+	got, want := step(restricted), step(full)
+	t.Logf("phase-1 batch: %d B on the receptive field, %d B on the full graph (%.3f)", got, want, float64(got)/float64(want))
+	if 3*got >= want {
+		t.Errorf("receptive-field batch allocates %d B, full graph %d B: not under a third", got, want)
+	}
+}

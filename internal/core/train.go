@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/hmm"
 	"repro/internal/metrics"
+	"repro/internal/mrg"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -37,8 +39,20 @@ func Train(ds *traj.Dataset, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
+	if err := m.fit(ds, trips); err != nil {
+		return nil, err
+	}
+	obsTrainSeconds.ObserveSince(start)
+	obs.Logger().Info("core: training finished",
+		"seconds", time.Since(start).Seconds(),
+		"dist_scale", m.distScale.W.W[0], "gamma", m.transGamma.W.W[0])
+	return m, nil
+}
 
+// fit trains a model New built from the training trips of ds: both
+// phases, then the calibrations.
+func (m *Model) fit(ds *traj.Dataset, trips []*traj.Trip) error {
+	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
 	samples := make([]*tripSample, 0, len(trips))
 	for _, tr := range trips {
 		if s := m.prepareSample(tr); s != nil {
@@ -46,7 +60,7 @@ func Train(ds *traj.Dataset, cfg Config) (*Model, error) {
 		}
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: no usable training trips")
+		return fmt.Errorf("core: no usable training trips")
 	}
 	obs.Logger().Info("core: training started",
 		"trips", len(trips), "usable", len(samples),
@@ -55,18 +69,14 @@ func Train(ds *traj.Dataset, cfg Config) (*Model, error) {
 	m.calibrateDistScale(samples)
 	m.pretrainFuse(rng)
 	if err := m.trainImplicit(samples, rng); err != nil {
-		return nil, err
+		return err
 	}
 	m.RefreshEmbeddings()
 	if err := m.trainFuse(samples, rng); err != nil {
-		return nil, err
+		return err
 	}
 	m.calibrateGamma(ds)
-	obsTrainSeconds.ObserveSince(start)
-	obs.Logger().Info("core: training finished",
-		"seconds", time.Since(start).Seconds(),
-		"dist_scale", m.distScale.W.W[0], "gamma", m.transGamma.W.W[0])
-	return m, nil
+	return nil
 }
 
 // calibrateGamma selects the transition-sharpening exponent on the
@@ -213,10 +223,111 @@ func (s *tripSample) samplePairs(rng *rand.Rand, maxPairs, negPerPos int) []pair
 	return out
 }
 
+// roadEx is one labeled road of the trajectory-road classification.
+type roadEx struct {
+	seg   roadnet.SegmentID
+	label int
+}
+
+// sampleRoads draws one trip's trajectory-road examples: positives from
+// the path, negatives from the pooled negatives of random points.
+func (s *tripSample) sampleRoads(rng *rand.Rand, maxPairs, negPerPos int) []roadEx {
+	posBudget := maxPairs / (1 + negPerPos)
+	if posBudget < 1 {
+		posBudget = 1
+	}
+	var exs []roadEx
+	for k := 0; k < posBudget; k++ {
+		exs = append(exs, roadEx{s.tr.Path[rng.Intn(len(s.tr.Path))], 1})
+		for j := 0; j < negPerPos; j++ {
+			i := rng.Intn(len(s.negPool))
+			if len(s.negPool[i]) == 0 {
+				continue
+			}
+			exs = append(exs, roadEx{s.negPool[i][rng.Intn(len(s.negPool[i]))], 0})
+		}
+	}
+	return exs
+}
+
+// tripDraw is one trip's phase-1 examples, drawn before the batch's
+// forward pass so that pass computes only the rows they reach.
+type tripDraw struct {
+	s     *tripSample
+	obs   []pair   // Eq. 7 examples; none when disabled
+	trans []roadEx // Eq. 10 examples; none when disabled
+}
+
+// drawBatch draws a batch's examples trip by trip, observation pairs
+// then roads: the only rng use of a phase-1 step, in a fixed order.
+func (m *Model) drawBatch(batch []*tripSample, rng *rand.Rand) []tripDraw {
+	draws := make([]tripDraw, len(batch))
+	for i, s := range batch {
+		draws[i].s = s
+		if !m.Cfg.DisableImplicitObs {
+			draws[i].obs = s.samplePairs(rng, m.Cfg.PairsPerTrip, m.Cfg.NegPerPos)
+		}
+		if !m.Cfg.DisableImplicitTrans {
+			draws[i].trans = s.sampleRoads(rng, m.Cfg.PairsPerTrip, m.Cfg.NegPerPos)
+		}
+	}
+	return draws
+}
+
+// fieldRows returns the nodes the draws' losses read, ascending: the
+// towers of every point of a trip with examples and every drawn road.
+func (m *Model) fieldRows(draws []tripDraw) []int {
+	var rows []int
+	for _, d := range draws {
+		if len(d.obs) == 0 && len(d.trans) == 0 {
+			continue
+		}
+		for _, cp := range d.s.tr.Cell {
+			rows = append(rows, m.Graph.TowerNode(cp.Tower))
+		}
+		for _, pr := range d.obs {
+			rows = append(rows, m.Graph.SegNode(pr.seg))
+		}
+		for _, ex := range d.trans {
+			rows = append(rows, m.Graph.SegNode(ex.seg))
+		}
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
+// batchLoss builds the batch's mean classification loss on the tape
+// over H, the encoder's output for field f (node v is row f.Local(v)),
+// and returns it with the number of per-trip losses it averages; nil
+// when no trip drew an example.
+func (m *Model) batchLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, draws []tripDraw) (*nn.T, int) {
+	var losses []*nn.T
+	for _, d := range draws {
+		if len(d.obs) > 0 {
+			losses = append(losses, m.obsLoss(tp, H, f, d.s, d.obs))
+		}
+		if len(d.trans) > 0 {
+			losses = append(losses, m.transLoss(tp, H, f, d.s, d.trans))
+		}
+	}
+	if len(losses) == 0 {
+		return nil, 0
+	}
+	loss := losses[0]
+	for _, l := range losses[1:] {
+		loss = tp.Add(loss, l)
+	}
+	return tp.Scale(loss, 1/float64(len(losses))), len(losses)
+}
+
 // trainImplicit runs phase 1: joint training of the encoder, the
 // context attention networks, and the implicit correlation MLPs via
 // binary road classification with undersampled negatives and label
-// smoothing.
+// smoothing. Each step runs the encoder over its batch's receptive
+// field only (mrg.Encoder.Field), which gives the loss and gradients of
+// the all-nodes pass bit for bit. A non-finite loss or gradient norm
+// stops training with an error before the optimizer writes it into the
+// weights.
 func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 	opt := nn.NewAdam()
 	opt.LR = m.Cfg.LR
@@ -226,71 +337,67 @@ func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		epochStart := time.Now()
 		var lossSum float64
-		var lossN int
+		var lossN, batches, rfSum, rfMax int
 		perm := rng.Perm(len(samples))
 		for at := 0; at < len(perm); at += m.Cfg.BatchTrips {
-			end := at + m.Cfg.BatchTrips
-			if end > len(perm) {
-				end = len(perm)
-			}
-			tp := nn.NewTape()
-			H := m.Enc.Forward(tp, m.Graph)
-			var losses []*nn.T
+			end := min(at+m.Cfg.BatchTrips, len(perm))
+			batch := make([]*tripSample, 0, end-at)
 			for _, si := range perm[at:end] {
-				s := samples[si]
-				if !m.Cfg.DisableImplicitObs {
-					if l := m.obsLossForTrip(tp, H, s, rng); l != nil {
-						losses = append(losses, l)
-					}
-				}
-				if !m.Cfg.DisableImplicitTrans {
-					if l := m.transLossForTrip(tp, H, s, rng); l != nil {
-						losses = append(losses, l)
-					}
-				}
+				batch = append(batch, samples[si])
 			}
-			if len(losses) == 0 {
+			draws := m.drawBatch(batch, rng)
+			rows := m.fieldRows(draws)
+			if len(rows) == 0 {
 				continue
 			}
-			loss := losses[0]
-			for _, l := range losses[1:] {
-				loss = tp.Add(loss, l)
+			f := m.Enc.Field(m.Graph, rows)
+			tp := nn.NewTape()
+			loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+			step := fmt.Sprintf("core: phase 1 epoch %d batch %d", epoch+1, at/m.Cfg.BatchTrips+1)
+			if !isFinite(loss.Val.W[0]) {
+				return fmt.Errorf("%s: non-finite loss", step)
 			}
-			loss = tp.Scale(loss, 1/float64(len(losses)))
 			if err := tp.Backward(loss); err != nil {
-				return fmt.Errorf("core: phase 1: %w", err)
+				return fmt.Errorf("%s: %w", step, err)
 			}
-			lossSum += loss.Val.W[0] * float64(len(losses))
-			lossN += len(losses)
-			nn.ClipGradNorm(params, 5)
+			if !isFinite(nn.ClipGradNorm(params, 5)) {
+				return fmt.Errorf("%s: non-finite gradient norm", step)
+			}
 			opt.Step(params)
+			lossSum += loss.Val.W[0] * float64(n)
+			lossN += n
+			rf := len(f.Rows(0))
+			batches++
+			rfSum += rf
+			rfMax = max(rfMax, rf)
 		}
 		meanLoss := math.NaN()
 		if lossN > 0 {
 			meanLoss = lossSum / float64(lossN)
 			obsTrainLoss.Set(int64(meanLoss * 1000))
 		}
+		rfMean := math.NaN()
+		if batches > 0 {
+			rfMean = float64(rfSum) / float64(batches)
+		}
 		obsTrainEpochs.Inc()
 		obsTrainEpochS.ObserveSince(epochStart)
 		obs.Logger().Info("core: phase 1 epoch",
 			"epoch", epoch+1, "of", m.Cfg.Epochs,
-			"loss", meanLoss, "seconds", time.Since(epochStart).Seconds())
+			"loss", meanLoss, "seconds", time.Since(epochStart).Seconds(),
+			"rf_rows_mean", rfMean, "rf_rows_max", rfMax,
+			"rf_fraction", rfMean/float64(m.Graph.NumNodes()))
 	}
 	return nil
 }
 
-// obsLossForTrip builds the observation classification loss of one trip
-// on the tape: Eq. 6 context representations feed Eq. 7 logits.
-func (m *Model) obsLossForTrip(tp *nn.Tape, H *nn.T, s *tripSample, rng *rand.Rand) *nn.T {
-	pairs := s.samplePairs(rng, m.Cfg.PairsPerTrip, m.Cfg.NegPerPos)
-	if len(pairs) == 0 {
-		return nil
-	}
-	ptIdx := make([]int, len(s.tr.Cell))
-	for i, cp := range s.tr.Cell {
-		ptIdx[i] = m.Graph.TowerNode(cp.Tower)
-	}
-	ptEmb := tp.Gather(H, ptIdx)
+// isFinite reports whether v is neither NaN nor ±Inf.
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// obsLoss builds the observation classification loss of one trip's
+// pairs on the tape: Eq. 6 context representations feed Eq. 7 logits.
+func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, pairs []pair) *nn.T {
+	ptEmb := tp.Gather(H, m.towerRows(f, s))
 
 	// Context representation per distinct point in the sample.
 	ctx := make(map[int]*nn.T)
@@ -305,7 +412,7 @@ func (m *Model) obsLossForTrip(tp *nn.Tape, H *nn.T, s *tripSample, rng *rand.Ra
 	rows := make([]*nn.T, len(pairs))
 	labels := make([]int, len(pairs))
 	for i, pr := range pairs {
-		segT := tp.Gather(H, []int{m.Graph.SegNode(pr.seg)})
+		segT := tp.Gather(H, []int{f.Local(m.Graph.SegNode(pr.seg))})
 		rows[i] = tp.ConcatCols(segT, ctx[pr.point])
 		labels[i] = pr.label
 	}
@@ -314,43 +421,15 @@ func (m *Model) obsLossForTrip(tp *nn.Tape, H *nn.T, s *tripSample, rng *rand.Ra
 	return tp.CrossEntropy(logits, target)
 }
 
-// transLossForTrip builds the trajectory-road classification loss of
-// one trip: Eq. 9 trajectory representations feed Eq. 10 logits.
-func (m *Model) transLossForTrip(tp *nn.Tape, H *nn.T, s *tripSample, rng *rand.Rand) *nn.T {
-	// Positive roads: on the path. Negative roads: from the pooled
-	// negatives of random points.
-	posBudget := m.Cfg.PairsPerTrip / (1 + m.Cfg.NegPerPos)
-	if posBudget < 1 {
-		posBudget = 1
-	}
-	type roadEx struct {
-		seg   roadnet.SegmentID
-		label int
-	}
-	var exs []roadEx
-	for k := 0; k < posBudget; k++ {
-		exs = append(exs, roadEx{s.tr.Path[rng.Intn(len(s.tr.Path))], 1})
-		for j := 0; j < m.Cfg.NegPerPos; j++ {
-			i := rng.Intn(len(s.negPool))
-			if len(s.negPool[i]) == 0 {
-				continue
-			}
-			exs = append(exs, roadEx{s.negPool[i][rng.Intn(len(s.negPool[i]))], 0})
-		}
-	}
-	if len(exs) == 0 {
-		return nil
-	}
-	ptIdx := make([]int, len(s.tr.Cell))
-	for i, cp := range s.tr.Cell {
-		ptIdx[i] = m.Graph.TowerNode(cp.Tower)
-	}
-	ptEmb := tp.Gather(H, ptIdx)
+// transLoss builds the trajectory-road classification loss of one
+// trip's roads: Eq. 9 trajectory representations feed Eq. 10 logits.
+func (m *Model) transLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, exs []roadEx) *nn.T {
+	ptEmb := tp.Gather(H, m.towerRows(f, s))
 
 	rows := make([]*nn.T, len(exs))
 	labels := make([]int, len(exs))
 	for i, ex := range exs {
-		segT := tp.Gather(H, []int{m.Graph.SegNode(ex.seg)})
+		segT := tp.Gather(H, []int{f.Local(m.Graph.SegNode(ex.seg))})
 		xl, _ := m.TransAtt.Forward(tp, segT, ptEmb, ptEmb)
 		rows[i] = tp.ConcatCols(segT, xl)
 		labels[i] = ex.label
@@ -358,6 +437,16 @@ func (m *Model) transLossForTrip(tp *nn.Tape, H *nn.T, s *tripSample, rng *rand.
 	logits := m.TransMLP.Forward(tp, tp.StackRows(rows))
 	target := nn.SmoothedTargets(len(exs), 2, labels, m.Cfg.LabelSmooth)
 	return tp.CrossEntropy(logits, target)
+}
+
+// towerRows returns the rows of field f's output that hold the towers
+// of s's points, in point order.
+func (m *Model) towerRows(f *mrg.Field, s *tripSample) []int {
+	idx := make([]int, len(s.tr.Cell))
+	for i, cp := range s.tr.Cell {
+		idx[i] = f.Local(m.Graph.TowerNode(cp.Tower))
+	}
+	return idx
 }
 
 // pretrainFuse initializes both fuse MLPs (Eqs. 8 and 12) to pass

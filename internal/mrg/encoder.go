@@ -3,6 +3,7 @@ package mrg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/nn"
 )
@@ -106,32 +107,188 @@ func NewEncoder(g *Graph, mode EncoderMode, dim, rounds int, rng *rand.Rand) (*E
 	return e, nil
 }
 
-// Forward computes the |V|×d node embedding matrix on the tape.
-func (e *Encoder) Forward(tp *nn.Tape, g *Graph) *nn.T {
-	h := tp.Var(e.Init)
+// relations returns the adjacencies Eq. 4 averages over, each with its
+// transpose, in the order relWeights lists their weights: CO, SQ, TP
+// (HetGNN), the merged adjacency (HomoGNN), none (MLPOnly).
+func (e *Encoder) relations(g *Graph) [][2]*nn.Sparse {
 	switch e.Mode {
 	case MLPOnly:
-		return e.MLP.Forward(tp, h)
+		return nil
 	case HomoGNN:
-		for l := 0; l < e.Rounds; l++ {
-			msg := tp.SpMM(e.merged, e.mergedT, tp.MatMul(h, tp.Var(e.WHomo[l])))
-			agg := tp.MatMul(msg, tp.Var(e.WAgg[l]))
-			self := tp.MatMul(h, tp.Var(e.W0[l]))
-			h = tp.ReLU(tp.Add(agg, self))
-		}
-		return h
+		return [][2]*nn.Sparse{{e.merged, e.mergedT}}
 	default:
-		for l := 0; l < e.Rounds; l++ {
-			zCO := tp.SpMM(g.CO, g.COt, tp.MatMul(h, tp.Var(e.WCO[l])))
-			zSQ := tp.SpMM(g.SQ, g.SQt, tp.MatMul(h, tp.Var(e.WSQ[l])))
-			zTP := tp.SpMM(g.TP, g.TPt, tp.MatMul(h, tp.Var(e.WTP[l])))
-			sum := tp.Add(tp.Add(zCO, zSQ), zTP)
-			agg := tp.MatMul(sum, tp.Var(e.WAgg[l]))
-			self := tp.MatMul(h, tp.Var(e.W0[l]))
-			h = tp.ReLU(tp.Add(agg, self))
-		}
-		return h
+		return [][2]*nn.Sparse{{g.CO, g.COt}, {g.SQ, g.SQt}, {g.TP, g.TPt}}
 	}
+}
+
+// relWeights returns round l's relation weights W_rel, one per
+// relations entry.
+func (e *Encoder) relWeights(l int) []*nn.Param {
+	if e.Mode == HomoGNN {
+		return []*nn.Param{e.WHomo[l]}
+	}
+	return []*nn.Param{e.WCO[l], e.WSQ[l], e.WTP[l]}
+}
+
+// Field is the receptive field of a set of output rows: for each round,
+// the rows of h^l it reads and each relation's adjacency restricted to
+// them. A nil row list stands for every node, and then the adjacencies
+// are the graph's own. Build with Encoder.Field; a Field belongs to the
+// encoder and graph it was built for.
+type Field struct {
+	// rows[l] lists the nodes of h^l, ascending: rows[0] the rows of
+	// Init the pass reads, rows[len(rows)-1] the output. nil = all.
+	rows   [][]int
+	rounds []fieldRound
+}
+
+// fieldRound is one round of Eqs. 4–5 restricted to a field.
+type fieldRound struct {
+	self []int      // positions in rows[l] of rows[l+1], W_0's input; nil = all
+	rels []fieldRel // one per Encoder.relations entry
+}
+
+// fieldRel is one relation's Eq. 4 within a round: rows[l+1] average
+// over their in-neighbours, which sit at positions in of rows[l].
+type fieldRel struct {
+	in    []int      // positions in rows[l]; nil = all
+	nodes []int      // the in-neighbours' node ids (a's columns); nil = all
+	a, at *nn.Sparse // |rows[l+1]|×|in| rows of the full adjacency, and aᵀ; nil if no in-neighbours
+}
+
+// Field returns the receptive field of the given output rows (node ids,
+// strictly ascending; nil = every node). Round l needs its own output
+// rows and, for each relation, their in-neighbours; the relation's
+// restricted adjacency keeps the full graph's row-normalised values
+// (Eqs. 4–5 average over all neighbours) and numbers rows and columns
+// in ascending node order, so every per-row sum of the restricted pass
+// runs over the same terms in the same order as the full one. It panics
+// on rows that are not strictly ascending node ids (programmer error).
+func (e *Encoder) Field(g *Graph, rows []int) *Field {
+	for i, v := range rows {
+		if v < 0 || v >= g.NumNodes() || (i > 0 && v <= rows[i-1]) {
+			panic(fmt.Sprintf("mrg: Field: row %d (%d) is not a strictly ascending node id below %d", i, v, g.NumNodes()))
+		}
+	}
+	rels := e.relations(g)
+	rounds := e.Rounds
+	if e.Mode == MLPOnly {
+		rounds = 0
+	}
+	f := &Field{rows: make([][]int, rounds+1), rounds: make([]fieldRound, rounds)}
+	f.rows[rounds] = rows
+	for l := rounds - 1; l >= 0; l-- {
+		out := f.rows[l+1]
+		rd := &f.rounds[l]
+		if out == nil {
+			for _, r := range rels {
+				rd.rels = append(rd.rels, fieldRel{a: r[0], at: r[1]})
+			}
+			continue
+		}
+		in := append([]int(nil), out...)
+		for _, r := range rels {
+			var fr fieldRel
+			if fr.nodes = r[0].Cols(out); len(fr.nodes) > 0 {
+				fr.a = r[0].Sub(out, fr.nodes)
+				var err error
+				if fr.at, err = fr.a.Transpose(); err != nil {
+					panic(err) // Sub's indices lie inside its shape
+				}
+				in = append(in, fr.nodes...)
+			}
+			rd.rels = append(rd.rels, fr)
+		}
+		slices.Sort(in)
+		in = slices.Compact(in)
+		f.rows[l] = in
+		rd.self = positions(in, out)
+		for i := range rd.rels {
+			rd.rels[i].in = positions(in, rd.rels[i].nodes)
+		}
+	}
+	return f
+}
+
+// positions returns the index in the ascending list of each of nodes,
+// all of which it holds.
+func positions(list, nodes []int) []int {
+	pos := make([]int, len(nodes))
+	for i, v := range nodes {
+		pos[i], _ = slices.BinarySearch(list, v)
+	}
+	return pos
+}
+
+// Rows returns the nodes of h^l in the field, ascending — l = 0 the
+// rows of Init the pass reads, l = Rounds (0 for MLPOnly) the output —
+// or nil for every node.
+func (f *Field) Rows(l int) []int { return f.rows[l] }
+
+// Local returns the output row that holds node v: its index in the
+// output rows, v itself for an all-nodes field, −1 if v is outside.
+func (f *Field) Local(v int) int {
+	out := f.rows[len(f.rows)-1]
+	if out == nil {
+		return v
+	}
+	if at, ok := slices.BinarySearch(out, v); ok {
+		return at
+	}
+	return -1
+}
+
+// Adjacency returns round l's restricted adjacency of relation r (CO,
+// SQ, TP for HetGNN; the merged adjacency for HomoGNN) and the node id
+// of each of its columns; its rows are Rows(l+1). Both are nil when the
+// rows have no in-neighbours in that relation; an all-nodes field
+// returns the graph's adjacency and nil node ids.
+func (f *Field) Adjacency(l, r int) (*nn.Sparse, []int) {
+	fr := f.rounds[l].rels[r]
+	return fr.a, fr.nodes
+}
+
+// Forward computes the embeddings of the field's output rows on the
+// tape: row r of the result is node Rows(last)[r], or node r for an
+// all-nodes field (the |V|×d matrix). h⁰ gathers the Init rows the
+// field reads, so the gather's backward scatters into the full Init
+// gradient; each product takes its rows of h^l through a gather. For a
+// field of finite parameters, values, loss and every gradient equal
+// the all-nodes pass's bit for bit (DESIGN §8b "Set-up").
+func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
+	h := pick(tp, tp.Var(e.Init), f.rows[0])
+	if e.Mode == MLPOnly {
+		return e.MLP.Forward(tp, h)
+	}
+	for l, rd := range f.rounds {
+		ws := e.relWeights(l)
+		zs := make([]*nn.T, len(rd.rels))
+		for r, fr := range rd.rels {
+			if fr.a == nil {
+				// No in-neighbours: Eq. 4's mean is the zero row, as the
+				// full adjacency's empty rows give it.
+				zs[r] = tp.Const(nn.NewMat(len(f.rows[l+1]), e.Dim))
+				continue
+			}
+			zs[r] = tp.SpMM(fr.a, fr.at, tp.MatMul(pick(tp, h, fr.in), tp.Var(ws[r])))
+		}
+		sum := zs[0]
+		for _, z := range zs[1:] {
+			sum = tp.Add(sum, z)
+		}
+		agg := tp.MatMul(sum, tp.Var(e.WAgg[l]))
+		self := tp.MatMul(pick(tp, h, rd.self), tp.Var(e.W0[l]))
+		h = tp.ReLU(tp.Add(agg, self))
+	}
+	return h
+}
+
+// pick returns the given rows of x, or x itself for nil.
+func pick(tp *nn.Tape, x *nn.T, rows []int) *nn.T {
+	if rows == nil {
+		return x
+	}
+	return tp.Gather(x, rows)
 }
 
 // Params returns all trainable parameters of the encoder.

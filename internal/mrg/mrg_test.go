@@ -3,6 +3,7 @@ package mrg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cellular"
@@ -141,7 +142,7 @@ func TestEncoderForwardShapes(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		tp := nn.NewTape()
-		h := enc.Forward(tp, g)
+		h := enc.Forward(tp, enc.Field(g, nil))
 		if h.R() != g.NumNodes() || h.C() != 8 {
 			t.Errorf("%v: embedding shape %d×%d", mode, h.R(), h.C())
 		}
@@ -170,7 +171,7 @@ func TestEncoderGradientsFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := nn.NewTape()
-		h := enc.Forward(tp, g)
+		h := enc.Forward(tp, enc.Field(g, nil))
 		loss := tp.SumAll(tp.Mul(h, h))
 		if err := tp.Backward(loss); err != nil {
 			t.Fatal(err)
@@ -186,6 +187,135 @@ func TestEncoderGradientsFlow(t *testing.T) {
 		}
 		if withGrad < len(enc.Params())/2 {
 			t.Errorf("%v: only %d/%d params got gradient", mode, withGrad, len(enc.Params()))
+		}
+	}
+}
+
+// TestReceptiveFieldForwardExact holds the restricted pass to the
+// all-nodes pass bit for bit: for each mode and a few output row sets,
+// a loss over those rows has the same value and every parameter the
+// same gradient, and every restricted adjacency row is the full
+// graph's row — values and column order, mapped back to node ids.
+func TestReceptiveFieldForwardExact(t *testing.T) {
+	d, trips := testWorld(t)
+	g, err := BuildGraph(d.Net, d.Cells, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, mode := range []EncoderMode{HetGNN, HomoGNN, MLPOnly} {
+		enc, err := NewEncoder(g, mode, 8, 2, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			seen := map[int]bool{}
+			if trial < 4 {
+				// Trip towers and path segments, as a training batch picks them.
+				for _, tr := range trips[trial : trial+2] {
+					for _, cp := range tr.Cell {
+						seen[g.TowerNode(cp.Tower)] = true
+					}
+					for _, sid := range tr.Path {
+						seen[g.SegNode(sid)] = true
+					}
+				}
+			} else {
+				// Scattered nodes, most of them no neighbour of another.
+				for len(seen) < 12 {
+					seen[rng.Intn(g.NumNodes())] = true
+				}
+			}
+			var rows []int
+			for v := range seen {
+				rows = append(rows, v)
+			}
+			slices.Sort(rows)
+			coef := nn.NewMat(len(rows), enc.Dim)
+			coef.Xavier(rng)
+
+			f := enc.Field(g, rows)
+			checkFieldAdjacency(t, enc, g, f)
+			lossOf := func(f *Field, idx []int) (float64, map[string][]float64) {
+				tp := nn.NewTape()
+				h := tp.Gather(enc.Forward(tp, f), idx)
+				loss := tp.SumAll(tp.Mul(h, tp.Const(coef)))
+				if err := tp.Backward(loss); err != nil {
+					t.Fatal(err)
+				}
+				grads := map[string][]float64{}
+				for _, p := range enc.Params() {
+					if p.Grad != nil {
+						grads[p.Name] = append([]float64(nil), p.Grad.W...)
+					}
+					p.ZeroGrad()
+				}
+				return loss.Val.W[0], grads
+			}
+			local := make([]int, len(rows))
+			for i, v := range rows {
+				local[i] = f.Local(v)
+			}
+			gotLoss, got := lossOf(f, local)
+			wantLoss, want := lossOf(enc.Field(g, nil), rows)
+			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+				t.Fatalf("%v trial %d: loss %v, all-nodes pass %v", mode, trial, gotLoss, wantLoss)
+			}
+			for _, p := range enc.Params() {
+				for i, w := range want[p.Name] {
+					var v float64 // a parameter the restricted pass did not reach has a zero gradient
+					if got[p.Name] != nil {
+						v = got[p.Name][i]
+					}
+					if math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%v trial %d: %s grad[%d] = %v, all-nodes pass %v", mode, trial, p.Name, i, v, w)
+					}
+				}
+			}
+			if mode != MLPOnly && len(f.Rows(0)) >= g.NumNodes() {
+				t.Errorf("%v trial %d: the field reads all %d rows", mode, trial, g.NumNodes())
+			}
+		}
+	}
+}
+
+// checkFieldAdjacency asserts that every row of every restricted
+// adjacency in f is the full graph's row, read through the column node
+// ids, and that row k of each transpose lists the adjacency's column k
+// in ascending row order.
+func checkFieldAdjacency(t *testing.T, enc *Encoder, g *Graph, f *Field) {
+	t.Helper()
+	rels := enc.relations(g)
+	for l := range f.rounds {
+		for r, full := range rels {
+			a, nodes := f.Adjacency(l, r)
+			if a == nil {
+				if c := full[0].Cols(f.Rows(l + 1)); len(c) != 0 {
+					t.Fatalf("round %d relation %d: no adjacency for rows with %d in-neighbours", l, r, len(c))
+				}
+				continue
+			}
+			colRows := make([][]int, a.C)
+			colVals := make([][]float64, a.C)
+			for i, v := range f.Rows(l + 1) {
+				wantC, wantV := full[0].Row(v)
+				c, vals := a.Row(i)
+				ids := make([]int, len(c))
+				for k, at := range c {
+					ids[k] = nodes[at]
+					colRows[at] = append(colRows[at], i)
+					colVals[at] = append(colVals[at], vals[k])
+				}
+				if !slices.Equal(ids, wantC) || !slices.Equal(vals, wantV) {
+					t.Fatalf("round %d relation %d node %d: row %v %v, graph %v %v", l, r, v, ids, vals, wantC, wantV)
+				}
+			}
+			for k := 0; k < a.C; k++ {
+				c, v := f.rounds[l].rels[r].at.Row(k)
+				if !slices.Equal(c, colRows[k]) || !slices.Equal(v, colVals[k]) {
+					t.Fatalf("round %d relation %d: transpose row %d is %v %v, want %v %v", l, r, k, c, v, colRows[k], colVals[k])
+				}
+			}
 		}
 	}
 }
@@ -227,7 +357,7 @@ func TestEncoderLearnsCoOccurrence(t *testing.T) {
 	opt.LR = 0.01
 	for iter := 0; iter < 80; iter++ {
 		tp := nn.NewTape()
-		h := enc.Forward(tp, g)
+		h := enc.Forward(tp, enc.Field(g, nil))
 		// Pull positives together, push a random pair apart.
 		var loss *nn.T
 		for _, pr := range pos[:min(len(pos), 32)] {
@@ -253,7 +383,7 @@ func TestEncoderLearnsCoOccurrence(t *testing.T) {
 	}
 	// Positive pairs now closer on average than random pairs.
 	tp := nn.NewTape()
-	h := enc.Forward(tp, g).Val
+	h := enc.Forward(tp, enc.Field(g, nil)).Val
 	distOf := func(a, b int) float64 {
 		var s float64
 		ra, rb := h.Row(a), h.Row(b)

@@ -32,25 +32,26 @@ func (tp *Tape) MatMul(a, b *T) *T {
 //     ascending from +0, skipping a[k][i] == 0. A zero row k adds ±0
 //     wherever a[k][i] is finite, which leaves the (never −0) sum as it
 //     was, so the row is skipped — unless row k of A holds a NaN or
-//     ±Inf, since 0·Inf = NaN must still propagate. The sum runs k-outer
-//     over A in place, with no transpose of A.
+//     ±Inf, since 0·Inf = NaN must still propagate. The kept rows of A
+//     are gathered transposed and multiplied by the same rows of dOut
+//     through MatMulInto, whose per-element sum is exactly that one
+//     (refMatMulRows), row-blocked and forked like any product; with no
+//     row kept, Aᵀ·dOut is +0 and is not added.
 func matMulBackward(a, b *T, dOut *Mat) {
-	var rows []int
+	var rows, keep []int
 	for r := 0; r < dOut.R; r++ {
-		if !zeroRow(dOut.Row(r)) {
+		switch {
+		case !zeroRow(dOut.Row(r)):
 			rows = append(rows, r)
+			keep = append(keep, r)
+		case !finite(a.Val.Row(r)):
+			keep = append(keep, r)
 		}
 	}
 	if len(rows) > 0 {
 		bt := NewMat(b.C(), b.R())
 		TransposeInto(bt, b.Val)
-		g := dOut
-		if len(rows) < dOut.R {
-			g = NewMat(len(rows), dOut.C)
-			for t, r := range rows {
-				copy(g.Row(t), dOut.Row(r))
-			}
-		}
+		g := gatherRows(dOut, rows)
 		da := NewMat(g.R, a.C())
 		MatMulInto(da, g, bt)
 		for t, r := range rows {
@@ -60,21 +61,31 @@ func matMulBackward(a, b *T, dOut *Mat) {
 			}
 		}
 	}
-	db := NewMat(b.R(), b.C())
-	next := 0
-	for k := 0; k < dOut.R; k++ {
-		ar := a.Val.Row(k)
-		if next < len(rows) && rows[next] == k {
-			next++
-		} else if finite(ar) {
-			continue
-		}
-		gr := dOut.Row(k)
-		for i, av := range ar {
-			axpy(db.Row(i), av, gr)
+	if len(keep) == 0 {
+		return
+	}
+	at := NewMat(a.C(), len(keep))
+	for t, k := range keep {
+		for i, v := range a.Val.Row(k) {
+			at.W[i*len(keep)+t] = v
 		}
 	}
+	db := NewMat(b.R(), b.C())
+	MatMulInto(db, at, gatherRows(dOut, keep))
 	b.Grad.AddInPlace(db)
+}
+
+// gatherRows returns the given ascending rows of m as a new matrix, or
+// m itself when they are all of its rows.
+func gatherRows(m *Mat, rows []int) *Mat {
+	if len(rows) == m.R {
+		return m
+	}
+	g := NewMat(len(rows), m.C)
+	for t, r := range rows {
+		copy(g.Row(t), m.Row(r))
+	}
+	return g
 }
 
 // zeroRow reports whether every value in r is zero (either sign).

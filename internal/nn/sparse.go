@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -58,6 +59,48 @@ func NewSparse(r, c int, triples []Triple) (*Sparse, error) {
 
 // NNZ returns the number of stored entries.
 func (s *Sparse) NNZ() int { return len(s.vals) }
+
+// Row returns row i's stored columns, ascending, and their values. Both
+// slices alias the matrix; do not modify them.
+func (s *Sparse) Row(i int) (cols []int, vals []float64) {
+	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+	return s.colIdx[lo:hi:hi], s.vals[lo:hi:hi]
+}
+
+// Cols returns the distinct columns stored in the given rows,
+// ascending.
+func (s *Sparse) Cols(rows []int) []int {
+	var cols []int
+	for _, i := range rows {
+		c, _ := s.Row(i)
+		cols = append(cols, c...)
+	}
+	slices.Sort(cols)
+	return slices.Compact(cols)
+}
+
+// Sub returns the len(rows)×len(cols) submatrix of s whose row r is
+// row rows[r] of s, each entry's column renumbered to its index in
+// cols. cols must be ascending and hold every column those rows store
+// (Cols(rows) or a superset); it panics otherwise (programmer error).
+// Entries keep their values and, since the renumbering is monotone,
+// their order within a row.
+func (s *Sparse) Sub(rows, cols []int) *Sparse {
+	out := &Sparse{R: len(rows), C: len(cols), rowPtr: make([]int, len(rows)+1)}
+	for r, i := range rows {
+		c, v := s.Row(i)
+		for k, col := range c {
+			at, ok := slices.BinarySearch(cols, col)
+			if !ok {
+				panic(fmt.Sprintf("nn: Sparse.Sub: row %d stores column %d, not in cols", i, col))
+			}
+			out.colIdx = append(out.colIdx, at)
+			out.vals = append(out.vals, v[k])
+		}
+		out.rowPtr[r+1] = len(out.colIdx)
+	}
+	return out
+}
 
 // RowNormalize scales each row to sum to 1 (rows summing to 0 are left
 // unchanged), implementing the 1/|N| neighbor averaging of Eq. 4 —

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,6 +97,45 @@ func TestRowNormalize(t *testing.T) {
 	if math.Abs(dst.W[0]-1) > 1e-12 || math.Abs(dst.W[1]-1) > 1e-12 || dst.W[2] != 0 {
 		t.Errorf("normalized row sums = %v", dst.W)
 	}
+}
+
+// TestSparseSub holds Sub to its definition: row r of the submatrix is
+// row rows[r] of s, entries in the same order with the same values,
+// columns renumbered through cols; and a cols missing a stored column
+// panics.
+func TestSparseSub(t *testing.T) {
+	s, err := NewSparse(4, 6, []Triple{
+		{0, 1, 1}, {0, 4, 2}, {1, 0, 3}, {2, 2, 4}, {2, 5, 5}, {3, 4, 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int{0, 2, 3}
+	cols := s.Cols(rows)
+	if want := []int{1, 2, 4, 5}; !slices.Equal(cols, want) {
+		t.Fatalf("Cols = %v, want %v", cols, want)
+	}
+	sub := s.Sub(rows, cols)
+	if sub.R != 3 || sub.C != 4 || sub.NNZ() != 5 {
+		t.Fatalf("Sub is %d×%d with %d entries", sub.R, sub.C, sub.NNZ())
+	}
+	for r, i := range rows {
+		wantC, wantV := s.Row(i)
+		c, v := sub.Row(r)
+		global := make([]int, len(c))
+		for k, at := range c {
+			global[k] = cols[at]
+		}
+		if !slices.Equal(global, wantC) || !slices.Equal(v, wantV) {
+			t.Errorf("row %d: cols %v vals %v, want %v %v", i, global, v, wantC, wantV)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sub with a missing column did not panic")
+		}
+	}()
+	s.Sub(rows, []int{1, 2, 4})
 }
 
 func TestGradSpMM(t *testing.T) {
