@@ -32,13 +32,22 @@ func trainedModel(t *testing.T) (*Model, *session, traj.CellTrajectory) {
 	return m, m.newSession(tr.Cell), tr.Cell
 }
 
+// tapeAttention is the reference attention read-out: att.Forward on a
+// fresh tape with query as the query and kv as keys and values.
+func tapeAttention(att *nn.Attention, query, kv *nn.Mat) *nn.Mat {
+	tp := nn.NewTape()
+	c := tp.Const(kv)
+	out, _ := att.Forward(tp, tp.Const(query), c, c)
+	return out.Val
+}
+
 // TestContextMatchesPerPointAttention: the one-shot batched Eq. 6 pass
-// (SelfApplyAllWS) equals running the attention per point.
+// (SelfApplyAllWS) equals running the tape attention per point.
 func TestContextMatchesPerPointAttention(t *testing.T) {
 	m, sess, ct := trainedModel(t)
 	for i := 0; i < len(ct); i++ {
 		emb := sess.rows(sess.embW)
-		want, _ := m.ObsAtt.Apply(emb.Rows(i, i+1), emb, emb)
+		want := tapeAttention(m.ObsAtt, emb.Rows(i, i+1), emb)
 		got := sess.row(sess.ctxW, i)
 		for j := range want.W {
 			if math.Abs(want.W[j]-got[j]) > batchTol {

@@ -143,6 +143,42 @@ func BenchmarkRoadProbFill(b *testing.B) {
 	b.ReportMetric(float64(len(segs)), "rows/op")
 }
 
+// BenchmarkStreamPush is one push into a learned stream (NewStream(2))
+// at the repository benchmark's shape — dim 128, the default k — on an
+// untrained model, over the longest test trip: the point's Eq. 6
+// context out of the session's key cache, its candidates and, past the
+// first point, the transition step and any emission. A new stream starts
+// whenever the trip runs out, so ns/op and allocs/op average over every
+// position of the trip.
+func BenchmarkStreamPush(b *testing.B) {
+	d := testDataset(b, 10)
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.RefreshEmbeddings()
+	var ct traj.CellTrajectory
+	for _, tr := range d.TestTrips() {
+		if len(tr.Cell) > len(ct) {
+			ct = tr.Cell
+		}
+	}
+	var sm *hmm.StreamMatcher
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(ct) == 0 {
+			sm = m.NewStream(2)
+		}
+		if _, err := sm.Push(ct[i%len(ct)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ct)), "points/trip")
+}
+
 // BenchmarkPhase1Batch is one phase-1 step's forward and backward over
 // its batch's receptive field, at about the repository benchmark's
 // shape: dim 128, the default examples per trip, a city of 8,985 nodes.

@@ -78,6 +78,11 @@ type session struct {
 	embW []float64 // n×d raw point embeddings
 	ctxW []float64 // n×d context-aware representations (Eq. 6)
 
+	// ctxKeys caches the key-side attention state of Eq. 6 over embW; a
+	// streaming session grows it by one row per push (extend). Derived
+	// state, like keys below; nil in a session filled whole.
+	ctxKeys *nn.AttKeys
+
 	// obsCtx is ctx·W1_ctx, the per-point half of Eq. 7's first layer
 	// (n×d; see Model.obsImplicit).
 	obsCtx []float64

@@ -172,9 +172,12 @@ func geoAngleDiff(a, b float64) float64 {
 // extend absorbs any trajectory points the session has not seen yet:
 // their raw embeddings, causal context-aware representations (attention
 // of point i over points 0..i — newSession attends over the whole
-// trajectory, which a stream cannot) and Eq. 7 context halves. A no-op
-// once n == len(ct), which is always the case for a session newSession
-// filled.
+// trajectory, which a stream cannot) and Eq. 7 context halves. Each
+// point grows the Eq. 6 key cache by its own row and reads its context
+// out of it; a restored session, which holds no cache, builds it over
+// all its rows on the first push, bit-equal to the uninterrupted one. A
+// no-op once n == len(ct), which is always the case for a session
+// newSession filled.
 func (s *session) extend(ct traj.CellTrajectory) {
 	if s.n >= len(ct) {
 		return
@@ -185,10 +188,17 @@ func (s *session) extend(ct traj.CellTrajectory) {
 	for i := s.n; i < len(ct); i++ {
 		s.embW = append(s.embW, s.m.towerEmb(ct[i].Tower)...)
 		kv := &nn.Mat{R: i + 1, C: d, W: s.embW[: (i+1)*d : (i+1)*d]}
-		q := &nn.Mat{R: 1, C: d, W: s.embW[i*d : (i+1)*d]}
+		if s.ctxKeys == nil {
+			s.ctxKeys = s.m.ObsAtt.PrecomputeKeys(kv)
+		} else {
+			s.ctxKeys.Grow(kv)
+		}
 		ws.Reset()
-		ctx, _ := s.m.ObsAtt.ApplyWS(ws, q, kv, kv)
-		s.ctxW = append(s.ctxW, ctx.W...)
+		qdot := ws.TakeVec(1)
+		s.m.ObsAtt.QueryScoresInto(qdot, ws, kv.Rows(i, i+1))
+		s.ctxW = slices.Grow(s.ctxW, d)[:(i+1)*d]
+		ctx := &nn.Mat{R: 1, C: d, W: s.ctxW[i*d:]}
+		s.ctxKeys.ReadOutInto(ctx.W, ws.TakeVec(i+1), qdot[0])
 		half := ws.Take(1, d)
 		s.m.obsCtxInto(half, ctx)
 		s.obsCtx = append(s.obsCtx, half.W...)
@@ -235,7 +245,9 @@ func (s *session) ensureKeys() {
 // The point representations are causal — point i attends over points
 // 0..i — so streamed matches can differ from the offline Match result
 // for the same trajectory; two streams over the same model and point
-// sequence are deterministic and identical.
+// sequence are deterministic and identical. Only which keys a point sees
+// differs: the per-key scores, and the context of a point that has seen
+// the whole trip, equal the batch's bit for bit.
 //
 // NewStream panics if the model has no frozen embeddings; call
 // RefreshEmbeddings (or Load) first.

@@ -271,3 +271,41 @@ func TestIdleStreamPinsNoTable(t *testing.T) {
 		t.Fatalf("fixture too small to tell: %d embedding values held, limit %d", len(ss.embW), limit)
 	}
 }
+
+// TestStreamLastContextEqualsBatch: a stream's Eq. 6 differs from the
+// batch's only in which keys a point sees, not in how a score is summed
+// (both read their weights from one nn.AttKeys form). So the last point
+// of a trip pushed a point at a time, which has seen every key, has the
+// batch session's context row bit for bit.
+func TestStreamLastContextEqualsBatch(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Dim = 128
+	trips := 0
+	for _, seed := range []int{10, 12, 14, 20} {
+		d := testDataset(t, seed)
+		m, err := New(d, d.TrainTrips(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.RefreshEmbeddings()
+		for _, tr := range d.TestTrips() {
+			ct := tr.Cell
+			ss := &session{m: m}
+			for i := range ct {
+				ss.extend(ct[:i+1])
+			}
+			whole, last := m.newSession(ct), len(ct)-1
+			want, got := whole.row(whole.ctxW, last), ss.row(ss.ctxW, last)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Errorf("dataset %d trip %d (%d points) dim %d: stream context %v, batch %v", seed, tr.ID, len(ct), j, got[j], want[j])
+					break
+				}
+			}
+			trips++
+		}
+	}
+	if trips == 0 {
+		t.Fatal("no test trips")
+	}
+}

@@ -18,16 +18,17 @@ import (
 // that the per-segment tables follow the weights.
 
 // refRoadProbs is the written-out reference: for each segment, Eq. 9 as
-// TransAtt.Apply with the segment embedding as query and the point
-// embeddings as keys and values, Eq. 10 as TransMLP.Apply over the
-// explicit [segEmb ; x_l] row. No tables, no key cache; it shares no
-// code with the kernel beyond the nn layers themselves.
+// the tape TransAtt.Forward (tapeAttention) with the segment embedding
+// as query and the point embeddings as keys and values, Eq. 10 as
+// TransMLP.Apply over the explicit [segEmb ; x_l] row. No tables, no key
+// cache; it shares no code with the kernel beyond the nn layers
+// themselves.
 func refRoadProbs(m *Model, emb *nn.Mat, segs []roadnet.SegmentID) []float64 {
 	d := m.Cfg.Dim
 	out := make([]float64, len(segs))
 	for r, sid := range segs {
 		seg := &nn.Mat{R: 1, C: d, W: m.segEmb(sid)}
-		xl, _ := m.TransAtt.Apply(seg, emb, emb)
+		xl := tapeAttention(m.TransAtt, seg, emb)
 		feat := nn.NewMat(1, 2*d)
 		copy(feat.W[:d], seg.W)
 		copy(feat.W[d:], xl.W)

@@ -6,12 +6,13 @@ import "math"
 // plain matrices without tape bookkeeping. These are used on the hot
 // matching path where gradients are not needed.
 //
-// Every layer has two forms: Apply, which allocates its result, and an
-// allocation-free form (ApplyInto / ApplyWS) that writes into
+// Linear and MLP have two forms: Apply, which allocates its result, and
+// an allocation-free form (ApplyInto / ApplyWS) that writes into
 // caller-owned storage or a Workspace. The batched forms score a whole
 // k×d candidate batch in one MatMulInto instead of k single-row calls;
 // they are arithmetically identical to row-at-a-time application
 // because each output row accumulates in the same order either way.
+// Attention has one inference form, AttKeys (below).
 
 // Apply computes x·W + b without autodiff.
 func (l *Linear) Apply(x *Mat) *Mat {
@@ -98,69 +99,15 @@ func applyActInPlace(a Activation, x *Mat) {
 	}
 }
 
-// Apply computes the attention read-out without autodiff: query 1×d,
-// keys/values n×d. It returns the 1×d output and the attention weights.
-func (a *Attention) Apply(query, keys, values *Mat) (*Mat, []float64) {
-	out := NewMat(1, values.C)
-	w := make([]float64, keys.R)
-	a.ApplyInto(out, w, nil, query, keys, values)
-	return out, w
-}
-
-// ApplyWS computes the attention read-out with all scratch (and the
-// outputs) taken from ws. The returned matrix and weights alias
-// workspace storage and are invalidated by ws.Reset.
-func (a *Attention) ApplyWS(ws *Workspace, query, keys, values *Mat) (*Mat, []float64) {
-	out := ws.Take(1, values.C)
-	w := ws.TakeVec(keys.R)
-	a.ApplyInto(out, w, ws, query, keys, values)
-	return out, w
-}
-
-// SelfApplyAllWS computes, for every row q_i of x, the additive
-// attention read-out with x as queries, keys, and values — the batched
-// form of n separate ApplyWS calls (Eq. 6 over a whole trajectory).
-// Because the additive score W_v·tanh(W_q·q_i ⊕ W_k·k_j) separates into
-// a query term and a key term, the n² scores reduce to two n×h
-// projections and an outer sum, and the weighted read-out becomes one
-// n×n · n×d product. The returned n×d matrix is owned by ws.
-func (a *Attention) SelfApplyAllWS(ws *Workspace, x *Mat) *Mat {
-	n, h := x.R, a.Wq.W.C
-	q := ws.Take(n, h)
-	MatMulInto(q, x, a.Wq.W)
-	k := ws.Take(n, a.Wk.W.C)
-	MatMulInto(k, x, a.Wk.W)
-	wv := a.Wv.W.W
-	qdot := ws.TakeVec(n)
-	kdot := ws.TakeVec(n)
-	for i := 0; i < n; i++ {
-		var sq, sk float64
-		for j, v := range q.Row(i) {
-			sq += math.Tanh(v) * wv[j]
-		}
-		for j, v := range k.Row(i) {
-			sk += math.Tanh(v) * wv[h+j]
-		}
-		qdot[i], kdot[i] = sq, sk
-	}
-	w := ws.Take(n, n)
-	for i := 0; i < n; i++ {
-		row := w.Row(i)
-		for j := range row {
-			row[j] = qdot[i] + kdot[j]
-		}
-		softmaxInto(row, row)
-	}
-	out := ws.Take(n, x.C)
-	MatMulInto(out, w, x)
-	return out
-}
-
-// AttKeys caches the key-side state of additive attention over a
-// key/value matrix that only ever grows by rows, so repeated read-outs
-// (the per-road trajectory relevance of Eq. 10, asked for every route
-// segment of a trajectory) skip the n×h key projection and its tanh
-// reduction.
+// AttKeys is the one inference form of the additive attention of
+// Eqs. 6 and 9 over a key/value matrix that only ever grows by rows. The
+// score w_v·tanh(W_q·q ⊕ W_k·k_i) splits into a query half and a key
+// half, and each half is computed in one function: the key half here, in
+// Grow (cached per key, so repeated read-outs skip the n×h key
+// projection); the query half in Attention.QueryScoresInto; their sum and
+// softmax in WeightsInto. Batch Eq. 6 (SelfApplyAllWS), stream Eq. 6
+// (one cache per streaming session) and Eq. 9 (one cache per session,
+// queried by every road) all read their weights from WeightsInto.
 type AttKeys struct {
 	att  *Attention
 	kv   *Mat      // shared keys-and-values matrix
@@ -178,9 +125,10 @@ func (a *Attention) PrecomputeKeys(kv *Mat) *AttKeys {
 
 // Grow extends the cache to all of kv, whose leading rows must be the
 // ones it already covers (the backing array may have moved): only the
-// new rows are projected. A key's score contribution depends on its own
-// row alone, so growing row by row is bit-equal to PrecomputeKeys over
-// the final matrix.
+// new rows are projected, and each key's half w_v[h:]·tanh(W_k·k_i) is
+// reduced. A key's score contribution depends on its own row alone, so
+// growing row by row is bit-equal to PrecomputeKeys over the final
+// matrix.
 func (ak *AttKeys) Grow(kv *Mat) {
 	a, seen := ak.att, len(ak.kdot)
 	ak.kv = kv
@@ -234,79 +182,52 @@ func (ak *AttKeys) WeightsInto(w []float64, qdot float64) {
 	softmaxInto(w, w)
 }
 
-// QueryAllWS computes the attention read-out for every row of queries
-// (m×d) against the cached keys: the query halves in one product
-// (QueryScoresInto), then per row the weights (WeightsInto) and the
-// weighted sum of the values in key order. Rows are independent
-// (MatMulInto accumulates each output row on its own), so row r of the
-// result is bit-identical to the read-out of queries row r alone. The
-// returned m×d matrix is owned by ws.
-func (ak *AttKeys) QueryAllWS(ws *Workspace, queries *Mat) *Mat {
-	qdot := ws.TakeVec(queries.R)
-	ak.att.QueryScoresInto(qdot, ws, queries)
-	n := ak.kv.R
-	w := ws.TakeVec(n)
-	out := ws.Take(queries.R, ak.kv.C)
-	for r := 0; r < queries.R; r++ {
-		ak.WeightsInto(w, qdot[r])
-		orow := out.Row(r)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			row := ak.kv.Row(i)
-			wi := w[i]
-			for j, v := range row {
-				orow[j] += wi * v
-			}
-		}
+// ReadOutInto writes the read-out of one query, given its score half
+// qdot, into out (length kv.C): the weights into w (WeightsInto, one
+// entry per key), then Σ_i w_i·v_i, each element summed from +0 over the
+// keys in order with zero weights skipped. That is term for term what
+// MatMulInto makes of the weight row times kv, so a read-out is bit-equal
+// to its row of SelfApplyAllWS over the same keys.
+func (ak *AttKeys) ReadOutInto(out, w []float64, qdot float64) {
+	ak.WeightsInto(w, qdot)
+	clear(out)
+	for i, wi := range w {
+		axpy(out, wi, ak.kv.Row(i))
 	}
+}
+
+// SelfApplyAllWS computes Eq. 6 over a whole trajectory: for every row
+// of x, the read-out with x as queries, keys and values. It composes the
+// AttKeys pieces — the key halves (PrecomputeKeys), the query halves in
+// one product (QueryScoresInto), a weight row per query (WeightsInto) —
+// and reads all n rows out in one n×n · n×d product. The returned n×d
+// matrix is owned by ws.
+func (a *Attention) SelfApplyAllWS(ws *Workspace, x *Mat) *Mat {
+	ak := a.PrecomputeKeys(x)
+	qdot := ws.TakeVec(x.R)
+	a.QueryScoresInto(qdot, ws, x)
+	w := ws.Take(x.R, x.R)
+	for i, qd := range qdot {
+		ak.WeightsInto(w.Row(i), qd)
+	}
+	out := ws.Take(x.R, x.C)
+	MatMulInto(out, w, x)
 	return out
 }
 
-// ApplyInto computes the attention read-out into caller-owned storage:
-// out must be 1×values.C, weights length keys.R. ws supplies the q/k
-// projection scratch (nil allocates it). The additive score
-// W_v·tanh(W_q·q ⊕ W_k·k_j) splits into a query half that is constant
-// across j and a per-key half, so the query contribution is reduced
-// once instead of re-copied and re-reduced per key.
-func (a *Attention) ApplyInto(out *Mat, weights []float64, ws *Workspace, query, keys, values *Mat) {
-	n := keys.R
-	h := a.Wq.W.C
-	var q, k *Mat
-	if ws != nil {
-		q = ws.Take(1, h)
-		k = ws.Take(n, a.Wk.W.C)
-	} else {
-		q = NewMat(1, h)
-		k = NewMat(n, a.Wk.W.C)
+// QueryAllWS reads out every row of queries (m×d) against the cached
+// keys: the query halves in one product (QueryScoresInto), then
+// ReadOutInto per row, so row r is bit-identical to the read-out of
+// queries row r alone. The returned m×d matrix is owned by ws. No
+// matcher path calls it; it is kept for the repository benchmark's
+// nn.attkeys_us_per_row until that metric is re-pointed.
+func (ak *AttKeys) QueryAllWS(ws *Workspace, queries *Mat) *Mat {
+	qdot := ws.TakeVec(queries.R)
+	ak.att.QueryScoresInto(qdot, ws, queries)
+	w := ws.TakeVec(ak.kv.R)
+	out := ws.Take(queries.R, ak.kv.C)
+	for r, qd := range qdot {
+		ak.ReadOutInto(out.Row(r), w, qd)
 	}
-	MatMulInto(q, query, a.Wq.W)
-	MatMulInto(k, keys, a.Wk.W)
-	// Constant query half of every additive score.
-	var qdot float64
-	wv := a.Wv.W.W
-	for j, v := range q.W {
-		qdot += math.Tanh(v) * wv[j]
-	}
-	scores := weights // reuse the output slice as score scratch
-	for i := 0; i < n; i++ {
-		s := qdot
-		row := k.Row(i)
-		for j, v := range row {
-			s += math.Tanh(v) * wv[h+j]
-		}
-		scores[i] = s
-	}
-	softmaxInto(weights, scores)
-	for j := range out.W {
-		out.W[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		row := values.Row(i)
-		wi := weights[i]
-		for j, v := range row {
-			out.W[j] += wi * v
-		}
-	}
+	return out
 }

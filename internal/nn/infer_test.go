@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The inference-mode Apply paths must agree exactly with the tape
-// forward pass.
+// The inference forms of the layers must agree with the tape forward
+// pass.
 
 func TestLinearApplyMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -41,26 +41,41 @@ func TestMLPApplyMatchesForward(t *testing.T) {
 	}
 }
 
-func TestAttentionApplyMatchesForward(t *testing.T) {
+// tapeAttention is the reference read-out: Attention.Forward on a fresh
+// tape. It returns the 1×d output and the attention weights.
+func tapeAttention(a *Attention, q, k, v *Mat) (*Mat, []float64) {
+	tp := NewTape()
+	out, w := a.Forward(tp, tp.Const(q), tp.Const(k), tp.Const(v))
+	return out.Val, w.Val.W
+}
+
+// TestAttKeysReadOutMatchesForward: the inference form — the query half
+// (QueryScoresInto), the weights (WeightsInto) and the read-out
+// (ReadOutInto) over the cached keys — equals the tape forward pass.
+func TestAttKeysReadOutMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewAttention("a", 4, 3, rng)
 	q := NewMat(1, 4)
 	q.Xavier(rng)
-	k := NewMat(6, 4)
-	k.Xavier(rng)
-	v := NewMat(6, 4)
-	v.Xavier(rng)
-	tp := NewTape()
-	wantOut, wantW := a.Forward(tp, tp.Const(q), tp.Const(k), tp.Const(v))
-	gotOut, gotW := a.Apply(q, k, v)
-	for i := range wantOut.Val.W {
-		if math.Abs(wantOut.Val.W[i]-gotOut.W[i]) > 1e-12 {
-			t.Fatalf("output mismatch at %d: %v vs %v", i, gotOut.W[i], wantOut.Val.W[i])
+	kv := NewMat(6, 4)
+	kv.Xavier(rng)
+	wantOut, wantW := tapeAttention(a, q, kv, kv)
+	ak := a.PrecomputeKeys(kv)
+	var qdot [1]float64
+	a.QueryScoresInto(qdot[:], nil, q)
+	gotW := make([]float64, kv.R)
+	ak.WeightsInto(gotW, qdot[0])
+	gotOut := make([]float64, kv.C)
+	w := make([]float64, kv.R)
+	ak.ReadOutInto(gotOut, w, qdot[0])
+	for i := range wantOut.W {
+		if math.Abs(wantOut.W[i]-gotOut[i]) > 1e-12 {
+			t.Fatalf("output mismatch at %d: %v vs %v", i, gotOut[i], wantOut.W[i])
 		}
 	}
 	for i := range gotW {
-		if math.Abs(wantW.Val.At(i, 0)-gotW[i]) > 1e-12 {
-			t.Fatalf("weight mismatch at %d", i)
+		if math.Abs(wantW[i]-gotW[i]) > 1e-12 || w[i] != gotW[i] {
+			t.Fatalf("weight mismatch at %d: %v (read-out's %v) vs %v", i, gotW[i], w[i], wantW[i])
 		}
 	}
 }

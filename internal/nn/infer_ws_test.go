@@ -10,7 +10,8 @@ import (
 
 // The workspace-backed inference paths must agree bit-for-bit with the
 // allocating Apply paths (which the infer_test.go suite already pins to
-// the tape forward pass), and must be allocation-free once warm.
+// the tape forward pass), attention's with the tape forward pass itself,
+// and must be allocation-free once warm.
 
 func TestLinearApplyIntoMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -49,34 +50,9 @@ func TestMLPApplyWSMatchesApply(t *testing.T) {
 	}
 }
 
-func TestAttentionApplyWSMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := NewAttention("a", 5, 3, rng)
-	q := NewMat(1, 5)
-	q.Xavier(rng)
-	k := NewMat(8, 5)
-	k.Xavier(rng)
-	v := NewMat(8, 5)
-	v.Xavier(rng)
-	wantOut, wantW := a.Apply(q, k, v)
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	for trial := 0; trial < 3; trial++ {
-		ws.Reset()
-		gotOut, gotW := a.ApplyWS(ws, q, k, v)
-		for i := range wantOut.W {
-			if wantOut.W[i] != gotOut.W[i] {
-				t.Fatalf("trial %d: output mismatch at %d", trial, i)
-			}
-		}
-		for i := range wantW {
-			if wantW[i] != gotW[i] {
-				t.Fatalf("trial %d: weight mismatch at %d", trial, i)
-			}
-		}
-	}
-}
-
+// TestSelfApplyAllMatchesPerRow: every row of the batched Eq. 6 pass
+// equals the tape attention of that row and is bit-equal to the one-query
+// read-out (ReadOutInto) a streaming push makes over the same keys.
 func TestSelfApplyAllMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	a := NewAttention("a", 6, 4, rng)
@@ -85,18 +61,28 @@ func TestSelfApplyAllMatchesPerRow(t *testing.T) {
 	ws := GetWorkspace()
 	defer PutWorkspace(ws)
 	got := a.SelfApplyAllWS(ws, x)
+	ak := a.PrecomputeKeys(x)
+	one, w := make([]float64, x.C), make([]float64, x.R)
 	for i := 0; i < x.R; i++ {
 		q := &Mat{R: 1, C: x.C, W: x.Row(i)}
-		want, _ := a.Apply(q, x, x)
+		want, _ := tapeAttention(a, q, x, x)
+		var qdot [1]float64
+		a.QueryScoresInto(qdot[:], nil, q)
+		ak.ReadOutInto(one, w, qdot[0])
 		for j := range want.W {
 			if math.Abs(want.W[j]-got.At(i, j)) > 1e-12 {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, got.At(i, j), want.W[j])
+			}
+			if math.Float64bits(one[j]) != math.Float64bits(got.At(i, j)) {
+				t.Fatalf("row %d col %d: ReadOutInto %v vs batched %v", i, j, one[j], got.At(i, j))
 			}
 		}
 	}
 }
 
-func TestAttKeysQueryMatchesApply(t *testing.T) {
+// TestAttKeysQueryMatchesForward: a one-row QueryAllWS and the weights
+// of WeightsInto equal the tape forward pass.
+func TestAttKeysQueryMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := NewAttention("a", 6, 4, rng)
 	kv := NewMat(11, 6)
@@ -107,7 +93,7 @@ func TestAttKeysQueryMatchesApply(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		q := NewMat(1, 6)
 		q.Xavier(rng)
-		wantOut, wantW := a.Apply(q, kv, kv)
+		wantOut, wantW := tapeAttention(a, q, kv, kv)
 		ws.Reset()
 		gotOut := ak.QueryAllWS(ws, q)
 		var qdot [1]float64
@@ -172,10 +158,10 @@ func TestAttKeysGrowMatchesPrecompute(t *testing.T) {
 
 // TestAttKeysQueryAllMatchesQuery pins the multi-row read-out contract:
 // row r of QueryAllWS is bit-identical to QueryAllWS over that row alone
-// and is the weighted sum of the values under the two helpers it is
-// written over — QueryScoresInto (batched and nil-workspace forms agree
-// bit-for-bit per row) and WeightsInto. core's Eq. 10 kernel is built on
-// the same two helpers and relies on rows being independent.
+// and to ReadOutInto, and is the weighted sum of the values under the
+// helpers it is written over — QueryScoresInto (batched and nil-workspace
+// forms agree bit-for-bit per row) and WeightsInto. core's Eq. 10 kernel
+// is built on the same helpers and relies on rows being independent.
 func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	a := NewAttention("a", 6, 4, rng)
@@ -192,6 +178,7 @@ func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 	qdots := make([]float64, qs.R)
 	a.QueryScoresInto(qdots, nil, qs)
 	w := make([]float64, kv.R)
+	one := make([]float64, kv.C)
 	for r := 0; r < qs.R; r++ {
 		ws.Reset()
 		q := &Mat{R: 1, C: qs.C, W: qs.Row(r)}
@@ -201,7 +188,7 @@ func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 		if qdot[0] != qdots[r] {
 			t.Fatalf("row %d: one-row query score %v != batched %v", r, qdot[0], qdots[r])
 		}
-		ak.WeightsInto(w, qdot[0])
+		ak.ReadOutInto(one, w, qdot[0])
 		var sum float64
 		for _, wi := range w {
 			sum += wi
@@ -217,16 +204,17 @@ func TestAttKeysQueryAllMatchesQuery(t *testing.T) {
 			for i, wi := range w {
 				ref += wi * kv.At(i, j)
 			}
-			if wv != ref {
-				t.Fatalf("row %d col %d: read-out %v != Σ w_i·v_i %v", r, j, wv, ref)
+			if wv != ref || one[j] != ref {
+				t.Fatalf("row %d col %d: read-out %v (ReadOutInto %v) != Σ w_i·v_i %v", r, j, wv, one[j], ref)
 			}
 		}
 	}
 }
 
 // TestBatchedInferenceZeroAllocs pins the batched-path contract: after
-// warmup, MLP.ApplyWS and Attention.ApplyWS run without a single heap
-// allocation.
+// warmup, MLP.ApplyWS and a streaming push's attention read — the query
+// half through the workspace, then ReadOutInto over the cached keys — run
+// without a single heap allocation.
 func TestBatchedInferenceZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	m := NewMLP("m", []int{48, 24, 2}, ActReLU, rng)
@@ -244,14 +232,16 @@ func TestBatchedInferenceZeroAllocs(t *testing.T) {
 	// per-call buffer discipline.
 	prev := SetMatMulWorkers(1)
 	defer SetMatMulWorkers(prev)
-	ws.Reset()
-	m.ApplyWS(ws, x) // warm the slabs
-	att.ApplyWS(ws, q, kv, kv)
-	allocs := testing.AllocsPerRun(100, func() {
+	ak := att.PrecomputeKeys(kv)
+	push := func() {
 		ws.Reset()
 		m.ApplyWS(ws, x)
-		att.ApplyWS(ws, q, kv, kv)
-	})
+		qdot := ws.TakeVec(1)
+		att.QueryScoresInto(qdot, ws, q)
+		ak.ReadOutInto(ws.TakeVec(kv.C), ws.TakeVec(kv.R), qdot[0])
+	}
+	push() // warm the slabs
+	allocs := testing.AllocsPerRun(100, push)
 	if allocs != 0 {
 		t.Fatalf("batched inference allocates: %v allocs/op", allocs)
 	}
