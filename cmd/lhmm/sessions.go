@@ -58,6 +58,6 @@ func cmdSessionsInspect(args []string) error {
 		fmt.Printf("sanitized: %d bad coords, %d bad times dropped\n", info.BadCoords, info.BadTimes)
 	}
 	fmt.Printf("last t:    %v\n", info.LastT)
-	fmt.Printf("model:     dim %d, config %s, weights %s\n", info.Dim, info.Fingerprint, info.WeightsHash)
+	fmt.Printf("model:     config %s, weights %s\n", info.Fingerprint, info.WeightsHash)
 	return nil
 }

@@ -96,11 +96,6 @@ type Config struct {
 	// and route, and winner/runner-up margins. Off by default; costs
 	// per-point allocations and one route query per chosen transition.
 	Explain bool
-	// ExplainTopK bounds the per-point candidate breakdown (default 5).
-	ExplainTopK int
-	// ExplainLowMargin is the margin (nats) below which a decision is
-	// flagged low-confidence (default 0.05).
-	ExplainLowMargin float64
 }
 
 // DefaultConfig returns the configuration used by the experiment

@@ -50,8 +50,8 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // serves a batch match (newSession fills all n rows at once, each point
 // attending over the whole trajectory) and a streaming one (extend
 // appends a row per pushed point, attending over the points seen so
-// far); embW, ctxW, obsZ and obsMax are what an lhmm-session/v1
-// snapshot serialises, the rest is derived from them. One session
+// far). An lhmm-session/v2 snapshot serialises only obsZ and obsMax;
+// restore refills the rest with extend, as the pushes did. One session
 // serves one match or one hmm.StreamMatcher and is not safe for
 // concurrent use — the serving layer serializes pushes per session.
 // Matrix scratch comes from the shared nn workspace pool per call and a
@@ -724,11 +724,9 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 			OnBreak:   m.Cfg.OnBreak,
 			// Sanitization already ran above (session state must align
 			// with what the matcher sees); do not re-run it inside.
-			Sanitize:         traj.SanitizeOff,
-			Trace:            m.Cfg.Trace,
-			Explain:          m.Cfg.Explain,
-			ExplainTopK:      m.Cfg.ExplainTopK,
-			ExplainLowMargin: m.Cfg.ExplainLowMargin,
+			Sanitize: traj.SanitizeOff,
+			Trace:    m.Cfg.Trace,
+			Explain:  m.Cfg.Explain,
 		},
 	}
 	res, err = matcher.MatchContext(ctx, ct)

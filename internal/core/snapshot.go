@@ -17,12 +17,12 @@ import (
 	"repro/internal/traj"
 )
 
-// lhmm-session/v1 — the durable wire format for an in-flight streaming
+// lhmm-session/v2 — the durable wire format for an in-flight streaming
 // session. A snapshot captures everything needed to resume a learned
 // streaming match bit-exactly on another process:
 //
 //	magic   "LHMMSESS" (8 bytes)
-//	version u16 (1)
+//	version u16 (2)
 //	header  onBreak u8 · sanitize u8 · lag u32 · config fingerprint u64
 //	        · weights hash [32]byte · id (u32 length + bytes, ≤256)
 //	matcher n u32
@@ -35,31 +35,34 @@ import (
 //	          forward scores, cᵢ × i32 backpointers
 //	        matched   u32 count (== emitted) × candidate
 //	        gaps      u32 count × (from i32, to i32, reason u8)
-//	session dim u32 · embW n·dim × f64 · ctxW n·dim × f64
-//	        · obsZ n × f64 · obsMax n × f64
+//	session obsZ n × f64 · obsMax n × f64
 //	footer  CRC-32C (Castagnoli) over everything before it, u32
 //
 // All integers and float bit patterns are little-endian. Floats are
-// raw IEEE-754 bits, so restored Viterbi tables and cached context
-// rows are bit-identical to the originals — the property that pins
-// "restore then continue" to the uninterrupted output.
+// raw IEEE-754 bits, so restored Viterbi tables are bit-identical to
+// the originals — the property that pins "restore then continue" to
+// the uninterrupted output.
 //
-// What is deliberately NOT serialized: the session's Eq. 9 key cache
-// and Eq. 10 road-probability memo. Both are deterministic functions
-// of (weights, embW) and rebuild lazily on the first push after
-// restore, yielding the same values; a snapshot is therefore closed
-// under the model identity checks in the header (config fingerprint +
-// weights hash) and carries no derived state that could drift.
+// The session section holds only the pool softmax terms of Eq. 7,
+// which only a second scoring of every pool could recompute.
+// Everything else a session holds is a deterministic function of the
+// model and the points: restore rebuilds the embedding and context
+// rows with the same extend every push runs, and the Eq. 9 key cache
+// and Eq. 10 road-probability memo rebuild lazily on the first push.
+// A snapshot is therefore closed under the model identity checks in
+// the header (config fingerprint + weights hash) and carries no
+// derived state that could drift. A v1 file, which carried the rows,
+// is refused with ErrSnapshotVersion.
 
 const (
 	snapMagic = "LHMMSESS"
 	// SnapshotVersion is the wire version written by EncodeStreamSnapshot.
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 	// snapMaxID bounds the session ID length on the wire.
 	snapMaxID = 256
 	// snapMinLen is the smallest structurally possible snapshot:
 	// magic+version+fixed header+empty sections+CRC.
-	snapMinLen = 8 + 2 + (1 + 1 + 4 + 8 + 32 + 4) + (4 + 4 + 8 + 8 + 4 + 4 + 4 + 4) + 4 + 4
+	snapMinLen = 8 + 2 + (1 + 1 + 4 + 8 + 32 + 4) + (4 + 4 + 8 + 8 + 4 + 4 + 4 + 4) + 4
 )
 
 // Sentinel errors for snapshot triage: Corrupt means the bytes cannot
@@ -113,7 +116,6 @@ func (m *Model) ConfigFingerprint() uint64 {
 	put(uint64(m.Cfg.K))
 	put(math.Float64bits(m.Cfg.PoolRadius))
 	put(uint64(m.Cfg.PoolSize))
-	put(uint64(max(m.Cfg.PoolSize, 400))) // the deleted Config.PoolMax's default; keeps lhmm-session/v1 fingerprints stable
 	put(uint64(m.Cfg.CoPool))
 	put(b2u(m.Cfg.DisableImplicitObs))
 	put(b2u(m.Cfg.DisableImplicitTrans))
@@ -153,7 +155,7 @@ const candWire = 8 + 5*8 // one candidate on the wire
 
 // EncodeStreamSnapshot serializes a learned streaming session (a
 // matcher produced by Model.NewStream, possibly resumed) to the
-// lhmm-session/v1 format. weightsHash is the serving model's
+// lhmm-session/v2 format. weightsHash is the serving model's
 // WeightsHash — passed in rather than recomputed because the caller
 // checkpoints many sessions against one model.
 //
@@ -173,14 +175,12 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 	if ss.n != n {
 		return nil, fmt.Errorf("core: snapshot: session absorbed %d points but matcher holds %d", ss.n, n)
 	}
-	d := ss.m.Cfg.Dim
-
 	cands := 0
 	for i := range st.Layers {
 		cands += len(st.Layers[i])
 	}
 	est := snapMinLen + len(id) + n*(4+3*8+1+4) + cands*(candWire+8+4) +
-		len(st.Matched)*candWire + len(st.Gaps)*9 + (2*n*d+2*n)*8
+		len(st.Matched)*candWire + len(st.Gaps)*9 + 2*n*8
 	w := &snapWriter{b: make([]byte, 0, est)}
 
 	w.bytes([]byte(snapMagic))
@@ -234,9 +234,6 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 		w.u8(uint8(g.Reason))
 	}
 
-	w.u32(uint32(d))
-	w.f64s(ss.embW)
-	w.f64s(ss.ctxW)
 	w.f64s(ss.obsZ)
 	w.f64s(ss.obsMax)
 
@@ -361,8 +358,6 @@ type snapHeader struct {
 
 // snapSession is the decoded learned-session block.
 type snapSession struct {
-	dim          int
-	embW, ctxW   []float64
 	obsZ, obsMax []float64
 }
 
@@ -485,15 +480,6 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 	}
 
 	sess := &snapSession{}
-	sess.dim = int(r.u32())
-	if r.err == nil && (sess.dim <= 0 || n > 0 && sess.dim > r.remaining()/(8*2*n)) {
-		r.fail("dim %d inconsistent with %d points and %d remaining bytes", sess.dim, n, r.remaining())
-	}
-	if r.err != nil {
-		return nil, nil, nil, r.err
-	}
-	sess.embW = r.f64s(n * sess.dim)
-	sess.ctxW = r.f64s(n * sess.dim)
 	sess.obsZ = r.f64s(n)
 	sess.obsMax = r.f64s(n)
 	if r.err != nil {
@@ -514,7 +500,7 @@ type StreamSnapshot struct {
 	SM  *hmm.StreamMatcher
 }
 
-// DecodeStreamSnapshot restores an lhmm-session/v1 snapshot against m.
+// DecodeStreamSnapshot restores an lhmm-session/v2 snapshot against m.
 // weightsHash is the caller's cached m.WeightsHash(). The error is
 // ErrSnapshotCorrupt, ErrSnapshotVersion, or ErrSnapshotMismatch
 // (errors.Is) — the recovery path quarantines on any of them.
@@ -536,9 +522,6 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 	if hdr.WeightsHash != weightsHash {
 		return nil, fmt.Errorf("%w: weights hash %s, model has %s", ErrSnapshotMismatch,
 			hex.EncodeToString(hdr.WeightsHash[:8]), hex.EncodeToString(weightsHash[:8]))
-	}
-	if sess.dim != m.Cfg.Dim {
-		return nil, fmt.Errorf("%w: session dim %d, model dim %d", ErrSnapshotMismatch, sess.dim, m.Cfg.Dim)
 	}
 	nSeg, nTow := m.Net.NumSegments(), m.Cells.NumTowers()
 	for i := range st.Points {
@@ -565,16 +548,7 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 		}
 	}
 
-	ss := &session{
-		m:      m,
-		n:      len(st.Points),
-		embW:   sess.embW,
-		ctxW:   sess.ctxW,
-		obsCtx: make([]float64, len(sess.ctxW)),
-		obsZ:   sess.obsZ,
-		obsMax: sess.obsMax,
-	}
-	m.obsCtxInto(ss.rows(ss.obsCtx), ss.rows(ss.ctxW))
+	ss := &session{m: m}
 	mm := &hmm.Matcher{
 		Net:    m.Net,
 		Router: m.Router,
@@ -590,6 +564,12 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
+	// The session's rows are rebuilt by the push path itself, over the
+	// range-checked towers (towerEmb indexes by them); only the pool
+	// softmax terms come off the wire.
+	ss.extend(st.Points)
+	copy(ss.obsZ, sess.obsZ)
+	copy(ss.obsMax, sess.obsMax)
 	return &StreamSnapshot{ID: hdr.ID, Lag: hdr.Lag, SM: sm}, nil
 }
 
@@ -610,7 +590,6 @@ type SnapshotInfo struct {
 	BadCoords   int     `json:"sanitize_bad_coords"`
 	BadTimes    int     `json:"sanitize_bad_times"`
 	LastT       float64 `json:"last_t"`
-	Dim         int     `json:"dim"`
 	Fingerprint string  `json:"config_fingerprint"`
 	WeightsHash string  `json:"weights_hash"`
 	Bytes       int     `json:"bytes"`
@@ -620,7 +599,7 @@ type SnapshotInfo struct {
 // a model: full structural validation (CRC, bounds, hmm invariants)
 // but no identity check. Safe on arbitrary bytes.
 func InspectStreamSnapshot(data []byte) (*SnapshotInfo, error) {
-	hdr, st, sess, err := parseSnapshot(data)
+	hdr, st, _, err := parseSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -651,7 +630,6 @@ func InspectStreamSnapshot(data []byte) (*SnapshotInfo, error) {
 		BadCoords:   st.Sanitize.BadCoords,
 		BadTimes:    st.Sanitize.BadTimes,
 		LastT:       st.LastT,
-		Dim:         sess.dim,
 		Fingerprint: fmt.Sprintf("%016x", hdr.Fingerprint),
 		WeightsHash: hex.EncodeToString(hdr.WeightsHash[:]),
 		Bytes:       len(data),

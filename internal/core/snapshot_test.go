@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -292,6 +293,67 @@ func TestSnapshotAtBoundaries(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRebuildsSessionRows pins that a restored session's
+// rows, which the snapshot no longer carries, are rebuilt bit for bit:
+// extend is the one way a stream session is filled, whether by pushes or
+// by restore. Every test trip of four datasets at two dims is restored
+// from its end-of-trip snapshot, and one trip after every push.
+func TestSnapshotRestoreRebuildsSessionRows(t *testing.T) {
+	sameBits := func(t *testing.T, what string, live, got []float64) {
+		t.Helper()
+		if len(live) != len(got) {
+			t.Fatalf("%s: %d values restored, live session holds %d", what, len(got), len(live))
+		}
+		for i := range live {
+			if math.Float64bits(live[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s[%d]: restored %v, live %v", what, i, got[i], live[i])
+			}
+		}
+	}
+	check := func(t *testing.T, m *Model, wh [32]byte, sm *hmm.StreamMatcher) {
+		t.Helper()
+		data, err := EncodeStreamSnapshot(sm, "rows", wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := DecodeStreamSnapshot(m, wh, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, got := sm.M.Obs.(*session), snap.SM.M.Obs.(*session)
+		sameBits(t, "embW", live.embW, got.embW)
+		sameBits(t, "ctxW", live.ctxW, got.ctxW)
+		sameBits(t, "obsCtx", live.obsCtx, got.obsCtx)
+		sameBits(t, "obsZ", live.obsZ, got.obsZ)
+		sameBits(t, "obsMax", live.obsMax, got.obsMax)
+	}
+	for _, trips := range []int{10, 12, 14, 20} {
+		d := testDataset(t, trips)
+		for _, dim := range []int{16, 128} {
+			t.Run(fmt.Sprintf("trips%d/dim%d", trips, dim), func(t *testing.T) {
+				cfg := fastConfig()
+				cfg.Dim = dim
+				m, err := New(d, d.TrainTrips(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.RefreshEmbeddings()
+				wh := m.WeightsHash()
+				for k, tr := range d.TestTrips() {
+					sm := m.NewStream(2)
+					for _, p := range tr.Cell {
+						sm.Push(p) //nolint:errcheck // a failed push still snapshots (TestSnapshotAfterFailedPush)
+						if k == 0 {
+							check(t, m, wh, sm)
+						}
+					}
+					check(t, m, wh, sm)
+				}
+			})
+		}
+	}
+}
+
 func snapshotFixture(t testing.TB) (*Model, [32]byte, []byte) {
 	t.Helper()
 	d := testDataset(t, 10)
@@ -311,16 +373,15 @@ func snapshotFixture(t testing.TB) (*Model, [32]byte, []byte) {
 	return m, wh, data
 }
 
-// TestSnapshotWireStable pins the lhmm-session/v1 bytes: the fixture's
+// TestSnapshotWireStable pins the lhmm-session/v2 bytes: the fixture's
 // encoded length equals the size of the field list in the format
 // comment (snapshot.go), and — on amd64, float bits being
 // architecture-dependent — its digest is the recorded one. The digest
-// was re-recorded once (acda2a48… before): factoring Eq. 10's first
-// layer (session.roadProbRows) re-associates one sum, which moves the
-// Viterbi f scores a snapshot carries in the last ulp. Format, field
-// list and length are what they were — the length check above did not
-// move — and a checkpoint written by an older build still restores
-// under this one.
+// was re-recorded twice: once (acda2a48… before) when factoring Eq. 10's
+// first layer (session.roadProbRows) re-associated one sum and moved the
+// Viterbi f scores in the last ulp, and once (aa4872b9… before) for v2,
+// which drops the dim and the embedding and context rows from the
+// session section and bumps the version.
 func TestSnapshotWireStable(t *testing.T) {
 	m, wh, data := snapshotFixture(t)
 	snap, err := DecodeStreamSnapshot(m, wh, data)
@@ -328,7 +389,7 @@ func TestSnapshotWireStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := snap.SM.ExportState()
-	n, d := len(st.Points), m.Cfg.Dim
+	n := len(st.Points)
 	const cand = 8 + 5*8                          // seg i64 + frac, projX, projY, dist, obs f64
 	want := 8 + 2                                 // magic, version
 	want += 1 + 1 + 4 + 8 + 32 + 4 + len(snap.ID) // header
@@ -336,7 +397,7 @@ func TestSnapshotWireStable(t *testing.T) {
 	want += 4 + 8 + 8 + 4 + 4                     // emitted, lastT, degraded, badCoords, badTimes
 	want += 4 + len(st.Matched)*cand              // matched
 	want += 4 + len(st.Gaps)*(4+4+1)              // gaps
-	want += 4 + (2*n*d+2*n)*8                     // dim, embW, ctxW, obsZ, obsMax
+	want += 2 * n * 8                             // obsZ, obsMax
 	want += 4                                     // CRC
 	for _, layer := range st.Layers {
 		want += 4 + len(layer)*(cand+8+4) // count, candidates, f, pre
@@ -347,7 +408,7 @@ func TestSnapshotWireStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64")
 	}
-	const golden = "aa4872b9fe2a6c2c7a79c28a8b9088b0404d4c691571b5d1fb968a12479c367e"
+	const golden = "e68f790adfc5c295e1cc561f50b67eb192f6c97090977e178583e173efad8577"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != golden {
 		t.Errorf("fixture snapshot sha-256 %s, want %s (%d bytes)", got, golden, len(data))
@@ -402,16 +463,26 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// withVersion returns data with its wire version set to v and the CRC
+// refitted, so the version check is what rejects it.
+func withVersion(data []byte, v uint16) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(out[8:], v)
+	return refit(out)
+}
+
+// Both neighbours of this build's version are refused: a newer file,
+// and a v1 file, whose derived session rows this build no longer reads.
 func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	m, wh, data := snapshotFixture(t)
-	skewed := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint16(skewed[8:], SnapshotVersion+1)
-	skewed = refit(skewed)
-	if _, err := DecodeStreamSnapshot(m, wh, skewed); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("version-skewed snapshot: %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := InspectStreamSnapshot(skewed); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("inspect version-skewed: %v, want ErrSnapshotVersion", err)
+	for _, v := range []uint16{1, SnapshotVersion + 1} {
+		skewed := withVersion(data, v)
+		if _, err := DecodeStreamSnapshot(m, wh, skewed); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("version-%d snapshot: %v, want ErrSnapshotVersion", v, err)
+		}
+		if _, err := InspectStreamSnapshot(skewed); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("inspect version-%d: %v, want ErrSnapshotVersion", v, err)
+		}
 	}
 }
 
@@ -449,10 +520,21 @@ func TestSnapshotEncodeValidatesID(t *testing.T) {
 	if _, err := EncodeStreamSnapshot(sm, string(long), [32]byte{}); err == nil {
 		t.Fatal("oversized session id accepted")
 	}
+	// The shortest id on an empty session is the smallest snapshot.
+	data, err := EncodeStreamSnapshot(sm, "x", [32]byte{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != snapMinLen+1 {
+		t.Fatalf("smallest snapshot is %d bytes, snapMinLen+1 is %d", len(data), snapMinLen+1)
+	}
+	if _, err := InspectStreamSnapshot(data); err != nil {
+		t.Fatalf("smallest snapshot: %v", err)
+	}
 }
 
 func TestInspectStreamSnapshot(t *testing.T) {
-	m, _, data := snapshotFixture(t)
+	_, _, data := snapshotFixture(t)
 	info, err := InspectStreamSnapshot(data)
 	if err != nil {
 		t.Fatal(err)
@@ -463,8 +545,8 @@ func TestInspectStreamSnapshot(t *testing.T) {
 	if info.Points == 0 || info.Points != info.Emitted+info.Pending {
 		t.Fatalf("inspect: points=%d emitted=%d pending=%d", info.Points, info.Emitted, info.Pending)
 	}
-	if info.Dim != m.Cfg.Dim || info.Lag != 2 || info.Bytes != len(data) {
-		t.Fatalf("inspect: dim=%d lag=%d bytes=%d", info.Dim, info.Lag, info.Bytes)
+	if info.Lag != 2 || info.Bytes != len(data) {
+		t.Fatalf("inspect: lag=%d bytes=%d", info.Lag, info.Bytes)
 	}
 	if len(info.WeightsHash) != 64 || len(info.Fingerprint) != 16 {
 		t.Fatalf("inspect: weights_hash=%q fingerprint=%q", info.WeightsHash, info.Fingerprint)
@@ -483,9 +565,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add([]byte(snapMagic))
-	skewed := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint16(skewed[8:], SnapshotVersion+9)
-	f.Add(refit(skewed))
+	f.Add(withVersion(data, SnapshotVersion+9))
+	f.Add(withVersion(data, 1))
 	truncated := refit(data[: len(data)/3 : len(data)/3])
 	f.Add(truncated)
 

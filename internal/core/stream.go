@@ -174,8 +174,9 @@ func geoAngleDiff(a, b float64) float64 {
 // of point i over points 0..i — newSession attends over the whole
 // trajectory, which a stream cannot) and Eq. 7 context halves. Each
 // point grows the Eq. 6 key cache by its own row and reads its context
-// out of it; a restored session, which holds no cache, builds it over
-// all its rows on the first push, bit-equal to the uninterrupted one. A
+// out of it. It is also how a restored session is rebuilt
+// (DecodeStreamSnapshot extends an empty session over the snapshot's
+// points), so the rows are bit-equal to the uninterrupted session's. A
 // no-op once n == len(ct), which is always the case for a session
 // newSession filled.
 func (s *session) extend(ct traj.CellTrajectory) {
@@ -211,8 +212,8 @@ func (s *session) extend(ct traj.CellTrajectory) {
 // ensureKeys grows the Eq. 9 key cache and transVal by the rows of the
 // points absorbed since the last call (both are per-point products, so
 // appending is bit-equal to building over all n at once); a no-op once
-// keysN == n. Derived state like obsCtx, so a restored session builds
-// both on its first transition step. Each growth invalidates a held
+// keysN == n. Derived state, so a restored session builds both on its
+// first transition step. Each growth invalidates a held
 // road-probability table: Eq. 10 conditions on the whole trajectory
 // context, which just changed.
 func (s *session) ensureKeys() {

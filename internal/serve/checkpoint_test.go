@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -343,6 +345,16 @@ func TestCheckpointRecoveryQuarantine(t *testing.T) {
 	if err := os.WriteFile(alias, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A file in the previous wire version (lhmm-session/v1, which still
+	// carried the derived session rows) is refused on its version.
+	old := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(old[8:], 1)
+	binary.LittleEndian.PutUint32(old[len(old)-4:],
+		crc32.Checksum(old[:len(old)-4], crc32.MakeTable(crc32.Castagnoli)))
+	oldPath := filepath.Join(dir, shardDirName(int(shardIndex("oldformat"))), "oldformat"+ckptExt)
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	stray := filepath.Join(dir, shardDirName(0), "leftover"+ckptTmpExt)
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -361,6 +373,9 @@ func TestCheckpointRecoveryQuarantine(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "impostor"+ckptExt+".idmismatch")); err != nil {
 		t.Fatalf("aliased snapshot not quarantined: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "oldformat"+ckptExt+".version")); err != nil {
+		t.Fatalf("version-1 snapshot not quarantined: %v", err)
 	}
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Fatalf("stray temp file survives recovery: %v", err)
