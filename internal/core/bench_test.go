@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hmm"
+	"repro/internal/mrg"
 	"repro/internal/nn"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
@@ -199,6 +200,30 @@ func BenchmarkPhase1Batch(b *testing.B) {
 		for _, p := range params {
 			p.ZeroGrad()
 		}
+	}
+}
+
+// BenchmarkRefreshEmbeddings is the all-nodes encoder pass and the
+// per-segment tables after it, which Train and every Load run: dim 128
+// on the test city (1,089 nodes), per encoder mode with message
+// passing.
+func BenchmarkRefreshEmbeddings(b *testing.B) {
+	d := testDataset(b, 14)
+	for _, mode := range []mrg.EncoderMode{mrg.HetGNN, mrg.HomoGNN} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Dim = 128
+			cfg.EncoderMode = mode
+			m, err := New(d, d.TrainTrips(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.RefreshEmbeddings()
+			}
+		})
 	}
 }
 

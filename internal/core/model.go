@@ -139,8 +139,9 @@ func (m *Model) AllParams() []*nn.Param {
 // from them: the segment halves of Eq. 7's and Eq. 10's first layers
 // (obsSeg, transSeg) and the query half of Eq. 9's scores (transQ).
 // Segments occupy one contiguous node range of emb. Call after training
-// and before matching. The encoder runs over every node: the all-nodes
-// field is the graph's own adjacency, gathering nothing.
+// and before matching. The encoder outputs every node through the same
+// restriction as phase 1: each relation multiplies only the rows of h^l
+// it reads (DESIGN §8b "Set-up").
 func (m *Model) RefreshEmbeddings() {
 	tp := nn.NewTape()
 	m.emb = m.Enc.Forward(tp, m.Enc.Field(m.Graph, nil)).Val.Clone()

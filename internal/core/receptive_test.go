@@ -13,20 +13,54 @@ import (
 	"repro/internal/traj"
 )
 
-// fullGraphBatchLoss is the phase-1 step as it was before the encoder
-// ran on the receptive field: the forward over every node, the losses
-// gathering each node's embedding by its id. It is the oracle of the
-// restricted step.
-func fullGraphBatchLoss(m *Model, tp *nn.Tape, draws []tripDraw) (*nn.T, int) {
-	f := m.Enc.Field(m.Graph, nil)
-	return m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+// eqs45 is the encoder's forward written from Eqs. 4–5 over the graph's
+// own adjacency, every node at once: CO, SQ, TP (HetGNN), the merged
+// adjacency (HomoGNN), or the MLP head (MLPOnly). It shares no code
+// with mrg.Encoder.Field or Forward's gathers, and builds its tape nodes
+// in Forward's order, so gradients accumulate in the same order too.
+func eqs45(t testing.TB, tp *nn.Tape, m *Model) *nn.T {
+	t.Helper()
+	enc, g := m.Enc, m.Graph
+	h := tp.Var(enc.Init)
+	if enc.Mode == mrg.MLPOnly {
+		return enc.MLP.Forward(tp, h)
+	}
+	for l := 0; l < enc.Rounds; l++ {
+		var zs []*nn.T
+		if enc.Mode == mrg.HomoGNN {
+			merged, mergedT, err := g.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			zs = append(zs, tp.SpMM(merged, mergedT, tp.MatMul(h, tp.Var(enc.WHomo[l]))))
+		} else {
+			zs = append(zs,
+				tp.SpMM(g.CO, g.COt, tp.MatMul(h, tp.Var(enc.WCO[l]))),
+				tp.SpMM(g.SQ, g.SQt, tp.MatMul(h, tp.Var(enc.WSQ[l]))),
+				tp.SpMM(g.TP, g.TPt, tp.MatMul(h, tp.Var(enc.WTP[l]))))
+		}
+		sum := zs[0]
+		for _, z := range zs[1:] {
+			sum = tp.Add(sum, z)
+		}
+		agg := tp.MatMul(sum, tp.Var(enc.WAgg[l]))
+		self := tp.MatMul(h, tp.Var(enc.W0[l]))
+		h = tp.ReLU(tp.Add(agg, self))
+	}
+	return h
+}
+
+// fullGraphBatchLoss is the oracle of the phase-1 step: eqs45 over
+// every node, the losses gathering each node's embedding by its id.
+func fullGraphBatchLoss(t testing.TB, m *Model, tp *nn.Tape, draws []tripDraw) (*nn.T, int) {
+	return m.batchLoss(tp, eqs45(t, tp, m), func(v int) int { return v }, draws)
 }
 
 // receptiveBatchLoss is trainImplicit's step: the forward over the rows
 // the draws reach.
 func receptiveBatchLoss(m *Model, tp *nn.Tape, draws []tripDraw) (*nn.T, int, *mrg.Field) {
 	f := m.Enc.Field(m.Graph, m.fieldRows(draws))
-	loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+	loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f.Local, draws)
 	return loss, n, f
 }
 
@@ -71,7 +105,7 @@ func gradBits(ps []*nn.Param) [][]uint64 {
 }
 
 // TestReceptiveFieldTrainingExact holds phase 1's restricted step to the
-// full-graph step bit for bit: for every encoder mode, over three
+// full-graph oracle step bit for bit: for every encoder mode, over three
 // consecutive batches with the optimizer stepping between them, the
 // loss and every parameter's gradient are Float64bits-equal, and every
 // restricted adjacency row is the graph's row mapped back to node ids.
@@ -103,7 +137,7 @@ func TestReceptiveFieldTrainingExact(t *testing.T) {
 			got := gradBits(params)
 
 			tp = nn.NewTape()
-			wantLoss, wantN := fullGraphBatchLoss(m, tp, draws)
+			wantLoss, wantN := fullGraphBatchLoss(t, m, tp, draws)
 			if err := tp.Backward(wantLoss); err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +253,7 @@ func TestPhase1BatchAllocatesReceptiveField(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	restricted := func(tp *nn.Tape) *nn.T { l, _, _ := receptiveBatchLoss(m, tp, draws); return l }
-	full := func(tp *nn.Tape) *nn.T { l, _ := fullGraphBatchLoss(m, tp, draws); return l }
+	full := func(tp *nn.Tape) *nn.T { l, _ := fullGraphBatchLoss(t, m, tp, draws); return l }
 	step(full) // allocates the parameters' gradients once
 	got, want := step(restricted), step(full)
 	t.Logf("phase-1 batch: %d B on the receptive field, %d B on the full graph (%.3f)", got, want, float64(got)/float64(want))

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/hmm"
 	"repro/internal/metrics"
-	"repro/internal/mrg"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
@@ -297,17 +296,17 @@ func (m *Model) fieldRows(draws []tripDraw) []int {
 }
 
 // batchLoss builds the batch's mean classification loss on the tape
-// over H, the encoder's output for field f (node v is row f.Local(v)),
-// and returns it with the number of per-trip losses it averages; nil
-// when no trip drew an example.
-func (m *Model) batchLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, draws []tripDraw) (*nn.T, int) {
+// over H, the encoder's output (node v is row local(v)), and returns it
+// with the number of per-trip losses it averages; nil when no trip drew
+// an example.
+func (m *Model) batchLoss(tp *nn.Tape, H *nn.T, local func(v int) int, draws []tripDraw) (*nn.T, int) {
 	var losses []*nn.T
 	for _, d := range draws {
 		if len(d.obs) > 0 {
-			losses = append(losses, m.obsLoss(tp, H, f, d.s, d.obs))
+			losses = append(losses, m.obsLoss(tp, H, local, d.s, d.obs))
 		}
 		if len(d.trans) > 0 {
-			losses = append(losses, m.transLoss(tp, H, f, d.s, d.trans))
+			losses = append(losses, m.transLoss(tp, H, local, d.s, d.trans))
 		}
 	}
 	if len(losses) == 0 {
@@ -352,7 +351,7 @@ func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 			}
 			f := m.Enc.Field(m.Graph, rows)
 			tp := nn.NewTape()
-			loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f, draws)
+			loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f.Local, draws)
 			step := fmt.Sprintf("core: phase 1 epoch %d batch %d", epoch+1, at/m.Cfg.BatchTrips+1)
 			if !isFinite(loss.Val.W[0]) {
 				return fmt.Errorf("%s: non-finite loss", step)
@@ -396,8 +395,8 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // obsLoss builds the observation classification loss of one trip's
 // pairs on the tape: Eq. 6 context representations feed Eq. 7 logits.
-func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, pairs []pair) *nn.T {
-	ptEmb := tp.Gather(H, m.towerRows(f, s))
+func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, local func(int) int, s *tripSample, pairs []pair) *nn.T {
+	ptEmb := tp.Gather(H, m.towerRows(local, s))
 
 	// Context representation per distinct point in the sample.
 	ctx := make(map[int]*nn.T)
@@ -412,7 +411,7 @@ func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, pairs
 	rows := make([]*nn.T, len(pairs))
 	labels := make([]int, len(pairs))
 	for i, pr := range pairs {
-		segT := tp.Gather(H, []int{f.Local(m.Graph.SegNode(pr.seg))})
+		segT := tp.Gather(H, []int{local(m.Graph.SegNode(pr.seg))})
 		rows[i] = tp.ConcatCols(segT, ctx[pr.point])
 		labels[i] = pr.label
 	}
@@ -423,13 +422,13 @@ func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, pairs
 
 // transLoss builds the trajectory-road classification loss of one
 // trip's roads: Eq. 9 trajectory representations feed Eq. 10 logits.
-func (m *Model) transLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, exs []roadEx) *nn.T {
-	ptEmb := tp.Gather(H, m.towerRows(f, s))
+func (m *Model) transLoss(tp *nn.Tape, H *nn.T, local func(int) int, s *tripSample, exs []roadEx) *nn.T {
+	ptEmb := tp.Gather(H, m.towerRows(local, s))
 
 	rows := make([]*nn.T, len(exs))
 	labels := make([]int, len(exs))
 	for i, ex := range exs {
-		segT := tp.Gather(H, []int{f.Local(m.Graph.SegNode(ex.seg))})
+		segT := tp.Gather(H, []int{local(m.Graph.SegNode(ex.seg))})
 		xl, _ := m.TransAtt.Forward(tp, segT, ptEmb, ptEmb)
 		rows[i] = tp.ConcatCols(segT, xl)
 		labels[i] = ex.label
@@ -439,12 +438,12 @@ func (m *Model) transLoss(tp *nn.Tape, H *nn.T, f *mrg.Field, s *tripSample, exs
 	return tp.CrossEntropy(logits, target)
 }
 
-// towerRows returns the rows of field f's output that hold the towers
-// of s's points, in point order.
-func (m *Model) towerRows(f *mrg.Field, s *tripSample) []int {
+// towerRows returns the rows of the encoder's output that hold the
+// towers of s's points, in point order.
+func (m *Model) towerRows(local func(int) int, s *tripSample) []int {
 	idx := make([]int, len(s.tr.Cell))
 	for i, cp := range s.tr.Cell {
-		idx[i] = f.Local(m.Graph.TowerNode(cp.Tower))
+		idx[i] = local(m.Graph.TowerNode(cp.Tower))
 	}
 	return idx
 }

@@ -132,27 +132,26 @@ func (e *Encoder) relWeights(l int) []*nn.Param {
 
 // Field is the receptive field of a set of output rows: for each round,
 // the rows of h^l it reads and each relation's adjacency restricted to
-// them. A nil row list stands for every node, and then the adjacencies
-// are the graph's own. Build with Encoder.Field; a Field belongs to the
-// encoder and graph it was built for.
+// them. Build with Encoder.Field; a Field belongs to the encoder and
+// graph it was built for.
 type Field struct {
 	// rows[l] lists the nodes of h^l, ascending: rows[0] the rows of
-	// Init the pass reads, rows[len(rows)-1] the output. nil = all.
+	// Init the pass reads, rows[len(rows)-1] the output.
 	rows   [][]int
 	rounds []fieldRound
 }
 
 // fieldRound is one round of Eqs. 4–5 restricted to a field.
 type fieldRound struct {
-	self []int      // positions in rows[l] of rows[l+1], W_0's input; nil = all
+	self []int      // positions in rows[l] of rows[l+1], W_0's input
 	rels []fieldRel // one per Encoder.relations entry
 }
 
 // fieldRel is one relation's Eq. 4 within a round: rows[l+1] average
 // over their in-neighbours, which sit at positions in of rows[l].
 type fieldRel struct {
-	in    []int      // positions in rows[l]; nil = all
-	nodes []int      // the in-neighbours' node ids (a's columns); nil = all
+	in    []int      // positions in rows[l]
+	nodes []int      // the in-neighbours' node ids (a's columns)
 	a, at *nn.Sparse // |rows[l+1]|×|in| rows of the full adjacency, and aᵀ; nil if no in-neighbours
 }
 
@@ -162,9 +161,18 @@ type fieldRel struct {
 // restricted adjacency keeps the full graph's row-normalised values
 // (Eqs. 4–5 average over all neighbours) and numbers rows and columns
 // in ascending node order, so every per-row sum of the restricted pass
-// runs over the same terms in the same order as the full one. It panics
-// on rows that are not strictly ascending node ids (programmer error).
+// runs over the same terms in the same order as the full one. Every
+// node as output is restricted the same way: each relation still reads
+// only its in-neighbours, for CO and SQ the training trips' footprint.
+// It panics on rows that are not strictly ascending node ids
+// (programmer error).
 func (e *Encoder) Field(g *Graph, rows []int) *Field {
+	if rows == nil {
+		rows = make([]int, g.NumNodes())
+		for v := range rows {
+			rows[v] = v
+		}
+	}
 	for i, v := range rows {
 		if v < 0 || v >= g.NumNodes() || (i > 0 && v <= rows[i-1]) {
 			panic(fmt.Sprintf("mrg: Field: row %d (%d) is not a strictly ascending node id below %d", i, v, g.NumNodes()))
@@ -180,12 +188,6 @@ func (e *Encoder) Field(g *Graph, rows []int) *Field {
 	for l := rounds - 1; l >= 0; l-- {
 		out := f.rows[l+1]
 		rd := &f.rounds[l]
-		if out == nil {
-			for _, r := range rels {
-				rd.rels = append(rd.rels, fieldRel{a: r[0], at: r[1]})
-			}
-			continue
-		}
 		in := append([]int(nil), out...)
 		for _, r := range rels {
 			var fr fieldRel
@@ -221,18 +223,13 @@ func positions(list, nodes []int) []int {
 }
 
 // Rows returns the nodes of h^l in the field, ascending — l = 0 the
-// rows of Init the pass reads, l = Rounds (0 for MLPOnly) the output —
-// or nil for every node.
+// rows of Init the pass reads, l = Rounds (0 for MLPOnly) the output.
 func (f *Field) Rows(l int) []int { return f.rows[l] }
 
-// Local returns the output row that holds node v: its index in the
-// output rows, v itself for an all-nodes field, −1 if v is outside.
+// Local returns the output row that holds node v, its index in the
+// output rows, or −1 if v is outside.
 func (f *Field) Local(v int) int {
-	out := f.rows[len(f.rows)-1]
-	if out == nil {
-		return v
-	}
-	if at, ok := slices.BinarySearch(out, v); ok {
+	if at, ok := slices.BinarySearch(f.rows[len(f.rows)-1], v); ok {
 		return at
 	}
 	return -1
@@ -241,20 +238,20 @@ func (f *Field) Local(v int) int {
 // Adjacency returns round l's restricted adjacency of relation r (CO,
 // SQ, TP for HetGNN; the merged adjacency for HomoGNN) and the node id
 // of each of its columns; its rows are Rows(l+1). Both are nil when the
-// rows have no in-neighbours in that relation; an all-nodes field
-// returns the graph's adjacency and nil node ids.
+// rows have no in-neighbours in that relation.
 func (f *Field) Adjacency(l, r int) (*nn.Sparse, []int) {
 	fr := f.rounds[l].rels[r]
 	return fr.a, fr.nodes
 }
 
 // Forward computes the embeddings of the field's output rows on the
-// tape: row r of the result is node Rows(last)[r], or node r for an
-// all-nodes field (the |V|×d matrix). h⁰ gathers the Init rows the
+// tape: row r of the result is node Rows(last)[r] (node r for an
+// every-node field, the |V|×d matrix). h⁰ gathers the Init rows the
 // field reads, so the gather's backward scatters into the full Init
-// gradient; each product takes its rows of h^l through a gather. For a
-// field of finite parameters, values, loss and every gradient equal
-// the all-nodes pass's bit for bit (DESIGN §8b "Set-up").
+// gradient; each product takes its rows of h^l through a gather. For
+// finite parameters, values, loss and every gradient equal those of
+// Eqs. 4–5 over the graph's own adjacency bit for bit (DESIGN §8b
+// "Set-up").
 func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 	h := pick(tp, tp.Var(e.Init), f.rows[0])
 	if e.Mode == MLPOnly {
@@ -283,9 +280,10 @@ func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 	return h
 }
 
-// pick returns the given rows of x, or x itself for nil.
+// pick returns the given rows of x, or x itself when they are all of
+// its rows: a strictly ascending list as long as x is the identity.
 func pick(tp *nn.Tape, x *nn.T, rows []int) *nn.T {
-	if rows == nil {
+	if len(rows) == x.R() {
 		return x
 	}
 	return tp.Gather(x, rows)

@@ -1,6 +1,7 @@
 package mrg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -46,6 +47,43 @@ func testWorld(t testing.TB) (*traj.Dataset, []*traj.Trip) {
 		t.Fatal(err)
 	}
 	return d, d.TrainTrips()
+}
+
+// eqs45 is the encoder's forward written from Eqs. 4–5 over the graph's
+// own adjacency, every node at once: CO, SQ, TP (HetGNN), the merged
+// adjacency (HomoGNN), or the MLP head (MLPOnly). It is the oracle of
+// Encoder.Forward and shares no code with Field or pick; it builds its
+// tape nodes in Forward's order, so gradients accumulate in the same
+// order too.
+func eqs45(t testing.TB, tp *nn.Tape, enc *Encoder, g *Graph) *nn.T {
+	t.Helper()
+	h := tp.Var(enc.Init)
+	if enc.Mode == MLPOnly {
+		return enc.MLP.Forward(tp, h)
+	}
+	for l := 0; l < enc.Rounds; l++ {
+		var zs []*nn.T
+		if enc.Mode == HomoGNN {
+			merged, mergedT, err := g.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			zs = append(zs, tp.SpMM(merged, mergedT, tp.MatMul(h, tp.Var(enc.WHomo[l]))))
+		} else {
+			zs = append(zs,
+				tp.SpMM(g.CO, g.COt, tp.MatMul(h, tp.Var(enc.WCO[l]))),
+				tp.SpMM(g.SQ, g.SQt, tp.MatMul(h, tp.Var(enc.WSQ[l]))),
+				tp.SpMM(g.TP, g.TPt, tp.MatMul(h, tp.Var(enc.WTP[l]))))
+		}
+		sum := zs[0]
+		for _, z := range zs[1:] {
+			sum = tp.Add(sum, z)
+		}
+		agg := tp.MatMul(sum, tp.Var(enc.WAgg[l]))
+		self := tp.MatMul(h, tp.Var(enc.W0[l]))
+		h = tp.ReLU(tp.Add(agg, self))
+	}
+	return h
 }
 
 func TestBuildGraphValidation(t *testing.T) {
@@ -142,7 +180,7 @@ func TestEncoderForwardShapes(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		tp := nn.NewTape()
-		h := enc.Forward(tp, enc.Field(g, nil))
+		h := eqs45(t, tp, enc, g)
 		if h.R() != g.NumNodes() || h.C() != 8 {
 			t.Errorf("%v: embedding shape %d×%d", mode, h.R(), h.C())
 		}
@@ -171,7 +209,7 @@ func TestEncoderGradientsFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 		tp := nn.NewTape()
-		h := enc.Forward(tp, enc.Field(g, nil))
+		h := eqs45(t, tp, enc, g)
 		loss := tp.SumAll(tp.Mul(h, h))
 		if err := tp.Backward(loss); err != nil {
 			t.Fatal(err)
@@ -192,7 +230,7 @@ func TestEncoderGradientsFlow(t *testing.T) {
 }
 
 // TestReceptiveFieldForwardExact holds the restricted pass to the
-// all-nodes pass bit for bit: for each mode and a few output row sets,
+// oracle eqs45 bit for bit: for each mode and a few output row sets,
 // a loss over those rows has the same value and every parameter the
 // same gradient, and every restricted adjacency row is the full
 // graph's row — values and column order, mapped back to node ids.
@@ -236,44 +274,104 @@ func TestReceptiveFieldForwardExact(t *testing.T) {
 
 			f := enc.Field(g, rows)
 			checkFieldAdjacency(t, enc, g, f)
-			lossOf := func(f *Field, idx []int) (float64, map[string][]float64) {
-				tp := nn.NewTape()
-				h := tp.Gather(enc.Forward(tp, f), idx)
-				loss := tp.SumAll(tp.Mul(h, tp.Const(coef)))
-				if err := tp.Backward(loss); err != nil {
-					t.Fatal(err)
-				}
-				grads := map[string][]float64{}
-				for _, p := range enc.Params() {
-					if p.Grad != nil {
-						grads[p.Name] = append([]float64(nil), p.Grad.W...)
-					}
-					p.ZeroGrad()
-				}
-				return loss.Val.W[0], grads
-			}
 			local := make([]int, len(rows))
 			for i, v := range rows {
 				local[i] = f.Local(v)
 			}
-			gotLoss, got := lossOf(f, local)
-			wantLoss, want := lossOf(enc.Field(g, nil), rows)
-			if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-				t.Fatalf("%v trial %d: loss %v, all-nodes pass %v", mode, trial, gotLoss, wantLoss)
-			}
-			for _, p := range enc.Params() {
-				for i, w := range want[p.Name] {
-					var v float64 // a parameter the restricted pass did not reach has a zero gradient
-					if got[p.Name] != nil {
-						v = got[p.Name][i]
-					}
-					if math.Float64bits(v) != math.Float64bits(w) {
-						t.Fatalf("%v trial %d: %s grad[%d] = %v, all-nodes pass %v", mode, trial, p.Name, i, v, w)
-					}
-				}
-			}
+			gotLoss, got := lossGrads(t, enc, coef, func(tp *nn.Tape) *nn.T { return tp.Gather(enc.Forward(tp, f), local) })
+			wantLoss, want := lossGrads(t, enc, coef, func(tp *nn.Tape) *nn.T { return tp.Gather(eqs45(t, tp, enc, g), rows) })
+			checkLossGrads(t, fmt.Sprintf("%v trial %d", mode, trial), enc, gotLoss, wantLoss, got, want)
 			if mode != MLPOnly && len(f.Rows(0)) >= g.NumNodes() {
 				t.Errorf("%v trial %d: the field reads all %d rows", mode, trial, g.NumNodes())
+			}
+		}
+	}
+}
+
+// lossGrads runs Σ h∘coef over the rows a forward returns and its
+// backward, and returns the loss and every encoder parameter's gradient
+// (nil for a parameter the pass did not reach), clearing them.
+func lossGrads(t *testing.T, enc *Encoder, coef *nn.Mat, forward func(*nn.Tape) *nn.T) (float64, map[string][]float64) {
+	t.Helper()
+	tp := nn.NewTape()
+	loss := tp.SumAll(tp.Mul(forward(tp), tp.Const(coef)))
+	if err := tp.Backward(loss); err != nil {
+		t.Fatal(err)
+	}
+	grads := map[string][]float64{}
+	for _, p := range enc.Params() {
+		if p.Grad != nil {
+			grads[p.Name] = append([]float64(nil), p.Grad.W...)
+		}
+		p.ZeroGrad()
+	}
+	return loss.Val.W[0], grads
+}
+
+// checkLossGrads asserts Float64bits equality of two lossGrads results;
+// a gradient missing on the got side reads as zeros.
+func checkLossGrads(t *testing.T, what string, enc *Encoder, gotLoss, wantLoss float64, got, want map[string][]float64) {
+	t.Helper()
+	if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+		t.Fatalf("%s: loss %v, Eqs. 4–5 %v", what, gotLoss, wantLoss)
+	}
+	for _, p := range enc.Params() {
+		for i, w := range want[p.Name] {
+			var v float64
+			if got[p.Name] != nil {
+				v = got[p.Name][i]
+			}
+			if math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s: %s grad[%d] = %v, Eqs. 4–5 %v", what, p.Name, i, v, w)
+			}
+		}
+	}
+}
+
+// TestAllNodesFieldExact holds the every-node field — the pass
+// RefreshEmbeddings runs — to the oracle eqs45 bit for bit in every
+// mode: the |V|×d output, a loss over it and every gradient. Its
+// adjacencies are the graph's rows, and for HetGNN each relation reads
+// only its in-neighbour columns, CO and SQ fewer than every node.
+func TestAllNodesFieldExact(t *testing.T) {
+	d, trips := testWorld(t)
+	g, err := BuildGraph(d.Net, d.Cells, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, mode := range []EncoderMode{HetGNN, HomoGNN, MLPOnly} {
+		enc, err := NewEncoder(g, mode, 8, 2, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := enc.Field(g, nil)
+		checkFieldAdjacency(t, enc, g, f)
+		if out := f.Rows(len(f.rounds)); len(out) != g.NumNodes() || f.Local(g.NumNodes()-1) != g.NumNodes()-1 {
+			t.Fatalf("%v: every-node field outputs %d of %d rows", mode, len(out), g.NumNodes())
+		}
+		got := enc.Forward(nn.NewTape(), f).Val
+		want := eqs45(t, nn.NewTape(), enc, g).Val
+		if got.R != want.R || got.C != want.C {
+			t.Fatalf("%v: output %d×%d, Eqs. 4–5 %d×%d", mode, got.R, got.C, want.R, want.C)
+		}
+		for i, w := range want.W {
+			if math.Float64bits(got.W[i]) != math.Float64bits(w) {
+				t.Fatalf("%v: output[%d] = %v, Eqs. 4–5 %v", mode, i, got.W[i], w)
+			}
+		}
+		coef := nn.NewMat(g.NumNodes(), enc.Dim)
+		coef.Xavier(rng)
+		gotLoss, gotG := lossGrads(t, enc, coef, func(tp *nn.Tape) *nn.T { return enc.Forward(tp, f) })
+		wantLoss, wantG := lossGrads(t, enc, coef, func(tp *nn.Tape) *nn.T { return eqs45(t, tp, enc, g) })
+		checkLossGrads(t, mode.String(), enc, gotLoss, wantLoss, gotG, wantG)
+		if mode == HetGNN {
+			for l := range f.rounds {
+				for r := 0; r < 2; r++ { // CO, SQ: the training trips' footprint
+					if _, nodes := f.Adjacency(l, r); len(nodes) >= g.NumNodes() {
+						t.Errorf("round %d relation %d reads all %d rows", l, r, g.NumNodes())
+					}
+				}
 			}
 		}
 	}
@@ -357,7 +455,7 @@ func TestEncoderLearnsCoOccurrence(t *testing.T) {
 	opt.LR = 0.01
 	for iter := 0; iter < 80; iter++ {
 		tp := nn.NewTape()
-		h := enc.Forward(tp, enc.Field(g, nil))
+		h := eqs45(t, tp, enc, g)
 		// Pull positives together, push a random pair apart.
 		var loss *nn.T
 		for _, pr := range pos[:min(len(pos), 32)] {
@@ -383,7 +481,7 @@ func TestEncoderLearnsCoOccurrence(t *testing.T) {
 	}
 	// Positive pairs now closer on average than random pairs.
 	tp := nn.NewTape()
-	h := enc.Forward(tp, enc.Field(g, nil)).Val
+	h := eqs45(t, tp, enc, g).Val
 	distOf := func(a, b int) float64 {
 		var s float64
 		ra, rb := h.Row(a), h.Row(b)

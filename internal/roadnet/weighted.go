@@ -1,6 +1,9 @@
 package roadnet
 
-import "container/heap"
+import (
+	"container/heap"
+	"slices"
+)
 
 // pqItem is a priority-queue entry for plain weighted Dijkstra
 // (ShortestPathWeighted).
@@ -26,59 +29,59 @@ func (q *pq) Pop() interface{} {
 // ShortestPathWeighted runs an uncached Dijkstra search from one node
 // to another under a caller-supplied edge weight (for example, length
 // perturbed by per-trip noise to simulate realistic non-shortest
-// routes). weight must be non-negative; segments with negative weight
-// are skipped. It returns the segment sequence, the total weight, and
-// whether a path exists.
+// routes). A segment whose weight is not >= 0 (negative or NaN) is
+// skipped. It returns the segment sequence, the total weight, and
+// whether a path exists. weight is called once for each segment out of
+// each node settled before to, in settle order.
 func (n *Network) ShortestPathWeighted(from, to NodeID, weight func(*Segment) float64) ([]SegmentID, float64, bool) {
 	if from == to {
 		return nil, 0, true
 	}
-	dist := map[NodeID]float64{from: 0}
-	parent := map[NodeID]SegmentID{}
-	settled := map[NodeID]bool{}
+	const (
+		unreached uint8 = iota
+		reached         // has a tentative distance and a queue entry
+		settled         // popped: its distance is final
+	)
+	dist := make([]float64, n.NumNodes())
+	parent := make([]SegmentID, n.NumNodes())
+	state := make([]uint8, n.NumNodes())
+	state[from] = reached
 	q := &pq{{from, 0}}
 	for q.Len() > 0 {
 		cur := heap.Pop(q).(pqItem)
-		if settled[cur.node] {
+		if state[cur.node] == settled {
 			continue
 		}
-		settled[cur.node] = true
+		state[cur.node] = settled
 		if cur.node == to {
 			break
 		}
 		for _, sid := range n.Out(cur.node) {
 			seg := n.Segment(sid)
 			w := weight(seg)
-			if w < 0 {
+			if !(w >= 0) {
 				continue
 			}
 			nd := cur.dist + w
-			if old, ok := dist[seg.To]; !ok || nd < old {
-				dist[seg.To] = nd
-				parent[seg.To] = sid
-				heap.Push(q, pqItem{seg.To, nd})
+			if state[seg.To] == unreached {
+				state[seg.To] = reached
+			} else if !(nd < dist[seg.To]) {
+				continue
 			}
+			dist[seg.To] = nd
+			parent[seg.To] = sid
+			heap.Push(q, pqItem{seg.To, nd})
 		}
 	}
-	d, ok := dist[to]
-	if !ok || !settled[to] {
+	if state[to] != settled {
 		return nil, 0, false
 	}
 	var rev []SegmentID
-	cur := to
-	for cur != from {
-		sid, ok := parent[cur]
-		if !ok {
-			return nil, 0, false
-		}
-		rev = append(rev, sid)
-		cur = n.Segment(sid).From
+	for cur := to; cur != from; cur = n.Segment(parent[cur]).From {
+		rev = append(rev, parent[cur])
 	}
-	path := make([]SegmentID, len(rev))
-	for i, s := range rev {
-		path[len(rev)-1-i] = s
-	}
-	return path, d, true
+	slices.Reverse(rev)
+	return rev, dist[to], true
 }
 
 // LargestComponent returns the node ids of the largest weakly-connected

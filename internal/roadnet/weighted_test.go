@@ -1,8 +1,10 @@
 package roadnet
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -212,5 +214,196 @@ func TestShortestPathWeightedParallelSegments(t *testing.T) {
 	}
 	if d != 1 {
 		t.Fatalf("custom-weight d = %v, want 1", d)
+	}
+}
+
+// refShortestPathWeighted is ShortestPathWeighted with its search state
+// in maps, map presence standing for a reached node: the reference the
+// slice-backed search must match call for call.
+func refShortestPathWeighted(n *Network, from, to NodeID, weight func(*Segment) float64) ([]SegmentID, float64, bool) {
+	if from == to {
+		return nil, 0, true
+	}
+	dist := map[NodeID]float64{from: 0}
+	parent := map[NodeID]SegmentID{}
+	settled := map[NodeID]bool{}
+	q := &pq{{from, 0}}
+	for q.Len() > 0 {
+		cur := heap.Pop(q).(pqItem)
+		if settled[cur.node] {
+			continue
+		}
+		settled[cur.node] = true
+		if cur.node == to {
+			break
+		}
+		for _, sid := range n.Out(cur.node) {
+			seg := n.Segment(sid)
+			w := weight(seg)
+			if !(w >= 0) {
+				continue
+			}
+			nd := cur.dist + w
+			if old, ok := dist[seg.To]; !ok || nd < old {
+				dist[seg.To] = nd
+				parent[seg.To] = sid
+				heap.Push(q, pqItem{seg.To, nd})
+			}
+		}
+	}
+	d, ok := dist[to]
+	if !ok || !settled[to] {
+		return nil, 0, false
+	}
+	var rev []SegmentID
+	cur := to
+	for cur != from {
+		sid, ok := parent[cur]
+		if !ok {
+			return nil, 0, false
+		}
+		rev = append(rev, sid)
+		cur = n.Segment(sid).From
+	}
+	path := make([]SegmentID, len(rev))
+	for i, s := range rev {
+		path[len(rev)-1-i] = s
+	}
+	return path, d, true
+}
+
+// TestShortestPathWeightedMatchesReference holds the search to the
+// map-backed reference: the same path, total and ok, and the same
+// sequence of weight calls, each segment at most once — the synthetic
+// generator draws each segment's noise on its call, so the call order
+// is part of the dataset. Weights are the grid's equal lengths (every route ties),
+// small integers (ties and zeros), random reals, and random reals with
+// some segments negative, NaN or +Inf, which cut the grid into pieces
+// and leave pairs unreachable.
+func TestShortestPathWeightedMatchesReference(t *testing.T) {
+	n := buildGrid(t, 7, 6)
+	rng := rand.New(rand.NewSource(11))
+	weights := []struct {
+		name string
+		gen  func() []float64
+	}{
+		{"length", func() []float64 {
+			w := make([]float64, n.NumSegments())
+			for i := range w {
+				w[i] = n.Segment(SegmentID(i)).Length
+			}
+			return w
+		}},
+		{"small-int", func() []float64 {
+			w := make([]float64, n.NumSegments())
+			for i := range w {
+				w[i] = float64(rng.Intn(3))
+			}
+			return w
+		}},
+		{"real", func() []float64 {
+			w := make([]float64, n.NumSegments())
+			for i := range w {
+				w[i] = rng.Float64() * 100
+			}
+			return w
+		}},
+		{"cut", func() []float64 {
+			w := make([]float64, n.NumSegments())
+			for i := range w {
+				switch rng.Intn(6) {
+				case 0:
+					w[i] = -1
+				case 1:
+					w[i] = math.NaN()
+				case 2:
+					w[i] = math.Inf(1)
+				default:
+					w[i] = rng.Float64() * 100
+				}
+			}
+			return w
+		}},
+	}
+	var unreachable, self int
+	for _, wg := range weights {
+		for trial := 0; trial < 60; trial++ {
+			w := wg.gen()
+			from, to := NodeID(rng.Intn(n.NumNodes())), NodeID(rng.Intn(n.NumNodes()))
+			if trial%15 == 0 {
+				to = from
+			}
+			var got, want []SegmentID
+			path, d, ok := n.ShortestPathWeighted(from, to, func(s *Segment) float64 { got = append(got, s.ID); return w[s.ID] })
+			wantPath, wantD, wantOK := refShortestPathWeighted(n, from, to, func(s *Segment) float64 { want = append(want, s.ID); return w[s.ID] })
+			if ok != wantOK || !slices.Equal(path, wantPath) || math.Float64bits(d) != math.Float64bits(wantD) {
+				t.Fatalf("%s trial %d %d->%d: %v %v %v, reference %v %v %v", wg.name, trial, from, to, path, d, ok, wantPath, wantD, wantOK)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d %d->%d: weight calls %v, reference %v", wg.name, trial, from, to, got, want)
+			}
+			// The generator draws a segment's noise on its call, with no
+			// memo: a segment is weighed at most once.
+			sorted := slices.Clone(got)
+			slices.Sort(sorted)
+			if len(slices.Compact(sorted)) != len(got) {
+				t.Fatalf("%s trial %d %d->%d: a segment weighed twice in %v", wg.name, trial, from, to, got)
+			}
+			if !ok {
+				unreachable++
+			}
+			if from == to {
+				self++
+			}
+		}
+	}
+	if unreachable == 0 || self == 0 {
+		t.Errorf("%d unreachable and %d self pairs: the cases are not covered", unreachable, self)
+	}
+}
+
+// TestShortestPathWeightedSkipsNaN: a NaN weight is a bad weight and is
+// skipped like a negative one. On the best path it makes the search
+// route around the segment, as cutting the segment does; off it, the
+// result is the all-finite one.
+func TestShortestPathWeightedSkipsNaN(t *testing.T) {
+	n := buildGrid(t, 6, 6)
+	rng := rand.New(rand.NewSource(3))
+	w := make([]float64, n.NumSegments())
+	for i := range w {
+		w[i] = 50 + rng.Float64()*100 // distinct sums: one best path
+	}
+	with := func(bad SegmentID, v float64) func(*Segment) float64 {
+		return func(s *Segment) float64 {
+			if s.ID == bad {
+				return v
+			}
+			return w[s.ID]
+		}
+	}
+	from, to := NodeID(0), NodeID(35)
+	best, bestD, ok := n.ShortestPathWeighted(from, to, with(-1, 0))
+	if !ok {
+		t.Fatal("finite search found no path")
+	}
+	// The NaN segment leaves the source on the best path.
+	on := best[0]
+	cut, cutD, _ := n.ShortestPathWeighted(from, to, with(on, -1))
+	path, d, ok := n.ShortestPathWeighted(from, to, with(on, math.NaN()))
+	if !ok || d != cutD || !slices.Equal(path, cut) || slices.Contains(path, on) {
+		t.Fatalf("NaN on the best path: %v %v %v, want %v %v", path, d, ok, cut, cutD)
+	}
+	// The NaN segment leaves the source off the best path.
+	off := n.Out(from)[0]
+	if off == on {
+		off = n.Out(from)[1]
+	}
+	path, d, ok = n.ShortestPathWeighted(from, to, with(off, math.NaN()))
+	if !ok || d != bestD || !slices.Equal(path, best) {
+		t.Fatalf("NaN off the best path: %v %v %v, want %v %v", path, d, ok, best, bestD)
+	}
+	// Every weight NaN: nothing is reachable.
+	if path, d, ok := n.ShortestPathWeighted(from, to, func(*Segment) float64 { return math.NaN() }); ok {
+		t.Fatalf("all-NaN weights: %v %v, want no path", path, d)
 	}
 }

@@ -1,8 +1,12 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/cellular"
@@ -298,5 +302,57 @@ func TestTripPathSet(t *testing.T) {
 				t.Fatal("PathSet missing a path segment")
 			}
 		}
+	}
+}
+
+// TestMetroDatasetGolden pins SyntheticMetro(0.10, 240) — every trip's
+// path, GPS and cell points and the train/valid/test split — to a
+// sha256 recorded on amd64 before the trip router kept its search
+// state in slices. Router and generator work must leave the dataset
+// bit for bit where it was; this fails loudly if it moves.
+func TestMetroDatasetGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	d, err := GenerateDataset(SyntheticMetro(0.10, 240))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(v float64) { put(math.Float64bits(v)) }
+	for _, tr := range d.Trips {
+		put(uint64(tr.ID))
+		put(uint64(len(tr.Path)))
+		for _, sid := range tr.Path {
+			put(uint64(sid))
+		}
+		put(uint64(len(tr.GPS)))
+		for _, p := range tr.GPS {
+			f(p.P.X)
+			f(p.P.Y)
+			f(p.T)
+		}
+		put(uint64(len(tr.Cell)))
+		for _, p := range tr.Cell {
+			put(uint64(p.Tower))
+			f(p.P.X)
+			f(p.P.Y)
+			f(p.T)
+		}
+	}
+	for _, split := range [][]int{d.Train, d.Valid, d.Test} {
+		put(uint64(len(split)))
+		for _, i := range split {
+			put(uint64(i))
+		}
+	}
+	const golden = "5c759724e03fab3e09b848409744f003d88c3316197080f488262ba91a9f6a87"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("SyntheticMetro(0.10, 240) digest %s, want %s", got, golden)
 	}
 }

@@ -88,17 +88,15 @@ func GenerateTrips(city *City, cfg TripConfig, rng *rand.Rand) ([]traj.Trip, err
 		if straight < cfg.MinLen*0.6 || straight > cfg.MaxLen {
 			continue
 		}
-		// Per-trip perturbed weights (deterministic within the trip).
+		// Per-trip perturbed weights, drawn from the trip's own stream in
+		// the search's call order. ShortestPathWeighted calls weight at
+		// most once per segment (once per segment out of each settled
+		// node), so each segment's factor is drawn once and needs no
+		// memo.
 		tripSeed := rng.Int63()
 		wRng := rand.New(rand.NewSource(tripSeed))
-		noise := make(map[roadnet.SegmentID]float64)
 		weight := func(s *roadnet.Segment) float64 {
-			f, ok := noise[s.ID]
-			if !ok {
-				f = 1 + wRng.Float64()*routeNoise
-				noise[s.ID] = f
-			}
-			return s.Length * f
+			return s.Length * (1 + wRng.Float64()*routeNoise)
 		}
 		path, _, ok := city.Net.ShortestPathWeighted(from, to, weight)
 		if !ok || len(path) == 0 {
