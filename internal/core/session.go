@@ -50,7 +50,7 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // serves a batch match (newSession fills all n rows at once, each point
 // attending over the whole trajectory) and a streaming one (extend
 // appends a row per pushed point, attending over the points seen so
-// far). An lhmm-session/v2 snapshot serialises only obsZ and obsMax;
+// far). An lhmm-session/v3 snapshot serialises only obsZ and obsMax;
 // restore refills the rest with extend, as the pushes did. One session
 // serves one match or one hmm.StreamMatcher and is not safe for
 // concurrent use — the serving layer serializes pushes per session.

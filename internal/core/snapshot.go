@@ -17,12 +17,12 @@ import (
 	"repro/internal/traj"
 )
 
-// lhmm-session/v2 — the durable wire format for an in-flight streaming
+// lhmm-session/v3 — the durable wire format for an in-flight streaming
 // session. A snapshot captures everything needed to resume a learned
 // streaming match bit-exactly on another process:
 //
 //	magic   "LHMMSESS" (8 bytes)
-//	version u16 (2)
+//	version u16 (3)
 //	header  onBreak u8 · sanitize u8 · lag u32 · config fingerprint u64
 //	        · weights hash [32]byte · id (u32 length + bytes, ≤256)
 //	matcher n u32
@@ -31,10 +31,11 @@ import (
 //	        emitted u32 · lastT f64 · degraded i64
 //	        badCoords u32 · badTimes u32
 //	        per point i: cᵢ u32, cᵢ candidates (seg i64, frac f64,
-//	          projX f64, projY f64, dist f64, obs f64), cᵢ × f64
-//	          forward scores, cᵢ × i32 backpointers
+//	          projX f64, projY f64, dist f64, obs f64, pseudo u8),
+//	          cᵢ × f64 forward scores, cᵢ × i32 backpointers
 //	        matched   u32 count (== emitted) × candidate
 //	        gaps      u32 count × (from i32, to i32, reason u8)
+//	        window    rows u32 · cols u32 · rows×cols f64
 //	session obsZ n × f64 · obsMax n × f64
 //	footer  CRC-32C (Castagnoli) over everything before it, u32
 //
@@ -51,18 +52,28 @@ import (
 // and Eq. 10 road-probability memo rebuild lazily on the first push.
 // A snapshot is therefore closed under the model identity checks in
 // the header (config fingerprint + weights hash) and carries no
-// derived state that could drift. A v1 file, which carried the rows,
-// is refused with ErrSnapshotVersion.
+// derived state that could drift.
+//
+// The matcher section carries what Algorithm 2 leaves in the table: a
+// shortcut pseudo-candidate appended to a layer (pseudo = 1; a layer's
+// own candidates come first) can outlive the push that adopted it, and
+// the window is the step table into the last point, which the next
+// push's shortcut window reads (0×0 when no window is open). Both come
+// off the wire as they were: restore recomputes neither.
+//
+// A v1 file, which carried the derived rows, and a v2 file, which
+// carried no pseudo flag and no window, are refused with
+// ErrSnapshotVersion.
 
 const (
 	snapMagic = "LHMMSESS"
 	// SnapshotVersion is the wire version written by EncodeStreamSnapshot.
-	SnapshotVersion = 2
+	SnapshotVersion = 3
 	// snapMaxID bounds the session ID length on the wire.
 	snapMaxID = 256
 	// snapMinLen is the smallest structurally possible snapshot:
 	// magic+version+fixed header+empty sections+CRC.
-	snapMinLen = 8 + 2 + (1 + 1 + 4 + 8 + 32 + 4) + (4 + 4 + 8 + 8 + 4 + 4 + 4 + 4) + 4
+	snapMinLen = 8 + 2 + (1 + 1 + 4 + 8 + 32 + 4) + (4 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4 + 4) + 4
 )
 
 // Sentinel errors for snapshot triage: Corrupt means the bytes cannot
@@ -119,6 +130,7 @@ func (m *Model) ConfigFingerprint() uint64 {
 	put(uint64(m.Cfg.CoPool))
 	put(b2u(m.Cfg.DisableImplicitObs))
 	put(b2u(m.Cfg.DisableImplicitTrans))
+	put(uint64(m.Cfg.Shortcuts))
 	put(uint64(m.Net.NumSegments()))
 	put(uint64(m.Cells.NumTowers()))
 	return h.Sum64()
@@ -142,6 +154,14 @@ func (w *snapWriter) f64s(vs []float64) {
 	}
 }
 
+func (w *snapWriter) flag(b bool) {
+	if b {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
 func (w *snapWriter) candidate(c *hmm.Candidate) {
 	w.i64(int64(c.Seg))
 	w.f64(c.Frac)
@@ -149,13 +169,14 @@ func (w *snapWriter) candidate(c *hmm.Candidate) {
 	w.f64(c.Proj.Y)
 	w.f64(c.Dist)
 	w.f64(c.Obs)
+	w.flag(c.Pseudo)
 }
 
-const candWire = 8 + 5*8 // one candidate on the wire
+const candWire = 8 + 5*8 + 1 // one candidate on the wire
 
 // EncodeStreamSnapshot serializes a learned streaming session (a
 // matcher produced by Model.NewStream, possibly resumed) to the
-// lhmm-session/v2 format. weightsHash is the serving model's
+// lhmm-session/v3 format. weightsHash is the serving model's
 // WeightsHash — passed in rather than recomputed because the caller
 // checkpoints many sessions against one model.
 //
@@ -179,8 +200,12 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 	for i := range st.Layers {
 		cands += len(st.Layers[i])
 	}
+	rows, cols := len(st.Steps), 0
+	if rows > 0 {
+		cols = len(st.Steps[0])
+	}
 	est := snapMinLen + len(id) + n*(4+3*8+1+4) + cands*(candWire+8+4) +
-		len(st.Matched)*candWire + len(st.Gaps)*9 + 2*n*8
+		len(st.Matched)*candWire + len(st.Gaps)*9 + rows*cols*8 + 2*n*8
 	w := &snapWriter{b: make([]byte, 0, est)}
 
 	w.bytes([]byte(snapMagic))
@@ -201,11 +226,7 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 		w.f64(p.T)
 	}
 	for _, dead := range st.Dead {
-		if dead {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.flag(dead)
 	}
 	w.u32(uint32(st.Emitted))
 	w.f64(st.LastT)
@@ -232,6 +253,11 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 		w.i32(int32(g.From))
 		w.i32(int32(g.To))
 		w.u8(uint8(g.Reason))
+	}
+	w.u32(uint32(rows))
+	w.u32(uint32(cols))
+	for _, row := range st.Steps {
+		w.f64s(row)
 	}
 
 	w.f64s(ss.obsZ)
@@ -337,6 +363,19 @@ func (r *snapReader) f64s(n int) []float64 {
 	return out
 }
 
+// flag reads a u8 that must be 0 or 1.
+func (r *snapReader) flag(what string) bool {
+	switch v := r.u8(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.fail("%s flag %d is not 0/1", what, v)
+		return false
+	}
+}
+
 func (r *snapReader) candidate(c *hmm.Candidate) {
 	c.Seg = roadnet.SegmentID(r.i64())
 	c.Frac = r.f64()
@@ -344,6 +383,7 @@ func (r *snapReader) candidate(c *hmm.Candidate) {
 	c.Proj.Y = r.f64()
 	c.Dist = r.f64()
 	c.Obs = r.f64()
+	c.Pseudo = r.flag("pseudo")
 }
 
 // snapHeader is the decoded fixed header.
@@ -415,15 +455,7 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 	}
 	st.Dead = make([]bool, n)
 	for i := range st.Dead {
-		switch r.u8() {
-		case 0:
-		case 1:
-			st.Dead[i] = true
-		default:
-			if r.err == nil {
-				r.fail("dead flag for point %d is not 0/1", i)
-			}
-		}
+		st.Dead[i] = r.flag("dead")
 		if r.err != nil {
 			return nil, nil, nil, r.err
 		}
@@ -478,6 +510,20 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 			return nil, nil, nil, r.err
 		}
 	}
+	rows := r.count("window row", 0)
+	cols := r.count("window column", 0)
+	if r.err == nil && rows > 0 && cols > r.remaining()/8/rows {
+		r.fail("window %d×%d exceeds remaining payload", rows, cols)
+	}
+	if r.err == nil && (rows == 0) != (cols == 0) {
+		r.fail("window %d×%d", rows, cols)
+	}
+	if rows > 0 && r.err == nil {
+		st.Steps = make([][]float64, rows)
+		for j := range st.Steps {
+			st.Steps[j] = r.f64s(cols)
+		}
+	}
 
 	sess := &snapSession{}
 	sess.obsZ = r.f64s(n)
@@ -500,7 +546,7 @@ type StreamSnapshot struct {
 	SM  *hmm.StreamMatcher
 }
 
-// DecodeStreamSnapshot restores an lhmm-session/v2 snapshot against m.
+// DecodeStreamSnapshot restores an lhmm-session/v3 snapshot against m.
 // weightsHash is the caller's cached m.WeightsHash(). The error is
 // ErrSnapshotCorrupt, ErrSnapshotVersion, or ErrSnapshotMismatch
 // (errors.Is) — the recovery path quarantines on any of them.
@@ -549,18 +595,7 @@ func DecodeStreamSnapshot(m *Model, weightsHash [32]byte, data []byte) (*StreamS
 	}
 
 	ss := &session{m: m}
-	mm := &hmm.Matcher{
-		Net:    m.Net,
-		Router: m.Router,
-		Obs:    ss,
-		Trans:  transAdapter{ss},
-		Cfg: hmm.Config{
-			K:        m.Cfg.K,
-			OnBreak:  hdr.OnBreak,
-			Sanitize: hdr.Sanitize,
-		},
-	}
-	sm, err := hmm.NewStreamMatcherFromState(mm, st)
+	sm, err := hmm.NewStreamMatcherFromState(m.streamMatcher(ss, hdr.OnBreak, hdr.Sanitize), st)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -42,7 +43,7 @@ func sameCandidates(t *testing.T, what string, a, b []hmm.Candidate) {
 	}
 	for i := range a {
 		if a[i].Seg != b[i].Seg || a[i].Frac != b[i].Frac || a[i].Proj != b[i].Proj ||
-			a[i].Dist != b[i].Dist ||
+			a[i].Dist != b[i].Dist || a[i].Pseudo != b[i].Pseudo ||
 			math.Float64bits(a[i].Obs) != math.Float64bits(b[i].Obs) {
 			t.Fatalf("%s: entry %d differs: %+v vs %+v", what, i, a[i], b[i])
 		}
@@ -238,6 +239,59 @@ func TestSnapshotAfterFailedPush(t *testing.T) {
 	sameRun(t, base, run(3))
 }
 
+// TestSnapshotRestoreWithShortcuts: a learned stream whose shortcut
+// windows adopt — two candidates per point, so Algorithm 2 often finds a
+// road the layer lacks — checkpointed and restored after every push at
+// lags 1 and 2 runs bit for bit as the uninterrupted stream: emissions
+// with their pseudo flags, Skipped, every layer's pseudo-candidates and
+// the whole table.
+func TestSnapshotRestoreWithShortcuts(t *testing.T) {
+	d := testDataset(t, 10)
+	m := streamModel(t, d)
+	m.Cfg.K = 2
+	wh := m.WeightsHash()
+	for _, lag := range []int{1, 2} {
+		for k, tr := range d.TestTrips() {
+			run := func(restore bool) (streamRun, []bool) {
+				sm := m.NewStream(lag)
+				var emitted []hmm.Candidate
+				for _, p := range tr.Cell {
+					out, err := sm.Push(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					emitted = append(emitted, out...)
+					if restore {
+						data, err := EncodeStreamSnapshot(sm, "shortcuts", wh)
+						if err != nil {
+							t.Fatal(err)
+						}
+						snap, err := DecodeStreamSnapshot(m, wh, data)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sm = snap.SM
+					}
+				}
+				r := finishRun(sm, emitted)
+				return r, sm.Skipped()
+			}
+			base, baseSkipped := run(false)
+			got, gotSkipped := run(true)
+			sameRun(t, base, got)
+			if !slices.Equal(baseSkipped, gotSkipped) {
+				t.Fatalf("lag %d trip %d: Skipped %v restored, %v uninterrupted", lag, k, gotSkipped, baseSkipped)
+			}
+			for i := range base.state.Layers {
+				sameCandidates(t, fmt.Sprintf("lag %d trip %d layer %d", lag, k, i), base.state.Layers[i], got.state.Layers[i])
+			}
+			if k == 0 && !slices.Contains(baseSkipped, true) {
+				t.Fatalf("lag %d: the first trip matches no point to a pseudo-candidate; the test pins no adoption", lag)
+			}
+		}
+	}
+}
+
 // A snapshot can be taken and restored at any point, including before
 // anything was pushed and after the last point.
 func TestSnapshotAtBoundaries(t *testing.T) {
@@ -373,15 +427,17 @@ func snapshotFixture(t testing.TB) (*Model, [32]byte, []byte) {
 	return m, wh, data
 }
 
-// TestSnapshotWireStable pins the lhmm-session/v2 bytes: the fixture's
+// TestSnapshotWireStable pins the lhmm-session/v3 bytes: the fixture's
 // encoded length equals the size of the field list in the format
 // comment (snapshot.go), and — on amd64, float bits being
 // architecture-dependent — its digest is the recorded one. The digest
-// was re-recorded twice: once (acda2a48… before) when factoring Eq. 10's
-// first layer (session.roadProbRows) re-associated one sum and moved the
-// Viterbi f scores in the last ulp, and once (aa4872b9… before) for v2,
-// which drops the dim and the embedding and context rows from the
-// session section and bumps the version.
+// was re-recorded three times: once (acda2a48… before) when factoring
+// Eq. 10's first layer (session.roadProbRows) re-associated one sum and
+// moved the Viterbi f scores in the last ulp, once (aa4872b9… before)
+// for v2, which drops the dim and the embedding and context rows from
+// the session section and bumps the version, and once (e68f790a…
+// before) for v3, which adds a pseudo flag to every candidate, the open
+// shortcut window's step table and Shortcuts to the config fingerprint.
 func TestSnapshotWireStable(t *testing.T) {
 	m, wh, data := snapshotFixture(t)
 	snap, err := DecodeStreamSnapshot(m, wh, data)
@@ -389,16 +445,20 @@ func TestSnapshotWireStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := snap.SM.ExportState()
+	if len(st.Steps) == 0 {
+		t.Fatal("the fixture has no open shortcut window")
+	}
 	n := len(st.Points)
-	const cand = 8 + 5*8                          // seg i64 + frac, projX, projY, dist, obs f64
-	want := 8 + 2                                 // magic, version
-	want += 1 + 1 + 4 + 8 + 32 + 4 + len(snap.ID) // header
-	want += 4 + n*(4+3*8) + n                     // n, points, dead
-	want += 4 + 8 + 8 + 4 + 4                     // emitted, lastT, degraded, badCoords, badTimes
-	want += 4 + len(st.Matched)*cand              // matched
-	want += 4 + len(st.Gaps)*(4+4+1)              // gaps
-	want += 2 * n * 8                             // obsZ, obsMax
-	want += 4                                     // CRC
+	const cand = 8 + 5*8 + 1                         // seg i64 + frac, projX, projY, dist, obs f64 + pseudo u8
+	want := 8 + 2                                    // magic, version
+	want += 1 + 1 + 4 + 8 + 32 + 4 + len(snap.ID)    // header
+	want += 4 + n*(4+3*8) + n                        // n, points, dead
+	want += 4 + 8 + 8 + 4 + 4                        // emitted, lastT, degraded, badCoords, badTimes
+	want += 4 + len(st.Matched)*cand                 // matched
+	want += 4 + len(st.Gaps)*(4+4+1)                 // gaps
+	want += 4 + 4 + len(st.Steps)*len(st.Steps[0])*8 // window
+	want += 2 * n * 8                                // obsZ, obsMax
+	want += 4                                        // CRC
 	for _, layer := range st.Layers {
 		want += 4 + len(layer)*(cand+8+4) // count, candidates, f, pre
 	}
@@ -408,7 +468,7 @@ func TestSnapshotWireStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64")
 	}
-	const golden = "e68f790adfc5c295e1cc561f50b67eb192f6c97090977e178583e173efad8577"
+	const golden = "54ecfd317303f1ff6eac1dacacb53d2227d1f291deadeb4f18937083d5984fa9"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != golden {
 		t.Errorf("fixture snapshot sha-256 %s, want %s (%d bytes)", got, golden, len(data))
@@ -471,11 +531,12 @@ func withVersion(data []byte, v uint16) []byte {
 	return refit(out)
 }
 
-// Both neighbours of this build's version are refused: a newer file,
-// and a v1 file, whose derived session rows this build no longer reads.
+// Every other version is refused: a newer file, a v1 file, whose
+// derived session rows this build no longer reads, and a v2 file, which
+// carries no pseudo flag and no open shortcut window.
 func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	m, wh, data := snapshotFixture(t)
-	for _, v := range []uint16{1, SnapshotVersion + 1} {
+	for _, v := range []uint16{1, 2, SnapshotVersion + 1} {
 		skewed := withVersion(data, v)
 		if _, err := DecodeStreamSnapshot(m, wh, skewed); !errors.Is(err, ErrSnapshotVersion) {
 			t.Fatalf("version-%d snapshot: %v, want ErrSnapshotVersion", v, err)
@@ -569,6 +630,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(withVersion(data, 1))
 	truncated := refit(data[: len(data)/3 : len(data)/3])
 	f.Add(truncated)
+	f.Add(withVersion(data, 2))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, fixCRC(b)} {

@@ -239,9 +239,9 @@ func (s *session) ensureKeys() {
 // matches Lag points behind real time. Each call creates an
 // independent per-trajectory session (streaming LHMM keeps
 // per-trajectory context), so construct one StreamMatcher per device
-// trajectory. The model's OnBreak and Sanitize policies carry over;
-// shortcuts do not apply in streaming mode (they would revise
-// already-emitted matches).
+// trajectory. The model's OnBreak and Sanitize policies and its
+// Shortcuts carry over; the stream runs Algorithm 2 at lag ≥ 1 (see
+// hmm.StreamMatcher).
 //
 // The point representations are causal — point i attends over points
 // 0..i — so streamed matches can differ from the offline Match result
@@ -256,16 +256,23 @@ func (m *Model) NewStream(lag int) *hmm.StreamMatcher {
 	if m.emb == nil {
 		panic(fmt.Sprintf("core: NewStream on model %p without embeddings; call RefreshEmbeddings after training or loading", m))
 	}
-	ss := &session{m: m}
-	return hmm.NewStreamMatcher(&hmm.Matcher{
+	return hmm.NewStreamMatcher(m.streamMatcher(&session{m: m}, m.Cfg.OnBreak, m.Cfg.Sanitize), lag)
+}
+
+// streamMatcher is the matcher a stream session drives, new or restored
+// from a snapshot (whose header carries the session's own break and
+// sanitize policies).
+func (m *Model) streamMatcher(ss *session, onBreak hmm.BreakPolicy, sanitize traj.SanitizeMode) *hmm.Matcher {
+	return &hmm.Matcher{
 		Net:    m.Net,
 		Router: m.Router,
 		Obs:    ss,
 		Trans:  transAdapter{ss},
 		Cfg: hmm.Config{
-			K:        m.Cfg.K,
-			OnBreak:  m.Cfg.OnBreak,
-			Sanitize: m.Cfg.Sanitize,
+			K:         m.Cfg.K,
+			Shortcuts: m.Cfg.Shortcuts,
+			OnBreak:   onBreak,
+			Sanitize:  sanitize,
 		},
-	}, lag)
+	}
 }

@@ -210,7 +210,7 @@ func (m *Matcher) buildExplain(ct traj.CellTrajectory, es *explainState,
 
 		choice := &ExplainChoice{
 			Seg:     int(cand.Seg),
-			Pseudo:  cand.pseudo,
+			Pseudo:  cand.Pseudo,
 			Score:   finiteOr(f[i][chosen], 0),
 			PrevSeg: -1,
 		}

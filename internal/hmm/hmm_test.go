@@ -275,7 +275,7 @@ func TestMatchResultCandidatesExposed(t *testing.T) {
 		}
 		// No pseudo-candidates leak into the exposed sets.
 		for _, c := range layer {
-			if c.pseudo {
+			if c.Pseudo {
 				t.Error("pseudo candidate in exposed set")
 			}
 		}

@@ -245,91 +245,99 @@ func TestStreamPushAllocsBounded(t *testing.T) {
 	}
 }
 
-// refAddShortcuts is Algorithm 2 as it was written before the pass
-// learned to read the step tables, kept verbatim as the oracle: every
-// attempt scores its pseudo-candidate through the models, and every
-// candidate ranks its grand-predecessors with bestOneHopPredecessors.
-func (m *Matcher) refAddShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, deg *int64) (adoptions, attempts int) {
-	n := len(ct)
-	for i := 2; i < n; i++ {
-		// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead
-		// point anywhere in the window leaves its step table nil (the
-		// chain restarted there) and the window is skipped.
-		if steps[i] == nil || steps[i-1] == nil {
+// refAddShortcuts is Algorithm 2's window at point i as it was written
+// before the window learned to skip what the recurrence already weighed,
+// kept as the oracle: every attempt scores its pseudo-candidate through
+// the models, and every candidate ranks its grand-predecessors with
+// bestOneHopPredecessors.
+func (m *Matcher) refAddShortcuts(ct traj.CellTrajectory, layers [][]Candidate, f [][]float64, pre [][]int, steps [][][]float64, i int, deg *int64) (adoptions, attempts int) {
+	// A shortcut needs the contiguous chain i-2 → i-1 → i; a dead point
+	// anywhere in the window leaves its step table nil (the chain
+	// restarted there) and the window is skipped.
+	if i < 2 || steps[i] == nil || steps[i-1] == nil {
+		return 0, 0
+	}
+	nCur := len(layers[i]) // layers may grow behind us; bound to the original set
+	for kk := 0; kk < nCur; kk++ {
+		cur := &layers[i][kk]
+		if cur.Pseudo {
 			continue
 		}
-		nCur := len(layers[i]) // layers may grow behind us; bound to the original set
-		for kk := 0; kk < nCur; kk++ {
-			cur := &layers[i][kk]
-			if cur.pseudo {
+		preds := m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
+		for _, j := range preds {
+			attempts++
+			grand := &layers[i-2][j]
+			route, ok := m.Router.RouteBetween(grand.Pos(), cur.Pos())
+			if !ok || len(route.Segs) == 0 {
 				continue
 			}
-			preds := m.bestOneHopPredecessors(layers, f, steps, i, kk, m.Cfg.Shortcuts)
-			for _, j := range preds {
-				attempts++
-				grand := &layers[i-2][j]
-				route, ok := m.Router.RouteBetween(grand.Pos(), cur.Pos())
-				if !ok || len(route.Segs) == 0 {
-					continue
-				}
-				u, ok := m.projectOntoRoute(route, ct[i-1])
-				if !ok {
-					continue
-				}
-				u.Obs = m.Obs.Score(ct, i-1, &u)
-				w1, ok1 := m.stepScore(ct, i-1, grand, &u, deg)
-				w2, ok2 := m.stepScore(ct, i, &u, cur, deg)
-				if !ok1 || !ok2 {
-					continue
-				}
-				fPrime := f[i-2][j] + w1 + w2
-				if fPrime > f[i][kk] {
-					adoptions++
-					// Materialize the pseudo-candidate in layer i-1.
-					layers[i-1] = append(layers[i-1], u)
-					f[i-1] = append(f[i-1], f[i-2][j]+w1)
-					pre[i-1] = append(pre[i-1], j)
-					f[i][kk] = fPrime
-					pre[i][kk] = len(layers[i-1]) - 1
-				}
+			u, ok := m.projectOntoRoute(route, ct[i-1])
+			if !ok {
+				continue
+			}
+			u.Obs = m.Obs.Score(ct, i-1, &u)
+			w1, ok1 := m.stepScore(ct, i-1, grand, &u, deg)
+			w2, ok2 := m.stepScore(ct, i, &u, cur, deg)
+			if !ok1 || !ok2 {
+				continue
+			}
+			fPrime := f[i-2][j] + w1 + w2
+			if fPrime > f[i][kk] {
+				adoptions++
+				// Materialize the pseudo-candidate in layer i-1.
+				layers[i-1] = append(layers[i-1], u)
+				f[i-1] = append(f[i-1], f[i-2][j]+w1)
+				pre[i-1] = append(pre[i-1], j)
+				f[i][kk] = fPrime
+				pre[i][kk] = len(layers[i-1]) - 1
 			}
 		}
 	}
 	return adoptions, attempts
 }
 
-// lattice is what Match holds when the forward pass is done and
-// Algorithm 2 begins.
-type lattice struct {
-	layers [][]Candidate
-	f      [][]float64
-	pre    [][]int
-	steps  [][][]float64
-}
-
-// forwardLattice runs candidate preparation and the forward pass the
-// way MatchContext does, for a trajectory without dead points.
-func forwardLattice(t testing.TB, m *Matcher, ct traj.CellTrajectory) lattice {
+// prepare runs candidate preparation the way MatchContext does, for a
+// trajectory without dead points: the table before its first step.
+func prepare(t testing.TB, m *Matcher, ct traj.CellTrajectory) table {
 	t.Helper()
 	var tb table
-	steps := make([][][]float64, len(ct))
 	var deg int64
 	for i := range ct {
 		if layer, err := m.layer(&tb, ct, nil, &deg); err != nil || layer == nil {
 			t.Fatalf("point %d has no candidates", i)
 		}
 	}
-	for i := range ct {
-		steps[i], _ = m.advance(context.Background(), &tb, ct, nil, &deg)
-	}
-	return lattice{tb.layers, tb.f, tb.pre, steps}
+	return tb
 }
 
-// clone copies what Algorithm 2 writes; the step tables are read-only.
-func (lt lattice) clone() lattice {
-	c := lattice{make([][]Candidate, len(lt.layers)), make([][]float64, len(lt.f)), make([][]int, len(lt.pre)), lt.steps}
-	for i := range lt.layers {
-		c.layers[i], c.f[i], c.pre[i] = slices.Clone(lt.layers[i]), slices.Clone(lt.f[i]), slices.Clone(lt.pre[i])
+// forwardLattice is prepare and then every forward step, shortcut
+// windows included when m has them on.
+func forwardLattice(t testing.TB, m *Matcher, ct traj.CellTrajectory) table {
+	tb := prepare(t, m, ct)
+	var deg int64
+	for range ct {
+		m.advance(context.Background(), &tb, ct, nil, nil, &deg)
+	}
+	return tb
+}
+
+// cloneTable copies what a step writes, every slice at its exact length
+// so that appending to the copy never reaches the original; step tables
+// are read-only once filled and stay shared.
+func cloneTable(tb table) table {
+	clip := func(v [][]float64) [][]float64 { return slices.Clip(slices.Clone(v)) }
+	c := table{
+		layers: slices.Clip(slices.Clone(tb.layers)),
+		f:      clip(tb.f),
+		pre:    slices.Clip(slices.Clone(tb.pre)),
+		dead:   slices.Clip(slices.Clone(tb.dead)),
+		steps:  slices.Clip(slices.Clone(tb.steps)),
+	}
+	for i := range c.layers {
+		c.layers[i] = slices.Clip(slices.Clone(c.layers[i]))
+	}
+	for i := range c.f {
+		c.f[i], c.pre[i] = slices.Clip(slices.Clone(c.f[i])), slices.Clip(slices.Clone(c.pre[i]))
 	}
 	return c
 }
@@ -393,97 +401,124 @@ func (q *quantTrans) ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candid
 	return scoreBatchPairwise(q, ct, i, from, to, out)
 }
 
-// TestShortcutPassMatchesReference holds Algorithm 2 to refAddShortcuts
-// exactly — the grown layers, f, pre, adoptions, attempts, and the
-// Result a Match builds from them — on random trajectories over
-// shortcutWorld built so that shortcuts fire: points thrown beside an
-// island (alone, in pairs, two points apart), small K, a distance-
-// bounded router. It covers one, two and four predecessors per
-// candidate, both scorings, the classical pairwise models and a batch
-// model with quantized scores, and asserts that the fixtures reached
-// every path of the pass: attempts read from the step tables and
-// attempts scored through the models, adoptions through each, exact
-// ties sent to the full ranking, and the f[i-2] fallback ranking
-// deciding between twins. It also checks the corollary of reading the
-// tables: an attempt read from them can only win after an earlier
-// adoption raised f[i-2][j], so the first adoption of a match is always
-// a scored one.
+// shortcutTrial is one random fixture of TestShortcutPassMatchesReference:
+// a trajectory over shortcutWorld with points thrown beside its islands
+// and a matcher whose shortcut count, scoring and transition model cycle
+// with the trial number.
+func shortcutTrial(t testing.TB, rng *rand.Rand, trial int) (*Matcher, traj.CellTrajectory) {
+	w, h := 7+rng.Intn(4), 2+rng.Intn(3)
+	net, spots := shortcutWorld(t, rng, w, h)
+	router := roadnet.NewRouter(net, roadnet.WithMaxDist([]float64{450, 900, 30000}[rng.Intn(3)]))
+	pts := make([]geo.Point, 4+rng.Intn(8))
+	x, y := rng.Float64()*100, float64(h-1)*100-rng.Float64()*60
+	for i := range pts {
+		pts[i] = geo.Pt(x, y+rng.Float64()*40-20)
+		if rng.Float64() < 0.3 {
+			pts[i] = spots[rng.Intn(len(spots))]
+		}
+		x += 60 + rng.Float64()*120
+	}
+	m := &Matcher{
+		Net:    net,
+		Router: router,
+		Obs:    &GaussianObservation{Net: net, Sigma: []float64{100, 250}[trial/2%2]},
+		Trans:  &ExponentialTransition{Router: router, Beta: 200},
+		Cfg: Config{
+			K:         2 + rng.Intn(5),
+			Shortcuts: []int{1, 1, 2, 4}[trial%4],
+			Scoring:   []Scoring{ScoreSum, ScoreLogProd}[trial/4%2],
+		},
+	}
+	if trial/8%2 == 1 {
+		m.Trans = &quantTrans{ExponentialTransition{Router: router, Beta: 200}}
+	}
+	return m, trajAlong(pts...)
+}
+
+// TestShortcutPassMatchesReference holds every forward step's shortcut
+// window to refAddShortcuts exactly: before each step the table is
+// cloned, the clone takes the step without its window (Shortcuts 0) and
+// then the oracle's window, and the table itself takes advance; grown
+// layers, f, pre, adoptions, attempts and degraded counts must be equal,
+// and so must the Result a Match builds. The fixtures are random
+// trajectories over shortcutWorld built so that shortcuts fire: points
+// thrown beside an island (alone, in pairs, two points apart), small K,
+// a distance-bounded router. They cover one, two and four predecessors
+// per candidate, both scorings, the classical pairwise models and a
+// batch model with quantized scores, and must reach every path of the
+// window: attempts projected onto layer i-1's own roads (which the
+// window skips) and attempts scored through the models, adoptions,
+// exact ties sent to the full ranking, the f[i-2] fallback ranking
+// deciding between twins, and an adoption that changes the backpointer
+// the next step chooses — the recurrence of Eq. 21, which a pass over
+// the finished table cannot express. The oracle, which scores every
+// attempt, must never adopt a road of the layer's own: the recurrence
+// has already weighed that path.
 func TestShortcutPassMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	var total shortcutStats
-	var fallbackTies, chained int
+	var fallbackTies, redirected int
 	for trial := 0; trial < 240; trial++ {
-		w, h := 7+rng.Intn(4), 2+rng.Intn(3)
-		net, spots := shortcutWorld(t, rng, w, h)
-		router := roadnet.NewRouter(net, roadnet.WithMaxDist([]float64{450, 900, 30000}[rng.Intn(3)]))
-		n := 4 + rng.Intn(8)
-		pts := make([]geo.Point, n)
-		x, y := rng.Float64()*100, float64(h-1)*100-rng.Float64()*60
-		for i := range pts {
-			pts[i] = geo.Pt(x, y+rng.Float64()*40-20)
-			if rng.Float64() < 0.3 {
-				pts[i] = spots[rng.Intn(len(spots))]
-			}
-			x += 60 + rng.Float64()*120
-		}
-		ct := trajAlong(pts...)
-		m := &Matcher{
-			Net:    net,
-			Router: router,
-			Obs:    &GaussianObservation{Net: net, Sigma: []float64{100, 250}[trial/2%2]},
-			Trans:  &ExponentialTransition{Router: router, Beta: 200},
-			Cfg: Config{
-				K:         2 + rng.Intn(5),
-				Shortcuts: []int{1, 1, 2, 4}[trial%4],
-				Scoring:   []Scoring{ScoreSum, ScoreLogProd}[trial/4%2],
-			},
-		}
-		if trial/8%2 == 1 {
-			m.Trans = &quantTrans{ExponentialTransition{Router: router, Beta: 200}}
-		}
+		m, ct := shortcutTrial(t, rng, trial)
+		n := len(ct)
+		off := *m
+		off.Cfg.Shortcuts = 0
 		name := fmt.Sprintf("trial %d (shortcuts %d, scoring %d, k %d, %T)", trial, m.Cfg.Shortcuts, m.Cfg.Scoring, m.Cfg.K, m.Trans)
 
-		lt := forwardLattice(t, m, ct)
+		got := prepare(t, m, ct)
+		var gotDeg, wantDeg int64
+		var adoptions int
+		var fPlain []float64 // f[i-1] as the recurrence formed it, before its window
+		for i := range ct {
+			want := cloneTable(got)
+			off.advance(context.Background(), &want, ct, nil, nil, &wantDeg)
+			if i >= 1 && fPlain != nil && want.steps[i] != nil {
+				// Would point i have chosen the same predecessors without
+				// point i-1's adoptions?
+				if _, pre, _ := m.recur(want.steps[i], fPlain, want.layers[i]); !slices.Equal(pre, want.pre[i]) {
+					redirected++
+				}
+			}
+			fPlain = slices.Clone(want.f[i])
+			nMid := len(want.layers[max(i-1, 0)])
+			wantAdopt, wantTries := m.refAddShortcuts(ct, want.layers, want.f, want.pre, want.steps, i, &wantDeg)
+			_, ss := m.advance(context.Background(), &got, ct, nil, nil, &gotDeg)
+			st := ss.shortcuts
+			if st.adoptions != wantAdopt || st.attempts != wantTries || gotDeg != wantDeg {
+				t.Fatalf("%s: window %d: %d adoptions of %d attempts (%d degraded), reference %d of %d (%d)",
+					name, i, st.adoptions, st.attempts, gotDeg, wantAdopt, wantTries, wantDeg)
+			}
+			if !reflect.DeepEqual(got.layers, want.layers) {
+				t.Fatalf("%s: window %d: layers\n%+v\nreference\n%+v", name, i, got.layers, want.layers)
+			}
+			if !reflect.DeepEqual(got.f, want.f) || !reflect.DeepEqual(got.pre, want.pre) {
+				t.Fatalf("%s: window %d: f %v pre %v, reference f %v pre %v", name, i, got.f, got.pre, want.f, want.pre)
+			}
+			if st.scored > st.attempts || st.adoptions > st.scored {
+				t.Fatalf("%s: window %d: inconsistent counts %+v", name, i, st)
+			}
+			if i >= 2 {
+				for _, u := range want.layers[i-1][nMid:] {
+					if indexOfRoad(want.layers[i-1][:nMid], &u) >= 0 {
+						t.Fatalf("%s: window %d: the reference adopted layer %d's own road %v", name, i, i-1, u.Seg)
+					}
+				}
+			}
+			adoptions += st.adoptions
+			total.add(st)
+		}
 		if m.Cfg.Shortcuts == 1 {
-			fallbackTies += countFallbackTies(lt)
-		}
-		want, got := lt.clone(), lt.clone()
-		var wantDeg, gotDeg int64
-		wantAdopt, wantTries := m.refAddShortcuts(ct, want.layers, want.f, want.pre, want.steps, &wantDeg)
-		st := m.addShortcuts(ct, got.layers, got.f, got.pre, got.steps, &gotDeg)
-		if st.adoptions != wantAdopt || st.attempts != wantTries || gotDeg != wantDeg {
-			t.Fatalf("%s: %d adoptions of %d attempts (%d degraded), reference %d of %d (%d)",
-				name, st.adoptions, st.attempts, gotDeg, wantAdopt, wantTries, wantDeg)
-		}
-		if !reflect.DeepEqual(got.layers, want.layers) {
-			t.Fatalf("%s: layers\n%+v\nreference\n%+v", name, got.layers, want.layers)
-		}
-		if !reflect.DeepEqual(got.f, want.f) || !reflect.DeepEqual(got.pre, want.pre) {
-			t.Fatalf("%s: f %v pre %v, reference f %v pre %v", name, got.f, got.pre, want.f, want.pre)
-		}
-		if st.adoptions > 0 && st.scoredAdoptions == 0 {
-			t.Fatalf("%s: %d adoptions, all read from the step tables", name, st.adoptions)
-		}
-		if st.scored > st.attempts || st.scoredAdoptions > st.adoptions {
-			t.Fatalf("%s: inconsistent counts %+v", name, st)
-		}
-		total.attempts += st.attempts
-		total.scored += st.scored
-		total.adoptions += st.adoptions
-		total.scoredAdoptions += st.scoredAdoptions
-		total.ties += st.ties
-		if st.adoptions > st.scoredAdoptions {
-			chained++
+			fallbackTies += countFallbackTies(got)
 		}
 
-		// The Result is the reference lattice walked back and expanded.
+		// The Result is the checked table walked back and expanded.
 		res, err := m.Match(ct)
 		if err != nil {
 			t.Fatalf("%s: Match: %v", name, err)
 		}
 		wantMatched, wantSkipped := make([]Candidate, n), make([]bool, n)
-		walkBack(want.f, want.pre, make([]bool, n), 0, func(i, idx, _ int) {
-			wantMatched[i], wantSkipped[i] = want.layers[i][idx], want.layers[i][idx].pseudo
+		walkBack(got.f, got.pre, make([]bool, n), 0, func(i, idx, _ int) {
+			wantMatched[i], wantSkipped[i] = got.layers[i][idx], got.layers[i][idx].Pseudo
 		}, nil)
 		alive := make([]int, n)
 		for i := range alive {
@@ -495,26 +530,28 @@ func TestShortcutPassMatchesReference(t *testing.T) {
 		if wantPath := m.expandPath(wantMatched, alive, nil); !slices.Equal(res.Path, wantPath) {
 			t.Fatalf("%s: Match path %v, reference %v", name, res.Path, wantPath)
 		}
-		if wantScore := slices.Max(want.f[n-1]); res.Score != wantScore || res.ShortcutAdoptions != wantAdopt {
-			t.Fatalf("%s: Match score %v with %d adoptions, reference %v with %d", name, res.Score, res.ShortcutAdoptions, wantScore, wantAdopt)
+		if wantScore := slices.Max(got.f[n-1]); res.Score != wantScore || res.ShortcutAdoptions != adoptions {
+			t.Fatalf("%s: Match score %v with %d adoptions, reference %v with %d", name, res.Score, res.ShortcutAdoptions, wantScore, adoptions)
 		}
 	}
-	table, tableAdopt := total.attempts-total.scored, total.adoptions-total.scoredAdoptions
-	t.Logf("attempts: %d read from the step tables (%d adopted), %d scored (%d adopted); %d matches chained a table adoption onto a scored one; %d exact ties ranked in full; %d fallback rankings tied",
-		table, tableAdopt, total.scored, total.scoredAdoptions, chained, total.ties, fallbackTies)
-	if table == 0 || total.scored == 0 || tableAdopt == 0 || total.scoredAdoptions == 0 || total.ties == 0 || fallbackTies == 0 {
-		t.Fatal("the fixtures missed a path of the pass; want every count above > 0")
+	onLayer := total.attempts - total.scored
+	t.Logf("attempts: %d projected onto the layer's own roads, %d scored (%d adopted); %d adoptions redirected the next step; %d exact ties ranked in full; %d fallback rankings tied",
+		onLayer, total.scored, total.adoptions, redirected, total.ties, fallbackTies)
+	if onLayer == 0 || total.scored == 0 || total.adoptions == 0 || redirected == 0 || total.ties == 0 || fallbackTies == 0 {
+		t.Fatal("the fixtures missed a path of the window; want every count above > 0")
 	}
 }
 
-// countFallbackTies counts the candidates of a lattice whose shortcut
-// window has no reachable pair of steps — Eq. 20 then ranks the
+// countFallbackTies counts the candidates of a break-free table whose
+// shortcut window has no reachable pair of steps — Eq. 20 then ranks the
 // grand-predecessors by f[i-2] — and whose two best f[i-2] are equal.
-func countFallbackTies(lt lattice) (ties int) {
+// Pseudo-candidates take no part: they are in no window's ranking.
+func countFallbackTies(lt table) (ties int) {
 	for i := 2; i < len(lt.layers); i++ {
-		top := slices.Max(lt.f[i-2])
+		grand := lt.f[i-2][:ownCandidates(lt.layers[i-2])]
+		top := slices.Max(grand)
 		twice := 0
-		for _, v := range lt.f[i-2] {
+		for _, v := range grand {
 			if v == top {
 				twice++
 			}
@@ -522,7 +559,7 @@ func countFallbackTies(lt lattice) (ties int) {
 		if twice < 2 {
 			continue
 		}
-		for kk := range lt.layers[i] {
+		for kk := range ownCandidates(lt.layers[i]) {
 			reachable := false
 			for j := range lt.steps[i-1] {
 				for l, w1 := range lt.steps[i-1][j] {

@@ -33,6 +33,7 @@ func twoLayerState() *StreamState {
 
 func TestStreamStateRoundTrip(t *testing.T) {
 	st := twoLayerState()
+	st.Steps = [][]float64{{-1, -2}, {-3, math.NaN()}}
 	sm, err := NewStreamMatcherFromState(&Matcher{}, st)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +49,9 @@ func TestStreamStateRoundTrip(t *testing.T) {
 		if out.Points[i] != st.Points[i] {
 			t.Fatalf("point %d differs: %+v vs %+v", i, out.Points[i], st.Points[i])
 		}
+	}
+	if len(out.Steps) != 2 || &out.Steps[0][0] != &st.Steps[0][0] {
+		t.Fatalf("the open window's step table did not round-trip: %v", out.Steps)
 	}
 }
 
@@ -76,6 +80,11 @@ func TestStreamStateValidation(t *testing.T) {
 		{"gap unknown reason", func(st *StreamState) {
 			st.Gaps = []Gap{{From: 0, To: 1, Reason: GapReason(9)}}
 		}, "unknown reason"},
+		{"pseudo-candidate before its layer's own", func(st *StreamState) { st.Layers[0][0].Pseudo = true }, "pseudo"},
+		{"pseudo-candidate in the last layer", func(st *StreamState) { st.Layers[1][1].Pseudo = true }, "pseudo"},
+		{"step table rows", func(st *StreamState) { st.Steps = [][]float64{{0, 0}} }, "step table"},
+		{"step table columns", func(st *StreamState) { st.Steps = [][]float64{{0}, {0}} }, "columns"},
+		{"step table at lag 0", func(st *StreamState) { st.Lag, st.Steps = 0, [][]float64{{0, 0}, {0, 0}} }, "step table"},
 		{"NaN timestamp", func(st *StreamState) { st.LastT = math.NaN() }, "NaN"},
 		{"negative degraded", func(st *StreamState) { st.Degraded = -1 }, "degraded"},
 	}

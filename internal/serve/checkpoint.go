@@ -16,7 +16,7 @@ import (
 )
 
 // The session checkpointer: per-session dirty tracking plus an async
-// writer that persists lhmm-session/v2 snapshots to a crash-safe
+// writer that persists lhmm-session/v3 snapshots to a crash-safe
 // on-disk store, so a SIGKILL, OOM, or deploy restart never loses an
 // in-flight streaming trajectory.
 //

@@ -345,10 +345,11 @@ func TestCheckpointRecoveryQuarantine(t *testing.T) {
 	if err := os.WriteFile(alias, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A file in the previous wire version (lhmm-session/v1, which still
-	// carried the derived session rows) is refused on its version.
+	// A file in the previous wire version (lhmm-session/v2, which
+	// carried no pseudo flag and no open shortcut window) is refused on
+	// its version.
 	old := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(old[8:], 1)
+	binary.LittleEndian.PutUint16(old[8:], 2)
 	binary.LittleEndian.PutUint32(old[len(old)-4:],
 		crc32.Checksum(old[:len(old)-4], crc32.MakeTable(crc32.Castagnoli)))
 	oldPath := filepath.Join(dir, shardDirName(int(shardIndex("oldformat"))), "oldformat"+ckptExt)
@@ -375,7 +376,7 @@ func TestCheckpointRecoveryQuarantine(t *testing.T) {
 		t.Fatalf("aliased snapshot not quarantined: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "oldformat"+ckptExt+".version")); err != nil {
-		t.Fatalf("version-1 snapshot not quarantined: %v", err)
+		t.Fatalf("version-2 snapshot not quarantined: %v", err)
 	}
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Fatalf("stray temp file survives recovery: %v", err)

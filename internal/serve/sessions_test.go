@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
@@ -162,5 +163,59 @@ func TestSessionDoubleFinish(t *testing.T) {
 	}
 	if _, _, _, err := s.push(nil, time.Now()); !errors.Is(err, errSessionNotFound) {
 		t.Fatalf("push after finish: %v, want errSessionNotFound", err)
+	}
+}
+
+// A point the stream matches to a shortcut pseudo-candidate is reported
+// skipped by the session endpoints, on the push that finalizes it and on
+// finish, as /v1/match reports a batch match's. Two candidates per point
+// make the fixture's shortcut windows adopt.
+func TestSessionReportsSkippedPoints(t *testing.T) {
+	ds, m := fixture(t)
+	mk := *m
+	mk.Cfg.K = 2
+	_, ts := testServer(t, &mk, Config{DefaultLag: 2})
+	var skipped int
+	for _, tr := range ds.TestTrips() {
+		id := createSession(t, ts.URL, 2)
+		var online []MatchedPoint
+		for _, p := range PointsRequest(tr.Cell).Points {
+			resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/points", PushRequest{Points: []Point{p}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("push: %d: %s", resp.StatusCode, body)
+			}
+			var pr PushResponse
+			if err := json.Unmarshal(body, &pr); err != nil {
+				t.Fatal(err)
+			}
+			online = append(online, pr.Finalized...)
+		}
+		var fin MatchResponse
+		if err := json.Unmarshal(finishSession(t, ts.URL, id), &fin); err != nil {
+			t.Fatal(err)
+		}
+
+		sm := mk.NewStream(2)
+		for _, p := range tr.Cell {
+			if _, err := sm.Push(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sm.Flush()
+		want := sm.Skipped()
+		if len(fin.Matched) != len(want) || len(online) != len(want)-2 {
+			t.Fatalf("trip %d: %d finalized by pushes, %d by finish, %d offline", tr.ID, len(online), len(fin.Matched), len(want))
+		}
+		for i, s := range want {
+			if fin.Matched[i].Skipped != s || i < len(online) && online[i].Skipped != s {
+				t.Fatalf("trip %d point %d: skipped %v offline, push %+v, finish %+v", tr.ID, i, s, online[min(i, len(online)-1)], fin.Matched[i])
+			}
+			if s && i < len(online) {
+				skipped++
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no push finalized a skipped point; the test pins nothing")
 	}
 }
