@@ -284,7 +284,7 @@ func RandSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 type StreamMatcher = hmm.StreamMatcher
 
 // SessionSnapshotInfo is the model-independent summary of a durable
-// streaming-session snapshot (the lhmm-session/v2 files lhmm-serve
+// streaming-session snapshot (the lhmm-session/v3 files lhmm-serve
 // writes under -checkpoint-dir), as reported by `lhmm sessions
 // inspect`.
 type SessionSnapshotInfo = core.SnapshotInfo
