@@ -20,7 +20,7 @@ var flagCommands = []string{
 	"lhmm net build", "lhmm net stat", "lhmm sessions inspect",
 }
 
-// Ceilings on the flag surface (ROADMAP 8b). A flag is added only with
+// Ceilings on the flag surface (ROADMAP item 8). A flag is added only with
 // the two callers that need different values named in DESIGN §8d.
 const (
 	maxServeFlags = 15

@@ -133,23 +133,41 @@ var matmulWorkers atomic.Int64
 func init() { matmulWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 
 // matmulParallelMinFlops is the approximate multiply-add count below
-// which a product stays on the calling goroutine: about a millisecond
-// of work. Forking a smaller product buys less than waking an idle
-// thread costs, makes the caller's latency depend on when that thread
-// gets scheduled, and only oversubscribes the cores when several
-// requests are matching at once — no product of a dim-128 match reaches
-// it; training's encoder products and the per-model table builds do.
+// which a product stays on the calling goroutine: 256×128 · 128×128
+// takes 0.40 ms on the AVX2 kernel (0.33 ms forked in two) and 2.0 ms
+// on the portable path, on a 2-vCPU x86-64 host. Forking a smaller
+// product saves at most a tenth of a millisecond, makes the caller's
+// latency depend on when the woken thread gets scheduled, and only
+// oversubscribes the cores when several requests are matching at once
+// — no product of a dim-128 match reaches it; training's encoder
+// products and the per-model table builds do.
 const matmulParallelMinFlops = 1 << 22
+
+// matmulPortable keeps every product on matMulRows, the portable
+// path, when set (SetMatMulPortable, export_test.go); kernelProducts
+// counts the products kernel4x8 computed, so the tests can show it ran.
+var (
+	matmulPortable atomic.Bool
+	kernelProducts atomic.Int64
+)
 
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be
 // preallocated a.R×b.C. Used by both the forward pass and the backward
-// closures. Large products are split row-blockwise across a bounded
-// worker pool (matmulWorkers); the result is bit-identical to
+// closures. On amd64 with AVX2, a b that is finite with a multiple of 8
+// columns goes through an assembly micro-kernel (useKernel) for each
+// block of four rows, and matMulRows computes the rows left over; both
+// are bit-identical to the one-row loop (refMatMulRows in the tests).
+// Large products are split into blocks of whole four-row groups across a
+// bounded worker pool (matmulWorkers); the result is bit-identical to
 // the sequential order because every dst row is produced by one worker
 // with an unchanged accumulation order.
 func MatMulInto(dst, a, b *Mat) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("nn: MatMulInto: %d×%d · %d×%d -> %d×%d", a.R, a.C, b.R, b.C, dst.R, dst.C))
+	}
+	kernel := useKernel(a, b)
+	if kernel {
+		kernelProducts.Add(1)
 	}
 	workers := int(matmulWorkers.Load())
 	if workers > a.R {
@@ -157,22 +175,28 @@ func MatMulInto(dst, a, b *Mat) {
 	}
 	if workers > 1 && a.R*a.C*b.C >= matmulParallelMinFlops {
 		var wg sync.WaitGroup
-		chunk := (a.R + workers - 1) / workers
+		chunk := ((a.R+workers-1)/workers + 3) &^ 3
 		for lo := 0; lo < a.R; lo += chunk {
-			hi := lo + chunk
-			if hi > a.R {
-				hi = a.R
-			}
+			hi := min(lo+chunk, a.R)
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				matMulRows(dst, a, b, lo, hi)
+				mulRows(dst, a, b, lo, hi, kernel)
 			}(lo, hi)
 		}
 		wg.Wait()
 		return
 	}
-	matMulRows(dst, a, b, 0, a.R)
+	mulRows(dst, a, b, 0, a.R, kernel)
+}
+
+// mulRows computes dst rows [lo, hi) of a·b: with kernel4x8 in blocks
+// of four when kernel is set, the rest with matMulRows.
+func mulRows(dst, a, b *Mat, lo, hi int, kernel bool) {
+	if kernel {
+		lo = kernelRows(dst, a, b, lo, hi)
+	}
+	matMulRows(dst, a, b, lo, hi)
 }
 
 // matMulRows computes dst rows [lo, hi) of a·b, four rows per pass over

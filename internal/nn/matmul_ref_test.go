@@ -86,37 +86,71 @@ func sameBits(t *testing.T, what string, got, want *Mat) {
 	}
 }
 
-// oracleShapes are product shapes r×k·k×c: odd row counts reach the
-// blocked kernel's tail, and the last is large enough to fork.
+// oracleShapes are product shapes r×k·k×c: rows 1–7 and odd counts
+// reach both kernels' row tails, c of 8, 16, 24, 40 and 128 the AVX2
+// kernel's whole tiles and other c its fallback, and the last two are
+// large enough to fork.
 var oracleShapes = [][3]int{
 	{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 3}, {7, 16, 9}, {9, 3, 17},
 	{13, 32, 8}, {33, 17, 31}, {64, 64, 64},
+	{1, 8, 8}, {2, 3, 16}, {3, 11, 24}, {4, 1, 8}, {5, 16, 16}, {6, 7, 128},
+	{7, 33, 24}, {9, 128, 128}, {12, 10, 12}, {8, 13, 40},
 	{matmulParallelMinFlops/(96*64) + 7, 96, 64},
+	{matmulParallelMinFlops/(128*128) + 5, 128, 128},
 }
 
-// TestMatMulRowsMatchesRef holds the register-blocked product to the
-// one-row loop with bitwise equality: zeros and −0 in both operands,
-// NaN and ±Inf in either, sequential and row-parallel.
+// kernels runs f with the portable product path, then with the AVX2
+// kernel allowed wherever useKernel admits it.
+func kernels(t *testing.T, f func(t *testing.T, portable bool)) {
+	defer SetMatMulPortable(SetMatMulPortable(false))
+	for _, portable := range []bool{true, false} {
+		SetMatMulPortable(portable)
+		t.Run(map[bool]string{true: "portable", false: "avx2"}[portable], func(t *testing.T) {
+			if !portable && !haveAVX2 {
+				t.Log("no AVX2: every product runs the portable path")
+			}
+			f(t, portable)
+		})
+	}
+}
+
+// TestMatMulRowsMatchesRef holds both product paths — the AVX2 kernel
+// and the register-blocked matMulRows — to the one-row loop with
+// bitwise equality: zeros and −0 in both operands, NaN and ±Inf in
+// either, sequential and row-parallel. On an AVX2 host the kernel must
+// run exactly for the products its gate admits: four rows or more, a
+// multiple of 8 columns, and no NaN or ±Inf in b.
 func TestMatMulRowsMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	defer SetMatMulWorkers(SetMatMulWorkers(0))
-	for _, workers := range []int{1, 4} {
-		SetMatMulWorkers(workers)
-		for _, sh := range oracleShapes {
-			for _, tc := range []struct {
-				zeros        float64
-				specA, specB bool
-			}{{0, false, false}, {0.4, false, false}, {0.4, true, false}, {0.4, false, true}, {0.9, true, true}} {
-				a := oracleMat(rng, sh[0], sh[1], tc.zeros, tc.specA)
-				b := oracleMat(rng, sh[1], sh[2], tc.zeros, tc.specB)
-				got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
-				got.Fill(7) // the kernel must overwrite, not accumulate
-				MatMulInto(got, a, b)
-				refMatMulRows(want, a, b, 0, a.R)
-				sameBits(t, fmt.Sprintf("workers %d, %v, %+v", workers, sh, tc), got, want)
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(31))
+		defer SetMatMulWorkers(SetMatMulWorkers(0))
+		for _, workers := range []int{1, 4} {
+			SetMatMulWorkers(workers)
+			for _, sh := range oracleShapes {
+				for _, tc := range []struct {
+					zeros        float64
+					specA, specB bool
+				}{{0, false, false}, {0.4, false, false}, {0.4, true, false}, {0.4, false, true}, {0.9, true, true}} {
+					a := oracleMat(rng, sh[0], sh[1], tc.zeros, tc.specA)
+					b := oracleMat(rng, sh[1], sh[2], tc.zeros, tc.specB)
+					got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
+					got.Fill(7) // the kernel must overwrite, not accumulate
+					before := kernelProducts.Load()
+					MatMulInto(got, a, b)
+					refMatMulRows(want, a, b, 0, a.R)
+					what := fmt.Sprintf("workers %d, %v, %+v", workers, sh, tc)
+					sameBits(t, what, got, want)
+					runs := int64(0)
+					if haveAVX2 && !portable && sh[0] >= 4 && sh[2]%8 == 0 && !tc.specB {
+						runs = 1
+					}
+					if ran := kernelProducts.Load() - before; ran != runs {
+						t.Fatalf("%s: the AVX2 kernel ran %d times, want %d", what, ran, runs)
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // oracleGrad builds a gradient for an r×c product output: kind picks
@@ -161,34 +195,43 @@ func oracleGrad(rng *rand.Rand, r, c int, kind string) *Mat {
 // the operands, accumulating onto zero and non-zero gradients, with the
 // row-parallel fork off and on.
 func TestMatMulBackwardMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	defer SetMatMulWorkers(SetMatMulWorkers(0))
-	for _, workers := range []int{1, 4} {
-		SetMatMulWorkers(workers)
-		for _, sh := range oracleShapes {
-			for _, kind := range []string{"zero", "one-row", "sparse", "dense"} {
-				for _, spec := range [][2]bool{{false, false}, {true, false}, {false, true}} {
-					for _, warm := range []bool{false, true} {
-						aVal := oracleMat(rng, sh[0], sh[1], 0.3, spec[0])
-						bVal := oracleMat(rng, sh[1], sh[2], 0.3, spec[1])
-						dOut := oracleGrad(rng, sh[0], sh[2], kind)
-						node := func(val *Mat, grad *Mat) *T { return &T{Val: val, Grad: grad.Clone()} }
-						ga, gb := NewMat(sh[0], sh[1]), NewMat(sh[1], sh[2])
-						if warm { // gradients other consumers already added to
-							ga, gb = oracleMat(rng, sh[0], sh[1], 0, false), oracleMat(rng, sh[1], sh[2], 0, false)
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(32))
+		defer SetMatMulWorkers(SetMatMulWorkers(0))
+		for _, workers := range []int{1, 4} {
+			SetMatMulWorkers(workers)
+			for _, sh := range oracleShapes {
+				for _, kind := range []string{"zero", "one-row", "sparse", "dense"} {
+					for _, spec := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+						for _, warm := range []bool{false, true} {
+							aVal := oracleMat(rng, sh[0], sh[1], 0.3, spec[0])
+							bVal := oracleMat(rng, sh[1], sh[2], 0.3, spec[1])
+							dOut := oracleGrad(rng, sh[0], sh[2], kind)
+							node := func(val *Mat, grad *Mat) *T { return &T{Val: val, Grad: grad.Clone()} }
+							ga, gb := NewMat(sh[0], sh[1]), NewMat(sh[1], sh[2])
+							if warm { // gradients other consumers already added to
+								ga, gb = oracleMat(rng, sh[0], sh[1], 0, false), oracleMat(rng, sh[1], sh[2], 0, false)
+							}
+							a, b := node(aVal, ga), node(bVal, gb)
+							ra, rb := node(aVal, ga), node(bVal, gb)
+							before := kernelProducts.Load()
+							matMulBackward(a, b, dOut)
+							ran := kernelProducts.Load() - before
+							refMatMulBackward(ra, rb, dOut)
+							what := fmt.Sprintf("workers %d, %v, %s grad, specials %v, warm %v", workers, sh, kind, spec, warm)
+							sameBits(t, what+": a.Grad", a.Grad, ra.Grad)
+							sameBits(t, what+": b.Grad", b.Grad, rb.Grad)
+							// A dense gradient keeps rows, so Aᵀ·dOut is a
+							// sh[1]-row product with a finite right operand.
+							if haveAVX2 && !portable && kind == "dense" && sh[1] >= 4 && sh[2]%8 == 0 && ran == 0 {
+								t.Fatalf("%s: Aᵀ·dOut did not run the AVX2 kernel", what)
+							}
 						}
-						a, b := node(aVal, ga), node(bVal, gb)
-						ra, rb := node(aVal, ga), node(bVal, gb)
-						matMulBackward(a, b, dOut)
-						refMatMulBackward(ra, rb, dOut)
-						what := fmt.Sprintf("workers %d, %v, %s grad, specials %v, warm %v", workers, sh, kind, spec, warm)
-						sameBits(t, what+": a.Grad", a.Grad, ra.Grad)
-						sameBits(t, what+": b.Grad", b.Grad, rb.Grad)
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestForwardTapeAllocatesNoGrad: a forward-only tape over one round of
@@ -228,19 +271,27 @@ func TestForwardTapeAllocatesNoGrad(t *testing.T) {
 
 // BenchmarkEncoderProduct times one product of the graph encoder's
 // shape at the benchmark's scale and dimension (8,364 nodes × 128 ·
-// 128×128), dense and with 40% zero multipliers (the ReLU'd layers).
+// 128×128), dense and with 40% zero multipliers (the ReLU'd layers), on
+// the portable path and the AVX2 kernel.
 func BenchmarkEncoderProduct(b *testing.B) {
-	for _, zeros := range []float64{0, 0.4} {
-		b.Run(fmt.Sprintf("zeros=%.0f%%", 100*zeros), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(34))
-			a, w := oracleMat(rng, 8364, 128, zeros, false), oracleMat(rng, 128, 128, 0, false)
-			dst := NewMat(a.R, w.C)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(dst, a, w)
-			}
-		})
+	defer SetMatMulPortable(SetMatMulPortable(false))
+	for _, kernel := range []string{"portable", "avx2"} {
+		for _, zeros := range []float64{0, 0.4} {
+			b.Run(fmt.Sprintf("kernel=%s/zeros=%.0f%%", kernel, 100*zeros), func(b *testing.B) {
+				if kernel == "avx2" && !haveAVX2 {
+					b.Skip("no AVX2")
+				}
+				SetMatMulPortable(kernel == "portable")
+				rng := rand.New(rand.NewSource(34))
+				a, w := oracleMat(rng, 8364, 128, zeros, false), oracleMat(rng, 128, 128, 0, false)
+				dst := NewMat(a.R, w.C)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, a, w)
+				}
+			})
+		}
 	}
 }
 

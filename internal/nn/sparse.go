@@ -121,19 +121,34 @@ func (s *Sparse) RowNormalize() {
 	}
 }
 
-// Transpose returns a new CSR matrix equal to sᵀ. An error is only
-// possible for a corrupted receiver (indices outside the declared
+// Transpose returns a new CSR matrix equal to sᵀ, built by a counting
+// sort on the column: one pass counts each column's entries, and a scan
+// of the rows in ascending order places every entry, so each transposed
+// row lists its columns ascending. A row stores a column at most once,
+// so no entries merge; each value is stored as 0 + v, the sum
+// NewSparse makes of one entry (a −0 becomes +0). An error is only
+// possible for a corrupted receiver (a column outside the declared
 // shape), matching the package's construction error discipline.
 func (s *Sparse) Transpose() (*Sparse, error) {
-	triples := make([]Triple, 0, s.NNZ())
+	nnz := s.NNZ()
+	t := &Sparse{R: s.C, C: s.R, rowPtr: make([]int, s.C+1), colIdx: make([]int, nnz), vals: make([]float64, nnz)}
+	for _, c := range s.colIdx {
+		if c < 0 || c >= s.C {
+			return nil, fmt.Errorf("nn: transpose: sparse entry column %d outside %d×%d", c, s.R, s.C)
+		}
+		t.rowPtr[c+1]++
+	}
+	for c := 0; c < s.C; c++ {
+		t.rowPtr[c+1] += t.rowPtr[c]
+	}
+	next := slices.Clone(t.rowPtr[:s.C])
 	for i := 0; i < s.R; i++ {
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			triples = append(triples, Triple{Row: s.colIdx[k], Col: i, Val: s.vals[k]})
+			c := s.colIdx[k]
+			t.colIdx[next[c]] = i
+			t.vals[next[c]] = 0 + s.vals[k]
+			next[c]++
 		}
-	}
-	t, err := NewSparse(s.C, s.R, triples)
-	if err != nil {
-		return nil, fmt.Errorf("nn: transpose: %w", err)
 	}
 	return t, nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -155,4 +156,100 @@ func TestGradSpMM(t *testing.T) {
 		y := tp.SpMM(s, st, tp.Var(p))
 		return tp.SumAll(tp.Mul(y, y))
 	})
+}
+
+// refTranspose is the transpose Sparse.Transpose replaced — a round
+// trip of the entries through NewSparse's sort — kept verbatim as the
+// oracle.
+func refTranspose(s *Sparse) (*Sparse, error) {
+	triples := make([]Triple, 0, s.NNZ())
+	for i := 0; i < s.R; i++ {
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			triples = append(triples, Triple{Row: s.colIdx[k], Col: i, Val: s.vals[k]})
+		}
+	}
+	t, err := NewSparse(s.C, s.R, triples)
+	if err != nil {
+		return nil, fmt.Errorf("nn: transpose: %w", err)
+	}
+	return t, nil
+}
+
+// TestTransposeMatchesNewSparse holds the counting-sort transpose's
+// rowPtr, colIdx and vals (bitwise, −0 and NaN included) to the
+// NewSparse round trip on random matrices — empty rows and columns,
+// duplicate triples, restricted Sub matrices — and on empty ones, and
+// checks that a corrupted column is still an error.
+func TestTransposeMatchesNewSparse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	same := func(what string, s *Sparse) {
+		t.Helper()
+		got, err := s.Transpose()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, err := refTranspose(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := func(v []float64) []uint64 {
+			out := make([]uint64, len(v))
+			for i, x := range v {
+				out[i] = math.Float64bits(x)
+			}
+			return out
+		}
+		if got.R != want.R || got.C != want.C || !slices.Equal(got.rowPtr, want.rowPtr) ||
+			!slices.Equal(got.colIdx, want.colIdx) || !slices.Equal(bits(got.vals), bits(want.vals)) {
+			t.Fatalf("%s: transpose %d×%d %v %v %v, want %d×%d %v %v %v", what,
+				got.R, got.C, got.rowPtr, got.colIdx, got.vals, want.R, want.C, want.rowPtr, want.colIdx, want.vals)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		r, c := 1+rng.Intn(12), 1+rng.Intn(12)
+		var triples []Triple
+		for e := rng.Intn(r*c + 1); e > 0; e-- {
+			v := rng.NormFloat64()
+			switch rng.Intn(8) {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 1:
+				v = 0
+			case 2:
+				v = hwNaN
+			}
+			triples = append(triples, Triple{rng.Intn(r), rng.Intn(c), v})
+		}
+		s, err := NewSparse(r, c, triples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// NewSparse turns −0 into +0; give some stored entries −0 back,
+		// as a caller's in-place scaling could.
+		for k := range s.vals {
+			if rng.Intn(6) == 0 {
+				s.vals[k] = math.Copysign(0, -1)
+			}
+		}
+		what := fmt.Sprintf("trial %d, %d×%d, %d entries", trial, r, c, s.NNZ())
+		same(what, s)
+		var rows []int
+		for i := 0; i < r; i++ {
+			if rng.Intn(2) == 0 {
+				rows = append(rows, i)
+			}
+		}
+		same(what+", Sub", s.Sub(rows, s.Cols(rows)))
+	}
+	for _, sh := range [][2]int{{1, 1}, {3, 5}, {7, 2}} {
+		s, err := NewSparse(sh[0], sh[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("empty %d×%d", sh[0], sh[1]), s)
+	}
+	bad := &Sparse{R: 1, C: 2, rowPtr: []int{0, 1}, colIdx: []int{2}, vals: []float64{1}}
+	if _, err := bad.Transpose(); err == nil {
+		t.Error("a column outside the shape did not error")
+	}
 }
