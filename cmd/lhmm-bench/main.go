@@ -40,7 +40,6 @@ import (
 	"strings"
 	"time"
 
-	lhmm "repro"
 	"repro/internal/eval"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
@@ -157,8 +156,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lhmm-bench: fullscale done in %.1fs\n%s", wall, text)
 		}
 	} else {
-		hz := lhmm.NewSuite(lhmm.DefaultSuite("hangzhou", *scale, *trips))
-		xm := lhmm.NewSuite(lhmm.DefaultSuite("xiamen", *scale, *trips))
+		hz := eval.NewSuite(eval.DefaultSuite("hangzhou", *scale, *trips))
+		xm := eval.NewSuite(eval.DefaultSuite("xiamen", *scale, *trips))
 
 		ids := []string{*exp}
 		if *exp == "all" {
@@ -166,7 +165,7 @@ func main() {
 		}
 		for _, id := range ids {
 			start := time.Now()
-			text, err := lhmm.RunExperiment(id, hz, xm)
+			text, err := eval.RunExperiment(id, hz, xm)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "lhmm-bench: %s: %v\n", id, err)
 				os.Exit(1)
@@ -223,7 +222,7 @@ func buildDoc(results []experiment, scale float64, trips int, totalS float64) *o
 
 // writeFig11Artifacts saves the case study as SVG and GeoJSON files
 // alongside the text rendering.
-func writeFig11Artifacts(s *lhmm.Suite) error {
+func writeFig11Artifacts(s *eval.Suite) error {
 	cs, err := eval.Figure11(s)
 	if err != nil {
 		return err

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	lhmm "repro"
+	"repro/internal/baselines"
 	"repro/internal/eval"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
@@ -357,23 +358,17 @@ func cmdMatch(args []string) error {
 	if *jsonOut {
 		// The exact bytes lhmm-serve answers for this trajectory: same
 		// struct, same encoder. `diff` against a server response is the
-		// online/offline parity check. With -trace the output is the
-		// debug form instead — the same leading fields plus the appended
-		// trace block, matching POST /v1/match?debug=1.
+		// online/offline parity check. With -trace and/or -explain the
+		// output is the same leading fields plus the appended trace and
+		// explain blocks, matching POST /v1/match?debug=1&explain=1.
 		enc := json.NewEncoder(os.Stdout)
-		switch {
-		case *explain:
-			// Matches POST /v1/match?explain=1 byte-for-byte (the trace
-			// block rides along when -trace is also set, as it does for
-			// ?debug=1&explain=1).
+		if *explain || *traceOut != "" {
 			return enc.Encode(serve.ExplainMatchResponse{MatchResponse: serve.ResultJSON(res), Trace: res.Trace, Explain: res.Explain})
-		case *traceOut != "":
-			return enc.Encode(serve.DebugMatchResponse{MatchResponse: serve.ResultJSON(res), Trace: res.Trace})
 		}
 		return enc.Encode(serve.ResultJSON(res))
 	}
 	if tr != nil {
-		pm := lhmm.EvalPath(ds.Net, res.Path, tr.Path, 50)
+		pm := lhmm.EvalPath(ds.Net, res.Path, tr.Path, eval.CMFCorridor)
 		fmt.Printf("trip %d: %d cellular points -> %d road segments\n", tr.ID, len(tr.Cell), len(res.Path))
 		fmt.Printf("precision %.3f  recall %.3f  RMF %.3f  CMF50 %.3f\n",
 			pm.Precision, pm.Recall, pm.RMF, pm.CMF)
@@ -680,7 +675,7 @@ func caseFor(ds *traj.Dataset, tr *traj.Trip, path []lhmm.SegmentID) *eval.CaseS
 		Truth:   tr.PathGeom,
 		Cell:    tr.Cell.Positions(),
 		Matched: map[string]geo.Polyline{"LHMM": metrics.PathGeometry(ds.Net, path)},
-		CMF:     map[string]float64{"LHMM": lhmm.EvalPath(ds.Net, path, tr.Path, 50).CMF},
+		CMF:     map[string]float64{"LHMM": lhmm.EvalPath(ds.Net, path, tr.Path, eval.CMFCorridor).CMF},
 	}
 }
 
@@ -710,6 +705,11 @@ func cmdEval(args []string) error {
 		return err
 	}
 
+	// The non-learned methods are built as lhmm-bench builds them, with
+	// the baselines' default configuration; seq2seq baselines need
+	// training and are run by lhmm-bench only.
+	router := lhmm.NewRouter(ds.Net)
+	graph := func() (*mrg.Graph, error) { return mrg.BuildGraph(ds.Net, ds.Cells, ds.TrainTrips()) }
 	var rows []eval.Row
 	for _, name := range strings.Split(*methods, ",") {
 		name = strings.TrimSpace(name)
@@ -729,25 +729,14 @@ func cmdEval(args []string) error {
 			model.Cfg.Sanitize = sanitizeMode
 			m = lhmm.AsMethod("LHMM", model)
 		} else {
-			m, err = methodByName(ds, name)
+			m, err = eval.NewBaseline(name, ds, router, graph, baselines.CommonConfig{})
 			if err != nil {
 				return err
 			}
 		}
-		summary, _ := eval.EvaluateMethod(ds, m, ds.TestTrips(), 50)
+		summary, _ := eval.EvaluateMethod(ds, m, ds.TestTrips(), eval.CMFCorridor)
 		rows = append(rows, eval.Row{Method: name, Summary: summary})
 	}
 	fmt.Print(eval.FormatRows(fmt.Sprintf("evaluation on %s (%d test trips)", ds.Name, len(ds.Test)), rows))
 	return nil
-}
-
-// methodByName builds a non-learned baseline directly over the loaded
-// dataset (seq2seq baselines need training and are exercised by
-// cmd/lhmm-bench instead).
-func methodByName(ds *traj.Dataset, name string) (lhmm.Method, error) {
-	router := lhmm.NewRouter(ds.Net)
-	if name == "HMM" {
-		return lhmm.ClassicalMatcher(ds.Net, router, 45, 450, 500), nil
-	}
-	return eval.BaselineByName(ds, router, name)
 }

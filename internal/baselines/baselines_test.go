@@ -276,32 +276,3 @@ func TestGRUCellShapes(t *testing.T) {
 }
 
 func randSrc() *rand.Rand { return rand.New(rand.NewSource(1)) }
-
-func TestGeometricBaseline(t *testing.T) {
-	d, router, _ := world(t, 10)
-	m := NewGeometric(d.Net, router)
-	if m.Name() != "Geometric" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	for _, tr := range d.TestTrips() {
-		out, err := m.Match(tr.Cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Path) == 0 {
-			t.Fatal("empty geometric path")
-		}
-		if len(out.Candidates) != len(tr.Cell) {
-			t.Errorf("candidates per point = %d, want %d", len(out.Candidates), len(tr.Cell))
-		}
-		// Exactly one candidate per point: the nearest road.
-		for _, layer := range out.Candidates {
-			if len(layer) != 1 {
-				t.Error("geometric matcher should have one candidate per point")
-			}
-		}
-	}
-	if _, err := m.Match(nil); err == nil {
-		t.Error("empty trajectory did not error")
-	}
-}

@@ -26,18 +26,11 @@ type clstersMethod struct {
 
 // NewCLSTERS builds CLSTERS over the historical co-occurrence graph.
 func NewCLSTERS(net *roadnet.Network, router *roadnet.Router, graph *mrg.Graph, cfg CommonConfig) Method {
-	cfg = cfg.withDefaults()
 	return &clstersMethod{
-		net:   net,
-		graph: graph,
-		matcher: &hmm.Matcher{
-			Net:    net,
-			Router: router,
-			Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-			Trans:  &hmm.ExponentialTransition{Router: router, Beta: cfg.Beta},
-			Cfg:    hmm.Config{K: cfg.K},
-		},
-		blend: 0.5,
+		net:     net,
+		graph:   graph,
+		matcher: NewMatcher(net, router, cfg, 0, nil, nil),
+		blend:   0.5,
 	}
 }
 

@@ -33,6 +33,35 @@ func (c CommonConfig) withDefaults() CommonConfig {
 	return c
 }
 
+// NewMatcher builds the HMM matcher every baseline runs: cfg's K
+// candidates per point, shortcuts shortcut candidates (Algorithm 2),
+// and the method's own observation and transition models. A nil obs
+// is the classical Eq. 2 Gaussian with cfg's σ, a nil trans the
+// classical Eq. 3 exponential with cfg's β; zero fields of cfg take
+// the cellular-scale defaults.
+func NewMatcher(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig, shortcuts int, obs hmm.ObservationModel, trans hmm.TransitionModel) *hmm.Matcher {
+	cfg = cfg.withDefaults()
+	if obs == nil {
+		obs = &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma}
+	}
+	if trans == nil {
+		trans = &hmm.ExponentialTransition{Router: router, Beta: cfg.Beta}
+	}
+	return &hmm.Matcher{
+		Net:    net,
+		Router: router,
+		Obs:    obs,
+		Trans:  trans,
+		Cfg:    hmm.Config{K: cfg.K, Shortcuts: shortcuts},
+	}
+}
+
+// NewClassical builds the classical distance-probability HMM (Eqs.
+// 2–3), the non-learned reference point, named "HMM".
+func NewClassical(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
+	return NewHMMMethod("HMM", NewMatcher(net, router, cfg, 0, nil, nil))
+}
+
 // stmTransition is ST-Matching's [8] transition: spatial analysis
 // (straight-line over route length, favoring direct movements) times
 // temporal analysis (implied speed vs. the route's speed limits).
@@ -82,18 +111,12 @@ func NewSTM(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Meth
 // NewSTMWithShortcuts builds STM with the paper's shortcut structure
 // grafted on (the STM+S ablation of Table III).
 func NewSTMWithShortcuts(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig, shortcuts int) Method {
-	cfg = cfg.withDefaults()
 	name := "STM"
 	if shortcuts > 0 {
 		name = "STM+S"
 	}
-	return NewHMMMethod(name, &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-		Trans:  &stmTransition{router: router, net: net},
-		Cfg:    hmm.Config{K: cfg.K, Shortcuts: shortcuts},
-	})
+	return NewHMMMethod(name, NewMatcher(net, router, cfg, shortcuts, nil,
+		&stmTransition{router: router, net: net}))
 }
 
 // ifmTransition extends STM with IF-Matching's [32] information fusion:
@@ -119,14 +142,8 @@ func (f *ifmTransition) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candi
 
 // NewIFM builds IF-Matching [32].
 func NewIFM(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
-	cfg = cfg.withDefaults()
-	return NewHMMMethod("IFM", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-		Trans:  &ifmTransition{stm: stmTransition{router: router, net: net}, net: net},
-		Cfg:    hmm.Config{K: cfg.K},
-	})
+	return NewHMMMethod("IFM", NewMatcher(net, router, cfg, 0, nil,
+		&ifmTransition{stm: stmTransition{router: router, net: net}, net: net}))
 }
 
 // mcmTransition implements MCM's [34] common-subsequence idea: a route
@@ -164,14 +181,8 @@ func (m *mcmTransition) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candi
 
 // NewMCM builds MCM [34].
 func NewMCM(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
-	cfg = cfg.withDefaults()
-	return NewHMMMethod("MCM", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-		Trans:  &mcmTransition{router: router, net: net},
-		Cfg:    hmm.Config{K: cfg.K},
-	})
+	return NewHMMMethod("MCM", NewMatcher(net, router, cfg, 0, nil,
+		&mcmTransition{router: router, net: net}))
 }
 
 // snetTransition is SnapNet's [12] heuristic blend: the classical
@@ -205,13 +216,8 @@ func (s *snetTransition) Score(ct traj.CellTrajectory, i int, from, to *hmm.Cand
 // itself contributes the heuristic probability blend.
 func NewSNet(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
 	cfg = cfg.withDefaults()
-	return NewHMMMethod("SNet", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-		Trans:  &snetTransition{router: router, net: net, beta: cfg.Beta},
-		Cfg:    hmm.Config{K: cfg.K},
-	})
+	return NewHMMMethod("SNet", NewMatcher(net, router, cfg, 0, nil,
+		&snetTransition{router: router, net: net, beta: cfg.Beta}))
 }
 
 // thmmTransition is THMM's [42] tailored transition: the classical term
@@ -248,11 +254,6 @@ func (t *thmmTransition) Score(ct traj.CellTrajectory, i int, from, to *hmm.Cand
 // NewTHMM builds THMM [42].
 func NewTHMM(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
 	cfg = cfg.withDefaults()
-	return NewHMMMethod("THMM", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-		Trans:  &thmmTransition{router: router, net: net, beta: cfg.Beta},
-		Cfg:    hmm.Config{K: cfg.K},
-	})
+	return NewHMMMethod("THMM", NewMatcher(net, router, cfg, 0, nil,
+		&thmmTransition{router: router, net: net, beta: cfg.Beta}))
 }

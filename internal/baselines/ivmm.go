@@ -83,16 +83,10 @@ func (v *ivmmObservation) votedScore(ct traj.CellTrajectory, i int, c *hmm.Candi
 // NewIVMM builds IVMM [10].
 func NewIVMM(net *roadnet.Network, router *roadnet.Router, cfg CommonConfig) Method {
 	cfg = cfg.withDefaults()
-	return NewHMMMethod("IVMM", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs: &ivmmObservation{
-			inner:  &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
-			router: router,
-			window: 2,
-			voteK:  3,
-		},
-		Trans: &hmm.ExponentialTransition{Router: router, Beta: cfg.Beta},
-		Cfg:   hmm.Config{K: cfg.K},
-	})
+	return NewHMMMethod("IVMM", NewMatcher(net, router, cfg, 0, &ivmmObservation{
+		inner:  &hmm.GaussianObservation{Net: net, Sigma: cfg.Sigma},
+		router: router,
+		window: 2,
+		voteK:  3,
+	}, nil))
 }

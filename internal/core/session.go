@@ -713,22 +713,11 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 		msp.ChildAt("session_init", spanT, time.Since(spanT))
 		sess.span = msp
 	}
-	matcher := &hmm.Matcher{
-		Net:    m.Net,
-		Router: m.Router,
-		Obs:    sess,
-		Trans:  transAdapter{sess},
-		Cfg: hmm.Config{
-			K:         m.Cfg.K,
-			Shortcuts: m.Cfg.Shortcuts,
-			OnBreak:   m.Cfg.OnBreak,
-			// Sanitization already ran above (session state must align
-			// with what the matcher sees); do not re-run it inside.
-			Sanitize: traj.SanitizeOff,
-			Trace:    m.Cfg.Trace,
-			Explain:  m.Cfg.Explain,
-		},
-	}
+	// Sanitization already ran above (session state must align with
+	// what the matcher sees); do not re-run it inside.
+	matcher := m.streamMatcher(sess, m.Cfg.OnBreak, traj.SanitizeOff)
+	matcher.Cfg.Trace = m.Cfg.Trace
+	matcher.Cfg.Explain = m.Cfg.Explain
 	res, err = matcher.MatchContext(ctx, ct)
 	if msp != nil && sess.obsT > 0 {
 		msp.ChildAt("observation", sess.obsT0,

@@ -259,9 +259,9 @@ func (m *Model) NewStream(lag int) *hmm.StreamMatcher {
 	return hmm.NewStreamMatcher(m.streamMatcher(&session{m: m}, m.Cfg.OnBreak, m.Cfg.Sanitize), lag)
 }
 
-// streamMatcher is the matcher a stream session drives, new or restored
-// from a snapshot (whose header carries the session's own break and
-// sanitize policies).
+// streamMatcher is the matcher a session drives: a whole-trajectory
+// match, or a stream, new or restored from a snapshot (whose header
+// carries the session's own break and sanitize policies).
 func (m *Model) streamMatcher(ss *session, onBreak hmm.BreakPolicy, sanitize traj.SanitizeMode) *hmm.Matcher {
 	return &hmm.Matcher{
 		Net:    m.Net,

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/mrg"
+	"repro/internal/roadnet"
 	"repro/internal/synth"
 	"repro/internal/traj"
 )
@@ -278,5 +281,67 @@ func TestGroundTruthFidelity(t *testing.T) {
 	}
 	if sum.Recall < 0.7 {
 		t.Errorf("GPS matcher recall %.3f too low for 8 m noise", sum.Recall)
+	}
+}
+
+func TestRunExperimentUnknown(t *testing.T) {
+	s := NewSuite(DefaultSuite("xiamen", 0.02, 10))
+	if _, err := RunExperiment("bogus", s, nil); err == nil {
+		t.Error("unknown experiment did not error")
+	}
+}
+
+// TestRegistryResolvesEveryMethod: every method an experiment names
+// resolves through Suite.Method under its own name, and each
+// non-learned one is the method NewBaseline builds over the bare
+// dataset with a fresh router and graph (what lhmm eval runs): same
+// name, same path on a test trip.
+func TestRegistryResolvesEveryMethod(t *testing.T) {
+	s := tinySuite("registry-test", 39)
+	ds, err := s.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append(append(append([]string{"HMM"}, Table2Methods...), Table3Variants...), Figure7aMethods...)
+	for _, name := range names {
+		m, err := s.Method(name)
+		if err != nil {
+			t.Fatalf("Method(%q): %v", name, err)
+		}
+		if m.Name() != name {
+			t.Errorf("Method(%q).Name() = %q", name, m.Name())
+		}
+	}
+
+	trip := ds.TestTrips()[0]
+	router := roadnet.NewRouter(ds.Net)
+	graph := func() (*mrg.Graph, error) { return mrg.BuildGraph(ds.Net, ds.Cells, ds.TrainTrips()) }
+	for _, name := range []string{"HMM", "STM", "STM+S", "IVMM", "IFM", "MCM", "SNet", "THMM", "CLSTERS"} {
+		want, err := s.Method(name)
+		if err != nil {
+			t.Fatalf("Method(%q): %v", name, err)
+		}
+		got, err := NewBaseline(name, ds, router, graph, s.Cfg.Baseline)
+		if err != nil {
+			t.Fatalf("NewBaseline(%q): %v", name, err)
+		}
+		if got.Name() != want.Name() {
+			t.Errorf("NewBaseline(%q).Name() = %q, Method gives %q", name, got.Name(), want.Name())
+		}
+		a, errA := want.Match(trip.Cell)
+		b, errB := got.Match(trip.Cell)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: match errors %v / %v", name, errA, errB)
+		}
+		if !slices.Equal(a.Path, b.Path) {
+			t.Errorf("%s: suite path %v, dataset-level path %v", name, a.Path, b.Path)
+		}
+	}
+
+	if _, err := s.Method("bogus"); err == nil {
+		t.Error("Method: unknown name did not error")
+	}
+	if _, err := NewBaseline("bogus", ds, router, graph, s.Cfg.Baseline); err == nil {
+		t.Error("NewBaseline: unknown name did not error")
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/mrg"
 	"repro/internal/traj"
 )
 
@@ -63,15 +61,9 @@ func Table2(s *Suite) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	trips := ds.TestTrips()
-	rows := make([]Row, 0, len(Table2Methods))
-	for _, name := range Table2Methods {
-		m, err := s.Method(name)
-		if err != nil {
-			return nil, fmt.Errorf("table2: %s: %w", name, err)
-		}
-		summary, _ := EvaluateMethod(ds, m, trips, 50)
-		rows = append(rows, Row{Method: name, Summary: summary})
+	rows, err := s.rows(Table2Methods, ds.TestTrips())
+	if err != nil {
+		return nil, fmt.Errorf("table2: %w", err)
 	}
 	return rows, nil
 }
@@ -85,35 +77,9 @@ func Table3(s *Suite) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	trips := ds.TestTrips()
-	mods := map[string]func(*core.Config){
-		"LHMM-E": func(c *core.Config) { c.EncoderMode = mrg.MLPOnly },
-		"LHMM-H": func(c *core.Config) { c.EncoderMode = mrg.HomoGNN },
-		"LHMM-O": func(c *core.Config) { c.DisableImplicitObs = true },
-		"LHMM-T": func(c *core.Config) { c.DisableImplicitTrans = true },
-		"LHMM-S": func(c *core.Config) { c.Shortcuts = 0 },
-	}
-	var rows []Row
-	for _, name := range Table3Variants {
-		var m baselines.Method
-		var err error
-		switch {
-		case name == "LHMM":
-			m, err = s.Method("LHMM")
-		case strings.HasPrefix(name, "LHMM-"):
-			var model *core.Model
-			model, err = s.LHMMVariant(name, mods[name])
-			if err == nil {
-				m = LHMMMethod(name, model)
-			}
-		default:
-			m, err = s.Method(name)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("table3: %s: %w", name, err)
-		}
-		summary, _ := EvaluateMethod(ds, m, trips, 50)
-		rows = append(rows, Row{Method: name, Summary: summary})
+	rows, err := s.rows(Table3Variants, ds.TestTrips())
+	if err != nil {
+		return nil, fmt.Errorf("table3: %w", err)
 	}
 	return rows, nil
 }
@@ -126,6 +92,20 @@ type SeriesPoint struct {
 
 // Figure7aMethods are the methods compared in the robustness figures.
 var Figure7aMethods = []string{"LHMM", "DMM", "STM"}
+
+// cmfPoint is one x-position of Fig. 7: each of Figure7aMethods'
+// CMF50 on trips.
+func (s *Suite) cmfPoint(x float64, trips []*traj.Trip) (SeriesPoint, error) {
+	rows, err := s.rows(Figure7aMethods, trips)
+	if err != nil {
+		return SeriesPoint{}, err
+	}
+	sp := SeriesPoint{X: x, Values: make(map[string]float64, len(rows))}
+	for _, r := range rows {
+		sp.Values[r.Method] = r.Summary.CMF
+	}
+	return sp, nil
+}
 
 // Figure7a regenerates Fig. 7(a): CMF50 bucketed by the trip's distance
 // to the city center (5 levels).
@@ -161,14 +141,9 @@ func Figure7a(s *Suite) ([]SeriesPoint, error) {
 			meanR += b.r
 		}
 		meanR /= float64(len(group))
-		sp := SeriesPoint{X: meanR, Values: map[string]float64{}}
-		for _, name := range Figure7aMethods {
-			m, err := s.Method(name)
-			if err != nil {
-				return nil, err
-			}
-			summary, _ := EvaluateMethod(ds, m, group, 50)
-			sp.Values[name] = summary.CMF
+		sp, err := s.cmfPoint(meanR, group)
+		if err != nil {
+			return nil, err
 		}
 		points = append(points, sp)
 	}
@@ -206,14 +181,9 @@ func Figure7b(s *Suite) ([]SeriesPoint, error) {
 		if len(group) == 0 {
 			continue
 		}
-		sp := SeriesPoint{X: rate, Values: map[string]float64{}}
-		for _, name := range Figure7aMethods {
-			m, err := s.Method(name)
-			if err != nil {
-				return nil, err
-			}
-			summary, _ := EvaluateMethod(ds, m, group, 50)
-			sp.Values[name] = summary.CMF
+		sp, err := s.cmfPoint(rate, group)
+		if err != nil {
+			return nil, err
 		}
 		points = append(points, sp)
 	}
@@ -235,11 +205,10 @@ func Figure8(s *Suite) ([]SeriesPoint, error) {
 	}
 	trips := ds.TestTrips()
 	points := make([]SeriesPoint, 0, len(Figure8Ks))
-	origK := model.Cfg.K
-	defer func() { model.Cfg.K = origK }()
 	for _, k := range Figure8Ks {
-		model.Cfg.K = k
-		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), trips, 50)
+		mm := *model
+		mm.Cfg.K = k
+		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", &mm), trips, CMFCorridor)
 		points = append(points, SeriesPoint{
 			X: float64(k),
 			Values: map[string]float64{
@@ -267,11 +236,10 @@ func Figure9(s *Suite) ([]SeriesPoint, error) {
 	}
 	trips := ds.TestTrips()
 	points := make([]SeriesPoint, 0, len(Figure9Ks))
-	orig := model.Cfg.Shortcuts
-	defer func() { model.Cfg.Shortcuts = orig }()
 	for _, k := range Figure9Ks {
-		model.Cfg.Shortcuts = k
-		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), trips, 50)
+		mm := *model
+		mm.Cfg.Shortcuts = k
+		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", &mm), trips, CMFCorridor)
 		points = append(points, SeriesPoint{
 			X: float64(k),
 			Values: map[string]float64{
@@ -350,7 +318,7 @@ func Figure10a(s *Suite, levels []int) ([]SeriesPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), evalTrips, 50)
+		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), evalTrips, CMFCorridor)
 		points = append(points, SeriesPoint{
 			X:      float64(n),
 			Values: map[string]float64{"CMF50": summary.CMF},
@@ -376,7 +344,7 @@ func Figure10b(s *Suite, fractions []float64) ([]SeriesPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), trips, 50)
+		summary, _ := EvaluateMethod(ds, LHMMMethod("LHMM", model), trips, CMFCorridor)
 		points = append(points, SeriesPoint{
 			X: float64(n),
 			Values: map[string]float64{

@@ -107,10 +107,33 @@ func EvaluateMethod(ds *traj.Dataset, m baselines.Method, trips []*traj.Trip, co
 	return summary, results
 }
 
+// CMFCorridor is the corridor radius in meters of the CMF every
+// experiment reports (the paper's CMF50).
+const CMFCorridor = 50
+
 // Row is one rendered table row: a method name and its summary.
 type Row struct {
 	Method  string
 	Summary metrics.Summary
+}
+
+// rows resolves each named method through Method and evaluates it on
+// trips, one Row per name in order.
+func (s *Suite) rows(names []string, trips []*traj.Trip) ([]Row, error) {
+	ds, err := s.Dataset()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, 0, len(names))
+	for _, name := range names {
+		m, err := s.Method(name)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		summary, _ := EvaluateMethod(ds, m, trips, CMFCorridor)
+		rows = append(rows, Row{Method: name, Summary: summary})
+	}
+	return rows, nil
 }
 
 // FormatRows renders rows in the paper's Table II shape.

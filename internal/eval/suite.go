@@ -177,6 +177,14 @@ func (s *Suite) LHMMVariant(name string, mod func(*core.Config)) (*core.Model, e
 	return m, nil
 }
 
+// seqMethods are the seq2seq baselines, trained over the training
+// split.
+var seqMethods = map[string]func(*roadnet.Network, int, []*traj.Trip, baselines.Seq2SeqConfig) (baselines.Method, error){
+	"DeepMM":        baselines.NewDeepMM,
+	"TransformerMM": baselines.NewTransformerMM,
+	"DMM":           baselines.NewDMM,
+}
+
 // SeqMethod trains (once per name) a seq2seq baseline: "DeepMM",
 // "TransformerMM", or "DMM".
 func (s *Suite) SeqMethod(name string) (baselines.Method, error) {
@@ -188,21 +196,15 @@ func (s *Suite) SeqMethod(name string) (baselines.Method, error) {
 	if err, ok := s.errs["seq:"+name]; ok {
 		return nil, err
 	}
+	build, ok := seqMethods[name]
+	if !ok {
+		return nil, fmt.Errorf("eval: unknown seq2seq method %q", name)
+	}
 	ds, err := s.datasetLocked()
 	if err != nil {
 		return nil, err
 	}
-	var m baselines.Method
-	switch name {
-	case "DeepMM":
-		m, err = baselines.NewDeepMM(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
-	case "TransformerMM":
-		m, err = baselines.NewTransformerMM(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
-	case "DMM":
-		m, err = baselines.NewDMM(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
-	default:
-		err = fmt.Errorf("eval: unknown seq2seq method %q", name)
-	}
+	m, err := build(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
 	if err != nil {
 		s.errs["seq:"+name] = err
 		return nil, err
@@ -211,8 +213,37 @@ func (s *Suite) SeqMethod(name string) (baselines.Method, error) {
 	return m, nil
 }
 
-// HMMBaseline constructs one of the HMM-family baselines by name.
-func (s *Suite) HMMBaseline(name string) (baselines.Method, error) {
+// ablations are Table III's LHMM variants, each the base configuration
+// with one part switched off or replaced.
+var ablations = map[string]func(*core.Config){
+	"LHMM-E": func(c *core.Config) { c.EncoderMode = mrg.MLPOnly },
+	"LHMM-H": func(c *core.Config) { c.EncoderMode = mrg.HomoGNN },
+	"LHMM-O": func(c *core.Config) { c.DisableImplicitObs = true },
+	"LHMM-T": func(c *core.Config) { c.DisableImplicitTrans = true },
+	"LHMM-S": func(c *core.Config) { c.Shortcuts = 0 },
+}
+
+// Method resolves any method of the experiments by name, training it
+// if needed: "LHMM", a Table III ablation, a seq2seq baseline, or a
+// non-learned method NewBaseline builds.
+func (s *Suite) Method(name string) (baselines.Method, error) {
+	if name == "LHMM" {
+		m, err := s.LHMM()
+		if err != nil {
+			return nil, err
+		}
+		return LHMMMethod(name, m), nil
+	}
+	if mod, ok := ablations[name]; ok {
+		m, err := s.LHMMVariant(name, mod)
+		if err != nil {
+			return nil, err
+		}
+		return LHMMMethod(name, m), nil
+	}
+	if _, ok := seqMethods[name]; ok {
+		return s.SeqMethod(name)
+	}
 	ds, err := s.Dataset()
 	if err != nil {
 		return nil, err
@@ -221,8 +252,17 @@ func (s *Suite) HMMBaseline(name string) (baselines.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.Cfg.Baseline
+	return NewBaseline(name, ds, router, s.Graph, s.Cfg.Baseline)
+}
+
+// NewBaseline builds a non-learned method by name over a dataset: the
+// classical "HMM" (Eqs. 2–3) or one of the HMM-family baselines. graph
+// is called only for CLSTERS, which calibrates against the training
+// split's co-occurrence graph.
+func NewBaseline(name string, ds *traj.Dataset, router *roadnet.Router, graph func() (*mrg.Graph, error), cfg baselines.CommonConfig) (baselines.Method, error) {
 	switch name {
+	case "HMM":
+		return baselines.NewClassical(ds.Net, router, cfg), nil
 	case "STM":
 		return baselines.NewSTM(ds.Net, router, cfg), nil
 	case "STM+S":
@@ -238,59 +278,12 @@ func (s *Suite) HMMBaseline(name string) (baselines.Method, error) {
 	case "THMM":
 		return baselines.NewTHMM(ds.Net, router, cfg), nil
 	case "CLSTERS":
-		g, err := s.Graph()
+		g, err := graph()
 		if err != nil {
 			return nil, err
 		}
 		return baselines.NewCLSTERS(ds.Net, router, g, cfg), nil
 	default:
-		return nil, fmt.Errorf("eval: unknown HMM baseline %q", name)
-	}
-}
-
-// BaselineByName builds a non-learned HMM-family baseline directly
-// over a dataset (without a Suite). CLSTERS needs historical data, so
-// it builds the co-occurrence graph from the dataset's training split.
-func BaselineByName(ds *traj.Dataset, router *roadnet.Router, name string) (baselines.Method, error) {
-	cfg := baselines.CommonConfig{K: 45, Sigma: 450, Beta: 500}
-	switch name {
-	case "STM":
-		return baselines.NewSTM(ds.Net, router, cfg), nil
-	case "STM+S":
-		return baselines.NewSTMWithShortcuts(ds.Net, router, cfg, 1), nil
-	case "IVMM":
-		return baselines.NewIVMM(ds.Net, router, cfg), nil
-	case "IFM":
-		return baselines.NewIFM(ds.Net, router, cfg), nil
-	case "MCM":
-		return baselines.NewMCM(ds.Net, router, cfg), nil
-	case "SNet":
-		return baselines.NewSNet(ds.Net, router, cfg), nil
-	case "THMM":
-		return baselines.NewTHMM(ds.Net, router, cfg), nil
-	case "CLSTERS":
-		g, err := mrg.BuildGraph(ds.Net, ds.Cells, ds.TrainTrips())
-		if err != nil {
-			return nil, err
-		}
-		return baselines.NewCLSTERS(ds.Net, router, g, cfg), nil
-	default:
-		return nil, fmt.Errorf("eval: unknown baseline %q", name)
-	}
-}
-
-// Method resolves any Table II method by name (trains it if needed).
-func (s *Suite) Method(name string) (baselines.Method, error) {
-	switch name {
-	case "LHMM":
-		m, err := s.LHMM()
-		if err != nil {
-			return nil, err
-		}
-		return LHMMMethod("LHMM", m), nil
-	case "DeepMM", "TransformerMM", "DMM":
-		return s.SeqMethod(name)
-	default:
-		return s.HMMBaseline(name)
+		return nil, fmt.Errorf("eval: unknown method %q", name)
 	}
 }

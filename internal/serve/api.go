@@ -106,22 +106,13 @@ type MatchResponse struct {
 	DroppedPoints int `json:"dropped_points,omitempty"`
 }
 
-// DebugMatchResponse is the body of POST /v1/match?debug=1 (and of
-// lhmm match -json -trace): the normal response plus the per-request
-// MatchTrace — per-point candidate counts and score stats, Viterbi
-// breaks, and stage wall-clock. Embedding MatchResponse keeps the
-// leading fields byte-identical to the non-debug encoding; the trace
-// block is strictly appended.
-type DebugMatchResponse struct {
-	MatchResponse
-	Trace *obs.MatchTrace `json:"trace,omitempty"`
-}
-
-// ExplainMatchResponse is the body of POST /v1/match?explain=1 (and of
-// lhmm match -json -explain): the normal response plus the
-// per-decision Explain artifact, and the trace too when both flags are
-// set. Like DebugMatchResponse, the extra blocks are strictly appended
-// after the embedded MatchResponse fields.
+// ExplainMatchResponse is the body of POST /v1/match with ?debug=1
+// and/or ?explain=1 (and of lhmm match -json -trace/-explain): the
+// normal response plus the per-request MatchTrace (per-point candidate
+// counts and score stats, Viterbi breaks, stage wall-clock) and the
+// per-decision Explain artifact, each present only when asked for.
+// Embedding MatchResponse keeps the leading fields byte-identical to
+// the plain encoding; the extra blocks are strictly appended.
 type ExplainMatchResponse struct {
 	MatchResponse
 	Trace   *obs.MatchTrace `json:"trace,omitempty"`

@@ -123,7 +123,7 @@ func TestDebugMatchTrace(t *testing.T) {
 		t.Fatalf("debug match: %d: %s", resp.StatusCode, debug)
 	}
 
-	var dres DebugMatchResponse
+	var dres ExplainMatchResponse
 	if err := json.Unmarshal(debug, &dres); err != nil {
 		t.Fatal(err)
 	}

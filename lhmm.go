@@ -27,8 +27,6 @@
 package lhmm
 
 import (
-	"math/rand"
-
 	"repro/internal/baselines"
 	"repro/internal/cellular"
 	"repro/internal/core"
@@ -156,11 +154,6 @@ type (
 	Summary = metrics.Summary
 	// Method is any map-matching algorithm under evaluation.
 	Method = baselines.Method
-	// Suite materializes one city's experiments (datasets + trained
-	// models) lazily.
-	Suite = eval.Suite
-	// SuiteConfig sizes a Suite.
-	SuiteConfig = eval.SuiteConfig
 	// DatasetConfig drives the synthetic dataset generator.
 	DatasetConfig = synth.DatasetConfig
 	// CityConfig drives the synthetic road-network generator.
@@ -238,42 +231,17 @@ func Evaluate(ds *Dataset, m Method, trips []*Trip, corridor float64) Summary {
 // AsMethod adapts a trained model to the evaluation Method interface.
 func AsMethod(name string, m *Model) Method { return eval.LHMMMethod(name, m) }
 
-// NewSuite creates a lazy experiment suite.
-func NewSuite(cfg SuiteConfig) *Suite { return eval.NewSuite(cfg) }
-
-// DefaultSuite sizes a suite for one of the dataset presets
-// ("hangzhou" or "xiamen").
-func DefaultSuite(preset string, scale float64, trips int) SuiteConfig {
-	return eval.DefaultSuite(preset, scale, trips)
-}
-
-// RunExperiment regenerates one of the paper's tables or figures by id
-// (table1..table3, fig7a..fig11) and returns the rendered text.
-func RunExperiment(id string, primary, secondary *Suite) (string, error) {
-	return eval.RunExperiment(id, primary, secondary)
-}
-
 // NewRouter builds a shortest-path router over a network.
 func NewRouter(net *Network, opts ...roadnet.RouterOption) *Router {
 	return roadnet.NewRouter(net, opts...)
 }
 
 // ClassicalMatcher builds the classical distance-probability HMM
-// matcher (Eqs. 2–3) — the non-learned reference point.
+// matcher (Eqs. 2–3) — the non-learned reference point. A zero k,
+// sigma or beta takes the baselines' default (45, 450 m, 500 m).
 func ClassicalMatcher(net *Network, router *Router, k int, sigma, beta float64) Method {
-	return baselines.NewHMMMethod("HMM", &hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: sigma},
-		Trans:  &hmm.ExponentialTransition{Router: router, Beta: beta},
-		Cfg:    hmm.Config{K: k},
-	})
+	return baselines.NewClassical(net, router, baselines.CommonConfig{K: k, Sigma: sigma, Beta: beta})
 }
-
-// RandSource returns a deterministic rand.Rand for the given seed —
-// every generator in the library takes one of these, keeping all
-// synthetic data reproducible.
-func RandSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // StreamMatcher is the online fixed-lag matcher: push points as they
 // arrive and receive finalized matches Lag points behind real time.
@@ -298,35 +266,9 @@ func InspectSessionSnapshot(data []byte) (*SessionSnapshotInfo, error) {
 
 // NewClassicalStream builds a streaming matcher over the classical
 // distance-probability models with the given emission lag (the
-// non-learned counterpart of (*Model).NewStream).
+// non-learned counterpart of (*Model).NewStream). Zero arguments take
+// the defaults ClassicalMatcher's do.
 func NewClassicalStream(net *Network, router *Router, k, lag int, sigma, beta float64) *StreamMatcher {
-	return hmm.NewStreamMatcher(&hmm.Matcher{
-		Net:    net,
-		Router: router,
-		Obs:    &hmm.GaussianObservation{Net: net, Sigma: sigma},
-		Trans:  &hmm.ExponentialTransition{Router: router, Beta: beta},
-		Cfg:    hmm.Config{K: k},
-	}, lag)
-}
-
-// KalmanConfig parameterizes the optional constant-velocity Kalman
-// smoother.
-type KalmanConfig = traj.KalmanConfig
-
-// KalmanFilter smooths a cellular trajectory with a constant-velocity
-// Kalman filter — an alternative to the α-trimmed mean smoothing of
-// the default preprocessing chain.
-func KalmanFilter(ct CellTrajectory, cfg KalmanConfig) CellTrajectory {
-	return traj.KalmanFilter(ct, cfg)
-}
-
-// DiscreteFrechet computes the discrete Fréchet distance between two
-// polylines — an additional curve-similarity metric for comparing
-// matched paths with ground truth.
-func DiscreteFrechet(a, b Polyline) float64 { return metrics.DiscreteFrechet(a, b) }
-
-// NewGeometricMatcher builds the classical nearest-road geometric
-// matcher — the no-noise-model lower-bound reference.
-func NewGeometricMatcher(net *Network, router *Router) Method {
-	return baselines.NewGeometric(net, router)
+	cfg := baselines.CommonConfig{K: k, Sigma: sigma, Beta: beta}
+	return hmm.NewStreamMatcher(baselines.NewMatcher(net, router, cfg, 0, nil, nil), lag)
 }

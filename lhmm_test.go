@@ -2,7 +2,6 @@ package lhmm
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
@@ -113,25 +112,6 @@ func TestPublicAPIPresets(t *testing.T) {
 	}
 }
 
-func TestRunExperimentUnknown(t *testing.T) {
-	s := NewSuite(DefaultSuite("xiamen", 0.02, 10))
-	if _, err := RunExperiment("bogus", s, nil); err == nil {
-		t.Error("unknown experiment did not error")
-	}
-}
-
-func TestRandSourceDeterminism(t *testing.T) {
-	a, b := RandSource(5), RandSource(5)
-	for i := 0; i < 10; i++ {
-		if a.Float64() != b.Float64() {
-			t.Fatal("RandSource not deterministic")
-		}
-	}
-	if math.IsNaN(RandSource(1).Float64()) {
-		t.Fatal("bad rand")
-	}
-}
-
 func TestPublicStreamingAPI(t *testing.T) {
 	ds := tinyDataset(t)
 	router := NewRouter(ds.Net)
@@ -151,26 +131,5 @@ func TestPublicStreamingAPI(t *testing.T) {
 	}
 	if len(sm.Path()) == 0 {
 		t.Error("empty stream path")
-	}
-}
-
-func TestPublicKalmanAndFrechet(t *testing.T) {
-	ds := tinyDataset(t)
-	trip := ds.TestTrips()[0]
-	smoothed := KalmanFilter(trip.Cell, KalmanConfig{ProcessNoise: 1, MeasurementNoise: 300})
-	if len(smoothed) != len(trip.Cell) {
-		t.Fatalf("Kalman changed length")
-	}
-	d := DiscreteFrechet(smoothed.Positions(), trip.PathGeom)
-	if d <= 0 {
-		t.Errorf("Frechet distance = %v", d)
-	}
-	geom := NewGeometricMatcher(ds.Net, NewRouter(ds.Net))
-	out, err := geom.Match(trip.Cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Path) == 0 {
-		t.Error("geometric matcher empty path")
 	}
 }
