@@ -186,23 +186,31 @@ func softmaxP1(l0, l1 float64) float64 {
 // the per-segment table and query score frozen by RefreshEmbeddings,
 // the trajectory's transVal, a softmax over the n keys and n·d
 // multiply-adds — no d×h query projection and no 2d×d product per
-// segment — read out of one d-sized scratch row by
-// nn.Linear.ApplyReLU2. Only the association of the first-layer sum
-// differs from TransMLP.Apply over explicit [segEmb ; TransAtt read-out]
-// rows. The keys must be current (ensureKeys); ws is not Reset.
+// segment. Four segments at a time, the weights go into a 4×n block and
+// the table rows into a 4×d block, nn.MatMulAddInto adds the weights
+// times transVal to the table rows, and nn.Linear.ApplyReLU2Rows reads
+// the block out; no segments×d matrix exists. Only the association of
+// the first-layer sum differs from TransMLP.Apply over explicit
+// [segEmb ; TransAtt read-out] rows. The keys must be current
+// (ensureKeys); ws is not Reset.
 func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs []float64) {
 	m, d, n := s.m, s.m.Cfg.Dim, s.keysN
-	w := ws.TakeVec(n)
-	hid := ws.TakeVec(d)
-	for r, sid := range segs {
-		s.keys.WeightsInto(w, m.transQ[sid])
-		copy(hid, m.transSeg.Row(int(sid)))
-		for i, wi := range w {
-			for j, v := range s.transVal[i*d : (i+1)*d] {
-				hid[j] += wi * v
-			}
+	w := ws.Take(4, n)
+	hid := ws.Take(4, d)
+	logits := ws.TakeVec(8)
+	val := &nn.Mat{R: n, C: d, W: s.transVal[:n*d]}
+	for r0 := 0; r0 < len(segs); r0 += 4 {
+		block := segs[r0:min(r0+4, len(segs))]
+		for r, sid := range block {
+			s.keys.WeightsInto(w.Row(r), m.transQ[sid])
+			copy(hid.Row(r), m.transSeg.Row(int(sid)))
 		}
-		probs[r] = softmaxP1(m.TransMLP.Layers[1].ApplyReLU2(hid))
+		h := hid.Rows(0, len(block))
+		nn.MatMulAddInto(h, w.Rows(0, len(block)), val)
+		m.TransMLP.Layers[1].ApplyReLU2Rows(logits, h)
+		for r := range block {
+			probs[r0+r] = softmaxP1(logits[2*r], logits[2*r+1])
+		}
 	}
 }
 

@@ -52,11 +52,13 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 		}
 	}
 	var z float64
-	for _, v := range scores {
-		z += math.Exp(v - mx)
+	for j, v := range scores {
+		e := math.Exp(v - mx)
+		cands[j].Obs = e
+		z += e
 	}
 	for j := range cands {
-		cands[j].Obs = math.Exp(scores[j]-mx) / z
+		cands[j].Obs /= z
 	}
 	if k >= len(cands) {
 		sort.Slice(cands, func(a, b int) bool { return cands[a].Obs > cands[b].Obs })
@@ -68,7 +70,13 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 		byDist[i] = i
 	}
 	sort.Slice(byDist, func(a, b int) bool { return cands[byDist[a]].Dist < cands[byDist[b]].Dist })
-	guaranteed := make(map[int]bool, k/3+1)
+	// A stack array holds the marks of any pool up to its size (the
+	// default configuration's pools are at most 4k = 120 roads).
+	var marks [256]bool
+	guaranteed := marks[:]
+	if len(cands) > len(marks) {
+		guaranteed = make([]bool, len(cands))
+	}
 	for _, idx := range byDist[:k/3+1] {
 		guaranteed[idx] = true
 	}
@@ -101,10 +109,10 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 // the hidden row is ReLU(obsSeg[s] + ctxHalf), where obsSeg is the
 // per-segment table frozen by RefreshEmbeddings and ctxHalf is the
 // point's ctx_i·W1_ctx (Model.obsCtxInto) — d adds per pool row in
-// place of a 2d×d product, read out by nn.Linear.ApplyReLU2 from one
-// d-sized scratch row, so no pool×d hidden matrix exists. Only the
-// association of the first-layer sum differs from ObsMLP.Apply over
-// explicit [segEmb ; ctx] rows.
+// place of a 2d×d product. Four candidates' rows at a time are built in
+// a 4×d scratch block and read out by nn.Linear.ApplyReLU2Rows, so no
+// pool×d hidden matrix exists. Only the association of the first-layer
+// sum differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
 func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Candidate, imp []float64) {
 	if m.Cfg.DisableImplicitObs {
 		for j := range imp {
@@ -112,12 +120,21 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 		}
 		return
 	}
-	hid := ws.TakeVec(m.Cfg.Dim)
-	for j := range cands {
-		for k, v := range m.obsSeg.Row(int(cands[j].Seg)) {
-			hid[k] = v + ctxHalf[k]
+	d := m.Cfg.Dim
+	hid := ws.Take(4, d)
+	logits := ws.TakeVec(8)
+	for j0 := 0; j0 < len(cands); j0 += 4 {
+		block := cands[j0:min(j0+4, len(cands))]
+		for r, c := range block {
+			row := hid.Row(r)
+			for k, v := range m.obsSeg.Row(int(c.Seg)) {
+				row[k] = v + ctxHalf[k]
+			}
 		}
-		imp[j] = softmaxP1(m.ObsMLP.Layers[1].ApplyReLU2(hid))
+		m.ObsMLP.Layers[1].ApplyReLU2Rows(logits, hid.Rows(0, len(block)))
+		for r := range block {
+			imp[j0+r] = softmaxP1(logits[2*r], logits[2*r+1])
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ func SetMatMulWorkers(n int) int {
 	return int(matmulWorkers.Swap(int64(n)))
 }
 
-// SetMatMulPortable keeps every product on the portable matMulRows
-// when on, instead of the AVX2 kernel where useKernel allows it, and
-// returns the previous setting.
+// SetMatMulPortable keeps every product on the portable matMulRows or
+// matMulAddRows, and every two-logit read-out on ApplyReLU2, when on,
+// instead of the AVX2 kernels where their gates allow them, and returns
+// the previous setting.
 func SetMatMulPortable(on bool) bool { return matmulPortable.Swap(on) }

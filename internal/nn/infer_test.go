@@ -80,18 +80,15 @@ func TestAttKeysReadOutMatchesForward(t *testing.T) {
 	}
 }
 
-// TestApplyReLU2BitEqual: the fused two-logit read-out is the ReLU pass
-// followed by Linear.ApplyInto, bit for bit — on ordinary rows, rows
-// with exact zeros and negative zeros (units matMulRows skips), rows
-// with no positive unit (the sums stay at +0 and the bias comes out
-// alone) and a row with a NaN, which must reach both logits.
-func TestApplyReLU2BitEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	const d = 37
-	l := NewLinear("out", d, 2, rng)
-	l.B.W.W[0], l.B.W.W[1] = 0.25, -1.5
+// hiddenRows fills an r×d matrix of pre-activation hidden rows with the
+// values that decide the read-out's exactness: exact zeros and negative
+// zeros (units matMulRows skips), and as rows 0–3 a row with no positive
+// unit (the sums stay at +0 and the bias comes out alone), an all-zero
+// row, a row with a NaN, which must reach both logits, and a row with
+// +Inf and −Inf.
+func hiddenRows(rng *rand.Rand, r, d int) *Mat {
 	negZero := math.Copysign(0, -1)
-	rows := NewMat(64, d)
+	rows := NewMat(r, d)
 	for i := 0; i < rows.R; i++ {
 		row := rows.Row(i)
 		for k := range row {
@@ -116,6 +113,17 @@ func TestApplyReLU2BitEqual(t *testing.T) {
 			row[0], row[d-1] = math.Inf(1), math.Inf(-1)
 		}
 	}
+	return rows
+}
+
+// TestApplyReLU2BitEqual: the fused two-logit read-out is the ReLU pass
+// followed by Linear.ApplyInto, bit for bit, on hiddenRows' rows.
+func TestApplyReLU2BitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	const d = 37
+	l := NewLinear("out", d, 2, rng)
+	l.B.W.W[0], l.B.W.W[1] = 0.25, -1.5
+	rows := hiddenRows(rng, 64, d)
 	hid := rows.Clone()
 	applyActInPlace(ActReLU, hid)
 	want := NewMat(rows.R, 2)
@@ -129,5 +137,78 @@ func TestApplyReLU2BitEqual(t *testing.T) {
 	}
 	if g0, g1 := l.ApplyReLU2(rows.Row(2)); !math.IsNaN(g0) || !math.IsNaN(g1) {
 		t.Fatalf("NaN unit did not reach both logits: (%v, %v)", g0, g1)
+	}
+}
+
+// TestApplyReLU2RowsBitEqual holds the many-row read-out to ApplyReLU2
+// row by row with bitwise equality, on both paths: 1–9 rows (whole
+// blocks of four and tails) taken from hiddenRows' special rows and from
+// ordinary ones, widths 4, 36, 37 and 128, and weights that are finite
+// or hold a NaN, +Inf or −Inf. On an AVX2 host the kernel must run
+// exactly where its gate admits it: four rows or more, a width that is
+// a multiple of 4, finite weights.
+func TestApplyReLU2RowsBitEqual(t *testing.T) {
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(36))
+		for _, d := range []int{4, 36, 37, 128} {
+			for _, special := range []float64{0, hwNaN, math.Inf(1), math.Inf(-1)} {
+				l := NewLinear("out", d, 2, rng)
+				l.B.W.W[0], l.B.W.W[1] = 0.25, -1.5
+				if special != 0 {
+					l.W.W.W[rng.Intn(2*d)] = special
+				}
+				all := hiddenRows(rng, 13, d)
+				for n := 1; n <= 9; n++ {
+					for _, lo := range []int{0, all.R - n} { // special rows first, then ordinary ones
+						h := all.Rows(lo, lo+n)
+						got := make([]float64, 2*n)
+						before := reluKernelCalls.Load()
+						l.ApplyReLU2Rows(got, h)
+						for r := 0; r < n; r++ {
+							w0, w1 := l.ApplyReLU2(h.Row(r))
+							if math.Float64bits(got[2*r]) != math.Float64bits(w0) || math.Float64bits(got[2*r+1]) != math.Float64bits(w1) {
+								t.Fatalf("d %d, W special %v, rows [%d, %d), row %d: (%v, %v), ApplyReLU2 (%v, %v)",
+									d, special, lo, lo+n, r, got[2*r], got[2*r+1], w0, w1)
+							}
+						}
+						runs := int64(0)
+						if haveAVX2 && !portable && n >= 4 && d%4 == 0 && special == 0 {
+							runs = 1
+						}
+						if ran := reluKernelCalls.Load() - before; ran != runs {
+							t.Fatalf("d %d, W special %v, %d rows: the AVX2 read-out ran %d times, want %d", d, special, n, ran, runs)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkApplyReLU2Rows times the read-out of a 120-row pool at the
+// repository benchmark's dimension, 128 hidden units, in blocks of four
+// rows as the Eq. 7 caller makes them, on the portable path and the AVX2
+// kernel.
+func BenchmarkApplyReLU2Rows(b *testing.B) {
+	defer SetMatMulPortable(SetMatMulPortable(false))
+	for _, kernel := range []string{"portable", "avx2"} {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			if kernel == "avx2" && !haveAVX2 {
+				b.Skip("no AVX2")
+			}
+			SetMatMulPortable(kernel == "portable")
+			rng := rand.New(rand.NewSource(37))
+			const d = 128
+			l := NewLinear("out", d, 2, rng)
+			h := oracleMat(rng, 120, d, 0, false)
+			dst := make([]float64, 2*h.R)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < h.R; r += 4 {
+					l.ApplyReLU2Rows(dst[2*r:], h.Rows(r, r+4))
+				}
+			}
+		})
 	}
 }

@@ -143,12 +143,15 @@ func init() { matmulWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 // products and the per-model table builds do.
 const matmulParallelMinFlops = 1 << 22
 
-// matmulPortable keeps every product on matMulRows, the portable
-// path, when set (SetMatMulPortable, export_test.go); kernelProducts
-// counts the products kernel4x8 computed, so the tests can show it ran.
+// matmulPortable keeps every product and two-logit read-out on its
+// portable path when set (SetMatMulPortable, export_test.go);
+// kernelProducts counts the products kernel4x8 computed and
+// reluKernelCalls the ApplyReLU2Rows calls reluRead2x4 served, so the
+// tests can show the kernels ran.
 var (
-	matmulPortable atomic.Bool
-	kernelProducts atomic.Int64
+	matmulPortable  atomic.Bool
+	kernelProducts  atomic.Int64
+	reluKernelCalls atomic.Int64
 )
 
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be
@@ -194,9 +197,43 @@ func MatMulInto(dst, a, b *Mat) {
 // of four when kernel is set, the rest with matMulRows.
 func mulRows(dst, a, b *Mat, lo, hi int, kernel bool) {
 	if kernel {
-		lo = kernelRows(dst, a, b, lo, hi)
+		lo = kernelRows(dst, a, b, lo, hi, false)
 	}
 	matMulRows(dst, a, b, lo, hi)
+}
+
+// MatMulAddInto computes dst += a·b: each element continues from its own
+// value in dst and adds a[i][k]·b[k][j] over k ascending, with no skip of
+// a zero multiplier. Shapes must agree. On amd64 with AVX2, b's with a
+// multiple of 8 columns go through kernel4x8 for each block of four rows
+// (it loads the tile from dst instead of zeroing it), and matMulAddRows
+// computes the rest. Neither path skips anything, so they are
+// bit-identical for any a and b, NaN and ±Inf included. Always
+// sequential: its callers add small blocks.
+func MatMulAddInto(dst, a, b *Mat) {
+	if a.C != b.R || dst.R != a.R || dst.C != b.C {
+		panic(fmt.Sprintf("nn: MatMulAddInto: %d×%d · %d×%d -> %d×%d", a.R, a.C, b.R, b.C, dst.R, dst.C))
+	}
+	lo := 0
+	if kernelShape(a, b) {
+		kernelProducts.Add(1)
+		lo = kernelRows(dst, a, b, 0, a.R, true)
+	}
+	matMulAddRows(dst, a, b, lo, a.R)
+}
+
+// matMulAddRows adds a·b to dst rows [lo, hi), one row at a time:
+// d[j] += a[i][k]·b[k][j] over k ascending.
+func matMulAddRows(dst, a, b *Mat, lo, hi int) {
+	n, kn := b.C, a.C
+	for i := lo; i < hi; i++ {
+		dr := dst.W[i*n : (i+1)*n]
+		for k, av := range a.W[i*kn : (i+1)*kn] {
+			for j, bv := range b.W[k*n : (k+1)*n][:len(dr)] {
+				dr[j] += av * bv
+			}
+		}
+	}
 }
 
 // matMulRows computes dst rows [lo, hi) of a·b, four rows per pass over

@@ -28,34 +28,65 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func finiteAVX2(x []float64) bool
 
-// kernel4x8 computes the 4×n block d = a·b, a 4×kn and b kn×n, for n a
-// positive multiple of 8 and kn ≥ 1.
+// kernel4x8 computes the 4×n block d = a·b, or d += a·b when acc is
+// set, a 4×kn and b kn×n, for n a positive multiple of 8 and kn ≥ 1.
 //
 //go:noescape
-func kernel4x8(d, a, b []float64, kn, n int)
+func kernel4x8(d, a, b []float64, kn, n int, acc bool)
 
-// useKernel reports whether MatMulInto may compute a·b with kernel4x8:
-// AVX2, at least one block of four rows, whole 8-column tiles, and a
-// finite b. The kernel has no per-(row, k) skip: it adds a[i][k]·b[k][j]
-// for a zero a[i][k] too, where matMulRows adds nothing. With b finite
-// that product is ±0, and an accumulator that starts at +0 is never −0
-// (under round-to-nearest x + y is −0 only when both are), so adding it
-// changes nothing and the sums are bit-equal. A NaN or ±Inf in b would
-// make 0·b NaN, so such a b stays on matMulRows; NaN and ±Inf in a take
-// the kernel, since neither path skips them.
-func useKernel(a, b *Mat) bool {
-	if !haveAVX2 || matmulPortable.Load() || a.R < 4 || a.C < 1 || b.C < 8 || b.C%8 != 0 {
-		return false
-	}
-	return finiteAVX2(b.W) // len(b.W) is a multiple of 8
+// reluRead2x4 sets dst[2r], dst[2r+1] to ReLU(h[r])·w + b for the four
+// rows of h (4×kn, kn a positive multiple of 4), w kn×2 and b the two
+// biases.
+//
+//go:noescape
+func reluRead2x4(dst, h, w, b []float64, kn int)
+
+// kernelShape reports whether kernel4x8 can compute a·b: AVX2, at least
+// one block of four rows, and whole 8-column tiles.
+func kernelShape(a, b *Mat) bool {
+	return haveAVX2 && !matmulPortable.Load() && a.R >= 4 && a.C >= 1 && b.C >= 8 && b.C%8 == 0
 }
 
-// kernelRows computes dst rows [lo, hi) of a·b in blocks of four with
-// kernel4x8 and returns the first row it left for matMulRows.
-func kernelRows(dst, a, b *Mat, lo, hi int) int {
+// useKernel reports whether MatMulInto may compute a·b with kernel4x8:
+// the shape kernelShape admits, and a finite b. The kernel has no
+// per-(row, k) skip: it adds a[i][k]·b[k][j] for a zero a[i][k] too,
+// where matMulRows adds nothing. With b finite that product is ±0, and
+// an accumulator that starts at +0 is never −0 (under round-to-nearest
+// x + y is −0 only when both are), so adding it changes nothing and the
+// sums are bit-equal. A NaN or ±Inf in b would make 0·b NaN, so such a
+// b stays on matMulRows; NaN and ±Inf in a take the kernel, since
+// neither path skips them. MatMulAddInto skips nothing on either path,
+// so it needs the shape alone.
+func useKernel(a, b *Mat) bool {
+	return kernelShape(a, b) && finiteAVX2(b.W) // len(b.W) is a multiple of 8
+}
+
+// kernelRows computes dst rows [lo, hi) of a·b, or adds a·b to them
+// when acc is set, in blocks of four with kernel4x8 and returns the
+// first row it left for the portable loop.
+func kernelRows(dst, a, b *Mat, lo, hi int, acc bool) int {
 	n, kn := b.C, a.C
 	for ; lo+4 <= hi; lo += 4 {
-		kernel4x8(dst.W[lo*n:(lo+4)*n], a.W[lo*kn:(lo+4)*kn], b.W[:kn*n], kn, n)
+		kernel4x8(dst.W[lo*n:(lo+4)*n], a.W[lo*kn:(lo+4)*kn], b.W[:kn*n], kn, n, acc)
 	}
 	return lo
+}
+
+// reluRows sets dst[2r], dst[2r+1] to ReLU(h[r])·w + b with reluRead2x4
+// for every whole block of four rows of h, and returns the first row it
+// left for ApplyReLU2; it leaves every row when the CPU lacks AVX2, h.C
+// is not a positive multiple of 4 or w is not all finite. ApplyReLU2
+// skips a unit v <= 0; the kernel's ReLU turns it into +0 or −0 and adds
+// its ±0 product, which with w finite changes nothing (useKernel's
+// argument: the sums start at +0 and are never −0).
+func reluRows(dst []float64, h *Mat, w, b []float64) int {
+	if !haveAVX2 || matmulPortable.Load() || h.R < 4 || h.C < 4 || h.C%4 != 0 || !finiteAVX2(w) {
+		return 0 // len(w) = 2·h.C, a multiple of 8
+	}
+	reluKernelCalls.Add(1)
+	kn, r := h.C, 0
+	for ; r+4 <= h.R; r += 4 {
+		reluRead2x4(dst[2*r:2*r+8], h.W[r*kn:(r+4)*kn], w, b, kn)
+	}
+	return r
 }

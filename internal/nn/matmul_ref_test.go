@@ -153,6 +153,57 @@ func TestMatMulRowsMatchesRef(t *testing.T) {
 	})
 }
 
+// refMatMulAddRows is the Eq. 10 accumulation MatMulAddInto replaced,
+// kept verbatim as its oracle: per row, hid[j] += w_i·v over the keys i
+// ascending, with no skip.
+func refMatMulAddRows(dst, a, b *Mat) {
+	d := b.C
+	for r := 0; r < a.R; r++ {
+		hid := dst.Row(r)
+		for i, wi := range a.Row(r) {
+			for j, v := range b.W[i*d : (i+1)*d] {
+				hid[j] += wi * v
+			}
+		}
+	}
+}
+
+// TestMatMulAddIntoMatchesAxpy holds both MatMulAddInto paths to the
+// accumulation loop with bitwise equality: a dst that starts with −0,
+// NaN and ±Inf, zero and NaN multipliers, NaN and ±Inf in b, rows 1–9,
+// and b.C of 8, 12 and 128. Nothing is skipped on either path, so on an
+// AVX2 host the kernel must run for every product of four rows or more
+// with a multiple of 8 columns, specials included.
+func TestMatMulAddIntoMatchesAxpy(t *testing.T) {
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(38))
+		for _, c := range []int{8, 12, 128} {
+			for rows := 1; rows <= 9; rows++ {
+				for _, kn := range []int{1, 7, 40} {
+					for _, special := range []bool{false, true} {
+						a := oracleMat(rng, rows, kn, 0.3, special)
+						b := oracleMat(rng, kn, c, 0.3, special)
+						got := oracleMat(rng, rows, c, 0.3, special)
+						want := got.Clone()
+						before := kernelProducts.Load()
+						MatMulAddInto(got, a, b)
+						refMatMulAddRows(want, a, b)
+						what := fmt.Sprintf("%d×%d · %d×%d, specials %v", rows, kn, kn, c, special)
+						sameBits(t, what, got, want)
+						runs := int64(0)
+						if haveAVX2 && !portable && rows >= 4 && c%8 == 0 {
+							runs = 1
+						}
+						if ran := kernelProducts.Load() - before; ran != runs {
+							t.Fatalf("%s: the AVX2 kernel ran %d times, want %d", what, ran, runs)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // oracleGrad builds a gradient for an r×c product output: kind picks
 // all-zero, one non-zero row, about 5% of rows, or dense; zero rows are
 // +0 or −0 at random.
@@ -292,6 +343,32 @@ func BenchmarkEncoderProduct(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMatMulAddInto times the Eq. 10 accumulation of one block of
+// four segments over a 50-point trajectory at dimension 128 (4×50 ·
+// 50×128 added to the segments' table rows), on the portable path and
+// the AVX2 kernel.
+func BenchmarkMatMulAddInto(b *testing.B) {
+	defer SetMatMulPortable(SetMatMulPortable(false))
+	for _, kernel := range []string{"portable", "avx2"} {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			if kernel == "avx2" && !haveAVX2 {
+				b.Skip("no AVX2")
+			}
+			SetMatMulPortable(kernel == "portable")
+			rng := rand.New(rand.NewSource(39))
+			w, val := oracleMat(rng, 4, 50, 0, false), oracleMat(rng, 50, 128, 0, false)
+			seg := oracleMat(rng, 4, 128, 0, false)
+			hid := NewMat(4, 128)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(hid.W, seg.W)
+				MatMulAddInto(hid, w, val)
+			}
+		})
 	}
 }
 
