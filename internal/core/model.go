@@ -196,8 +196,14 @@ func (m *Model) segEmb(id roadnet.SegmentID) []float64 {
 // explicit feature of Eq. 8 (σ = the calibrated mean positive-road
 // distance).
 func (m *Model) gaussDist(d float64) float64 {
+	return math.Exp(m.gaussArg(d))
+}
+
+// gaussArg is gaussDist's exponent, −z²/2 with z = d/σ; the pool scoring
+// batches it into one nn.ExpInto call.
+func (m *Model) gaussArg(d float64) float64 {
 	z := d / m.distScale.W.W[0]
-	return math.Exp(-0.5 * z * z)
+	return -0.5 * z * z
 }
 
 // Save writes all model weights.

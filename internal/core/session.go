@@ -63,9 +63,9 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // one pool-sized batch (Model.obsScoreBatchCtx; a shortcut
 // pseudo-candidate on a road outside the point's layer is a one-row
 // call into the same kernel), and each Viterbi step's k×k transition
-// fan-out is folded down shortest-path trees and fused through the
-// Eq. 12 MLP in a single product (see ScoreBatch). Eq. 11–12 have that
-// one implementation: a pseudo-candidate pair is a one-pair ScoreBatch
+// fan-out is folded down shortest-path trees and read out of the
+// Eq. 12 head in one nn.MLP.Logits2Into call (see ScoreBatch). Eq. 11–12
+// have that one implementation: a pseudo-candidate pair is a one-pair ScoreBatch
 // (transAdapter.Score), and phase-2 training reads its feature rows from
 // one-pair calls to the feature passes (foldFeatures). The
 // route-materialising TransScore they replaced is the test oracle
@@ -171,6 +171,34 @@ func softmaxP1(l0, l1 float64) float64 {
 	return e1 / (e0 + e1)
 }
 
+// softmaxP1Into sets dst[r] to softmaxP1(logits[2r], logits[2r+1]) for
+// every r, bit for bit, with one exponential per row and all of them in
+// one nn.ExpInto call. softmaxP1 takes math.Exp of each logit minus the
+// larger one mx, and for a finite mx, math.Exp(mx−mx) is exactly 1: the
+// row is 1/(e0+1) when l1 > l0 and e1/(1+e1) otherwise, e0 and e1 the
+// same exponentials of the same differences. A row with a non-finite
+// logit goes through softmaxP1 itself.
+func softmaxP1Into(dst, logits []float64) {
+	for r := range dst {
+		if l0, l1 := logits[2*r], logits[2*r+1]; l1 > l0 {
+			dst[r] = l0 - l1
+		} else {
+			dst[r] = l1 - l0
+		}
+	}
+	nn.ExpInto(dst, dst)
+	for r, e := range dst {
+		switch l0, l1 := logits[2*r], logits[2*r+1]; {
+		case !isFinite(l0) || !isFinite(l1):
+			dst[r] = softmaxP1(l0, l1)
+		case l1 > l0:
+			dst[r] = 1 / (e + 1)
+		default:
+			dst[r] = e / (1 + e)
+		}
+	}
+}
+
 // roadProbRows evaluates Eq. 10 for every segment of segs into probs:
 // the likelihood that the road belongs to this trajectory. It is the
 // only inference implementation of Eq. 9–10; the step fill scores here
@@ -189,15 +217,16 @@ func softmaxP1(l0, l1 float64) float64 {
 // segment. Four segments at a time, the weights go into a 4×n block and
 // the table rows into a 4×d block, nn.MatMulAddInto adds the weights
 // times transVal to the table rows, and nn.Linear.ApplyReLU2Rows reads
-// the block out; no segments×d matrix exists. Only the association of
-// the first-layer sum differs from TransMLP.Apply over explicit
-// [segEmb ; TransAtt read-out] rows. The keys must be current
+// the block's logits out; no segments×d matrix exists, and the softmax
+// of every segment's logits is one softmaxP1Into call. Only the
+// association of the first-layer sum differs from TransMLP.Apply over
+// explicit [segEmb ; TransAtt read-out] rows. The keys must be current
 // (ensureKeys); ws is not Reset.
 func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs []float64) {
 	m, d, n := s.m, s.m.Cfg.Dim, s.keysN
 	w := ws.Take(4, n)
 	hid := ws.Take(4, d)
-	logits := ws.TakeVec(8)
+	logits := ws.TakeVec(2 * len(segs))
 	val := &nn.Mat{R: n, C: d, W: s.transVal[:n*d]}
 	for r0 := 0; r0 < len(segs); r0 += 4 {
 		block := segs[r0:min(r0+4, len(segs))]
@@ -207,11 +236,9 @@ func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs
 		}
 		h := hid.Rows(0, len(block))
 		nn.MatMulAddInto(h, w.Rows(0, len(block)), val)
-		m.TransMLP.Layers[1].ApplyReLU2Rows(logits, h)
-		for r := range block {
-			probs[r0+r] = softmaxP1(logits[2*r], logits[2*r+1])
-		}
+		m.TransMLP.Layers[1].ApplyReLU2Rows(logits[2*r0:], h)
 	}
+	softmaxP1Into(probs[:len(segs)], logits)
 }
 
 // roadTable is the segment-indexed Eq. 10 cache (12 bytes per segment):
@@ -423,7 +450,10 @@ func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
 // The fold accumulates source→target, the order of the route itself, so
 // every row is bit-identical to the one walking the materialized route
 // gives. Two from-candidates ending at one node are folded separately:
-// their seeds differ, and sharing would re-associate the sums.
+// their seeds differ, and sharing would re-associate the sums. The
+// fold writes each reachable pair's two explicit-similarity exponents
+// into a 2·|pairs| vector, and one nn.ExpInto call turns them into the
+// rows' length and turn similarities.
 func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) *nn.Mat {
 	s.extend(ct)
 	s.ensureKeys()
@@ -432,6 +462,7 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 	nPairs := len(from) * nTo
 	straight := ct[i-1].P.Dist(ct[i].P)
 	feat := ws.Take(nPairs, 3)
+	sims := ws.TakeVec(2 * nPairs)
 
 	fs, _ := foldPool.Get().(*foldScratch)
 	if fs == nil || len(fs.acc) < net.NumNodes() {
@@ -558,6 +589,7 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 			row := feat.Row(p)
 			if math.IsNaN(out[p]) {
 				row[0], row[1], row[2] = 0, 0, 0
+				sims[2*p], sims[2*p+1] = 0, 0 // unread; finite keeps the block on the kernel
 				continue
 			}
 			var pB float64
@@ -579,7 +611,16 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 			if implicit {
 				row[0] = route.sum / float64(route.segs)
 			}
-			row[1], row[2] = explicitSims(straight, d, route.turn)
+			// Eq. 12's length and turn similarities are the exponentials
+			// of these.
+			sims[2*p], sims[2*p+1] = -math.Abs(straight-d)/500, -route.turn/math.Pi
+		}
+	}
+	nn.ExpInto(sims, sims)
+	for p := range nPairs {
+		if !math.IsNaN(out[p]) {
+			row := feat.Row(p)
+			row[1], row[2] = sims[2*p], sims[2*p+1]
 		}
 	}
 	return feat
@@ -587,7 +628,8 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
 // transition fan-out of one Viterbi step, its feature rows from
-// foldFeatures and Eq. 12 as one (k·k)×3 product through the fuse MLP.
+// foldFeatures, Eq. 12's logits from one nn.MLP.Logits2Into call over
+// the (k·k)×3 rows and its softmax from one softmaxP1Into call.
 // NaN in out is the unreachable sentinel of the batch protocol, so a
 // learned score that itself comes out non-finite (corrupt weights, a NaN
 // that slipped past load validation, fault injection) must be caught
@@ -599,15 +641,16 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	feat := s.foldFeatures(ws, ct, i, from, to, out)
-	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
-	g := s.m.transGamma.W.W[0]
 	nPairs := feat.R
-	for p := 0; p < nPairs; p++ {
+	logits := ws.TakeVec(2 * nPairs)
+	s.m.TransFuse.Logits2Into(ws, logits, feat)
+	probs := ws.TakeVec(nPairs)
+	softmaxP1Into(probs, logits)
+	g := s.m.transGamma.W.W[0]
+	for p, pr := range probs {
 		if math.IsNaN(out[p]) {
 			continue
 		}
-		lr := logits.Row(p)
-		pr := softmaxP1(lr[0], lr[1])
 		if g != 1 {
 			pr = math.Pow(pr, g)
 		}

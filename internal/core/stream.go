@@ -43,7 +43,8 @@ func poolCandidates(net *roadnet.Network, p geo.Point, pool []roadnet.SegmentID)
 // probability with the nearest third by geometric distance always
 // retained. It returns the chosen candidates in descending probability
 // order plus the pool's (max, normalizer) pair so later pseudo-
-// candidate scores stay on the same scale.
+// candidate scores stay on the same scale. The exponentials go through
+// one nn.ExpInto call in place, so scores is overwritten.
 func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate, float64, float64) {
 	mx := scores[0]
 	for _, v := range scores[1:] {
@@ -51,9 +52,12 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 			mx = v
 		}
 	}
-	var z float64
 	for j, v := range scores {
-		e := math.Exp(v - mx)
+		scores[j] = v - mx
+	}
+	nn.ExpInto(scores, scores)
+	var z float64
+	for j, e := range scores {
 		cands[j].Obs = e
 		z += e
 	}
@@ -111,8 +115,9 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 // point's ctx_i·W1_ctx (Model.obsCtxInto) — d adds per pool row in
 // place of a 2d×d product. Four candidates' rows at a time are built in
 // a 4×d scratch block and read out by nn.Linear.ApplyReLU2Rows, so no
-// pool×d hidden matrix exists. Only the association of the first-layer
-// sum differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
+// pool×d hidden matrix exists, and the pool's softmaxes are one
+// softmaxP1Into call. Only the association of the first-layer sum
+// differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
 func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Candidate, imp []float64) {
 	if m.Cfg.DisableImplicitObs {
 		for j := range imp {
@@ -122,7 +127,7 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 	}
 	d := m.Cfg.Dim
 	hid := ws.Take(4, d)
-	logits := ws.TakeVec(8)
+	logits := ws.TakeVec(2 * len(cands))
 	for j0 := 0; j0 < len(cands); j0 += 4 {
 		block := cands[j0:min(j0+4, len(cands))]
 		for r, c := range block {
@@ -131,11 +136,9 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 				row[k] = v + ctxHalf[k]
 			}
 		}
-		m.ObsMLP.Layers[1].ApplyReLU2Rows(logits, hid.Rows(0, len(block)))
-		for r := range block {
-			imp[j0+r] = softmaxP1(logits[2*r], logits[2*r+1])
-		}
+		m.ObsMLP.Layers[1].ApplyReLU2Rows(logits[2*j0:], hid.Rows(0, len(block)))
 	}
+	softmaxP1Into(imp[:len(cands)], logits)
 }
 
 // obsScoreBatchCtx fills scores with the fused Eq. 8 log-odds of every
@@ -145,41 +148,46 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 // batch-normalizes it; a Gaussian of the calibrated scale carries the
 // same information in a shape the small fuse MLP can use directly, so
 // the classical Eq. 2 behaviour is the learner's starting point rather
-// than something it must rediscover). Batch pools, streaming pushes and
-// one-row shortcut pseudo-candidates all score through here, so they
-// share one arithmetic order and are bit-equal by construction.
+// than something it must rediscover). The pool's Gaussians are one
+// nn.ExpInto call and its fuse logits one nn.MLP.Logits2Into call.
+// Batch pools, streaming pushes and one-row shortcut pseudo-candidates
+// all score through here, so they share one arithmetic order and are
+// bit-equal by construction.
 func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHalf []float64, cands []hmm.Candidate, scores []float64) {
 	p := len(cands)
 	imp := ws.TakeVec(p)
 	m.obsImplicit(ws, ctxHalf, cands, imp)
+	gauss := ws.TakeVec(p)
+	for j := range cands {
+		gauss[j] = m.gaussArg(cands[j].Dist)
+	}
+	nn.ExpInto(gauss, gauss)
 	fuse := ws.Take(p, 3)
 	for j := range cands {
 		row := fuse.Row(j)
 		row[0] = imp[j]
-		row[1] = m.gaussDist(cands[j].Dist)
+		row[1] = gauss[j]
 		row[2] = m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	logits := m.ObsFuse.ApplyWS(ws, fuse) // p×2
+	logits := ws.TakeVec(2 * p)
+	m.ObsFuse.Logits2Into(ws, logits, fuse)
 	for j := 0; j < p; j++ {
-		lr := logits.Row(j)
-		scores[j] = lr[1] - lr[0]
+		scores[j] = logits[2*j+1] - logits[2*j]
 	}
 	obsObsBatched.Add(int64(p))
-}
-
-// explicitSims maps a route's length and turn sum to the two explicit
-// Eq. 12 features; straight is the straight-line distance between the
-// step's points.
-func explicitSims(straight, dist, turn float64) (lenSim, turnSim float64) {
-	return math.Exp(-math.Abs(straight-dist) / 500), math.Exp(-turn / math.Pi)
 }
 
 // geoAngleDiff is the absolute difference of two bearings folded into
 // [0, π], the turn between consecutive route segments. Kept here instead
 // of geo.AngleDiff because the two round differently (this one reduces
 // with math.Mod), and every path digest is pinned to this arithmetic.
+// math.Mod(d, 2π) returns d itself for 0 ≤ d < 2π, so it is called only
+// when d is not below 2π (NaN and +Inf included).
 func geoAngleDiff(a, b float64) float64 {
-	d := math.Mod(math.Abs(a-b), 2*math.Pi)
+	d := math.Abs(a - b)
+	if !(d < 2*math.Pi) {
+		d = math.Mod(d, 2*math.Pi)
+	}
 	if d > math.Pi {
 		d = 2*math.Pi - d
 	}

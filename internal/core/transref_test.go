@@ -87,6 +87,14 @@ func (m *Model) fuseTrans(ws *nn.Workspace, f [3]float64) float64 {
 	return p
 }
 
+// explicitSims maps a route's length and turn sum to the two explicit
+// Eq. 12 features; straight is the straight-line distance between the
+// step's points. It is the scalar form foldFeatures batches through
+// nn.ExpInto.
+func explicitSims(straight, dist, turn float64) (lenSim, turnSim float64) {
+	return math.Exp(-math.Abs(straight-dist) / 500), math.Exp(-turn / math.Pi)
+}
+
 // routeSims computes the explicit Eq. 12 features of a route: length
 // similarity against the straight-line distance and turn similarity
 // over consecutive segment bearings.

@@ -13,7 +13,7 @@ func SetMatMulWorkers(n int) int {
 }
 
 // SetMatMulPortable keeps every product on the portable matMulRows or
-// matMulAddRows, and every two-logit read-out on ApplyReLU2, when on,
-// instead of the AVX2 kernels where their gates allow them, and returns
-// the previous setting.
+// matMulAddRows, every two-logit read-out on ApplyReLU2 and every ExpInto
+// value on math.Exp, when on, instead of the AVX2 kernels where their
+// gates allow them, and returns the previous setting.
 func SetMatMulPortable(on bool) bool { return matmulPortable.Swap(on) }

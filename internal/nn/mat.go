@@ -143,15 +143,17 @@ func init() { matmulWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
 // products and the per-model table builds do.
 const matmulParallelMinFlops = 1 << 22
 
-// matmulPortable keeps every product and two-logit read-out on its
-// portable path when set (SetMatMulPortable, export_test.go);
-// kernelProducts counts the products kernel4x8 computed and
-// reluKernelCalls the ApplyReLU2Rows calls reluRead2x4 served, so the
-// tests can show the kernels ran.
+// matmulPortable keeps every product, two-logit read-out and ExpInto on
+// its portable path when set (SetMatMulPortable, export_test.go);
+// kernelProducts counts the products kernel4x8 computed,
+// reluKernelCalls the ApplyReLU2Rows calls reluRead2x4 served and
+// expKernelBlocks the blocks of four values exp4 computed, so the tests
+// can show the kernels ran.
 var (
 	matmulPortable  atomic.Bool
 	kernelProducts  atomic.Int64
 	reluKernelCalls atomic.Int64
+	expKernelBlocks atomic.Int64
 )
 
 // MatMulInto computes dst = a·b. Shapes must agree; dst must be

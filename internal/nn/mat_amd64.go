@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers, read once with the package's own CPUID and XGETBV.
 var haveAVX2 = detectAVX2()
@@ -18,6 +20,12 @@ func detectAVX2() bool {
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
 }
+
+// haveFMA reports whether the CPU has FMA3 (CPUID.1:ECX bit 12). math's
+// amd64 Exp takes its FMA sequence when the CPU has AVX and FMA, which
+// haveAVX2 && haveFMA implies, so exp4 runs only where it is that
+// sequence's replay.
+var haveFMA = func() bool { _, _, ecx, _ := cpuid(1, 0); return ecx&(1<<12) != 0 }()
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -40,6 +48,13 @@ func kernel4x8(d, a, b []float64, kn, n int, acc bool)
 //
 //go:noescape
 func reluRead2x4(dst, h, w, b []float64, kn int)
+
+// exp4 sets dst[i] = math.Exp(src[i]) for the leading blocks of four
+// values of src up to the first block holding a value outside
+// [−700, 700] or a NaN, and returns how many values it wrote.
+//
+//go:noescape
+func exp4(dst, src []float64) int
 
 // kernelShape reports whether kernel4x8 can compute a·b: AVX2, at least
 // one block of four rows, and whole 8-column tiles.
@@ -89,4 +104,30 @@ func reluRows(dst []float64, h *Mat, w, b []float64) int {
 		reluRead2x4(dst[2*r:2*r+8], h.W[r*kn:(r+4)*kn], w, b, kn)
 	}
 	return r
+}
+
+// expRows sets dst[i] = math.Exp(src[i]) with exp4 for every whole block
+// of four values and returns len(src)&^3; it returns 0, leaving every
+// value to ExpInto's loop, when the CPU lacks AVX2 or FMA. A block exp4
+// refuses (a value outside [−700, 700] or a NaN, where math.Exp may
+// branch) is computed by math.Exp here and exp4 resumes after it.
+func expRows(dst, src []float64) int {
+	if !haveAVX2 || !haveFMA || matmulPortable.Load() {
+		return 0
+	}
+	n := len(src) &^ 3
+	dst, src = dst[:n], src[:n]
+	i, blocks := 0, 0
+	for i < n {
+		done := exp4(dst[i:], src[i:])
+		blocks += done / 4
+		i += done
+		for end := min(i+4, n); i < end; i++ {
+			dst[i] = math.Exp(src[i])
+		}
+	}
+	if blocks > 0 {
+		expKernelBlocks.Add(int64(blocks))
+	}
+	return n
 }

@@ -235,3 +235,109 @@ unit4:
 	VMOVUPD        Y9, 32(DI)
 	VZEROUPPER
 	RET
+
+// The constants of math's amd64 Exp (math/exp_amd64.s): the same decimal
+// literals, so the assembler rounds them to the same bits.
+DATA exp4data<>+0(SB)/8, $1.4426950408889634073599246810018920      // LOG2E
+DATA exp4data<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA exp4data<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA exp4data<>+24(SB)/8, $0.0625
+DATA exp4data<>+32(SB)/8, $2.4801587301587301587e-5
+DATA exp4data<>+40(SB)/8, $1.9841269841269841270e-4
+DATA exp4data<>+48(SB)/8, $1.3888888888888888889e-3
+DATA exp4data<>+56(SB)/8, $8.3333333333333333333e-3
+DATA exp4data<>+64(SB)/8, $4.1666666666666666667e-2
+DATA exp4data<>+72(SB)/8, $1.6666666666666666667e-1
+DATA exp4data<>+80(SB)/8, $0.5
+DATA exp4data<>+88(SB)/8, $1.0
+DATA exp4data<>+96(SB)/8, $2.0
+DATA exp4data<>+104(SB)/8, $700.0
+DATA exp4data<>+112(SB)/8, $0x7fffffffffffffff // |x| mask
+DATA exp4data<>+120(SB)/8, $1023                // exponent bias
+GLOBL exp4data<>(SB), RODATA|NOPTR, $128
+
+// func exp4(dst, src []float64) int
+//
+// Sets dst[i] = math.Exp(src[i]) for the leading blocks of four values
+// of src (len(src)&^3 of them), and stops before the first block holding
+// a value outside [−700, 700] or a NaN; it returns how many values it
+// wrote. Within that range math's amd64 Exp with FMA takes none of its
+// special-case branches, and each lane here replays its avxfma sequence
+// op for op: n = round(x·log2 e) with the MXCSR rounding (nearest, as
+// CVTSD2SL), x − n·LN2U and x − n·LN2L as two fused negated
+// multiply-adds, ×1/16, the FMA Horner chain of the Taylor series, four
+// x·(x+2) steps the last of them fused with the +1, and 2ⁿ built from
+// n + 1023 shifted into the exponent field and multiplied in.
+TEXT ·exp4(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	XORQ         AX, AX
+	SHRQ         $2, CX
+	JZ           done
+	VBROADCASTSD exp4data<>+0(SB), Y15  // LOG2E
+	VBROADCASTSD exp4data<>+8(SB), Y14  // LN2U
+	VBROADCASTSD exp4data<>+16(SB), Y13 // LN2L
+	VBROADCASTSD exp4data<>+24(SB), Y12 // 0.0625
+	VBROADCASTSD exp4data<>+88(SB), Y11 // 1.0
+	VBROADCASTSD exp4data<>+96(SB), Y10 // 2.0
+	VBROADCASTSD exp4data<>+104(SB), Y9 // 700
+	VBROADCASTSD exp4data<>+112(SB), Y8 // |x| mask
+	VBROADCASTSD exp4data<>+120(SB), Y7 // 1023
+
+block:
+	VMOVUPD    (SI), Y0
+	VANDPD     Y8, Y0, Y1
+	VCMPPD     $0x12, Y9, Y1, Y1 // |x| <= 700, ordered: false for NaN
+	VMOVMSKPD  Y1, DX
+	CMPQ       DX, $15
+	JNE        done
+
+	VMULPD       Y15, Y0, Y1
+	VCVTPD2DQY   Y1, X3      // n
+	VCVTDQ2PD    X3, Y1      // float64(n)
+	VFNMADD231PD Y14, Y1, Y0 // x −= n·LN2U
+	VFNMADD231PD Y13, Y1, Y0 // x −= n·LN2L
+	VMULPD       Y12, Y0, Y0
+
+	VBROADCASTSD exp4data<>+32(SB), Y2
+	VBROADCASTSD exp4data<>+40(SB), Y4
+	VFMADD213PD  Y4, Y0, Y2
+	VBROADCASTSD exp4data<>+48(SB), Y5
+	VFMADD213PD  Y5, Y0, Y2
+	VBROADCASTSD exp4data<>+56(SB), Y4
+	VFMADD213PD  Y4, Y0, Y2
+	VBROADCASTSD exp4data<>+64(SB), Y5
+	VFMADD213PD  Y5, Y0, Y2
+	VBROADCASTSD exp4data<>+72(SB), Y4
+	VFMADD213PD  Y4, Y0, Y2
+	VBROADCASTSD exp4data<>+80(SB), Y5
+	VFMADD213PD  Y5, Y0, Y2
+	VFMADD213PD  Y11, Y0, Y2
+	VMULPD       Y2, Y0, Y0
+
+	VADDPD      Y10, Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      Y10, Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      Y10, Y0, Y2
+	VMULPD      Y2, Y0, Y0
+	VADDPD      Y10, Y0, Y2
+	VFMADD213PD Y11, Y2, Y0
+
+	VPMOVSXDQ X3, Y3
+	VPADDQ    Y7, Y3, Y3
+	VPSLLQ    $52, Y3, Y3
+	VMULPD    Y3, Y0, Y0
+	VMOVUPD   Y0, (DI)
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $4, AX
+	DECQ CX
+	JNZ  block
+
+done:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET

@@ -8,9 +8,9 @@ import (
 
 // TestDetectAVX2MatchesCPUInfo holds the package's own CPUID/XGETBV
 // detection to Linux's view: /proc/cpuinfo lists avx2 when the CPU
-// reports it and the kernel saves the YMM state. A detection that
-// wrongly said no would leave the kernel tests running only the
-// portable path.
+// reports it and the kernel saves the YMM state, and then fma when the
+// CPU reports FMA3. A detection that wrongly said no would leave the kernel
+// tests running only the portable path.
 func TestDetectAVX2MatchesCPUInfo(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -21,6 +21,9 @@ func TestDetectAVX2MatchesCPUInfo(t *testing.T) {
 			want := strings.Contains(flags+" ", " avx2 ")
 			if haveAVX2 != want {
 				t.Fatalf("detectAVX2 = %v, /proc/cpuinfo lists avx2: %v", haveAVX2, want)
+			}
+			if want := strings.Contains(flags+" ", " fma "); haveAVX2 && haveFMA != want {
+				t.Fatalf("haveFMA = %v, /proc/cpuinfo lists fma: %v", haveFMA, want)
 			}
 			return
 		}

@@ -305,18 +305,23 @@ func (tp *Tape) SoftmaxRows(a *T) *T {
 }
 
 // softmaxInto writes softmax(src) into dst with max-subtraction for
-// numerical stability.
+// numerical stability; dst may be src. The exponentials go through one
+// ExpInto call.
 func softmaxInto(dst, src []float64) {
+	dst = dst[:len(src)]
 	mx := src[0]
 	for _, v := range src[1:] {
 		if v > mx {
 			mx = v
 		}
 	}
-	var sum float64
 	for i, v := range src {
-		dst[i] = math.Exp(v - mx)
-		sum += dst[i]
+		dst[i] = v - mx
+	}
+	ExpInto(dst, dst)
+	var sum float64
+	for _, e := range dst {
+		sum += e
 	}
 	for i := range dst {
 		dst[i] /= sum
