@@ -13,20 +13,21 @@ import (
 )
 
 // The scoring path batches its exponentials through nn.ExpInto and reads
-// the Eq. 8 and Eq. 12 fuse heads through nn.MLP.Logits2Into. These
-// tests hold it bit for bit to the scalar loops it replaced, kept
-// verbatim below: the fold's explicit similarities (explicitSims, through
-// the route-walking oracle transFeatures), the fuse of ScoreBatch
-// (ApplyWS and softmaxP1 per pair), selectTopK's exp loop and the pool
-// fuse of obsScoreBatchCtx.
+// the Eq. 8 and Eq. 12 fuse heads through nn.MLP.ApplyWS, whose
+// two-class form folds the last ReLU into ApplyReLU2Rows. These tests
+// hold it bit for bit to the scalar loops it replaced, kept below: the
+// fold's explicit similarities (explicitSims, through the route-walking
+// oracle transFeatures), the fuse of ScoreBatch (the allocating
+// MLP.Apply, a ReLU pass and a product per layer, and softmaxP1 per
+// pair), selectTopK's exp loop and the pool fuse of obsScoreBatchCtx.
 
-// refScoreBatch is ScoreBatch as it was: the fuse MLP through ApplyWS
-// and one softmaxP1 per reachable pair.
+// refScoreBatch is ScoreBatch as it was: the fuse MLP layer by layer
+// (MLP.Apply) and one softmaxP1 per reachable pair.
 func (s *session) refScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
 	feat := s.foldFeatures(ws, ct, i, from, to, out)
-	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
+	logits := s.m.TransFuse.Apply(feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
 	nPairs := feat.R
 	for p := 0; p < nPairs; p++ {
@@ -53,7 +54,7 @@ func (s *session) refScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Ca
 }
 
 // refObsScoreBatchCtx is obsScoreBatchCtx as it was: the one-row Eq. 7
-// loop, gaussDist per candidate and the fuse MLP through ApplyWS.
+// loop, gaussDist per candidate and the fuse MLP layer by layer.
 func (m *Model) refObsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHalf []float64, cands []hmm.Candidate, scores []float64) {
 	p := len(cands)
 	imp := ws.TakeVec(p)
@@ -65,7 +66,7 @@ func (m *Model) refObsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ct
 		row[1] = m.gaussDist(cands[j].Dist)
 		row[2] = m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	logits := m.ObsFuse.ApplyWS(ws, fuse) // p×2
+	logits := m.ObsFuse.Apply(fuse) // p×2
 	for j := 0; j < p; j++ {
 		lr := logits.Row(j)
 		scores[j] = lr[1] - lr[0]

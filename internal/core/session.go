@@ -64,7 +64,7 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // pseudo-candidate on a road outside the point's layer is a one-row
 // call into the same kernel), and each Viterbi step's k×k transition
 // fan-out is folded down shortest-path trees and read out of the
-// Eq. 12 head in one nn.MLP.Logits2Into call (see ScoreBatch). Eq. 11–12
+// Eq. 12 head in one nn.MLP.ApplyWS call (see ScoreBatch). Eq. 11–12
 // have that one implementation: a pseudo-candidate pair is a one-pair ScoreBatch
 // (transAdapter.Score), and phase-2 training reads its feature rows from
 // one-pair calls to the feature passes (foldFeatures). The
@@ -628,7 +628,7 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
 // transition fan-out of one Viterbi step, its feature rows from
-// foldFeatures, Eq. 12's logits from one nn.MLP.Logits2Into call over
+// foldFeatures, Eq. 12's logits from one nn.MLP.ApplyWS call over
 // the (k·k)×3 rows and its softmax from one softmaxP1Into call.
 // NaN in out is the unreachable sentinel of the batch protocol, so a
 // learned score that itself comes out non-finite (corrupt weights, a NaN
@@ -642,10 +642,9 @@ func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candi
 	defer nn.PutWorkspace(ws)
 	feat := s.foldFeatures(ws, ct, i, from, to, out)
 	nPairs := feat.R
-	logits := ws.TakeVec(2 * nPairs)
-	s.m.TransFuse.Logits2Into(ws, logits, feat)
+	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
 	probs := ws.TakeVec(nPairs)
-	softmaxP1Into(probs, logits)
+	softmaxP1Into(probs, logits.W)
 	g := s.m.transGamma.W.W[0]
 	for p, pr := range probs {
 		if math.IsNaN(out[p]) {

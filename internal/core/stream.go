@@ -149,7 +149,7 @@ func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Can
 // same information in a shape the small fuse MLP can use directly, so
 // the classical Eq. 2 behaviour is the learner's starting point rather
 // than something it must rediscover). The pool's Gaussians are one
-// nn.ExpInto call and its fuse logits one nn.MLP.Logits2Into call.
+// nn.ExpInto call and its fuse logits one nn.MLP.ApplyWS call.
 // Batch pools, streaming pushes and one-row shortcut pseudo-candidates
 // all score through here, so they share one arithmetic order and are
 // bit-equal by construction.
@@ -169,10 +169,10 @@ func (m *Model) obsScoreBatchCtx(ws *nn.Workspace, tower cellular.TowerID, ctxHa
 		row[1] = gauss[j]
 		row[2] = m.Graph.CoOccurrenceNorm(tower, cands[j].Seg)
 	}
-	logits := ws.TakeVec(2 * p)
-	m.ObsFuse.Logits2Into(ws, logits, fuse)
+	logits := m.ObsFuse.ApplyWS(ws, fuse) // p×2
 	for j := 0; j < p; j++ {
-		scores[j] = logits[2*j+1] - logits[2*j]
+		lr := logits.Row(j)
+		scores[j] = lr[1] - lr[0]
 	}
 	obsObsBatched.Add(int64(p))
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -27,13 +30,39 @@ var expEdges = []float64{
 // both paths, into a separate dst and in place: over a million draws
 // from [−700, 700], [−20, 0], [−1, 0] and ±1e-8; over expEdges; with
 // each edge as the one lane of a block outside ordinary values; and at
-// lengths 0–9. On an AVX2 and FMA host the kernel must compute exactly
-// the whole blocks of four whose every value lies in [−700, 700].
+// lengths 0–9. Where useExp4 holds, the kernel must compute exactly the
+// whole blocks of four whose every value lies in [−700, 700].
+//
+// It also holds the start-up probe. On an AVX2 and FMA host useExp4 must
+// hold, so a toolchain whose math.Exp no longer matches exp4 fails here
+// instead of quietly losing the kernel; and the test runs itself again
+// with GODEBUG=cpu.fma=off and with cpu.avx=off, under which math.Exp
+// takes its MULSD/SUBSD sequence: there the probe must turn exp4 off and
+// ExpInto must still equal math.Exp.
 func TestExpIntoBitEqual(t *testing.T) {
+	if haveAVX2 && haveFMA {
+		godebug := os.Getenv("GODEBUG")
+		mathFMAOff := false
+		for _, off := range []string{"cpu.fma=off", "cpu.avx=off", "cpu.all=off"} {
+			mathFMAOff = mathFMAOff || strings.Contains(godebug, off)
+		}
+		if useExp4 == mathFMAOff {
+			t.Fatalf("useExp4 = %v with GODEBUG=%q: the probe disagrees with math.Exp's sequence", useExp4, godebug)
+		}
+		if !mathFMAOff {
+			for _, off := range []string{"cpu.fma=off", "cpu.avx=off"} {
+				cmd := exec.Command(os.Args[0], "-test.run=^TestExpIntoBitEqual$")
+				cmd.Env = append(os.Environ(), "GODEBUG="+off)
+				if out, err := cmd.CombinedOutput(); err != nil {
+					t.Fatalf("GODEBUG=%s: %v\n%s", off, err, out)
+				}
+			}
+		}
+	}
 	kernels(t, func(t *testing.T, portable bool) {
-		kernel := haveAVX2 && haveFMA && !portable
+		kernel := useExp4 && !portable
 		if !portable && !kernel {
-			t.Log("no AVX2 and FMA: every value runs math.Exp")
+			t.Log("exp4 is off (no AVX2 and FMA, or math.Exp takes another sequence): every value runs math.Exp")
 		}
 		check := func(what string, src []float64) {
 			t.Helper()
@@ -100,44 +129,6 @@ func TestExpIntoBitEqual(t *testing.T) {
 	})
 }
 
-// TestLogits2IntoMatchesApplyWS holds the two-class head's read-out to
-// ApplyWS with bitwise equality on both paths: 1–13 rows of inputs with
-// zeros of both signs, a NaN and ±Inf, through a 3→8→2 head (the fuse
-// MLPs' shape) and a deeper 5→12→8→2 one, with all weights finite and
-// with a NaN, +Inf or −Inf in each layer's weights in turn.
-func TestLogits2IntoMatchesApplyWS(t *testing.T) {
-	kernels(t, func(t *testing.T, portable bool) {
-		rng := rand.New(rand.NewSource(45))
-		ws := &Workspace{}
-		for _, sizes := range [][]int{{3, 8, 2}, {5, 12, 8, 2}} {
-			for _, special := range []float64{0, hwNaN, math.Inf(1), math.Inf(-1)} {
-				for layer := 0; layer < len(sizes)-1; layer++ {
-					m := NewMLP("head", sizes, ActReLU, rng)
-					for _, l := range m.Layers {
-						for i := range l.B.W.W {
-							l.B.W.W[i] = rng.NormFloat64()
-						}
-					}
-					if special != 0 {
-						w := m.Layers[layer].W.W.W
-						w[rng.Intn(len(w))] = special
-					}
-					x := oracleMat(rng, 13, sizes[0], 0.2, true)
-					for n := 1; n <= x.R; n++ {
-						ws.Reset()
-						rows := x.Rows(0, n)
-						got := make([]float64, 2*n)
-						m.Logits2Into(ws, got, rows)
-						want := m.ApplyWS(ws, rows)
-						sameBits(t, fmt.Sprintf("sizes %v, W special %v in layer %d, %d rows", sizes, special, layer, n),
-							&Mat{R: n, C: 2, W: got}, want)
-					}
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkExpInto times 1800 exponentials — the explicit similarities
 // of one Viterbi step's 30×30 fan-out — with arguments in [−20, 0], on
 // the portable path and the AVX2 kernel.
@@ -145,8 +136,8 @@ func BenchmarkExpInto(b *testing.B) {
 	defer SetMatMulPortable(SetMatMulPortable(false))
 	for _, kernel := range []string{"portable", "avx2"} {
 		b.Run("kernel="+kernel, func(b *testing.B) {
-			if kernel == "avx2" && !(haveAVX2 && haveFMA) {
-				b.Skip("no AVX2 and FMA")
+			if kernel == "avx2" && !useExp4 {
+				b.Skip("exp4 is off")
 			}
 			SetMatMulPortable(kernel == "portable")
 			rng := rand.New(rand.NewSource(46))
@@ -159,32 +150,6 @@ func BenchmarkExpInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ExpInto(dst, src)
-			}
-		})
-	}
-}
-
-// BenchmarkLogits2Into times one Viterbi step's Eq. 12 fuse at k = 30:
-// 900 rows through a 3→8→2 ReLU head, on the portable path and the AVX2
-// kernels.
-func BenchmarkLogits2Into(b *testing.B) {
-	defer SetMatMulPortable(SetMatMulPortable(false))
-	for _, kernel := range []string{"portable", "avx2"} {
-		b.Run("kernel="+kernel, func(b *testing.B) {
-			if kernel == "avx2" && !haveAVX2 {
-				b.Skip("no AVX2")
-			}
-			SetMatMulPortable(kernel == "portable")
-			rng := rand.New(rand.NewSource(47))
-			m := NewMLP("head", []int{3, 8, 2}, ActReLU, rng)
-			x := oracleMat(rng, 900, 3, 0, false)
-			dst := make([]float64, 2*x.R)
-			ws := &Workspace{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ws.Reset()
-				m.Logits2Into(ws, dst, x)
 			}
 		})
 	}

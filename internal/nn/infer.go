@@ -80,43 +80,27 @@ func (m *MLP) Apply(x *Mat) *Mat {
 
 // ApplyWS runs the MLP forward using workspace scratch for every
 // intermediate and the output. The returned matrix is owned by ws and
-// is invalidated by ws.Reset. The matcher's two-class heads read their
-// logits through Logits2Into instead.
+// is invalidated by ws.Reset. A two-class ReLU head (the Eq. 8 and
+// Eq. 12 fuse MLPs) folds its last hidden ReLU into the output layer's
+// ApplyReLU2Rows, which is bit-equal to the ReLU followed by ApplyInto
+// and reads four rows at a time where its AVX2 gate admits them; an
+// R×2 Mat lays its rows out as ApplyReLU2Rows writes them.
 func (m *MLP) ApplyWS(ws *Workspace, x *Mat) *Mat {
+	last := len(m.Layers) - 1
+	head2 := m.Act == ActReLU && last >= 1 && m.Layers[last].W.W.C == 2
 	for i, l := range m.Layers {
 		out := ws.Take(x.R, l.W.W.C)
+		if head2 && i == last {
+			l.ApplyReLU2Rows(out.W, x)
+			return out
+		}
 		l.ApplyInto(out, x)
-		if i < len(m.Layers)-1 {
+		if i < last && !(head2 && i == last-1) {
 			applyActInPlace(m.Act, out)
 		}
 		x = out
 	}
 	return x
-}
-
-// Logits2Into sets dst[2r], dst[2r+1] to the two logits of row r of x,
-// bit-equal to ApplyWS(ws, x): the one inference form of a two-class
-// ReLU head (the Eq. 8 and Eq. 12 fuse MLPs). The hidden layers run
-// through ApplyInto, which takes the AVX2 product kernel where its gate
-// admits the shape, and the last hidden ReLU folds into the output
-// layer's ApplyReLU2Rows, bit-equal to the ReLU followed by ApplyInto.
-// dst must hold 2·x.R values; the hidden rows are taken from ws. It
-// panics unless m is a ReLU MLP of at least two layers ending in two
-// outputs (programmer error).
-func (m *MLP) Logits2Into(ws *Workspace, dst []float64, x *Mat) {
-	last := len(m.Layers) - 1
-	if m.Act != ActReLU || last < 1 || m.Layers[last].W.W.C != 2 {
-		panic("nn: Logits2Into: not a two-class ReLU MLP")
-	}
-	for i, l := range m.Layers[:last] {
-		out := ws.Take(x.R, l.W.W.C)
-		l.ApplyInto(out, x)
-		if i < last-1 {
-			applyActInPlace(ActReLU, out)
-		}
-		x = out
-	}
-	m.Layers[last].ApplyReLU2Rows(dst, x)
 }
 
 func applyActInPlace(a Activation, x *Mat) {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -29,25 +30,57 @@ func TestLinearApplyIntoMatchesApply(t *testing.T) {
 	}
 }
 
+// TestMLPApplyWSMatchesApply holds ApplyWS to the allocating Apply with
+// bitwise equality on both paths, for every activation: 1–13 rows of
+// inputs, with and without zeros of both signs, a NaN and ±Inf, through
+// a 5→9→3 MLP, the fuse MLPs' 3→8→2 shape and a deeper 5→12→8→2 one
+// (whose ReLU form folds its last ReLU into ApplyReLU2Rows) and a
+// one-layer 4→2 one (no hidden ReLU to fold), with all weights finite and
+// with a NaN, +Inf or −Inf in each layer's weights in turn. Each call
+// takes from a Reset workspace, so the slab is reused. On an AVX2 host a
+// ReLU head's finite weights and four rows or more must reach the
+// read-out kernel.
 func TestMLPApplyWSMatchesApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ws := GetWorkspace()
-	defer PutWorkspace(ws)
-	for _, act := range []Activation{ActReLU, ActTanh, ActSigmoid} {
-		m := NewMLP("m", []int{5, 9, 3}, act, rng)
-		for trial := 0; trial < 3; trial++ { // repeat to exercise slab reuse
-			x := NewMat(4+trial, 5)
-			x.Xavier(rng)
-			want := m.Apply(x)
-			ws.Reset()
-			got := m.ApplyWS(ws, x)
-			for i := range want.W {
-				if want.W[i] != got.W[i] {
-					t.Fatalf("act %v trial %d: ApplyWS mismatch at %d", act, trial, i)
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(12))
+		ws := GetWorkspace()
+		defer PutWorkspace(ws)
+		for _, act := range []Activation{ActReLU, ActTanh, ActSigmoid} {
+			for _, sizes := range [][]int{{5, 9, 3}, {3, 8, 2}, {5, 12, 8, 2}, {4, 2}} {
+				for _, special := range []float64{0, hwNaN, math.Inf(1), math.Inf(-1)} {
+					for layer := 0; layer < len(sizes)-1; layer++ {
+						m := NewMLP("m", sizes, act, rng)
+						for _, l := range m.Layers {
+							for i := range l.B.W.W {
+								l.B.W.W[i] = rng.NormFloat64()
+							}
+						}
+						if special != 0 {
+							w := m.Layers[layer].W.W.W
+							w[rng.Intn(len(w))] = special
+						}
+						readOut := act == ActReLU && len(sizes) > 2 && sizes[len(sizes)-1] == 2 &&
+							special == 0 && haveAVX2 && !portable
+						for _, specialX := range []bool{false, true} {
+							x := oracleMat(rng, 13, sizes[0], 0.2, specialX)
+							for n := 1; n <= x.R; n++ {
+								rows := x.Rows(0, n)
+								want := m.Apply(rows)
+								ws.Reset()
+								before := reluKernelCalls.Load()
+								got := m.ApplyWS(ws, rows)
+								sameBits(t, fmt.Sprintf("act %v, sizes %v, W special %v in layer %d, %d rows",
+									act, sizes, special, layer, n), got, want)
+								if ran := reluKernelCalls.Load() > before; readOut && n >= 4 && !ran {
+									t.Fatalf("sizes %v, %d rows: the two-class head did not reach the read-out kernel", sizes, n)
+								}
+							}
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSelfApplyAllMatchesPerRow: every row of the batched Eq. 6 pass
@@ -299,4 +332,29 @@ func TestMatMulParallelMatchesSequential(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkApplyWSTwoClass times one Viterbi step's Eq. 12 fuse at
+// k = 30: 900 rows through a 3→8→2 ReLU head, on the portable path and
+// the AVX2 kernels.
+func BenchmarkApplyWSTwoClass(b *testing.B) {
+	defer SetMatMulPortable(SetMatMulPortable(false))
+	for _, kernel := range []string{"portable", "avx2"} {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			if kernel == "avx2" && !haveAVX2 {
+				b.Skip("no AVX2")
+			}
+			SetMatMulPortable(kernel == "portable")
+			rng := rand.New(rand.NewSource(47))
+			m := NewMLP("head", []int{3, 8, 2}, ActReLU, rng)
+			x := oracleMat(rng, 900, 3, 0, false)
+			ws := &Workspace{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				m.ApplyWS(ws, x)
+			}
+		})
+	}
 }

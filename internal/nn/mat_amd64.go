@@ -21,11 +21,40 @@ func detectAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// haveFMA reports whether the CPU has FMA3 (CPUID.1:ECX bit 12). math's
-// amd64 Exp takes its FMA sequence when the CPU has AVX and FMA, which
-// haveAVX2 && haveFMA implies, so exp4 runs only where it is that
-// sequence's replay.
+// haveFMA reports whether the CPU has FMA3 (CPUID.1:ECX bit 12).
 var haveFMA = func() bool { _, _, ecx, _ := cpuid(1, 0); return ecx&(1<<12) != 0 }()
+
+// useExp4 reports whether exp4 may stand in for math.Exp: the CPU has
+// AVX2 and FMA, and exp4 reproduces math.Exp bit for bit on every value
+// of expProbe. math's amd64 Exp takes the FMA sequence exp4 replays only
+// when internal/cpu reports AVX and FMA, which GODEBUG=cpu.fma=off or
+// cpu.avx=off switch off on any CPU, and that sequence belongs to the
+// toolchain, which may change it; the probe asks math.Exp itself, once
+// at start-up, rather than assume either.
+var useExp4 = haveAVX2 && haveFMA && exp4MatchesProbe()
+
+// expProbe holds eight arguments where math's FMA sequence and its
+// MULSD/SUBSD sequence round to neighbouring results (the FMA result is
+// the lower one for three of them, the higher for five), then both ends
+// of exp4's range, 0 and 1.
+var expProbe = [12]float64{
+	439.09594538613555, -0.10563827066954634, -0.8693488829710279, -0.37639117354706986,
+	-254.7185559375382, -0.13466498699843898, -212.86445092048797, -0.9703287187251135,
+	700, -700, 0, 1,
+}
+
+func exp4MatchesProbe() bool {
+	var got [len(expProbe)]float64
+	if exp4(got[:], expProbe[:]) != len(expProbe) {
+		return false
+	}
+	for i, x := range expProbe {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
+}
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -108,11 +137,11 @@ func reluRows(dst []float64, h *Mat, w, b []float64) int {
 
 // expRows sets dst[i] = math.Exp(src[i]) with exp4 for every whole block
 // of four values and returns len(src)&^3; it returns 0, leaving every
-// value to ExpInto's loop, when the CPU lacks AVX2 or FMA. A block exp4
+// value to ExpInto's loop, unless useExp4. A block exp4
 // refuses (a value outside [−700, 700] or a NaN, where math.Exp may
 // branch) is computed by math.Exp here and exp4 resumes after it.
 func expRows(dst, src []float64) int {
-	if !haveAVX2 || !haveFMA || matmulPortable.Load() {
+	if !useExp4 || matmulPortable.Load() {
 		return 0
 	}
 	n := len(src) &^ 3

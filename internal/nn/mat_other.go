@@ -6,7 +6,7 @@ package nn
 // matMulRows or matMulAddRows, every two-logit read-out ApplyReLU2, and
 // every ExpInto value math.Exp.
 
-const haveAVX2, haveFMA = false, false
+const haveAVX2, haveFMA, useExp4 = false, false, false
 
 func useKernel(a, b *Mat) bool { return false }
 
