@@ -27,6 +27,12 @@ const (
 	maxTotalFlags = 100
 )
 
+// maxConfigFields is the ceiling on the exported fields of the four
+// config structs behind the flags. A field is added the way a flag is:
+// with the two callers that set it to different values named in
+// DESIGN §8d.
+const maxConfigFields = 39
+
 var (
 	helpFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 	// A command name and the rest of its command line, up to whatever
@@ -133,5 +139,50 @@ func TestFlagSurfaceLint(t *testing.T) {
 				check(path, line, flagWord)
 			}
 		}
+	}
+}
+
+// TestConfigSurfaceLint is the config-side twin of TestFlagSurfaceLint:
+// it counts the exported fields of core.Config, hmm.Config,
+// serve.Config and serve.CheckpointConfig and fails above
+// maxConfigFields.
+func TestConfigSurfaceLint(t *testing.T) {
+	total := 0
+	for _, cs := range []struct{ file, name string }{
+		{"internal/core/config.go", "Config"},
+		{"internal/hmm/hmm.go", "Config"},
+		{"internal/serve/serve.go", "Config"},
+		{"internal/serve/checkpoint.go", "CheckpointConfig"},
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), cs.file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st *ast.StructType
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == cs.name {
+				st, _ = ts.Type.(*ast.StructType)
+			}
+			return st == nil
+		})
+		if st == nil {
+			t.Fatalf("%s: no struct type %s", cs.file, cs.name)
+		}
+		n := 0
+		for _, fld := range st.Fields.List {
+			for _, name := range fld.Names {
+				if name.IsExported() {
+					n++
+				}
+			}
+			if len(fld.Names) == 0 { // an embedded field
+				n++
+			}
+		}
+		t.Logf("%s %s: %d exported fields", cs.file, cs.name, n)
+		total += n
+	}
+	if total > maxConfigFields {
+		t.Errorf("the config structs hold %d exported fields, ceiling %d", total, maxConfigFields)
 	}
 }

@@ -25,10 +25,10 @@ func (c CommonConfig) withDefaults() CommonConfig {
 		c.K = 45
 	}
 	if c.Sigma <= 0 {
-		c.Sigma = 450
+		c.Sigma = hmm.ClassicalSigma
 	}
 	if c.Beta <= 0 {
-		c.Beta = 500
+		c.Beta = hmm.ClassicalBeta
 	}
 	return c
 }

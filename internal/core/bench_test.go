@@ -187,7 +187,7 @@ func BenchmarkPhase1Batch(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Dim = 128
 	m, samples, rng := phase1Fixture(b, testDatasetSized(b, 14, 6600), cfg)
-	draws := m.drawBatch(samples[:m.Cfg.BatchTrips], rng)
+	draws := m.drawBatch(samples[:batchTrips], rng)
 	params := m.implicitParams()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,11 +20,6 @@ type Config struct {
 	// at repo scale default to 32, which preserves the result shape at
 	// a fraction of the cost).
 	Dim int
-	// AttDim is the attention hidden size. Default Dim/2.
-	AttDim int
-	// Rounds is the number of Het-Graph Encoder message-passing
-	// iterations q (paper: 2).
-	Rounds int
 	// EncoderMode selects the representation learner; HetGNN is the
 	// paper's model, the others are the -H and -E ablations.
 	EncoderMode mrg.EncoderMode
@@ -34,10 +29,6 @@ type Config struct {
 	// Shortcuts is the number of shortcut predecessors per candidate
 	// (paper: 1; 0 disables — the -S ablation).
 	Shortcuts int
-	// PoolRadius is the radius in meters within which segments join
-	// the candidate pool scored by learned P_O; it must cover the
-	// positioning-error distribution. Default 1500.
-	PoolRadius float64
 	// PoolSize is the minimum pool size (nearest segments top up the
 	// pool when the radius captures fewer). Default 3×K.
 	PoolSize int
@@ -57,21 +48,9 @@ type Config struct {
 	Epochs int
 	// FuseEpochs is the number of phase-2 (fine-tune) passes. Default 2.
 	FuseEpochs int
-	// BatchTrips is how many trips share one encoder forward pass per
-	// optimization step. Default 4.
-	BatchTrips int
 	// PairsPerTrip bounds the number of classification pairs sampled
 	// from one trip per pass. Default 48.
 	PairsPerTrip int
-	// NegPerPos is the undersampling ratio of negative to positive
-	// road samples. Default 3.
-	NegPerPos int
-	// LR is the Adam learning rate (paper: 1e-3).
-	LR float64
-	// WeightDecay is the Adam weight decay (paper: 1e-4).
-	WeightDecay float64
-	// LabelSmooth is the cross-entropy label smoothing (paper: 0.1).
-	LabelSmooth float64
 	// Seed drives all sampling and initialization.
 	Seed int64
 
@@ -103,18 +82,12 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Dim:          32,
-		Rounds:       2,
 		EncoderMode:  mrg.HetGNN,
 		K:            30,
 		Shortcuts:    1,
 		Epochs:       4,
 		FuseEpochs:   2,
-		BatchTrips:   4,
 		PairsPerTrip: 48,
-		NegPerPos:    3,
-		LR:           1e-3,
-		WeightDecay:  1e-4,
-		LabelSmooth:  0.1,
 		Seed:         1,
 	}
 }
@@ -124,20 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.Dim <= 0 {
 		c.Dim = 32
 	}
-	if c.AttDim <= 0 {
-		c.AttDim = c.Dim / 2
-		if c.AttDim == 0 {
-			c.AttDim = 1
-		}
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 2
-	}
 	if c.K <= 0 {
 		c.K = 30
-	}
-	if c.PoolRadius <= 0 {
-		c.PoolRadius = 1500
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 3 * c.K
@@ -151,23 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.FuseEpochs <= 0 {
 		c.FuseEpochs = 2
 	}
-	if c.BatchTrips <= 0 {
-		c.BatchTrips = 4
-	}
 	if c.PairsPerTrip <= 0 {
 		c.PairsPerTrip = 48
-	}
-	if c.NegPerPos <= 0 {
-		c.NegPerPos = 3
-	}
-	if c.LR <= 0 {
-		c.LR = 1e-3
-	}
-	if c.WeightDecay < 0 {
-		c.WeightDecay = 1e-4
-	}
-	if c.LabelSmooth <= 0 {
-		c.LabelSmooth = 0.1
 	}
 	return c
 }

@@ -98,15 +98,11 @@ func TestSessionNoLeakage(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c = c.withDefaults()
-	if c.Dim == 0 || c.K == 0 || c.PoolSize == 0 || c.LR == 0 || c.Epochs == 0 {
+	if c.Dim == 0 || c.K == 0 || c.PoolSize == 0 || c.Epochs == 0 {
 		t.Errorf("defaults not filled: %+v", c)
 	}
 	if c.PoolSize < c.K {
 		t.Error("pool smaller than candidate count")
-	}
-	// AttDim derived from Dim.
-	if c.AttDim == 0 {
-		t.Error("AttDim not defaulted")
 	}
 }
 

@@ -75,6 +75,14 @@ type Model struct {
 	transGamma *nn.Param
 }
 
+// encoderRounds is the number of Het-Graph Encoder message-passing
+// iterations q (paper: 2).
+const encoderRounds = 2
+
+// attDim is the hidden size of the two attentions (Eqs. 6 and 9): half
+// the embedding dimension, at least 1.
+func attDim(dim int) int { return max(1, dim/2) }
+
 // New builds an untrained model over the dataset's networks using the
 // given training trips for graph construction.
 func New(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) {
@@ -84,11 +92,11 @@ func New(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) 
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	enc, err := mrg.NewEncoder(graph, cfg.EncoderMode, cfg.Dim, cfg.Rounds, rng)
+	enc, err := mrg.NewEncoder(graph, cfg.EncoderMode, cfg.Dim, encoderRounds, rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	d, h := cfg.Dim, cfg.AttDim
+	d, h := cfg.Dim, attDim(cfg.Dim)
 	m := &Model{
 		Cfg:        cfg,
 		Net:        ds.Net,

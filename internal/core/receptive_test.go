@@ -79,8 +79,8 @@ func phase1Fixture(t testing.TB, d *traj.Dataset, cfg Config) (*Model, []*tripSa
 			samples = append(samples, s)
 		}
 	}
-	if len(samples) <= 2*m.Cfg.BatchTrips {
-		t.Fatalf("%d usable trips, want three batches of %d", len(samples), m.Cfg.BatchTrips)
+	if len(samples) <= 2*batchTrips {
+		t.Fatalf("%d usable trips, want three batches of %d", len(samples), batchTrips)
 	}
 	m.calibrateDistScale(samples)
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
@@ -117,11 +117,11 @@ func TestReceptiveFieldTrainingExact(t *testing.T) {
 		m, samples, rng := phase1Fixture(t, d, cfg)
 		params := m.implicitParams()
 		opt := nn.NewAdam()
-		opt.LR, opt.WeightDecay = m.Cfg.LR, m.Cfg.WeightDecay
+		opt.LR, opt.WeightDecay = adamLR, adamWeightDecay
 		perm := rng.Perm(len(samples))
 		for b := 0; b < 3; b++ {
 			var batch []*tripSample
-			for _, si := range perm[b*m.Cfg.BatchTrips : min((b+1)*m.Cfg.BatchTrips, len(perm))] {
+			for _, si := range perm[b*batchTrips : min((b+1)*batchTrips, len(perm))] {
 				batch = append(batch, samples[si])
 			}
 			draws := m.drawBatch(batch, rng)
@@ -180,7 +180,7 @@ func checkAdjacencyRows(t *testing.T, m *Model, f *mrg.Field) {
 	default:
 		full = []*nn.Sparse{g.CO, g.SQ, g.TP}
 	}
-	for l := 0; l < m.Cfg.Rounds; l++ {
+	for l := 0; l < encoderRounds; l++ {
 		for r, s := range full {
 			a, nodes := f.Adjacency(l, r)
 			for i, v := range f.Rows(l + 1) {
@@ -237,7 +237,7 @@ func TestPhase1NonFiniteStepErrors(t *testing.T) {
 // measure the losses.
 func TestPhase1BatchAllocatesReceptiveField(t *testing.T) {
 	m, samples, rng := phase1Fixture(t, testDatasetSized(t, 14, 4400), fastConfig())
-	draws := m.drawBatch(samples[:m.Cfg.BatchTrips], rng)
+	draws := m.drawBatch(samples[:batchTrips], rng)
 	params := m.implicitParams()
 	step := func(loss func(*nn.Tape) *nn.T) uint64 {
 		var before, after runtime.MemStats

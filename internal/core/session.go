@@ -295,17 +295,22 @@ func (s *session) releaseTable() {
 	}
 }
 
+// poolRadius is the radius in meters within which segments join the
+// candidate pool scored by learned P_O; it must cover the
+// positioning-error distribution.
+const poolRadius = 1500.0
+
 // candidatePool returns the restricted search space the learned P_O
 // ranks (§IV-C "limits the candidate search space by the explicit
-// features"): the PoolSize nearest segments (clipped to PoolRadius),
+// features"): the PoolSize nearest segments (clipped to poolRadius),
 // plus the top co-occurring roads of the point's tower. Distance
 // bounds the bulk of the space; historical co-occurrence contributes
 // the far-but-relevant roads, and the shortcut structure covers points
 // whose truth escapes both (Observation 1).
 func (m *Model) candidatePool(ct traj.CellTrajectory, i int) []roadnet.SegmentID {
 	pool := m.Net.SegmentsNear(ct[i].P, m.Cfg.PoolSize)
-	// Clip the tail beyond PoolRadius (ascending distance order).
-	for len(pool) > 1 && m.Net.DistTo(pool[len(pool)-1], ct[i].P) > m.Cfg.PoolRadius {
+	// Clip the tail beyond poolRadius (ascending distance order).
+	for len(pool) > 1 && m.Net.DistTo(pool[len(pool)-1], ct[i].P) > poolRadius {
 		pool = pool[:len(pool)-1]
 	}
 	for _, sid := range m.Graph.TopCoRoads(ct[i].Tower, m.Cfg.CoPool) {
@@ -613,7 +618,7 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 			}
 			// Eq. 12's length and turn similarities are the exponentials
 			// of these.
-			sims[2*p], sims[2*p+1] = -math.Abs(straight-d)/500, -route.turn/math.Pi
+			sims[2*p], sims[2*p+1] = -math.Abs(straight-d)/hmm.ClassicalBeta, -route.turn/math.Pi
 		}
 	}
 	nn.ExpInto(sims, sims)
@@ -634,9 +639,10 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 // learned score that itself comes out non-finite (corrupt weights, a NaN
 // that slipped past load validation, fault injection) must be caught
 // here: it degrades to the explicit length-similarity feature — exactly
-// the classical Eq. 3 exponential with β=500, already computed into the
-// feature row — instead of silently reading as "unreachable" and
-// breaking the chain. The return value counts those degraded scores.
+// the classical Eq. 3 exponential with β = hmm.ClassicalBeta, the
+// fallback's own, already computed into the feature row — instead of
+// silently reading as "unreachable" and breaking the chain. The return
+// value counts those degraded scores.
 func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
@@ -741,7 +747,7 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 	}
 	if len(ct) == 0 {
 		obsCoreMatchErrs.Inc()
-		return nil, fmt.Errorf("core: no valid points left after sanitization (dropped %d)", srep.Dropped())
+		return nil, fmt.Errorf("core: %w: no valid points left after sanitization (dropped %d)", traj.ErrMalformed, srep.Dropped())
 	}
 	var start time.Time
 	if timed := obs.Default.Enabled(); timed {

@@ -123,9 +123,9 @@ func (m *Model) ConfigFingerprint() uint64 {
 		return 0
 	}
 	put(uint64(m.Cfg.Dim))
-	put(uint64(m.Cfg.AttDim))
+	put(uint64(attDim(m.Cfg.Dim)))
 	put(uint64(m.Cfg.K))
-	put(math.Float64bits(m.Cfg.PoolRadius))
+	put(math.Float64bits(poolRadius))
 	put(uint64(m.Cfg.PoolSize))
 	put(uint64(m.Cfg.CoPool))
 	put(b2u(m.Cfg.DisableImplicitObs))

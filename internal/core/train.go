@@ -24,6 +24,22 @@ var (
 	obsTrainSeconds = obs.Default.Histogram("train.total.seconds", obs.LatencyBuckets)
 )
 
+// Training settings no caller varies; the paper fixes the last three.
+const (
+	// batchTrips is how many trips share one encoder forward pass per
+	// phase-1 optimization step.
+	batchTrips = 4
+	// negPerPos is the undersampling ratio of negative to positive
+	// road samples.
+	negPerPos = 3
+	// adamLR and adamWeightDecay are Adam's learning rate and weight
+	// decay in both phases (paper: 1e-3 and 1e-4).
+	adamLR          = 1e-3
+	adamWeightDecay = 1e-4
+	// labelSmooth is the cross-entropy label smoothing (paper: 0.1).
+	labelSmooth = 0.1
+)
+
 // Train builds and trains an LHMM on the dataset's training split
 // (§IV-D "Training Process"): phase 1 trains the encoder and the
 // implicit correlation networks by road classification; phase 2
@@ -197,7 +213,7 @@ type pair struct {
 }
 
 // samplePairs draws balanced positive/negative pairs for one trip.
-func (s *tripSample) samplePairs(rng *rand.Rand, maxPairs, negPerPos int) []pair {
+func (s *tripSample) samplePairs(rng *rand.Rand, maxPairs int) []pair {
 	var out []pair
 	posBudget := maxPairs / (1 + negPerPos)
 	if posBudget < 1 {
@@ -230,7 +246,7 @@ type roadEx struct {
 
 // sampleRoads draws one trip's trajectory-road examples: positives from
 // the path, negatives from the pooled negatives of random points.
-func (s *tripSample) sampleRoads(rng *rand.Rand, maxPairs, negPerPos int) []roadEx {
+func (s *tripSample) sampleRoads(rng *rand.Rand, maxPairs int) []roadEx {
 	posBudget := maxPairs / (1 + negPerPos)
 	if posBudget < 1 {
 		posBudget = 1
@@ -264,10 +280,10 @@ func (m *Model) drawBatch(batch []*tripSample, rng *rand.Rand) []tripDraw {
 	for i, s := range batch {
 		draws[i].s = s
 		if !m.Cfg.DisableImplicitObs {
-			draws[i].obs = s.samplePairs(rng, m.Cfg.PairsPerTrip, m.Cfg.NegPerPos)
+			draws[i].obs = s.samplePairs(rng, m.Cfg.PairsPerTrip)
 		}
 		if !m.Cfg.DisableImplicitTrans {
-			draws[i].trans = s.sampleRoads(rng, m.Cfg.PairsPerTrip, m.Cfg.NegPerPos)
+			draws[i].trans = s.sampleRoads(rng, m.Cfg.PairsPerTrip)
 		}
 	}
 	return draws
@@ -329,8 +345,8 @@ func (m *Model) batchLoss(tp *nn.Tape, H *nn.T, local func(v int) int, draws []t
 // weights.
 func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 	opt := nn.NewAdam()
-	opt.LR = m.Cfg.LR
-	opt.WeightDecay = m.Cfg.WeightDecay
+	opt.LR = adamLR
+	opt.WeightDecay = adamWeightDecay
 	params := m.implicitParams()
 
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
@@ -338,8 +354,8 @@ func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 		var lossSum float64
 		var lossN, batches, rfSum, rfMax int
 		perm := rng.Perm(len(samples))
-		for at := 0; at < len(perm); at += m.Cfg.BatchTrips {
-			end := min(at+m.Cfg.BatchTrips, len(perm))
+		for at := 0; at < len(perm); at += batchTrips {
+			end := min(at+batchTrips, len(perm))
 			batch := make([]*tripSample, 0, end-at)
 			for _, si := range perm[at:end] {
 				batch = append(batch, samples[si])
@@ -352,7 +368,7 @@ func (m *Model) trainImplicit(samples []*tripSample, rng *rand.Rand) error {
 			f := m.Enc.Field(m.Graph, rows)
 			tp := nn.NewTape()
 			loss, n := m.batchLoss(tp, m.Enc.Forward(tp, f), f.Local, draws)
-			step := fmt.Sprintf("core: phase 1 epoch %d batch %d", epoch+1, at/m.Cfg.BatchTrips+1)
+			step := fmt.Sprintf("core: phase 1 epoch %d batch %d", epoch+1, at/batchTrips+1)
 			if !isFinite(loss.Val.W[0]) {
 				return fmt.Errorf("%s: non-finite loss", step)
 			}
@@ -416,7 +432,7 @@ func (m *Model) obsLoss(tp *nn.Tape, H *nn.T, local func(int) int, s *tripSample
 		labels[i] = pr.label
 	}
 	logits := m.ObsMLP.Forward(tp, tp.StackRows(rows))
-	target := nn.SmoothedTargets(len(pairs), 2, labels, m.Cfg.LabelSmooth)
+	target := nn.SmoothedTargets(len(pairs), 2, labels, labelSmooth)
 	return tp.CrossEntropy(logits, target)
 }
 
@@ -434,7 +450,7 @@ func (m *Model) transLoss(tp *nn.Tape, H *nn.T, local func(int) int, s *tripSamp
 		labels[i] = ex.label
 	}
 	logits := m.TransMLP.Forward(tp, tp.StackRows(rows))
-	target := nn.SmoothedTargets(len(exs), 2, labels, m.Cfg.LabelSmooth)
+	target := nn.SmoothedTargets(len(exs), 2, labels, labelSmooth)
 	return tp.CrossEntropy(logits, target)
 }
 
@@ -487,8 +503,8 @@ func (m *Model) pretrainFuse(rng *rand.Rand) {
 // probability with the explicit features.
 func (m *Model) trainFuse(samples []*tripSample, rng *rand.Rand) error {
 	opt := nn.NewAdam()
-	opt.LR = m.Cfg.LR
-	opt.WeightDecay = m.Cfg.WeightDecay
+	opt.LR = adamLR
+	opt.WeightDecay = adamWeightDecay
 
 	obsParams := m.ObsFuse.Params()
 	transParams := m.TransFuse.Params()
@@ -505,7 +521,7 @@ func (m *Model) trainFuse(samples []*tripSample, rng *rand.Rand) error {
 			if feats, labels := m.obsFuseExamples(s, sess, rng); len(labels) > 0 {
 				tp := nn.NewTape()
 				logits := m.ObsFuse.Forward(tp, tp.Const(feats))
-				target := nn.SmoothedTargets(len(labels), 2, labels, m.Cfg.LabelSmooth)
+				target := nn.SmoothedTargets(len(labels), 2, labels, labelSmooth)
 				loss := tp.CrossEntropy(logits, target)
 				if err := tp.Backward(loss); err != nil {
 					return fmt.Errorf("core: phase 2 obs: %w", err)
@@ -582,7 +598,7 @@ func (m *Model) obsFuseExamples(s *tripSample, sess *session, rng *rand.Rand) (*
 			}
 		}
 		exs = append(exs, mk(s.pointPos[i][rng.Intn(len(s.pointPos[i]))], 1))
-		for k := 0; k < m.Cfg.NegPerPos; k++ {
+		for k := 0; k < negPerPos; k++ {
 			exs = append(exs, mk(s.negPool[i][rng.Intn(len(s.negPool[i]))], 0))
 		}
 	}

@@ -192,7 +192,7 @@ func TestRoadProbPathsBitEqual(t *testing.T) {
 // and compares them to the frozen tables.
 func checkTransTables(t *testing.T, m *Model, when string) {
 	t.Helper()
-	d, h := m.Cfg.Dim, m.Cfg.AttDim
+	d, h := m.Cfg.Dim, attDim(m.Cfg.Dim)
 	l1 := m.TransMLP.Layers[0]
 	nSeg := m.Net.NumSegments()
 	if m.transSeg == nil || m.transSeg.R != nSeg || m.transSeg.C != d || len(m.transQ) != nSeg {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/hmm"
 	"repro/internal/mrg"
 	"repro/internal/roadnet"
 	"repro/internal/synth"
@@ -44,7 +45,7 @@ func DefaultSuite(preset string, scale float64, trips int) SuiteConfig {
 	return SuiteConfig{
 		Dataset:  ds,
 		LHMM:     lhmm,
-		Baseline: baselines.CommonConfig{K: 45, Sigma: 450, Beta: 500},
+		Baseline: baselines.CommonConfig{K: 45, Sigma: hmm.ClassicalSigma, Beta: hmm.ClassicalBeta},
 		Seq:      baselines.Seq2SeqConfig{Dim: 24, Epochs: 4, Seed: 3},
 	}
 }

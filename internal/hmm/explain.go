@@ -24,6 +24,10 @@ import (
 // (no runner-up, or a runner-up at zero probability) stays JSON-finite.
 const explainMarginCap = 50
 
+// explainLowMargin is the margin (nats) below which a decision is
+// flagged low-confidence.
+const explainLowMargin = 0.05
+
 // Explain is the per-match decision explanation artifact.
 type Explain struct {
 	// TopK is the per-point candidate breakdown bound that was applied.
@@ -86,7 +90,7 @@ type ExplainChoice struct {
 	Margin float64 `json:"margin"`
 	// Unopposed marks a single-candidate layer (no runner-up existed).
 	Unopposed bool `json:"unopposed,omitempty"`
-	// LowMargin flags Margin < the configured threshold.
+	// LowMargin flags Margin < MarginThreshold.
 	LowMargin bool `json:"low_margin,omitempty"`
 	// PrevSeg is the chosen predecessor road at the previous point, or
 	// -1 when the chain (re)starts here — first point, dead gap, or
@@ -104,24 +108,19 @@ type ExplainChoice struct {
 // the classical emission, and which candidate index the backward pass
 // chose per point. Allocated only when Config.Explain is set.
 type explainState struct {
-	topK      int
-	threshold float64
-	fellback  [][]bool // aligned with the original (pre-shortcut) layers
-	chosen    []int    // index into layers[i]; -1 where dead
+	topK     int
+	fellback [][]bool // aligned with the original (pre-shortcut) layers
+	chosen   []int    // index into layers[i]; -1 where dead
 }
 
-func newExplainState(n, topK int, threshold float64) *explainState {
+func newExplainState(n, topK int) *explainState {
 	if topK <= 0 {
 		topK = 5
 	}
-	if threshold <= 0 {
-		threshold = 0.05
-	}
 	st := &explainState{
-		topK:      topK,
-		threshold: threshold,
-		fellback:  make([][]bool, n),
-		chosen:    make([]int, n),
+		topK:     topK,
+		fellback: make([][]bool, n),
+		chosen:   make([]int, n),
 	}
 	for i := range st.chosen {
 		st.chosen[i] = -1
@@ -146,7 +145,7 @@ func (m *Matcher) buildExplain(ct traj.CellTrajectory, es *explainState,
 
 	ex := &Explain{
 		TopK:            es.topK,
-		MarginThreshold: es.threshold,
+		MarginThreshold: explainLowMargin,
 		Points:          make([]ExplainPoint, len(layers)),
 	}
 	var decisions, lowMargin int64
@@ -229,7 +228,7 @@ func (m *Matcher) buildExplain(ct traj.CellTrajectory, es *explainState,
 		}
 		choice.Unopposed = !hasRunner
 		choice.Margin = m.scoreMargin(f[i][chosen], runner, hasRunner)
-		if choice.Margin < es.threshold {
+		if choice.Margin < explainLowMargin {
 			choice.LowMargin = true
 			lowMargin++
 		}

@@ -295,10 +295,10 @@ type Config struct {
 	// Result.Sanitize), or off.
 	Sanitize traj.SanitizeMode
 	// FallbackSigma is the Eq. 2 Gaussian σ used when an observation
-	// model returns NaN/Inf (degraded mode). Default 450 m.
+	// model returns NaN/Inf (degraded mode). Default ClassicalSigma.
 	FallbackSigma float64
 	// FallbackBeta is the Eq. 3 exponential β used when a transition
-	// model returns NaN/Inf (degraded mode). Default 500 m.
+	// model returns NaN/Inf (degraded mode). Default ClassicalBeta.
 	FallbackBeta float64
 	// Trace collects a per-trajectory obs.MatchTrace on every Match
 	// (per-point candidate and score stats, break events, stage
@@ -312,9 +312,6 @@ type Config struct {
 	Explain bool
 	// ExplainTopK bounds the per-point candidate breakdown (default 5).
 	ExplainTopK int
-	// ExplainLowMargin is the margin (nats) below which a decision is
-	// flagged low-confidence (default 0.05).
-	ExplainLowMargin float64
 }
 
 // Matcher runs HMM path-finding with pluggable probability models —
@@ -354,7 +351,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	n := len(ct)
 	if n == 0 {
 		obsMatchErrors.Inc()
-		return nil, fmt.Errorf("hmm: no valid points left after sanitization (dropped %d)", srep.Dropped())
+		return nil, fmt.Errorf("hmm: %w: no valid points left after sanitization (dropped %d)", traj.ErrMalformed, srep.Dropped())
 	}
 	// Telemetry: counters accumulate into locals and flush once at the
 	// end; the per-stage clock only runs when tracing is on — either a
@@ -382,7 +379,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	var deg int64 // degraded-mode scoring events this match
 	var es *explainState
 	if m.Cfg.Explain {
-		es = newExplainState(n, m.Cfg.ExplainTopK, m.Cfg.ExplainLowMargin)
+		es = newExplainState(n, m.Cfg.ExplainTopK)
 	}
 
 	// Step 1: candidate preparation, every layer before the first
@@ -891,7 +888,7 @@ func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, 
 func (m *Matcher) fallbackObs(dist float64) float64 {
 	sigma := m.Cfg.FallbackSigma
 	if sigma <= 0 {
-		sigma = 450
+		sigma = ClassicalSigma
 	}
 	z := dist / sigma
 	return math.Exp(-0.5 * z * z)
@@ -907,7 +904,7 @@ func (m *Matcher) fallbackTrans(ct traj.CellTrajectory, i int, from, to *Candida
 	}
 	beta := m.Cfg.FallbackBeta
 	if beta <= 0 {
-		beta = 500
+		beta = ClassicalBeta
 	}
 	straight := ct[i-1].P.Dist(ct[i].P)
 	return math.Exp(-math.Abs(straight-dist) / beta), true

@@ -7,6 +7,15 @@ import (
 	"repro/internal/traj"
 )
 
+// The cellular-scale defaults of the classical models: the Eq. 2
+// Gaussian's σ and the Eq. 3 exponential's β, in meters. The degraded
+// mode's fallback, the baselines, the experiment suite and LHMM's Eq. 12
+// length similarity all read these two.
+const (
+	ClassicalSigma = 450
+	ClassicalBeta  = 500
+)
+
 // GaussianObservation is the classical distance-based observation
 // probability of Eq. 2: candidates are the k nearest segments and
 // P_O ∝ exp(-0.5·((d-μ)/σ)²).
@@ -38,7 +47,7 @@ func (g *GaussianObservation) Candidates(ct traj.CellTrajectory, i, k int) []Can
 func (g *GaussianObservation) Score(ct traj.CellTrajectory, i int, c *Candidate) float64 {
 	sigma := g.Sigma
 	if sigma <= 0 {
-		sigma = 450
+		sigma = ClassicalSigma
 	}
 	z := (c.Dist - g.Mu) / sigma
 	return math.Exp(-0.5 * z * z)
@@ -61,7 +70,7 @@ func (e *ExponentialTransition) Score(ct traj.CellTrajectory, i int, from, to *C
 	}
 	beta := e.Beta
 	if beta <= 0 {
-		beta = 500
+		beta = ClassicalBeta
 	}
 	straight := ct[i-1].P.Dist(ct[i].P)
 	return math.Exp(-math.Abs(straight-dist) / beta), true

@@ -31,8 +31,7 @@ type MatchOptions struct {
 	OnBreak string `json:"on_break,omitempty"`
 	// Sanitize is the input-validation mode: "strict", "drop", or "off".
 	Sanitize string `json:"sanitize,omitempty"`
-	// TimeoutMS bounds the match wall-clock; clamped to the server's
-	// configured maximum.
+	// TimeoutMS bounds the match wall-clock; clamped to 30 s.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

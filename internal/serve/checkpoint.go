@@ -79,6 +79,13 @@ const (
 	ckptExt       = ".ckpt"
 	ckptTmpExt    = ".ckpt.tmp"
 	quarantineDir = "quarantine"
+
+	// checkpointQueue bounds the async write queue. Overflow is dropped:
+	// the periodic sweep re-enqueues still-dirty sessions.
+	checkpointQueue = 256
+	// checkpointRetries is how many times a failed write is retried
+	// with backoff before the store is declared sick.
+	checkpointRetries = 3
 )
 
 // CheckpointConfig parameterizes the session checkpointer. Dir == ""
@@ -90,12 +97,6 @@ type CheckpointConfig struct {
 	Dir string
 	// Interval is the periodic dirty-session sweep cadence (default 5s).
 	Interval time.Duration
-	// Queue bounds the async write queue (default 256). Overflow is
-	// dropped — the periodic sweep re-enqueues still-dirty sessions.
-	Queue int
-	// Retries is how many times a failed write is retried with backoff
-	// before the store is declared sick (default 3).
-	Retries int
 	// Backoff is the base retry delay, doubled per attempt (default
 	// 50ms).
 	Backoff time.Duration
@@ -104,12 +105,6 @@ type CheckpointConfig struct {
 func (c CheckpointConfig) withDefaults() CheckpointConfig {
 	if c.Interval <= 0 {
 		c.Interval = 5 * time.Second
-	}
-	if c.Queue <= 0 {
-		c.Queue = 256
-	}
-	if c.Retries <= 0 {
-		c.Retries = 3
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 50 * time.Millisecond
@@ -152,7 +147,7 @@ func NewCheckpointer(cfg CheckpointConfig, mgr *SessionManager) (*Checkpointer, 
 	return &Checkpointer{
 		cfg:    cfg,
 		mgr:    mgr,
-		queue:  make(chan *Session, cfg.Queue),
+		queue:  make(chan *Session, checkpointQueue),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}, nil
@@ -287,7 +282,7 @@ func (c *Checkpointer) commit(s *Session, data []byte, seq uint64) {
 			break
 		}
 		obsCkptWriteErrors.Inc()
-		if attempt >= c.cfg.Retries {
+		if attempt >= checkpointRetries {
 			c.setSick(true, err)
 			return
 		}

@@ -46,6 +46,14 @@ var (
 	obsLowMargin  = obs.Default.Counter("serve.match.lowmargin")
 )
 
+const (
+	// sessionTTL evicts streaming sessions idle longer than this.
+	sessionTTL = 5 * time.Minute
+	// matchTimeout caps per-request match wall-clock; request bodies
+	// may ask for less, never more.
+	matchTimeout = 30 * time.Second
+)
+
 // Config parameterizes a Server. Zero values get sane defaults.
 type Config struct {
 	// Workers bounds concurrent matching work (default 4; lhmm-serve
@@ -55,14 +63,9 @@ type Config struct {
 	Queue int
 	// MaxSessions caps live streaming sessions.
 	MaxSessions int
-	// SessionTTL evicts sessions idle longer than this.
-	SessionTTL time.Duration
 	// DefaultLag is the streaming emit lag when a session doesn't
 	// choose one.
 	DefaultLag int
-	// MatchTimeout caps per-request match wall-clock; request bodies
-	// may ask for less, never more.
-	MatchTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// Quality configures the online SLO monitor behind GET /v1/quality
@@ -96,14 +99,8 @@ func (c *Config) withDefaults() Config {
 	if out.MaxSessions <= 0 {
 		out.MaxSessions = 1024
 	}
-	if out.SessionTTL <= 0 {
-		out.SessionTTL = 5 * time.Minute
-	}
 	if out.DefaultLag < 0 {
 		out.DefaultLag = 0
-	}
-	if out.MatchTimeout <= 0 {
-		out.MatchTimeout = 30 * time.Second
 	}
 	if out.MaxBodyBytes <= 0 {
 		out.MaxBodyBytes = 8 << 20
@@ -145,7 +142,7 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      c,
 		reg:      reg,
-		sess:     NewSessionManager(c.MaxSessions, c.SessionTTL),
+		sess:     NewSessionManager(c.MaxSessions, sessionTTL),
 		adm:      newAdmission(c.Workers, c.Queue),
 		draining: make(chan struct{}),
 	}
@@ -157,7 +154,7 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 		s.ckpt = ck
 		s.sess.onRemove = ck.Remove
 		if m, wh := reg.Entry(); m != nil {
-			ck.Recover(m, wh, time.Now(), c.SessionTTL)
+			ck.Recover(m, wh, time.Now(), sessionTTL)
 		} else if reg != nil {
 			obs.Logger().Warn("serve: checkpoint recovery skipped: no model loaded yet")
 		}
@@ -288,6 +285,8 @@ func errorCode(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, errSessionNotFound):
 		return http.StatusNotFound
+	case errors.Is(err, traj.ErrMalformed):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -417,7 +416,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.testHookMatchStarted()
 	}
 
-	timeout := s.cfg.MatchTimeout
+	timeout := matchTimeout
 	if opts.TimeoutMS > 0 {
 		if d := time.Duration(opts.TimeoutMS) * time.Millisecond; d < timeout {
 			timeout = d

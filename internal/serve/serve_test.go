@@ -167,6 +167,58 @@ func TestMatchRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad option: %d, want 400", resp.StatusCode)
 	}
+	// The default strict sanitizer rejects a timestamp that does not
+	// increase, in a match body and in a session push: the client's
+	// input is at fault, not the server. The session keeps accepting
+	// well-formed points.
+	resp, body := postJSON(t, ts.URL+"/v1/match", MatchRequest{Points: []Point{{Tower: 0, T: 0}, {Tower: 1, T: 0}}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("repeated timestamp: %d (%s), want 400", resp.StatusCode, body)
+	}
+	tr := sessionTrip(t)
+	id := createSession(t, ts.URL, 2)
+	pushPoints(t, ts.URL, id, tr[1:2])
+	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+id+"/points", PushRequest{Points: PointsRequest(tr[:1]).Points})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("push of a backward timestamp: %d (%s), want 400", resp.StatusCode, body)
+	}
+	pushPoints(t, ts.URL, id, tr[2:3])
+}
+
+// FuzzMatchBody sends arbitrary bytes as a POST /v1/match body. The
+// server may refuse them with a 4xx, and a tiny timeout_ms may end the
+// match with a 504, but no body may panic the handler or earn a 500:
+// without an armed failpoint, a 500 is a server fault a client could
+// trigger at will.
+func FuzzMatchBody(f *testing.F) {
+	ds, m := fixture(f)
+	s, err := New(staticRegistry(f, m), Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	for _, req := range []MatchRequest{
+		PointsRequest(ds.TestTrips()[0].Cell),
+		{Points: []Point{{Tower: 1 << 20, T: 1}}},
+		{Points: []Point{{Tower: 0, T: 0}, {Tower: 1, T: 0}}},
+		{Points: []Point{{Tower: 0, T: 1}}, Options: &MatchOptions{OnBreak: "bogus"}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)))
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("body %q: 500 %s", body, rec.Body.Bytes())
+		}
+	})
 }
 
 // An HTTP streaming session must finalize the same matches as an

@@ -1,9 +1,16 @@
 package traj
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrMalformed is wrapped by every error that rejects a trajectory for
+// its points rather than for a fault of the matcher: a strict-mode
+// sanitizer error, and an input with no valid point left after
+// sanitization. The service answers it with 400.
+var ErrMalformed = errors.New("malformed trajectory")
 
 // SanitizeMode selects how trajectory sanitization treats malformed
 // input points — NaN/Inf coordinates or timestamps, non-monotonic
@@ -90,13 +97,13 @@ func (r *SanitizeReport) Admit(mode SanitizeMode, i int, p CellPoint, lastT *flo
 	switch {
 	case !finitePoint(p):
 		if mode == SanitizeStrict {
-			return false, fmt.Errorf("traj: point %d has non-finite coordinates or timestamp (%v, %v, t=%v)", i, p.P.X, p.P.Y, p.T)
+			return false, fmt.Errorf("traj: %w: point %d has non-finite coordinates or timestamp (%v, %v, t=%v)", ErrMalformed, i, p.P.X, p.P.Y, p.T)
 		}
 		r.BadCoords++
 		return false, nil
 	case p.T <= *lastT:
 		if mode == SanitizeStrict {
-			return false, fmt.Errorf("traj: point %d timestamp %v does not increase over %v", i, p.T, *lastT)
+			return false, fmt.Errorf("traj: %w: point %d timestamp %v does not increase over %v", ErrMalformed, i, p.T, *lastT)
 		}
 		r.BadTimes++
 		return false, nil
