@@ -7,13 +7,15 @@
 //	lhmm-bench -exp all -scale 0.05       # the whole evaluation section
 //	lhmm-bench -exp table2 -json          # machine-readable results
 //
-// Experiments: table1 table2 table3 fig7a fig7b fig8 fig9 fig10a
-// fig10b fig11. Results print to stdout; -out duplicates them to a
-// file. With -json, results are emitted as a single JSON document
-// (schema lhmm-bench/v1) carrying per-experiment wall-clock, the
-// rendered text, and the full observability snapshot (router cache hit
-// rate, shortcut activations, Viterbi breaks, latency histograms) so
-// successive runs can be diffed.
+// Experiments: table1 table2 seq2seq table3 fig7a fig7b fig8 fig9
+// fig10a fig10b fig11 fidelity; seq2seq holds Table II's seq2seq rows,
+// whose training dominates the table's wall, on their own. Results
+// print to stdout; -out duplicates them to a file. With -json, results
+// are emitted as a single JSON document (schema lhmm-bench/v1)
+// carrying per-experiment wall-clock, the rendered text, and the full
+// observability snapshot (router cache hit rate, shortcut activations,
+// Viterbi breaks, latency histograms) so successive runs can be
+// diffed.
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k

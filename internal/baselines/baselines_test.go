@@ -162,10 +162,11 @@ func seqCfg() Seq2SeqConfig {
 
 func TestDeepMM(t *testing.T) {
 	d, _, _ := world(t, 12)
-	m, err := NewDeepMM(d.Net, d.Cells.NumTowers(), d.TrainTrips(), seqCfg())
+	s, err := TrainSeq2Seq(d.Net, d.Cells.NumTowers(), d.TrainTrips(), seqCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := s.DeepMM()
 	if m.Name() != "DeepMM" {
 		t.Errorf("Name = %q", m.Name())
 	}
@@ -188,10 +189,11 @@ func TestDeepMM(t *testing.T) {
 
 func TestDMMConstrainedDecode(t *testing.T) {
 	d, _, _ := world(t, 12)
-	m, err := NewDMM(d.Net, d.Cells.NumTowers(), d.TrainTrips(), seqCfg())
+	s, err := TrainSeq2Seq(d.Net, d.Cells.NumTowers(), d.TrainTrips(), seqCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := s.DMM()
 	if m.Name() != "DMM" {
 		t.Errorf("Name = %q", m.Name())
 	}
@@ -245,10 +247,11 @@ func TestTransformerMM(t *testing.T) {
 func TestSeq2SeqLearnsTrainingData(t *testing.T) {
 	d, _, _ := world(t, 10)
 	cfg := Seq2SeqConfig{Dim: 16, Epochs: 6, MaxTarget: 50, Seed: 6}
-	m, err := NewDMM(d.Net, d.Cells.NumTowers(), d.TrainTrips(), cfg)
+	s, err := TrainSeq2Seq(d.Net, d.Cells.NumTowers(), d.TrainTrips(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := s.DMM()
 	var anyOverlap bool
 	for _, tr := range d.TrainTrips()[:3] {
 		out, err := m.Match(tr.Cell)

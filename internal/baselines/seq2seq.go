@@ -11,15 +11,13 @@ import (
 	"repro/internal/traj"
 )
 
-// Seq2SeqConfig parameterizes the recurrent seq2seq matchers (DeepMM
-// [37] and DMM [15]).
+// Seq2SeqConfig parameterizes the seq2seq matchers (DeepMM [37],
+// TransformerMM [38] and DMM [15]).
 type Seq2SeqConfig struct {
 	// Dim is the embedding and hidden size. Default 32.
 	Dim int
 	// Epochs over the training trips. Default 3.
 	Epochs int
-	// LR is the Adam learning rate. Default 1e-3.
-	LR float64
 	// MaxTarget caps the supervised/decoded path length. Default 90.
 	MaxTarget int
 	// Seed drives initialization and shuffling.
@@ -32,9 +30,6 @@ func (c Seq2SeqConfig) withDefaults() Seq2SeqConfig {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 3
-	}
-	if c.LR <= 0 {
-		c.LR = 1e-3
 	}
 	if c.MaxTarget <= 0 {
 		c.MaxTarget = 90
@@ -78,9 +73,10 @@ func (c *GRUCell) Step(tp *nn.Tape, x, h *nn.T) *nn.T {
 	return tp.Add(tp.Sub(h, tp.Mul(z, h)), tp.Mul(z, hh))
 }
 
-// seq2seq is the shared recurrent encoder-decoder: tower sequence in,
-// road sequence out, with additive attention over encoder states.
-type seq2seq struct {
+// Seq2Seq is the recurrent encoder-decoder DeepMM and DMM share: tower
+// sequence in, road sequence out, with additive attention over encoder
+// states. The two methods differ only in how they decode it.
+type Seq2Seq struct {
 	cfg      Seq2SeqConfig
 	net      *roadnet.Network
 	numRoads int // output classes = numRoads + 1 (EOS)
@@ -93,16 +89,16 @@ type seq2seq struct {
 	out      *nn.Linear // 2d -> numRoads+1
 }
 
-func (s *seq2seq) eosClass() int { return s.numRoads }
-func (s *seq2seq) bosRow() int   { return s.numRoads }
-func (s *seq2seq) eosRow() int   { return s.numRoads + 1 }
+func (s *Seq2Seq) eosClass() int { return s.numRoads }
+func (s *Seq2Seq) bosRow() int   { return s.numRoads }
+func (s *Seq2Seq) eosRow() int   { return s.numRoads + 1 }
 
-func newSeq2Seq(net *roadnet.Network, numTowers int, cfg Seq2SeqConfig) *seq2seq {
+func newSeq2Seq(net *roadnet.Network, numTowers int, cfg Seq2SeqConfig) *Seq2Seq {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 100))
 	d := cfg.Dim
 	v := net.NumSegments()
-	return &seq2seq{
+	return &Seq2Seq{
 		cfg:      cfg,
 		net:      net,
 		numRoads: v,
@@ -115,7 +111,7 @@ func newSeq2Seq(net *roadnet.Network, numTowers int, cfg Seq2SeqConfig) *seq2seq
 	}
 }
 
-func (s *seq2seq) params() []*nn.Param {
+func (s *Seq2Seq) params() []*nn.Param {
 	ps := append([]*nn.Param(nil), s.towerEmb.Params()...)
 	ps = append(ps, s.roadEmb.Params()...)
 	ps = append(ps, s.enc.Params()...)
@@ -127,7 +123,7 @@ func (s *seq2seq) params() []*nn.Param {
 
 // encode runs the encoder over the tower sequence, returning all hidden
 // states stacked (n×d) and the final state (1×d).
-func (s *seq2seq) encode(tp *nn.Tape, ct traj.CellTrajectory) (*nn.T, *nn.T) {
+func (s *Seq2Seq) encode(tp *nn.Tape, ct traj.CellTrajectory) (*nn.T, *nn.T) {
 	d := s.cfg.Dim
 	h := tp.Const(nn.NewMat(1, d))
 	states := make([]*nn.T, 0, len(ct))
@@ -142,7 +138,7 @@ func (s *seq2seq) encode(tp *nn.Tape, ct traj.CellTrajectory) (*nn.T, *nn.T) {
 // decodeStep advances the decoder one step: prev is the previous output
 // row index in roadEmb, state the decoder state. It returns logits
 // (1×numRoads+1) and the next state.
-func (s *seq2seq) decodeStep(tp *nn.Tape, prevRow int, state, encStates *nn.T) (*nn.T, *nn.T) {
+func (s *Seq2Seq) decodeStep(tp *nn.Tape, prevRow int, state, encStates *nn.T) (*nn.T, *nn.T) {
 	x := s.roadEmb.Forward(tp, []int{prevRow})
 	state = s.dec.Step(tp, x, state)
 	ctxT, _ := s.att.Forward(tp, state, encStates, encStates)
@@ -150,11 +146,14 @@ func (s *seq2seq) decodeStep(tp *nn.Tape, prevRow int, state, encStates *nn.T) (
 	return logits, state
 }
 
-// trainSeq2Seq teacher-forces the model on (cellular trajectory →
+// seqLR is the Adam learning rate of every seq2seq matcher.
+const seqLR = 1e-3
+
+// train teacher-forces the model on (cellular trajectory →
 // ground-truth path) pairs.
-func (s *seq2seq) train(trips []*traj.Trip) error {
+func (s *Seq2Seq) train(trips []*traj.Trip) error {
 	opt := nn.NewAdam()
-	opt.LR = s.cfg.LR
+	opt.LR = seqLR
 	params := s.params()
 	rng := rand.New(rand.NewSource(s.cfg.Seed + 200))
 	for epoch := 0; epoch < s.cfg.Epochs; epoch++ {
@@ -203,7 +202,7 @@ func (s *seq2seq) train(trips []*traj.Trip) error {
 // beam decoding on small training data. The estimate uses the
 // start-to-end displacement, which positioning noise inflates far less
 // than the sample-to-sample polyline length.
-func (s *seq2seq) minSteps(ct traj.CellTrajectory) int {
+func (s *Seq2Seq) minSteps(ct traj.CellTrajectory) int {
 	meanSeg := s.net.TotalLength() / float64(s.net.NumSegments())
 	if meanSeg <= 0 || len(ct) < 2 {
 		return 1
@@ -226,7 +225,7 @@ func (s *seq2seq) minSteps(ct traj.CellTrajectory) int {
 }
 
 // greedyDecode decodes without graph constraints (DeepMM-style).
-func (s *seq2seq) greedyDecode(ct traj.CellTrajectory) []roadnet.SegmentID {
+func (s *Seq2Seq) greedyDecode(ct traj.CellTrajectory) []roadnet.SegmentID {
 	tp := nn.NewTape()
 	encStates, state := s.encode(tp, ct)
 	var path []roadnet.SegmentID
@@ -261,7 +260,7 @@ func (s *seq2seq) greedyDecode(ct traj.CellTrajectory) []roadnet.SegmentID {
 // trajectory-closeness reward, and keeps a small beam — DMM's [15]
 // graph-constrained decoding with its RL reward approximated by the
 // closeness shaping term.
-func (s *seq2seq) constrainedDecode(ct traj.CellTrajectory, beamWidth int, rewardW float64) []roadnet.SegmentID {
+func (s *Seq2Seq) constrainedDecode(ct traj.CellTrajectory, beamWidth int, rewardW float64) []roadnet.SegmentID {
 	if beamWidth < 1 {
 		beamWidth = 1
 	}
@@ -417,44 +416,33 @@ func (s *seq2seq) constrainedDecode(ct traj.CellTrajectory, beamWidth int, rewar
 	return best.path
 }
 
-// deepMM wraps the unconstrained seq2seq as a Method.
-type deepMM struct{ s *seq2seq }
-
-// NewDeepMM builds and trains DeepMM [37] on the training trips.
-func NewDeepMM(net *roadnet.Network, numTowers int, trips []*traj.Trip, cfg Seq2SeqConfig) (Method, error) {
+// TrainSeq2Seq builds and trains the recurrent seq2seq on the training
+// trips, once for both of its decoders (DeepMM and DMM).
+func TrainSeq2Seq(net *roadnet.Network, numTowers int, trips []*traj.Trip, cfg Seq2SeqConfig) (*Seq2Seq, error) {
 	s := newSeq2Seq(net, numTowers, cfg)
 	if err := s.train(trips); err != nil {
 		return nil, err
 	}
-	return &deepMM{s: s}, nil
+	return s, nil
 }
 
-func (d *deepMM) Name() string { return "DeepMM" }
-
-func (d *deepMM) Match(ct traj.CellTrajectory) (*Output, error) {
-	if len(ct) == 0 {
-		return nil, fmt.Errorf("baselines: empty trajectory")
-	}
-	return &Output{Path: d.s.greedyDecode(ct)}, nil
+// DeepMM is DeepMM [37]: the model decoded greedily, without graph
+// constraints.
+func (s *Seq2Seq) DeepMM() Method {
+	return &FuncMethod{MethodName: "DeepMM", Fn: func(ct traj.CellTrajectory) (*Output, error) {
+		if len(ct) == 0 {
+			return nil, fmt.Errorf("baselines: empty trajectory")
+		}
+		return &Output{Path: s.greedyDecode(ct)}, nil
+	}}
 }
 
-// dmm wraps the graph-constrained beam decoder as a Method.
-type dmm struct{ s *seq2seq }
-
-// NewDMM builds and trains DMM [15] on the training trips.
-func NewDMM(net *roadnet.Network, numTowers int, trips []*traj.Trip, cfg Seq2SeqConfig) (Method, error) {
-	s := newSeq2Seq(net, numTowers, cfg)
-	if err := s.train(trips); err != nil {
-		return nil, err
-	}
-	return &dmm{s: s}, nil
-}
-
-func (d *dmm) Name() string { return "DMM" }
-
-func (d *dmm) Match(ct traj.CellTrajectory) (*Output, error) {
-	if len(ct) == 0 {
-		return nil, fmt.Errorf("baselines: empty trajectory")
-	}
-	return &Output{Path: d.s.constrainedDecode(ct, 3, 2.0)}, nil
+// DMM is DMM [15]: the model decoded by the graph-constrained beam.
+func (s *Seq2Seq) DMM() Method {
+	return &FuncMethod{MethodName: "DMM", Fn: func(ct traj.CellTrajectory) (*Output, error) {
+		if len(ct) == 0 {
+			return nil, fmt.Errorf("baselines: empty trajectory")
+		}
+		return &Output{Path: s.constrainedDecode(ct, 3, 2.0)}, nil
+	}}
 }

@@ -145,7 +145,7 @@ func (t *transformerMM) decode(tp *nn.Tape, inRows []int, enc *nn.T) *nn.T {
 
 func (t *transformerMM) train(trips []*traj.Trip) error {
 	opt := nn.NewAdam()
-	opt.LR = t.cfg.LR
+	opt.LR = seqLR
 	params := t.params()
 	rng := rand.New(rand.NewSource(t.cfg.Seed + 400))
 	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/baselines"
@@ -93,6 +94,27 @@ func TestEvaluateMethod(t *testing.T) {
 
 func TestSuiteMemoization(t *testing.T) {
 	s := tinySuite("memo-test", 32)
+	// Concurrent first resolutions build each entry once: every
+	// goroutine gets the one graph, over the one dataset.
+	graphs := make([]*mrg.Graph, 4)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := s.Graph()
+			if err != nil {
+				t.Error(err)
+			}
+			graphs[i] = g
+		}(i)
+	}
+	wg.Wait()
+	for _, g := range graphs[1:] {
+		if g != graphs[0] {
+			t.Error("Graph built twice")
+		}
+	}
 	d1, err := s.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +134,54 @@ func TestSuiteMemoization(t *testing.T) {
 	if _, err := s.Method("nope"); err == nil {
 		t.Error("unknown method did not error")
 	}
-	if _, err := s.SeqMethod("nope"); err == nil {
-		t.Error("unknown seq method did not error")
+}
+
+// TestSeq2SeqTrainsOnce: DeepMM and DMM resolve over one memoized
+// seq2seq. Resolving DMM after DeepMM adds no suite entry, and each
+// method's paths are its decoder's over that model.
+func TestSeq2SeqTrainsOnce(t *testing.T) {
+	s := tinySuite("s2s-test", 40)
+	keys := func() []string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var ks []string
+		for k := range s.entries {
+			ks = append(ks, k)
+		}
+		slices.Sort(ks)
+		return ks
+	}
+	deep, err := s.Method("DeepMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := keys()
+	dmm, err := s.Method("DMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := keys(); !slices.Equal(before, after) {
+		t.Errorf("resolving DMM after DeepMM built %v, had %v", after, before)
+	}
+	model, err := s.seq2seq()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := s.seq2seq(); again != model {
+		t.Error("seq2seq not memoized")
+	}
+	ds, _ := s.Dataset()
+	for _, tr := range ds.TestTrips() {
+		for _, c := range []struct{ got, want baselines.Method }{{deep, model.DeepMM()}, {dmm, model.DMM()}} {
+			a, errA := c.got.Match(tr.Cell)
+			b, errB := c.want.Match(tr.Cell)
+			if errA != nil || errB != nil {
+				t.Fatalf("%s: match errors %v / %v", c.got.Name(), errA, errB)
+			}
+			if !slices.Equal(a.Path, b.Path) {
+				t.Errorf("%s trip %d: suite path %v, model path %v", c.got.Name(), tr.ID, a.Path, b.Path)
+			}
+		}
 	}
 }
 
@@ -132,9 +200,8 @@ func TestTable1(t *testing.T) {
 
 func TestTable3AndFigures(t *testing.T) {
 	// Table 3 exercises every ablation; figures 8/9 sweep the trained
-	// model. Table 2 is exercised in the benchmark harness (it trains
-	// three extra seq2seq models); here we run a subset through
-	// Method() to keep the test fast.
+	// model. Tables II and its seq2seq rows run in the benchmark
+	// harness; TestRegistryResolvesEveryMethod resolves their names.
 	s := tinySuite("t3-test", 34)
 
 	rows, err := Table3(s)
@@ -195,6 +262,28 @@ func TestFigure7bResampling(t *testing.T) {
 	for _, p := range pts {
 		if _, ok := p.Values["STM"]; !ok {
 			t.Error("missing STM series")
+		}
+	}
+}
+
+func TestBusiestTower(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		counts map[int]int
+		want   int
+	}{
+		{"empty", map[int]int{}, -1},
+		{"one", map[int]int{7: 1}, 7},
+		{"max", map[int]int{3: 2, 9: 5, 1: 4}, 9},
+		{"tie", map[int]int{12: 6, 4: 6, 8: 6, 2: 5}, 4},
+		{"tie at zero id", map[int]int{0: 3, 5: 3}, 0},
+	} {
+		// Map order varies between ranges; repeat so a tie broken by
+		// order shows.
+		for i := 0; i < 50; i++ {
+			if got := busiestTower(c.counts); got != c.want {
+				t.Fatalf("%s: busiestTower = %d, want %d", c.name, got, c.want)
+			}
 		}
 	}
 }
@@ -302,7 +391,7 @@ func TestRegistryResolvesEveryMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := append(append(append([]string{"HMM"}, Table2Methods...), Table3Variants...), Figure7aMethods...)
+	names := append(append(append(append([]string{"HMM"}, Table2Methods...), Seq2SeqMethods...), Table3Variants...), Figure7aMethods...)
 	for _, name := range names {
 		m, err := s.Method(name)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 // plus the "fidelity" check validating the ground-truth substitution
 // (DESIGN.md §2).
 var ExperimentNames = []string{
-	"table1", "table2", "table3",
+	"table1", "table2", "seq2seq", "table3",
 	"fig7a", "fig7b", "fig8", "fig9", "fig10a", "fig10b", "fig11",
 	"fidelity",
 }
@@ -32,29 +32,11 @@ func RunExperiment(id string, primary, secondary *Suite) (string, error) {
 		}
 		return Table1(suites...)
 	case "table2":
-		var b strings.Builder
-		for _, s := range suitesFor(primary, secondary) {
-			rows, err := Table2(s)
-			if err != nil {
-				return "", err
-			}
-			ds, _ := s.Dataset()
-			b.WriteString(FormatRows(fmt.Sprintf("Table II — overall performance (%s)", ds.Name), rows))
-			b.WriteString("\n")
-		}
-		return b.String(), nil
+		return tables(primary, secondary, Table2, "Table II — overall performance (%s)")
+	case "seq2seq":
+		return tables(primary, secondary, Seq2Seq, "Table II — seq2seq family (%s)")
 	case "table3":
-		var b strings.Builder
-		for _, s := range suitesFor(primary, secondary) {
-			rows, err := Table3(s)
-			if err != nil {
-				return "", err
-			}
-			ds, _ := s.Dataset()
-			b.WriteString(FormatRows(fmt.Sprintf("Table III — ablations (%s)", ds.Name), rows))
-			b.WriteString("\n")
-		}
-		return b.String(), nil
+		return tables(primary, secondary, Table3, "Table III — ablations (%s)")
 	case "fig7a":
 		pts, err := Figure7a(primary)
 		if err != nil {
@@ -113,6 +95,22 @@ func RunExperiment(id string, primary, secondary *Suite) (string, error) {
 	default:
 		return "", fmt.Errorf("eval: unknown experiment %q (have %s)", id, strings.Join(ExperimentNames, ", "))
 	}
+}
+
+// tables renders one table per suite, each titled with its dataset's
+// name.
+func tables(primary, secondary *Suite, table func(*Suite) ([]Row, error), title string) (string, error) {
+	var b strings.Builder
+	for _, s := range suitesFor(primary, secondary) {
+		rows, err := table(s)
+		if err != nil {
+			return "", err
+		}
+		ds, _ := s.Dataset()
+		b.WriteString(FormatRows(fmt.Sprintf(title, ds.Name), rows))
+		b.WriteString("\n")
+	}
+	return b.String(), nil
 }
 
 func suitesFor(primary, secondary *Suite) []*Suite {

@@ -57,166 +57,102 @@ type Suite struct {
 	Cfg SuiteConfig
 
 	mu      sync.Mutex
-	ds      *traj.Dataset
-	router  *roadnet.Router
-	graph   *mrg.Graph
-	lhmm    *core.Model
-	lhmmVar map[string]*core.Model
-	seq     map[string]baselines.Method
-	errs    map[string]error
+	entries map[string]*entry
+}
+
+// entry is one memoized value of a Suite: built once, its value and
+// error kept.
+type entry struct {
+	once sync.Once
+	val  any
+	err  error
 }
 
 // NewSuite creates an empty suite.
 func NewSuite(cfg SuiteConfig) *Suite {
-	return &Suite{
-		Cfg:     cfg,
-		lhmmVar: make(map[string]*core.Model),
-		seq:     make(map[string]baselines.Method),
-		errs:    make(map[string]error),
+	return &Suite{Cfg: cfg, entries: make(map[string]*entry)}
+}
+
+// memo returns the value under key, building it on first use. A build
+// may resolve other keys, never its own.
+func memo[T any](s *Suite, key string, build func() (T, error)) (T, error) {
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	if !ok {
+		e = &entry{}
+		s.entries[key] = e
 	}
+	s.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = build() })
+	if e.err != nil {
+		var zero T
+		return zero, e.err
+	}
+	return e.val.(T), nil
 }
 
 // Dataset generates (once) and returns the dataset.
 func (s *Suite) Dataset() (*traj.Dataset, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.datasetLocked()
-}
-
-func (s *Suite) datasetLocked() (*traj.Dataset, error) {
-	if s.ds != nil {
-		return s.ds, nil
-	}
-	if err, ok := s.errs["dataset"]; ok {
-		return nil, err
-	}
-	ds, err := synth.GenerateDataset(s.Cfg.Dataset)
-	if err != nil {
-		s.errs["dataset"] = err
-		return nil, err
-	}
-	s.ds = ds
-	s.router = roadnet.NewRouter(ds.Net)
-	return ds, nil
+	return memo(s, "dataset", func() (*traj.Dataset, error) {
+		return synth.GenerateDataset(s.Cfg.Dataset)
+	})
 }
 
 // Router returns the shared router.
 func (s *Suite) Router() (*roadnet.Router, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.datasetLocked(); err != nil {
-		return nil, err
-	}
-	return s.router, nil
+	return memo(s, "router", func() (*roadnet.Router, error) {
+		ds, err := s.Dataset()
+		if err != nil {
+			return nil, err
+		}
+		return roadnet.NewRouter(ds.Net), nil
+	})
 }
 
 // Graph builds (once) the multi-relational graph over training trips.
 func (s *Suite) Graph() (*mrg.Graph, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.graph != nil {
-		return s.graph, nil
-	}
-	ds, err := s.datasetLocked()
-	if err != nil {
-		return nil, err
-	}
-	g, err := mrg.BuildGraph(ds.Net, ds.Cells, ds.TrainTrips())
-	if err != nil {
-		return nil, err
-	}
-	s.graph = g
-	return g, nil
+	return memo(s, "graph", func() (*mrg.Graph, error) {
+		ds, err := s.Dataset()
+		if err != nil {
+			return nil, err
+		}
+		return mrg.BuildGraph(ds.Net, ds.Cells, ds.TrainTrips())
+	})
 }
 
 // LHMM trains (once) and returns the full LHMM model.
 func (s *Suite) LHMM() (*core.Model, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lhmm != nil {
-		return s.lhmm, nil
-	}
-	if err, ok := s.errs["lhmm"]; ok {
-		return nil, err
-	}
-	ds, err := s.datasetLocked()
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.Train(ds, s.Cfg.LHMM)
-	if err != nil {
-		s.errs["lhmm"] = err
-		return nil, err
-	}
-	s.lhmm = m
-	return m, nil
+	return s.lhmm("LHMM")
 }
 
-// LHMMVariant trains (once per name) an ablation variant; mod adjusts
-// the base configuration.
-func (s *Suite) LHMMVariant(name string, mod func(*core.Config)) (*core.Model, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.lhmmVar[name]; ok {
-		return m, nil
-	}
-	if err, ok := s.errs["lhmm:"+name]; ok {
-		return nil, err
-	}
-	ds, err := s.datasetLocked()
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.Cfg.LHMM
-	mod(&cfg)
-	m, err := core.Train(ds, cfg)
-	if err != nil {
-		s.errs["lhmm:"+name] = err
-		return nil, err
-	}
-	s.lhmmVar[name] = m
-	return m, nil
+// lhmm trains (once per name) one of lhmmVariants.
+func (s *Suite) lhmm(name string) (*core.Model, error) {
+	return memo(s, name, func() (*core.Model, error) {
+		ds, err := s.Dataset()
+		if err != nil {
+			return nil, err
+		}
+		cfg := s.Cfg.LHMM
+		lhmmVariants[name](&cfg)
+		return core.Train(ds, cfg)
+	})
 }
 
-// seqMethods are the seq2seq baselines, trained over the training
-// split.
-var seqMethods = map[string]func(*roadnet.Network, int, []*traj.Trip, baselines.Seq2SeqConfig) (baselines.Method, error){
-	"DeepMM":        baselines.NewDeepMM,
-	"TransformerMM": baselines.NewTransformerMM,
-	"DMM":           baselines.NewDMM,
+// seq2seq trains (once) the recurrent model DeepMM and DMM decode.
+func (s *Suite) seq2seq() (*baselines.Seq2Seq, error) {
+	return memo(s, "seq2seq", func() (*baselines.Seq2Seq, error) {
+		ds, err := s.Dataset()
+		if err != nil {
+			return nil, err
+		}
+		return baselines.TrainSeq2Seq(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
+	})
 }
 
-// SeqMethod trains (once per name) a seq2seq baseline: "DeepMM",
-// "TransformerMM", or "DMM".
-func (s *Suite) SeqMethod(name string) (baselines.Method, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.seq[name]; ok {
-		return m, nil
-	}
-	if err, ok := s.errs["seq:"+name]; ok {
-		return nil, err
-	}
-	build, ok := seqMethods[name]
-	if !ok {
-		return nil, fmt.Errorf("eval: unknown seq2seq method %q", name)
-	}
-	ds, err := s.datasetLocked()
-	if err != nil {
-		return nil, err
-	}
-	m, err := build(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
-	if err != nil {
-		s.errs["seq:"+name] = err
-		return nil, err
-	}
-	s.seq[name] = m
-	return m, nil
-}
-
-// ablations are Table III's LHMM variants, each the base configuration
-// with one part switched off or replaced.
-var ablations = map[string]func(*core.Config){
+// lhmmVariants are Table III's LHMM rows: the base configuration, and
+// each ablation with one part switched off or replaced.
+var lhmmVariants = map[string]func(*core.Config){
+	"LHMM":   func(*core.Config) {},
 	"LHMM-E": func(c *core.Config) { c.EncoderMode = mrg.MLPOnly },
 	"LHMM-H": func(c *core.Config) { c.EncoderMode = mrg.HomoGNN },
 	"LHMM-O": func(c *core.Config) { c.DisableImplicitObs = true },
@@ -228,22 +164,31 @@ var ablations = map[string]func(*core.Config){
 // if needed: "LHMM", a Table III ablation, a seq2seq baseline, or a
 // non-learned method NewBaseline builds.
 func (s *Suite) Method(name string) (baselines.Method, error) {
-	if name == "LHMM" {
-		m, err := s.LHMM()
+	if _, ok := lhmmVariants[name]; ok {
+		m, err := s.lhmm(name)
 		if err != nil {
 			return nil, err
 		}
 		return LHMMMethod(name, m), nil
 	}
-	if mod, ok := ablations[name]; ok {
-		m, err := s.LHMMVariant(name, mod)
+	switch name {
+	case "DeepMM", "DMM":
+		m, err := s.seq2seq()
 		if err != nil {
 			return nil, err
 		}
-		return LHMMMethod(name, m), nil
-	}
-	if _, ok := seqMethods[name]; ok {
-		return s.SeqMethod(name)
+		if name == "DMM" {
+			return m.DMM(), nil
+		}
+		return m.DeepMM(), nil
+	case "TransformerMM":
+		return memo(s, name, func() (baselines.Method, error) {
+			ds, err := s.Dataset()
+			if err != nil {
+				return nil, err
+			}
+			return baselines.NewTransformerMM(ds.Net, ds.Cells.NumTowers(), ds.TrainTrips(), s.Cfg.Seq)
+		})
 	}
 	ds, err := s.Dataset()
 	if err != nil {

@@ -16,7 +16,6 @@ package shadow
 import (
 	"bytes"
 	"math"
-	"time"
 
 	"repro/internal/hmm"
 )
@@ -65,9 +64,6 @@ type Comparison struct {
 	// CandErr is the candidate's match error when the active model
 	// answered and the candidate failed — always a disagreement.
 	CandErr error
-	// CandLatency is the candidate's match wall-clock (filled by
-	// callers that time it; zero otherwise).
-	CandLatency time.Duration
 }
 
 // Disagrees reports whether this request is a disagreement: any

@@ -3,8 +3,6 @@ package shadow
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // Stats aggregates comparisons for one candidate model. Safe for
@@ -34,15 +32,10 @@ type Stats struct {
 	marginDeltaN      int64
 	marginDeltaSum    float64
 	marginDeltaAbsSum float64
-
-	lat    []int64 // per-obs.LatencyBuckets counts; candidate match latency
-	latSum float64
 }
 
 // NewStats creates an empty aggregate.
-func NewStats() *Stats {
-	return &Stats{lat: make([]int64, len(obs.LatencyBuckets)+1)}
-}
+func NewStats() *Stats { return &Stats{} }
 
 // Record folds one comparison into the aggregates.
 func (s *Stats) Record(cmp *Comparison) {
@@ -83,15 +76,6 @@ func (s *Stats) Record(cmp *Comparison) {
 	s.marginDeltaN += int64(cmp.MarginDeltas)
 	s.marginDeltaSum += cmp.SumMarginDelta
 	s.marginDeltaAbsSum += cmp.SumAbsMarginDelta
-	if cmp.CandLatency > 0 {
-		v := cmp.CandLatency.Seconds()
-		i := 0
-		for i < len(obs.LatencyBuckets) && v > obs.LatencyBuckets[i] {
-			i++
-		}
-		s.lat[i]++
-		s.latSum += v
-	}
 }
 
 // Thresholds gate the promotion-readiness verdict. Zero values take
@@ -140,14 +124,6 @@ type QualityRates struct {
 	FailureRate float64 `json:"failure_rate"`
 }
 
-// LatencyQuantiles summarize the candidate's match latency.
-type LatencyQuantiles struct {
-	P50S  float64 `json:"p50_s"`
-	P95S  float64 `json:"p95_s"`
-	P99S  float64 `json:"p99_s"`
-	MeanS float64 `json:"mean_s"`
-}
-
 // Report is the `lhmm replay -against` output: the aggregate
 // comparison plus the promotion verdict.
 type Report struct {
@@ -172,8 +148,6 @@ type Report struct {
 
 	Active    QualityRates `json:"active"`
 	Candidate QualityRates `json:"candidate"`
-
-	CandidateLatency LatencyQuantiles `json:"candidate_latency"`
 
 	// Verdict is "ready", "not_ready", or "insufficient_data"; Reasons
 	// lists the violated thresholds behind a not_ready verdict.
@@ -229,15 +203,6 @@ func (s *Stats) Report(t Thresholds) Report {
 		GapRate:      ratio(s.candGapped, s.samples),
 		FailureRate:  ratio(s.candFailures, s.samples),
 	}
-	r.CandidateLatency = LatencyQuantiles{
-		P50S: obs.BucketQuantile(obs.LatencyBuckets, s.lat, 0.50),
-		P95S: obs.BucketQuantile(obs.LatencyBuckets, s.lat, 0.95),
-		P99S: obs.BucketQuantile(obs.LatencyBuckets, s.lat, 0.99),
-	}
-	if n := countLat(s.lat); n > 0 {
-		r.CandidateLatency.MeanS = s.latSum / float64(n)
-	}
-
 	if s.samples < int64(t.MinSamples) {
 		r.Verdict = VerdictInsufficient
 		r.Reasons = append(r.Reasons, fmt.Sprintf("samples %d < min_samples %d", s.samples, t.MinSamples))
@@ -261,12 +226,4 @@ func (s *Stats) Report(t Thresholds) Report {
 		r.Verdict = VerdictReady
 	}
 	return r
-}
-
-func countLat(lat []int64) int64 {
-	var n int64
-	for _, c := range lat {
-		n += c
-	}
-	return n
 }
