@@ -31,7 +31,7 @@ const (
 // config structs behind the flags. A field is added the way a flag is:
 // with the two callers that set it to different values named in
 // DESIGN §8d.
-const maxConfigFields = 39
+const maxConfigFields = 37
 
 var (
 	helpFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/roadnet"
 	"repro/internal/traj"
+	"repro/internal/wire"
 )
 
 // lhmm-session/v3 — the durable wire format for an in-flight streaming
@@ -136,40 +137,15 @@ func (m *Model) ConfigFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// snapWriter appends little-endian primitives to a growing buffer.
-type snapWriter struct{ b []byte }
-
-func (w *snapWriter) bytes(p []byte) { w.b = append(w.b, p...) }
-func (w *snapWriter) u8(v uint8)     { w.b = append(w.b, v) }
-func (w *snapWriter) u16(v uint16)   { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *snapWriter) u32(v uint32)   { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *snapWriter) u64(v uint64)   { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *snapWriter) i32(v int32)    { w.u32(uint32(v)) }
-func (w *snapWriter) i64(v int64)    { w.u64(uint64(v)) }
-func (w *snapWriter) f64(v float64)  { w.u64(math.Float64bits(v)) }
-
-func (w *snapWriter) f64s(vs []float64) {
-	for _, v := range vs {
-		w.f64(v)
-	}
-}
-
-func (w *snapWriter) flag(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-func (w *snapWriter) candidate(c *hmm.Candidate) {
-	w.i64(int64(c.Seg))
-	w.f64(c.Frac)
-	w.f64(c.Proj.X)
-	w.f64(c.Proj.Y)
-	w.f64(c.Dist)
-	w.f64(c.Obs)
-	w.flag(c.Pseudo)
+// putCandidate writes one candidate in its candWire bytes.
+func putCandidate(w *wire.Writer, c *hmm.Candidate) {
+	w.U64(uint64(c.Seg))
+	w.F64(c.Frac)
+	w.F64(c.Proj.X)
+	w.F64(c.Proj.Y)
+	w.F64(c.Dist)
+	w.F64(c.Obs)
+	w.Bool(c.Pseudo)
 }
 
 const candWire = 8 + 5*8 + 1 // one candidate on the wire
@@ -206,184 +182,74 @@ func EncodeStreamSnapshot(sm *hmm.StreamMatcher, id string, weightsHash [32]byte
 	}
 	est := snapMinLen + len(id) + n*(4+3*8+1+4) + cands*(candWire+8+4) +
 		len(st.Matched)*candWire + len(st.Gaps)*9 + rows*cols*8 + 2*n*8
-	w := &snapWriter{b: make([]byte, 0, est)}
+	w := wire.Writer{Buf: make([]byte, 0, est)}
 
-	w.bytes([]byte(snapMagic))
-	w.u16(SnapshotVersion)
-	w.u8(uint8(sm.M.Cfg.OnBreak))
-	w.u8(uint8(sm.M.Cfg.Sanitize))
-	w.u32(uint32(st.Lag))
-	w.u64(ss.m.ConfigFingerprint())
-	w.bytes(weightsHash[:])
-	w.u32(uint32(len(id)))
-	w.bytes([]byte(id))
+	w.Bytes([]byte(snapMagic))
+	w.U16(SnapshotVersion)
+	w.U8(uint8(sm.M.Cfg.OnBreak))
+	w.U8(uint8(sm.M.Cfg.Sanitize))
+	w.U32(uint32(st.Lag))
+	w.U64(ss.m.ConfigFingerprint())
+	w.Bytes(weightsHash[:])
+	w.U32(uint32(len(id)))
+	w.Bytes([]byte(id))
 
-	w.u32(uint32(n))
+	w.U32(uint32(n))
 	for _, p := range st.Points {
-		w.i32(int32(p.Tower))
-		w.f64(p.P.X)
-		w.f64(p.P.Y)
-		w.f64(p.T)
+		w.U32(uint32(p.Tower))
+		w.F64(p.P.X)
+		w.F64(p.P.Y)
+		w.F64(p.T)
 	}
 	for _, dead := range st.Dead {
-		w.flag(dead)
+		w.Bool(dead)
 	}
-	w.u32(uint32(st.Emitted))
-	w.f64(st.LastT)
-	w.i64(st.Degraded)
-	w.u32(uint32(st.Sanitize.BadCoords))
-	w.u32(uint32(st.Sanitize.BadTimes))
+	w.U32(uint32(st.Emitted))
+	w.F64(st.LastT)
+	w.U64(uint64(st.Degraded))
+	w.U32(uint32(st.Sanitize.BadCoords))
+	w.U32(uint32(st.Sanitize.BadTimes))
 	for i := 0; i < n; i++ {
 		layer := st.Layers[i]
-		w.u32(uint32(len(layer)))
+		w.U32(uint32(len(layer)))
 		for j := range layer {
-			w.candidate(&layer[j])
+			putCandidate(&w, &layer[j])
 		}
-		w.f64s(st.F[i])
+		w.F64s(st.F[i])
 		for _, p := range st.Pre[i] {
-			w.i32(int32(p))
+			w.U32(uint32(p))
 		}
 	}
-	w.u32(uint32(len(st.Matched)))
+	w.U32(uint32(len(st.Matched)))
 	for j := range st.Matched {
-		w.candidate(&st.Matched[j])
+		putCandidate(&w, &st.Matched[j])
 	}
-	w.u32(uint32(len(st.Gaps)))
+	w.U32(uint32(len(st.Gaps)))
 	for _, g := range st.Gaps {
-		w.i32(int32(g.From))
-		w.i32(int32(g.To))
-		w.u8(uint8(g.Reason))
+		w.U32(uint32(g.From))
+		w.U32(uint32(g.To))
+		w.U8(uint8(g.Reason))
 	}
-	w.u32(uint32(rows))
-	w.u32(uint32(cols))
+	w.U32(uint32(rows))
+	w.U32(uint32(cols))
 	for _, row := range st.Steps {
-		w.f64s(row)
+		w.F64s(row)
 	}
 
-	w.f64s(ss.obsZ)
-	w.f64s(ss.obsMax)
-
-	w.u32(crc32.Checksum(w.b, snapCRCTable))
-	return w.b, nil
+	w.F64s(ss.obsZ)
+	w.F64s(ss.obsMax)
+	return w.Seal(snapCRCTable), nil
 }
 
-// snapReader consumes little-endian primitives with sticky, bounds-
-// checked errors: any read past the end (or any structural violation
-// flagged by the caller) records ErrSnapshotCorrupt once and turns all
-// further reads into zero-valued no-ops. Decoding arbitrary bytes can
-// therefore never panic — the property FuzzSnapshotDecode locks in.
-type snapReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s (offset %d)", ErrSnapshotCorrupt, fmt.Sprintf(format, args...), r.off)
-	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("truncated: need %d bytes, %d left", n, len(r.b)-r.off)
-		return nil
-	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
-	return p
-}
-
-func (r *snapReader) u8() uint8 {
-	p := r.take(1)
-	if p == nil {
-		return 0
-	}
-	return p[0]
-}
-
-func (r *snapReader) u16() uint16 {
-	p := r.take(2)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(p)
-}
-
-func (r *snapReader) u32() uint32 {
-	p := r.take(4)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(p)
-}
-
-func (r *snapReader) u64() uint64 {
-	p := r.take(8)
-	if p == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(p)
-}
-
-func (r *snapReader) i32() int32     { return int32(r.u32()) }
-func (r *snapReader) i64() int64     { return int64(r.u64()) }
-func (r *snapReader) f64() float64   { return math.Float64frombits(r.u64()) }
-func (r *snapReader) remaining() int { return len(r.b) - r.off }
-
-// count reads a u32 element count and rejects values that could not
-// possibly fit in the remaining bytes at minBytes per element, so a
-// corrupt length cannot drive a giant allocation.
-func (r *snapReader) count(what string, minBytes int) int {
-	v := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes > 0 && int(v) > r.remaining()/minBytes {
-		r.fail("%s count %d exceeds remaining payload", what, v)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *snapReader) f64s(n int) []float64 {
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// flag reads a u8 that must be 0 or 1.
-func (r *snapReader) flag(what string) bool {
-	switch v := r.u8(); v {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		r.fail("%s flag %d is not 0/1", what, v)
-		return false
-	}
-}
-
-func (r *snapReader) candidate(c *hmm.Candidate) {
-	c.Seg = roadnet.SegmentID(r.i64())
-	c.Frac = r.f64()
-	c.Proj.X = r.f64()
-	c.Proj.Y = r.f64()
-	c.Dist = r.f64()
-	c.Obs = r.f64()
-	c.Pseudo = r.flag("pseudo")
+// getCandidate reads one candidate as putCandidate wrote it.
+func getCandidate(r *wire.Reader, c *hmm.Candidate) {
+	c.Seg = roadnet.SegmentID(int64(r.U64()))
+	c.Frac = r.F64()
+	c.Proj.X = r.F64()
+	c.Proj.Y = r.F64()
+	c.Dist = r.F64()
+	c.Obs = r.F64()
+	c.Pseudo = r.Bool()
 }
 
 // snapHeader is the decoded fixed header.
@@ -413,127 +279,112 @@ func parseSnapshot(data []byte) (*snapHeader, *hmm.StreamState, *snapSession, er
 	if string(data[:8]) != snapMagic {
 		return nil, nil, nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, data[:8])
 	}
-	body, foot := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, snapCRCTable), binary.LittleEndian.Uint32(foot); got != want {
-		return nil, nil, nil, fmt.Errorf("%w: CRC %08x, footer says %08x", ErrSnapshotCorrupt, got, want)
+	body, err := wire.Open(data, snapCRCTable)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
-	r := &snapReader{b: body, off: 8}
-	if v := r.u16(); v != SnapshotVersion {
+	r := wire.NewReader(body)
+	r.Bytes(len(snapMagic))
+	if v := r.U16(); v != SnapshotVersion {
 		return nil, nil, nil, fmt.Errorf("%w: version %d (this build speaks %d)", ErrSnapshotVersion, v, SnapshotVersion)
+	}
+	// count reads a u32 element count the remaining bytes can hold at
+	// size bytes per element, so a corrupt length cannot drive a giant
+	// allocation.
+	count := func(size int) int {
+		if v := r.U32(); r.Fits(uint64(v), size) {
+			return int(v)
+		}
+		return 0
 	}
 
 	var hdr snapHeader
-	ob := r.u8()
-	sz := r.u8()
-	if r.err == nil && ob > uint8(hmm.BreakSplit) {
-		r.fail("unknown break policy %d", ob)
+	ob := r.U8()
+	sz := r.U8()
+	if ob > uint8(hmm.BreakSplit) {
+		r.Failf("unknown break policy %d", ob)
 	}
-	if r.err == nil && sz > uint8(traj.SanitizeOff) {
-		r.fail("unknown sanitize mode %d", sz)
+	if sz > uint8(traj.SanitizeOff) {
+		r.Failf("unknown sanitize mode %d", sz)
 	}
 	hdr.OnBreak = hmm.BreakPolicy(ob)
 	hdr.Sanitize = traj.SanitizeMode(sz)
-	hdr.Lag = int(r.u32())
-	hdr.Fingerprint = r.u64()
-	copy(hdr.WeightsHash[:], r.take(32))
-	idLen := r.count("session id", 1)
-	if r.err == nil && (idLen == 0 || idLen > snapMaxID) {
-		r.fail("session id length %d out of range [1,%d]", idLen, snapMaxID)
+	hdr.Lag = int(r.U32())
+	hdr.Fingerprint = r.U64()
+	copy(hdr.WeightsHash[:], r.Bytes(32))
+	idLen := count(1)
+	if r.Err() == nil && (idLen == 0 || idLen > snapMaxID) {
+		r.Failf("session id length %d out of range [1,%d]", idLen, snapMaxID)
 	}
-	hdr.ID = string(r.take(idLen))
+	hdr.ID = string(r.Bytes(idLen))
 
 	st := &hmm.StreamState{Lag: hdr.Lag}
-	n := r.count("point", 4+3*8)
+	n := count(4 + 3*8)
 	st.Points = make(traj.CellTrajectory, n)
 	for i := range st.Points {
 		p := &st.Points[i]
-		p.Tower = cellular.TowerID(r.i32())
-		p.P.X, p.P.Y, p.T = r.f64(), r.f64(), r.f64()
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+		p.Tower = cellular.TowerID(int32(r.U32()))
+		p.P.X, p.P.Y, p.T = r.F64(), r.F64(), r.F64()
 	}
 	st.Dead = make([]bool, n)
 	for i := range st.Dead {
-		st.Dead[i] = r.flag("dead")
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+		st.Dead[i] = r.Bool()
 	}
-	st.Emitted = int(r.u32())
-	st.LastT = r.f64()
-	st.Degraded = r.i64()
-	st.Sanitize.BadCoords = int(r.u32())
-	st.Sanitize.BadTimes = int(r.u32())
+	st.Emitted = int(r.U32())
+	st.LastT = r.F64()
+	st.Degraded = int64(r.U64())
+	st.Sanitize.BadCoords = int(r.U32())
+	st.Sanitize.BadTimes = int(r.U32())
 
 	st.Layers = make([][]hmm.Candidate, n)
 	st.F = make([][]float64, n)
 	st.Pre = make([][]int, n)
 	for i := 0; i < n; i++ {
-		c := r.count("candidate", candWire+8+4)
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+		c := count(candWire + 8 + 4)
 		if c == 0 {
 			continue // dead point: nil rows
 		}
 		layer := make([]hmm.Candidate, c)
 		for j := range layer {
-			r.candidate(&layer[j])
+			getCandidate(r, &layer[j])
 		}
 		st.Layers[i] = layer
-		st.F[i] = r.f64s(c)
+		st.F[i] = r.F64s(c)
 		pre := make([]int, c)
 		for j := range pre {
-			pre[j] = int(r.i32())
+			pre[j] = int(int32(r.U32()))
 		}
 		st.Pre[i] = pre
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
 	}
-	mc := r.count("matched", candWire)
-	st.Matched = make([]hmm.Candidate, mc)
+	st.Matched = make([]hmm.Candidate, count(candWire))
 	for j := range st.Matched {
-		r.candidate(&st.Matched[j])
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+		getCandidate(r, &st.Matched[j])
 	}
-	gc := r.count("gap", 9)
-	st.Gaps = make([]hmm.Gap, gc)
+	st.Gaps = make([]hmm.Gap, count(4+4+1))
 	for j := range st.Gaps {
-		st.Gaps[j].From = int(r.i32())
-		st.Gaps[j].To = int(r.i32())
-		st.Gaps[j].Reason = hmm.GapReason(r.u8())
-		if r.err != nil {
-			return nil, nil, nil, r.err
-		}
+		st.Gaps[j].From = int(int32(r.U32()))
+		st.Gaps[j].To = int(int32(r.U32()))
+		st.Gaps[j].Reason = hmm.GapReason(r.U8())
 	}
-	rows := r.count("window row", 0)
-	cols := r.count("window column", 0)
-	if r.err == nil && rows > 0 && cols > r.remaining()/8/rows {
-		r.fail("window %d×%d exceeds remaining payload", rows, cols)
+	rows, cols := r.U32(), r.U32()
+	if (rows == 0) != (cols == 0) {
+		r.Failf("window %d×%d", rows, cols)
 	}
-	if r.err == nil && (rows == 0) != (cols == 0) {
-		r.fail("window %d×%d", rows, cols)
-	}
-	if rows > 0 && r.err == nil {
+	if r.Fits(uint64(rows)*uint64(cols), 8) && rows > 0 {
 		st.Steps = make([][]float64, rows)
 		for j := range st.Steps {
-			st.Steps[j] = r.f64s(cols)
+			st.Steps[j] = r.F64s(int(cols))
 		}
 	}
 
 	sess := &snapSession{}
-	sess.obsZ = r.f64s(n)
-	sess.obsMax = r.f64s(n)
-	if r.err != nil {
-		return nil, nil, nil, r.err
+	sess.obsZ = r.F64s(n)
+	sess.obsMax = r.F64s(n)
+	if r.Len() != 0 {
+		r.Failf("%d trailing bytes after session section", r.Len())
 	}
-	if r.remaining() != 0 {
-		r.fail("%d trailing bytes after session section", r.remaining())
-		return nil, nil, nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	return &hdr, st, sess, nil
 }

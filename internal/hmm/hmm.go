@@ -294,12 +294,6 @@ type Config struct {
 	// points error), drop (malformed points removed, reported in
 	// Result.Sanitize), or off.
 	Sanitize traj.SanitizeMode
-	// FallbackSigma is the Eq. 2 Gaussian σ used when an observation
-	// model returns NaN/Inf (degraded mode). Default ClassicalSigma.
-	FallbackSigma float64
-	// FallbackBeta is the Eq. 3 exponential β used when a transition
-	// model returns NaN/Inf (degraded mode). Default ClassicalBeta.
-	FallbackBeta float64
 	// Trace collects a per-trajectory obs.MatchTrace on every Match
 	// (per-point candidate and score stats, break events, stage
 	// wall-clock) at the cost of a few clock reads per stage.
@@ -886,11 +880,7 @@ func (m *Matcher) stepScore(ct traj.CellTrajectory, i int, from, to *Candidate, 
 // fallbackObs is the degraded-mode observation probability: the
 // classical Eq. 2 Gaussian of the candidate's distance.
 func (m *Matcher) fallbackObs(dist float64) float64 {
-	sigma := m.Cfg.FallbackSigma
-	if sigma <= 0 {
-		sigma = ClassicalSigma
-	}
-	z := dist / sigma
+	z := dist / ClassicalSigma
 	return math.Exp(-0.5 * z * z)
 }
 
@@ -902,12 +892,8 @@ func (m *Matcher) fallbackTrans(ct traj.CellTrajectory, i int, from, to *Candida
 	if !ok {
 		return 0, false
 	}
-	beta := m.Cfg.FallbackBeta
-	if beta <= 0 {
-		beta = ClassicalBeta
-	}
 	straight := ct[i-1].P.Dist(ct[i].P)
-	return math.Exp(-math.Abs(straight-dist) / beta), true
+	return math.Exp(-math.Abs(straight-dist) / ClassicalBeta), true
 }
 
 // accum maps a step probability into the additive scoring domain.

@@ -223,19 +223,28 @@ func TestViterbiBreakSplitGap(t *testing.T) {
 	}
 }
 
+// fallbackReference is classicMatcher at the classical scale
+// (ClassicalSigma, ClassicalBeta), the one the degraded fallback scores
+// with.
+func fallbackReference(net *roadnet.Network, r *roadnet.Router, k, shortcuts int) *Matcher {
+	m := classicMatcher(net, r, k, shortcuts)
+	m.Obs = &GaussianObservation{Net: net, Sigma: ClassicalSigma}
+	m.Trans = &ExponentialTransition{Router: r, Beta: ClassicalBeta}
+	return m
+}
+
 // TestDegradedObsFallback corrupts every observation score to NaN and
-// checks the match equals the classical matcher run with the fallback
-// parameters.
+// checks the match equals the classical matcher run at the fallback's
+// scale.
 func TestDegradedObsFallback(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	ct := lineTraj()
-	want, err := classicMatcher(net, r, 5, 0).Match(ct)
+	want, err := fallbackReference(net, r, 5, 0).Match(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := classicMatcher(net, r, 5, 0)
+	m := fallbackReference(net, r, 5, 0)
 	m.Obs = nanObs{m.Obs}
-	m.Cfg.FallbackSigma = 100 // the classical matcher's sigma
 	res, err := m.Match(ct)
 	if err != nil {
 		t.Fatal(err)
@@ -255,13 +264,12 @@ func TestDegradedObsFallback(t *testing.T) {
 func TestDegradedTransFallback(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)
 	ct := lineTraj()
-	want, err := classicMatcher(net, r, 5, 0).Match(ct)
+	want, err := fallbackReference(net, r, 5, 0).Match(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := classicMatcher(net, r, 5, 0)
+	m := fallbackReference(net, r, 5, 0)
 	m.Trans = nanTrans{m.Trans}
-	m.Cfg.FallbackBeta = 200 // the classical matcher's beta
 	res, err := m.Match(ct)
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +299,12 @@ func (nanScore) Score(traj.CellTrajectory, int, *Candidate) float64 { return mat
 // attempt lose its comparison silently: no shortcut, Degraded 0.
 func TestShortcutPseudoObsDegrades(t *testing.T) {
 	net, r, ct := noisyPointWorld(t)
-	want, err := classicMatcher(net, r, 2, 1).Match(ct)
+	want, err := fallbackReference(net, r, 2, 1).Match(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := classicMatcher(net, r, 2, 1)
+	m := fallbackReference(net, r, 2, 1)
 	m.Obs = nanScore{m.Obs}
-	m.Cfg.FallbackSigma = 100 // the classical matcher's sigma
 	res, err := m.Match(ct)
 	if err != nil {
 		t.Fatal(err)

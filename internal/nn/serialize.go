@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/faultinject"
+	"repro/internal/wire"
 )
 
 // fpLoadCorrupt simulates a corrupt model file at the deserialization
@@ -156,22 +157,21 @@ func ReadParams(r io.Reader) (*ParamFile, error) {
 }
 
 func decodeParams(data []byte) (*ParamFile, error) {
-	if len(data) < len(weightsMagic) || string(data[:len(weightsMagic)]) != weightsMagic {
+	r := wire.NewReader(data)
+	if string(r.Bytes(len(weightsMagic))) != weightsMagic {
 		return nil, fmt.Errorf("not an lhmm-weights/v%d file (no %s magic); weights saved as JSON by older builds cannot be read: retrain the model", WeightsVersion, weightsMagic)
 	}
-	if len(data) < weightsHdrLen+4 {
+	v, count := r.U16(), r.U32()
+	if r.Len() < 4 {
 		return nil, fmt.Errorf("truncated file: %d bytes", len(data))
 	}
-	if v := binary.LittleEndian.Uint16(data[8:]); v != WeightsVersion {
+	if v != WeightsVersion {
 		return nil, fmt.Errorf("lhmm-weights version %d, this build reads version %d: retrain the model", v, WeightsVersion)
 	}
-	count := binary.LittleEndian.Uint32(data[10:])
-	rest := data[weightsHdrLen:]
 	f := &ParamFile{byName: make(map[string]int)}
 	for n := uint32(0); n < count; n++ {
-		var e paramEntry
-		var err error
-		if e, rest, err = decodeEntry(rest); err != nil {
+		e := decodeEntry(r)
+		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("tensor %d: %w", n, err)
 		}
 		if err := checkEntry(e); err != nil {
@@ -184,44 +184,34 @@ func decodeParams(data []byte) (*ParamFile, error) {
 		f.entries = append(f.entries, e)
 	}
 	switch {
-	case len(rest) < 4:
+	case r.Len() < 4:
 		return nil, fmt.Errorf("truncated file: no CRC footer")
-	case len(rest) > 4:
-		return nil, fmt.Errorf("%d bytes after the CRC footer (corrupt file)", len(rest)-4)
+	case r.Len() > 4:
+		return nil, fmt.Errorf("%d bytes after the CRC footer (corrupt file)", r.Len()-4)
 	}
-	body := data[:len(data)-4]
-	if got, want := crc32.Checksum(body, weightsCRCTable), binary.LittleEndian.Uint32(rest); got != want {
-		return nil, fmt.Errorf("CRC mismatch: %08x, footer says %08x (corrupt file)", got, want)
+	if _, err := wire.Open(data, weightsCRCTable); err != nil {
+		return nil, fmt.Errorf("%w (corrupt file)", err)
 	}
 	return f, nil
 }
 
-// decodeEntry decodes the tensor at the start of b and returns the bytes
-// after it. The weights are allocated only once b is known to hold them.
-func decodeEntry(b []byte) (paramEntry, []byte, error) {
-	var e paramEntry
-	end := bytes.IndexByte(b[:min(len(b), weightsMaxName+1)], 0)
-	if end < 0 {
-		if len(b) <= weightsMaxName {
-			return e, nil, fmt.Errorf("truncated file: unterminated name")
+// decodeEntry reads the tensor at r's offset: a NUL-terminated name, R
+// and C, then R·C weights, allocated only once r is known to hold them.
+func decodeEntry(r *wire.Reader) paramEntry {
+	var name []byte
+	for c := r.U8(); c != 0; c = r.U8() {
+		if len(name) == weightsMaxName {
+			r.Failf("name longer than %d bytes (corrupt file)", weightsMaxName)
+			break
 		}
-		return e, nil, fmt.Errorf("name longer than %d bytes (corrupt file)", weightsMaxName)
+		name = append(name, c)
 	}
-	e.Name, b = string(b[:end]), b[end+1:]
-	if len(b) < 8 {
-		return e, nil, fmt.Errorf("truncated file: %q has no shape", e.Name)
+	rows, cols := r.U32(), r.U32()
+	e := paramEntry{Name: string(name), R: int(rows), C: int(cols)}
+	if r.Fits(uint64(rows)*uint64(cols), 8) {
+		e.W = r.F64s(e.R * e.C)
 	}
-	r, c := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
-	b = b[8:]
-	e.R, e.C = int(r), int(c)
-	if n := uint64(r) * uint64(c); n > uint64(len(b))/8 {
-		return e, nil, fmt.Errorf("truncated file: %q declares %d×%d weights, %d bytes remain", e.Name, r, c, len(b))
-	}
-	e.W = make([]float64, e.R*e.C)
-	for i := range e.W {
-		e.W[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return e, b[8*len(e.W):], nil
+	return e
 }
 
 // Shape returns the declared shape of the named tensor, so a caller

@@ -53,13 +53,6 @@ func bucketQuantile(bounds []float64, counts []int64, q float64) float64 {
 	return bounds[len(bounds)-1]
 }
 
-// BucketQuantile is the exported form of bucketQuantile for consumers
-// that keep their own bucket counts over a shared bound layout (the
-// candidate latency in `lhmm replay -against`'s report).
-func BucketQuantile(bounds []float64, counts []int64, q float64) float64 {
-	return bucketQuantile(bounds, counts, q)
-}
-
 // Quantile estimates the q-quantile of the observed distribution by
 // linear interpolation within the bucket holding that rank. Safe on a
 // nil histogram (returns 0).

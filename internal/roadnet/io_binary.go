@@ -26,13 +26,13 @@ package roadnet
 // to one built from the same inputs.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/wire"
 )
 
 const (
@@ -41,66 +41,6 @@ const (
 	lnetFlagCH    = 1 << 0
 	lnetKnownFlag = lnetFlagCH
 )
-
-type binWriter struct{ buf []byte }
-
-func (w *binWriter) u8(v uint8)    { w.buf = append(w.buf, v) }
-func (w *binWriter) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *binWriter) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *binWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("roadnet: truncated binary network (need %d bytes at offset %d of %d)", n, r.off, len(r.buf))
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *binReader) u8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *binReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *binReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// fits reports whether count records of size bytes each are left to
-// read, failing the reader as truncated when they are not. The decoder
-// asks before every make, so a header cannot make it allocate more than
-// the file's own bytes could fill.
-func (r *binReader) fits(count uint64, size int) bool {
-	if r.err == nil && count > uint64(len(r.buf)-r.off)/uint64(size) {
-		r.err = fmt.Errorf("roadnet: truncated binary network (%d records of %d bytes at offset %d of %d)", count, size, r.off, len(r.buf))
-	}
-	return r.err == nil
-}
 
 // maxExtent bounds a decoded network's width and height in meters (a
 // quarter of the Earth's circumference): the spatial index is sized by
@@ -113,65 +53,63 @@ func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
 	if h != nil && h.net != n {
 		return fmt.Errorf("roadnet: hierarchy was built over a different network")
 	}
-	var bw binWriter
 	via := 0
 	for i := 0; i < n.NumSegments(); i++ {
 		via += len(n.Segment(SegmentID(i)).Shape) - 2
 	}
 	est := 64 + n.NumNodes()*16 + n.NumSegments()*21 + via*16
-	bw.buf = make([]byte, 0, est)
+	bw := wire.Writer{Buf: make([]byte, 0, est)}
 
-	bw.buf = append(bw.buf, lnetMagic...)
-	bw.u32(lnetVersion)
+	bw.Bytes([]byte(lnetMagic))
+	bw.U32(lnetVersion)
 	flags := uint32(0)
 	if h != nil {
 		flags |= lnetFlagCH
 	}
-	bw.u32(flags)
-	bw.u64(uint64(n.NumNodes()))
-	bw.u64(uint64(n.NumSegments()))
-	bw.u64(uint64(via))
+	bw.U32(flags)
+	bw.U64(uint64(n.NumNodes()))
+	bw.U64(uint64(n.NumSegments()))
+	bw.U64(uint64(via))
 
 	for i := 0; i < n.NumNodes(); i++ {
 		p := n.Node(NodeID(i)).P
-		bw.f64(p.X)
-		bw.f64(p.Y)
+		bw.F64(p.X)
+		bw.F64(p.Y)
 	}
 	for i := 0; i < n.NumSegments(); i++ {
 		s := n.Segment(SegmentID(i))
-		bw.u32(uint32(s.From))
-		bw.u32(uint32(s.To))
-		bw.u8(uint8(s.Class))
-		bw.f64(s.Speed)
+		bw.U32(uint32(s.From))
+		bw.U32(uint32(s.To))
+		bw.U8(uint8(s.Class))
+		bw.F64(s.Speed)
 	}
 	off := uint32(0)
-	bw.u32(off)
+	bw.U32(off)
 	for i := 0; i < n.NumSegments(); i++ {
 		off += uint32(len(n.Segment(SegmentID(i)).Shape) - 2)
-		bw.u32(off)
+		bw.U32(off)
 	}
 	for i := 0; i < n.NumSegments(); i++ {
 		shape := n.Segment(SegmentID(i)).Shape
 		for _, p := range shape[1 : len(shape)-1] {
-			bw.f64(p.X)
-			bw.f64(p.Y)
+			bw.F64(p.X)
+			bw.F64(p.Y)
 		}
 	}
 	if h != nil {
 		for _, r := range h.rank {
-			bw.u32(uint32(r))
+			bw.U32(uint32(r))
 		}
 		sc := h.Shortcuts()
-		bw.u64(uint64(len(sc)))
+		bw.U64(uint64(len(sc)))
 		for _, r := range sc {
-			bw.u32(uint32(r.From))
-			bw.u32(uint32(r.To))
-			bw.u32(uint32(r.A))
-			bw.u32(uint32(r.B))
+			bw.U32(uint32(r.From))
+			bw.U32(uint32(r.To))
+			bw.U32(uint32(r.A))
+			bw.U32(uint32(r.B))
 		}
 	}
-	bw.u32(crc32.ChecksumIEEE(bw.buf))
-	if _, err := w.Write(bw.buf); err != nil {
+	if _, err := w.Write(bw.Seal(crc32.IEEETable)); err != nil {
 		return fmt.Errorf("roadnet: write binary: %w", err)
 	}
 	return nil
@@ -190,40 +128,41 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	if len(buf) < len(lnetMagic)+12+4 || string(buf[:4]) != lnetMagic {
 		return nil, nil, fmt.Errorf("roadnet: not an LNET binary network")
 	}
-	payload, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, nil, fmt.Errorf("roadnet: binary network checksum mismatch (file %08x, computed %08x)", want, got)
+	payload, err := wire.Open(buf, crc32.IEEETable)
+	if err != nil {
+		return nil, nil, fmt.Errorf("roadnet: binary network: %w", err)
 	}
-	r := &binReader{buf: payload, off: 4}
-	if v := r.u32(); v != lnetVersion {
+	r := wire.NewReader(payload)
+	r.Bytes(len(lnetMagic))
+	if v := r.U32(); v != lnetVersion {
 		return nil, nil, fmt.Errorf("roadnet: unsupported binary network version %d", v)
 	}
-	flags := r.u32()
+	flags := r.U32()
 	if flags&^uint32(lnetKnownFlag) != 0 {
 		return nil, nil, fmt.Errorf("roadnet: unknown binary network flags %#x", flags)
 	}
-	nNodes, nSegs, nVia := r.u64(), r.u64(), r.u64()
+	nNodes, nSegs, nVia := r.U64(), r.U64(), r.U64()
 	if nNodes == 0 || nSegs == 0 {
 		return nil, nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points)", nNodes, nSegs, nVia)
 	}
 
-	if !r.fits(nNodes, 16) {
-		return nil, nil, r.err
+	if !r.Fits(nNodes, 16) {
+		return nil, nil, readErr(r)
 	}
 	nodes := make([]Node, nNodes)
 	bounds := geo.Rect{Min: geo.Pt(math.Inf(1), math.Inf(1)), Max: geo.Pt(math.Inf(-1), math.Inf(-1))}
 	for i := range nodes {
-		nodes[i] = Node{ID: NodeID(i), P: geo.Pt(r.f64(), r.f64())}
+		nodes[i] = Node{ID: NodeID(i), P: geo.Pt(r.F64(), r.F64())}
 		bounds = bounds.Extend(nodes[i].P)
 	}
-	if !r.fits(nSegs, 17) {
-		return nil, nil, r.err
+	if !r.Fits(nSegs, 17) {
+		return nil, nil, readErr(r)
 	}
 	segments := make([]Segment, nSegs)
 	for i := range segments {
-		from, to := NodeID(r.u32()), NodeID(r.u32())
-		class := Class(r.u8())
-		speed := r.f64()
+		from, to := NodeID(r.U32()), NodeID(r.U32())
+		class := Class(r.U8())
+		speed := r.F64()
 		if int(from) >= len(nodes) || int(to) >= len(nodes) {
 			return nil, nil, fmt.Errorf("roadnet: segment %d references node out of range", i)
 		}
@@ -232,14 +171,14 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		}
 		segments[i] = Segment{ID: SegmentID(i), From: from, To: to, Class: class, Speed: speed}
 	}
-	if !r.fits(nSegs+1, 4) {
-		return nil, nil, r.err
+	if !r.Fits(nSegs+1, 4) {
+		return nil, nil, readErr(r)
 	}
 	// The offsets run from 0 to nVia and never decrease, so every
 	// segment's slice of the via points below is in range.
 	viaOff := make([]uint32, nSegs+1)
 	for i := range viaOff {
-		viaOff[i] = r.u32()
+		viaOff[i] = r.U32()
 		if i > 0 && viaOff[i] < viaOff[i-1] {
 			return nil, nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i-1)
 		}
@@ -247,12 +186,12 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	if viaOff[0] != 0 || uint64(viaOff[nSegs]) != nVia {
 		return nil, nil, fmt.Errorf("roadnet: via offsets run %d..%d, header says 0..%d", viaOff[0], viaOff[nSegs], nVia)
 	}
-	if !r.fits(nVia, 16) {
-		return nil, nil, r.err
+	if !r.Fits(nVia, 16) {
+		return nil, nil, readErr(r)
 	}
 	viaPts := make([]geo.Point, nVia)
 	for i := range viaPts {
-		viaPts[i] = geo.Pt(r.f64(), r.f64())
+		viaPts[i] = geo.Pt(r.F64(), r.F64())
 		bounds = bounds.Extend(viaPts[i])
 	}
 	if !(bounds.Width() <= maxExtent && bounds.Height() <= maxExtent) {
@@ -273,28 +212,28 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 
 	var h *Hierarchy
 	if flags&lnetFlagCH != 0 {
-		if !r.fits(nNodes, 4) {
-			return nil, nil, r.err
+		if !r.Fits(nNodes, 4) {
+			return nil, nil, readErr(r)
 		}
 		rank := make([]int32, nNodes)
 		seen := make([]bool, nNodes)
 		for i := range rank {
-			v := r.u32()
+			v := r.U32()
 			if uint64(v) >= nNodes || seen[v] {
 				return nil, nil, fmt.Errorf("roadnet: node ranks are not a permutation")
 			}
 			seen[v] = true
 			rank[i] = int32(v)
 		}
-		nSC := r.u64()
-		if !r.fits(nSC, 16) {
-			return nil, nil, r.err
+		nSC := r.U64()
+		if !r.Fits(nSC, 16) {
+			return nil, nil, readErr(r)
 		}
 		shortcuts := make([]shortcutRecord, nSC)
 		for i := range shortcuts {
 			shortcuts[i] = shortcutRecord{
-				From: NodeID(r.u32()), To: NodeID(r.u32()),
-				A: int32(r.u32()), B: int32(r.u32()),
+				From: NodeID(r.U32()), To: NodeID(r.U32()),
+				A: int32(r.U32()), B: int32(r.U32()),
 			}
 		}
 		h, err = hierarchyFromParts(net, rank, shortcuts)
@@ -302,8 +241,13 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 			return nil, nil, err
 		}
 	}
-	if r.off != len(payload) {
-		return nil, nil, fmt.Errorf("roadnet: %d trailing bytes in binary network", len(payload)-r.off)
+	if r.Len() != 0 {
+		return nil, nil, fmt.Errorf("roadnet: %d trailing bytes in binary network", r.Len())
 	}
 	return net, h, nil
+}
+
+// readErr reports the reader's first failure as a roadnet error.
+func readErr(r *wire.Reader) error {
+	return fmt.Errorf("roadnet: binary network: %w", r.Err())
 }
