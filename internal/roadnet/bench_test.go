@@ -7,7 +7,7 @@ import (
 
 // Ablation bench (DESIGN.md §6): the many-to-many shortest-path cache.
 // Map matching queries repeat source nodes heavily; the CLOCK cache of SSSP
-// trees turns repeated Dijkstra runs into lookups.
+// trees turns repeated searches into lookups.
 
 func benchQueries(n *Network, rng *rand.Rand, count int) [][2]NodeID {
 	qs := make([][2]NodeID, count)
@@ -37,6 +37,9 @@ func BenchmarkRouterCached(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterUncached runs one search per query: a search stops at
+// its target, so each settles the nodes nearer its source than a random
+// target on the grid, about half of them on average.
 func BenchmarkRouterUncached(b *testing.B) {
 	n := buildGrid(b, 30, 30)
 	// Capacity 1 with alternating sources defeats the cache.
@@ -48,6 +51,32 @@ func BenchmarkRouterUncached(b *testing.B) {
 		r.NodeDist(q[0], q[1])
 		// Evict by querying from a different source.
 		r.NodeDist(qs[(i+1)%len(qs)][0], q[1])
+	}
+}
+
+// BenchmarkTreeWalkCold is the transition step's routing on a cold
+// router: one from-candidate's walk to ~30 targets a few hundred meters
+// away, as core.foldFeatures asks for them. With no cache every walk
+// runs the search, which stops at the farthest target instead of
+// settling the whole 40x40 grid.
+func BenchmarkTreeWalkCold(b *testing.B) {
+	const side = 40
+	n := buildGrid(b, side, side)
+	r := NewRouter(n, WithCacheSize(0))
+	at := func(i, j int) NodeID { return NodeID(j*side + i) }
+	src := at(side/2, side/2)
+	var targets []NodeID
+	for dj := -2; dj <= 3; dj++ {
+		for di := -2; di <= 2; di++ {
+			targets = append(targets, at(side/2+di, side/2+dj))
+		}
+	}
+	dist := make([]float64, len(targets))
+	var steps []TreeStep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steps = r.TreeWalk(src, targets, dist, steps[:0])
 	}
 }
 

@@ -51,11 +51,12 @@ type Route struct {
 }
 
 // Router answers shortest-path queries over a Network. Searches are
-// bounded by MaxDist. Without a hierarchy, results of single-source
-// Dijkstra runs are memoized in an approximate-LRU (CLOCK) cache,
-// mirroring the precomputation table the paper uses to avoid repeated
-// shortest-path searches (§V-A2). With a hierarchy attached
-// (WithHierarchy), node queries run as Contraction-Hierarchies label
+// bounded by MaxDist. Without a hierarchy, single-source Dijkstra trees
+// are memoized in an approximate-LRU (CLOCK) cache, mirroring the
+// precomputation table the paper uses to avoid repeated shortest-path
+// searches (§V-A2); a tree is searched only as far as the targets asked
+// of it and extended when a later query asks for a farther one. With a
+// hierarchy attached (WithHierarchy), node queries run as Contraction-Hierarchies label
 // intersections instead — same results, with per-node CH labels
 // (thousands of times smaller than flat trees) cached under the same
 // CLOCK policy. Router is safe for concurrent use.
@@ -85,24 +86,45 @@ type Router struct {
 type cacheSlot struct {
 	source NodeID
 	tree   *ssspResult
+	last   int32 // the search's last settled node; -1 = it ran to exhaustion
 	ref    bool
 }
 
-// ssspResult holds a bounded single-source shortest-path tree as two
+// ssspResult holds a single-source shortest-path tree as two
 // NodeID-indexed arrays (12 bytes per network node); parents always
 // describe the unique minimum-(dist, tie) path from the source (see
-// segTie). Immutable once cached.
+// segTie). A tree holds the nodes its search settled: a prefix of the
+// canonical pop order that ends at the search's last settled node, or
+// all of it when the search ran to exhaustion. Every tree from one
+// source is a prefix of the same order, so of two trees the one that
+// settled the other's last node contains it. Immutable once cached.
 type ssspResult struct {
-	dist   []float64 // +Inf = not reached within MaxDist
+	dist   []float64 // +Inf = not settled (unreachable within MaxDist, if exhausted)
 	parent []int32   // segment used to reach the node; -1 = none
 }
 
-// searchScratch is the per-search state of dijkstra that no cached tree
-// keeps: tie-break keys, settled marks and the heap's backing array.
-// tie[v] is only read once dist[v] is finite, so it needs no clearing.
+// covers reports whether a tree whose search ended at last (-1 =
+// exhausted) answers every target.
+func (t *ssspResult) covers(last int32, targets []NodeID) bool {
+	if last < 0 {
+		return true
+	}
+	for _, v := range targets {
+		if math.IsInf(t.dist[v], 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// searchScratch is the per-search state of search that no cached tree
+// keeps: tie-break keys, settled and wanted marks and the heap's backing
+// array. tie[v] is only read once dist[v] is finite, so it needs no
+// clearing; want is cleared by the search that set it.
 type searchScratch struct {
 	tie     []uint64
 	settled []bool
+	want    []bool
 	q       keyPQ
 }
 
@@ -183,7 +205,8 @@ func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 		lb := r.label(&r.bwdLabels, to, false)
 		return r.hier.distLabels(lf, lb, r.maxDist)
 	}
-	if d := r.tree(from).dist[to]; !math.IsInf(d, 1) {
+	tgt := [1]NodeID{to}
+	if d := r.tree(from, tgt[:]).dist[to]; !math.IsInf(d, 1) {
 		return d, true
 	}
 	return 0, false
@@ -208,7 +231,8 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 		return r.hier.pathLabels(lf, lb, r.maxDist, pad)
 	}
 	// Walk parents back from to: once to count, once to fill.
-	t := r.tree(from)
+	tgt := [1]NodeID{to}
+	t := r.tree(from, tgt[:])
 	hops := 0
 	for cur := to; cur != from; hops++ {
 		seg := t.parent[cur]
@@ -237,11 +261,11 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 // own would. Targets may repeat and may include the source.
 //
 // Flat, each target climbs the cached tree's parents to the first node an
-// earlier target already emitted, one cache lookup per call. With a
-// hierarchy each target's canonical path is unpacked as NodePath does and
-// walked from the source through the same marks; the union is the same
-// tree because both searches settle on the unique minimum-(dist, tie)
-// path (see segTie).
+// earlier target already emitted, one cache lookup per call for a tree
+// that settled every target of the call. With a hierarchy each target's
+// canonical path is unpacked as NodePath does and walked from the source
+// through the same marks; the union is the same tree because both
+// searches settle on the unique minimum-(dist, tie) path (see segTie).
 func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps []TreeStep) []TreeStep {
 	ws, _ := r.walks.Get().(*walkScratch)
 	if ws == nil {
@@ -280,7 +304,7 @@ func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps
 			}
 		default:
 			if t == nil {
-				t = r.tree(source)
+				t = r.tree(source, targets)
 			}
 			dist[i] = t.dist[v]
 			if math.IsInf(dist[i], 1) {
@@ -412,17 +436,28 @@ func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
 	return out
 }
 
-// tree returns the memoized bounded shortest-path tree rooted at from.
-func (r *Router) tree(from NodeID) *ssspResult {
+// tree returns a memoized shortest-path tree rooted at from that answers
+// every one of the (non-empty) targets. A cached tree that covers them is
+// a hit, checked outside the lock (cached trees are immutable).
+// Otherwise the search runs again to the targets and its tree takes the
+// cached one's slot: an extension counts as a miss and evicts nothing.
+// It loses nothing either: a target the cached tree did not settle comes
+// after all of that tree's nodes in the pop order, so the new search
+// settles them all on its way to the target.
+func (r *Router) tree(from NodeID, targets []NodeID) *ssspResult {
+	var old *ssspResult
+	var oldLast int32
 	r.mu.Lock()
 	if i, ok := r.cache[from]; ok {
-		r.entries[i].ref = true
-		t := r.entries[i].tree
-		r.mu.Unlock()
-		obsCacheHits.Inc()
-		return t
+		e := &r.entries[i]
+		e.ref = true
+		old, oldLast = e.tree, e.last
 	}
 	r.mu.Unlock()
+	if old != nil && old.covers(oldLast, targets) {
+		obsCacheHits.Inc()
+		return old
+	}
 	obsCacheMisses.Inc()
 
 	var start time.Time
@@ -430,7 +465,7 @@ func (r *Router) tree(from NodeID) *ssspResult {
 	if timed {
 		start = time.Now()
 	}
-	t := r.dijkstra(from)
+	t, last := r.search(from, targets)
 	if timed {
 		obsDijkstraS.ObserveSince(start)
 	}
@@ -438,16 +473,23 @@ func (r *Router) tree(from NodeID) *ssspResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i, ok := r.cache[from]; ok {
-		// Another goroutine computed it concurrently; keep theirs.
-		r.entries[i].ref = true
-		return r.entries[i].tree
+		// The slot may hold a tree another goroutine built or extended
+		// meanwhile. Both are prefixes of one settle order: keep the one
+		// that contains the other.
+		e := &r.entries[i]
+		e.ref = true
+		if e.last < 0 || last >= 0 && !math.IsInf(e.tree.dist[last], 1) {
+			return e.tree
+		}
+		e.tree, e.last = t, last
+		return t
 	}
 	if r.capacity <= 0 {
 		return t
 	}
 	if len(r.entries) < r.capacity {
 		r.cache[from] = len(r.entries)
-		r.entries = append(r.entries, cacheSlot{source: from, tree: t})
+		r.entries = append(r.entries, cacheSlot{source: from, tree: t, last: last})
 	} else {
 		// CLOCK sweep: pass over referenced slots clearing their bit,
 		// evict the first unreferenced one. New entries start with the
@@ -460,7 +502,7 @@ func (r *Router) tree(from NodeID) *ssspResult {
 		victim := r.hand
 		delete(r.cache, r.entries[victim].source)
 		obsCacheEvictions.Inc()
-		r.entries[victim] = cacheSlot{source: from, tree: t}
+		r.entries[victim] = cacheSlot{source: from, tree: t, last: last}
 		r.cache[from] = victim
 		r.hand = (victim + 1) % len(r.entries)
 	}
@@ -621,11 +663,17 @@ func (q *keyPQ) pop() keyItem {
 	return top
 }
 
-// dijkstra runs a bounded single-source shortest-path search under the
-// canonical (distance, tie) key order. Nothing beyond the bound is ever
-// pushed, so every finite dist is final. The search state other than
-// the tree itself comes from the scratch pool.
-func (r *Router) dijkstra(from NodeID) *ssspResult {
+// search runs a single-source shortest-path search under the canonical
+// (distance, tie, node) pop order and stops as soon as it has settled
+// every target; nil targets run it to exhaustion. Nothing beyond MaxDist
+// is ever pushed. The pop order is a strict total order, so a search
+// that stops early has settled a prefix of the exhaustive search's
+// sequence, with the same final dist and parent for every node in it;
+// the tentative entries it leaves are reset to +Inf / -1, so a tree's
+// finite entries are exactly its settled nodes. It returns the tree and
+// its last settled node, -1 if it ran to exhaustion. The search state
+// other than the tree itself comes from the scratch pool.
+func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
 	n := r.net.NumNodes()
 	t := &ssspResult{dist: make([]float64, n), parent: make([]int32, n)}
 	for i := range t.dist {
@@ -634,19 +682,39 @@ func (r *Router) dijkstra(from NodeID) *ssspResult {
 	}
 	s, _ := r.scratch.Get().(*searchScratch)
 	if s == nil {
-		s = &searchScratch{tie: make([]uint64, n), settled: make([]bool, n)}
+		s = &searchScratch{tie: make([]uint64, n), settled: make([]bool, n), want: make([]bool, n)}
 	} else {
 		clear(s.settled)
+	}
+	// pending counts the wanted nodes not yet settled; it stays -1 for an
+	// exhaustive search.
+	pending := -1
+	if targets != nil {
+		pending = 0
+		for _, v := range targets {
+			if !s.want[v] {
+				s.want[v] = true
+				pending++
+			}
+		}
 	}
 	q := s.q[:0]
 	t.dist[from], s.tie[from] = 0, 0
 	q.push(keyItem{node: from})
+	last := int32(-1)
 	for len(q) > 0 {
 		cur := q.pop()
 		if s.settled[cur.node] {
 			continue
 		}
 		s.settled[cur.node] = true
+		if s.want[cur.node] {
+			s.want[cur.node] = false
+			if pending--; pending == 0 {
+				last = int32(cur.node)
+				break
+			}
+		}
 		for _, sid := range r.net.Out(cur.node) {
 			seg := r.net.Segment(sid)
 			nd := cur.dist + seg.Length
@@ -662,9 +730,22 @@ func (r *Router) dijkstra(from NodeID) *ssspResult {
 			}
 		}
 	}
+	if last < 0 {
+		// Wanted nodes the search never reached keep their marks.
+		for _, v := range targets {
+			s.want[v] = false
+		}
+	} else {
+		// Every node not settled but pushed is in the heap.
+		for _, it := range q {
+			if !s.settled[it.node] {
+				t.dist[it.node], t.parent[it.node] = math.Inf(1), -1
+			}
+		}
+	}
 	s.q = q
 	r.scratch.Put(s)
-	return t
+	return t, last
 }
 
 // TravelTime returns the free-flow travel time of a route in seconds,

@@ -301,6 +301,8 @@ func TestNetworkRoundTrip(t *testing.T) {
 	}
 }
 
+// A search counts as a miss whether it builds a new tree or extends a
+// cached one; only a new source's tree evicts.
 func TestRouterCacheCounters(t *testing.T) {
 	obs.Default.Enable()
 	t.Cleanup(obs.Default.Disable)
@@ -308,23 +310,33 @@ func TestRouterCacheCounters(t *testing.T) {
 	misses := obs.Default.Counter("router.cache.misses")
 	evictions := obs.Default.Counter("router.cache.evictions")
 	h0, m0, e0 := hits.Value(), misses.Value(), evictions.Value()
+	want := func(step string, h, m, e int64) {
+		t.Helper()
+		if got := hits.Value() - h0; got != h {
+			t.Errorf("after %s: hits delta = %d, want %d", step, got, h)
+		}
+		if got := misses.Value() - m0; got != m {
+			t.Errorf("after %s: misses delta = %d, want %d", step, got, m)
+		}
+		if got := evictions.Value() - e0; got != e {
+			t.Errorf("after %s: evictions delta = %d, want %d", step, got, e)
+		}
+	}
 
 	n := buildGrid(t, 6, 6)
 	r := NewRouter(n, WithCacheSize(1))
-	r.NodeDist(0, 7)  // miss
-	r.NodeDist(0, 14) // hit (same source tree)
-	r.NodeDist(1, 7)  // miss, evicts source 0
-	r.NodeDist(0, 7)  // miss again after eviction
-
-	if got := misses.Value() - m0; got != 3 {
-		t.Errorf("misses delta = %d, want 3", got)
-	}
-	if got := hits.Value() - h0; got != 1 {
-		t.Errorf("hits delta = %d, want 1", got)
-	}
-	if got := evictions.Value() - e0; got < 2 {
-		t.Errorf("evictions delta = %d, want >= 2", got)
-	}
+	r.NodeDist(0, 14) // miss: the tree settles up to node 14, 400 m out
+	want("first search", 0, 1, 0)
+	r.NodeDist(0, 7) // hit: node 7, 200 m out, was settled on the way
+	want("a nearer target", 1, 1, 0)
+	r.NodeDist(0, 35) // miss: extends source 0's tree in its own slot
+	want("an extension", 1, 2, 0)
+	r.NodeDist(0, 14) // hit: the extension kept what the tree had
+	want("a target of the old tree", 2, 2, 0)
+	r.NodeDist(1, 7) // miss, evicts source 0
+	want("a new source", 2, 3, 1)
+	r.NodeDist(0, 7) // miss again after eviction
+	want("the evicted source", 2, 4, 2)
 }
 
 // RouteDist must agree exactly with RouteBetween's Dist on every pair
@@ -387,6 +399,12 @@ func TestTreeBuildAllocsIndependentOfSize(t *testing.T) {
 			t.Errorf("%dx%d: cold tree build allocates %.1f objects, want 3", side, side, allocs)
 		}
 	}
+}
+
+// dijkstra is search's exhaustive form: the whole tree within MaxDist.
+func (r *Router) dijkstra(from NodeID) *ssspResult {
+	t, _ := r.search(from, nil)
+	return t
 }
 
 // refPQ and refDijkstra are the map-and-container/heap search the

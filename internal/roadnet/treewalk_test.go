@@ -178,6 +178,48 @@ func TestTreeWalkConcurrent(t *testing.T) {
 		}
 		wg.Wait()
 	}
+
+	// Racing extensions: on a fresh router the goroutines share one
+	// source's small tree, then each extends it to its own far targets,
+	// disjoint from the others'. Every answer must equal an unshared
+	// router's, and the tree left cached must cover every goroutine's
+	// targets: of two racing extensions the slot keeps the longer prefix,
+	// which contains the shorter.
+	for src := NodeID(0); src < 64; src += 7 {
+		r := NewRouter(n)
+		dist, parent := refDijkstra(n, src, r.MaxDist())
+		order := refOrder(n, src, dist, parent)
+		near := []NodeID{order[min(3, len(order)-1)]}
+		far := order[len(order)-12:]
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				want := NewRouter(n)
+				var targets []NodeID
+				for i := g; i < len(far); i += 4 {
+					targets = append(targets, far[i])
+				}
+				for _, tg := range [][]NodeID{near, targets} {
+					d, wd := make([]float64, len(tg)), make([]float64, len(tg))
+					steps := r.TreeWalk(src, tg, d, nil)
+					wsteps := want.TreeWalk(src, tg, wd, nil)
+					if !slices.Equal(d, wd) || !slices.Equal(steps, wsteps) {
+						t.Errorf("extension race from %d to %v: got %v %v, want %v %v", src, tg, d, steps, wd, wsteps)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		r.mu.Lock()
+		e := r.entries[r.cache[src]]
+		r.mu.Unlock()
+		if !e.tree.covers(e.last, far) || !e.tree.covers(e.last, near) {
+			t.Errorf("extension race from %d: the cached tree (ending at %d) dropped a target of %v", src, e.last, far)
+		}
+	}
 }
 
 // A warm flat walk allocates nothing once the caller's step buffer has
@@ -211,4 +253,223 @@ func TestTreeWalkEpochWrap(t *testing.T) {
 	dist := make([]float64, len(targets))
 	steps := r.TreeWalk(0, targets, dist, nil)
 	checkWalk(t, "wrapped epoch", n, 0, r.MaxDist(), targets, dist, steps)
+}
+
+// refOrder is the reference search's settle order from src: the reached
+// nodes sorted by the canonical (dist, tie, node) key, with each tie the
+// sum of segTie along the reference parent path.
+func refOrder(n *Network, src NodeID, dist map[NodeID]float64, parent map[NodeID]SegmentID) []NodeID {
+	var tie func(v NodeID) uint64
+	tie = func(v NodeID) uint64 {
+		if v == src {
+			return 0
+		}
+		return tie(n.Segment(parent[v]).From) + segTie(parent[v])
+	}
+	items := make([]keyItem, 0, len(dist))
+	for v, d := range dist {
+		items = append(items, keyItem{node: v, dist: d, tie: tie(v)})
+	}
+	slices.SortFunc(items, func(a, b keyItem) int {
+		if a.less(b) {
+			return -1
+		}
+		return 1
+	})
+	order := make([]NodeID, len(items))
+	for i, it := range items {
+		order[i] = it.node
+	}
+	return order
+}
+
+// Bounded trees against the reference search. On each fixture one router
+// answers a seeded random sequence of NodeDist, NodePath and TreeWalk
+// queries from a few repeating sources, so cached trees get hit and
+// extended, with targets that mix near and far nodes, unreachable ones,
+// duplicates and the source itself. Every answer equals the reference;
+// after every query the source's cached tree holds exactly a prefix of
+// the reference settle order (all of it once done) with reference dist
+// bits and parents, and still holds every node the tree it replaced had
+// settled.
+func TestBoundedTreesMatchReference(t *testing.T) {
+	cases := []struct {
+		name string
+		net  *Network
+		opts []RouterOption
+	}{
+		{"exact-tie lattice", buildGrid(t, 7, 6), nil},
+		{"jittered grid", buildJittered(t, 9, 9, 0.2, 5), nil},
+		{"one-ways and an island", buildOneWay(t), nil},
+		{"tight bound on a lattice", buildGrid(t, 7, 6), []RouterOption{WithMaxDist(350)}},
+		{"tight bound on a jittered grid", buildJittered(t, 9, 9, 0.2, 5), []RouterOption{WithMaxDist(420)}},
+		{"three slots on a jittered grid", buildJittered(t, 9, 9, 0.2, 5), []RouterOption{WithCacheSize(3)}},
+	}
+	type reference struct {
+		dist   map[NodeID]float64
+		parent map[NodeID]SegmentID
+		order  []NodeID // settle order
+		rank   map[NodeID]int
+	}
+	for _, c := range cases {
+		r := NewRouter(c.net, c.opts...)
+		nodes := c.net.NumNodes()
+		refs := map[NodeID]*reference{}
+		refOf := func(src NodeID) *reference {
+			if ref := refs[src]; ref != nil {
+				return ref
+			}
+			dist, parent := refDijkstra(c.net, src, r.MaxDist())
+			ref := &reference{dist: dist, parent: parent, order: refOrder(c.net, src, dist, parent), rank: map[NodeID]int{}}
+			for i, v := range ref.order {
+				ref.rank[v] = i
+			}
+			refs[src] = ref
+			return ref
+		}
+		cached := func(src NodeID) (*ssspResult, int32) {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if i, ok := r.cache[src]; ok {
+				return r.entries[i].tree, r.entries[i].last
+			}
+			return nil, -1
+		}
+		rng := rand.New(rand.NewSource(29))
+		sources := make([]NodeID, 5)
+		for i := range sources {
+			sources[i] = NodeID(rng.Intn(nodes))
+		}
+		// target draws one node for a query from src.
+		target := func(src NodeID, ref *reference) NodeID {
+			reached := len(ref.order)
+			switch rng.Intn(8) {
+			case 0:
+				return src
+			case 1, 2: // near: the first quarter of the settle order
+				return ref.order[rng.Intn((reached+3)/4)]
+			case 3, 4: // far: the last quarter
+				return ref.order[reached-1-rng.Intn((reached+3)/4)]
+			case 5: // unreachable, where the network or the bound leaves any
+				if reached < nodes {
+					for {
+						if v := NodeID(rng.Intn(nodes)); ref.rank[v] == 0 && v != src {
+							return v
+						}
+					}
+				}
+			}
+			return NodeID(rng.Intn(nodes))
+		}
+		hits, extensions, unreachable, partial := 0, 0, 0, 0
+		island := false // some source leaves a node unreached
+		var steps []TreeStep
+		for q := 0; q < 600; q++ {
+			src := sources[rng.Intn(len(sources))]
+			if rng.Intn(6) == 0 {
+				src = NodeID(rng.Intn(nodes))
+			}
+			ref := refOf(src)
+			island = island || len(ref.order) < nodes
+			before, _ := cached(src)
+			var targets []NodeID
+			what := ""
+			switch rng.Intn(3) {
+			case 0:
+				what = "NodeDist"
+				v := target(src, ref)
+				targets = []NodeID{v}
+				d, ok := r.NodeDist(src, v)
+				wd, wok := ref.dist[v]
+				if ok != wok || math.Float64bits(d) != math.Float64bits(wd) {
+					t.Fatalf("%s: NodeDist(%d,%d) = %v/%v, reference %v/%v", c.name, src, v, d, ok, wd, wok)
+				}
+			case 1:
+				what = "NodePath"
+				v := target(src, ref)
+				targets = []NodeID{v}
+				path, d, ok := r.NodePath(src, v)
+				wd, wok := ref.dist[v]
+				var wpath []SegmentID
+				if wok && v != src {
+					wpath = refPath(c.net, ref.parent, src, v)
+				}
+				if ok != wok || math.Float64bits(d) != math.Float64bits(wd) || !slices.Equal(path, wpath) {
+					t.Fatalf("%s: NodePath(%d,%d) = %v %v/%v, reference %v %v/%v", c.name, src, v, path, d, ok, wpath, wd, wok)
+				}
+			default:
+				what = "TreeWalk"
+				targets = make([]NodeID, 1+rng.Intn(10))
+				for i := range targets {
+					if i > 0 && rng.Intn(5) == 0 {
+						targets[i] = targets[rng.Intn(i)] // duplicate
+					} else {
+						targets[i] = target(src, ref)
+					}
+				}
+				dist := make([]float64, len(targets))
+				steps = r.TreeWalk(src, targets, dist, steps[:0])
+				checkWalk(t, c.name, c.net, src, r.MaxDist(), targets, dist, steps)
+			}
+			for _, v := range targets {
+				if _, ok := ref.dist[v]; !ok {
+					unreachable++
+				}
+			}
+
+			after, last := cached(src)
+			if after == nil {
+				continue // every target was the source: no tree was needed
+			}
+			if after == before {
+				hits++
+			} else if before != nil {
+				extensions++
+			}
+			finite := 0
+			for v := 0; v < nodes; v++ {
+				d := after.dist[v]
+				if math.IsInf(d, 1) {
+					if after.parent[v] != -1 {
+						t.Fatalf("%s: %s from %d: unsettled node %d has parent %d", c.name, what, src, v, after.parent[v])
+					}
+					if before != nil && !math.IsInf(before.dist[v], 1) {
+						t.Fatalf("%s: %s from %d: the new tree lost node %d", c.name, what, src, v)
+					}
+					continue
+				}
+				finite++
+				wd, ok := ref.dist[NodeID(v)]
+				if !ok || math.Float64bits(d) != math.Float64bits(wd) {
+					t.Fatalf("%s: %s from %d: cached dist[%d] = %v, reference %v/%v", c.name, what, src, v, d, wd, ok)
+				}
+				if NodeID(v) != src && SegmentID(after.parent[v]) != ref.parent[NodeID(v)] {
+					t.Fatalf("%s: %s from %d: cached parent[%d] = %d, reference %d", c.name, what, src, v, after.parent[v], ref.parent[NodeID(v)])
+				}
+			}
+			// The finite entries are the first nodes of the settle order,
+			// ending at the search's last node, or all of it once exhausted.
+			for _, v := range ref.order[:finite] {
+				if math.IsInf(after.dist[v], 1) {
+					t.Fatalf("%s: %s from %d: tree holds %d nodes but not node %d, %dth in the settle order", c.name, what, src, finite, v, ref.rank[v])
+				}
+			}
+			switch {
+			case last < 0 && finite != len(ref.order):
+				t.Fatalf("%s: %s from %d: exhausted tree holds %d of %d reached nodes", c.name, what, src, finite, len(ref.order))
+			case last >= 0 && NodeID(last) != ref.order[finite-1]:
+				t.Fatalf("%s: %s from %d: tree of %d nodes ends at %d, the settle order at %d", c.name, what, src, finite, last, ref.order[finite-1])
+			}
+			if !after.covers(last, targets) {
+				t.Fatalf("%s: %s from %d: cached tree does not cover %v", c.name, what, src, targets)
+			}
+			if last >= 0 {
+				partial++
+			}
+		}
+		if hits == 0 || extensions == 0 || island && unreachable == 0 || partial == 0 {
+			t.Errorf("%s: %d hits, %d extensions, %d unreachable targets, %d partial trees: the sequence misses a case",
+				c.name, hits, extensions, unreachable, partial)
+		}
+	}
 }
