@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -19,7 +20,8 @@ import (
 //  2. routed-transition throughput — k x k RouteDist fan-outs shaped
 //     exactly like the matcher's Viterbi transition step — on a
 //     CH-backed router vs the flat Dijkstra router, over identical
-//     candidate pairs (results are cross-checked bitwise);
+//     candidate pairs (results are cross-checked bitwise), and the heap
+//     each router's caches hold afterwards;
 //  3. end-to-end match latency (hmm.match.seconds p50/p95/p99) running
 //     the classical matcher over held-out test trips with the CH
 //     router.
@@ -43,6 +45,9 @@ type fullscaleResult struct {
 	FlatUsPerPair        float64 `json:"flat_us_per_pair"`
 	TransitionSpeedup    float64 `json:"transition_speedup"`
 	TransitionMismatches int     `json:"transition_mismatches"`
+	// Live heap each router's caches hold after its arm, in MB.
+	CHCacheMB   float64 `json:"ch_cache_mb"`
+	FlatCacheMB float64 `json:"flat_cache_mb"`
 	// End-to-end matching with the CH-backed router.
 	MatchedTrips int     `json:"matched_trips"`
 	MatchWallS   float64 `json:"match_wall_s"`
@@ -90,46 +95,43 @@ func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 	// Harvest matcher-shaped transition steps from held-out test trips:
 	// the candidate pools of consecutive cell points, exactly what the
 	// Viterbi transition scorer fans out over.
-	const chSteps, flatSteps = 24, 4
-	steps := harvestTransitionSteps(ds, chSteps)
-	if len(steps) < flatSteps {
+	const maxSteps, minSteps = 24, 4
+	steps := harvestTransitionSteps(ds, maxSteps)
+	if len(steps) < minSteps {
 		return nil, "", fmt.Errorf("only %d transition steps harvested; dataset too small for -fullscale (raise -scale or -trips)", len(steps))
 	}
 
-	chDist := make([][]float64, 0, flatSteps)
+	// Both arms route the same steps, each on a fresh router, so per-pair
+	// costs compare like for like, and flat distances must agree bitwise
+	// with the CH answers (the byte-identity contract). Each arm's cache
+	// size is the live heap it added, read after a collection.
+	chDist := make([][]float64, len(steps))
+	for si, st := range steps {
+		chDist[si] = make([]float64, 0, len(st.from)*len(st.to))
+	}
+	heap := liveHeap()
 	start = time.Now()
 	for si, st := range steps {
-		var rec []float64
-		if si < flatSteps {
-			rec = make([]float64, 0, len(st.from)*len(st.to))
-		}
 		for _, a := range st.from {
 			for _, bp := range st.to {
 				d, ok := chRouter.RouteDist(a, bp)
-				fs.CHTransitionPairs++
-				if si < flatSteps {
-					if !ok {
-						d = -1
-					}
-					rec = append(rec, d)
+				if !ok {
+					d = -1
 				}
+				chDist[si] = append(chDist[si], d)
+				fs.CHTransitionPairs++
 			}
-		}
-		if si < flatSteps {
-			chDist = append(chDist, rec)
 		}
 	}
 	chWall := time.Since(start)
+	fs.CHCacheMB = mbSince(heap)
 	fs.CHUsPerPair = chWall.Seconds() * 1e6 / float64(fs.CHTransitionPairs)
-	fmt.Fprintf(&b, "CH transitions: %d routed pairs in %.2fs (%.1f us/pair)\n",
-		fs.CHTransitionPairs, chWall.Seconds(), fs.CHUsPerPair)
+	fmt.Fprintf(&b, "CH transitions: %d routed pairs in %.2fs (%.1f us/pair, label caches %.1f MB)\n",
+		fs.CHTransitionPairs, chWall.Seconds(), fs.CHUsPerPair, fs.CHCacheMB)
 
-	// Flat Dijkstra over a prefix of the same steps — identical pairs,
-	// so per-pair costs compare like for like, and distances must agree
-	// bitwise with the CH answers (the byte-identity contract).
+	heap = liveHeap()
 	start = time.Now()
-	for si := 0; si < flatSteps; si++ {
-		st := steps[si]
+	for si, st := range steps {
 		i := 0
 		for _, a := range st.from {
 			for _, bp := range st.to {
@@ -146,12 +148,13 @@ func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 		}
 	}
 	flatWall := time.Since(start)
+	fs.FlatCacheMB = mbSince(heap)
 	fs.FlatUsPerPair = flatWall.Seconds() * 1e6 / float64(fs.FlatTransitionPairs)
 	if fs.CHUsPerPair > 0 {
 		fs.TransitionSpeedup = fs.FlatUsPerPair / fs.CHUsPerPair
 	}
-	fmt.Fprintf(&b, "flat transitions: %d routed pairs in %.2fs (%.1f us/pair)\n",
-		fs.FlatTransitionPairs, flatWall.Seconds(), fs.FlatUsPerPair)
+	fmt.Fprintf(&b, "flat transitions: %d routed pairs in %.2fs (%.1f us/pair, tree cache %.1f MB)\n",
+		fs.FlatTransitionPairs, flatWall.Seconds(), fs.FlatUsPerPair, fs.FlatCacheMB)
 	fmt.Fprintf(&b, "routed-transition speedup: %.1fx (CH vs flat)\n", fs.TransitionSpeedup)
 	if fs.TransitionMismatches > 0 {
 		return fs, b.String(), fmt.Errorf("CH/flat disagreement on %d of %d cross-checked transition pairs",
@@ -182,6 +185,19 @@ func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 	fmt.Fprintf(&b, "matched %d test trips in %.1fs (p50 %.3fs, p95 %.3fs, p99 %.3fs)\n",
 		fs.MatchedTrips, fs.MatchWallS, m.P50, m.P95, m.P99)
 	return fs, b.String(), nil
+}
+
+// liveHeap returns the heap bytes in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// mbSince returns the live heap added since liveHeap returned base, in MB.
+func mbSince(base uint64) float64 {
+	return (float64(liveHeap()) - float64(base)) / (1 << 20)
 }
 
 // harvestTransitionSteps extracts up to n consecutive-point candidate

@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -90,42 +91,112 @@ type cacheSlot struct {
 	ref    bool
 }
 
-// ssspResult holds a single-source shortest-path tree as two
-// NodeID-indexed arrays (12 bytes per network node); parents always
-// describe the unique minimum-(dist, tie) path from the source (see
-// segTie). A tree holds the nodes its search settled: a prefix of the
-// canonical pop order that ends at the search's last settled node, or
-// all of it when the search ran to exhaustion. Every tree from one
-// source is a prefix of the same order, so of two trees the one that
-// settled the other's last node contains it. Immutable once cached.
+// ssspResult holds a single-source shortest-path tree as the nodes its
+// search settled, in settle order: entry 0 is the source, and every other
+// entry names the segment that reaches its node and the entry of that
+// segment's tail, which always comes earlier. Parents describe the unique
+// minimum-(dist, tie) path from the source (see segTie). The settled
+// nodes are a prefix of the canonical pop order that ends at the search's
+// last settled node, or all of it when the search ran to exhaustion. Every
+// tree from one source is a prefix of the same order, so of two trees the
+// one that settled the other's last node contains it. A tree costs 28–36
+// bytes per settled node, whatever the size of the network. Immutable
+// once cached.
 type ssspResult struct {
-	dist   []float64 // +Inf = not settled (unreachable within MaxDist, if exhausted)
-	parent []int32   // segment used to reach the node; -1 = none
+	dist  []float64 // per entry: route length from the source
+	seg   []int32   // per entry: segment entering the node; -1 at the source
+	up    []int32   // per entry: the parent's entry; -1 at the source
+	node  []int32   // per entry: the settled node
+	index []int32   // NodeID -> entry, open addressing; -1 = empty slot
+}
+
+// entry returns v's entry in the tree, or -1 when the search did not
+// settle v. The index is a power of two at most half full, probed
+// linearly from v's Fibonacci hash.
+func (t *ssspResult) entry(v NodeID) int32 {
+	mask := uint32(len(t.index) - 1)
+	for h := fibHash(v, mask); ; h = (h + 1) & mask {
+		e := t.index[h]
+		if e < 0 || NodeID(t.node[e]) == v {
+			return e
+		}
+	}
+}
+
+// fibHash maps v to a slot of a power-of-two table with the given mask:
+// the top bits of v times 2^32/φ.
+func fibHash(v NodeID, mask uint32) uint32 {
+	return uint32(v) * 0x9e3779b9 >> bits.LeadingZeros32(mask)
 }
 
 // covers reports whether a tree whose search ended at last (-1 =
-// exhausted) answers every target.
-func (t *ssspResult) covers(last int32, targets []NodeID) bool {
-	if last < 0 {
-		return true
+// exhausted) answers every target, writing each target's entry (-1 = not
+// settled) to ents.
+func (t *ssspResult) covers(last int32, targets []NodeID, ents []int32) bool {
+	all := true
+	for i, v := range targets {
+		ents[i] = t.entry(v)
+		all = all && ents[i] >= 0
 	}
-	for _, v := range targets {
-		if math.IsInf(t.dist[v], 1) {
-			return false
+	return all || last < 0
+}
+
+// newTree copies a finished search's settled nodes out of its scratch
+// state: three allocations (header, distances, and one block for the
+// segments, parents, nodes and index), sized by the settled count.
+func newTree(order []NodeID, ns []nodeState) *ssspResult {
+	k := len(order)
+	size := 2
+	for size < 2*k {
+		size <<= 1
+	}
+	ints := make([]int32, 3*k+size)
+	t := &ssspResult{
+		dist:  make([]float64, k),
+		seg:   ints[:k:k],
+		up:    ints[k : 2*k : 2*k],
+		node:  ints[2*k : 3*k : 3*k],
+		index: ints[3*k:],
+	}
+	for i := range t.index {
+		t.index[i] = -1
+	}
+	mask := uint32(size - 1)
+	for i, v := range order {
+		st := &ns[v]
+		t.dist[i], t.seg[i], t.up[i], t.node[i] = st.dist, st.seg, st.up, int32(v)
+		h := fibHash(v, mask)
+		for t.index[h] >= 0 {
+			h = (h + 1) & mask
 		}
+		t.index[h] = int32(i)
 	}
-	return true
+	return t
 }
 
 // searchScratch is the per-search state of search that no cached tree
-// keeps: tie-break keys, settled and wanted marks and the heap's backing
-// array. tie[v] is only read once dist[v] is finite, so it needs no
-// clearing; want is cleared by the search that set it.
+// keeps: one nodeState per network node, valid only where its stamp is
+// the current search's epoch, so starting a search is one increment
+// rather than a clear; the wanted marks, cleared by the search that set
+// them; the settle order; and the heap's backing array.
 type searchScratch struct {
-	tie     []uint64
-	settled []bool
-	want    []bool
-	q       keyPQ
+	nodes []nodeState
+	epoch uint32
+	want  []bool
+	order []NodeID
+	q     keyPQ
+}
+
+// nodeState is a node's search state: the best (dist, tie) key found so
+// far and the segment and parent entry it was found over, final once the
+// node is settled and has an entry.
+type nodeState struct {
+	dist  float64
+	tie   uint64
+	seg   int32  // segment reaching the node; -1 at the source
+	up    int32  // entry of seg's tail
+	ent   int32  // the node's entry once settled; -1 before
+	stamp uint32 // the epoch of the search that reached the node
 }
 
 // walkScratch is the per-call state of TreeWalk: mark[v] == epoch means
@@ -134,6 +205,7 @@ type searchScratch struct {
 type walkScratch struct {
 	mark  []uint32
 	epoch uint32
+	ents  []int32 // each target's entry in the source's tree
 }
 
 // TreeStep is one edge of a source's shortest-path tree: Node is entered
@@ -205,11 +277,12 @@ func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 		lb := r.label(&r.bwdLabels, to, false)
 		return r.hier.distLabels(lf, lb, r.maxDist)
 	}
-	tgt := [1]NodeID{to}
-	if d := r.tree(from, tgt[:]).dist[to]; !math.IsInf(d, 1) {
-		return d, true
+	tgt, ent := [1]NodeID{to}, [1]int32{}
+	t := r.tree(from, tgt[:], ent[:])
+	if ent[0] < 0 {
+		return 0, false
 	}
-	return 0, false
+	return t.dist[ent[0]], true
 }
 
 // NodePath returns the segment sequence and length of the shortest
@@ -230,23 +303,23 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 		lb := r.label(&r.bwdLabels, to, false)
 		return r.hier.pathLabels(lf, lb, r.maxDist, pad)
 	}
-	// Walk parents back from to: once to count, once to fill.
-	tgt := [1]NodeID{to}
-	t := r.tree(from, tgt[:])
+	// Climb parent entries from to's up to the source's (entry 0): once to
+	// count, once to fill.
+	tgt, ent := [1]NodeID{to}, [1]int32{}
+	t := r.tree(from, tgt[:], ent[:])
+	end := ent[0]
+	if end < 0 {
+		return nil, 0, false // to was not reached
+	}
 	hops := 0
-	for cur := to; cur != from; hops++ {
-		seg := t.parent[cur]
-		if seg < 0 {
-			return nil, 0, false // to was not reached
-		}
-		cur = r.net.segments[seg].From
+	for e := end; e != 0; e = t.up[e] {
+		hops++
 	}
 	segs := make([]SegmentID, hops+2*pad)
-	for i, cur := pad+hops-1, to; i >= pad; i-- {
-		segs[i] = SegmentID(t.parent[cur])
-		cur = r.net.segments[segs[i]].From
+	for i, e := pad+hops-1, end; i >= pad; i, e = i-1, t.up[e] {
+		segs[i] = SegmentID(t.seg[e])
 	}
-	return segs, t.dist[to], true
+	return segs, t.dist[end], true
 }
 
 // TreeWalk is the one-source, many-targets form of NodePath for callers
@@ -260,17 +333,19 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 // quantity source→target in exactly the order a walk of each path on its
 // own would. Targets may repeat and may include the source.
 //
-// Flat, each target climbs the cached tree's parents to the first node an
-// earlier target already emitted, one cache lookup per call for a tree
-// that settled every target of the call. With a hierarchy each target's
-// canonical path is unpacked as NodePath does and walked from the source
-// through the same marks; the union is the same tree because both
-// searches settle on the unique minimum-(dist, tie) path (see segTie).
+// Flat, each target climbs the cached tree's parent entries to the first
+// node an earlier target already emitted: one cache lookup per call for a
+// tree that settled every target of the call, and one index probe per
+// target. With a hierarchy each target's canonical path is unpacked as
+// NodePath does and walked from the source through the same marks; the
+// union is the same tree because both searches settle on the unique
+// minimum-(dist, tie) path (see segTie).
 func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps []TreeStep) []TreeStep {
 	ws, _ := r.walks.Get().(*walkScratch)
 	if ws == nil {
 		ws = &walkScratch{mark: make([]uint32, r.net.NumNodes())}
 	}
+	ws.ents = slices.Grow(ws.ents[:0], len(targets))[:len(targets)]
 	if ws.epoch == math.MaxUint32 {
 		clear(ws.mark)
 		ws.epoch = 0
@@ -304,21 +379,23 @@ func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps
 			}
 		default:
 			if t == nil {
-				t = r.tree(source, targets)
+				t = r.tree(source, targets, ws.ents)
 			}
-			dist[i] = t.dist[v]
-			if math.IsInf(dist[i], 1) {
+			e := ws.ents[i]
+			if e < 0 {
+				dist[i] = math.Inf(1)
 				continue
 			}
-			// Every ancestor of a reached node was reached; the climb ends
+			dist[i] = t.dist[e]
+			// Every ancestor of a settled node was settled; the climb ends
 			// at the source's mark at the latest.
 			start := len(steps)
 			for cur := v; mark[cur] != epoch; {
 				mark[cur] = epoch
-				sid := SegmentID(t.parent[cur])
-				from := segments[sid].From
-				steps = append(steps, TreeStep{Node: cur, Parent: from, Seg: sid})
-				cur = from
+				p := t.up[e]
+				from := NodeID(t.node[p])
+				steps = append(steps, TreeStep{Node: cur, Parent: from, Seg: SegmentID(t.seg[e])})
+				cur, e = from, p
 			}
 			slices.Reverse(steps[start:])
 		}
@@ -437,14 +514,16 @@ func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
 }
 
 // tree returns a memoized shortest-path tree rooted at from that answers
-// every one of the (non-empty) targets. A cached tree that covers them is
-// a hit, checked outside the lock (cached trees are immutable).
+// every one of the (non-empty) targets, and writes each target's entry in
+// it to ents (-1 = unreachable within the bound). A cached tree that
+// covers them is a hit, checked outside the lock (cached trees are
+// immutable).
 // Otherwise the search runs again to the targets and its tree takes the
 // cached one's slot: an extension counts as a miss and evicts nothing.
 // It loses nothing either: a target the cached tree did not settle comes
 // after all of that tree's nodes in the pop order, so the new search
 // settles them all on its way to the target.
-func (r *Router) tree(from NodeID, targets []NodeID) *ssspResult {
+func (r *Router) tree(from NodeID, targets []NodeID, ents []int32) *ssspResult {
 	var old *ssspResult
 	var oldLast int32
 	r.mu.Lock()
@@ -454,7 +533,7 @@ func (r *Router) tree(from NodeID, targets []NodeID) *ssspResult {
 		old, oldLast = e.tree, e.last
 	}
 	r.mu.Unlock()
-	if old != nil && old.covers(oldLast, targets) {
+	if old != nil && old.covers(oldLast, targets, ents) {
 		obsCacheHits.Inc()
 		return old
 	}
@@ -470,6 +549,15 @@ func (r *Router) tree(from NodeID, targets []NodeID) *ssspResult {
 		obsDijkstraS.ObserveSince(start)
 	}
 
+	t = r.keep(from, t, last)
+	t.covers(-1, targets, ents)
+	return t
+}
+
+// keep caches t, the tree of a search from `from` that ended at last, or
+// leaves from's slot as it is if its tree contains t, and returns the
+// tree it kept.
+func (r *Router) keep(from NodeID, t *ssspResult, last int32) *ssspResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i, ok := r.cache[from]; ok {
@@ -478,7 +566,7 @@ func (r *Router) tree(from NodeID, targets []NodeID) *ssspResult {
 		// that contains the other.
 		e := &r.entries[i]
 		e.ref = true
-		if e.last < 0 || last >= 0 && !math.IsInf(e.tree.dist[last], 1) {
+		if e.last < 0 || last >= 0 && e.tree.entry(NodeID(last)) >= 0 {
 			return e.tree
 		}
 		e.tree, e.last = t, last
@@ -668,24 +756,25 @@ func (q *keyPQ) pop() keyItem {
 // every target; nil targets run it to exhaustion. Nothing beyond MaxDist
 // is ever pushed. The pop order is a strict total order, so a search
 // that stops early has settled a prefix of the exhaustive search's
-// sequence, with the same final dist and parent for every node in it;
-// the tentative entries it leaves are reset to +Inf / -1, so a tree's
-// finite entries are exactly its settled nodes. It returns the tree and
-// its last settled node, -1 if it ran to exhaustion. The search state
-// other than the tree itself comes from the scratch pool.
+// sequence, with the same final dist and parent for every node in it.
+// It returns the tree of the settled nodes and its last settled node, -1
+// if it ran to exhaustion. The search state other than the tree itself
+// comes from the scratch pool, and the search touches only the nodes it
+// reaches: it costs O(settled) however large the network.
 func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
-	n := r.net.NumNodes()
-	t := &ssspResult{dist: make([]float64, n), parent: make([]int32, n)}
-	for i := range t.dist {
-		t.dist[i] = math.Inf(1)
-		t.parent[i] = -1
-	}
 	s, _ := r.scratch.Get().(*searchScratch)
 	if s == nil {
-		s = &searchScratch{tie: make([]uint64, n), settled: make([]bool, n), want: make([]bool, n)}
-	} else {
-		clear(s.settled)
+		n := r.net.NumNodes()
+		s = &searchScratch{nodes: make([]nodeState, n), want: make([]bool, n)}
 	}
+	if s.epoch == math.MaxUint32 {
+		for i := range s.nodes {
+			s.nodes[i].stamp = 0
+		}
+		s.epoch = 0
+	}
+	s.epoch++
+	ns, epoch := s.nodes, s.epoch
 	// pending counts the wanted nodes not yet settled; it stays -1 for an
 	// exhaustive search.
 	pending := -1
@@ -698,16 +787,18 @@ func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
 			}
 		}
 	}
-	q := s.q[:0]
-	t.dist[from], s.tie[from] = 0, 0
+	q, order := s.q[:0], s.order[:0]
+	ns[from] = nodeState{seg: -1, up: -1, ent: -1, stamp: epoch}
 	q.push(keyItem{node: from})
 	last := int32(-1)
 	for len(q) > 0 {
 		cur := q.pop()
-		if s.settled[cur.node] {
-			continue
+		st := &ns[cur.node]
+		if st.ent >= 0 {
+			continue // a stale entry of a node settled at a smaller key
 		}
-		s.settled[cur.node] = true
+		st.ent = int32(len(order))
+		order = append(order, cur.node)
 		if s.want[cur.node] {
 			s.want[cur.node] = false
 			if pending--; pending == 0 {
@@ -722,12 +813,16 @@ func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
 				continue
 			}
 			nt := cur.tie + segTie(sid)
-			if keyLess(nd, nt, t.dist[seg.To], s.tie[seg.To]) {
-				t.dist[seg.To] = nd
-				s.tie[seg.To] = nt
-				t.parent[seg.To] = int32(sid)
-				q.push(keyItem{seg.To, nd, nt})
+			to := &ns[seg.To]
+			switch {
+			case to.stamp != epoch:
+				*to = nodeState{dist: nd, tie: nt, seg: int32(sid), up: st.ent, ent: -1, stamp: epoch}
+			case keyLess(nd, nt, to.dist, to.tie):
+				to.dist, to.tie, to.seg, to.up = nd, nt, int32(sid), st.ent
+			default:
+				continue
 			}
+			q.push(keyItem{seg.To, nd, nt})
 		}
 	}
 	if last < 0 {
@@ -735,15 +830,9 @@ func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
 		for _, v := range targets {
 			s.want[v] = false
 		}
-	} else {
-		// Every node not settled but pushed is in the heap.
-		for _, it := range q {
-			if !s.settled[it.node] {
-				t.dist[it.node], t.parent[it.node] = math.Inf(1), -1
-			}
-		}
 	}
-	s.q = q
+	t := newTree(order, ns)
+	s.q, s.order = q, order
 	r.scratch.Put(s)
 	return t, last
 }

@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -385,8 +386,9 @@ func TestRouteDistNoAllocs(t *testing.T) {
 	}
 }
 
-// A cold tree build allocates the tree (header, dist, parent) and
-// nothing that scales with the network: search state is pooled.
+// A cold tree build allocates the tree (header, distances, and one block
+// of segments, parents, nodes and index) and nothing that scales with the
+// network: search state is pooled.
 func TestTreeBuildAllocsIndependentOfSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes sync.Pool caching")
@@ -401,10 +403,131 @@ func TestTreeBuildAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
+// A tree costs what its search settled, not what the network holds: a
+// search to the same near targets allocates the same bytes on a 10x10
+// and a 120x120 grid, and an exhaustive search's bytes follow the nodes
+// its bound lets it settle, a few dozen bytes each.
+func TestTreeBytesFollowSettledNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes sync.Pool caching")
+	}
+	// allocated returns the fewest bytes one call of f allocates over 20
+	// calls after a warm-up: a GC that empties the scratch pool between
+	// two calls raises only one of them.
+	allocated := func(f func()) uint64 {
+		f()
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for i := 0; i < 20; i++ {
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := buildGrid(t, 10, 10), buildGrid(t, 120, 120)
+
+	// Every node within two blocks of the corner: the search settles
+	// exactly these five and the source.
+	var trees [2]*ssspResult
+	var sizes [2]uint64
+	for i, side := range []int{10, 120} {
+		net := small
+		if side == 120 {
+			net = large
+		}
+		r := NewRouter(net)
+		near := []NodeID{1, 2, NodeID(side), NodeID(side + 1), NodeID(2 * side)}
+		sizes[i] = allocated(func() { trees[i], _ = r.search(0, near) })
+		if k := len(trees[i].node); k != 6 {
+			t.Fatalf("%dx%d: the search to the corner's near nodes settled %d, want 6", side, side, k)
+		}
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("a six-node tree allocates %d bytes on a 10x10 grid and %d on a 120x120 grid", sizes[0], sizes[1])
+	}
+
+	// Exhaustive under a bound of radius blocks: the (radius+1)(radius+2)/2
+	// nodes within radius blocks of the corner, on either grid while they
+	// fit in it.
+	prev := uint64(0)
+	for _, radius := range []int{2, 5, 10, 20, 40} {
+		bound := WithMaxDist(float64(radius)*100 + 50)
+		r := NewRouter(large, bound)
+		var tree *ssspResult
+		size := allocated(func() { tree = r.dijkstra(0) })
+		k := len(tree.node)
+		if want := (radius + 1) * (radius + 2) / 2; k != want {
+			t.Fatalf("radius %d: exhaustive search settled %d nodes, want %d", radius, k, want)
+		}
+		if size <= prev || size > uint64(48*k+256) {
+			t.Errorf("radius %d: a tree of %d nodes allocates %d bytes (%d at the last radius), want more and at most %d",
+				radius, k, size, prev, 48*k+256)
+		}
+		prev = size
+		if radius <= 5 {
+			rs := NewRouter(small, bound)
+			if got := allocated(func() { rs.dijkstra(0) }); got != size {
+				t.Errorf("radius %d: the same %d-node tree allocates %d bytes on a 10x10 grid and %d on a 120x120 grid", radius, k, got, size)
+			}
+		}
+	}
+}
+
 // dijkstra is search's exhaustive form: the whole tree within MaxDist.
 func (r *Router) dijkstra(from NodeID) *ssspResult {
 	t, _ := r.search(from, nil)
 	return t
+}
+
+// at reads v's distance and parent segment through the tree's entry
+// lookup: +Inf and -1 when the search did not settle v.
+func (t *ssspResult) at(v NodeID) (float64, int32) {
+	e := t.entry(v)
+	if e < 0 {
+		return math.Inf(1), -1
+	}
+	return t.dist[e], t.seg[e]
+}
+
+// checkTree holds a tree's layout: entry 0 is the source, every other
+// entry's segment enters its node from its parent entry's node, parents
+// come first, and the index is a power of two at least twice the entry
+// count that finds each entry's node at that entry and holds nothing else.
+func checkTree(t *testing.T, name string, net *Network, src NodeID, tree *ssspResult) {
+	t.Helper()
+	k := len(tree.node)
+	if len(tree.dist) != k || len(tree.seg) != k || len(tree.up) != k {
+		t.Fatalf("%s: tree from %d: %d nodes, %d dists, %d segments, %d parents", name, src, k, len(tree.dist), len(tree.seg), len(tree.up))
+	}
+	if k == 0 || NodeID(tree.node[0]) != src || tree.dist[0] != 0 || tree.seg[0] != -1 || tree.up[0] != -1 {
+		t.Fatalf("%s: tree from %d does not start at its source", name, src)
+	}
+	if size := len(tree.index); size < 2*k || size&(size-1) != 0 {
+		t.Fatalf("%s: tree from %d: index of %d slots for %d entries", name, src, size, k)
+	}
+	used := 0
+	for _, e := range tree.index {
+		if e >= 0 {
+			used++
+		}
+	}
+	if used != k {
+		t.Fatalf("%s: tree from %d: index holds %d entries, tree %d", name, src, used, k)
+	}
+	for e := 0; e < k; e++ {
+		if got := tree.entry(NodeID(tree.node[e])); got != int32(e) {
+			t.Fatalf("%s: tree from %d: node %d found at entry %d, stored at %d", name, src, tree.node[e], got, e)
+		}
+		if e == 0 {
+			continue
+		}
+		seg, up := net.Segment(SegmentID(tree.seg[e])), tree.up[e]
+		if up < 0 || up >= int32(e) || seg.To != NodeID(tree.node[e]) || seg.From != NodeID(tree.node[up]) {
+			t.Fatalf("%s: tree from %d: entry %d (node %d, segment %d) has parent entry %d", name, src, e, tree.node[e], tree.seg[e], up)
+		}
+	}
 }
 
 // refPQ and refDijkstra are the map-and-container/heap search the
@@ -538,20 +661,47 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		for src := 0; src < c.net.NumNodes(); src++ {
 			dist, parent := refDijkstra(c.net, NodeID(src), r.MaxDist())
 			tree := r.dijkstra(NodeID(src))
+			checkTree(t, c.name, c.net, NodeID(src), tree)
 			reached += len(dist)
 			for v := 0; v < c.net.NumNodes(); v++ {
+				gotDist, gotParent := tree.at(NodeID(v))
 				wd, wok := dist[NodeID(v)]
-				if got := tree.dist[v]; wok != !math.IsInf(got, 1) || (wok && math.Float64bits(got) != math.Float64bits(wd)) {
+				if got := gotDist; wok != !math.IsInf(got, 1) || (wok && math.Float64bits(got) != math.Float64bits(wd)) {
 					t.Fatalf("%s: dist %d->%d = %v, reference %v/%v", c.name, src, v, got, wd, wok)
 				}
 				wp, wok := parent[NodeID(v)]
-				if got := tree.parent[v]; wok != (got >= 0) || (wok && SegmentID(got) != wp) {
+				if got := gotParent; wok != (got >= 0) || (wok && SegmentID(got) != wp) {
 					t.Fatalf("%s: parent %d->%d = %d, reference %d/%v", c.name, src, v, got, wp, wok)
 				}
 			}
 		}
 		if n := c.net.NumNodes(); c.partial && (reached == n*n || reached == n) {
 			t.Errorf("%s: reference reached %d of %d node pairs; the case tests nothing partial", c.name, reached, n*n)
+		}
+	}
+}
+
+// A search drawing scratch state whose epoch is about to wrap clears the
+// stamps first: stale state stamped 1, the first epoch after the wrap,
+// must not count as reached.
+func TestSearchEpochWrap(t *testing.T) {
+	n := buildGrid(t, 6, 6)
+	r := NewRouter(n)
+	stale := &searchScratch{nodes: make([]nodeState, n.NumNodes()), want: make([]bool, n.NumNodes()), epoch: math.MaxUint32}
+	for i := range stale.nodes {
+		stale.nodes[i] = nodeState{seg: -1, up: -1, ent: 0, stamp: 1}
+	}
+	r.scratch.Put(stale) // the next search on this goroutine normally draws it
+	tree := r.dijkstra(0)
+	checkTree(t, "wrapped epoch", n, 0, tree)
+	dist, parent := refDijkstra(n, 0, r.MaxDist())
+	if len(tree.node) != len(dist) {
+		t.Fatalf("wrapped epoch: tree holds %d nodes, reference %d", len(tree.node), len(dist))
+	}
+	for v, wd := range dist {
+		d, p := tree.at(v)
+		if math.Float64bits(d) != math.Float64bits(wd) || v != 0 && SegmentID(p) != parent[v] {
+			t.Fatalf("wrapped epoch: node %d at %v over %d, reference %v over %d", v, d, p, wd, parent[v])
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestTreeWalkConcurrent(t *testing.T) {
 		r.mu.Lock()
 		e := r.entries[r.cache[src]]
 		r.mu.Unlock()
-		if !e.tree.covers(e.last, far) || !e.tree.covers(e.last, near) {
+		if !e.tree.covers(e.last, far, make([]int32, len(far))) || !e.tree.covers(e.last, near, make([]int32, len(near))) {
 			t.Errorf("extension race from %d: the cached tree (ending at %d) dropped a target of %v", src, e.last, far)
 		}
 	}
@@ -426,14 +426,15 @@ func TestBoundedTreesMatchReference(t *testing.T) {
 			} else if before != nil {
 				extensions++
 			}
+			checkTree(t, c.name, c.net, src, after)
 			finite := 0
 			for v := 0; v < nodes; v++ {
-				d := after.dist[v]
+				d, parent := after.at(NodeID(v))
 				if math.IsInf(d, 1) {
-					if after.parent[v] != -1 {
-						t.Fatalf("%s: %s from %d: unsettled node %d has parent %d", c.name, what, src, v, after.parent[v])
+					if parent != -1 {
+						t.Fatalf("%s: %s from %d: unsettled node %d has parent %d", c.name, what, src, v, parent)
 					}
-					if before != nil && !math.IsInf(before.dist[v], 1) {
+					if before != nil && before.entry(NodeID(v)) >= 0 {
 						t.Fatalf("%s: %s from %d: the new tree lost node %d", c.name, what, src, v)
 					}
 					continue
@@ -443,14 +444,17 @@ func TestBoundedTreesMatchReference(t *testing.T) {
 				if !ok || math.Float64bits(d) != math.Float64bits(wd) {
 					t.Fatalf("%s: %s from %d: cached dist[%d] = %v, reference %v/%v", c.name, what, src, v, d, wd, ok)
 				}
-				if NodeID(v) != src && SegmentID(after.parent[v]) != ref.parent[NodeID(v)] {
-					t.Fatalf("%s: %s from %d: cached parent[%d] = %d, reference %d", c.name, what, src, v, after.parent[v], ref.parent[NodeID(v)])
+				if NodeID(v) != src && SegmentID(parent) != ref.parent[NodeID(v)] {
+					t.Fatalf("%s: %s from %d: cached parent[%d] = %d, reference %d", c.name, what, src, v, parent, ref.parent[NodeID(v)])
 				}
+			}
+			if len(after.node) != finite {
+				t.Fatalf("%s: %s from %d: tree holds %d entries for %d settled nodes", c.name, what, src, len(after.node), finite)
 			}
 			// The finite entries are the first nodes of the settle order,
 			// ending at the search's last node, or all of it once exhausted.
 			for _, v := range ref.order[:finite] {
-				if math.IsInf(after.dist[v], 1) {
+				if after.entry(v) < 0 {
 					t.Fatalf("%s: %s from %d: tree holds %d nodes but not node %d, %dth in the settle order", c.name, what, src, finite, v, ref.rank[v])
 				}
 			}
@@ -460,7 +464,7 @@ func TestBoundedTreesMatchReference(t *testing.T) {
 			case last >= 0 && NodeID(last) != ref.order[finite-1]:
 				t.Fatalf("%s: %s from %d: tree of %d nodes ends at %d, the settle order at %d", c.name, what, src, finite, last, ref.order[finite-1])
 			}
-			if !after.covers(last, targets) {
+			if !after.covers(last, targets, make([]int32, len(targets))) {
 				t.Fatalf("%s: %s from %d: cached tree does not cover %v", c.name, what, src, targets)
 			}
 			if last >= 0 {
