@@ -13,18 +13,14 @@ import (
 
 // The -fullscale workload exercises the paper-scale regime the tables
 // never reach: a metro road network around 100k segments (scale 1),
-// where flat per-query Dijkstra is the bottleneck the CH backend
-// exists to remove. It measures three things on one generated city:
+// where routing dominates a match. It measures two things on one
+// generated city:
 //
-//  1. CH preprocessing cost (build wall-clock, shortcut ratio);
-//  2. routed-transition throughput — k x k RouteDist fan-outs shaped
-//     exactly like the matcher's Viterbi transition step — on a
-//     CH-backed router vs the flat Dijkstra router, over identical
-//     candidate pairs (results are cross-checked bitwise), and the heap
-//     each router's caches hold afterwards;
-//  3. end-to-end match latency (hmm.match.seconds p50/p95/p99) running
-//     the classical matcher over held-out test trips with the CH
-//     router.
+//  1. routed-transition throughput — k x k RouteDist fan-outs shaped
+//     exactly like the matcher's Viterbi transition step — on a fresh
+//     router, and the heap its tree cache holds afterwards;
+//  2. end-to-end match latency (hmm.match.seconds p50/p95/p99) running
+//     the classical matcher over held-out test trips on that router.
 
 // fullscaleResult is the "fullscale" section of the -json document.
 type fullscaleResult struct {
@@ -33,22 +29,13 @@ type fullscaleResult struct {
 	Towers   int `json:"towers"`
 	// Dataset generation (network + trips + cell sampling).
 	GenS float64 `json:"gen_s"`
-	// Contraction-Hierarchies preprocessing.
-	CHBuildS        float64 `json:"ch_build_s"`
-	CHShortcuts     int     `json:"ch_shortcuts"`
-	CHShortcutRatio float64 `json:"ch_shortcut_ratio"`
 	// Routed-transition throughput, matcher-shaped k x k fan-outs.
-	TransitionK          int     `json:"transition_k"`
-	CHTransitionPairs    int     `json:"ch_transition_pairs"`
-	CHUsPerPair          float64 `json:"ch_us_per_pair"`
-	FlatTransitionPairs  int     `json:"flat_transition_pairs"`
-	FlatUsPerPair        float64 `json:"flat_us_per_pair"`
-	TransitionSpeedup    float64 `json:"transition_speedup"`
-	TransitionMismatches int     `json:"transition_mismatches"`
-	// Live heap each router's caches hold after its arm, in MB.
-	CHCacheMB   float64 `json:"ch_cache_mb"`
+	TransitionK         int     `json:"transition_k"`
+	FlatTransitionPairs int     `json:"flat_transition_pairs"`
+	FlatUsPerPair       float64 `json:"flat_us_per_pair"`
+	// Live heap the router's tree cache holds after the timed pairs, in MB.
 	FlatCacheMB float64 `json:"flat_cache_mb"`
-	// End-to-end matching with the CH-backed router.
+	// End-to-end matching on the same router.
 	MatchedTrips int     `json:"matched_trips"`
 	MatchWallS   float64 `json:"match_wall_s"`
 }
@@ -81,16 +68,7 @@ func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 	fmt.Fprintf(&b, "metro scale %g: %d nodes, %d segments, %d towers, %d trips (gen %.1fs)\n",
 		scale, fs.Nodes, fs.Segments, fs.Towers, len(ds.Trips), fs.GenS)
 
-	start = time.Now()
-	h := roadnet.BuildHierarchy(ds.Net)
-	fs.CHBuildS = time.Since(start).Seconds()
-	fs.CHShortcuts = h.NumShortcuts()
-	fs.CHShortcutRatio = 1 + float64(fs.CHShortcuts)/float64(fs.Segments)
-	fmt.Fprintf(&b, "CH preprocessing: %.1fs, %d shortcuts (%.2fx edges)\n",
-		fs.CHBuildS, fs.CHShortcuts, fs.CHShortcutRatio)
-
-	chRouter := lhmm.NewRouter(ds.Net, roadnet.WithHierarchy(h))
-	flatRouter := lhmm.NewRouter(ds.Net)
+	router := lhmm.NewRouter(ds.Net)
 
 	// Harvest matcher-shaped transition steps from held-out test trips:
 	// the candidate pools of consecutive cell points, exactly what the
@@ -101,69 +79,28 @@ func runFullscale(scale float64, trips int) (*fullscaleResult, string, error) {
 		return nil, "", fmt.Errorf("only %d transition steps harvested; dataset too small for -fullscale (raise -scale or -trips)", len(steps))
 	}
 
-	// Both arms route the same steps, each on a fresh router, so per-pair
-	// costs compare like for like, and flat distances must agree bitwise
-	// with the CH answers (the byte-identity contract). Each arm's cache
-	// size is the live heap it added, read after a collection.
-	chDist := make([][]float64, len(steps))
-	for si, st := range steps {
-		chDist[si] = make([]float64, 0, len(st.from)*len(st.to))
-	}
+	// The router starts cold, so the per-pair cost includes building the
+	// trees the steps need. The cache size is the live heap the timed
+	// pairs added, read after a collection.
 	heap := liveHeap()
 	start = time.Now()
-	for si, st := range steps {
+	for _, st := range steps {
 		for _, a := range st.from {
 			for _, bp := range st.to {
-				d, ok := chRouter.RouteDist(a, bp)
-				if !ok {
-					d = -1
-				}
-				chDist[si] = append(chDist[si], d)
-				fs.CHTransitionPairs++
-			}
-		}
-	}
-	chWall := time.Since(start)
-	fs.CHCacheMB = mbSince(heap)
-	fs.CHUsPerPair = chWall.Seconds() * 1e6 / float64(fs.CHTransitionPairs)
-	fmt.Fprintf(&b, "CH transitions: %d routed pairs in %.2fs (%.1f us/pair, label caches %.1f MB)\n",
-		fs.CHTransitionPairs, chWall.Seconds(), fs.CHUsPerPair, fs.CHCacheMB)
-
-	heap = liveHeap()
-	start = time.Now()
-	for si, st := range steps {
-		i := 0
-		for _, a := range st.from {
-			for _, bp := range st.to {
-				d, ok := flatRouter.RouteDist(a, bp)
-				if !ok {
-					d = -1
-				}
-				if d != chDist[si][i] {
-					fs.TransitionMismatches++
-				}
-				i++
+				router.RouteDist(a, bp)
 				fs.FlatTransitionPairs++
 			}
 		}
 	}
-	flatWall := time.Since(start)
+	wall := time.Since(start)
 	fs.FlatCacheMB = mbSince(heap)
-	fs.FlatUsPerPair = flatWall.Seconds() * 1e6 / float64(fs.FlatTransitionPairs)
-	if fs.CHUsPerPair > 0 {
-		fs.TransitionSpeedup = fs.FlatUsPerPair / fs.CHUsPerPair
-	}
-	fmt.Fprintf(&b, "flat transitions: %d routed pairs in %.2fs (%.1f us/pair, tree cache %.1f MB)\n",
-		fs.FlatTransitionPairs, flatWall.Seconds(), fs.FlatUsPerPair, fs.FlatCacheMB)
-	fmt.Fprintf(&b, "routed-transition speedup: %.1fx (CH vs flat)\n", fs.TransitionSpeedup)
-	if fs.TransitionMismatches > 0 {
-		return fs, b.String(), fmt.Errorf("CH/flat disagreement on %d of %d cross-checked transition pairs",
-			fs.TransitionMismatches, fs.FlatTransitionPairs)
-	}
+	fs.FlatUsPerPair = wall.Seconds() * 1e6 / float64(fs.FlatTransitionPairs)
+	fmt.Fprintf(&b, "transitions: %d routed pairs in %.2fs (%.1f us/pair, tree cache %.1f MB)\n",
+		fs.FlatTransitionPairs, wall.Seconds(), fs.FlatUsPerPair, fs.FlatCacheMB)
 
-	// End-to-end matching with the CH router. The match-latency
+	// End-to-end matching on the same router. The match-latency
 	// quantiles land in hmm.match.seconds and surface in the JSON doc.
-	matcher := lhmm.ClassicalMatcher(ds.Net, chRouter, fullscaleK, 450, 500)
+	matcher := lhmm.ClassicalMatcher(ds.Net, router, fullscaleK, 450, 500)
 	const maxMatch = 25
 	start = time.Now()
 	for _, ti := range ds.Test {

@@ -19,10 +19,9 @@
 //
 // -fullscale replaces the table/figure experiments with the
 // paper-scale workload: generate the metro city at -scale (~100k
-// segments at scale 1), build the Contraction Hierarchy, measure
-// routed-transition throughput on CH-backed vs flat routers over
-// identical matcher-shaped candidate pairs (cross-checked bitwise),
-// and run the classical matcher over held-out trips for end-to-end
+// segments at scale 1), measure routed-transition throughput on a
+// fresh router over matcher-shaped candidate pairs, and run the
+// classical matcher over held-out trips on that router for end-to-end
 // match-latency quantiles. No run is committed; CI's fullscale-smoke
 // job asserts the run's invariants at reduced scale. At paper scale:
 //
@@ -90,7 +89,7 @@ func main() {
 	trips := flag.Int("trips", 220, "trips per dataset")
 	out := flag.String("out", "", "also write results to this file")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of text")
-	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (CH vs flat routed-transition throughput, match latency) instead of -exp")
+	fullscale := flag.Bool("fullscale", false, "run the paper-scale metro workload (routed-transition throughput, match latency) instead of -exp")
 	of := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 

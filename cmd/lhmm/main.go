@@ -87,8 +87,7 @@ commands:
   eval      evaluate methods on the test split
   replay    re-run requests from an lhmm-serve capture file and diff outputs
   net       road-network tools: 'net build' compiles a dataset's network
-            (plus Contraction-Hierarchies index) into a binary .lnet file;
-            'net stat' inspects one
+            into a binary .lnet file; 'net stat' inspects one
   sessions  durable-session tools: 'sessions inspect' summarizes a
             snapshot file from an lhmm-serve -checkpoint-dir store
 

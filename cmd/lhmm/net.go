@@ -2,19 +2,16 @@ package main
 
 // lhmm net — road-network tooling around the binary LNET format.
 //
-//	lhmm net build -data dataset.json -out network.lnet [-no-ch] [-verify 1000]
+//	lhmm net build -data dataset.json -out network.lnet
 //	lhmm net stat  -in network.lnet
 //
 // build compiles a road network into the flat binary format that loads
-// in milliseconds at paper scale, running Contraction-Hierarchies
-// preprocessing by default so routers can attach the index without
-// paying for it at startup. -verify N cross-checks the CH against flat
-// Dijkstra on N random node pairs before writing anything.
+// in milliseconds at paper scale; stat loads one back and prints its
+// size and extent.
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -40,9 +37,6 @@ func cmdNetBuild(args []string) error {
 	data := fs.String("data", "", "dataset file to take the road network from ('-' for stdin)")
 	netIn := fs.String("net", "", "bare road-network JSON file (alternative to -data)")
 	out := fs.String("out", "network.lnet", "output binary network file")
-	noCH := fs.Bool("no-ch", false, "skip Contraction-Hierarchies preprocessing")
-	verify := fs.Int("verify", 0, "cross-check CH vs flat Dijkstra on N random node pairs")
-	seed := fs.Int64("seed", 1, "RNG seed for -verify pair sampling")
 	cleanup, err := parseWithObs(fs, args)
 	if err != nil {
 		return err
@@ -74,29 +68,11 @@ func cmdNetBuild(args []string) error {
 	}
 	fmt.Printf("network: %d nodes, %d segments\n", n.NumNodes(), n.NumSegments())
 
-	var h *roadnet.Hierarchy
-	if !*noCH {
-		start := time.Now()
-		h = roadnet.BuildHierarchy(n)
-		fmt.Printf("ch: %d shortcuts in %.1fs\n", h.NumShortcuts(), time.Since(start).Seconds())
-	}
-	if *verify > 0 {
-		if h == nil {
-			return fmt.Errorf("-verify needs the CH (drop -no-ch)")
-		}
-		start := time.Now()
-		if err := verifyHierarchy(n, h, *verify, *seed); err != nil {
-			return err
-		}
-		fmt.Printf("verify: ch matches flat dijkstra on %d random pairs (%.1fs)\n",
-			*verify, time.Since(start).Seconds())
-	}
-
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
-	if err := roadnet.WriteBinary(f, n, h); err != nil {
+	if err := roadnet.WriteBinary(f, n); err != nil {
 		f.Close()
 		return err
 	}
@@ -108,39 +84,6 @@ func cmdNetBuild(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%.1f MB)\n", *out, float64(st.Size())/(1<<20))
-	return nil
-}
-
-// verifyHierarchy compares the CH-backed router against flat Dijkstra
-// on random node pairs: same reachability, bit-identical distance,
-// identical segment path.
-func verifyHierarchy(n *roadnet.Network, h *roadnet.Hierarchy, pairs int, seed int64) error {
-	flat := roadnet.NewRouter(n)
-	ch := roadnet.NewRouter(n, roadnet.WithHierarchy(h))
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < pairs; i++ {
-		a := roadnet.NodeID(rng.Intn(n.NumNodes()))
-		b := roadnet.NodeID(rng.Intn(n.NumNodes()))
-		p1, d1, ok1 := flat.NodePath(a, b)
-		p2, d2, ok2 := ch.NodePath(a, b)
-		if ok1 != ok2 {
-			return fmt.Errorf("verify: reachability mismatch %d->%d: flat %v, ch %v", a, b, ok1, ok2)
-		}
-		if !ok1 {
-			continue
-		}
-		if d1 != d2 {
-			return fmt.Errorf("verify: distance mismatch %d->%d: flat %v, ch %v", a, b, d1, d2)
-		}
-		if len(p1) != len(p2) {
-			return fmt.Errorf("verify: path length mismatch %d->%d: flat %d hops, ch %d", a, b, len(p1), len(p2))
-		}
-		for j := range p1 {
-			if p1[j] != p2[j] {
-				return fmt.Errorf("verify: path mismatch %d->%d at hop %d", a, b, j)
-			}
-		}
-	}
 	return nil
 }
 
@@ -163,7 +106,7 @@ func cmdNetStat(args []string) error {
 		return err
 	}
 	start := time.Now()
-	n, h, err := roadnet.ReadBinary(f)
+	n, err := roadnet.ReadBinary(f)
 	if err != nil {
 		return err
 	}
@@ -174,11 +117,5 @@ func cmdNetStat(args []string) error {
 	fmt.Printf("segments:  %d\n", n.NumSegments())
 	b := n.Bounds()
 	fmt.Printf("bounds:    %.0fm x %.0fm\n", b.Max.X-b.Min.X, b.Max.Y-b.Min.Y)
-	if h != nil {
-		fmt.Printf("ch:        %d shortcuts (%.2fx base edges)\n",
-			h.NumShortcuts(), float64(h.NumShortcuts())/float64(n.NumSegments()))
-	} else {
-		fmt.Printf("ch:        none\n")
-	}
 	return nil
 }

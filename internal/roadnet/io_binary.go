@@ -3,27 +3,26 @@ package roadnet
 // Versioned binary network format ("LNET"). The JSON format in io.go
 // stays the interchange format; this one exists so a ~100k-segment
 // city loads in milliseconds: flat little-endian slabs that decode
-// into the Network's CSR representation with no per-segment parsing,
-// plus an optional Contraction-Hierarchies section (node ranks and
-// shortcut child indices — keys and base edges are rederived from the
-// network on load, which cross-validates the section against the
-// graph it ships with).
+// into the Network's CSR representation with no per-segment parsing.
 //
 // Layout (all little-endian, CRC-32/IEEE of everything before it at
 // the tail):
 //
-//	magic "LNET" | u32 version=1 | u32 flags (bit0 = CH section)
+//	magic "LNET" | u32 version=1 | u32 flags (none defined; must be 0)
 //	u64 nodes | u64 segments | u64 viaPoints
 //	nodes    × (f64 x, f64 y)
 //	segments × (u32 from, u32 to, u8 class, f64 speed)
 //	(segments+1) × u32 cumulative via-point offsets
 //	viaPoints × (f64 x, f64 y)   — interior shape points only
-//	[CH] nodes × u32 rank | u64 shortcuts | shortcuts × (u32 from, u32 to, u32 a, u32 b)
 //	u32 crc
 //
 // Segment lengths are recomputed from the decoded shapes with the same
 // left-to-right fold Builder uses, so a loaded network is bit-identical
 // to one built from the same inputs.
+//
+// Flags bit 0 once marked a Contraction-Hierarchies section after the
+// via points. Routing no longer uses one, and a file carrying it is
+// refused as having an unknown flag; rebuild it with `lhmm net build`.
 
 import (
 	"fmt"
@@ -38,8 +37,7 @@ import (
 const (
 	lnetMagic     = "LNET"
 	lnetVersion   = 1
-	lnetFlagCH    = 1 << 0
-	lnetKnownFlag = lnetFlagCH
+	lnetKnownFlag = 0
 )
 
 // maxExtent bounds a decoded network's width and height in meters (a
@@ -47,12 +45,8 @@ const (
 // the extent, and no projected road map is wider.
 const maxExtent = 1e7
 
-// WriteBinary serializes the network — and, when h is non-nil, its
-// Contraction Hierarchy — in the LNET binary format.
-func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
-	if h != nil && h.net != n {
-		return fmt.Errorf("roadnet: hierarchy was built over a different network")
-	}
+// WriteBinary serializes the network in the LNET binary format.
+func WriteBinary(w io.Writer, n *Network) error {
 	via := 0
 	for i := 0; i < n.NumSegments(); i++ {
 		via += len(n.Segment(SegmentID(i)).Shape) - 2
@@ -62,11 +56,7 @@ func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
 
 	bw.Bytes([]byte(lnetMagic))
 	bw.U32(lnetVersion)
-	flags := uint32(0)
-	if h != nil {
-		flags |= lnetFlagCH
-	}
-	bw.U32(flags)
+	bw.U32(0) // flags
 	bw.U64(uint64(n.NumNodes()))
 	bw.U64(uint64(n.NumSegments()))
 	bw.U64(uint64(via))
@@ -96,58 +86,44 @@ func WriteBinary(w io.Writer, n *Network, h *Hierarchy) error {
 			bw.F64(p.Y)
 		}
 	}
-	if h != nil {
-		for _, r := range h.rank {
-			bw.U32(uint32(r))
-		}
-		sc := h.Shortcuts()
-		bw.U64(uint64(len(sc)))
-		for _, r := range sc {
-			bw.U32(uint32(r.From))
-			bw.U32(uint32(r.To))
-			bw.U32(uint32(r.A))
-			bw.U32(uint32(r.B))
-		}
-	}
 	if _, err := w.Write(bw.Seal(crc32.IEEETable)); err != nil {
 		return fmt.Errorf("roadnet: write binary: %w", err)
 	}
 	return nil
 }
 
-// ReadBinary deserializes a network written by WriteBinary. The
-// returned Hierarchy is nil when the file has no CH section. Any other
+// ReadBinary deserializes a network written by WriteBinary. Any other
 // input is an error, not a panic, and no count its header declares is
 // allocated before the file is checked to hold that many records; an
 // accepted input re-encodes to the same bytes (FuzzReadBinary).
-func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
+func ReadBinary(rd io.Reader) (*Network, error) {
 	buf, err := io.ReadAll(rd)
 	if err != nil {
-		return nil, nil, fmt.Errorf("roadnet: read binary: %w", err)
+		return nil, fmt.Errorf("roadnet: read binary: %w", err)
 	}
 	if len(buf) < len(lnetMagic)+12+4 || string(buf[:4]) != lnetMagic {
-		return nil, nil, fmt.Errorf("roadnet: not an LNET binary network")
+		return nil, fmt.Errorf("roadnet: not an LNET binary network")
 	}
 	payload, err := wire.Open(buf, crc32.IEEETable)
 	if err != nil {
-		return nil, nil, fmt.Errorf("roadnet: binary network: %w", err)
+		return nil, fmt.Errorf("roadnet: binary network: %w", err)
 	}
 	r := wire.NewReader(payload)
 	r.Bytes(len(lnetMagic))
 	if v := r.U32(); v != lnetVersion {
-		return nil, nil, fmt.Errorf("roadnet: unsupported binary network version %d", v)
+		return nil, fmt.Errorf("roadnet: unsupported binary network version %d", v)
 	}
 	flags := r.U32()
 	if flags&^uint32(lnetKnownFlag) != 0 {
-		return nil, nil, fmt.Errorf("roadnet: unknown binary network flags %#x", flags)
+		return nil, fmt.Errorf("roadnet: unknown binary network flags %#x", flags)
 	}
 	nNodes, nSegs, nVia := r.U64(), r.U64(), r.U64()
 	if nNodes == 0 || nSegs == 0 {
-		return nil, nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points)", nNodes, nSegs, nVia)
+		return nil, fmt.Errorf("roadnet: implausible binary network header (%d nodes, %d segments, %d via points)", nNodes, nSegs, nVia)
 	}
 
 	if !r.Fits(nNodes, 16) {
-		return nil, nil, readErr(r)
+		return nil, readErr(r)
 	}
 	nodes := make([]Node, nNodes)
 	bounds := geo.Rect{Min: geo.Pt(math.Inf(1), math.Inf(1)), Max: geo.Pt(math.Inf(-1), math.Inf(-1))}
@@ -156,7 +132,7 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		bounds = bounds.Extend(nodes[i].P)
 	}
 	if !r.Fits(nSegs, 17) {
-		return nil, nil, readErr(r)
+		return nil, readErr(r)
 	}
 	segments := make([]Segment, nSegs)
 	for i := range segments {
@@ -164,15 +140,15 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		class := Class(r.U8())
 		speed := r.F64()
 		if int(from) >= len(nodes) || int(to) >= len(nodes) {
-			return nil, nil, fmt.Errorf("roadnet: segment %d references node out of range", i)
+			return nil, fmt.Errorf("roadnet: segment %d references node out of range", i)
 		}
 		if class > Highway {
-			return nil, nil, fmt.Errorf("roadnet: segment %d has unknown class %d", i, class)
+			return nil, fmt.Errorf("roadnet: segment %d has unknown class %d", i, class)
 		}
 		segments[i] = Segment{ID: SegmentID(i), From: from, To: to, Class: class, Speed: speed}
 	}
 	if !r.Fits(nSegs+1, 4) {
-		return nil, nil, readErr(r)
+		return nil, readErr(r)
 	}
 	// The offsets run from 0 to nVia and never decrease, so every
 	// segment's slice of the via points below is in range.
@@ -180,14 +156,14 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 	for i := range viaOff {
 		viaOff[i] = r.U32()
 		if i > 0 && viaOff[i] < viaOff[i-1] {
-			return nil, nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i-1)
+			return nil, fmt.Errorf("roadnet: segment %d has decreasing via offsets", i-1)
 		}
 	}
 	if viaOff[0] != 0 || uint64(viaOff[nSegs]) != nVia {
-		return nil, nil, fmt.Errorf("roadnet: via offsets run %d..%d, header says 0..%d", viaOff[0], viaOff[nSegs], nVia)
+		return nil, fmt.Errorf("roadnet: via offsets run %d..%d, header says 0..%d", viaOff[0], viaOff[nSegs], nVia)
 	}
 	if !r.Fits(nVia, 16) {
-		return nil, nil, readErr(r)
+		return nil, readErr(r)
 	}
 	viaPts := make([]geo.Point, nVia)
 	for i := range viaPts {
@@ -195,7 +171,7 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		bounds = bounds.Extend(viaPts[i])
 	}
 	if !(bounds.Width() <= maxExtent && bounds.Height() <= maxExtent) {
-		return nil, nil, fmt.Errorf("roadnet: binary network spans %v (non-finite, or wider than %g m)", bounds, float64(maxExtent))
+		return nil, fmt.Errorf("roadnet: binary network spans %v (non-finite, or wider than %g m)", bounds, float64(maxExtent))
 	}
 	for i := range segments {
 		s := &segments[i]
@@ -208,43 +184,10 @@ func ReadBinary(rd io.Reader) (*Network, *Hierarchy, error) {
 		s.Length = shape.Length()
 	}
 
-	net := assemble(nodes, segments)
-
-	var h *Hierarchy
-	if flags&lnetFlagCH != 0 {
-		if !r.Fits(nNodes, 4) {
-			return nil, nil, readErr(r)
-		}
-		rank := make([]int32, nNodes)
-		seen := make([]bool, nNodes)
-		for i := range rank {
-			v := r.U32()
-			if uint64(v) >= nNodes || seen[v] {
-				return nil, nil, fmt.Errorf("roadnet: node ranks are not a permutation")
-			}
-			seen[v] = true
-			rank[i] = int32(v)
-		}
-		nSC := r.U64()
-		if !r.Fits(nSC, 16) {
-			return nil, nil, readErr(r)
-		}
-		shortcuts := make([]shortcutRecord, nSC)
-		for i := range shortcuts {
-			shortcuts[i] = shortcutRecord{
-				From: NodeID(r.U32()), To: NodeID(r.U32()),
-				A: int32(r.U32()), B: int32(r.U32()),
-			}
-		}
-		h, err = hierarchyFromParts(net, rank, shortcuts)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	if r.Len() != 0 {
-		return nil, nil, fmt.Errorf("roadnet: %d trailing bytes in binary network", r.Len())
+		return nil, fmt.Errorf("roadnet: %d trailing bytes in binary network", r.Len())
 	}
-	return net, h, nil
+	return assemble(nodes, segments), nil
 }
 
 // readErr reports the reader's first failure as a roadnet error.

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"hash/crc32"
 	"math"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -91,47 +90,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 		"jittered": buildJittered(t, 7, 7, 0.2, 21),
 	} {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, n, nil); err != nil {
+		if err := WriteBinary(&buf, n); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		n2, h2, err := ReadBinary(&buf)
+		n2, err := ReadBinary(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if h2 != nil {
-			t.Fatalf("%s: hierarchy from a file written without one", name)
-		}
 		sameNetwork(t, n, n2)
-	}
-}
-
-func TestBinaryRoundTripWithHierarchy(t *testing.T) {
-	n := buildJittered(t, 9, 9, 0.2, 31)
-	h := BuildHierarchy(n)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, n, h); err != nil {
-		t.Fatal(err)
-	}
-	n2, h2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 == nil {
-		t.Fatal("CH section lost in round trip")
-	}
-	sameNetwork(t, n, n2)
-	if h2.NumShortcuts() != h.NumShortcuts() {
-		t.Fatalf("shortcut count %d != %d", h2.NumShortcuts(), h.NumShortcuts())
-	}
-	// The loaded network + hierarchy must route byte-identically to a
-	// flat Dijkstra router over the loaded network.
-	flat := NewRouter(n2)
-	ch := NewRouter(n2, WithHierarchy(h2))
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 500; trial++ {
-		a := NodeID(rng.Intn(n2.NumNodes()))
-		b := NodeID(rng.Intn(n2.NumNodes()))
-		assertSamePair(t, flat, ch, a, b)
 	}
 }
 
@@ -145,86 +111,74 @@ func TestBinaryMatchesJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteBinary(&bbuf, n, nil); err != nil {
+	if err := WriteBinary(&bbuf, n); err != nil {
 		t.Fatal(err)
 	}
-	nb, _, err := ReadBinary(&bbuf)
+	nb, err := ReadBinary(&bbuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameNetwork(t, nj, nb)
 }
 
-// TestBinaryWireStable pins WriteBinary's bytes for buildShaped, with
-// and without its Contraction Hierarchy: the file's length equals the
-// sum of the field list in io_binary.go's layout comment, and its
-// SHA-256 equals the digest recorded when the test was written.
+// TestBinaryWireStable pins WriteBinary's bytes for buildShaped: the
+// file's length equals the sum of the field list in io_binary.go's
+// layout comment, and its SHA-256 equals the digest recorded when the
+// test was written.
 func TestBinaryWireStable(t *testing.T) {
 	n := buildShaped(t)
 	via := 0
 	for i := 0; i < n.NumSegments(); i++ {
 		via += len(n.Segment(SegmentID(i)).Shape) - 2
 	}
-	for _, tc := range []struct {
-		name   string
-		h      *Hierarchy
-		golden string
-	}{
-		{"flat", nil, "9024c88d75035b75041d656248d9fb7a897ed9d437f05a9a9757dbd9cf80de21"},
-		{"ch", BuildHierarchy(n), "7778cdea00fca8d3fbb06f2656a08b56e24325d5377a2036b3f9e9b9a44acd58"},
-	} {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, n, tc.h); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		data := buf.Bytes()
-		want := 4 + 4 + 4                         // magic, version, flags
-		want += 8 + 8 + 8                         // nodes, segments, via points
-		want += n.NumNodes() * (8 + 8)            // node x, y
-		want += n.NumSegments() * (4 + 4 + 1 + 8) // from, to, class, speed
-		want += (n.NumSegments() + 1) * 4         // via offsets
-		want += via * (8 + 8)                     // via x, y
-		if tc.h != nil {
-			want += n.NumNodes()*4 + 8 + tc.h.NumShortcuts()*(4+4+4+4) // ranks, shortcuts
-		}
-		want += 4 // CRC
-		if len(data) != want {
-			t.Errorf("%s: file is %d bytes, the format's field list adds up to %d", tc.name, len(data), want)
-		}
-		if runtime.GOARCH != "amd64" {
-			continue // digests recorded on amd64
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != tc.golden {
-			t.Errorf("%s: file sha-256 %s, want %s (%d bytes)", tc.name, got, tc.golden, len(data))
-		}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, n); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	want := 4 + 4 + 4                         // magic, version, flags
+	want += 8 + 8 + 8                         // nodes, segments, via points
+	want += n.NumNodes() * (8 + 8)            // node x, y
+	want += n.NumSegments() * (4 + 4 + 1 + 8) // from, to, class, speed
+	want += (n.NumSegments() + 1) * 4         // via offsets
+	want += via * (8 + 8)                     // via x, y
+	want += 4                                 // CRC
+	if len(data) != want {
+		t.Errorf("file is %d bytes, the format's field list adds up to %d", len(data), want)
+	}
+	if runtime.GOARCH != "amd64" {
+		return // digest recorded on amd64
+	}
+	const golden = "9024c88d75035b75041d656248d9fb7a897ed9d437f05a9a9757dbd9cf80de21"
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != golden {
+		t.Errorf("file sha-256 %s, want %s (%d bytes)", got, golden, len(data))
 	}
 }
 
 func TestBinaryRejectsCorruption(t *testing.T) {
 	n := buildGrid(t, 4, 4)
-	h := BuildHierarchy(n)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, n, h); err != nil {
+	if err := WriteBinary(&buf, n); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 
-	if _, _, err := ReadBinary(strings.NewReader("not a network")); err == nil {
+	if _, err := ReadBinary(strings.NewReader("not a network")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, _, err := ReadBinary(bytes.NewReader(good[:len(good)/2])); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Error("truncated file accepted")
 	}
 	for _, off := range []int{4, 20, len(good) / 2, len(good) - 8} {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xff
-		if _, _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+		if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 			t.Errorf("bit flip at offset %d accepted", off)
 		}
 	}
 	extra := append(append([]byte(nil), good...), 0, 0, 0, 0)
-	if _, _, err := ReadBinary(bytes.NewReader(extra)); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(extra)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Node 0's x, with a valid CRC: a NaN would size the spatial index
@@ -232,9 +186,17 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	for _, x := range []float64{math.NaN(), 1e12} {
 		bad := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint64(bad[36:], math.Float64bits(x))
-		if _, _, err := ReadBinary(bytes.NewReader(refitCRC(bad))); err == nil {
+		if _, err := ReadBinary(bytes.NewReader(refitCRC(bad))); err == nil {
 			t.Errorf("node at x = %v accepted", x)
 		}
+	}
+	// Flags bit 0, with a valid CRC: the Contraction-Hierarchies section
+	// `lhmm net build` once appended by default. Routing reads no such
+	// section, so the file is refused, not half-read.
+	legacy := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(legacy[8:], 1)
+	if _, err := ReadBinary(bytes.NewReader(refitCRC(legacy))); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Errorf("a file with flags bit 0 set: err = %v, want one naming the flags", err)
 	}
 }
 
@@ -285,7 +247,7 @@ func TestReadBinaryRejectsViaOffsetsOutOfRange(t *testing.T) {
 	if len(data) != 118 {
 		t.Fatalf("fixture is %d bytes, want 118", len(data))
 	}
-	if _, _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
 		t.Fatal("via offsets [0 5 0] over 0 via points accepted")
 	}
 }
@@ -304,7 +266,7 @@ func TestReadBinaryBoundsAllocationByFileSize(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ReadBinary(bytes.NewReader(data))
+	_, err := ReadBinary(bytes.NewReader(data))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("err = %v, want a truncation error", err)
@@ -318,22 +280,21 @@ func TestReadBinaryBoundsAllocationByFileSize(t *testing.T) {
 // WriteBinary re-encodes to the same bytes. Each input is also tried
 // with its CRC footer refitted, so mutations reach the body.
 func FuzzReadBinary(f *testing.F) {
-	n := buildShaped(f)
-	for _, h := range []*Hierarchy{nil, BuildHierarchy(n)} {
+	for _, n := range []*Network{buildShaped(f), buildGrid(f, 3, 3)} {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, n, h); err != nil {
+		if err := WriteBinary(&buf, n); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, refitCRC(b)} {
-			net, h, err := ReadBinary(bytes.NewReader(in))
+			net, err := ReadBinary(bytes.NewReader(in))
 			if err != nil {
 				continue
 			}
 			var out bytes.Buffer
-			if err := WriteBinary(&out, net, h); err != nil {
+			if err := WriteBinary(&out, net); err != nil {
 				t.Fatalf("re-encoding an accepted network: %v", err)
 			}
 			if !bytes.Equal(out.Bytes(), in) {
@@ -341,14 +302,4 @@ func FuzzReadBinary(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestWriteBinaryRejectsForeignHierarchy(t *testing.T) {
-	n1 := buildGrid(t, 4, 4)
-	n2 := buildGrid(t, 4, 4)
-	h := BuildHierarchy(n1)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, n2, h); err == nil {
-		t.Error("hierarchy over a different network accepted")
-	}
 }

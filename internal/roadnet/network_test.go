@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/geo"
@@ -30,6 +31,49 @@ func buildGrid(t testing.TB, w, h int) *Network {
 				}
 			}
 		}
+	}
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// buildJittered builds a w×h lattice with ~100 m spacing, per-node
+// coordinate jitter, and random two-way street removal — small-scale
+// stand-in for the synth cities. Deterministic for a given seed.
+func buildJittered(t testing.TB, w, h int, dropProb float64, seed int64) *Network {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var b Builder
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			b.AddNode(geo.Pt(
+				float64(i)*100+rng.Float64()*40-20,
+				float64(j)*100+rng.Float64()*40-20,
+			))
+		}
+	}
+	id := func(i, j int) NodeID { return NodeID(j*w + i) }
+	added := 0
+	for j := 0; j < h; j++ {
+		for i := 0; i < w; i++ {
+			if i+1 < w && rng.Float64() >= dropProb {
+				if _, _, err := b.AddTwoWay(id(i, j), id(i+1, j), Local); err != nil {
+					t.Fatal(err)
+				}
+				added++
+			}
+			if j+1 < h && rng.Float64() >= dropProb {
+				if _, _, err := b.AddTwoWay(id(i, j), id(i, j+1), Local); err != nil {
+					t.Fatal(err)
+				}
+				added++
+			}
+		}
+	}
+	if added == 0 {
+		t.Fatal("jittered network dropped every street; pick another seed")
 	}
 	n, err := b.Build()
 	if err != nil {

@@ -52,19 +52,14 @@ type Route struct {
 }
 
 // Router answers shortest-path queries over a Network. Searches are
-// bounded by MaxDist. Without a hierarchy, single-source Dijkstra trees
-// are memoized in an approximate-LRU (CLOCK) cache, mirroring the
-// precomputation table the paper uses to avoid repeated shortest-path
-// searches (§V-A2); a tree is searched only as far as the targets asked
-// of it and extended when a later query asks for a farther one. With a
-// hierarchy attached (WithHierarchy), node queries run as Contraction-Hierarchies label
-// intersections instead — same results, with per-node CH labels
-// (thousands of times smaller than flat trees) cached under the same
-// CLOCK policy. Router is safe for concurrent use.
+// bounded by MaxDist. Single-source Dijkstra trees are memoized in an
+// approximate-LRU (CLOCK) cache, mirroring the precomputation table the
+// paper uses to avoid repeated shortest-path searches (§V-A2); a tree is
+// searched only as far as the targets asked of it and extended when a
+// later query asks for a farther one. Router is safe for concurrent use.
 type Router struct {
 	net     *Network
 	maxDist float64
-	hier    *Hierarchy // nil = flat per-source Dijkstra
 
 	mu       sync.Mutex
 	cache    map[NodeID]int // source -> slot index in entries
@@ -74,10 +69,6 @@ type Router struct {
 
 	scratch sync.Pool // *searchScratch
 	walks   sync.Pool // *walkScratch
-
-	// CH label caches (hierarchy mode only), same CLOCK policy.
-	fwdLabels labelCache
-	bwdLabels labelCache
 }
 
 // cacheSlot is one CLOCK-cache slot. The reference bit is set on every
@@ -230,19 +221,6 @@ func WithCacheSize(n int) RouterOption {
 	return func(r *Router) { r.capacity = n }
 }
 
-// WithHierarchy attaches a prebuilt Contraction Hierarchy; node queries
-// then run as bidirectional CH searches instead of cached per-source
-// Dijkstra trees. The hierarchy must have been built over the same
-// network the router serves.
-func WithHierarchy(h *Hierarchy) RouterOption {
-	return func(r *Router) {
-		r.hier = h
-		if h != nil {
-			obsCHShortcuts.Set(int64(h.NumShortcuts()))
-		}
-	}
-}
-
 // NewRouter creates a Router over the network.
 func NewRouter(net *Network, opts ...RouterOption) *Router {
 	r := &Router{
@@ -254,28 +232,17 @@ func NewRouter(net *Network, opts ...RouterOption) *Router {
 	for _, o := range opts {
 		o(r)
 	}
-	r.fwdLabels.capacity = r.capacity
-	r.bwdLabels.capacity = r.capacity
 	return r
 }
 
 // MaxDist returns the search bound in meters.
 func (r *Router) MaxDist() float64 { return r.maxDist }
 
-// Hierarchy returns the attached Contraction Hierarchy, or nil when the
-// router runs flat Dijkstra.
-func (r *Router) Hierarchy() *Hierarchy { return r.hier }
-
 // NodeDist returns the shortest route length between two nodes, or
 // ok=false if unreachable within the search bound.
 func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 	if from == to {
 		return 0, true
-	}
-	if r.hier != nil {
-		lf := r.label(&r.fwdLabels, from, true)
-		lb := r.label(&r.bwdLabels, to, false)
-		return r.hier.distLabels(lf, lb, r.maxDist)
 	}
 	tgt, ent := [1]NodeID{to}, [1]int32{}
 	t := r.tree(from, tgt[:], ent[:])
@@ -297,11 +264,6 @@ func (r *Router) NodePath(from, to NodeID) ([]SegmentID, float64, bool) {
 func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool) {
 	if from == to {
 		return nil, 0, true
-	}
-	if r.hier != nil {
-		lf := r.label(&r.fwdLabels, from, true)
-		lb := r.label(&r.bwdLabels, to, false)
-		return r.hier.pathLabels(lf, lb, r.maxDist, pad)
 	}
 	// Climb parent entries from to's up to the source's (entry 0): once to
 	// count, once to fill.
@@ -333,13 +295,9 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 // quantity source→target in exactly the order a walk of each path on its
 // own would. Targets may repeat and may include the source.
 //
-// Flat, each target climbs the cached tree's parent entries to the first
-// node an earlier target already emitted: one cache lookup per call for a
-// tree that settled every target of the call, and one index probe per
-// target. With a hierarchy each target's canonical path is unpacked as
-// NodePath does and walked from the source through the same marks; the
-// union is the same tree because both searches settle on the unique
-// minimum-(dist, tie) path (see segTie).
+// Each target climbs the cached tree's parent entries to the first node
+// an earlier target already emitted: one cache lookup per call for a tree
+// that settled every target of the call, and one index probe per target.
 func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps []TreeStep) []TreeStep {
 	ws, _ := r.walks.Get().(*walkScratch)
 	if ws == nil {
@@ -353,52 +311,33 @@ func (r *Router) TreeWalk(source NodeID, targets []NodeID, dist []float64, steps
 	ws.epoch++
 	mark, epoch := ws.mark, ws.epoch
 	mark[source] = epoch
-	segments := r.net.segments
 
-	var t *ssspResult // flat arm; searched when the first target needs it
-	var lf *chLabel   // hierarchy arm, likewise
+	var t *ssspResult // searched when the first target needs it
 	for i, v := range targets {
-		switch {
-		case v == source:
+		if v == source {
 			dist[i] = 0
-		case r.hier != nil:
-			if lf == nil {
-				lf = r.label(&r.fwdLabels, source, true)
-			}
-			path, d, ok := r.hier.pathLabels(lf, r.label(&r.bwdLabels, v, false), r.maxDist, 0)
-			if !ok {
-				dist[i] = math.Inf(1)
-				continue
-			}
-			dist[i] = d
-			for _, sid := range path {
-				if seg := &segments[sid]; mark[seg.To] != epoch {
-					mark[seg.To] = epoch
-					steps = append(steps, TreeStep{Node: seg.To, Parent: seg.From, Seg: sid})
-				}
-			}
-		default:
-			if t == nil {
-				t = r.tree(source, targets, ws.ents)
-			}
-			e := ws.ents[i]
-			if e < 0 {
-				dist[i] = math.Inf(1)
-				continue
-			}
-			dist[i] = t.dist[e]
-			// Every ancestor of a settled node was settled; the climb ends
-			// at the source's mark at the latest.
-			start := len(steps)
-			for cur := v; mark[cur] != epoch; {
-				mark[cur] = epoch
-				p := t.up[e]
-				from := NodeID(t.node[p])
-				steps = append(steps, TreeStep{Node: cur, Parent: from, Seg: SegmentID(t.seg[e])})
-				cur, e = from, p
-			}
-			slices.Reverse(steps[start:])
+			continue
 		}
+		if t == nil {
+			t = r.tree(source, targets, ws.ents)
+		}
+		e := ws.ents[i]
+		if e < 0 {
+			dist[i] = math.Inf(1)
+			continue
+		}
+		dist[i] = t.dist[e]
+		// Every ancestor of a settled node was settled; the climb ends at
+		// the source's mark at the latest.
+		start := len(steps)
+		for cur := v; mark[cur] != epoch; {
+			mark[cur] = epoch
+			p := t.up[e]
+			from := NodeID(t.node[p])
+			steps = append(steps, TreeStep{Node: cur, Parent: from, Seg: SegmentID(t.seg[e])})
+			cur, e = from, p
+		}
+		slices.Reverse(steps[start:])
 	}
 	r.walks.Put(ws)
 	return steps
@@ -598,82 +537,14 @@ func (r *Router) keep(from NodeID, t *ssspResult, last int32) *ssspResult {
 	return t
 }
 
-// labelCache memoizes per-node CH labels under the same CLOCK
-// (second-chance) policy as the flat tree cache. Not self-locking:
-// callers hold Router.mu.
-type labelCache struct {
-	idx      map[NodeID]int
-	slots    []labelSlot
-	hand     int
-	capacity int
-}
-
-type labelSlot struct {
-	node  NodeID
-	label *chLabel
-	ref   bool
-}
-
-func (c *labelCache) get(n NodeID) (*chLabel, bool) {
-	i, ok := c.idx[n]
-	if !ok {
-		return nil, false
-	}
-	c.slots[i].ref = true
-	return c.slots[i].label, true
-}
-
-func (c *labelCache) put(n NodeID, l *chLabel) {
-	if c.capacity <= 0 {
-		return
-	}
-	if c.idx == nil {
-		c.idx = make(map[NodeID]int)
-	}
-	if len(c.slots) < c.capacity {
-		c.idx[n] = len(c.slots)
-		c.slots = append(c.slots, labelSlot{node: n, label: l})
-		return
-	}
-	for c.slots[c.hand].ref {
-		c.slots[c.hand].ref = false
-		c.hand = (c.hand + 1) % len(c.slots)
-	}
-	victim := c.hand
-	delete(c.idx, c.slots[victim].node)
-	c.slots[victim] = labelSlot{node: n, label: l}
-	c.idx[n] = victim
-	c.hand = (victim + 1) % len(c.slots)
-}
-
-// label returns the memoized CH label rooted at node, building it
-// outside the lock on a miss (concurrent builders race benignly; the
-// first insert wins and labels are interchangeable — the build is
-// deterministic).
-func (r *Router) label(c *labelCache, node NodeID, forward bool) *chLabel {
-	r.mu.Lock()
-	if l, ok := c.get(node); ok {
-		r.mu.Unlock()
-		return l
-	}
-	r.mu.Unlock()
-	l := r.hier.buildLabel(node, forward, r.maxDist)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if l2, ok := c.get(node); ok {
-		return l2
-	}
-	c.put(node, l)
-	return l
-}
-
 // segTie returns the canonical tie-break value of a segment: a fixed
 // pseudo-random 44-bit integer derived from the id (splitmix64 mix).
 // Routing orders paths by the lexicographic key (distance, sum of
 // segment tie values), which makes the minimum-key path unique almost
 // surely even on grid networks where many distinct paths share the
-// exact same length. That uniqueness is what lets the Contraction-
-// Hierarchies query reproduce the flat Dijkstra path byte for byte.
+// exact same length. That uniqueness pins one path per node pair that
+// does not depend on how a search is run: a bounded search, an extended
+// one and an independent reference implementation all report it.
 // 44-bit values keep sums overflow-free to 2^20 hops.
 func segTie(id SegmentID) uint64 {
 	x := uint64(id) + 1

@@ -76,8 +76,7 @@ func checkWalk(t *testing.T, what string, n *Network, src NodeID, maxDist float6
 }
 
 // TreeWalk against the reference search: every source of the lattice,
-// jittered-grid and one-way+island fixtures, loose and tight bounds,
-// flat and with a hierarchy attached.
+// jittered-grid and one-way+island fixtures, loose and tight bounds.
 func TestTreeWalkMatchesReference(t *testing.T) {
 	cases := []struct {
 		name string
@@ -91,93 +90,81 @@ func TestTreeWalkMatchesReference(t *testing.T) {
 		{"tight bound on a jittered grid", buildJittered(t, 9, 9, 0.2, 5), []RouterOption{WithMaxDist(420)}},
 	}
 	for _, c := range cases {
-		for _, mode := range []string{"flat", "hierarchy"} {
-			opts := c.opts
-			if mode == "hierarchy" {
-				opts = append(opts[:len(opts):len(opts)], WithHierarchy(BuildHierarchy(c.net)))
-			}
-			r := NewRouter(c.net, opts...)
-			rng := rand.New(rand.NewSource(23))
-			unreachable, shared := 0, 0
-			var steps []TreeStep
-			for src := 0; src < c.net.NumNodes(); src++ {
-				for trial := 0; trial < 4; trial++ {
-					targets := drawTargets(rng, c.net, NodeID(src))
-					dist := make([]float64, len(targets))
-					// Appending after steps of an earlier walk must leave
-					// them alone.
-					keep := len(steps)
-					before := slices.Clone(steps)
-					steps = r.TreeWalk(NodeID(src), targets, dist, steps)
-					if !slices.Equal(steps[:keep], before) {
-						t.Fatalf("%s/%s: walk from %d rewrote earlier steps", c.name, mode, src)
-					}
-					checkWalk(t, c.name+"/"+mode, c.net, NodeID(src), r.MaxDist(), targets, dist, steps[keep:])
-					hops := 0
-					for i, d := range dist {
-						if math.IsInf(d, 1) {
-							unreachable++
-						} else if path, _, _ := r.NodePath(NodeID(src), targets[i]); slices.Index(targets[:i], targets[i]) < 0 {
-							hops += len(path)
-						}
-					}
-					if hops > len(steps)-keep {
-						shared++
-					}
-					if trial%2 == 1 {
-						steps = steps[:0]
+		r := NewRouter(c.net, c.opts...)
+		rng := rand.New(rand.NewSource(23))
+		unreachable, shared := 0, 0
+		var steps []TreeStep
+		for src := 0; src < c.net.NumNodes(); src++ {
+			for trial := 0; trial < 4; trial++ {
+				targets := drawTargets(rng, c.net, NodeID(src))
+				dist := make([]float64, len(targets))
+				// Appending after steps of an earlier walk must leave
+				// them alone.
+				keep := len(steps)
+				before := slices.Clone(steps)
+				steps = r.TreeWalk(NodeID(src), targets, dist, steps)
+				if !slices.Equal(steps[:keep], before) {
+					t.Fatalf("%s: walk from %d rewrote earlier steps", c.name, src)
+				}
+				checkWalk(t, c.name, c.net, NodeID(src), r.MaxDist(), targets, dist, steps[keep:])
+				hops := 0
+				for i, d := range dist {
+					if math.IsInf(d, 1) {
+						unreachable++
+					} else if path, _, _ := r.NodePath(NodeID(src), targets[i]); slices.Index(targets[:i], targets[i]) < 0 {
+						hops += len(path)
 					}
 				}
+				if hops > len(steps)-keep {
+					shared++
+				}
+				if trial%2 == 1 {
+					steps = steps[:0]
+				}
 			}
-			if unreachable == 0 && c.name != "exact-tie lattice" && c.name != "jittered grid" {
-				t.Errorf("%s/%s: no unreachable target drawn", c.name, mode)
-			}
-			if shared == 0 {
-				t.Errorf("%s/%s: no walk shared a path prefix between two targets", c.name, mode)
-			}
+		}
+		if unreachable == 0 && c.name != "exact-tie lattice" && c.name != "jittered grid" {
+			t.Errorf("%s: no unreachable target drawn", c.name)
+		}
+		if shared == 0 {
+			t.Errorf("%s: no walk shared a path prefix between two targets", c.name)
 		}
 	}
 }
 
 // Walks from the same and from different sources on several goroutines
-// share the router's mark pool, tree cache and labels; every answer must
+// share the router's mark pool and tree cache; every answer must
 // equal an unshared router's. Run under -race in CI.
 func TestTreeWalkConcurrent(t *testing.T) {
 	n := buildJittered(t, 8, 8, 0.1, 3)
-	for _, mode := range []string{"flat", "hierarchy"} {
-		opts := []RouterOption{WithCacheSize(4)} // 64 sources over 4 slots: mostly cold
-		if mode == "hierarchy" {
-			opts = append(opts, WithHierarchy(BuildHierarchy(n)))
-		}
-		r := NewRouter(n, opts...)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				want := NewRouter(n) // this goroutine's alone
-				rng := rand.New(rand.NewSource(int64(g)))
-				var steps, wsteps []TreeStep
-				for i := 0; i < 60; i++ {
-					// Even rounds: every goroutine walks from one source;
-					// odd rounds: from its own.
-					src := NodeID(i % 64)
-					if i%2 == 1 {
-						src = NodeID(rng.Intn(64))
-					}
-					targets := drawTargets(rng, n, src)
-					dist, wdist := make([]float64, len(targets)), make([]float64, len(targets))
-					steps = r.TreeWalk(src, targets, dist, steps[:0])
-					wsteps = want.TreeWalk(src, targets, wdist, wsteps[:0])
-					if !slices.Equal(dist, wdist) || !slices.Equal(steps, wsteps) {
-						t.Errorf("%s: walk %d->%v: got %v %v, want %v %v", mode, src, targets, dist, steps, wdist, wsteps)
-						return
-					}
+	r := NewRouter(n, WithCacheSize(4)) // 64 sources over 4 slots: mostly cold
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			want := NewRouter(n) // this goroutine's alone
+			rng := rand.New(rand.NewSource(int64(g)))
+			var steps, wsteps []TreeStep
+			for i := 0; i < 60; i++ {
+				// Even rounds: every goroutine walks from one source;
+				// odd rounds: from its own.
+				src := NodeID(i % 64)
+				if i%2 == 1 {
+					src = NodeID(rng.Intn(64))
 				}
-			}(g)
-		}
-		wg.Wait()
+				targets := drawTargets(rng, n, src)
+				dist, wdist := make([]float64, len(targets)), make([]float64, len(targets))
+				steps = r.TreeWalk(src, targets, dist, steps[:0])
+				wsteps = want.TreeWalk(src, targets, wdist, wsteps[:0])
+				if !slices.Equal(dist, wdist) || !slices.Equal(steps, wsteps) {
+					t.Errorf("walk %d->%v: got %v %v, want %v %v", src, targets, dist, steps, wdist, wsteps)
+					return
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 
 	// Racing extensions: on a fresh router the goroutines share one
 	// source's small tree, then each extends it to its own far targets,

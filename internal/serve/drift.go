@@ -12,9 +12,10 @@ import (
 // training-time baseline (lhmm train writes one next to the model),
 // the matcher's drift sketches collect live score distributions and
 // GET /v1/drift reports the PSI/KL divergence per signal. The same
-// comparison feeds lhmm_drift_* gauges on /metrics and, with a
-// -slo-drift-psi threshold, the QualityMonitor's score_drift
-// violation.
+// comparison feeds lhmm_drift_* gauges on /metrics and the
+// QualityMonitor's score_drift check, which lhmm-serve turns on
+// whenever -drift-baseline is given, at the fixed PSI action level
+// sloDriftPSI = 0.25 (cmd/lhmm-serve).
 
 // Drift gauges (milli-PSI: PSI is a small float, gauges are int64).
 var (

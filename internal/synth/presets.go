@@ -117,9 +117,9 @@ func SyntheticHangzhou(scale float64, trips int) DatasetConfig {
 // SyntheticMetro returns a dataset config for a paper-scale city: at
 // scale=1 the road network carries ~100k directed segments, matching
 // the paper's Xiamen network (~92,913 segments, Table I) — the size at
-// which flat per-source Dijkstra stops being viable and the router's
-// Contraction Hierarchy pays for itself. The trip/sampling model
-// follows the Xiamen preset; only the network is pushed to full scale.
+// which the router's shortest-path searches dominate a match (see
+// lhmm-bench -fullscale). The trip/sampling model follows the Xiamen
+// preset; only the network is pushed to full scale.
 func SyntheticMetro(scale float64, trips int) DatasetConfig {
 	if scale <= 0 {
 		scale = 0.1

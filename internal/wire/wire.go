@@ -1,7 +1,7 @@
 // Package wire is the little-endian codec behind the repository's three
 // binary formats: the model weights (lhmm-weights, package nn), the
 // durable streaming session (lhmm-session, package core) and the road
-// network with its Contraction Hierarchy (LNET, package roadnet). Each
+// network (LNET, package roadnet). Each
 // format keeps its own magic, version, CRC table and field layout; this
 // package holds only what they share.
 //
