@@ -63,12 +63,13 @@ func TestContextMatchesPerPointAttention(t *testing.T) {
 // shortcut Score of a chosen candidate is bit-equal to its pool score.
 func TestCandidatesMatchScalarObsScore(t *testing.T) {
 	m, sess, ct := trainedModel(t)
+	ref := refEmbeddings(m)
 	for i := 0; i < len(ct); i++ {
 		cands := sess.Candidates(ct, i, m.Cfg.K)
 		if len(cands) == 0 {
 			t.Fatalf("point %d: no candidates", i)
 		}
-		want := refPoolObs(m, ct, i, sess.row(sess.ctxW, i))
+		want := refPoolObs(m, ref, ct, i, sess.row(sess.ctxW, i))
 		for _, c := range cands {
 			if math.Abs(want[c.Seg]-c.Obs) > batchTol {
 				t.Fatalf("point %d seg %d: factored Obs %v vs reference %v", i, c.Seg, c.Obs, want[c.Seg])

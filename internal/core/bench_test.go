@@ -203,10 +203,11 @@ func BenchmarkPhase1Batch(b *testing.B) {
 	}
 }
 
-// BenchmarkRefreshEmbeddings is the all-nodes encoder pass and the
-// per-segment tables after it, which Train and every Load run: dim 128
-// on the test city (1,089 nodes), per encoder mode with message
-// passing.
+// BenchmarkRefreshEmbeddings is the all-nodes encoder pass, tape-free
+// (Encoder.Embed), the per-segment tables built from its segment rows
+// and the copy of its tower rows the model keeps, which Train and every
+// Load run: dim 128 on the test city (1,089 nodes), per encoder mode
+// with message passing.
 func BenchmarkRefreshEmbeddings(b *testing.B) {
 	d := testDataset(b, 14)
 	for _, mode := range []mrg.EncoderMode{mrg.HetGNN, mrg.HomoGNN} {

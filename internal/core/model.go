@@ -38,22 +38,25 @@ type Model struct {
 	TransMLP  *nn.MLP       // Eq. 10: road-in-trajectory likelihood (2 classes)
 	TransFuse *nn.MLP       // Eq. 12: fuse implicit + explicit (2 classes)
 
-	// emb holds the frozen |V|×Dim node embeddings computed after
-	// training; refreshed by RefreshEmbeddings.
+	// emb holds the frozen tower rows of the node embeddings, one per
+	// tower (tower ids are nodes 0..NumTowers−1), the only rows matching
+	// reads directly; refreshed by RefreshEmbeddings. The segment rows
+	// reach inference only through the tables below and are not kept.
 	emb *nn.Mat
 
 	// obsSeg is the segment half of Eq. 7's first layer, one row per
-	// segment: obsSeg[s] = segEmb(s)·W1_seg + b1, where ObsMLP's first
-	// weight is split by rows as W1 = [W1_seg ; W1_ctx] over its
-	// [segment ; context] input. Frozen beside emb by RefreshEmbeddings
-	// and read-only afterwards, so anything that mutates ObsMLP or the
-	// encoder must be followed by RefreshEmbeddings.
+	// segment: obsSeg[s] = h(s)·W1_seg + b1, where h(s) is segment s's
+	// embedding row and ObsMLP's first weight is split by rows as
+	// W1 = [W1_seg ; W1_ctx] over its [segment ; context] input. Frozen
+	// beside emb by RefreshEmbeddings and read-only afterwards, so
+	// anything that mutates ObsMLP or the encoder must be followed by
+	// RefreshEmbeddings.
 	obsSeg *nn.Mat
 
 	// transSeg and transQ are Eq. 10's and Eq. 9's per-segment constants,
 	// frozen the same way and under the same rule (anything that mutates
 	// TransMLP, TransAtt or the encoder must be followed by
-	// RefreshEmbeddings). transSeg[s] = segEmb(s)·W1_seg + b1 is the
+	// RefreshEmbeddings). transSeg[s] = h(s)·W1_seg + b1 is the
 	// segment half of TransMLP's first layer, split by rows as
 	// W1 = [W1_seg ; W1_x] over its [segment ; read-out] input; transQ[s]
 	// is the query half of segment s's additive attention score
@@ -142,18 +145,25 @@ func (m *Model) AllParams() []*nn.Param {
 	return append(ps, m.distScale, m.transGamma)
 }
 
-// RefreshEmbeddings recomputes and freezes the node embeddings from the
-// current encoder weights, and with them the per-segment tables derived
-// from them: the segment halves of Eq. 7's and Eq. 10's first layers
-// (obsSeg, transSeg) and the query half of Eq. 9's scores (transQ).
-// Segments occupy one contiguous node range of emb. Call after training
-// and before matching. The encoder outputs every node through the same
-// restriction as phase 1: each relation multiplies only the rows of h^l
-// it reads (DESIGN §8b "Set-up").
+// RefreshEmbeddings recomputes the node embeddings from the current
+// encoder weights in one tape-free pass (Encoder.Embed over the
+// every-node field, which restricts each relation to the rows of h^l it
+// reads, as phase 1 does: DESIGN §8b "Set-up"), builds from the segment
+// rows the per-segment tables matching reads — the segment halves of
+// Eq. 7's and Eq. 10's first layers (obsSeg, transSeg) and the query
+// half of Eq. 9's scores (transQ) — and freezes only the tower rows in
+// emb. Segments occupy one contiguous node range after the towers. Call
+// after training and before matching.
 func (m *Model) RefreshEmbeddings() {
-	tp := nn.NewTape()
-	m.emb = m.Enc.Forward(tp, m.Enc.Field(m.Graph, nil)).Val.Clone()
-	segs := m.emb.Rows(m.Graph.NumTowers, m.Graph.NumNodes())
+	g := m.Graph
+	h := m.Enc.Embed(m.Enc.Field(g, nil))
+	m.segTables(h.Rows(g.NumTowers, g.NumNodes()))
+	m.emb = h.Rows(0, g.NumTowers).Clone() // a copy, so h's segment rows can go
+}
+
+// segTables builds obsSeg, transSeg and transQ from the segment
+// embedding rows, one per segment.
+func (m *Model) segTables(segs *nn.Mat) {
 	m.obsSeg = m.segHalf(m.ObsMLP, segs)
 	m.transSeg = m.segHalf(m.TransMLP, segs)
 	m.transQ = make([]float64, segs.R)
@@ -186,18 +196,13 @@ func (m *Model) transValInto(dst, emb *nn.Mat) {
 	nn.MatMulInto(dst, emb, m.TransMLP.Layers[0].W.W.Rows(d, 2*d))
 }
 
-// Embeddings returns the frozen |V|×Dim embedding matrix (nil before
-// RefreshEmbeddings).
+// Embeddings returns the frozen tower embeddings, one NumTowers×Dim row
+// per tower, row i tower i (nil before RefreshEmbeddings).
 func (m *Model) Embeddings() *nn.Mat { return m.emb }
 
 // towerEmb returns the frozen embedding row of a tower.
 func (m *Model) towerEmb(id cellular.TowerID) []float64 {
 	return m.emb.Row(m.Graph.TowerNode(id))
-}
-
-// segEmb returns the frozen embedding row of a segment.
-func (m *Model) segEmb(id roadnet.SegmentID) []float64 {
-	return m.emb.Row(m.Graph.SegNode(id))
 }
 
 // gaussDist maps a point-to-road distance to the calibrated Gaussian

@@ -19,17 +19,18 @@ import (
 // weights.
 
 // refObsScores is the written-out reference: Eq. 7 as ObsMLP.Apply over
-// explicit [segEmb ; ctx] rows, then Eq. 8 as ObsFuse.Apply over
-// [implicit, Gaussian distance, co-occurrence]. It shares no code with
-// the factored kernel beyond the nn layers themselves.
-func refObsScores(m *Model, p traj.CellPoint, ctxRow []float64, cands []hmm.Candidate) []float64 {
+// explicit [segment embedding ; ctx] rows, the segment rows read from
+// ref (refEmbeddings), then Eq. 8 as ObsFuse.Apply over [implicit,
+// Gaussian distance, co-occurrence]. It shares no code with the
+// factored kernel beyond the nn layers themselves.
+func refObsScores(m *Model, ref *nn.Mat, p traj.CellPoint, ctxRow []float64, cands []hmm.Candidate) []float64 {
 	d := m.Cfg.Dim
 	scores := make([]float64, len(cands))
 	for j, c := range cands {
 		imp := 0.5
 		if !m.Cfg.DisableImplicitObs {
 			feat := nn.NewMat(1, 2*d)
-			copy(feat.W[:d], m.segEmb(c.Seg))
+			copy(feat.W[:d], ref.Row(m.Graph.SegNode(c.Seg)))
 			copy(feat.W[d:], ctxRow)
 			imp = nn.Softmax(m.ObsMLP.Apply(feat).W)[1]
 		}
@@ -41,9 +42,9 @@ func refObsScores(m *Model, p traj.CellPoint, ctxRow []float64, cands []hmm.Cand
 
 // refPoolObs scores point i's whole candidate pool through the reference
 // and softmax-normalizes across it, returning P_O per pool segment.
-func refPoolObs(m *Model, ct traj.CellTrajectory, i int, ctxRow []float64) map[roadnet.SegmentID]float64 {
+func refPoolObs(m *Model, ref *nn.Mat, ct traj.CellTrajectory, i int, ctxRow []float64) map[roadnet.SegmentID]float64 {
 	cands := poolCandidates(m.Net, ct[i].P, m.candidatePool(ct, i))
-	probs := nn.Softmax(refObsScores(m, ct[i], ctxRow, cands))
+	probs := nn.Softmax(refObsScores(m, ref, ct[i], ctxRow, cands))
 	out := make(map[roadnet.SegmentID]float64, len(cands))
 	for j, c := range cands {
 		out[c.Seg] = probs[j]
@@ -56,10 +57,11 @@ func refPoolObs(m *Model, ct traj.CellTrajectory, i int, ctxRow []float64) map[r
 // one-row Score is bit-equal to the pool score of the same candidate.
 func TestStreamObsMatchesReference(t *testing.T) {
 	m, _, ct := trainedModel(t)
+	ref := refEmbeddings(m)
 	ss := &session{m: m}
 	for i := range ct {
 		cands := ss.Candidates(ct[:i+1], i, m.Cfg.K)
-		want := refPoolObs(m, ct, i, ss.row(ss.ctxW, i))
+		want := refPoolObs(m, ref, ct, i, ss.row(ss.ctxW, i))
 		for _, c := range cands {
 			if math.Abs(want[c.Seg]-c.Obs) > batchTol {
 				t.Fatalf("point %d seg %d: stream Obs %v vs reference %v", i, c.Seg, c.Obs, want[c.Seg])
@@ -98,8 +100,9 @@ func TestObsPathsBitEqual(t *testing.T) {
 	}
 }
 
-// checkObsSegTable recomputes obsSeg[s] = segEmb(s)·W1_seg + b1 from
-// scratch with plain loops and compares it to the frozen table.
+// checkObsSegTable recomputes obsSeg[s] = h(s)·W1_seg + b1 from scratch
+// with plain loops, h(s) segment s's row of refEmbeddings, and compares
+// it to the frozen table.
 func checkObsSegTable(t *testing.T, m *Model, when string) {
 	t.Helper()
 	d := m.Cfg.Dim
@@ -107,8 +110,9 @@ func checkObsSegTable(t *testing.T, m *Model, when string) {
 	if m.obsSeg == nil || m.obsSeg.R != m.Net.NumSegments() || m.obsSeg.C != d {
 		t.Fatalf("%s: obsSeg table missing or misshapen: %+v", when, m.obsSeg)
 	}
+	ref := refEmbeddings(m)
 	for s := 0; s < m.obsSeg.R; s++ {
-		emb := m.segEmb(roadnet.SegmentID(s))
+		emb := ref.Row(m.Graph.SegNode(roadnet.SegmentID(s)))
 		for j := 0; j < d; j++ {
 			var sum float64
 			for k := 0; k < d; k++ {

@@ -204,9 +204,9 @@ func softmaxP1Into(dst, logits []float64) {
 // only inference implementation of Eq. 9–10; the step fill scores here
 // for matching and for the phase-2 training features alike.
 //
-// TransMLP's first layer is factored over its [segEmb(s) ; x_l(s)]
-// input, W1 = [W1_seg ; W1_x], and the Eq. 9 read-out is linear in its
-// values, x_l(s) = Σ_i w_i(s)·e_i, so
+// TransMLP's first layer is factored over its [h(s) ; x_l(s)] input,
+// h(s) segment s's embedding, W1 = [W1_seg ; W1_x], and the Eq. 9
+// read-out is linear in its values, x_l(s) = Σ_i w_i(s)·e_i, so
 //
 //	x_l(s)·W1_x = Σ_i w_i(s)·(e_i·W1_x)
 //
@@ -220,7 +220,7 @@ func softmaxP1Into(dst, logits []float64) {
 // the block's logits out; no segments×d matrix exists, and the softmax
 // of every segment's logits is one softmaxP1Into call. Only the
 // association of the first-layer sum differs from TransMLP.Apply over
-// explicit [segEmb ; TransAtt read-out] rows. The keys must be current
+// explicit [segment embedding ; TransAtt read-out] rows. The keys must be current
 // (ensureKeys); ws is not Reset.
 func (s *session) roadProbRows(ws *nn.Workspace, segs []roadnet.SegmentID, probs []float64) {
 	m, d, n := s.m, s.m.Cfg.Dim, s.keysN

@@ -117,7 +117,8 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 // a 4×d scratch block and read out by nn.Linear.ApplyReLU2Rows, so no
 // pool×d hidden matrix exists, and the pool's softmaxes are one
 // softmaxP1Into call. Only the association of the first-layer sum
-// differs from ObsMLP.Apply over explicit [segEmb ; ctx] rows.
+// differs from ObsMLP.Apply over explicit [segment embedding ; ctx]
+// rows.
 func (m *Model) obsImplicit(ws *nn.Workspace, ctxHalf []float64, cands []hmm.Candidate, imp []float64) {
 	if m.Cfg.DisableImplicitObs {
 		for j := range imp {

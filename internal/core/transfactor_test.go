@@ -19,15 +19,15 @@ import (
 
 // refRoadProbs is the written-out reference: for each segment, Eq. 9 as
 // the tape TransAtt.Forward (tapeAttention) with the segment embedding
-// as query and the point embeddings as keys and values, Eq. 10 as
-// TransMLP.Apply over the explicit [segEmb ; x_l] row. No tables, no key
-// cache; it shares no code with the kernel beyond the nn layers
-// themselves.
-func refRoadProbs(m *Model, emb *nn.Mat, segs []roadnet.SegmentID) []float64 {
+// (its row of ref, refEmbeddings) as query and the point embeddings as
+// keys and values, Eq. 10 as TransMLP.Apply over the explicit
+// [segment embedding ; x_l] row. No tables, no key cache; it shares no
+// code with the kernel beyond the nn layers themselves.
+func refRoadProbs(m *Model, ref, emb *nn.Mat, segs []roadnet.SegmentID) []float64 {
 	d := m.Cfg.Dim
 	out := make([]float64, len(segs))
 	for r, sid := range segs {
-		seg := &nn.Mat{R: 1, C: d, W: m.segEmb(sid)}
+		seg := &nn.Mat{R: 1, C: d, W: ref.Row(m.Graph.SegNode(sid))}
 		xl := tapeAttention(m.TransAtt, seg, emb)
 		feat := nn.NewMat(1, 2*d)
 		copy(feat.W[:d], seg.W)
@@ -74,10 +74,10 @@ func kernelRoadProbs(s *session, segs []roadnet.SegmentID) []float64 {
 	return probs
 }
 
-func checkAgainstRef(t *testing.T, what string, m *Model, s *session, segs []roadnet.SegmentID) {
+func checkAgainstRef(t *testing.T, what string, m *Model, ref *nn.Mat, s *session, segs []roadnet.SegmentID) {
 	t.Helper()
 	got := kernelRoadProbs(s, segs)
-	want := refRoadProbs(m, s.rows(s.embW), segs)
+	want := refRoadProbs(m, ref, s.rows(s.embW), segs)
 	for r, sid := range segs {
 		if math.Abs(got[r]-want[r]) > batchTol {
 			t.Fatalf("%s seg %d: kernel %v vs reference %v", what, sid, got[r], want[r])
@@ -92,11 +92,12 @@ func checkAgainstRef(t *testing.T, what string, m *Model, s *session, segs []roa
 func TestRoadProbMatchesReference(t *testing.T) {
 	m, whole, ct := trainedModel(t)
 	segs := allSegs(m)
-	checkAgainstRef(t, "batch", m, whole, segs)
+	ref := refEmbeddings(m)
+	checkAgainstRef(t, "batch", m, ref, whole, segs)
 	ss := &session{m: m}
 	for i := range ct {
 		ss.extend(ct[:i+1])
-		checkAgainstRef(t, "stream", m, ss, segs)
+		checkAgainstRef(t, "stream", m, ref, ss, segs)
 		if ss.keysN != i+1 || len(ss.transVal) != (i+1)*m.Cfg.Dim {
 			t.Fatalf("push %d: keys over %d points, transVal %d values", i, ss.keysN, len(ss.transVal))
 		}
@@ -187,9 +188,10 @@ func TestRoadProbPathsBitEqual(t *testing.T) {
 	}
 }
 
-// checkTransTables recomputes transSeg[s] = segEmb(s)·W1_seg + b1 and
-// transQ[s] = w_v[:h]·tanh(W_q·segEmb(s)) from scratch with plain loops
-// and compares them to the frozen tables.
+// checkTransTables recomputes transSeg[s] = h(s)·W1_seg + b1 and
+// transQ[s] = w_v[:h]·tanh(W_q·h(s)) from scratch with plain loops, h(s)
+// segment s's row of refEmbeddings, and compares them to the frozen
+// tables.
 func checkTransTables(t *testing.T, m *Model, when string) {
 	t.Helper()
 	d, h := m.Cfg.Dim, attDim(m.Cfg.Dim)
@@ -198,8 +200,9 @@ func checkTransTables(t *testing.T, m *Model, when string) {
 	if m.transSeg == nil || m.transSeg.R != nSeg || m.transSeg.C != d || len(m.transQ) != nSeg {
 		t.Fatalf("%s: tables missing or misshapen: transSeg %+v, %d transQ", when, m.transSeg, len(m.transQ))
 	}
+	ref := refEmbeddings(m)
 	for s := 0; s < nSeg; s++ {
-		emb := m.segEmb(roadnet.SegmentID(s))
+		emb := ref.Row(m.Graph.SegNode(roadnet.SegmentID(s)))
 		for j := 0; j < d; j++ {
 			sum := 0.0
 			for k := 0; k < d; k++ {

@@ -280,6 +280,128 @@ func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 	return h
 }
 
+// Embed computes the embeddings of the field's output rows without a
+// tape: the encoder's inference form, as MLP.Apply is the MLP's. Row r
+// of the result is node Rows(last)[r], as in Forward, and every value
+// equals Forward's bit for bit, for any Init and weights. Each product
+// is the nn.MatMulInto or Sparse.MulInto of the tape op over the same
+// rows; a row set that is contiguous in h^l (all of it, say, or the
+// segments' in-neighbours of TP) is read in place instead of gathered,
+// which changes no row of a product. The sums and the ReLU run fused in
+// the tape's order: ((z_CO + z_SQ) + z_TP), then agg + self, then
+// v > 0 ? v : +0. A relation with no in-neighbours adds nothing, where
+// the tape adds its +0 mean: an Eq. 4 mean starts from +0, so the sum
+// is never −0 and adding +0 leaves it as it is. MLPOnly applies its
+// layers with Linear.ApplyInto and the same ReLU; MLP.Apply's keeps a
+// NaN, the tape's maps it to +0. The pass writes into at most four
+// buffers of |Rows(0)|×d, reused across rounds; the result is one of
+// them.
+func (e *Encoder) Embed(f *Field) *nn.Mat {
+	d, size := e.Dim, len(f.rows[0])*e.Dim
+	var free [][]float64
+	take := func() []float64 {
+		if k := len(free); k > 0 {
+			w := free[k-1]
+			free = free[:k-1]
+			return w
+		}
+		return make([]float64, size)
+	}
+	// hBuf is the buffer h^l lives in; nil while h⁰ is a view of Init.
+	var hBuf []float64
+	if !contiguous(f.rows[0]) {
+		hBuf = take()
+	}
+	h := rowsOf(e.Init.W, f.rows[0], hBuf)
+	if e.Mode == MLPOnly {
+		last := len(e.MLP.Layers) - 1
+		for i, l := range e.MLP.Layers {
+			out := take()
+			x := mat(out, h.R, d)
+			l.ApplyInto(x, h)
+			if i < last {
+				for j, v := range x.W {
+					if !(v > 0) {
+						x.W[j] = 0
+					}
+				}
+			}
+			if hBuf != nil {
+				free = append(free, hBuf)
+			}
+			h, hBuf = x, out
+		}
+		return h
+	}
+	for l, rd := range f.rounds {
+		n := len(f.rows[l+1])
+		ws := e.relWeights(l)
+		// g gathers rows of h^l and holds a relation's mean after the
+		// first; p holds the product the mean reads, then agg, which
+		// becomes h^{l+1}; s holds the sum of the means, then self.
+		g, p, s := take(), take(), take()
+		sum := mat(s, n, d)
+		first := true
+		for r, fr := range rd.rels {
+			if fr.a == nil {
+				continue
+			}
+			prod := mat(p, len(fr.in), d)
+			nn.MatMulInto(prod, rowsOf(h, fr.in, g), ws[r].W)
+			if first {
+				fr.a.MulInto(sum, prod)
+				first = false
+				continue
+			}
+			z := mat(g, n, d)
+			fr.a.MulInto(z, prod)
+			for i, v := range z.W {
+				sum.W[i] += v
+			}
+		}
+		if first {
+			sum.Zero()
+		}
+		agg := mat(p, n, d)
+		nn.MatMulInto(agg, sum, e.WAgg[l].W)
+		self := mat(s, n, d)
+		nn.MatMulInto(self, rowsOf(h, rd.self, g), e.W0[l].W)
+		for i, v := range self.W {
+			if v = agg.W[i] + v; v > 0 {
+				agg.W[i] = v
+			} else {
+				agg.W[i] = 0
+			}
+		}
+		free = append(free, g, s)
+		if hBuf != nil {
+			free = append(free, hBuf)
+		}
+		h, hBuf = agg, p
+	}
+	return h
+}
+
+// mat returns an r×c matrix over the front of w.
+func mat(w []float64, r, c int) *nn.Mat { return &nn.Mat{R: r, C: c, W: w[: r*c : r*c]} }
+
+// contiguous reports whether the strictly ascending positions pos are
+// one run, pos[0] … pos[0]+len(pos)−1.
+func contiguous(pos []int) bool { return pos[len(pos)-1]-pos[0] == len(pos)-1 }
+
+// rowsOf returns the rows of x at the strictly ascending positions pos:
+// a view of x when they are contiguous, else a copy gathered into buf.
+func rowsOf(x *nn.Mat, pos []int, buf []float64) *nn.Mat {
+	if contiguous(pos) {
+		return x.Rows(pos[0], pos[0]+len(pos))
+	}
+	g := mat(buf, len(pos), x.C)
+	for t, r := range pos {
+		copy(g.Row(t), x.Row(r))
+	}
+	return g
+}
+
 // pick returns the given rows of x, or x itself when they are all of
 // its rows: a strictly ascending list as long as x is the identity.
 func pick(tp *nn.Tape, x *nn.T, rows []int) *nn.T {

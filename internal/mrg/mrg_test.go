@@ -377,6 +377,99 @@ func TestAllNodesFieldExact(t *testing.T) {
 	}
 }
 
+// TestEmbedMatchesForward holds the tape-free pass to the tape one bit
+// for bit in every mode, at a dimension the AVX2 product kernel takes
+// (8) and one it refuses (6), over the paper's two rounds and three: on the every-node field, on a phase-1
+// field (two trips' towers and path segments) and on those towers
+// alone, which have no TP in-neighbours; over the test graph and over a
+// graph without trips, whose CO and SQ relations are empty (there the
+// towers have no in-neighbour at all); and with Init rows of −0, NaN
+// and ±Inf among the rows every field reads. Embed must leave Init as it
+// was.
+func TestEmbedMatchesForward(t *testing.T) {
+	d, trips := testWorld(t)
+	full, err := BuildGraph(d.Net, d.Cells, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := BuildGraph(d.Net, d.Cells, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.CO.NNZ() != 0 || bare.SQ.NNZ() != 0 {
+		t.Fatalf("graph without trips has %d CO and %d SQ entries", bare.CO.NNZ(), bare.SQ.NNZ())
+	}
+	seen := map[int]bool{}
+	for _, tr := range trips[:2] {
+		for _, cp := range tr.Cell {
+			seen[full.TowerNode(cp.Tower)] = true
+		}
+		for _, sid := range tr.Path {
+			seen[full.SegNode(sid)] = true
+		}
+	}
+	var rows, towers []int
+	for v := range seen {
+		rows = append(rows, v)
+	}
+	slices.Sort(rows)
+	for _, v := range rows {
+		if v < full.NumTowers {
+			towers = append(towers, v)
+		}
+	}
+	special := []int{rows[0], rows[1], rows[len(rows)/2], rows[len(rows)-1]}
+
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range []*Graph{full, bare} {
+		for _, mode := range []EncoderMode{HetGNN, HomoGNN, MLPOnly} {
+			for _, shape := range [][2]int{{8, 2}, {6, 2}, {8, 3}} {
+				enc, err := NewEncoder(g, mode, shape[0], shape[1], rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, odd := range []bool{false, true} {
+					if odd {
+						init := enc.Init.W
+						for j := range init.Row(special[0]) {
+							init.Set(special[0], j, math.Copysign(0, -1))
+						}
+						init.Set(special[1], 3, math.NaN())
+						init.Set(special[2], 0, math.Inf(1))
+						init.Set(special[3], 5, math.Inf(-1))
+					}
+					for _, out := range [][]int{nil, rows, towers} {
+						what := fmt.Sprintf("%v dim %d rounds %d, %d CO entries, odd Init %v, %d output rows",
+							mode, shape[0], shape[1], g.CO.NNZ(), odd, len(out))
+						checkEmbed(t, what, enc, enc.Field(g, out))
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkEmbed asserts that Embed over f equals Forward over f bit for
+// bit and leaves Init as it was.
+func checkEmbed(t *testing.T, what string, enc *Encoder, f *Field) {
+	t.Helper()
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	before := slices.Clone(enc.Init.W.W)
+	got := enc.Embed(f)
+	if !slices.EqualFunc(before, enc.Init.W.W, bits) {
+		t.Fatalf("%s: Embed wrote Init", what)
+	}
+	want := enc.Forward(nn.NewTape(), f).Val
+	if got.R != want.R || got.C != want.C {
+		t.Fatalf("%s: Embed %d×%d, Forward %d×%d", what, got.R, got.C, want.R, want.C)
+	}
+	for i, w := range want.W {
+		if !bits(got.W[i], w) {
+			t.Fatalf("%s: Embed[%d] = %v (%#x), Forward %v (%#x)", what, i, got.W[i], math.Float64bits(got.W[i]), w, math.Float64bits(w))
+		}
+	}
+}
+
 // checkFieldAdjacency asserts that every row of every restricted
 // adjacency in f is the full graph's row, read through the column node
 // ids, and that row k of each transpose lists the adjacency's column k
