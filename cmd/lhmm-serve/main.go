@@ -16,7 +16,6 @@
 //	DELETE /v1/sessions/{id}          discard a session
 //	POST   /v1/reload                 hot-reload model weights from -model
 //	GET    /v1/quality                windowed quality/SLO report
-//	GET    /v1/drift                  learned-score drift vs the -drift-baseline (PSI/KL per signal)
 //	GET    /healthz /readyz           liveness, readiness (with quality detail)
 //	GET    /metrics /metrics.json     Prometheus text exposition, JSON snapshot
 //
@@ -79,10 +78,6 @@ const (
 	sloGapRate      = 0.20 // matches with gaps or breaks
 	sloEmptyRate    = 0.20 // requests failing with no candidates
 	sloShedRate     = 0.05 // requests shed by admission control
-	// sloDriftPSI is the conventional PSI action level; the score_drift
-	// check is on exactly when -drift-baseline gives it something to
-	// compare against.
-	sloDriftPSI = 0.25
 )
 
 func run(args []string) error {
@@ -91,7 +86,6 @@ func run(args []string) error {
 	data := fs.String("data", "dataset.json", "dataset file from `lhmm datagen`")
 	modelPath := fs.String("model", "model.lhmm", "model weights file (re-read on reload)")
 	k := fs.Int("k", 30, "candidates per point")
-	driftBaseline := fs.String("drift-baseline", "", "training-time drift baseline file (enables GET /v1/drift, lhmm_drift_* gauges and the score_drift readiness check)")
 	captureOut := fs.String("capture-out", "", "capture match requests + response digests as JSONL to this file (for lhmm replay)")
 	checkpointDir := fs.String("checkpoint-dir", "", "durable-session store: snapshot in-flight streaming sessions here and restore them on boot (empty disables)")
 	checkpointInterval := fs.Duration("checkpoint-interval", 5*time.Second, "periodic dirty-session checkpoint sweep cadence")
@@ -143,16 +137,6 @@ func run(args []string) error {
 		MaxEmptyRate:    sloEmptyRate,
 		MaxShedRate:     sloShedRate,
 	}
-	var baseline *obs.DriftBaseline
-	if *driftBaseline != "" {
-		baseline, err = obs.LoadDriftBaseline(*driftBaseline)
-		if err != nil {
-			return fmt.Errorf("drift baseline: %w", err)
-		}
-		quality.MaxDriftPSI = sloDriftPSI
-		fmt.Fprintf(os.Stderr, "lhmm-serve: drift baseline %s (%d signals, model %q)\n",
-			*driftBaseline, len(baseline.Signals), baseline.Model)
-	}
 	var capture *serve.Capture
 	if *captureOut != "" {
 		capture, err = serve.OpenCaptureFile(*captureOut)
@@ -174,10 +158,8 @@ func run(args []string) error {
 			Dir:      *checkpointDir,
 			Interval: *checkpointInterval,
 		},
-		Quality:           quality,
-		DriftBaseline:     baseline,
-		DriftBaselinePath: *driftBaseline,
-		Capture:           capture,
+		Quality: quality,
+		Capture: capture,
 	})
 	if err != nil {
 		return err

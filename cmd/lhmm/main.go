@@ -196,7 +196,6 @@ func cmdTrain(args []string) error {
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "training seed")
 	trace := fs.Bool("trace", false, "collect per-trajectory match traces during calibration")
-	driftBaseline := fs.String("drift-baseline", "", "drift baseline output file (default <model>.baseline.json; 'none' skips)")
 	cleanup, err := parseWithObs(fs, args)
 	if err != nil {
 		return err
@@ -226,24 +225,6 @@ func cmdTrain(args []string) error {
 	}
 	fmt.Printf("trained LHMM (dim %d, %d epochs) on %d trips; weights -> %s\n",
 		*dim, *epochs, len(ds.Train), *out)
-	// Score-distribution baseline for online drift monitoring
-	// (lhmm-serve -drift-baseline): replay validation trips through the
-	// trained model and record emission/transition/candidate sketches.
-	if *driftBaseline != "none" {
-		basePath := *driftBaseline
-		if basePath == "" {
-			basePath = *out + ".baseline.json"
-		}
-		base, err := model.CollectDriftBaseline(ds, 16, *out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lhmm: drift baseline skipped:", err)
-			return nil
-		}
-		if err := base.WriteFile(basePath); err != nil {
-			return err
-		}
-		fmt.Printf("drift baseline (%d signals) -> %s\n", len(base.Signals), basePath)
-	}
 	return nil
 }
 

@@ -152,7 +152,7 @@ func TestReplayAgainst(t *testing.T) {
 	if err := cmdDatagen([]string{"-preset", "xiamen", "-scale", "0.02", "-trips", "30", "-out", data}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdTrain([]string{"-data", data, "-model", model, "-dim", "8", "-epochs", "1", "-k", "8", "-drift-baseline", "none"}); err != nil {
+	if err := cmdTrain([]string{"-data", data, "-model", model, "-dim", "8", "-epochs", "1", "-k", "8"}); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := loadDataset(data)
@@ -278,7 +278,7 @@ func TestReplayAgainst(t *testing.T) {
 	// active model's configuration; it is refused by tensor name.
 	t.Run("dim-mismatch", func(t *testing.T) {
 		other := filepath.Join(dir, "dim12.lhmm")
-		if err := cmdTrain([]string{"-data", data, "-model", other, "-dim", "12", "-epochs", "1", "-k", "8", "-drift-baseline", "none"}); err != nil {
+		if err := cmdTrain([]string{"-data", data, "-model", other, "-dim", "12", "-epochs", "1", "-k", "8"}); err != nil {
 			t.Fatal(err)
 		}
 		out, err := replay(other)

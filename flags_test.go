@@ -24,15 +24,15 @@ var flagCommands = []string{
 // is added only with the two callers that need different values named in
 // DESIGN §8d.
 const (
-	maxServeFlags = 15
-	maxTotalFlags = 97
+	maxServeFlags = 14
+	maxTotalFlags = 95
 )
 
 // maxConfigFields is the ceiling on the exported fields of the four
 // config structs behind the flags. A field is added the way a flag is:
 // with the two callers that set it to different values named in
 // DESIGN §8d.
-const maxConfigFields = 37
+const maxConfigFields = 35
 
 var (
 	helpFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)

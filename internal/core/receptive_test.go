@@ -28,16 +28,16 @@ func eqs45(t testing.TB, tp *nn.Tape, m *Model) *nn.T {
 	for l := 0; l < enc.Rounds; l++ {
 		var zs []*nn.T
 		if enc.Mode == mrg.HomoGNN {
-			merged, mergedT, err := g.Merged()
+			merged, err := g.Merged()
 			if err != nil {
 				t.Fatal(err)
 			}
-			zs = append(zs, tp.SpMM(merged, mergedT, tp.MatMul(h, tp.Var(enc.WHomo[l]))))
+			zs = append(zs, tp.SpMM(merged, tp.MatMul(h, tp.Var(enc.WHomo[l]))))
 		} else {
 			zs = append(zs,
-				tp.SpMM(g.CO, g.COt, tp.MatMul(h, tp.Var(enc.WCO[l]))),
-				tp.SpMM(g.SQ, g.SQt, tp.MatMul(h, tp.Var(enc.WSQ[l]))),
-				tp.SpMM(g.TP, g.TPt, tp.MatMul(h, tp.Var(enc.WTP[l]))))
+				tp.SpMM(g.CO, tp.MatMul(h, tp.Var(enc.WCO[l]))),
+				tp.SpMM(g.SQ, tp.MatMul(h, tp.Var(enc.WSQ[l]))),
+				tp.SpMM(g.TP, tp.MatMul(h, tp.Var(enc.WTP[l]))))
 		}
 		sum := zs[0]
 		for _, z := range zs[1:] {
@@ -172,7 +172,7 @@ func checkAdjacencyRows(t *testing.T, m *Model, f *mrg.Field) {
 	case mrg.MLPOnly:
 		return
 	case mrg.HomoGNN:
-		merged, _, err := g.Merged()
+		merged, err := g.Merged()
 		if err != nil {
 			t.Fatal(err)
 		}

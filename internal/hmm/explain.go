@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/traj"
 )
 
@@ -295,45 +294,4 @@ func (m *Matcher) scoreMargin(winner, runner float64, hasRunner bool) float64 {
 		margin = -explainMarginCap
 	}
 	return finiteOr(margin, 0)
-}
-
-// --- drift feeding ---
-
-// Drift sketches (obs.DefaultDrift; no-op unless a baseline consumer
-// enabled the monitor). Signals: learned emission scores over the
-// prepared candidate sets, memoized step weights along the chosen
-// path, candidate-set sizes, and the per-match degraded-fallback rate.
-// Values are sketched in the accumulation domain of the default
-// ScoreSum scoring (probabilities in [0,1]); baseline and live sides
-// are always computed identically, so the PSI comparison holds for any
-// fixed configuration.
-var (
-	driftEmission   = obs.DefaultDrift.Sketch("emission", obs.UnitBuckets)
-	driftTransition = obs.DefaultDrift.Sketch("transition", obs.UnitBuckets)
-	driftCandidates = obs.DefaultDrift.Sketch("candidates", obs.CountBuckets)
-	driftDegraded   = obs.DefaultDrift.Sketch("degraded", obs.UnitBuckets)
-)
-
-// feedDrift records one finished match into the drift sketches:
-// per-candidate emission scores and per-point candidate counts over
-// the original (pre-shortcut) sets, plus the degraded-event rate over
-// all scoring events. Chosen-path transition weights are recorded
-// inline during the backward pass (they are not recoverable here).
-func feedDrift(keep [][]Candidate, deg, nCand, nEval int64) {
-	for i := range keep {
-		if len(keep[i]) == 0 {
-			continue
-		}
-		driftCandidates.Observe(float64(len(keep[i])))
-		for j := range keep[i] {
-			driftEmission.Observe(keep[i][j].Obs)
-		}
-	}
-	if total := nCand + nEval; total > 0 {
-		r := float64(deg) / float64(total)
-		if r > 1 {
-			r = 1
-		}
-		driftDegraded.Observe(r)
-	}
 }

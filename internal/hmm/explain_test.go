@@ -278,7 +278,7 @@ func TestScoreMargin(t *testing.T) {
 	}
 }
 
-// With explain and drift disabled, the memoized per-step scoring stays
+// With explain disabled, the memoized per-step scoring stays
 // allocation-free (the hot path the acceptance gate pins).
 func TestStepScoreNoAllocs(t *testing.T) {
 	net, r := gridWorld(t, 6, 6)

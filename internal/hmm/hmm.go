@@ -490,8 +490,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		}
 	}
 	var nSkipped int64
-	driftTransOn := driftTransition.Enabled()
-	walkBack(f, pre, dead, 0, func(i, idx, from int) {
+	walkBack(f, pre, dead, 0, func(i, idx int) {
 		res.Matched[i] = layers[i][idx]
 		res.Skipped[i] = layers[i][idx].Pseudo
 		if es != nil {
@@ -502,12 +501,6 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			if trace != nil {
 				trace.Points[i].Skipped = true
 			}
-		}
-		if driftTransOn && from >= 0 && from < len(steps[i]) && idx < len(steps[i][from]) {
-			// Drift signal: the memoized step weight of the chosen
-			// transition. Bounds-checked because shortcut pseudo-
-			// candidates extend the layers but not the step tables.
-			driftTransition.Observe(steps[i][from][idx])
 		}
 	}, onBreak)
 	// Gaps were appended walking backward; restore trajectory order.
@@ -526,10 +519,6 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		obsExplainDecisions.Add(nDecisions)
 		obsExplainLowMargin.Add(nLowMargin)
 	}
-	if obs.DefaultDrift.Enabled() {
-		feedDrift(keep, deg, nCand, nEval)
-	}
-
 	res.Degraded = int(deg)
 	obsMatches.Inc()
 	obsCandidates.Add(nCand)
@@ -812,12 +801,12 @@ func argmaxF(v []float64) int {
 // candidate of the last alive point and follows the backpointers toward
 // the head of the trajectory, stopping below point stop. visit is called
 // for every alive point i ≥ stop, last to first, with the chosen
-// candidate idx and its backpointer from into point i-1 — −1 where the
-// chain does not enter i through a backpointer. There the walk resumes
-// from the previous alive point's own best candidate and, if onBreak is
-// non-nil, reports the boundary first: GapNoCandidates when dead points
-// lie between the two, GapViterbiBreak when the recurrence restarted at i.
-func walkBack(f [][]float64, pre [][]int, dead []bool, stop int, visit func(i, idx, from int), onBreak func(Gap)) {
+// candidate idx. Where the chain does not enter i through a backpointer
+// into point i-1, the walk resumes from the previous alive point's own
+// best candidate and, if onBreak is non-nil, reports the boundary
+// first: GapNoCandidates when dead points lie between the two,
+// GapViterbiBreak when the recurrence restarted at i.
+func walkBack(f [][]float64, pre [][]int, dead []bool, stop int, visit func(i, idx int), onBreak func(Gap)) {
 	prevAlive := func(i int) int {
 		for i--; i >= 0 && dead[i]; i-- {
 		}
@@ -832,7 +821,7 @@ func walkBack(f [][]float64, pre [][]int, dead []bool, stop int, visit func(i, i
 		if p >= 0 && p == i-1 {
 			from = pre[i][idx]
 		}
-		visit(i, idx, from)
+		visit(i, idx)
 		if p < 0 {
 			return
 		}

@@ -517,7 +517,7 @@ func TestShortcutPassMatchesReference(t *testing.T) {
 			t.Fatalf("%s: Match: %v", name, err)
 		}
 		wantMatched, wantSkipped := make([]Candidate, n), make([]bool, n)
-		walkBack(got.f, got.pre, make([]bool, n), 0, func(i, idx, _ int) {
+		walkBack(got.f, got.pre, make([]bool, n), 0, func(i, idx int) {
 			wantMatched[i], wantSkipped[i] = got.layers[i][idx], got.layers[i][idx].Pseudo
 		}, nil)
 		alive := make([]int, n)

@@ -156,7 +156,7 @@ func (s *StreamMatcher) emitUpTo(until int) []Candidate {
 				}
 			}
 		}
-		walkBack(s.t.f, s.t.pre, s.t.dead, s.emitted, func(i, idx, _ int) {
+		walkBack(s.t.f, s.t.pre, s.t.dead, s.emitted, func(i, idx int) {
 			if i <= until {
 				out[i-s.emitted] = s.t.layers[i][idx]
 			}

@@ -61,7 +61,7 @@ type Encoder struct {
 	MLP *nn.MLP
 
 	// Cached merged adjacency for HomoGNN.
-	merged, mergedT *nn.Sparse
+	merged *nn.Sparse
 }
 
 // InitParam names the |V|×dim initial embedding table in a saved
@@ -86,7 +86,7 @@ func NewEncoder(g *Graph, mode EncoderMode, dim, rounds int, rng *rand.Rand) (*E
 		e.MLP = nn.NewMLP("enc.mlp", []int{dim, dim, dim}, nn.ActReLU, rng)
 	case HomoGNN:
 		var err error
-		e.merged, e.mergedT, err = g.Merged()
+		e.merged, err = g.Merged()
 		if err != nil {
 			return nil, err
 		}
@@ -107,17 +107,17 @@ func NewEncoder(g *Graph, mode EncoderMode, dim, rounds int, rng *rand.Rand) (*E
 	return e, nil
 }
 
-// relations returns the adjacencies Eq. 4 averages over, each with its
-// transpose, in the order relWeights lists their weights: CO, SQ, TP
-// (HetGNN), the merged adjacency (HomoGNN), none (MLPOnly).
-func (e *Encoder) relations(g *Graph) [][2]*nn.Sparse {
+// relations returns the adjacencies Eq. 4 averages over, in the order
+// relWeights lists their weights: CO, SQ, TP (HetGNN), the merged
+// adjacency (HomoGNN), none (MLPOnly).
+func (e *Encoder) relations(g *Graph) []*nn.Sparse {
 	switch e.Mode {
 	case MLPOnly:
 		return nil
 	case HomoGNN:
-		return [][2]*nn.Sparse{{e.merged, e.mergedT}}
+		return []*nn.Sparse{e.merged}
 	default:
-		return [][2]*nn.Sparse{{g.CO, g.COt}, {g.SQ, g.SQt}, {g.TP, g.TPt}}
+		return []*nn.Sparse{g.CO, g.SQ, g.TP}
 	}
 }
 
@@ -152,7 +152,7 @@ type fieldRound struct {
 type fieldRel struct {
 	in    []int      // positions in rows[l]
 	nodes []int      // the in-neighbours' node ids (a's columns)
-	a, at *nn.Sparse // |rows[l+1]|×|in| rows of the full adjacency, and aᵀ; nil if no in-neighbours
+	a     *nn.Sparse // |rows[l+1]|×|in| rows of the full adjacency; nil if no in-neighbours
 }
 
 // Field returns the receptive field of the given output rows (node ids,
@@ -191,12 +191,8 @@ func (e *Encoder) Field(g *Graph, rows []int) *Field {
 		in := append([]int(nil), out...)
 		for _, r := range rels {
 			var fr fieldRel
-			if fr.nodes = r[0].Cols(out); len(fr.nodes) > 0 {
-				fr.a = r[0].Sub(out, fr.nodes)
-				var err error
-				if fr.at, err = fr.a.Transpose(); err != nil {
-					panic(err) // Sub's indices lie inside its shape
-				}
+			if fr.nodes = r.Cols(out); len(fr.nodes) > 0 {
+				fr.a = r.Sub(out, fr.nodes)
 				in = append(in, fr.nodes...)
 			}
 			rd.rels = append(rd.rels, fr)
@@ -267,7 +263,7 @@ func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 				zs[r] = tp.Const(nn.NewMat(len(f.rows[l+1]), e.Dim))
 				continue
 			}
-			zs[r] = tp.SpMM(fr.a, fr.at, tp.MatMul(pick(tp, h, fr.in), tp.Var(ws[r])))
+			zs[r] = tp.SpMM(fr.a, tp.MatMul(pick(tp, h, fr.in), tp.Var(ws[r])))
 		}
 		sum := zs[0]
 		for _, z := range zs[1:] {
@@ -291,11 +287,9 @@ func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 // the tape's order: ((z_CO + z_SQ) + z_TP), then agg + self, then
 // v > 0 ? v : +0. A relation with no in-neighbours adds nothing, where
 // the tape adds its +0 mean: an Eq. 4 mean starts from +0, so the sum
-// is never −0 and adding +0 leaves it as it is. MLPOnly applies its
-// layers with Linear.ApplyInto and the same ReLU; MLP.Apply's keeps a
-// NaN, the tape's maps it to +0. The pass writes into at most four
-// buffers of |Rows(0)|×d, reused across rounds; the result is one of
-// them.
+// is never −0 and adding +0 leaves it as it is. MLPOnly is MLP.Apply,
+// whose ReLU is the tape's. The rounds write into at most four buffers
+// of |Rows(0)|×d, reused across rounds; the result is one of them.
 func (e *Encoder) Embed(f *Field) *nn.Mat {
 	d, size := e.Dim, len(f.rows[0])*e.Dim
 	var free [][]float64
@@ -314,24 +308,7 @@ func (e *Encoder) Embed(f *Field) *nn.Mat {
 	}
 	h := rowsOf(e.Init.W, f.rows[0], hBuf)
 	if e.Mode == MLPOnly {
-		last := len(e.MLP.Layers) - 1
-		for i, l := range e.MLP.Layers {
-			out := take()
-			x := mat(out, h.R, d)
-			l.ApplyInto(x, h)
-			if i < last {
-				for j, v := range x.W {
-					if !(v > 0) {
-						x.W[j] = 0
-					}
-				}
-			}
-			if hBuf != nil {
-				free = append(free, hBuf)
-			}
-			h, hBuf = x, out
-		}
-		return h
+		return e.MLP.Apply(h)
 	}
 	for l, rd := range f.rounds {
 		n := len(f.rows[l+1])

@@ -25,10 +25,8 @@ type Graph struct {
 	NumSegs   int
 
 	// Row-normalized adjacency per relation (messages flow along rows:
-	// row i lists the senders j whose embeddings node i averages), and
-	// the transposes needed by backprop.
-	CO, SQ, TP    *nn.Sparse
-	COt, SQt, TPt *nn.Sparse
+	// row i lists the senders j whose embeddings node i averages).
+	CO, SQ, TP *nn.Sparse
 
 	// coCount holds the raw co-occurrence counts keyed by
 	// (tower, segment), the explicit feature of Eq. 8.
@@ -203,30 +201,17 @@ func BuildGraph(net *roadnet.Network, cells *cellular.Net, trips []*traj.Trip) (
 	g.CO.RowNormalize()
 	g.SQ.RowNormalize()
 	g.TP.RowNormalize()
-	if g.COt, err = g.CO.Transpose(); err != nil {
-		return nil, fmt.Errorf("mrg: CO: %w", err)
-	}
-	if g.SQt, err = g.SQ.Transpose(); err != nil {
-		return nil, fmt.Errorf("mrg: SQ: %w", err)
-	}
-	if g.TPt, err = g.TP.Transpose(); err != nil {
-		return nil, fmt.Errorf("mrg: TP: %w", err)
-	}
 	return g, nil
 }
 
 // Merged returns a single row-normalized adjacency combining all three
-// relations, plus its transpose — the homogeneous-GNN ablation (LHMM-H)
-// input, which discards relation types.
-func (g *Graph) Merged() (*nn.Sparse, *nn.Sparse, error) {
+// relations — the homogeneous-GNN ablation (LHMM-H) input, which
+// discards relation types.
+func (g *Graph) Merged() (*nn.Sparse, error) {
 	m, err := nn.NewSparse(g.NumNodes(), g.NumNodes(), g.mergedTriples)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mrg: merged: %w", err)
+		return nil, fmt.Errorf("mrg: merged: %w", err)
 	}
 	m.RowNormalize()
-	mt, err := m.Transpose()
-	if err != nil {
-		return nil, nil, fmt.Errorf("mrg: merged: %w", err)
-	}
-	return m, mt, nil
+	return m, nil
 }

@@ -39,13 +39,13 @@ func (l *Linear) ApplyInto(dst, x *Mat) {
 // a ReLU pass or a product: each positive unit goes straight into the two
 // running sums. It is bit-equal to the ReLU followed by ApplyInto: the
 // same left-to-right sum over the units, the same skip of units that are
-// zero after the ReLU (matMulRows skips a zero multiplier, and -0 is
-// one), a NaN unit carried into both sums, the bias added last.
+// zero after the ReLU (matMulRows skips a zero multiplier; the ReLU maps
+// −0 and NaN to +0, as the tape's does), the bias added last.
 func (l *Linear) ApplyReLU2(h []float64) (float64, float64) {
 	w, b := l.W.W.W[:2*len(h)], l.B.W.W
 	var a0, a1 float64
 	for k, v := range h {
-		if v <= 0 {
+		if !(v > 0) {
 			continue
 		}
 		a0 += v * w[2*k]
@@ -115,8 +115,8 @@ func applyActInPlace(a Activation, x *Mat) {
 		}
 	default:
 		for i, v := range x.W {
-			if v < 0 {
-				x.W[i] = 0
+			if !(v > 0) {
+				x.W[i] = 0 // −0 and NaN too, as the tape's ReLU
 			}
 		}
 	}

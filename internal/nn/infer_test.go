@@ -84,8 +84,8 @@ func TestAttKeysReadOutMatchesForward(t *testing.T) {
 // values that decide the read-out's exactness: exact zeros and negative
 // zeros (units matMulRows skips), and as rows 0–3 a row with no positive
 // unit (the sums stay at +0 and the bias comes out alone), an all-zero
-// row, a row with a NaN, which must reach both logits, and a row with
-// +Inf and −Inf.
+// row, a row with a NaN unit and a −0 unit, which the ReLU maps to +0 as
+// the tape's does, and a row with +Inf and −Inf.
 func hiddenRows(rng *rand.Rand, r, d int) *Mat {
 	negZero := math.Copysign(0, -1)
 	rows := NewMat(r, d)
@@ -108,7 +108,7 @@ func hiddenRows(rng *rand.Rand, r, d int) *Mat {
 		case 1:
 			clear(row)
 		case 2:
-			row[d/2] = math.NaN()
+			row[d/2], row[(d/2+1)%d] = math.NaN(), negZero
 		case 3:
 			row[0], row[d-1] = math.Inf(1), math.Inf(-1)
 		}
@@ -116,16 +116,24 @@ func hiddenRows(rng *rand.Rand, r, d int) *Mat {
 	return rows
 }
 
-// TestApplyReLU2BitEqual: the fused two-logit read-out is the ReLU pass
-// followed by Linear.ApplyInto, bit for bit, on hiddenRows' rows.
+// TestApplyReLU2BitEqual: the fused two-logit read-out is the tape's
+// ReLU followed by Linear.ApplyInto, bit for bit, on hiddenRows' rows,
+// and the inference ReLU (applyActInPlace) is the tape's.
 func TestApplyReLU2BitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	const d = 37
 	l := NewLinear("out", d, 2, rng)
 	l.B.W.W[0], l.B.W.W[1] = 0.25, -1.5
 	rows := hiddenRows(rng, 64, d)
-	hid := rows.Clone()
-	applyActInPlace(ActReLU, hid)
+	tp := NewTape()
+	hid := tp.ReLU(tp.Const(rows)).Val
+	inf := rows.Clone()
+	applyActInPlace(ActReLU, inf)
+	for i, v := range hid.W {
+		if math.Float64bits(inf.W[i]) != math.Float64bits(v) {
+			t.Fatalf("unit %d (%v): applyActInPlace %v, tape ReLU %v", i, rows.W[i], inf.W[i], v)
+		}
+	}
 	want := NewMat(rows.R, 2)
 	l.ApplyInto(want, hid)
 	for i := 0; i < rows.R; i++ {
@@ -135,8 +143,8 @@ func TestApplyReLU2BitEqual(t *testing.T) {
 			t.Fatalf("row %d: fused (%v, %v), ReLU then ApplyInto (%v, %v)", i, g0, g1, w[0], w[1])
 		}
 	}
-	if g0, g1 := l.ApplyReLU2(rows.Row(2)); !math.IsNaN(g0) || !math.IsNaN(g1) {
-		t.Fatalf("NaN unit did not reach both logits: (%v, %v)", g0, g1)
+	if g0, g1 := l.ApplyReLU2(rows.Row(2)); math.IsNaN(g0) || math.IsNaN(g1) {
+		t.Fatalf("a NaN unit reached the logits: (%v, %v)", g0, g1)
 	}
 }
 

@@ -120,8 +120,8 @@ func kernelRows(dst, a, b *Mat, lo, hi int, acc bool) int {
 // for every whole block of four rows of h, and returns the first row it
 // left for ApplyReLU2; it leaves every row when the CPU lacks AVX2, h.C
 // is not a positive multiple of 4 or w is not all finite. ApplyReLU2
-// skips a unit v <= 0; the kernel's ReLU turns it into +0 or −0 and adds
-// its ±0 product, which with w finite changes nothing (useKernel's
+// skips a unit that is not > 0; the kernel's ReLU turns it into +0 and
+// adds its ±0 product, which with w finite changes nothing (useKernel's
 // argument: the sums start at +0 and are never −0).
 func reluRows(dst []float64, h *Mat, w, b []float64) int {
 	if !haveAVX2 || matmulPortable.Load() || h.R < 4 || h.C < 4 || h.C%4 != 0 || !finiteAVX2(w) {

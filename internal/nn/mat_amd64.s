@@ -156,8 +156,9 @@ kloop:
 // Y0 and Y1 holds row r's two sums, each summed from +0 over k
 // ascending. Per four units the 4×4 block of h is loaded and transposed
 // (VUNPCKLPD/VUNPCKHPD, then VPERM2F128) so each register holds one unit
-// of the four rows; the ReLU is VMAXPD with +0 as the first source, which
-// returns the second source — the unit — when it is NaN; each unit is
+// of the four rows; the ReLU is VMAXPD with the unit as the first source
+// and +0 as the second, which VMAXPD returns when the unit is not > 0,
+// NaN and −0 included (the tape's ReLU); each unit is
 // multiplied by the broadcast w[k][0] and w[k][1] and added as two
 // separate roundings (no FMA). The sums are interleaved back into row
 // order and the bias added last.
@@ -189,10 +190,10 @@ unit4:
 	VPERM2F128 $0x20, Y9, Y7, Y3 // unit k1
 	VPERM2F128 $0x31, Y8, Y6, Y4 // unit k2
 	VPERM2F128 $0x31, Y9, Y7, Y5 // unit k3
-	VMAXPD     Y2, Y15, Y2
-	VMAXPD     Y3, Y15, Y3
-	VMAXPD     Y4, Y15, Y4
-	VMAXPD     Y5, Y15, Y5
+	VMAXPD     Y15, Y2, Y2
+	VMAXPD     Y15, Y3, Y3
+	VMAXPD     Y15, Y4, Y4
+	VMAXPD     Y15, Y5, Y5
 
 	VBROADCASTSD (DX), Y10
 	VBROADCASTSD 8(DX), Y11

@@ -173,13 +173,17 @@ func (s *Sparse) MulInto(dst, x *Mat) {
 }
 
 // SpMM multiplies a constant sparse matrix by a dense tensor: out =
-// s·x, with gradient dX += sᵀ·dOut. st must be s.Transpose(); passing
-// it explicitly lets callers amortize the transpose across steps.
-func (tp *Tape) SpMM(s, st *Sparse, x *T) *T {
+// s·x, with gradient dX += sᵀ·dOut. The backward pass builds sᵀ when
+// it runs, so a pass that never calls Backward never transposes.
+func (tp *Tape) SpMM(s *Sparse, x *T) *T {
 	val := NewMat(s.R, x.C())
 	s.MulInto(val, x.Val)
 	var out *T
 	out = tp.node(val, func() {
+		st, err := s.Transpose()
+		if err != nil {
+			panic(err) // s's columns indexed x's rows in MulInto above
+		}
 		g := NewMat(x.R(), x.C())
 		st.MulInto(g, out.Grad)
 		x.Grad.AddInPlace(g)

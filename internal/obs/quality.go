@@ -12,7 +12,7 @@ import (
 // still beating the classical one" telemetry a deployed map-matcher
 // needs (cf. LHMM §IV-C/D: the learned probabilities are the value
 // claim; when they go non-finite we fall back to Eq. 2/3 and the
-// degraded rate is the drift alarm). QualityMonitor keeps a sliding
+// degraded rate counts those fallbacks). QualityMonitor keeps a sliding
 // window of those signals as a ring of time slots and compares
 // windowed rates against configured SLO thresholds.
 
@@ -38,17 +38,6 @@ type QualityConfig struct {
 
 	// MaxP99 bounds the windowed p99 match latency (0 disables).
 	MaxP99 time.Duration
-
-	// MaxDriftPSI bounds the maximum per-signal PSI of the learned
-	// score distributions against their training-time baseline (0
-	// disables). The value is supplied by DriftProbe.
-	MaxDriftPSI float64
-	// DriftProbe, when set with MaxDriftPSI > 0, supplies the current
-	// max PSI on every evaluation (the serving layer wires a cached
-	// DriftMonitor comparison). It is called with the monitor lock
-	// held, so it must be cheap and must not call back into the
-	// monitor.
-	DriftProbe func() float64
 
 	// OnTransition, when set, is called (outside the monitor lock)
 	// whenever the degraded status flips, with the new status and the
@@ -232,9 +221,6 @@ func (m *QualityMonitor) violationsLocked(t qSlot) []string {
 	if m.cfg.MaxP99 > 0 && bucketQuantile(LatencyBuckets, t.latency, 0.99) > m.cfg.MaxP99.Seconds() {
 		v = append(v, "p99_latency")
 	}
-	if m.cfg.MaxDriftPSI > 0 && m.cfg.DriftProbe != nil && m.cfg.DriftProbe() > m.cfg.MaxDriftPSI {
-		v = append(v, "score_drift")
-	}
 	return v
 }
 
@@ -284,21 +270,18 @@ func (m *QualityMonitor) Degraded() bool {
 
 // QualityReport is the JSON shape served at /v1/quality.
 type QualityReport struct {
-	WindowS      float64 `json:"window_s"`
-	Requests     int64   `json:"requests"`
-	Matches      int64   `json:"matches"`
-	DegradedRate float64 `json:"degraded_rate"`
-	GapRate      float64 `json:"gap_rate"`
-	EmptyRate    float64 `json:"empty_rate"`
-	ShedRate     float64 `json:"shed_rate"`
-	P50S         float64 `json:"p50_s"`
-	P95S         float64 `json:"p95_s"`
-	P99S         float64 `json:"p99_s"`
-	// DriftPSI is the current max per-signal score-drift PSI, present
-	// only when a DriftProbe is configured.
-	DriftPSI   float64  `json:"drift_psi,omitempty"`
-	Status     string   `json:"status"` // "ok" | "degraded"
-	Violations []string `json:"violations,omitempty"`
+	WindowS      float64  `json:"window_s"`
+	Requests     int64    `json:"requests"`
+	Matches      int64    `json:"matches"`
+	DegradedRate float64  `json:"degraded_rate"`
+	GapRate      float64  `json:"gap_rate"`
+	EmptyRate    float64  `json:"empty_rate"`
+	ShedRate     float64  `json:"shed_rate"`
+	P50S         float64  `json:"p50_s"`
+	P95S         float64  `json:"p95_s"`
+	P99S         float64  `json:"p99_s"`
+	Status       string   `json:"status"` // "ok" | "degraded"
+	Violations   []string `json:"violations,omitempty"`
 
 	Thresholds QualityThresholds `json:"thresholds"`
 }
@@ -310,7 +293,6 @@ type QualityThresholds struct {
 	MaxEmptyRate    float64 `json:"max_empty_rate,omitempty"`
 	MaxShedRate     float64 `json:"max_shed_rate,omitempty"`
 	MaxP99S         float64 `json:"max_p99_s,omitempty"`
-	MaxDriftPSI     float64 `json:"max_drift_psi,omitempty"`
 	MinSamples      int     `json:"min_samples"`
 }
 
@@ -344,12 +326,8 @@ func (m *QualityMonitor) Report() QualityReport {
 			MaxEmptyRate:    m.cfg.MaxEmptyRate,
 			MaxShedRate:     m.cfg.MaxShedRate,
 			MaxP99S:         m.cfg.MaxP99.Seconds(),
-			MaxDriftPSI:     m.cfg.MaxDriftPSI,
 			MinSamples:      m.cfg.MinSamples,
 		},
-	}
-	if m.cfg.DriftProbe != nil {
-		r.DriftPSI = m.cfg.DriftProbe()
 	}
 	if m.degraded {
 		r.Status = "degraded"

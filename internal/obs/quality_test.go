@@ -218,3 +218,41 @@ func TestQualityNilMonitor(t *testing.T) {
 		t.Errorf("nil monitor report status %q", rep.Status)
 	}
 }
+
+// OnTransition must fire exactly once per state change, not once per
+// evaluation while the state persists.
+func TestQualityCallbackOncePerTransition(t *testing.T) {
+	clk := newQMClock()
+	calls := 0
+	m := NewQualityMonitor(QualityConfig{
+		Window:          10 * time.Second,
+		MinSamples:      1,
+		MaxDegradedRate: 0.5,
+		OnTransition:    func(bool, []string) { calls++ },
+		now:             clk.now,
+	})
+	// Drive hard into degraded and stay there across many evaluations.
+	for i := 0; i < 20; i++ {
+		m.RecordMatch(time.Millisecond, true, false)
+	}
+	if !m.Degraded() {
+		t.Fatal("not degraded at 100% degraded rate")
+	}
+	if calls != 1 {
+		t.Fatalf("OnTransition fired %d times entering degraded, want exactly 1", calls)
+	}
+	// Recover (quiet window) and re-degrade: exactly two more firings.
+	clk.advance(11 * time.Second)
+	if m.Degraded() {
+		t.Fatal("still degraded after window expiry")
+	}
+	if calls != 2 {
+		t.Fatalf("OnTransition fired %d times after recovery, want 2", calls)
+	}
+	for i := 0; i < 20; i++ {
+		m.RecordMatch(time.Millisecond, true, false)
+	}
+	if calls != 3 {
+		t.Fatalf("OnTransition fired %d times after re-degrading, want 3", calls)
+	}
+}

@@ -123,106 +123,6 @@ func TestCaptureRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDriftEndpointDisabled(t *testing.T) {
-	_, m := fixture(t)
-	_, ts := testServer(t, m, Config{})
-	resp, body := getJSON(t, ts.URL+"/v1/drift")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/drift: %d", resp.StatusCode)
-	}
-	var dr DriftResponse
-	if err := json.Unmarshal(body, &dr); err != nil {
-		t.Fatal(err)
-	}
-	if dr.Status != "disabled" {
-		t.Fatalf("status %q without a baseline, want disabled", dr.Status)
-	}
-}
-
-// Serving a workload that does not look like the baseline must surface
-// as per-signal PSI on /v1/drift and trip the QualityMonitor's
-// score_drift violation.
-func TestDriftShiftTripsViolation(t *testing.T) {
-	ds, m := fixture(t)
-	// A crafted baseline claiming every learned emission score was near
-	// 1.0 — nothing an untrained model serves will look like it.
-	counts := make([]int64, len(obs.UnitBuckets)+1)
-	counts[len(counts)-1] = 1000
-	base := &obs.DriftBaseline{
-		Schema: obs.DriftBaselineSchema,
-		Model:  "crafted",
-		Signals: map[string]obs.SketchSnapshot{
-			"emission": {
-				Count:  1000,
-				Mean:   0.99,
-				Bounds: append([]float64(nil), obs.UnitBuckets...),
-				Counts: counts,
-			},
-		},
-	}
-	_, ts := testServer(t, m, Config{
-		DriftBaseline:     base,
-		DriftBaselinePath: "crafted.json",
-		Quality:           obs.QualityConfig{MinSamples: 1, MaxDriftPSI: 0.25},
-	})
-
-	resp, body := postJSON(t, ts.URL+"/v1/match", PointsRequest(ds.TestTrips()[0].Cell))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("match: %d: %s", resp.StatusCode, body)
-	}
-
-	resp, body = getJSON(t, ts.URL+"/v1/drift")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/drift: %d", resp.StatusCode)
-	}
-	var dr DriftResponse
-	if err := json.Unmarshal(body, &dr); err != nil {
-		t.Fatal(err)
-	}
-	if dr.Status != "drift" {
-		t.Fatalf("drift status %q, want drift: %s", dr.Status, body)
-	}
-	if dr.MaxSignal != "emission" || dr.Signals["emission"].PSI <= 0.25 {
-		t.Fatalf("emission PSI %g (max signal %q), want > threshold 0.25",
-			dr.Signals["emission"].PSI, dr.MaxSignal)
-	}
-	if dr.BaselineModel != "crafted" || dr.Threshold != 0.25 {
-		t.Errorf("baseline provenance %q/%g not echoed", dr.BaselineModel, dr.Threshold)
-	}
-
-	resp, body = getJSON(t, ts.URL+"/v1/quality")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/quality: %d", resp.StatusCode)
-	}
-	var qr obs.QualityReport
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Status != "degraded" {
-		t.Fatalf("quality status %q under drifted scores, want degraded: %s", qr.Status, body)
-	}
-	found := false
-	for _, v := range qr.Violations {
-		if v == "score_drift" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("violations %v, want score_drift", qr.Violations)
-	}
-	if qr.DriftPSI <= 0.25 {
-		t.Errorf("report drift PSI %g, want > 0.25", qr.DriftPSI)
-	}
-
-	// The scrape mirrors the comparison into lhmm_drift_* gauges.
-	_, scrape := getJSON(t, ts.URL+"/metrics")
-	prom := string(scrape)
-	if !strings.Contains(prom, "lhmm_drift_emission_psi_milli") ||
-		!strings.Contains(prom, "lhmm_drift_max_psi_milli") {
-		t.Errorf("drift gauges missing from scrape")
-	}
-}
-
 // syncBuf is a goroutine-safe buffer for capturing access logs (the
 // handler logs after the response is flushed to the client).
 type syncBuf struct {

@@ -70,15 +70,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// Quality configures the online SLO monitor behind GET /v1/quality
 	// and the /readyz quality detail. Zero thresholds disable their
-	// checks; window/slot zero values take the obs defaults. With
-	// MaxDriftPSI > 0 and a DriftBaseline, a score_drift violation is
-	// wired automatically.
+	// checks; window/slot zero values take the obs defaults.
 	Quality obs.QualityConfig
-	// DriftBaseline, when set, enables live score-distribution
-	// collection and the GET /v1/drift comparison against it.
-	DriftBaseline *obs.DriftBaseline
-	// DriftBaselinePath is the provenance reported by /v1/drift.
-	DriftBaselinePath string
 	// Capture, when set, records plain match requests and response
 	// digests for lhmm replay.
 	Capture *Capture
@@ -174,13 +167,6 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 			userCB(degraded, violations)
 		}
 	}
-	if c.DriftBaseline != nil {
-		obs.DefaultDrift.Enable()
-		if qcfg.MaxDriftPSI > 0 && qcfg.DriftProbe == nil {
-			p := &driftProbe{base: c.DriftBaseline}
-			qcfg.DriftProbe = p.value
-		}
-	}
 	s.qm = obs.NewQualityMonitor(qcfg)
 	s.sess.Start()
 	s.mux = http.NewServeMux()
@@ -191,12 +177,11 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("GET /v1/quality", s.handleQuality)
-	s.mux.HandleFunc("GET /v1/drift", s.handleDrift)
 	s.mux.HandleFunc("POST /v1/reload", s.handleReload)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
+	s.mux.HandleFunc("GET /metrics", obs.PromHandler)
+	s.mux.HandleFunc("GET /metrics.json", obs.SnapshotHandler)
 	return s, nil
 }
 
@@ -651,17 +636,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.qm.Report())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.DriftBaseline != nil {
-		// Refresh the lhmm_drift_* gauges so every scrape carries the
-		// current comparison, not the last /v1/drift poll's.
-		s.compareDrift()
-	}
-	obs.PromHandler(w, r)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	obs.SnapshotHandler(w, r)
 }
