@@ -15,8 +15,7 @@
 //	GET    /v1/sessions/{id}          session progress counters
 //	DELETE /v1/sessions/{id}          discard a session
 //	POST   /v1/reload                 hot-reload model weights from -model
-//	GET    /v1/quality                windowed quality/SLO report
-//	GET    /healthz /readyz           liveness, readiness (with quality detail)
+//	GET    /healthz /readyz           liveness, readiness
 //	GET    /metrics /metrics.json     Prometheus text exposition, JSON snapshot
 //
 // SIGHUP also triggers a hot reload; SIGINT/SIGTERM drain in-flight
@@ -68,16 +67,6 @@ const (
 	// drainTimeout bounds the wait for in-flight matches on shutdown
 	// and for a SIGUSR2 sweep.
 	drainTimeout = 20 * time.Second
-
-	// The /v1/quality window and the rates past which /readyz says
-	// "degraded" (still 200), lhmm_serve_quality_degraded flips and one
-	// Warn line is logged. The windowed rates themselves are on
-	// /v1/quality and /metrics for anyone alerting at another level.
-	sloWindow       = time.Minute
-	sloDegradedRate = 0.05 // matches scored by the classical fallback
-	sloGapRate      = 0.20 // matches with gaps or breaks
-	sloEmptyRate    = 0.20 // requests failing with no candidates
-	sloShedRate     = 0.05 // requests shed by admission control
 )
 
 func run(args []string) error {
@@ -130,13 +119,6 @@ func run(args []string) error {
 		return fmt.Errorf("initial model load: %w", err)
 	}
 
-	quality := obs.QualityConfig{
-		Window:          sloWindow,
-		MaxDegradedRate: sloDegradedRate,
-		MaxGapRate:      sloGapRate,
-		MaxEmptyRate:    sloEmptyRate,
-		MaxShedRate:     sloShedRate,
-	}
 	var capture *serve.Capture
 	if *captureOut != "" {
 		capture, err = serve.OpenCaptureFile(*captureOut)
@@ -158,7 +140,6 @@ func run(args []string) error {
 			Dir:      *checkpointDir,
 			Interval: *checkpointInterval,
 		},
-		Quality: quality,
 		Capture: capture,
 	})
 	if err != nil {

@@ -195,7 +195,6 @@ func cmdTrain(args []string) error {
 	epochs := fs.Int("epochs", 4, "phase-1 training epochs")
 	k := fs.Int("k", 30, "candidates per point")
 	seed := fs.Int64("seed", 1, "training seed")
-	trace := fs.Bool("trace", false, "collect per-trajectory match traces during calibration")
 	cleanup, err := parseWithObs(fs, args)
 	if err != nil {
 		return err
@@ -210,7 +209,6 @@ func cmdTrain(args []string) error {
 	cfg.Epochs = *epochs
 	cfg.K = *k
 	cfg.Seed = *seed
-	cfg.Trace = *trace
 	model, err := lhmm.Train(ds, cfg)
 	if err != nil {
 		return err

@@ -25,14 +25,14 @@ var flagCommands = []string{
 // DESIGN §8d.
 const (
 	maxServeFlags = 14
-	maxTotalFlags = 95
+	maxTotalFlags = 94
 )
 
 // maxConfigFields is the ceiling on the exported fields of the four
 // config structs behind the flags. A field is added the way a flag is:
 // with the two callers that set it to different values named in
 // DESIGN §8d.
-const maxConfigFields = 35
+const maxConfigFields = 34
 
 var (
 	helpFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)

@@ -91,7 +91,6 @@ type Seq2Seq struct {
 
 func (s *Seq2Seq) eosClass() int { return s.numRoads }
 func (s *Seq2Seq) bosRow() int   { return s.numRoads }
-func (s *Seq2Seq) eosRow() int   { return s.numRoads + 1 }
 
 func newSeq2Seq(net *roadnet.Network, numTowers int, cfg Seq2SeqConfig) *Seq2Seq {
 	cfg = cfg.withDefaults()

@@ -37,13 +37,6 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Dot returns the dot product of p and q viewed as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
-// Cross returns the z-component of the cross product of p and q viewed
-// as vectors. Positive when q is counterclockwise from p.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q in meters.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 

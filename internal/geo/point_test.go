@@ -22,12 +22,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Dot(q); got != 3-8 {
 		t.Errorf("Dot = %v, want -5", got)
 	}
-	if got := p.Cross(q); got != 3*(-2)-4*1 {
-		t.Errorf("Cross = %v, want -10", got)
-	}
-	if got := p.Norm(); got != 5 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 }
 
 func TestDist(t *testing.T) {

@@ -18,17 +18,6 @@ func (pl Polyline) Length() float64 {
 	return total
 }
 
-// TotalTurn returns the sum of absolute turn angles (radians) along the
-// polyline — the paper's "number of turns" proxy used by the explicit
-// transition features (§IV-D).
-func (pl Polyline) TotalTurn() float64 {
-	var total float64
-	for i := 2; i < len(pl); i++ {
-		total += TurnAngle(pl[i-2], pl[i-1], pl[i])
-	}
-	return total
-}
-
 // At returns the point a distance d from the start, measured along the
 // polyline. d is clamped to [0, Length]. An empty polyline returns the
 // zero Point; a single-point polyline returns that point.

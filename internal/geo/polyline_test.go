@@ -119,17 +119,6 @@ func TestPolylineProjectProperty(t *testing.T) {
 	}
 }
 
-func TestTotalTurn(t *testing.T) {
-	straight := Polyline{Pt(0, 0), Pt(1, 0), Pt(2, 0), Pt(3, 0)}
-	if got := straight.TotalTurn(); got != 0 {
-		t.Errorf("straight TotalTurn = %v, want 0", got)
-	}
-	zigzag := Polyline{Pt(0, 0), Pt(1, 0), Pt(1, 1), Pt(2, 1)}
-	if got := zigzag.TotalTurn(); !almostEqual(got, math.Pi, 1e-12) {
-		t.Errorf("zigzag TotalTurn = %v, want pi", got)
-	}
-}
-
 func TestRect(t *testing.T) {
 	r := RectAround(Pt(0, 0), 10)
 	if !r.Contains(Pt(10, -10)) {

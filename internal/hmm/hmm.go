@@ -71,9 +71,8 @@ var (
 )
 
 // ErrNoCandidates marks a match abort caused by an empty candidate set
-// (one fatal dead point under BreakError, or every point dead). The
-// serving layer tests for it with errors.Is to feed the
-// empty-candidate quality signal.
+// (one fatal dead point under BreakError, or every point dead); callers
+// test for it with errors.Is.
 var ErrNoCandidates = errors.New("no candidates")
 
 // Candidate is one candidate road segment for one trajectory point

@@ -16,7 +16,3 @@ func init() {
 		return time.Since(processStart).Seconds()
 	})
 }
-
-// Uptime reports time since process start (the value behind the
-// lhmm_uptime_seconds derived gauge).
-func Uptime() time.Duration { return time.Since(processStart) }

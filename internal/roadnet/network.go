@@ -147,12 +147,6 @@ func (n *Network) Next(s SegmentID) []SegmentID {
 	return n.Out(n.segments[s].To)
 }
 
-// Prev returns the ids of segments that can precede s on a path.
-// The returned slice must not be modified.
-func (n *Network) Prev(s SegmentID) []SegmentID {
-	return n.In(n.segments[s].From)
-}
-
 // Bounds returns the bounding rectangle of all node positions.
 func (n *Network) Bounds() geo.Rect { return n.bounds }
 
@@ -178,17 +172,6 @@ func (si segItem) DistTo(p geo.Point) float64 { return si.shape.Dist(p) }
 // geometric distance from p to the segment polyline.
 func (n *Network) SegmentsNear(p geo.Point, k int) []SegmentID {
 	ids := n.index.Nearest(p, k)
-	out := make([]SegmentID, len(ids))
-	for i, id := range ids {
-		out[i] = SegmentID(id)
-	}
-	return out
-}
-
-// SegmentsWithin returns all segments within radius meters of p,
-// ascending by distance.
-func (n *Network) SegmentsWithin(p geo.Point, radius float64) []SegmentID {
-	ids := n.index.Within(p, radius)
 	out := make([]SegmentID, len(ids))
 	for i, id := range ids {
 		out[i] = SegmentID(id)

@@ -707,26 +707,3 @@ func (r *Router) search(from NodeID, targets []NodeID) (*ssspResult, int32) {
 	r.scratch.Put(s)
 	return t, last
 }
-
-// TravelTime returns the free-flow travel time of a route in seconds,
-// using each segment's speed. Clipped end segments are prorated by the
-// route's total distance.
-func (r *Router) TravelTime(route Route) float64 {
-	if len(route.Segs) == 0 {
-		return 0
-	}
-	var fullLen, fullTime float64
-	for _, sid := range route.Segs {
-		seg := r.net.Segment(sid)
-		fullLen += seg.Length
-		if seg.Speed > 0 {
-			fullTime += seg.Length / seg.Speed
-		}
-	}
-	if fullLen == 0 {
-		return 0
-	}
-	// Prorate: the route distance may be shorter than the sum of full
-	// segment lengths because the first/last segments are clipped.
-	return fullTime * math.Min(1, route.Dist/fullLen)
-}

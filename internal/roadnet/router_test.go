@@ -262,21 +262,6 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
-func TestTravelTime(t *testing.T) {
-	n := buildGrid(t, 3, 1)
-	r := NewRouter(n)
-	s01 := segBetween(t, n, 0, 1)
-	s12 := segBetween(t, n, 1, 2)
-	route, _ := r.RouteBetween(PointOnRoad{s01, 0}, PointOnRoad{s12, 1})
-	want := 200 / Local.DefaultSpeed()
-	if got := r.TravelTime(route); math.Abs(got-want) > 1e-9 {
-		t.Errorf("TravelTime = %v, want %v", got, want)
-	}
-	if got := r.TravelTime(Route{}); got != 0 {
-		t.Errorf("empty TravelTime = %v", got)
-	}
-}
-
 func TestNetworkRoundTrip(t *testing.T) {
 	n := buildGrid(t, 3, 2)
 	var buf bytes.Buffer

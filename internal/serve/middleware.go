@@ -74,7 +74,6 @@ func (s *Server) Handler() http.Handler {
 				slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status),
 				slog.Float64("duration_s", dur.Seconds()),
-				slog.Float64("p99_s", s.qm.P99()),
 			)
 		}
 	})

@@ -3,12 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -35,52 +34,53 @@ func (b *syncBuffer) Bytes() []byte {
 
 func (b *syncBuffer) String() string { return string(b.Bytes()) }
 
-// GET /v1/quality reports the windowed rates, echoes the thresholds,
-// and counts the traffic the match endpoint served.
-func TestQualityEndpoint(t *testing.T) {
+// scrapeCounter reads one unlabelled series off /metrics.
+func scrapeCounter(t *testing.T, url, name string) int64 {
+	t.Helper()
+	resp, body := getJSON(t, url+"/metrics")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: %d", resp.StatusCode)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("/metrics: %s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics carries no %s", name)
+	return 0
+}
+
+// Served matches and their latencies land on /metrics: three matches
+// add three to lhmm_serve_matches_total and at least three
+// observations to lhmm_serve_request_seconds.
+func TestMatchTrafficOnMetrics(t *testing.T) {
 	ds, m := fixture(t)
-	_, ts := testServer(t, m, Config{Quality: obs.QualityConfig{
-		Window:          time.Minute,
-		MaxDegradedRate: 0.5,
-		MaxP99:          10 * time.Second,
-	}})
+	_, ts := testServer(t, m, Config{})
 	tr := ds.TestTrips()[0]
+
+	matches := scrapeCounter(t, ts.URL, "lhmm_serve_matches_total")
+	observed := scrapeCounter(t, ts.URL, "lhmm_serve_request_seconds_count")
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/match", PointsRequest(tr.Cell))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("match %d: %d: %s", i, resp.StatusCode, body)
 		}
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/quality")
-	if err != nil {
-		t.Fatal(err)
+	if got := scrapeCounter(t, ts.URL, "lhmm_serve_matches_total") - matches; got != 3 {
+		t.Errorf("lhmm_serve_matches_total rose by %d, want 3", got)
 	}
-	var rep obs.QualityReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rep.Status != "ok" {
-		t.Errorf("status %q, want ok", rep.Status)
-	}
-	if rep.Matches != 3 || rep.Requests != 3 {
-		t.Errorf("counts %d/%d, want 3 matches of 3 requests", rep.Matches, rep.Requests)
-	}
-	if rep.WindowS != 60 {
-		t.Errorf("window %gs, want 60", rep.WindowS)
-	}
-	if rep.Thresholds.MaxDegradedRate != 0.5 || rep.Thresholds.MaxP99S != 10 {
-		t.Errorf("thresholds not echoed: %+v", rep.Thresholds)
-	}
-	if rep.P99S <= 0 {
-		t.Errorf("windowed p99 %g, want > 0 after 3 matches", rep.P99S)
+	if got := scrapeCounter(t, ts.URL, "lhmm_serve_request_seconds_count") - observed; got < 3 {
+		t.Errorf("lhmm_serve_request_seconds_count rose by %d, want >= 3", got)
 	}
 }
 
-// A session push that fails on a dead point counts in /v1/quality as an
-// empty-candidate request, as a failed /v1/match does.
-func TestQualityCountsFailedPushEmpty(t *testing.T) {
+// A session push that fails on a dead point answers 5xx and counts in
+// lhmm_serve_match_errors_total, as a failed /v1/match does.
+func TestFailedPushCountsMatchError(t *testing.T) {
 	_, m := fixture(t)
 	tr := sessionTrip(t)
 	_, ts := testServer(t, m, Config{})
@@ -88,6 +88,7 @@ func TestQualityCountsFailedPushEmpty(t *testing.T) {
 
 	id := createSession(t, ts.URL, 2)
 	pushPoints(t, ts.URL, id, tr[:1])
+	before := scrapeCounter(t, ts.URL, "lhmm_serve_match_errors_total")
 	if err := faultinject.Arm("hmm.candidates.empty"); err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +97,8 @@ func TestQualityCountsFailedPushEmpty(t *testing.T) {
 	if resp.StatusCode < 500 {
 		t.Fatalf("push of a dead point: %d (%s), want 5xx", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/match", PointsRequest(tr)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("match: %d (%s)", resp.StatusCode, body)
-	}
-
-	resp, body = getJSON(t, ts.URL+"/v1/quality")
-	var rep obs.QualityReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatalf("/v1/quality: %d: %v", resp.StatusCode, err)
-	}
-	if rep.Requests != 3 || rep.EmptyRate != 1.0/3 {
-		t.Fatalf("quality: %d requests, empty_rate %g; want 3 and 1/3", rep.Requests, rep.EmptyRate)
+	if got := scrapeCounter(t, ts.URL, "lhmm_serve_match_errors_total") - before; got != 1 {
+		t.Fatalf("lhmm_serve_match_errors_total rose by %d, want 1", got)
 	}
 }
 
@@ -254,23 +246,16 @@ func TestRequestTracingSpans(t *testing.T) {
 }
 
 // Forcing learned-scoring NaNs through the failpoints drives every
-// match degraded: the monitor crosses MaxDegradedRate, logs the warn
-// transition, flips the gauge, and /readyz reports the degraded detail
-// while staying 200.
-func TestQualityDegradedByFaultInjection(t *testing.T) {
+// match degraded: each response says so, lhmm_hmm_match_degraded_total
+// counts every fallback, and /readyz stays a plain 200 — a degraded
+// matcher still answers on the classical fallback. There is no quality
+// endpoint; the /metrics series are the quality signals.
+func TestDegradedByFaultInjection(t *testing.T) {
 	ds, m := fixture(t)
-	_, ts := testServer(t, m, Config{Quality: obs.QualityConfig{
-		Window:          time.Minute,
-		MinSamples:      2,
-		MaxDegradedRate: 0.05,
-	}})
+	_, ts := testServer(t, m, Config{})
 	tr := ds.TestTrips()[0]
 
-	var logs syncBuffer
-	old := obs.Logger()
-	obs.SetLogger(slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})))
-	defer obs.SetLogger(old)
-
+	before := scrapeCounter(t, ts.URL, "lhmm_hmm_match_degraded_total")
 	t.Cleanup(faultinject.DisarmAll)
 	// core.trans.nan poisons the batch scoring path (the learned
 	// model's), hmm.trans.nan the scalar one; arming both covers
@@ -278,6 +263,7 @@ func TestQualityDegradedByFaultInjection(t *testing.T) {
 	if err := faultinject.Arm("core.trans.nan,hmm.trans.nan"); err != nil {
 		t.Fatal(err)
 	}
+	var degraded int64
 	for i := 0; i < 3; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/match", PointsRequest(tr.Cell))
 		if resp.StatusCode != http.StatusOK {
@@ -290,50 +276,25 @@ func TestQualityDegradedByFaultInjection(t *testing.T) {
 		if mres.Degraded == 0 {
 			t.Fatalf("match %d not degraded under trans.nan faults", i)
 		}
+		degraded += int64(mres.Degraded)
 	}
 	faultinject.DisarmAll()
 
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	if got := scrapeCounter(t, ts.URL, "lhmm_hmm_match_degraded_total") - before; got < degraded {
+		t.Errorf("lhmm_hmm_match_degraded_total rose by %d, want >= %d", got, degraded)
 	}
+
+	resp, body := getJSON(t, ts.URL+"/readyz")
 	var ready map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&ready); err != nil {
+	if err := json.Unmarshal(body, &ready); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz %d, want 200 (degraded quality must not unready)", resp.StatusCode)
-	}
-	if ready["status"] != "ready" || ready["quality"] != "degraded" {
-		t.Errorf("/readyz %v, want status=ready quality=degraded", ready)
+	if resp.StatusCode != http.StatusOK || len(ready) != 1 || ready["status"] != "ready" {
+		t.Errorf("/readyz %d %v, want 200 {status: ready}", resp.StatusCode, ready)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/quality")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.QualityReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if rep.Status != "degraded" {
-		t.Errorf("quality status %q, want degraded", rep.Status)
-	}
-	hasViol := false
-	for _, v := range rep.Violations {
-		if v == "degraded_rate" {
-			hasViol = true
-		}
-	}
-	if !hasViol {
-		t.Errorf("violations %v missing degraded_rate", rep.Violations)
-	}
-
-	if out := logs.String(); !strings.Contains(out, "quality degraded") ||
-		!strings.Contains(out, "level=WARN") {
-		t.Errorf("no warn-level quality-degraded transition in logs:\n%s", out)
+	if resp, _ := getJSON(t, ts.URL+"/v1/quality"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/v1/quality: %d, want 404", resp.StatusCode)
 	}
 }
 

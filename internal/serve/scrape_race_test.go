@@ -10,8 +10,7 @@ import (
 // Hammers every observability surface concurrently with in-flight
 // matches. The assertions are thin on purpose: the test exists to give
 // the race detector (go test -race) maximal interleaving across the
-// metrics registry, quality monitor, and the serving
-// path at once.
+// metrics registry and the serving path at once.
 func TestConcurrentScrapesDuringMatches(t *testing.T) {
 	ds, m := fixture(t)
 	_, ts := testServer(t, m, Config{})
@@ -47,7 +46,7 @@ func TestConcurrentScrapesDuringMatches(t *testing.T) {
 		}(w)
 	}
 	// Scrapers: every read-side surface, concurrently.
-	for _, path := range []string{"/metrics", "/metrics.json", "/v1/quality", "/readyz", "/healthz"} {
+	for _, path := range []string{"/metrics", "/metrics.json", "/readyz", "/healthz"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()

@@ -36,14 +36,12 @@ import (
 
 // HTTP telemetry.
 var (
-	obsRequests   = obs.Default.Counter("serve.requests")
-	obsErrors     = obs.Default.Counter("serve.errors")
-	obsRequestS   = obs.Default.Histogram("serve.request.seconds", obs.LatencyBuckets)
-	obsDraining   = obs.Default.Gauge("serve.draining")
-	obsMatches    = obs.Default.Counter("serve.matches")
-	obsMatchErrs  = obs.Default.Counter("serve.match.errors")
-	obsQualityDeg = obs.Default.Gauge("serve.quality.degraded")
-	obsLowMargin  = obs.Default.Counter("serve.match.lowmargin")
+	obsRequests  = obs.Default.Counter("serve.requests")
+	obsErrors    = obs.Default.Counter("serve.errors")
+	obsRequestS  = obs.Default.Histogram("serve.request.seconds", obs.LatencyBuckets)
+	obsDraining  = obs.Default.Gauge("serve.draining")
+	obsMatches   = obs.Default.Counter("serve.matches")
+	obsMatchErrs = obs.Default.Counter("serve.match.errors")
 )
 
 const (
@@ -68,10 +66,6 @@ type Config struct {
 	DefaultLag int
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// Quality configures the online SLO monitor behind GET /v1/quality
-	// and the /readyz quality detail. Zero thresholds disable their
-	// checks; window/slot zero values take the obs defaults.
-	Quality obs.QualityConfig
 	// Capture, when set, records plain match requests and response
 	// digests for lhmm replay.
 	Capture *Capture
@@ -108,7 +102,6 @@ type Server struct {
 	reg  *Registry
 	sess *SessionManager
 	adm  *admission
-	qm   *obs.QualityMonitor
 	ckpt *Checkpointer // nil when checkpointing is disabled
 	mux  *http.ServeMux
 
@@ -153,21 +146,6 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 		}
 		ck.Start()
 	}
-	// The quality monitor mirrors its status into a gauge on top of any
-	// caller-provided transition hook.
-	qcfg := c.Quality
-	userCB := qcfg.OnTransition
-	qcfg.OnTransition = func(degraded bool, violations []string) {
-		if degraded {
-			obsQualityDeg.Set(1)
-		} else {
-			obsQualityDeg.Set(0)
-		}
-		if userCB != nil {
-			userCB(degraded, violations)
-		}
-	}
-	s.qm = obs.NewQualityMonitor(qcfg)
 	s.sess.Start()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/match", s.handleMatch)
@@ -176,7 +154,6 @@ func New(reg *Registry, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/finish", s.handleSessionFinish)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	s.mux.HandleFunc("GET /v1/quality", s.handleQuality)
 	s.mux.HandleFunc("POST /v1/reload", s.handleReload)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -387,7 +364,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.acquire(r.Context())
 	asp.End()
 	if err != nil {
-		s.recordMatchFailure(err)
 		writeError(w, errorCode(err), err)
 		return
 	}
@@ -410,19 +386,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	matchStart := time.Now()
 	res, err := mm.MatchContext(ctx, ct)
 	if err != nil {
 		obsMatchErrs.Inc()
-		s.recordMatchFailure(err)
 		writeError(w, errorCode(err), err)
 		return
 	}
 	obsMatches.Inc()
-	s.qm.RecordMatch(time.Since(matchStart), res.Degraded > 0, len(res.Gaps) > 0)
-	if res.Explain != nil && res.Explain.LowMarginDecisions > 0 {
-		obsLowMargin.Add(int64(res.Explain.LowMarginDecisions))
-	}
 	switch {
 	case debug || explain:
 		// Debug/explain blocks are strictly appended after the embedded
@@ -449,20 +419,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Capture.Record(&req, mm, res, buf.Bytes())
 	default:
 		writeJSON(w, http.StatusOK, ResultJSON(res))
-	}
-}
-
-// recordMatchFailure feeds a failed matching request into the quality
-// monitor under the right signal: shed, empty-candidate, or plain
-// error.
-func (s *Server) recordMatchFailure(err error) {
-	switch {
-	case errors.Is(err, errOverloaded):
-		s.qm.RecordShed()
-	case errors.Is(err, hmm.ErrNoCandidates):
-		s.qm.RecordEmpty()
-	default:
-		s.qm.RecordError()
 	}
 }
 
@@ -532,7 +488,6 @@ func (s *Server) handleSessionPush(w http.ResponseWriter, r *http.Request) {
 	release, err := s.adm.acquire(r.Context())
 	asp.End()
 	if err != nil {
-		s.recordMatchFailure(err)
 		writeError(w, errorCode(err), err)
 		return
 	}
@@ -540,8 +495,7 @@ func (s *Server) handleSessionPush(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	defer s.wg.Done()
 
-	pushStart := time.Now()
-	fin, dropped, degDelta, err := sess.push(ct, pushStart)
+	fin, dropped, degDelta, err := sess.push(ct, time.Now())
 	if s.ckpt != nil {
 		// On-push async checkpoint (deduplicated; also on the error
 		// path, since points before the failure were absorbed).
@@ -549,11 +503,9 @@ func (s *Server) handleSessionPush(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		obsMatchErrs.Inc()
-		s.recordMatchFailure(err)
 		writeError(w, errorCode(err), err)
 		return
 	}
-	s.qm.RecordMatch(time.Since(pushStart), degDelta > 0, false)
 	writeJSON(w, http.StatusOK, PushResponse{
 		Finalized: fin,
 		Pending:   sess.status().Pending,
@@ -624,16 +576,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("serve: draining"))
 	case s.reg.Model() == nil:
 		writeError(w, http.StatusServiceUnavailable, errors.New("serve: no model loaded"))
-	case s.qm.Degraded():
-		// Degraded quality is a detail, not unreadiness: the service
-		// still answers (possibly on the classical fallback), so
-		// pulling it from rotation would only shift load elsewhere.
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "quality": "degraded"})
 	default:
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	}
-}
-
-func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.qm.Report())
 }

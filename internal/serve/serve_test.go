@@ -483,7 +483,7 @@ func TestHealthReadyMetrics(t *testing.T) {
 	_, m := fixture(t)
 	_, ts := testServer(t, m, Config{})
 
-	for _, ep := range []string{"/healthz", "/readyz", "/metrics.json", "/v1/quality"} {
+	for _, ep := range []string{"/healthz", "/readyz", "/metrics.json"} {
 		resp, err := http.Get(ts.URL + ep)
 		if err != nil {
 			t.Fatal(err)

@@ -115,7 +115,7 @@ func newRestoredSession(snap *core.StreamSnapshot, wh [32]byte, now time.Time) *
 // push feeds points through the session's matcher under its writer
 // lock and reports the newly finalized matches in wire form, the
 // drop-mode sanitization count, and the degraded-scoring delta this
-// batch caused (the quality monitor's per-push signal).
+// batch caused.
 func (s *Session) push(pts traj.CellTrajectory, now time.Time) (fin []MatchedPoint, dropped, degraded int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

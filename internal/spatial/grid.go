@@ -347,24 +347,6 @@ func (g *Grid) scratch() *nearScratch {
 	return sc
 }
 
-// InRect returns the ids of all items whose bounds intersect r, in
-// ascending id order.
-func (g *Grid) InRect(r geo.Rect) []int {
-	seen := make(map[int]bool)
-	var ids []int
-	g.forCandidates(r, func(id int) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		if g.items[id].Bounds().Intersects(r) {
-			ids = append(ids, id)
-		}
-	})
-	sort.Ints(ids)
-	return ids
-}
-
 // forCandidates calls fn for every item id stored in a cell overlapping
 // r. Ids may repeat across cells; callers deduplicate.
 func (g *Grid) forCandidates(r geo.Rect, fn func(id int)) {

@@ -166,19 +166,6 @@ func TestSegmentItems(t *testing.T) {
 	}
 }
 
-func TestInRect(t *testing.T) {
-	bounds := geo.RectAround(geo.Pt(0, 0), 500)
-	g := NewGrid(bounds, 50)
-	a := g.Insert(SegmentItem{geo.Segment{A: geo.Pt(0, 0), B: geo.Pt(100, 0)}})
-	b := g.Insert(PointItem{geo.Pt(200, 200)})
-	g.Insert(PointItem{geo.Pt(-400, -400)})
-
-	got := g.InRect(geo.Rect{Min: geo.Pt(-10, -10), Max: geo.Pt(250, 250)})
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("InRect = %v, want [%d %d]", got, a, b)
-	}
-}
-
 func TestInsertOutsideBoundsStillFindable(t *testing.T) {
 	g := NewGrid(geo.RectAround(geo.Pt(0, 0), 100), 25)
 	id := g.Insert(PointItem{geo.Pt(5000, 5000)}) // far outside

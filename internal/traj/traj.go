@@ -49,15 +49,6 @@ func (ct CellTrajectory) Duration() float64 {
 	return ct[len(ct)-1].T - ct[0].T
 }
 
-// MeanInterval returns the mean sampling interval in seconds, or 0 for
-// trajectories with fewer than two points.
-func (ct CellTrajectory) MeanInterval() float64 {
-	if len(ct) < 2 {
-		return 0
-	}
-	return ct.Duration() / float64(len(ct)-1)
-}
-
 // MaxInterval returns the longest gap between consecutive samples.
 func (ct CellTrajectory) MaxInterval() float64 {
 	var m float64

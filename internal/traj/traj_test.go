@@ -23,9 +23,6 @@ func TestTrajectoryAccessors(t *testing.T) {
 	if d := ct.Duration(); d != 120 {
 		t.Errorf("Duration = %v", d)
 	}
-	if mi := ct.MeanInterval(); mi != 60 {
-		t.Errorf("MeanInterval = %v", mi)
-	}
 	if mi := ct.MaxInterval(); mi != 60 {
 		t.Errorf("MaxInterval = %v", mi)
 	}
@@ -34,7 +31,7 @@ func TestTrajectoryAccessors(t *testing.T) {
 		t.Errorf("SamplingDistances = %v", dists)
 	}
 	empty := CellTrajectory{}
-	if empty.Duration() != 0 || empty.MeanInterval() != 0 || empty.SamplingDistances() != nil {
+	if empty.Duration() != 0 || empty.SamplingDistances() != nil {
 		t.Error("empty trajectory accessors not zero")
 	}
 }
