@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	lhmm "repro"
+	"repro/internal/nn"
 	"repro/internal/serve"
 	"repro/internal/shadow"
 	"repro/internal/traj"
@@ -204,10 +205,25 @@ func TestReplayAgainst(t *testing.T) {
 	}
 
 	// rewrite saves a copy of the model with edit applied to every
-	// tensor's weights.
+	// tensor's weights. The copy is built as a trainable model (a
+	// skeleton at the trained dim 8, then the file's weights, no
+	// freeze): a loaded model is inference-only and cannot be saved.
 	rewrite := func(name string, edit func(w []float64)) string {
-		m, err := loadModel(ds, model, 8)
+		raw, err := os.ReadFile(model)
 		if err != nil {
+			t.Fatal(err)
+		}
+		pf, err := nn.ReadParams(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := lhmm.DefaultConfig()
+		cfg.Dim, cfg.K = 8, 8
+		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pf.Apply(m.AllParams()); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range m.AllParams() {

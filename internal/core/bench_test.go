@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/hmm"
 	"repro/internal/mrg"
@@ -178,6 +181,80 @@ func BenchmarkStreamPush(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(ct)), "points/trip")
+}
+
+// BenchmarkStreamSessionState prices what one stream session keeps as
+// it grows: a learned stream (NewStream(2)) at the repository
+// benchmark's shape — dim 128, the default k — on an untrained model,
+// after 50, 300 and 3,000 pushed points. It reports the session's live
+// heap (heap_B/session, read after a warm-up session has filled the
+// model's router cache), its lhmm-session/v3 snapshot size (snapshot_B)
+// and the time its pushes took (push_s/session); ns/op is one
+// EncodeStreamSnapshot. The points are the
+// fixture's trips laid end to end, repeated as needed, one every 30 s.
+func BenchmarkStreamSessionState(b *testing.B) {
+	d := testDataset(b, 10)
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.RefreshEmbeddings()
+	var trips traj.CellTrajectory
+	for _, tr := range d.Trips {
+		trips = append(trips, tr.Cell...)
+	}
+	wh := m.WeightsHash()
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second drops what sync.Pools held
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, n := range []int{50, 300, 3000} {
+		ct := make(traj.CellTrajectory, n)
+		for i := range ct {
+			ct[i] = trips[i%len(trips)]
+			ct[i].T = 30 * float64(i)
+		}
+		push := func() *hmm.StreamMatcher {
+			sm := m.NewStream(2)
+			for _, p := range ct {
+				if _, err := sm.Push(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return sm
+		}
+		var sm *hmm.StreamMatcher
+		var held int64
+		var pushS float64
+		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			// b.Run calls this more than once, and pushing is slow at
+			// 3,000 points: the session is built on the first call.
+			if sm == nil {
+				push() // fills the router cache, which the model owns
+				before := heap()
+				t0 := time.Now()
+				sm = push()
+				pushS = time.Since(t0).Seconds()
+				held = heap() - before
+			}
+			var snap []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if snap, err = EncodeStreamSnapshot(sm, "bench", wh); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(held), "heap_B/session")
+			b.ReportMetric(float64(len(snap)), "snapshot_B")
+			b.ReportMetric(pushS, "push_s/session")
+		})
+	}
 }
 
 // BenchmarkPhase1Batch is one phase-1 step's forward and backward over

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/hmm"
 	"repro/internal/nn"
+	"repro/internal/traj"
 )
 
 // refEmbeddings is the embedding oracle of the frozen model: the tape
@@ -27,14 +32,15 @@ func refRefresh(m *Model) {
 }
 
 // checkTowerRows asserts that the model holds exactly one frozen row per
-// tower, bit-equal to the oracle's tower rows.
-func checkTowerRows(t *testing.T, m *Model, when string) {
+// tower, bit-equal to the oracle's tower rows over src, the model m was
+// frozen from that still holds its encoder (m itself, unless loaded).
+func checkTowerRows(t *testing.T, m, src *Model, when string) {
 	t.Helper()
 	emb := m.Embeddings()
 	if emb == nil || emb.R != m.Graph.NumTowers || emb.C != m.Cfg.Dim {
 		t.Fatalf("%s: Embeddings() is %+v, want %d×%d tower rows", when, emb, m.Graph.NumTowers, m.Cfg.Dim)
 	}
-	ref := refEmbeddings(m)
+	ref := refEmbeddings(src)
 	for i, w := range ref.Rows(0, m.Graph.NumTowers).W {
 		if math.Float64bits(emb.W[i]) != math.Float64bits(w) {
 			t.Fatalf("%s: tower embedding[%d] = %v, tape %v", when, i, emb.W[i], w)
@@ -53,29 +59,18 @@ func TestFrozenModelHoldsTowerRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTowerRows(t, m, "after Train")
+	checkTowerRows(t, m, m, "after Train")
 
 	m2 := savedAndLoaded(t, d, cfg, m)
-	checkTowerRows(t, m2, "after New + Load")
+	checkTowerRows(t, m2, m, "after New + Load")
 	if m2.WeightsHash() != m.WeightsHash() {
 		t.Fatal("Save → Load changed WeightsHash")
 	}
-	path := filepath.Join(t.TempDir(), "model.lhmm")
-	f, err := os.Create(path)
+	m3, err := LoadModel(d, savedFile(t, m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m3, err := LoadModel(d, path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTowerRows(t, m3, "after LoadModel")
+	checkTowerRows(t, m3, m, "after LoadModel")
 	if m3.WeightsHash() != m.WeightsHash() {
 		t.Fatal("Save → LoadModel changed WeightsHash")
 	}
@@ -104,4 +99,141 @@ func TestFrozenModelHoldsTowerRows(t *testing.T) {
 	if 2*frozen >= tape {
 		t.Fatalf("RefreshEmbeddings allocates %d B/op, not under half the tape refresh's %d", frozen, tape)
 	}
+}
+
+// savedFile saves m into a fresh weights file and returns its path.
+func savedFile(t *testing.T, m *Model) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.lhmm")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadedModelIsInferenceOnly: New + Load and LoadModel each return a
+// model without the encoder or the graph's relation adjacencies, which
+// matches every test trip as the trained model does, bit for bit — the
+// batch path and per-point Viterbi scores, and the stream's emissions at
+// lags 0, 2 and past the trip's end — and has the trained model's
+// WeightsHash; Save refuses it without writing a byte, and
+// RefreshEmbeddings panics, both with ErrInferenceOnly.
+func TestLoadedModelIsInferenceOnly(t *testing.T) {
+	d := testDataset(t, 12)
+	cfg := fastConfig()
+	m, err := Train(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := LoadModel(d, savedFile(t, m), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		loaded *Model
+	}{
+		{"New + Load", savedAndLoaded(t, d, cfg, m)},
+		{"LoadModel", fromFile},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := c.loaded
+			if l.Enc != nil {
+				t.Fatal("the loaded model holds its encoder")
+			}
+			if g := l.Graph; g.CO != nil || g.SQ != nil || g.TP != nil {
+				t.Fatal("the loaded model's graph holds its relation adjacencies")
+			}
+			checkSameMatches(t, m, l, d.TestTrips())
+			if l.WeightsHash() != m.WeightsHash() {
+				t.Fatal("the loaded model's WeightsHash differs from the trained model's")
+			}
+			var buf bytes.Buffer
+			if err := l.Save(&buf); !errors.Is(err, ErrInferenceOnly) || buf.Len() != 0 {
+				t.Fatalf("Save: error %v after %d bytes, want ErrInferenceOnly after none", err, buf.Len())
+			}
+			defer func() {
+				if r := recover(); r != ErrInferenceOnly {
+					t.Fatalf("RefreshEmbeddings panicked with %v, want ErrInferenceOnly", r)
+				}
+			}()
+			l.RefreshEmbeddings()
+		})
+	}
+}
+
+// checkSameMatches asserts that got matches every trip exactly as want
+// does: the batch path and score, each point's candidates and chosen
+// Viterbi score (the Explain artifact), and the stream's emissions at
+// lags 0, 2 and n, all compared by Float64bits.
+func checkSameMatches(t *testing.T, want, got *Model, trips []*traj.Trip) {
+	t.Helper()
+	want.Cfg.Explain, got.Cfg.Explain = true, true
+	defer func() { want.Cfg.Explain, got.Cfg.Explain = false, false }()
+	for n, tr := range trips {
+		a, err := want.Match(tr.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Match(tr.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Path, b.Path) || !slices.Equal(matchBits(a), matchBits(b)) {
+			t.Fatalf("trip %d: batch match differs from the trained model's", n)
+		}
+		for _, lag := range []int{0, 2, len(tr.Cell)} {
+			if !slices.Equal(streamBits(t, want, tr.Cell, lag), streamBits(t, got, tr.Cell, lag)) {
+				t.Fatalf("trip %d: stream emissions at lag %d differ from the trained model's", n, lag)
+			}
+		}
+	}
+}
+
+// matchBits flattens a batch result's score, its matched candidates and
+// its per-point explanation (every listed candidate, the chosen
+// accumulated score and step weight) into float bits.
+func matchBits(res *hmm.Result) []uint64 {
+	out := []uint64{math.Float64bits(res.Score)}
+	out = candBits(out, res.Matched)
+	for _, p := range res.Explain.Points {
+		for _, c := range p.Candidates {
+			out = append(out, uint64(c.Seg), math.Float64bits(c.Obs))
+		}
+		if ch := p.Chosen; ch != nil {
+			out = append(out, uint64(ch.Seg), math.Float64bits(ch.Score), math.Float64bits(ch.TransScore))
+		}
+	}
+	return out
+}
+
+// streamBits pushes ct through a stream at the given lag and flattens
+// every emitted candidate into float bits.
+func streamBits(t *testing.T, m *Model, ct traj.CellTrajectory, lag int) []uint64 {
+	t.Helper()
+	sm := m.NewStream(lag)
+	var out []uint64
+	for _, p := range ct {
+		emitted, err := sm.Push(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = candBits(out, emitted)
+	}
+	return candBits(out, sm.Flush())
+}
+
+// candBits appends each candidate's segment and float fields as bits.
+func candBits(out []uint64, cs []hmm.Candidate) []uint64 {
+	for _, c := range cs {
+		out = append(out, uint64(c.Seg), math.Float64bits(c.Frac), math.Float64bits(c.Dist), math.Float64bits(c.Obs))
+	}
+	return out
 }

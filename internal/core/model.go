@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +18,9 @@ import (
 
 // Model is a trained LHMM: the multi-relational graph and encoder, the
 // observation and transition probability learners, and frozen node
-// embeddings for inference.
+// embeddings for inference. A model Load or LoadModel returns is
+// inference-only: it has released the encoder (Enc is nil) and the
+// graph's relation adjacencies, which matching never reads.
 type Model struct {
 	Cfg Config
 
@@ -26,7 +29,7 @@ type Model struct {
 	Router *roadnet.Router
 	Graph  *mrg.Graph
 
-	Enc *mrg.Encoder
+	Enc *mrg.Encoder // nil once released (inference-only)
 
 	// Observation learner (§IV-C).
 	ObsAtt  *nn.Attention // Eq. 6: context-aware point representation
@@ -76,7 +79,16 @@ type Model struct {
 	// hyper-parameters on validation, §V-A2). Stored as a parameter so
 	// Save/Load round-trips it.
 	transGamma *nn.Param
+
+	// weightsHash is WeightsHash as release recorded it, read once Enc
+	// is nil and the encoder's weights can no longer be hashed.
+	weightsHash [32]byte
 }
+
+// ErrInferenceOnly is what Save returns, and RefreshEmbeddings panics
+// with, on a model Load or LoadModel returned: it has released its
+// encoder, so it can neither write every weight nor refreeze.
+var ErrInferenceOnly = errors.New("core: model is inference-only: a loaded model releases its encoder; save the trained model, as lhmm train does")
 
 // encoderRounds is the number of Het-Graph Encoder message-passing
 // iterations q (paper: 2).
@@ -121,9 +133,13 @@ func New(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) 
 	return m, nil
 }
 
-// implicitParams returns the parameters trained in phase 1.
+// implicitParams returns the parameters trained in phase 1 (without
+// the encoder's once it is released).
 func (m *Model) implicitParams() []*nn.Param {
-	ps := m.Enc.Params()
+	var ps []*nn.Param
+	if m.Enc != nil {
+		ps = m.Enc.Params()
+	}
 	ps = append(ps, m.ObsAtt.Params()...)
 	ps = append(ps, m.ObsMLP.Params()...)
 	ps = append(ps, m.TransAtt.Params()...)
@@ -139,7 +155,7 @@ func (m *Model) fuseParams() []*nn.Param {
 }
 
 // AllParams returns every trainable parameter plus serialized
-// calibration state.
+// calibration state; on a released model, all but the encoder's.
 func (m *Model) AllParams() []*nn.Param {
 	ps := append(m.implicitParams(), m.fuseParams()...)
 	return append(ps, m.distScale, m.transGamma)
@@ -153,8 +169,12 @@ func (m *Model) AllParams() []*nn.Param {
 // Eq. 7's and Eq. 10's first layers (obsSeg, transSeg) and the query
 // half of Eq. 9's scores (transQ) — and freezes only the tower rows in
 // emb. Segments occupy one contiguous node range after the towers. Call
-// after training and before matching.
+// after training and before matching. It panics with ErrInferenceOnly
+// on a released model.
 func (m *Model) RefreshEmbeddings() {
+	if m.Enc == nil {
+		panic(ErrInferenceOnly)
+	}
 	g := m.Graph
 	h := m.Enc.Embed(m.Enc.Field(g, nil))
 	m.segTables(h.Rows(g.NumTowers, g.NumNodes()))
@@ -219,19 +239,36 @@ func (m *Model) gaussArg(d float64) float64 {
 	return -0.5 * z * z
 }
 
-// Save writes all model weights.
+// Save writes all model weights. A released model has none of the
+// encoder's left to write and returns ErrInferenceOnly, writing nothing.
 func (m *Model) Save(w io.Writer) error {
+	if m.Enc == nil {
+		return ErrInferenceOnly
+	}
 	return nn.SaveParams(w, m.AllParams())
 }
 
 // Load restores model weights written by Save into a model constructed
-// with the same configuration and dataset, then refreshes embeddings.
+// with the same configuration and dataset, refreshes embeddings, and
+// releases the encoder: the model is inference-only afterwards.
 func (m *Model) Load(r io.Reader) error {
 	if err := nn.LoadParams(r, m.AllParams()); err != nil {
 		return err
 	}
 	m.RefreshEmbeddings()
+	m.release()
 	return nil
+}
+
+// release makes a frozen model inference-only. It records WeightsHash,
+// then drops what only the encoder reads: the encoder (the |V|×d
+// enc.init table and the round weights) and the graph's relation
+// adjacencies. Matching reads the tower rows, the per-segment tables and
+// the co-occurrence counts, which stay.
+func (m *Model) release() {
+	m.weightsHash = m.WeightsHash()
+	m.Enc = nil
+	m.Graph.ReleaseRelations()
 }
 
 // LoadModel builds a model over ds for the weights file at path and
@@ -239,7 +276,7 @@ func (m *Model) Load(r io.Reader) error {
 // file (the column count of the encoder's initial embedding table), so
 // cfg.Dim is ignored; cfg.Seed only seeds weights the file overwrites.
 // The file is decoded once and validated in full, as Load does, before
-// any weight is written.
+// any weight is written; the model is inference-only, as Load leaves it.
 func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -262,5 +299,6 @@ func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	m.RefreshEmbeddings()
+	m.release()
 	return m, nil
 }

@@ -101,16 +101,17 @@ func TestObsPathsBitEqual(t *testing.T) {
 }
 
 // checkObsSegTable recomputes obsSeg[s] = h(s)·W1_seg + b1 from scratch
-// with plain loops, h(s) segment s's row of refEmbeddings, and compares
-// it to the frozen table.
-func checkObsSegTable(t *testing.T, m *Model, when string) {
+// with plain loops, h(s) segment s's row of refEmbeddings over src (the
+// model m was frozen from that still holds its encoder: m itself, unless
+// loaded), and compares it to the frozen table.
+func checkObsSegTable(t *testing.T, m, src *Model, when string) {
 	t.Helper()
 	d := m.Cfg.Dim
 	l1 := m.ObsMLP.Layers[0]
 	if m.obsSeg == nil || m.obsSeg.R != m.Net.NumSegments() || m.obsSeg.C != d {
 		t.Fatalf("%s: obsSeg table missing or misshapen: %+v", when, m.obsSeg)
 	}
-	ref := refEmbeddings(m)
+	ref := refEmbeddings(src)
 	for s := 0; s < m.obsSeg.R; s++ {
 		emb := ref.Row(m.Graph.SegNode(roadnet.SegmentID(s)))
 		for j := 0; j < d; j++ {
@@ -127,9 +128,10 @@ func checkObsSegTable(t *testing.T, m *Model, when string) {
 }
 
 // TestObsSegTableFollowsWeights: the table is rebuilt wherever the
-// weights it is derived from change hands — Train, Load, and an explicit
-// RefreshEmbeddings after a weight edit — and the edit shows in the
-// scores once refreshed.
+// weights it is derived from change hands — Train, Load (bit-equal to the
+// trained model's, tower rows too), and an explicit RefreshEmbeddings
+// after a weight edit to the trained model (a loaded one is
+// inference-only) — and the edit shows in the scores once refreshed.
 func TestObsSegTableFollowsWeights(t *testing.T) {
 	d := testDataset(t, 12)
 	cfg := fastConfig()
@@ -137,26 +139,24 @@ func TestObsSegTableFollowsWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkObsSegTable(t, m, "after Train")
+	checkObsSegTable(t, m, m, "after Train")
 
 	m2 := savedAndLoaded(t, d, cfg, m)
-	checkObsSegTable(t, m2, "after Load")
-	for i, v := range m.obsSeg.W {
-		if m2.obsSeg.W[i] != v {
-			t.Fatalf("loaded table differs from trained at %d: %v vs %v", i, m2.obsSeg.W[i], v)
-		}
+	checkObsSegTable(t, m2, m, "after Load")
+	if !slices.Equal(bitsOf(m2.obsSeg.W), bitsOf(m.obsSeg.W)) || !slices.Equal(bitsOf(m2.emb.W), bitsOf(m.emb.W)) {
+		t.Fatal("loaded table or tower rows differ from the trained model's")
 	}
 
 	ct := d.TestTrips()[0].Cell
 	layer := func() []hmm.Candidate {
-		return m2.newSession(ct).Candidates(ct, 0, m2.Cfg.K)
+		return m.newSession(ct).Candidates(ct, 0, m.Cfg.K)
 	}
 	before := layer()
 	// Row 0 of W1 is in the segment half (rows < d), so only the table
 	// carries this edit into the scores.
-	m2.ObsMLP.Layers[0].W.W.W[0] += 0.5
-	m2.RefreshEmbeddings()
-	checkObsSegTable(t, m2, "after weight edit + RefreshEmbeddings")
+	m.ObsMLP.Layers[0].W.W.W[0] += 0.5
+	m.RefreshEmbeddings()
+	checkObsSegTable(t, m, m, "after weight edit + RefreshEmbeddings")
 	after := layer()
 	changed := len(before) != len(after)
 	for j := 0; !changed && j < len(before); j++ {

@@ -96,8 +96,12 @@ var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // the entry section Save writes (nn.WriteParamEntries). Two models with
 // equal hashes score identically; the frozen embeddings are a
 // deterministic function of the encoder parameters and the graph, so
-// they are covered transitively.
+// they are covered transitively. A released model returns the digest
+// recorded before its encoder went.
 func (m *Model) WeightsHash() [32]byte {
+	if m.Enc == nil {
+		return m.weightsHash
+	}
 	h := sha256.New()
 	nn.WriteParamEntries(h, m.AllParams()) // a hash.Hash never fails a Write
 	var out [32]byte

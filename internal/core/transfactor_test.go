@@ -190,9 +190,10 @@ func TestRoadProbPathsBitEqual(t *testing.T) {
 
 // checkTransTables recomputes transSeg[s] = h(s)·W1_seg + b1 and
 // transQ[s] = w_v[:h]·tanh(W_q·h(s)) from scratch with plain loops, h(s)
-// segment s's row of refEmbeddings, and compares them to the frozen
-// tables.
-func checkTransTables(t *testing.T, m *Model, when string) {
+// segment s's row of refEmbeddings over src (the model m was frozen from
+// that still holds its encoder: m itself, unless loaded), and compares
+// them to the frozen tables.
+func checkTransTables(t *testing.T, m, src *Model, when string) {
 	t.Helper()
 	d, h := m.Cfg.Dim, attDim(m.Cfg.Dim)
 	l1 := m.TransMLP.Layers[0]
@@ -200,7 +201,7 @@ func checkTransTables(t *testing.T, m *Model, when string) {
 	if m.transSeg == nil || m.transSeg.R != nSeg || m.transSeg.C != d || len(m.transQ) != nSeg {
 		t.Fatalf("%s: tables missing or misshapen: transSeg %+v, %d transQ", when, m.transSeg, len(m.transQ))
 	}
-	ref := refEmbeddings(m)
+	ref := refEmbeddings(src)
 	for s := 0; s < nSeg; s++ {
 		emb := ref.Row(m.Graph.SegNode(roadnet.SegmentID(s)))
 		for j := 0; j < d; j++ {
@@ -229,9 +230,10 @@ func checkTransTables(t *testing.T, m *Model, when string) {
 
 // TestTransTablesFollowWeights: the tables are rebuilt wherever the
 // weights they derive from change hands — Train, Load, and an explicit
-// RefreshEmbeddings after a weight edit — and an edit to either learner
-// shows in the scores once refreshed. A model that was only loaded holds
-// no gradient matrices.
+// RefreshEmbeddings after a weight edit to the trained model (a loaded
+// one is inference-only) — and an edit to either learner shows in the
+// scores once refreshed. A model that was only loaded holds the trained
+// model's tables and tower rows bit for bit, and no gradient matrices.
 func TestTransTablesFollowWeights(t *testing.T) {
 	d := testDataset(t, 12)
 	cfg := fastConfig()
@@ -239,12 +241,13 @@ func TestTransTablesFollowWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTransTables(t, m, "after Train")
+	checkTransTables(t, m, m, "after Train")
 
 	m2 := savedAndLoaded(t, d, cfg, m)
-	checkTransTables(t, m2, "after Load")
-	if !slices.Equal(m2.transSeg.W, m.transSeg.W) || !slices.Equal(m2.transQ, m.transQ) {
-		t.Fatal("loaded tables differ from the trained model's")
+	checkTransTables(t, m2, m, "after Load")
+	if !slices.Equal(bitsOf(m2.transSeg.W), bitsOf(m.transSeg.W)) || !slices.Equal(bitsOf(m2.transQ), bitsOf(m.transQ)) ||
+		!slices.Equal(bitsOf(m2.emb.W), bitsOf(m.emb.W)) {
+		t.Fatal("loaded tables or tower rows differ from the trained model's")
 	}
 	for _, p := range m2.AllParams() {
 		if p.Grad != nil {
@@ -253,14 +256,14 @@ func TestTransTablesFollowWeights(t *testing.T) {
 	}
 
 	ct := d.TestTrips()[0].Cell
-	segs := allSegs(m2)
-	scores := func() []float64 { return kernelRoadProbs(m2.newSession(ct), segs) }
+	segs := allSegs(m)
+	scores := func() []float64 { return kernelRoadProbs(m.newSession(ct), segs) }
 	before := scores()
 	// Row 0 of W1 is in the segment half (rows < dim), so only transSeg
 	// carries this edit into the scores.
-	m2.TransMLP.Layers[0].W.W.W[0] += 0.5
-	m2.RefreshEmbeddings()
-	checkTransTables(t, m2, "after TransMLP edit + RefreshEmbeddings")
+	m.TransMLP.Layers[0].W.W.W[0] += 0.5
+	m.RefreshEmbeddings()
+	checkTransTables(t, m, m, "after TransMLP edit + RefreshEmbeddings")
 	afterMLP := scores()
 	if slices.Equal(before, afterMLP) {
 		t.Fatal("editing a TransMLP first-layer weight and refreshing left every score unchanged")
@@ -268,15 +271,25 @@ func TestTransTablesFollowWeights(t *testing.T) {
 	// W_q reaches inference through transQ alone. Under the attention as
 	// implemented the query half cancels in the softmax (ROADMAP item 1),
 	// so the table is what can be checked, not the scores.
-	qBefore := append([]float64(nil), m2.transQ...)
-	for i := range m2.TransAtt.Wq.W.W {
-		m2.TransAtt.Wq.W.W[i] *= -3
+	qBefore := append([]float64(nil), m.transQ...)
+	for i := range m.TransAtt.Wq.W.W {
+		m.TransAtt.Wq.W.W[i] *= -3
 	}
-	m2.RefreshEmbeddings()
-	checkTransTables(t, m2, "after TransAtt edit + RefreshEmbeddings")
-	if slices.Equal(qBefore, m2.transQ) {
+	m.RefreshEmbeddings()
+	checkTransTables(t, m, m, "after TransAtt edit + RefreshEmbeddings")
+	if slices.Equal(qBefore, m.transQ) {
 		t.Fatal("editing TransAtt.Wq and refreshing left transQ unchanged")
 	}
+}
+
+// bitsOf returns the Float64bits of each value, so that slices.Equal
+// compares floats bit for bit.
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 // TestTransTablesConcurrentReaders: the tables are read-only after

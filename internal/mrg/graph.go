@@ -204,6 +204,14 @@ func BuildGraph(net *roadnet.Network, cells *cellular.Net, trips []*traj.Trip) (
 	return g, nil
 }
 
+// ReleaseRelations drops what only the encoder reads: the three
+// relation adjacencies and the merged edge list. The co-occurrence
+// counts stay, since matching reads them (CoOccurrenceNorm,
+// TopCoRoads). No encoder over g may run afterwards.
+func (g *Graph) ReleaseRelations() {
+	g.CO, g.SQ, g.TP, g.mergedTriples = nil, nil, nil, nil
+}
+
 // Merged returns a single row-normalized adjacency combining all three
 // relations — the homogeneous-GNN ablation (LHMM-H) input, which
 // discards relation types.

@@ -147,6 +147,40 @@ func TestBuildGraphStructure(t *testing.T) {
 	}
 }
 
+// TestReleaseRelationsKeepsCoOccurrence: releasing drops the three
+// adjacencies and the merged edge list, and every count matching reads
+// — CoOccurrence, CoOccurrenceNorm and TopCoRoads for every tower and
+// segment — is what it was before.
+func TestReleaseRelationsKeepsCoOccurrence(t *testing.T) {
+	d, trips := testWorld(t)
+	g, err := BuildGraph(d.Net, d.Cells, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() []float64 {
+		var out []float64
+		for tw := 0; tw < g.NumTowers; tw++ {
+			id := cellular.TowerID(tw)
+			for s := 0; s < g.NumSegs; s++ {
+				sid := roadnet.SegmentID(s)
+				out = append(out, g.CoOccurrence(id, sid), g.CoOccurrenceNorm(id, sid))
+			}
+			for _, sid := range g.TopCoRoads(id, g.NumSegs) {
+				out = append(out, float64(sid))
+			}
+		}
+		return out
+	}
+	before := read()
+	g.ReleaseRelations()
+	if g.CO != nil || g.SQ != nil || g.TP != nil || g.mergedTriples != nil {
+		t.Fatal("ReleaseRelations left a relation adjacency or the merged edges")
+	}
+	if !slices.Equal(read(), before) {
+		t.Fatal("ReleaseRelations changed a co-occurrence count or a tower's top roads")
+	}
+}
+
 func TestGraphRowsNormalized(t *testing.T) {
 	d, trips := testWorld(t)
 	g, err := BuildGraph(d.Net, d.Cells, trips)

@@ -39,11 +39,11 @@ type Registry struct {
 	reloading atomic.Bool
 }
 
-// modelEntry pairs a published model with identity digests computed
-// once at load time: the session checkpointer stamps every snapshot
-// with them, and recovery refuses snapshots that do not match the
-// serving model, so hashing per checkpoint (or per session) would be
-// pure waste.
+// modelEntry pairs a published model with identity digests read once
+// at load time: the session checkpointer stamps every snapshot with
+// them, and recovery refuses snapshots that do not match the serving
+// model. A loaded model recorded its weights hash when it released its
+// encoder, so publishing one hashes nothing.
 type modelEntry struct {
 	m  *core.Model
 	wh [32]byte // core.(*Model).WeightsHash

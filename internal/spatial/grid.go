@@ -183,11 +183,14 @@ func (g *Grid) Within(p geo.Point, radius float64) []int {
 // radius until k hits lie within it: every item the square's cells do
 // not hold is farther than radius away, so those k are the k nearest of
 // the whole index, and (distance, id) being a total order, the result
-// does not depend on how the radius grew. Each doubling visits only the
-// cells the previous rectangle did not cover, each item's distance is
-// taken once, and the hits are ordered once, at the end. The search also
-// ends when the rectangle covers the whole grid — cellAt clamps, so for
-// a query far outside the bounds that is the only sound reason to stop.
+// does not depend on how the radius grew or where it started. The first
+// square is the one whose inscribed disc holds k items at the index's
+// mean density: ceil(sqrt(k·cells/(π·items))) cells, at least one. Each
+// doubling visits only the cells the previous rectangle did not cover,
+// each item's distance is taken once, and the hits are ordered once, at
+// the end. The search also ends when the rectangle covers the whole
+// grid — cellAt clamps, so for a query far outside the bounds that is
+// the only sound reason to stop.
 func (g *Grid) Nearest(p geo.Point, k int) []int {
 	if k <= 0 || len(g.items) == 0 {
 		return nil
@@ -195,12 +198,20 @@ func (g *Grid) Nearest(p geo.Point, k int) []int {
 	if k > len(g.items) {
 		k = len(g.items)
 	}
+	cells := float64(g.cols * g.rows)
+	start := math.Ceil(math.Sqrt(float64(k) * cells / (math.Pi * float64(len(g.items)))))
+	return g.nearestFrom(p, k, start*g.cellSize)
+}
+
+// nearestFrom is Nearest for 1 <= k <= Len(), its first square of
+// half-width radius.
+func (g *Grid) nearestFrom(p geo.Point, k int, radius float64) []int {
 	sc := g.scratch()
 	sc.hits = sc.hits[:0]
 	certain := 0 // hits[:certain] have d <= radius
 	// The cell rectangle scanned so far; empty before the first ring.
 	pc0, pr0, pc1, pr1 := 0, 0, -1, -1
-	for radius := g.cellSize; ; radius *= 2 {
+	for ; ; radius *= 2 {
 		c0, r0 := g.cellAt(geo.Pt(p.X-radius, p.Y-radius))
 		c1, r1 := g.cellAt(geo.Pt(p.X+radius, p.Y+radius))
 		for row := r0; row <= r1; row++ {

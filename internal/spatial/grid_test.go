@@ -345,6 +345,43 @@ func TestNearestFarOutside(t *testing.T) {
 	}
 }
 
+// oneCellNearest is Nearest started from a one-cell square, as it was
+// before the density start: the oracle that where the search starts
+// changes no result.
+func oneCellNearest(g *Grid, p geo.Point, k int) []int {
+	if k <= 0 || len(g.items) == 0 {
+		return nil
+	}
+	return g.nearestFrom(p, min(k, len(g.items)), g.cellSize)
+}
+
+// TestNearestDensityStartMatchesOneCell: the density-sized first square
+// returns the very ids the one-cell start does, element for element, for
+// queries inside, on and far outside the bounds, sparse and dense grids,
+// and k from 1 past Len().
+func TestNearestDensityStartMatchesOneCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 160; trial++ {
+		n := rng.Intn(600)
+		g := randomGrid(rng, n, trial%2 == 1)
+		queries := []geo.Point{
+			geo.Pt(rng.Float64()*2000-1000, rng.Float64()*2000-1000),
+			geo.Pt(float64(rng.Intn(51)-25)*40, float64(rng.Intn(51)-25)*40), // on the lattice: ties
+			geo.Pt(-1000, rng.Float64()*2000-1000),
+			g.origin,
+			geo.Pt(3e3, -2e3), geo.Pt(-1e6, 1e6), // far outside
+		}
+		for _, q := range queries {
+			for _, k := range []int{0, 1, 2 + rng.Intn(30), 90, n / 2, n, n + 3} {
+				got, want := g.Nearest(q, k), oneCellNearest(g, q, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d (n=%d cell=%.0f) q=%v k=%d:\n got %v\nwant %v", trial, n, g.cellSize, q, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestNearestNonFinite: a non-finite query has no nearest items, but it
 // must come back.
 func TestNearestNonFinite(t *testing.T) {
