@@ -26,6 +26,7 @@ import (
 
 	lhmm "repro"
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
@@ -522,7 +523,7 @@ func cmdReplay(args []string) error {
 		// only the weights may differ, not their shapes.
 		if cd, d := candModels[k].Cfg.Dim, models[k].Cfg.Dim; cd != d {
 			return fmt.Errorf("against model: %q has %d columns in %s, %d in %s",
-				mrg.InitParam, cd, *against, d, *modelPath)
+				core.NodesParam, cd, *against, d, *modelPath)
 		}
 	}
 	var stats *shadow.Stats

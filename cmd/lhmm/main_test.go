@@ -204,10 +204,8 @@ func TestReplayAgainst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// rewrite saves a copy of the model with edit applied to every
-	// tensor's weights. The copy is built as a trainable model (a
-	// skeleton at the trained dim 8, then the file's weights, no
-	// freeze): a loaded model is inference-only and cannot be saved.
+	// rewrite saves a copy of the model file with edit applied to every
+	// tensor's weights, the node rows included.
 	rewrite := func(name string, edit func(w []float64)) string {
 		raw, err := os.ReadFile(model)
 		if err != nil {
@@ -217,20 +215,12 @@ func TestReplayAgainst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := lhmm.DefaultConfig()
-		cfg.Dim, cfg.K = 8, 8
-		m, err := lhmm.NewModel(ds, ds.TrainTrips(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pf.Apply(m.AllParams()); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range m.AllParams() {
+		ps := pf.Params()
+		for _, p := range ps {
 			edit(p.W.W)
 		}
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := nn.SaveParams(&buf, ps); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, name)
@@ -298,8 +288,8 @@ func TestReplayAgainst(t *testing.T) {
 			t.Fatal(err)
 		}
 		out, err := replay(other)
-		if err == nil || !strings.Contains(err.Error(), `"enc.init"`) {
-			t.Fatalf("dim mismatch: err %v, want one naming \"enc.init\"\n%s", err, out)
+		if err == nil || !strings.Contains(err.Error(), `"emb.nodes"`) {
+			t.Fatalf("dim mismatch: err %v, want one naming \"emb.nodes\"\n%s", err, out)
 		}
 	})
 

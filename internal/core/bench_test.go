@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -281,10 +282,10 @@ func BenchmarkPhase1Batch(b *testing.B) {
 }
 
 // BenchmarkRefreshEmbeddings is the all-nodes encoder pass, tape-free
-// (Encoder.Embed), the per-segment tables built from its segment rows
-// and the copy of its tower rows the model keeps, which Train and every
-// Load run: dim 128 on the test city (1,089 nodes), per encoder mode
-// with message passing.
+// (Encoder.Embed), and the per-segment tables built from its segment
+// rows, which Train runs (Load reads the rows from the file instead):
+// dim 128 on the test city (1,089 nodes), per encoder mode with message
+// passing.
 func BenchmarkRefreshEmbeddings(b *testing.B) {
 	d := testDataset(b, 14)
 	for _, mode := range []mrg.EncoderMode{mrg.HetGNN, mrg.HomoGNN} {
@@ -302,6 +303,39 @@ func BenchmarkRefreshEmbeddings(b *testing.B) {
 				m.RefreshEmbeddings()
 			}
 		})
+	}
+}
+
+// BenchmarkLoad is Model.Load of a saved model, dim 128 on the test
+// city: decoding the file, the per-segment tables from its node rows and
+// the copy of its tower rows, and no encoder pass. Each iteration loads
+// into a fresh New model, built outside the timer.
+func BenchmarkLoad(b *testing.B) {
+	d := testDataset(b, 14)
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.RefreshEmbeddings()
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l, err := New(d, d.TrainTrips(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Load(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

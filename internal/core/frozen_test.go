@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/hmm"
@@ -165,6 +168,145 @@ func TestLoadedModelIsInferenceOnly(t *testing.T) {
 				}
 			}()
 			l.RefreshEmbeddings()
+		})
+	}
+}
+
+// TestLoadRoundTrip is the oracle of the model file: Load(Save(m)) and
+// LoadModel of a trained model hold tower rows and obsSeg, transSeg and
+// transQ Float64bits-equal to m's, match the core fixture's trips as m
+// does (batch and stream) and have m's WeightsHash. Load reads the node
+// rows from the file, so it needs no encoder: the New model's is
+// dropped before the load.
+func TestLoadRoundTrip(t *testing.T) {
+	d := testDataset(t, 12)
+	cfg := fastConfig()
+	m, err := Train(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	noEnc, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noEnc.Enc = nil
+	if err := noEnc.Load(bytes.NewReader(file.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := LoadModel(d, savedFile(t, m), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trips := make([]*traj.Trip, len(d.Trips))
+	for i := range d.Trips {
+		trips[i] = &d.Trips[i]
+	}
+	for name, l := range map[string]*Model{"Load": noEnc, "LoadModel": fromFile} {
+		for _, c := range []struct {
+			what      string
+			got, want []float64
+		}{
+			{"tower rows", l.emb.W, m.emb.W},
+			{"obsSeg", l.obsSeg.W, m.obsSeg.W},
+			{"transSeg", l.transSeg.W, m.transSeg.W},
+			{"transQ", l.transQ, m.transQ},
+		} {
+			if !slices.Equal(f64bits(c.got), f64bits(c.want)) {
+				t.Fatalf("%s: %s differ from the trained model's", name, c.what)
+			}
+		}
+		checkSameMatches(t, m, l, trips)
+		if l.WeightsHash() != m.WeightsHash() {
+			t.Fatalf("%s: WeightsHash differs from the trained model's", name)
+		}
+	}
+}
+
+// f64bits returns the bit patterns of vs.
+func f64bits(vs []float64) []uint64 {
+	out := make([]uint64, len(vs))
+	for i, v := range vs {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestLoadRefusesOtherFiles: Load and LoadModel refuse, each with an
+// error that says why, an lhmm-weights/v1 file, node rows of another
+// shape than the graph's |V|×d, a missing entry, an encoder entry and
+// entries out of Save's order; and Save refuses a model with no frozen
+// node rows yet, writing nothing.
+func TestLoadRefusesOtherFiles(t *testing.T) {
+	d := testDataset(t, 12)
+	cfg := fastConfig()
+	m, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := m.Save(&file); !errors.Is(err, errNotFrozen) || file.Len() != 0 {
+		t.Fatalf("Save before RefreshEmbeddings: error %v after %d bytes, want errNotFrozen after none", err, file.Len())
+	}
+	m.RefreshEmbeddings()
+	if err := m.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	// edited re-saves the file with its tensors passed through edit.
+	edited := func(edit func([]*nn.Param) []*nn.Param) []byte {
+		pf, err := nn.ReadParams(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := nn.SaveParams(&buf, edit(pf.Params())); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v1 := append([]byte(nil), file.Bytes()...)
+	binary.LittleEndian.PutUint16(v1[8:], 1)
+	n := d.Net.NumSegments() + d.Cells.NumTowers()
+	for _, c := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"v1", "version 1, this build reads version 2: retrain", refit(v1)},
+		{"rows shape", fmt.Sprintf(`"emb.nodes" shape %d×%d, file has %d×%d`, n, cfg.Dim, n-1, cfg.Dim),
+			edited(func(ps []*nn.Param) []*nn.Param {
+				ps[0].W = ps[0].W.Rows(0, n-1)
+				return ps
+			})},
+		{"missing", `"meta.transGamma" not in file`, edited(func(ps []*nn.Param) []*nn.Param {
+			return ps[:len(ps)-1]
+		})},
+		{"encoder entry", `file has tensor "enc.init"`, edited(func(ps []*nn.Param) []*nn.Param {
+			return append([]*nn.Param{nn.NewZeroParam("enc.init", n, cfg.Dim)}, ps...)
+		})},
+		{"out of order", `"obs.att.Wq" is not tensor 1 of the file (entries must be in save order)`,
+			edited(func(ps []*nn.Param) []*nn.Param {
+				ps[1], ps[2] = ps[2], ps[1]
+				return ps
+			})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l, err := New(d, d.TrainTrips(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Load(bytes.NewReader(c.file)); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Load: err %v, want one containing %q", err, c.want)
+			}
+			path := filepath.Join(t.TempDir(), "model.lhmm")
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModel(d, path, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadModel: err %v, want one containing %q", err, c.want)
+			}
 		})
 	}
 }

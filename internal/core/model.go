@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -19,8 +20,9 @@ import (
 // Model is a trained LHMM: the multi-relational graph and encoder, the
 // observation and transition probability learners, and frozen node
 // embeddings for inference. A model Load or LoadModel returns is
-// inference-only: it has released the encoder (Enc is nil) and the
-// graph's relation adjacencies, which matching never reads.
+// inference-only: it was built from the saved node embeddings, not the
+// encoder, and holds neither the encoder (Enc is nil) nor the graph's
+// relation adjacencies, which matching never reads.
 type Model struct {
 	Cfg Config
 
@@ -41,10 +43,16 @@ type Model struct {
 	TransMLP  *nn.MLP       // Eq. 10: road-in-trajectory likelihood (2 classes)
 	TransFuse *nn.MLP       // Eq. 12: fuse implicit + explicit (2 classes)
 
+	// nodes holds all |V| rows of the node embeddings from the last
+	// RefreshEmbeddings (towers, then segments): the entry Save writes
+	// in place of the encoder. Nil on a loaded model.
+	nodes *nn.Mat
+
 	// emb holds the frozen tower rows of the node embeddings, one per
 	// tower (tower ids are nodes 0..NumTowers−1), the only rows matching
-	// reads directly; refreshed by RefreshEmbeddings. The segment rows
-	// reach inference only through the tables below and are not kept.
+	// reads directly: a view of nodes on a trained model, a copy of the
+	// file's tower rows on a loaded one. The segment rows reach matching
+	// only through the tables below.
 	emb *nn.Mat
 
 	// obsSeg is the segment half of Eq. 7's first layer, one row per
@@ -80,15 +88,24 @@ type Model struct {
 	// Save/Load round-trips it.
 	transGamma *nn.Param
 
-	// weightsHash is WeightsHash as release recorded it, read once Enc
-	// is nil and the encoder's weights can no longer be hashed.
+	// weightsHash is a loaded model's WeightsHash: the SHA-256 of the
+	// entry section its file was decoded from.
 	weightsHash [32]byte
 }
 
+// NodesParam names the |V|×dim frozen node-embedding rows in a saved
+// model (towers, then segments); its column count is the model's
+// embedding dimension.
+const NodesParam = "emb.nodes"
+
 // ErrInferenceOnly is what Save returns, and RefreshEmbeddings panics
-// with, on a model Load or LoadModel returned: it has released its
-// encoder, so it can neither write every weight nor refreeze.
-var ErrInferenceOnly = errors.New("core: model is inference-only: a loaded model releases its encoder; save the trained model, as lhmm train does")
+// with, on a model Load or LoadModel returned: it holds no encoder and
+// no segment rows, so it can neither write a model file nor refreeze.
+var ErrInferenceOnly = errors.New("core: model is inference-only: a loaded model holds no encoder; save the trained model, as lhmm train does")
+
+// errNotFrozen is what Save returns before the first RefreshEmbeddings:
+// there are no node rows to write.
+var errNotFrozen = errors.New("core: save: no frozen node embeddings: RefreshEmbeddings first")
 
 // encoderRounds is the number of Het-Graph Encoder message-passing
 // iterations q (paper: 2).
@@ -133,18 +150,18 @@ func New(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) 
 	return m, nil
 }
 
-// implicitParams returns the parameters trained in phase 1 (without
-// the encoder's once it is released).
+// implicitParams returns the parameters trained in phase 1.
 func (m *Model) implicitParams() []*nn.Param {
-	var ps []*nn.Param
-	if m.Enc != nil {
-		ps = m.Enc.Params()
-	}
-	ps = append(ps, m.ObsAtt.Params()...)
+	return append(m.Enc.Params(), m.headParams()...)
+}
+
+// headParams returns phase 1's parameters after the encoder: the two
+// attentions and implicit MLPs.
+func (m *Model) headParams() []*nn.Param {
+	ps := append([]*nn.Param(nil), m.ObsAtt.Params()...)
 	ps = append(ps, m.ObsMLP.Params()...)
 	ps = append(ps, m.TransAtt.Params()...)
-	ps = append(ps, m.TransMLP.Params()...)
-	return ps
+	return append(ps, m.TransMLP.Params()...)
 }
 
 // fuseParams returns the parameters fine-tuned in phase 2.
@@ -155,10 +172,30 @@ func (m *Model) fuseParams() []*nn.Param {
 }
 
 // AllParams returns every trainable parameter plus serialized
-// calibration state; on a released model, all but the encoder's.
+// calibration state; on a loaded model, all but the encoder's.
 func (m *Model) AllParams() []*nn.Param {
-	ps := append(m.implicitParams(), m.fuseParams()...)
+	var ps []*nn.Param
+	if m.Enc != nil {
+		ps = m.Enc.Params()
+	}
+	return append(ps, m.matchParams()...)
+}
+
+// matchParams returns AllParams after the encoder's: every parameter
+// matching reads besides the node embeddings.
+func (m *Model) matchParams() []*nn.Param {
+	ps := append(m.headParams(), m.fuseParams()...)
 	return append(ps, m.distScale, m.transGamma)
+}
+
+// fileParams returns the tensors of a weights file in Save's order: the
+// node rows (omitted when nil), then matchParams.
+func (m *Model) fileParams(nodes *nn.Mat) []*nn.Param {
+	var ps []*nn.Param
+	if nodes != nil {
+		ps = []*nn.Param{{Name: NodesParam, W: nodes}}
+	}
+	return append(ps, m.matchParams()...)
 }
 
 // RefreshEmbeddings recomputes the node embeddings from the current
@@ -167,18 +204,18 @@ func (m *Model) AllParams() []*nn.Param {
 // reads, as phase 1 does: DESIGN §8b "Set-up"), builds from the segment
 // rows the per-segment tables matching reads — the segment halves of
 // Eq. 7's and Eq. 10's first layers (obsSeg, transSeg) and the query
-// half of Eq. 9's scores (transQ) — and freezes only the tower rows in
-// emb. Segments occupy one contiguous node range after the towers. Call
-// after training and before matching. It panics with ErrInferenceOnly
-// on a released model.
+// half of Eq. 9's scores (transQ) — and keeps all the rows in nodes for
+// Save, the tower rows in emb. Segments occupy one contiguous node range
+// after the towers. Call after training and before matching. It panics
+// with ErrInferenceOnly on a loaded model.
 func (m *Model) RefreshEmbeddings() {
 	if m.Enc == nil {
 		panic(ErrInferenceOnly)
 	}
 	g := m.Graph
-	h := m.Enc.Embed(m.Enc.Field(g, nil))
-	m.segTables(h.Rows(g.NumTowers, g.NumNodes()))
-	m.emb = h.Rows(0, g.NumTowers).Clone() // a copy, so h's segment rows can go
+	m.nodes = m.Enc.Embed(m.Enc.Field(g, nil))
+	m.segTables(m.nodes.Rows(g.NumTowers, g.NumNodes()))
+	m.emb = m.nodes.Rows(0, g.NumTowers)
 }
 
 // segTables builds obsSeg, transSeg and transQ from the segment
@@ -239,44 +276,60 @@ func (m *Model) gaussArg(d float64) float64 {
 	return -0.5 * z * z
 }
 
-// Save writes all model weights. A released model has none of the
-// encoder's left to write and returns ErrInferenceOnly, writing nothing.
+// Save writes the model file: the node rows of the last
+// RefreshEmbeddings in place of the encoder, then every other
+// parameter. A loaded model has no encoder or node rows left to write
+// and returns ErrInferenceOnly, writing nothing.
 func (m *Model) Save(w io.Writer) error {
-	if m.Enc == nil {
+	switch {
+	case m.Enc == nil:
 		return ErrInferenceOnly
+	case m.nodes == nil:
+		return errNotFrozen
 	}
-	return nn.SaveParams(w, m.AllParams())
+	return nn.SaveParams(w, m.fileParams(m.nodes))
 }
 
-// Load restores model weights written by Save into a model constructed
-// with the same configuration and dataset, refreshes embeddings, and
-// releases the encoder: the model is inference-only afterwards.
+// Load restores a model file written by Save into a model constructed
+// with the same configuration and dataset. It reads the frozen node
+// rows from the file, so it runs no encoder, and leaves the model
+// inference-only.
 func (m *Model) Load(r io.Reader) error {
-	if err := nn.LoadParams(r, m.AllParams()); err != nil {
+	pf, err := nn.ReadParams(r)
+	if err != nil {
 		return err
 	}
-	m.RefreshEmbeddings()
-	m.release()
-	return nil
+	return m.load(pf)
 }
 
-// release makes a frozen model inference-only. It records WeightsHash,
-// then drops what only the encoder reads: the encoder (the |V|×d
-// enc.init table and the round weights) and the graph's relation
-// adjacencies. Matching reads the tower rows, the per-segment tables and
-// the co-occurrence counts, which stay.
-func (m *Model) release() {
-	m.weightsHash = m.WeightsHash()
-	m.Enc = nil
-	m.Graph.ReleaseRelations()
+// load applies a decoded model file, validated in full before any
+// weight is written: the parameters matching reads, then the per-segment
+// tables and the tower rows straight from the file's node rows, and the
+// file's entry section as the weights hash. It then drops what only the
+// encoder reads: the encoder (the |V|×d enc.init table and the round
+// weights) and the graph's relation adjacencies. Matching reads the
+// tower rows, the per-segment tables and the co-occurrence counts,
+// which stay.
+func (m *Model) load(pf *nn.ParamFile) error {
+	g := m.Graph
+	nodes := &nn.Mat{R: g.NumNodes(), C: m.Cfg.Dim} // takes the file's rows
+	if err := pf.Apply(m.fileParams(nodes)); err != nil {
+		return err
+	}
+	m.segTables(nodes.Rows(g.NumTowers, g.NumNodes()))
+	m.emb = nodes.Rows(0, g.NumTowers).Clone() // a copy, so the segment rows can go
+	m.weightsHash = sha256.Sum256(pf.Section())
+	m.Enc, m.nodes = nil, nil
+	g.ReleaseRelations()
+	return nil
 }
 
 // LoadModel builds a model over ds for the weights file at path and
 // restores the weights into it. The embedding dimension comes from the
-// file (the column count of the encoder's initial embedding table), so
-// cfg.Dim is ignored; cfg.Seed only seeds weights the file overwrites.
-// The file is decoded once and validated in full, as Load does, before
-// any weight is written; the model is inference-only, as Load leaves it.
+// file (the column count of its node rows), so cfg.Dim is ignored;
+// cfg.Seed only seeds weights the file overwrites. The file is decoded
+// once and validated in full, as Load does, before any weight is
+// written; the model is inference-only, as Load leaves it.
 func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -286,19 +339,17 @@ func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, dim, ok := pf.Shape(mrg.InitParam)
+	_, dim, ok := pf.Shape(NodesParam)
 	if !ok {
-		return nil, fmt.Errorf("core: load %s: %q not in file", path, mrg.InitParam)
+		return nil, fmt.Errorf("core: load %s: %q not in file", path, NodesParam)
 	}
 	cfg.Dim = dim
 	m, err := New(ds, ds.TrainTrips(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := pf.Apply(m.AllParams()); err != nil {
+	if err := m.load(pf); err != nil {
 		return nil, err
 	}
-	m.RefreshEmbeddings()
-	m.release()
 	return m, nil
 }

@@ -91,19 +91,19 @@ var (
 
 var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WeightsHash digests every trainable parameter and calibration scalar
-// (name, shape, and raw float bits, in AllParams order): the SHA-256 of
-// the entry section Save writes (nn.WriteParamEntries). Two models with
-// equal hashes score identically; the frozen embeddings are a
-// deterministic function of the encoder parameters and the graph, so
-// they are covered transitively. A released model returns the digest
-// recorded before its encoder went.
+// WeightsHash digests everything matching reads of the weights: the
+// SHA-256 of the entry section of the model file, the frozen node rows
+// then every other parameter and calibration scalar (name, shape and raw
+// float bits, in Save's order). A trained model digests what Save would
+// write (before the first RefreshEmbeddings, without the node rows); a
+// loaded model returns the digest of the section it was decoded from.
+// Two models with equal hashes score identically.
 func (m *Model) WeightsHash() [32]byte {
 	if m.Enc == nil {
 		return m.weightsHash
 	}
 	h := sha256.New()
-	nn.WriteParamEntries(h, m.AllParams()) // a hash.Hash never fails a Write
+	nn.WriteParamEntries(h, m.fileParams(m.nodes)) // a hash.Hash never fails a Write
 	var out [32]byte
 	h.Sum(out[:0])
 	return out

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/hmm"
+	"repro/internal/nn"
 )
 
 // streamRun is everything observable about a finished streaming match,
@@ -435,9 +436,13 @@ func snapshotFixture(t testing.TB) (*Model, [32]byte, []byte) {
 // Eq. 10's first layer (session.roadProbRows) re-associated one sum and
 // moved the Viterbi f scores in the last ulp, once (aa4872b9… before)
 // for v2, which drops the dim and the embedding and context rows from
-// the session section and bumps the version, and once (e68f790a…
-// before) for v3, which adds a pseudo flag to every candidate, the open
-// shortcut window's step table and Shortcuts to the config fingerprint.
+// the session section and bumps the version, once (e68f790a… before)
+// for v3, which adds a pseudo flag to every candidate, the open
+// shortcut window's step table and Shortcuts to the config fingerprint,
+// and once (54ecfd31… before) when WeightsHash began digesting the
+// lhmm-weights/v2 entry section (node rows in place of the encoder):
+// the two encodings differ only in the header's 32 weights-hash bytes
+// and the CRC footer over them.
 func TestSnapshotWireStable(t *testing.T) {
 	m, wh, data := snapshotFixture(t)
 	snap, err := DecodeStreamSnapshot(m, wh, data)
@@ -468,19 +473,22 @@ func TestSnapshotWireStable(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64")
 	}
-	const golden = "54ecfd317303f1ff6eac1dacacb53d2227d1f291deadeb4f18937083d5984fa9"
+	const golden = "0dfbec3c3646fff904d967cb34303a4fd0cef01600221b300e8916519efe284f"
 	sum := sha256.Sum256(data)
 	if got := hex.EncodeToString(sum[:]); got != golden {
 		t.Errorf("fixture snapshot sha-256 %s, want %s (%d bytes)", got, golden, len(data))
 	}
 }
 
-// TestTrainWeightsGolden pins the WeightsHash of a tiny Train run — on
-// amd64, like TestSnapshotWireStable — to the value recorded before the
-// encoder backward went row-sparse and matMulRows register-blocked.
-// Kernel work must leave training's arithmetic bit for bit where it was
-// (the byte-identical `lhmm train` model file); this fails loudly if it
-// moves.
+// TestTrainWeightsGolden pins the digest of every trained parameter of
+// a tiny Train run (AllParams, the encoder's included, through
+// nn.WriteParamEntries) — on amd64, like TestSnapshotWireStable — to the
+// value recorded before the encoder backward went row-sparse and
+// matMulRows register-blocked. Kernel work must leave training's
+// arithmetic bit for bit where it was; this fails loudly if it moves.
+// Its WeightsHash, the digest of the lhmm-weights/v2 entry section
+// (node rows in place of the encoder, so the `lhmm train` model file),
+// is pinned beside it.
 func TestTrainWeightsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64")
@@ -489,9 +497,17 @@ func TestTrainWeightsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := sha256.New()
+	if err := nn.WriteParamEntries(h, m.AllParams()); err != nil {
+		t.Fatal(err)
+	}
 	const golden = "3828b1fb2e48e6128a8a3d9f8e75d2379929654502cea5bdcd5fd9223a0df08c"
-	if wh := m.WeightsHash(); hex.EncodeToString(wh[:]) != golden {
-		t.Fatalf("trained WeightsHash %x, want %s", wh, golden)
+	if sum := h.Sum(nil); hex.EncodeToString(sum) != golden {
+		t.Fatalf("trained parameters digest %x, want %s", sum, golden)
+	}
+	const goldenV2 = "bc363a200b2fabbe4ae661c0c1d89832e6b41a1bec1e23babe4628aaaf9f3ff2"
+	if wh := m.WeightsHash(); hex.EncodeToString(wh[:]) != goldenV2 {
+		t.Fatalf("trained WeightsHash %x, want %s", wh, goldenV2)
 	}
 }
 

@@ -18,24 +18,31 @@ import (
 // boundary (chaos tests; no-op unless armed via faultinject).
 var fpLoadCorrupt = faultinject.New("nn.load.corrupt")
 
-// lhmm-weights/v1 — the model weights file written by SaveParams:
+// lhmm-weights/v2 — the model weights file written by SaveParams:
 //
 //	magic   "LHMMWGTS" (8 bytes)
-//	version u16 (1)
+//	version u16 (2)
 //	count   u32
 //	entries count × (name bytes · 0x00 · R u32 · C u32 · R·C × f64)
 //	footer  CRC-32C (Castagnoli) over everything before it, u32
 //
 // All integers and float bit patterns are little-endian. A name is 1 to
 // 256 bytes with no NUL, unique in the file; R and C are at least 1.
-// Floats are raw IEEE-754 bits, so weights round-trip exactly. The entry
-// section is also what core.Model.WeightsHash digests (WriteParamEntries).
+// Floats are raw IEEE-754 bits, so weights round-trip exactly. A file
+// lists exactly the tensors its reader applies, in the reader's order:
+// Apply refuses a missing, an extra or a reordered entry, so one set of
+// weights has one entry section, and its SHA-256 is
+// core.Model.WeightsHash (WriteParamEntries writes it, Section returns
+// it as read).
+//
+// Version 2 (core's model file) holds the frozen node embeddings in
+// place of the encoder that computes them; version 1 held the encoder.
 const (
 	weightsMagic = "LHMMWGTS"
 	// WeightsVersion is the lhmm-weights wire version SaveParams writes
 	// and the only one ReadParams accepts. Bump it when the meaning of a
 	// stored tensor changes, so older files are refused, not mis-read.
-	WeightsVersion = 1
+	WeightsVersion = 2
 	weightsMaxName = 256
 	weightsHdrLen  = len(weightsMagic) + 2 + 4
 )
@@ -50,7 +57,7 @@ type paramEntry struct {
 }
 
 // SaveParams writes parameters (weights only; optimizer state is not
-// persisted) as an lhmm-weights/v1 file. It refuses what ReadParams
+// persisted) as an lhmm-weights/v2 file. It refuses what ReadParams
 // refuses — a bad or repeated name, a non-finite weight — so every file
 // it writes loads.
 func SaveParams(w io.Writer, params []*Param) error {
@@ -126,9 +133,10 @@ func LoadParams(r io.Reader, params []*Param) error {
 type ParamFile struct {
 	entries []paramEntry // in file order
 	byName  map[string]int
+	section []byte // the entry section as read
 }
 
-// ReadParams decodes an lhmm-weights/v1 file and validates it before
+// ReadParams decodes an lhmm-weights/v2 file and validates it before
 // any destination parameter is touched. Rejected with a descriptive
 // error: a file without the magic (the JSON weights of builds before
 // the binary format included — those must be retrained), another
@@ -169,6 +177,7 @@ func decodeParams(data []byte) (*ParamFile, error) {
 		return nil, fmt.Errorf("lhmm-weights version %d, this build reads version %d: retrain the model", v, WeightsVersion)
 	}
 	f := &ParamFile{byName: make(map[string]int)}
+	start := len(data) - r.Len()
 	for n := uint32(0); n < count; n++ {
 		e := decodeEntry(r)
 		if err := r.Err(); err != nil {
@@ -183,6 +192,7 @@ func decodeParams(data []byte) (*ParamFile, error) {
 		f.byName[e.Name] = len(f.entries)
 		f.entries = append(f.entries, e)
 	}
+	f.section = data[start : len(data)-r.Len()]
 	switch {
 	case r.Len() < 4:
 		return nil, fmt.Errorf("truncated file: no CRC footer")
@@ -224,26 +234,57 @@ func (f *ParamFile) Shape(name string) (r, c int, ok bool) {
 	return f.entries[i].R, f.entries[i].C, true
 }
 
-// Apply copies the file's weights into params. Every parameter must be
-// found with the same shape; extra entries in the file are ignored.
+// Section returns the file's entry section as read: the bytes
+// WriteParamEntries writes for the file's tensors in file order.
+func (f *ParamFile) Section() []byte { return f.section }
+
+// Params returns the file's tensors in file order, as parameters over
+// the decoded weights (no copy).
+func (f *ParamFile) Params() []*Param {
+	ps := make([]*Param, len(f.entries))
+	for i, e := range f.entries {
+		ps[i] = &Param{Name: e.Name, W: &Mat{R: e.R, C: e.C, W: e.W}}
+	}
+	return ps
+}
+
+// Apply copies the file's weights into params. The file must hold
+// exactly params, in params' order, each with its shape. A parameter
+// whose matrix has a shape but no weights (W.W nil) takes the file's
+// decoded weights instead of a copy.
 func (f *ParamFile) Apply(params []*Param) error {
 	if fpLoadCorrupt.Fail() {
 		return fmt.Errorf("nn: load params: fault injected: %s", fpLoadCorrupt.Name())
 	}
 	// Validate every destination before writing any, so a bad file
 	// cannot leave a model half-loaded.
+	want := make(map[string]bool, len(params))
 	for _, p := range params {
-		i, ok := f.byName[p.Name]
-		if !ok {
+		want[p.Name] = true
+	}
+	for _, e := range f.entries {
+		if !want[e.Name] {
+			return fmt.Errorf("nn: load params: file has tensor %q, which is not a parameter here", e.Name)
+		}
+	}
+	for i, p := range params {
+		if _, ok := f.byName[p.Name]; !ok {
 			return fmt.Errorf("nn: load params: %q not in file", p.Name)
+		}
+		if i >= len(f.entries) || f.entries[i].Name != p.Name {
+			return fmt.Errorf("nn: load params: %q is not tensor %d of the file (entries must be in save order)", p.Name, i)
 		}
 		if e := &f.entries[i]; e.R != p.W.R || e.C != p.W.C {
 			return fmt.Errorf("nn: load params: %q shape %d×%d, file has %d×%d",
 				p.Name, p.W.R, p.W.C, e.R, e.C)
 		}
 	}
-	for _, p := range params {
-		copy(p.W.W, f.entries[f.byName[p.Name]].W)
+	for i, p := range params {
+		if p.W.W == nil {
+			p.W.W = f.entries[i].W
+		} else {
+			copy(p.W.W, f.entries[i].W)
+		}
 	}
 	return nil
 }

@@ -3,10 +3,12 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,14 +24,14 @@ func testParams(t testing.TB) []*Param {
 	}
 }
 
-// encodeWeights writes an lhmm-weights/v1 file from the layout in
+// encodeWeights writes an lhmm-weights/v2 file from the layout in
 // serialize.go's format comment, sharing no code with SaveParams, so it
 // checks the writer and lets a test build files the writer refuses to.
 // count is the declared entry count (normally len(entries)), and each
 // entry's W is written as is, whatever its R and C claim.
 func encodeWeights(count uint32, entries ...paramEntry) []byte {
 	b := []byte("LHMMWGTS")
-	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, 2)
 	b = binary.LittleEndian.AppendUint32(b, count)
 	for _, e := range entries {
 		b = append(append(b, e.Name...), 0)
@@ -136,19 +138,92 @@ func TestLoadRejectsCorruptNumericSpellings(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesJSONWeights: the JSON weights of builds before
-// lhmm-weights/v1 are refused with an error that names the format and
-// says to retrain.
+// TestLoadRefusesJSONWeights: the JSON weights of builds before the
+// binary format are refused with an error that names the format and
+// says to retrain, and so are lhmm-weights/v1 files (an encoder, not
+// frozen rows) and versions this build does not know.
 func TestLoadRefusesJSONWeights(t *testing.T) {
 	old := `{"params":[{"name":"layer.w","r":3,"c":4,"w":[1,2,3,4,5,6,7,8,9,10,11,12]},{"name":"layer.b","r":1,"c":4,"w":[0,0,0,0]}]}`
 	err := LoadParams(strings.NewReader(old), testParams(t))
-	if err == nil || !strings.Contains(err.Error(), "lhmm-weights/v1") || !strings.Contains(err.Error(), "retrain") {
-		t.Fatalf("JSON weights: err %v, want one naming lhmm-weights/v1 and saying to retrain", err)
+	if err == nil || !strings.Contains(err.Error(), "lhmm-weights/v2") || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("JSON weights: err %v, want one naming lhmm-weights/v2 and saying to retrain", err)
 	}
-	v2 := saved(t, testParams(t))
-	binary.LittleEndian.PutUint16(v2[8:], 2)
-	if err := LoadParams(bytes.NewReader(v2), testParams(t)); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("version 2 file: err %v", err)
+	for _, v := range []uint16{1, 3} {
+		f := saved(t, testParams(t))
+		binary.LittleEndian.PutUint16(f[8:], v)
+		err := LoadParams(bytes.NewReader(f), testParams(t))
+		if want := fmt.Sprintf("version %d, this build reads version 2", v); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "retrain") {
+			t.Fatalf("version %d file: err %v, want one containing %q and saying to retrain", v, err, want)
+		}
+	}
+}
+
+// TestApplyRefusesOtherLayouts: Apply takes a file that lists exactly
+// its parameters in their order, and refuses a missing, an extra or a
+// reordered entry by name, writing no destination weight.
+func TestApplyRefusesOtherLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	extra := NewParam("extra", 2, 2, rng)
+	ps := testParams(t)
+	for name, c := range map[string]struct {
+		file []*Param
+		want string
+	}{
+		"missing":   {ps[:1], `"layer.b" not in file`},
+		"extra":     {append(append([]*Param(nil), ps...), extra), `file has tensor "extra"`},
+		"reordered": {[]*Param{ps[1], ps[0]}, `"layer.w" is not tensor 0 of the file (entries must be in save order)`},
+	} {
+		dst := testParams(t)
+		for _, p := range dst {
+			p.W.Zero()
+		}
+		err := LoadParams(bytes.NewReader(saved(t, c.file)), dst)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one containing %q", name, err, c.want)
+		}
+		for _, p := range dst {
+			if p.W.MaxAbs() != 0 {
+				t.Errorf("%s: the refused load wrote %q", name, p.Name)
+			}
+		}
+	}
+}
+
+// TestParamFileViews: Section is the entry section WriteParamEntries
+// writes, Params lists the file's tensors in order over its decoded
+// weights, and Apply hands a weightless destination those same weights.
+func TestParamFileViews(t *testing.T) {
+	src := testParams(t)
+	pf, err := ReadParams(bytes.NewReader(saved(t, src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries bytes.Buffer
+	if err := WriteParamEntries(&entries, src); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pf.Section(), entries.Bytes()) {
+		t.Fatal("Section differs from WriteParamEntries")
+	}
+	ps := pf.Params()
+	if len(ps) != len(src) {
+		t.Fatalf("Params lists %d tensors, the file has %d", len(ps), len(src))
+	}
+	for i, p := range ps {
+		if p.Name != src[i].Name || p.W.R != src[i].W.R || p.W.C != src[i].W.C || &p.W.W[0] != &pf.entries[i].W[0] {
+			t.Fatalf("Params[%d] is %q %d×%d, not a view of the file's %q", i, p.Name, p.W.R, p.W.C, src[i].Name)
+		}
+	}
+	dst := testParams(t)
+	dst[0].W = &Mat{R: 3, C: 4}
+	if err := pf.Apply(dst); err != nil {
+		t.Fatal(err)
+	}
+	if &dst[0].W.W[0] != &pf.entries[0].W[0] {
+		t.Fatal("a weightless destination got a copy, not the file's weights")
+	}
+	if !slices.Equal(dst[1].W.W, src[1].W.W) {
+		t.Fatal("Apply did not copy the second tensor")
 	}
 }
 

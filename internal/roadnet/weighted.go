@@ -1,9 +1,6 @@
 package roadnet
 
-import (
-	"container/heap"
-	"slices"
-)
+import "slices"
 
 // pqItem is a priority-queue entry for plain weighted Dijkstra
 // (ShortestPathWeighted).
@@ -12,18 +9,46 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap of pqItems by dist. Equal distances are not
+// ordered, so pop order depends on the layout: push and pop make
+// exactly container/heap's sift comparisons (as keyPQ does), which keeps
+// the order a trip's route and its weight calls were recorded under.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(it.dist < h[p].dist) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	*q = h
+}
+
+// pop removes and returns the minimum item of a non-empty heap.
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	top, it := h[0], h[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].dist < h[c].dist {
+			c++
+		}
+		if !(h[c].dist < it.dist) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+	*q = h[:n]
+	return top
 }
 
 // ShortestPathWeighted runs an uncached Dijkstra search from one node
@@ -46,9 +71,9 @@ func (n *Network) ShortestPathWeighted(from, to NodeID, weight func(*Segment) fl
 	parent := make([]SegmentID, n.NumNodes())
 	state := make([]uint8, n.NumNodes())
 	state[from] = reached
-	q := &pq{{from, 0}}
-	for q.Len() > 0 {
-		cur := heap.Pop(q).(pqItem)
+	q := pq{{from, 0}}
+	for len(q) > 0 {
+		cur := q.pop()
 		if state[cur.node] == settled {
 			continue
 		}
@@ -70,7 +95,7 @@ func (n *Network) ShortestPathWeighted(from, to NodeID, weight func(*Segment) fl
 			}
 			dist[seg.To] = nd
 			parent[seg.To] = sid
-			heap.Push(q, pqItem{seg.To, nd})
+			q.push(pqItem{seg.To, nd})
 		}
 	}
 	if state[to] != settled {

@@ -217,9 +217,26 @@ func TestShortestPathWeightedParallelSegments(t *testing.T) {
 	}
 }
 
+// refWeightedPQ is ShortestPathWeighted's queue as a container/heap
+// heap.Interface, the form the search had before pq's typed push and
+// pop.
+type refWeightedPQ []pqItem
+
+func (q refWeightedPQ) Len() int            { return len(q) }
+func (q refWeightedPQ) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q refWeightedPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refWeightedPQ) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *refWeightedPQ) Pop() interface{} {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
 // refShortestPathWeighted is ShortestPathWeighted with its search state
-// in maps, map presence standing for a reached node: the reference the
-// slice-backed search must match call for call.
+// in maps, map presence standing for a reached node, and its queue in
+// container/heap: the reference the slice-backed search must match call
+// for call.
 func refShortestPathWeighted(n *Network, from, to NodeID, weight func(*Segment) float64) ([]SegmentID, float64, bool) {
 	if from == to {
 		return nil, 0, true
@@ -227,7 +244,7 @@ func refShortestPathWeighted(n *Network, from, to NodeID, weight func(*Segment) 
 	dist := map[NodeID]float64{from: 0}
 	parent := map[NodeID]SegmentID{}
 	settled := map[NodeID]bool{}
-	q := &pq{{from, 0}}
+	q := &refWeightedPQ{{from, 0}}
 	for q.Len() > 0 {
 		cur := heap.Pop(q).(pqItem)
 		if settled[cur.node] {
