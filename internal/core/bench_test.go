@@ -281,6 +281,27 @@ func BenchmarkPhase1Batch(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainFuse is one epoch of phase 2 over the Phase1Batch
+// fixture's training trips, dim 128: per trip a scoring session, the
+// observation examples and the candidate-route transition examples
+// (each point's pool scored once), and one Adam step for each fuse MLP.
+// Phase 1 is skipped; the frozen embeddings are the untrained encoder's.
+func BenchmarkTrainFuse(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	cfg.FuseEpochs = 1
+	m, samples, rng := phase1Fixture(b, testDatasetSized(b, 14, 6600), cfg)
+	m.RefreshEmbeddings()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.trainFuse(samples, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(samples)), "trips")
+}
+
 // BenchmarkRefreshEmbeddings is the all-nodes encoder pass, tape-free
 // (Encoder.Embed), and the per-segment tables built from its segment
 // rows, which Train runs (Load reads the rows from the file instead):

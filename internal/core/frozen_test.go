@@ -121,8 +121,9 @@ func savedFile(t *testing.T, m *Model) string {
 	return path
 }
 
-// TestLoadedModelIsInferenceOnly: New + Load and LoadModel each return a
-// model without the encoder or the graph's relation adjacencies, which
+// TestLoadedModelIsInferenceOnly: New + Load, NewForLoad + Load and
+// LoadModel each return a model without the encoder or the graph's
+// relation adjacencies, which
 // matches every test trip as the trained model does, bit for bit — the
 // batch path and per-point Viterbi scores, and the stream's emissions at
 // lags 0, 2 and past the trip's end — and has the trained model's
@@ -139,11 +140,23 @@ func TestLoadedModelIsInferenceOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	skeleton, err := NewForLoad(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	if err := skeleton.Load(&file); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name   string
 		loaded *Model
 	}{
 		{"New + Load", savedAndLoaded(t, d, cfg, m)},
+		{"NewForLoad + Load", skeleton},
 		{"LoadModel", fromFile},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -378,4 +391,43 @@ func candBits(out []uint64, cs []hmm.Candidate) []uint64 {
 		out = append(out, uint64(c.Seg), math.Float64bits(c.Frac), math.Float64bits(c.Dist), math.Float64bits(c.Obs))
 	}
 	return out
+}
+
+// TestNewForLoadHoldsNoEncoder: the load skeleton has New's heads in
+// shape and no encoder, so before any Load it already refuses Save and
+// RefreshEmbeddings with ErrInferenceOnly; New's construction, the one
+// Train runs, still holds its encoder.
+func TestNewForLoadHoldsNoEncoder(t *testing.T) {
+	d := testDataset(t, 12)
+	cfg := fastConfig()
+	full, err := New(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewForLoad(d, d.TrainTrips(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Enc == nil || m.Enc != nil {
+		t.Fatalf("encoders: New %v, NewForLoad %v; want one and none", full.Enc != nil, m.Enc != nil)
+	}
+	want, got := full.matchParams(), m.matchParams()
+	if len(got) != len(want) {
+		t.Fatalf("NewForLoad has %d match parameters, New %d", len(got), len(want))
+	}
+	for i, p := range want {
+		if q := got[i]; q.Name != p.Name || q.W.R != p.W.R || q.W.C != p.W.C {
+			t.Fatalf("parameter %d: NewForLoad %s %d×%d, New %s %d×%d", i, q.Name, q.W.R, q.W.C, p.Name, p.W.R, p.W.C)
+		}
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); !errors.Is(err, ErrInferenceOnly) || buf.Len() != 0 {
+		t.Fatalf("Save: error %v after %d bytes, want ErrInferenceOnly after none", err, buf.Len())
+	}
+	defer func() {
+		if r := recover(); r != ErrInferenceOnly {
+			t.Fatalf("RefreshEmbeddings panicked with %v, want ErrInferenceOnly", r)
+		}
+	}()
+	m.RefreshEmbeddings()
 }

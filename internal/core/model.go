@@ -118,15 +118,33 @@ func attDim(dim int) int { return max(1, dim/2) }
 // New builds an untrained model over the dataset's networks using the
 // given training trips for graph construction.
 func New(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) {
+	return build(ds, trainTrips, cfg, true)
+}
+
+// NewForLoad builds the model Load fills: the graph, router and heads
+// of New, but no encoder, whose |V|×dim init table and round weights a
+// model file replaces with its node rows. It is inference-only from the
+// start: Save returns ErrInferenceOnly and RefreshEmbeddings panics with
+// it, loaded or not.
+func NewForLoad(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config) (*Model, error) {
+	return build(ds, trainTrips, cfg, false)
+}
+
+// build is New, or NewForLoad when encoder is false. New's encoder draws
+// from the rng before the heads, so NewForLoad's heads have New's shapes
+// but other values, which Load overwrites.
+func build(ds *traj.Dataset, trainTrips []*traj.Trip, cfg Config, encoder bool) (*Model, error) {
 	cfg = cfg.withDefaults()
 	graph, err := mrg.BuildGraph(ds.Net, ds.Cells, trainTrips)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	enc, err := mrg.NewEncoder(graph, cfg.EncoderMode, cfg.Dim, encoderRounds, rng)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	var enc *mrg.Encoder
+	if encoder {
+		if enc, err = mrg.NewEncoder(graph, cfg.EncoderMode, cfg.Dim, encoderRounds, rng); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	d, h := cfg.Dim, attDim(cfg.Dim)
 	m := &Model{
@@ -344,7 +362,7 @@ func LoadModel(ds *traj.Dataset, path string, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("core: load %s: %q not in file", path, NodesParam)
 	}
 	cfg.Dim = dim
-	m, err := New(ds, ds.TrainTrips(), cfg)
+	m, err := NewForLoad(ds, ds.TrainTrips(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -261,3 +261,44 @@ func TestPhase1BatchAllocatesReceptiveField(t *testing.T) {
 		t.Errorf("receptive-field batch allocates %d B, full graph %d B: not under a third", got, want)
 	}
 }
+
+// TestPhase1StepAllocationCeiling guards the backward half of a phase-1
+// step at the benchmark's dimension (128): once the parameters hold
+// their gradients, Backward allocates under twice what the step's
+// forward allocates. Every node's gradient buffer is one forward value's
+// worth; the products' transposes and row gathers fill the rest. A
+// gradient buffer per weight use (each attention call's W_q, W_k, W_v,
+// each MLP's layers) or an |V|×d buffer for the encoder's Init lookup
+// would push it past seven times.
+func TestPhase1StepAllocationCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Dim = 128
+	m, samples, rng := phase1Fixture(t, testDatasetSized(t, 14, 4400), cfg)
+	draws := m.drawBatch(samples[:batchTrips], rng)
+	params := m.implicitParams()
+	alloc := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var fwd, bwd uint64
+	for range 2 { // the first step allocates the parameters' gradients
+		var tp *nn.Tape
+		var loss *nn.T
+		fwd = alloc(func() { tp = nn.NewTape(); loss, _, _ = receptiveBatchLoss(m, tp, draws) })
+		bwd = alloc(func() {
+			if err := tp.Backward(loss); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, p := range params {
+			p.ZeroGrad()
+		}
+	}
+	t.Logf("phase-1 step: forward %d B, backward %d B (%.2f×)", fwd, bwd, float64(bwd)/float64(fwd))
+	if bwd >= 2*fwd {
+		t.Errorf("backward allocates %d B, forward %d B: not under twice", bwd, fwd)
+	}
+}

@@ -137,6 +137,25 @@ func (m *Model) calibrateGamma(ds *traj.Dataset) {
 		"gamma", bestGamma, "validation_trips", len(trips))
 }
 
+// WithShortcuts returns a copy of the trained model m that matches with
+// k shortcut predecessors (Config.Shortcuts) and holds its own
+// transition exponent γ, calibrated on ds as Train calibrates it.
+// Training reads Shortcuts only in that calibration, so the copy equals
+// the model Train returns for m's configuration with Shortcuts k, at the
+// cost of the calibration alone. It shares every other weight with m,
+// and m is not changed. It panics with ErrInferenceOnly on a loaded
+// model, whose weights hash covers the file's γ.
+func (m *Model) WithShortcuts(ds *traj.Dataset, k int) *Model {
+	if m.Enc == nil {
+		panic(ErrInferenceOnly)
+	}
+	mm := *m
+	mm.Cfg.Shortcuts = k
+	mm.transGamma = nn.NewZeroParam(m.transGamma.Name, 1, 1)
+	mm.calibrateGamma(ds)
+	return &mm
+}
+
 // tripSample is the preprocessed training view of one trip.
 type tripSample struct {
 	tr      *traj.Trip
@@ -660,10 +679,20 @@ func (m *Model) transFuseExamples(s *tripSample, sess *session, rng *rand.Rand) 
 	if budget < 2 {
 		budget = 2
 	}
+	// Each point's candidates are scored once, on its first draw:
+	// Candidates is deterministic, and no draw depends on it.
+	cands := make([][]hmm.Candidate, len(s.tr.Cell))
+	scored := make([]bool, len(s.tr.Cell))
+	candidates := func(i int) []hmm.Candidate {
+		if !scored[i] {
+			cands[i], scored[i] = sess.Candidates(s.tr.Cell, i, candK), true
+		}
+		return cands[i]
+	}
 	for k := 0; k < budget; k++ {
 		i := 1 + rng.Intn(len(s.tr.Cell)-1)
-		fromCands := sess.Candidates(s.tr.Cell, i-1, candK)
-		toCands := sess.Candidates(s.tr.Cell, i, candK)
+		fromCands := candidates(i - 1)
+		toCands := candidates(i)
 		if len(fromCands) == 0 || len(toCands) == 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -432,5 +433,52 @@ func TestRegistryResolvesEveryMethod(t *testing.T) {
 	}
 	if _, err := NewBaseline("bogus", ds, router, graph, s.Cfg.Baseline); err == nil {
 		t.Error("NewBaseline: unknown name did not error")
+	}
+}
+
+// TestLHMMSEqualsRetrain: the suite's LHMM-S, LHMM's weights with γ
+// calibrated again without shortcuts, equals a model trained with
+// Shortcuts 0 — every weight and the frozen node rows (WeightsHash), and
+// its Table III row but for the wall time — and leaves LHMM's own γ as
+// it was.
+func TestLHMMSEqualsRetrain(t *testing.T) {
+	s := tinySuite("lhmms-test", 36)
+	ds, err := s.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.LHMM()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseHash := base.WeightsHash()
+	got, err := s.lhmm("LHMM-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.Cfg.LHMM
+	lhmmVariants["LHMM-S"](&cfg)
+	want, err := core.Train(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cfg.Shortcuts != 0 || base.Cfg.Shortcuts != s.Cfg.LHMM.Shortcuts {
+		t.Fatalf("Shortcuts: LHMM-S %d, LHMM %d", got.Cfg.Shortcuts, base.Cfg.Shortcuts)
+	}
+	if got.WeightsHash() != want.WeightsHash() {
+		t.Fatal("LHMM-S weights differ from a model trained with Shortcuts 0")
+	}
+	if base.WeightsHash() != baseHash {
+		t.Fatal("building LHMM-S changed LHMM's weights")
+	}
+	rows, err := s.rows([]string{"LHMM-S"}, ds.TestTrips())
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrained, _ := EvaluateMethod(ds, LHMMMethod("LHMM-S", want), ds.TestTrips(), CMFCorridor)
+	gotRow := rows[0].Summary
+	gotRow.AvgTimeS, retrained.AvgTimeS = 0, 0
+	if a, b := fmt.Sprintf("%#v", gotRow), fmt.Sprintf("%#v", retrained); a != b {
+		t.Fatalf("Table III row: LHMM-S %s, retrained %s", a, b)
 	}
 }

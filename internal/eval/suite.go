@@ -125,12 +125,22 @@ func (s *Suite) LHMM() (*core.Model, error) {
 	return s.lhmm("LHMM")
 }
 
-// lhmm trains (once per name) one of lhmmVariants.
+// lhmm trains (once per name) one of lhmmVariants. LHMM-S is not
+// trained: training reads Shortcuts only to calibrate γ, so it is
+// LHMM's weights with γ calibrated again without shortcuts
+// (core.Model.WithShortcuts).
 func (s *Suite) lhmm(name string) (*core.Model, error) {
 	return memo(s, name, func() (*core.Model, error) {
 		ds, err := s.Dataset()
 		if err != nil {
 			return nil, err
+		}
+		if name == "LHMM-S" {
+			base, err := s.LHMM()
+			if err != nil {
+				return nil, err
+			}
+			return base.WithShortcuts(ds, 0), nil
 		}
 		cfg := s.Cfg.LHMM
 		lhmmVariants[name](&cfg)

@@ -78,9 +78,7 @@ func (m *Mat) Fill(v float64) {
 // AddInPlace adds o elementwise. It panics on shape mismatch.
 func (m *Mat) AddInPlace(o *Mat) {
 	m.mustSameShape(o, "AddInPlace")
-	for i := range m.W {
-		m.W[i] += o.W[i]
-	}
+	addRow(m.W, o.W)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -330,9 +328,18 @@ func TransposeInto(dst, m *Mat) {
 	if dst.R != m.C || dst.C != m.R {
 		panic("nn: TransposeInto: shape mismatch")
 	}
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			dst.W[j*dst.C+i] = m.W[i*m.C+j]
+	// Tiles of 8×8 keep both the rows read and the rows written in cache.
+	const tile = 8
+	for i0 := 0; i0 < m.R; i0 += tile {
+		i1 := min(i0+tile, m.R)
+		for j0 := 0; j0 < m.C; j0 += tile {
+			j1 := min(j0+tile, m.C)
+			for i := i0; i < i1; i++ {
+				row := m.W[i*m.C : (i+1)*m.C]
+				for j := j0; j < j1; j++ {
+					dst.W[j*dst.C+i] = row[j]
+				}
+			}
 		}
 	}
 }

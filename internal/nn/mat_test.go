@@ -90,6 +90,22 @@ func TestTransposeInto(t *testing.T) {
 			t.Fatalf("TransposeInto = %v, want %v", dst.W, want)
 		}
 	}
+	// Shapes that cut the 8×8 tiles in both directions.
+	for _, sh := range [][2]int{{1, 1}, {1, 9}, {8, 8}, {9, 17}, {16, 3}, {13, 31}} {
+		m := NewMat(sh[0], sh[1])
+		for i := range m.W {
+			m.W[i] = float64(i)
+		}
+		mt := NewMat(sh[1], sh[0])
+		TransposeInto(mt, m)
+		for i := 0; i < m.R; i++ {
+			for j := 0; j < m.C; j++ {
+				if mt.At(j, i) != m.At(i, j) {
+					t.Fatalf("%v: TransposeInto[%d][%d] = %v, want %v", sh, j, i, mt.At(j, i), m.At(i, j))
+				}
+			}
+		}
+	}
 }
 
 func TestXavierRange(t *testing.T) {

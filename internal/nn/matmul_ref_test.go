@@ -266,7 +266,7 @@ func TestMatMulBackwardMatchesRef(t *testing.T) {
 							a, b := node(aVal, ga), node(bVal, gb)
 							ra, rb := node(aVal, ga), node(bVal, gb)
 							before := kernelProducts.Load()
-							matMulBackward(a, b, dOut)
+							NewTape().matMulBackward(a, b, dOut)
 							ran := kernelProducts.Load() - before
 							refMatMulBackward(ra, rb, dOut)
 							what := fmt.Sprintf("workers %d, %v, %s grad, specials %v, warm %v", workers, sh, kind, spec, warm)
@@ -286,8 +286,10 @@ func TestMatMulBackwardMatchesRef(t *testing.T) {
 }
 
 // TestForwardTapeAllocatesNoGrad: a forward-only tape over one round of
-// the graph encoder (Eq. 4–5) allocates no gradient buffer; Backward
-// allocates every one.
+// the graph encoder (Eq. 4–5) allocates no gradient buffer. Backward
+// allocates one for every node but the Var nodes one op reads alone as
+// its MatMul weight, whose gradient goes to the parameter directly, and
+// every parameter holds its gradient.
 func TestForwardTapeAllocatesNoGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const nodes, dim = 12, 6
@@ -310,9 +312,148 @@ func TestForwardTapeAllocatesNoGrad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range tp.nodes {
-		if n.Grad == nil || n.Grad.R != n.Val.R || n.Grad.C != n.Val.C {
+		weight := n.param != nil && n.param != init
+		switch {
+		case weight && (n.Grad != nil || n.sink == nil):
+			t.Fatalf("after Backward: weight node %d holds gradient %+v, sink %+v; want none and a sink", i, n.Grad, n.sink)
+		case !weight && (n.Grad == nil || n.Grad.R != n.Val.R || n.Grad.C != n.Val.C):
 			t.Fatalf("after Backward: node %d gradient %+v", i, n.Grad)
 		}
+	}
+	for _, p := range []*Param{init, wRel, w0, wAgg} {
+		if p.Grad == nil {
+			t.Fatalf("after Backward: parameter %s holds no gradient", p.Name)
+		}
+	}
+}
+
+// refBackward is the Backward the sinks replaced, kept as the oracle:
+// every node gets a zeroed gradient buffer up front, every reader adds
+// its contribution to it (no node counts as read alone), and each Var
+// node's buffer is then added to its parameter's gradient in forward
+// order — p.Grad += (0 + c) for a Var read once.
+func refBackward(tp *Tape, loss *T) {
+	for _, n := range tp.nodes {
+		n.Grad = NewMat(n.Val.R, n.Val.C)
+		n.uses++
+	}
+	loss.Grad.W[0] = 1
+	for i := len(tp.nodes) - 1; i >= 0; i-- {
+		if n := tp.nodes[i]; n.back != nil {
+			n.back()
+		}
+	}
+	for _, n := range tp.nodes {
+		if n.param != nil {
+			n.param.grad().AddInPlace(n.Grad)
+		}
+	}
+}
+
+// TestBackwardSinksMatchPerUseRef holds Backward, whose Var nodes read
+// alone by a MatMul weight or a Gather hand their contribution to the
+// parameter directly, to refBackward with Float64bits equality on every
+// parameter gradient: a weight read once, by two Var nodes, and twice
+// through one Var node; a Var as a MatMul left operand; a bias through
+// AddRow; lookups with ascending, unsorted and repeated rows; gradients
+// with zero rows; operands with zeros of both signs (−0 products) and
+// rows holding NaN or ±Inf; parameter gradients starting nil or warm.
+func TestBackwardSinksMatchPerUseRef(t *testing.T) {
+	kernels(t, func(t *testing.T, portable bool) {
+		rng := rand.New(rand.NewSource(36))
+		for trial := 0; trial < 40; trial++ {
+			special, warm := trial%4 >= 2, trial%2 == 1
+			n, d, h := 3+rng.Intn(10), 1+rng.Intn(12), 8*(1+rng.Intn(2))
+			w := map[string]*Mat{
+				"once":  oracleMat(rng, d, h, 0.2, special),
+				"twice": oracleMat(rng, h, h, 0.2, special),
+				"left":  oracleMat(rng, n, d, 0.2, special),
+				"bias":  oracleMat(rng, 1, h, 0.2, false),
+				"table": oracleMat(rng, 3*n, d, 0.2, special),
+			}
+			x := oracleMat(rng, n, d, 0.3, special)
+			right := oracleMat(rng, d, h, 0.3, false)
+			mask := oracleMat(rng, n, h, 0.3, false)
+			asc := []int{0, 2, 3, 3*n - 1}
+			mixed := make([]int, 48) // past insertion sort's 12: an unstable sort reorders
+			for i := range mixed {
+				mixed[i] = rng.Intn(3 * n)
+			}
+			pick := []int{0, n - 1}
+			scale := oracleMat(rng, len(asc)+len(mixed), h, 0.3, false)
+			// A warm gradient is what earlier passes summed: never −0.
+			params := func(seed int64) map[string]*Param {
+				r := rand.New(rand.NewSource(seed))
+				ps := make(map[string]*Param, len(w))
+				for _, name := range []string{"bias", "left", "once", "table", "twice"} {
+					ps[name] = &Param{Name: name, W: w[name]}
+					if warm {
+						ps[name].Grad = oracleMat(r, w[name].R, w[name].C, 0, false)
+					}
+				}
+				return ps
+			}
+			build := func(tp *Tape, ps map[string]*Param) *T {
+				// once: one Var node, one reader.
+				h1 := tp.MatMul(tp.Const(x), tp.Var(ps["once"]))
+				// twice: two single-reader Var nodes, then one node read twice.
+				h2 := tp.MatMul(tp.ReLU(h1), tp.Var(ps["twice"]))
+				t2 := tp.Tanh(h2)
+				h3 := tp.MatMul(t2, tp.Var(ps["twice"]))
+				v := tp.Var(ps["twice"])
+				h4 := tp.Add(tp.MatMul(h3, v), tp.MatMul(h1, v))
+				// left: a Var as a MatMul's left operand; bias through AddRow.
+				h5 := tp.MatMul(tp.Var(ps["left"]), tp.Const(right))
+				out := tp.AddRow(tp.Add(h4, h5), tp.Var(ps["bias"]))
+				out = tp.Mul(out, tp.Const(mask))
+				// table: an ascending lookup and a repeated, unsorted one.
+				g1 := tp.Gather(tp.Var(ps["table"]), asc)
+				g2 := tp.Gather(tp.Var(ps["table"]), mixed)
+				look := tp.MatMul(tp.StackRows([]*T{g1, g2}), tp.Const(right))
+				// Two rows of out reach the loss (zero rows of dOut); t2 is
+				// read again after its product, whose dOut is dense.
+				sparse := tp.SumAll(tp.Gather(out, pick))
+				dense := tp.SumAll(tp.Mul(tp.Add(h3, t2), tp.Const(mask)))
+				return tp.Add(tp.Add(sparse, dense), tp.SumAll(tp.Mul(look, tp.Const(scale))))
+			}
+			seed := rng.Int63()
+			got, want := params(seed), params(seed)
+			tp := NewTape()
+			if err := tp.Backward(build(tp, got)); err != nil {
+				t.Fatal(err)
+			}
+			// once, the two single-reader nodes of twice, and both lookups.
+			var sinks int
+			for _, n := range tp.nodes {
+				if n.sink != nil {
+					sinks++
+				}
+			}
+			if sinks != 5 {
+				t.Fatalf("trial %d: %d Var nodes sank their gradient, want 5", trial, sinks)
+			}
+			rt := NewTape()
+			refBackward(rt, build(rt, want))
+			for name, p := range want {
+				sameBits(t, fmt.Sprintf("trial %d (%d×%d, h %d, specials %v, warm %v): %s", trial, n, d, h, special, warm, name), got[name].Grad, p.Grad)
+			}
+		}
+	})
+}
+
+// TestBackwardVarLossKeepsSeed: a Var node that is the loss keeps its
+// seed when one op also reads it: the seed counts as a reader, so no
+// sink stands in for the gradient buffer the seed is in.
+func TestBackwardVarLossKeepsSeed(t *testing.T) {
+	p := &Param{Name: "loss", W: RowVec(3)}
+	tp := NewTape()
+	loss := tp.Var(p)
+	tp.Gather(loss, []int{0}) // read, but reaches nothing
+	if err := tp.Backward(loss); err != nil {
+		t.Fatal(err)
+	}
+	if p.Grad == nil || p.Grad.W[0] != 1 {
+		t.Fatalf("gradient of a Var loss: %+v, want 1", p.Grad)
 	}
 }
 
@@ -380,6 +521,6 @@ func BenchmarkMatMulBackward(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matMulBackward(a, w, dOut)
+		NewTape().matMulBackward(a, w, dOut)
 	}
 }

@@ -5,19 +5,31 @@ import (
 	"math"
 )
 
-// MatMul returns a·b with gradient propagation to both inputs.
+// MatMul returns a·b with gradient propagation to both inputs. A
+// product of the same two value matrices as an earlier MatMul on the
+// tape shares that product's value (an attention reads its keys through
+// the same weight for every query) but is its own node, so the backward
+// pass is the same as for two separate products.
 func (tp *Tape) MatMul(a, b *T) *T {
 	if a.C() != b.R() {
 		panic(fmt.Sprintf("nn: MatMul: %d×%d · %d×%d", a.R(), a.C(), b.R(), b.C()))
 	}
-	val := NewMat(a.R(), b.C())
-	MatMulInto(val, a.Val, b.Val)
+	key := [2]*Mat{a.Val, b.Val}
+	val := tp.products[key]
+	if val == nil {
+		val = NewMat(a.R(), b.C())
+		MatMulInto(val, a.Val, b.Val)
+		if tp.products == nil {
+			tp.products = make(map[[2]*Mat]*Mat)
+		}
+		tp.products[key] = val
+	}
 	var out *T
-	out = tp.node(val, func() { matMulBackward(a, b, out.Grad) })
+	out = tp.node(val, func() { tp.matMulBackward(a, b, out.Grad) }, a, b)
 	return out
 }
 
-// matMulBackward adds dOut·Bᵀ to a.Grad and Aᵀ·dOut to b.Grad, doing
+// matMulBackward adds dOut·Bᵀ to a's gradient and Aᵀ·dOut to b's, doing
 // arithmetic only for the rows of dOut that hold a non-zero — in the
 // graph encoder's backward, the few rows its receptive field reaches.
 // The result is bit-identical to the two full products
@@ -37,7 +49,12 @@ func (tp *Tape) MatMul(a, b *T) *T {
 //     through MatMulInto, whose per-element sum is exactly that one
 //     (refMatMulRows), row-blocked and forked like any product; with no
 //     row kept, Aᵀ·dOut is +0 and is not added.
-func matMulBackward(a, b *T, dOut *Mat) {
+//
+// Bᵀ, and Aᵀ when every row is kept, are the tape's one transpose of
+// their matrix (Tape.transpose). When b is a Var node only this product
+// reads, Aᵀ·dOut is not formed here: its factors go to b.sink, and
+// Backward forms the product when it adds b's parameter gradient.
+func (tp *Tape) matMulBackward(a, b *T, dOut *Mat) {
 	var rows, keep []int
 	for r := 0; r < dOut.R; r++ {
 		switch {
@@ -48,31 +65,43 @@ func matMulBackward(a, b *T, dOut *Mat) {
 			keep = append(keep, r)
 		}
 	}
-	if len(rows) > 0 {
-		bt := NewMat(b.C(), b.R())
-		TransposeInto(bt, b.Val)
+	switch {
+	case len(rows) == dOut.R && a.Grad == nil:
+		// a's first gradient, every row: 0 + dOut·Bᵀ is the product
+		// itself, which sums each element from +0 and so holds no −0.
+		a.Grad = NewMat(a.R(), a.C())
+		MatMulInto(a.Grad, dOut, tp.transpose(b.Val))
+	case len(rows) > 0:
 		g := gatherRows(dOut, rows)
 		da := NewMat(g.R, a.C())
-		MatMulInto(da, g, bt)
+		MatMulInto(da, g, tp.transpose(b.Val))
+		ga := a.grad()
 		for t, r := range rows {
-			ga, dr := a.Grad.Row(r), da.Row(t)
-			for j := range ga {
-				ga[j] += dr[j]
-			}
+			addRow(ga.Row(r), da.Row(t))
 		}
 	}
 	if len(keep) == 0 {
 		return
 	}
-	at := NewMat(a.C(), len(keep))
-	for t, k := range keep {
-		for i, v := range a.Val.Row(k) {
-			at.W[i*len(keep)+t] = v
+	var at *Mat
+	if len(keep) == a.R() {
+		at = tp.transpose(a.Val)
+	} else {
+		at = NewMat(a.C(), len(keep))
+		for t, k := range keep {
+			for i, v := range a.Val.Row(k) {
+				at.W[i*len(keep)+t] = v
+			}
 		}
 	}
+	g := gatherRows(dOut, keep)
+	if b.sole() {
+		b.sink = &sink{at: at, g: g}
+		return
+	}
 	db := NewMat(b.R(), b.C())
-	MatMulInto(db, at, gatherRows(dOut, keep))
-	b.Grad.AddInPlace(db)
+	MatMulInto(db, at, g)
+	b.grad().AddInPlace(db)
 }
 
 // gatherRows returns the given ascending rows of m as a new matrix, or
@@ -116,9 +145,9 @@ func (tp *Tape) Add(a, b *T) *T {
 	val.AddInPlace(b.Val)
 	var out *T
 	out = tp.node(val, func() {
-		a.Grad.AddInPlace(out.Grad)
-		b.Grad.AddInPlace(out.Grad)
-	})
+		a.grad().AddInPlace(out.Grad)
+		b.grad().AddInPlace(out.Grad)
+	}, a, b)
 	return out
 }
 
@@ -142,14 +171,15 @@ func (tp *Tape) AddRow(a, b *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
-		a.Grad.AddInPlace(out.Grad)
+		a.grad().AddInPlace(out.Grad)
+		gb := b.grad()
 		for i := 0; i < out.Grad.R; i++ {
 			row := out.Grad.Row(i)
 			for j := range row {
-				b.Grad.W[j] += row[j]
+				gb.W[j] += row[j]
 			}
 		}
-	})
+	}, a, b)
 	return out
 }
 
@@ -162,11 +192,12 @@ func (tp *Tape) Mul(a, b *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga, gb := a.grad(), b.grad()
 		for i := range out.Grad.W {
-			a.Grad.W[i] += out.Grad.W[i] * b.Val.W[i]
-			b.Grad.W[i] += out.Grad.W[i] * a.Val.W[i]
+			ga.W[i] += out.Grad.W[i] * b.Val.W[i]
+			gb.W[i] += out.Grad.W[i] * a.Val.W[i]
 		}
-	})
+	}, a, b)
 	return out
 }
 
@@ -176,10 +207,11 @@ func (tp *Tape) Scale(a *T, s float64) *T {
 	val.ScaleInPlace(s)
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := range out.Grad.W {
-			a.Grad.W[i] += s * out.Grad.W[i]
+			ga.W[i] += s * out.Grad.W[i]
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -193,12 +225,13 @@ func (tp *Tape) ReLU(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := range out.Grad.W {
 			if a.Val.W[i] > 0 {
-				a.Grad.W[i] += out.Grad.W[i]
+				ga.W[i] += out.Grad.W[i]
 			}
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -210,10 +243,11 @@ func (tp *Tape) Tanh(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := range out.Grad.W {
-			a.Grad.W[i] += out.Grad.W[i] * (1 - val.W[i]*val.W[i])
+			ga.W[i] += out.Grad.W[i] * (1 - val.W[i]*val.W[i])
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -225,10 +259,11 @@ func (tp *Tape) Sigmoid(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := range out.Grad.W {
-			a.Grad.W[i] += out.Grad.W[i] * val.W[i] * (1 - val.W[i])
+			ga.W[i] += out.Grad.W[i] * val.W[i] * (1 - val.W[i])
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -244,10 +279,11 @@ func (tp *Tape) ConcatCols(a, b *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga, gb := a.grad(), b.grad()
 		for i := 0; i < a.R(); i++ {
 			gRow := out.Grad.Row(i)
-			aRow := a.Grad.Row(i)
-			bRow := b.Grad.Row(i)
+			aRow := ga.Row(i)
+			bRow := gb.Row(i)
 			for j := range aRow {
 				aRow[j] += gRow[j]
 			}
@@ -255,7 +291,7 @@ func (tp *Tape) ConcatCols(a, b *T) *T {
 				bRow[j] += gRow[a.C()+j]
 			}
 		}
-	})
+	}, a, b)
 	return out
 }
 
@@ -270,13 +306,14 @@ func (tp *Tape) RepeatRow(a *T, n int) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := 0; i < n; i++ {
 			row := out.Grad.Row(i)
 			for j := range row {
-				a.Grad.W[j] += row[j]
+				ga.W[j] += row[j]
 			}
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -288,6 +325,7 @@ func (tp *Tape) SoftmaxRows(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := 0; i < a.R(); i++ {
 			g := out.Grad.Row(i)
 			y := val.Row(i)
@@ -295,12 +333,12 @@ func (tp *Tape) SoftmaxRows(a *T) *T {
 			for j := range g {
 				dot += g[j] * y[j]
 			}
-			aRow := a.Grad.Row(i)
+			aRow := ga.Row(i)
 			for j := range aRow {
 				aRow[j] += y[j] * (g[j] - dot)
 			}
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -336,13 +374,16 @@ func (tp *Tape) Transpose(a *T) *T {
 	out = tp.node(val, func() {
 		g := NewMat(a.R(), a.C())
 		TransposeInto(g, out.Grad)
-		a.Grad.AddInPlace(g)
-	})
+		a.grad().AddInPlace(g)
+	}, a)
 	return out
 }
 
 // Gather selects the given rows of a (an embedding lookup). Gradients
-// scatter-add back to the selected rows. Indices out of range panic.
+// scatter-add back to the selected rows; on a Var node it reads alone,
+// they go to the parameter's rows directly (see Backward), so a lookup
+// of a few rows of a large table never sweeps a table-sized gradient.
+// Indices out of range panic.
 func (tp *Tape) Gather(a *T, indices []int) *T {
 	val := NewMat(len(indices), a.C())
 	for i, idx := range indices {
@@ -351,14 +392,15 @@ func (tp *Tape) Gather(a *T, indices []int) *T {
 	idx := append([]int(nil), indices...)
 	var out *T
 	out = tp.node(val, func() {
-		for i, id := range idx {
-			row := a.Grad.Row(id)
-			g := out.Grad.Row(i)
-			for j := range row {
-				row[j] += g[j]
-			}
+		if a.sole() {
+			a.sink = &sink{g: out.Grad, rows: idx}
+			return
 		}
-	})
+		ga := a.grad()
+		for i, id := range idx {
+			addRow(ga.Row(id), out.Grad.Row(i))
+		}
+	}, a)
 	return out
 }
 
@@ -373,13 +415,14 @@ func (tp *Tape) SumRows(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		ga := a.grad()
 		for i := 0; i < a.R(); i++ {
-			row := a.Grad.Row(i)
+			row := ga.Row(i)
 			for j := range row {
 				row[j] += out.Grad.W[j]
 			}
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -396,11 +439,11 @@ func (tp *Tape) SumAll(a *T) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
-		g := out.Grad.W[0]
-		for i := range a.Grad.W {
-			a.Grad.W[i] += g
+		g, ga := out.Grad.W[0], a.grad()
+		for i := range ga.W {
+			ga.W[i] += g
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -426,16 +469,16 @@ func (tp *Tape) CrossEntropy(logits *T, target *Mat) *T {
 	val.W[0] /= float64(n)
 	var out *T
 	out = tp.node(val, func() {
-		g := out.Grad.W[0] / float64(n)
+		g, gl := out.Grad.W[0]/float64(n), logits.grad()
 		for i := 0; i < n; i++ {
-			lRow := logits.Grad.Row(i)
+			lRow := gl.Row(i)
 			pRow := prob.Row(i)
 			tRow := target.Row(i)
 			for j := range lRow {
 				lRow[j] += g * (pRow[j] - tRow[j])
 			}
 		}
-	})
+	}, logits)
 	return out
 }
 
@@ -479,6 +522,7 @@ func (tp *Tape) RMSNorm(a *T, eps float64) *T {
 	}
 	var out *T
 	out = tp.node(val, func() {
+		gx := a.grad()
 		for i := 0; i < a.R(); i++ {
 			x := a.Val.Row(i)
 			g := out.Grad.Row(i)
@@ -487,13 +531,13 @@ func (tp *Tape) RMSNorm(a *T, eps float64) *T {
 			for j := range g {
 				dot += g[j] * x[j]
 			}
-			ga := a.Grad.Row(i)
+			ga := gx.Row(i)
 			r3n := r * r * r * float64(n)
 			for j := range ga {
 				ga[j] += g[j]/r - x[j]*dot/r3n
 			}
 		}
-	})
+	}, a)
 	return out
 }
 
@@ -523,12 +567,13 @@ func (tp *Tape) StackRows(parts []*T) *T {
 		at := 0
 		for _, p := range ps {
 			n := p.R() * cols
+			gp := p.grad()
 			for i := 0; i < n; i++ {
-				p.Grad.W[i] += out.Grad.W[at*cols+i]
+				gp.W[i] += out.Grad.W[at*cols+i]
 			}
 			at += p.R()
 		}
-	})
+	}, ps...)
 	return out
 }
 

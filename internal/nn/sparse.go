@@ -186,7 +186,7 @@ func (tp *Tape) SpMM(s *Sparse, x *T) *T {
 		}
 		g := NewMat(x.R(), x.C())
 		st.MulInto(g, out.Grad)
-		x.Grad.AddInPlace(g)
-	})
+		x.grad().AddInPlace(g)
+	}, x)
 	return out
 }

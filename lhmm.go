@@ -172,9 +172,10 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // Train builds and trains an LHMM on the dataset's training split.
 func Train(ds *Dataset, cfg Config) (*Model, error) { return core.Train(ds, cfg) }
 
-// NewModel builds an untrained model (for loading saved weights).
+// NewModel builds the skeleton a saved model loads into: graph, router
+// and heads, no encoder. It cannot be trained or saved; Load fills it.
 func NewModel(ds *Dataset, trainTrips []*Trip, cfg Config) (*Model, error) {
-	return core.New(ds, trainTrips, cfg)
+	return core.NewForLoad(ds, trainTrips, cfg)
 }
 
 // LoadModel builds a model over ds from the weights file at path; the
