@@ -52,8 +52,13 @@ var fpBatchNaN = faultinject.New("core.trans.nan")
 // appends a row per pushed point, attending over the points seen so
 // far). An lhmm-session/v3 snapshot serialises only obsZ and obsMax;
 // restore refills the rest with extend, as the pushes did. One session
-// serves one match or one hmm.StreamMatcher and is not safe for
-// concurrent use — the serving layer serializes pushes per session.
+// serves one match or one hmm.StreamMatcher — the serving layer
+// serializes pushes per session. Within a batch match the observation
+// side (Candidates) runs on the matcher's helper goroutine beside the
+// transition side and Score (see hmm.ObservationModel): on a session
+// filled whole extend and ensureKeys write nothing, Candidates writes
+// only obsMax[i], obsZ[i] and the obsT0/obsT clock, and everything else
+// — the roadP table, the fold scratch — is the caller's alone.
 // Matrix scratch comes from the shared nn workspace pool per call and a
 // step's fold scratch from foldPool, so an idle session pins neither;
 // nor, between pushes, the segment-indexed roadP table (see roadTable).
@@ -113,8 +118,10 @@ type session struct {
 
 	// span, when non-nil, is the request's match span; observation-
 	// scoring wall-clock accumulates into obsT (first call stamped in
-	// obsT0) and MatchContext emits it as one "observation" child span.
-	// Candidates runs sequentially on the match goroutine, so plain
+	// obsT0) and MatchContext emits it as one "observation" child span:
+	// the busy time, which a batch match overlaps with its forward pass.
+	// Only Candidates writes them, in point order on one goroutine, and
+	// MatchContext reads them after the matcher has joined it, so plain
 	// fields suffice.
 	span  *obs.Span
 	obsT0 time.Time

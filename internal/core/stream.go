@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cellular"
 	"repro/internal/geo"
@@ -37,6 +36,20 @@ func poolCandidates(net *roadnet.Network, p geo.Point, pool []roadnet.SegmentID)
 	return cands
 }
 
+// cmpLess turns a less-than verdict into a comparison result for
+// slices.SortFunc, which only asks whether it is negative: sorting with
+// it makes the permutation sort.Slice makes with the same verdict, since
+// both run one pdqsort.
+func cmpLess(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
+}
+
+// byObsDesc orders candidates by descending observation probability.
+func byObsDesc(a, b hmm.Candidate) int { return cmpLess(a.Obs > b.Obs) }
+
 // selectTopK softmax-normalizes the fused log-odds over the pool
 // (Eq. 7's softmax runs across the candidate roads of the point),
 // fills each candidate's Obs, and picks the top-k by learned
@@ -65,45 +78,44 @@ func selectTopK(cands []hmm.Candidate, scores []float64, k int) ([]hmm.Candidate
 		cands[j].Obs /= z
 	}
 	if k >= len(cands) {
-		sort.Slice(cands, func(a, b int) bool { return cands[a].Obs > cands[b].Obs })
+		slices.SortFunc(cands, byObsDesc)
 		return cands, mx, z
 	}
-	// Mark the nearest k/3 by distance as guaranteed.
-	byDist := make([]int, len(cands))
-	for i := range byDist {
-		byDist[i] = i
-	}
-	sort.Slice(byDist, func(a, b int) bool { return cands[byDist[a]].Dist < cands[byDist[b]].Dist })
-	// A stack array holds the marks of any pool up to its size (the
+	// Mark the nearest k/3 by distance as guaranteed. Stack arrays hold
+	// the index order and the marks of any pool up to their size (the
 	// default configuration's pools are at most 4k = 120 roads).
+	var idx [256]int
 	var marks [256]bool
-	guaranteed := marks[:]
-	if len(cands) > len(marks) {
-		guaranteed = make([]bool, len(cands))
+	order, guaranteed := idx[:], marks[:]
+	if len(cands) > len(idx) {
+		order, guaranteed = make([]int, len(cands)), make([]bool, len(cands))
 	}
-	for _, idx := range byDist[:k/3+1] {
-		guaranteed[idx] = true
-	}
-	order := make([]int, len(cands))
+	order, guaranteed = order[:len(cands)], guaranteed[:len(cands)]
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ga, gb := guaranteed[order[a]], guaranteed[order[b]]
-		if ga != gb {
-			return ga
+	slices.SortFunc(order, func(a, b int) int { return cmpLess(cands[a].Dist < cands[b].Dist) })
+	for _, i := range order[:k/3+1] {
+		guaranteed[i] = true
+	}
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if ga, gb := guaranteed[a], guaranteed[b]; ga != gb {
+			return cmpLess(ga)
 		}
-		if cands[order[a]].Obs != cands[order[b]].Obs {
-			return cands[order[a]].Obs > cands[order[b]].Obs
+		if cands[a].Obs != cands[b].Obs {
+			return cmpLess(cands[a].Obs > cands[b].Obs)
 		}
-		return cands[order[a]].Seg < cands[order[b]].Seg
+		return cmpLess(cands[a].Seg < cands[b].Seg)
 	})
 	out := make([]hmm.Candidate, k)
-	for i := 0; i < k; i++ {
+	for i := range out {
 		out[i] = cands[order[i]]
 	}
 	// Present in descending learned-probability order.
-	sort.Slice(out, func(a, b int) bool { return out[a].Obs > out[b].Obs })
+	slices.SortFunc(out, byObsDesc)
 	return out, mx, z
 }
 

@@ -83,14 +83,25 @@ func (pl Polyline) Project(p Point) (closest Point, along float64, segIdx int, o
 	return closest, along, segIdx, true
 }
 
-// Dist returns the distance from p to the nearest point on the polyline.
-// It returns +Inf for an empty polyline.
+// Dist returns the distance from p to the nearest point on the polyline:
+// the point Project returns, found without the lengths along the line
+// that Project also sums. It returns +Inf for an empty polyline.
 func (pl Polyline) Dist(p Point) float64 {
-	q, _, _, ok := pl.Project(p)
-	if !ok {
+	switch len(pl) {
+	case 0:
 		return math.Inf(1)
+	case 1:
+		return p.Dist(pl[0])
 	}
-	return p.Dist(q)
+	best := math.Inf(1)
+	var closest Point
+	for i := 1; i < len(pl); i++ {
+		q := pl[i-1].Lerp(pl[i], Segment{pl[i-1], pl[i]}.ClosestFraction(p))
+		if d := p.DistSq(q); d < best {
+			best, closest = d, q
+		}
+	}
+	return p.Dist(closest)
 }
 
 // BBox returns the axis-aligned bounding box of the polyline.

@@ -160,3 +160,27 @@ func TestPolylineBBox(t *testing.T) {
 		t.Errorf("BBox = %v ok=%v", r, ok)
 	}
 }
+
+// TestPolylineDistIsProjectDist holds Dist to the distance from p to the
+// point Project returns, bit for bit, on random polylines with repeated
+// vertices (zero-length pieces) and points near two pieces at once.
+func TestPolylineDistIsProjectDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	for trial := 0; trial < 2000; trial++ {
+		pl := make(Polyline, 1+rng.Intn(6))
+		for i := range pl {
+			pl[i] = randPt(rng)
+			if i > 0 && rng.Intn(4) == 0 {
+				pl[i] = pl[i-1]
+			}
+		}
+		p := randPt(rng)
+		if trial%5 == 0 && len(pl) > 2 {
+			p = pl[0].Lerp(pl[2], 0.5)
+		}
+		q, _, _, _ := pl.Project(p)
+		if got, want := pl.Dist(p), p.Dist(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Dist %v, distance to Project's point %v", trial, got, want)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -95,6 +96,16 @@ func (c *Candidate) Pos() roadnet.PointOnRoad {
 }
 
 // ObservationModel scores the candidate roads of trajectory points.
+//
+// A batch match (MatchContext) calls Candidates for every point, in
+// point order, on a helper goroutine of its own, while the caller's
+// goroutine runs the forward pass: the TransitionModel, and Score for
+// the shortcut pass. Score(ct, i, …) is called only after
+// Candidates(ct, i, …) has returned, and the channel that hands the
+// layer over orders the two. So Candidates for point j may run
+// concurrently with Score for a point i < j and with the transition
+// model's calls; state that Candidates writes must be per point, or
+// guarded. A StreamMatcher calls everything on the pushing goroutine.
 type ObservationModel interface {
 	// Candidates returns up to k candidate segments for point i of the
 	// trajectory, each with its observation probability, sorted by
@@ -324,10 +335,15 @@ func (m *Matcher) Match(ct traj.CellTrajectory) (*Result, error) {
 }
 
 // MatchContext is Match with cancellation: the context is checked
-// between points during candidate preparation and between Viterbi
-// steps (and between columns of a pairwise transition fan-out), so a
+// before each point's layer is prepared and before its Viterbi step
+// (and between columns of a pairwise transition fan-out), so a
 // canceled or deadline-expired context stops the match within one
 // step's work and returns the context error wrapped.
+//
+// The layers are prepared on a helper goroutine (see ObservationModel
+// for what that asks of the model). The helper ends before
+// MatchContext returns, whatever the outcome, and a panic in
+// Candidates resurfaces here, on the caller's goroutine.
 func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Result, error) {
 	if len(ct) == 0 {
 		obsMatchErrors.Inc()
@@ -351,11 +367,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	// MatchTrace (Cfg.Trace) or a request span arriving on ctx, which
 	// receives the same stage timings as child spans.
 	sp := obs.SpanFromContext(ctx)
-	var trace *obs.MatchTrace
-	if m.Cfg.Trace {
-		trace = obs.NewMatchTrace(n)
-	}
-	traced := trace != nil || sp != nil
+	traced := m.Cfg.Trace || sp != nil
 	var st obs.StageTimings
 	stage := func(target *float64) func() {
 		if !traced {
@@ -368,115 +380,192 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	if timed {
 		start = time.Now()
 	}
-	var nCand, nEval, nBlocked int64
-	var deg int64 // degraded-mode scoring events this match
-	var es *explainState
-	if m.Cfg.Explain {
-		es = newExplainState(n, m.Cfg.ExplainTopK)
-	}
 
-	// Step 1: candidate preparation, every layer before the first
-	// Viterbi step. Dead points (no candidates) are fatal under the
-	// Error policy and recorded for segmentation under Skip/Split.
-	done := stage(&st.CandidatesS)
-	tb := table{
-		layers: make([][]Candidate, 0, n),
-		f:      make([][]float64, 0, n),
-		pre:    make([][]int, 0, n),
-		dead:   make([]bool, 0, n),
-		steps:  make([][][]float64, 0, n),
-	}
-	alive := make([]int, 0, n)
-	for i := range ct {
-		if err := ctx.Err(); err != nil {
-			obsMatchErrors.Inc()
-			return nil, fmt.Errorf("hmm: match canceled at point %d: %w", i, err)
+	// Steps 1–3, one point at a time. A helper goroutine prepares the
+	// candidate layers (step 1) in point order while this one runs the
+	// forward pass (steps 2–3) over each layer as it arrives: the
+	// transition scores, the recurrence and each step's shortcut window
+	// (Algorithm 2). Dead points (no candidates) are fatal under the
+	// Error policy and recorded for segmentation under Skip/Split. The
+	// time spent waiting for a layer is the candidates stage and the
+	// windows' time is the shortcuts stage; both come out of the Viterbi
+	// stage.
+	fw := m.newForward(n)
+	prepared := make(chan layerPrep, n) // never full: the helper does not wait on the forward pass
+	var stop atomic.Bool
+	explain := fw.es != nil
+	go func() {
+		defer close(prepared)
+		m.prepareLayers(ctx, ct, 0, explain, func(p layerPrep) bool {
+			prepared <- p
+			return !stop.Load()
+		})
+	}()
+	defer func() {
+		// Whatever way the match ends, the helper ends before it.
+		stop.Store(true)
+		for range prepared {
 		}
-		layer, err := m.layer(&tb, ct, es, &deg)
-		if err != nil {
-			obsMatchErrors.Inc()
-			return nil, err
-		}
-		if layer == nil {
-			continue
-		}
-		alive = append(alive, i)
-		nCand += int64(len(layer))
-		if trace != nil {
-			pt := &trace.Points[i]
-			pt.Candidates = len(layer)
-			var sum float64
-			for j := range layer {
-				if o := layer[j].Obs; o > pt.BestObs {
-					pt.BestObs = o
-				}
-				sum += layer[j].Obs
-			}
-			pt.MeanObs = sum / float64(len(layer))
-		}
-	}
-	if len(alive) == 0 {
-		obsMatchErrors.Inc()
-		return nil, fmt.Errorf("hmm: %w for any of the %d points", ErrNoCandidates, n)
-	}
-	layers, dead := tb.layers, tb.dead
-	keep := make([][]Candidate, n)
-	for i := range layers {
-		keep[i] = append([]Candidate(nil), layers[i]...)
-	}
-	done()
-
-	// Steps 2–3: candidate graph scores + Viterbi forward pass, each
-	// step with its shortcut window (Algorithm 2). The window's time is
-	// its own stage, taken out of the Viterbi stage below.
-	done = stage(&st.ViterbiS)
+	}()
+	done := stage(&st.ViterbiS)
 	var transS, shortS *float64
 	if traced {
 		transS, shortS = &st.TransitionS, &st.ShortcutsS
 	}
-	var sc shortcutStats
-	var nBreaks int64
 	for i := range ct {
+		var wait time.Time
+		if traced {
+			wait = time.Now()
+		}
+		p := <-prepared
+		if traced {
+			st.CandidatesS += time.Since(wait).Seconds()
+		}
+		// The helper closes the channel early only once ctx is done.
 		if err := ctx.Err(); err != nil {
 			obsMatchErrors.Inc()
-			return nil, fmt.Errorf("hmm: match canceled at step %d: %w", i, err)
+			return nil, fmt.Errorf("hmm: match canceled at point %d: %w", i, err)
 		}
-		steps, ss := m.advance(ctx, &tb, ct, transS, shortS, &deg)
-		if steps == nil {
-			continue
+		layer, err := m.addLayer(&fw.tb, p, fw.es, &fw.deg)
+		if err != nil {
+			obsMatchErrors.Inc()
+			return nil, err
 		}
-		nBlocked += int64(ss.blocked)
-		nEval += int64(ss.reachable + ss.blocked)
-		sc.add(ss.shortcuts)
-		if trace != nil {
-			pt := &trace.Points[i]
-			pt.TransEvaluated = ss.reachable + ss.blocked
-			pt.TransReachable = ss.reachable
-			pt.Restarts = ss.restarts
-		}
-		if ss.restarts == len(layers[i]) {
-			// Every candidate restarted: the chain broke at this point
-			// and recovers from fresh observation scores.
-			nBreaks++
-			trace.AddBreak(i)
+		fw.noteLayer(i, layer)
+		steps, ss := m.advance(ctx, &fw.tb, ct, transS, shortS, &fw.deg)
+		fw.noteStep(i, layer, steps, ss)
+	}
+	done()
+	st.ViterbiS -= st.CandidatesS + st.ShortcutsS
+	if len(fw.alive) == 0 {
+		obsMatchErrors.Inc()
+		return nil, fmt.Errorf("hmm: %w for any of the %d points", ErrNoCandidates, n)
+	}
+
+	res := m.finish(ct, fw, srep, &st, stage)
+	fw.flush(res)
+	if timed {
+		elapsed := time.Since(start).Seconds()
+		obsMatchSeconds.Observe(elapsed)
+		if traced {
+			st.TotalS = elapsed
+			if fw.trace != nil {
+				fw.trace.Stages = st
+			}
+			emitStageSpans(sp, start, st)
 		}
 	}
-	f, pre, steps := tb.f, tb.pre, tb.steps
-	done()
-	st.ViterbiS -= st.ShortcutsS
+	return res, nil
+}
+
+// forward is a batch match's forward pass as it grows: the table, each
+// point's layer as prepared (before shortcut pseudo-candidates), the
+// alive points, the optional trace and explain state, and the counts
+// the match flushes to telemetry once it is done.
+type forward struct {
+	tb    table
+	keep  [][]Candidate
+	alive []int
+	trace *obs.MatchTrace
+	es    *explainState
+	sc    shortcutStats
+	deg   int64 // degraded-mode scoring events
+
+	nCand, nEval, nBlocked, nBreaks, nSkipped int64
+	nDecisions, nLowMargin                    int64
+}
+
+func (m *Matcher) newForward(n int) *forward {
+	fw := &forward{
+		tb: table{
+			layers: make([][]Candidate, 0, n),
+			f:      make([][]float64, 0, n),
+			pre:    make([][]int, 0, n),
+			dead:   make([]bool, 0, n),
+			steps:  make([][][]float64, 0, n),
+		},
+		keep:  make([][]Candidate, n),
+		alive: make([]int, 0, n),
+	}
+	if m.Cfg.Trace {
+		fw.trace = obs.NewMatchTrace(n)
+	}
+	if m.Cfg.Explain {
+		fw.es = newExplainState(n, m.Cfg.ExplainTopK)
+	}
+	return fw
+}
+
+// noteLayer records point i's layer as addLayer returned it.
+func (fw *forward) noteLayer(i int, layer []Candidate) {
+	if layer == nil {
+		return
+	}
+	fw.keep[i] = append([]Candidate(nil), layer...)
+	fw.alive = append(fw.alive, i)
+	fw.nCand += int64(len(layer))
+	if fw.trace != nil {
+		pt := &fw.trace.Points[i]
+		pt.Candidates = len(layer)
+		var sum float64
+		for j := range layer {
+			if o := layer[j].Obs; o > pt.BestObs {
+				pt.BestObs = o
+			}
+			sum += layer[j].Obs
+		}
+		pt.MeanObs = sum / float64(len(layer))
+	}
+}
+
+// noteStep records what advance did at point i, whose own layer is
+// layer.
+func (fw *forward) noteStep(i int, layer []Candidate, steps [][]float64, ss stepStats) {
+	if steps == nil {
+		return
+	}
+	fw.nBlocked += int64(ss.blocked)
+	fw.nEval += int64(ss.reachable + ss.blocked)
+	fw.sc.add(ss.shortcuts)
+	if fw.trace != nil {
+		pt := &fw.trace.Points[i]
+		pt.TransEvaluated = ss.reachable + ss.blocked
+		pt.TransReachable = ss.reachable
+		pt.Restarts = ss.restarts
+	}
+	if ss.restarts == len(layer) {
+		// Every candidate restarted: the chain broke at this point
+		// and recovers from fresh observation scores.
+		fw.nBreaks++
+		fw.trace.AddBreak(i)
+	}
+}
+
+// finish runs the backward pass over a forward pass with at least one
+// alive point, expands the path and assembles the Result, with the
+// explain artifact when asked for; stage times the backtrack and the
+// expansion into st.
+func (m *Matcher) finish(ct traj.CellTrajectory, fw *forward, srep traj.SanitizeReport, st *obs.StageTimings, stage func(*float64) func()) *Result {
+	layers, dead, f, pre, steps := fw.tb.layers, fw.tb.dead, fw.tb.f, fw.tb.pre, fw.tb.steps
+	n, alive, es, trace := len(layers), fw.alive, fw.es, fw.trace
 
 	// Backward pass over the alive points; dead points keep a zero
 	// Candidate and Dead=true. Under Split, a dead gap or a chosen-path
 	// restart becomes an explicit Gap marker.
-	done = stage(&st.BacktrackS)
+	done := stage(&st.BacktrackS)
 	res := &Result{
 		Matched:           make([]Candidate, n),
 		Skipped:           make([]bool, n),
 		Dead:              dead,
-		Candidates:        keep,
-		ShortcutAdoptions: sc.adoptions,
+		Candidates:        fw.keep,
+		ShortcutAdoptions: fw.sc.adoptions,
+		Degraded:          int(fw.deg),
 		Sanitize:          srep,
 		Trace:             trace,
+	}
+	if trace != nil {
+		trace.ShortcutAdoptions = fw.sc.adoptions
+		trace.ShortcutAttempts = fw.sc.attempts
 	}
 	last := alive[len(alive)-1]
 	res.Score = f[last][argmaxF(f[last])]
@@ -488,7 +577,6 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			noRouteTo[g.To] = true
 		}
 	}
-	var nSkipped int64
 	walkBack(f, pre, dead, 0, func(i, idx int) {
 		res.Matched[i] = layers[i][idx]
 		res.Skipped[i] = layers[i][idx].Pseudo
@@ -496,7 +584,7 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 			es.chosen[i] = idx
 		}
 		if res.Skipped[i] {
-			nSkipped++
+			fw.nSkipped++
 			if trace != nil {
 				trace.Points[i].Skipped = true
 			}
@@ -513,36 +601,25 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	done()
 
 	if es != nil {
-		ex, nDecisions, nLowMargin := m.buildExplain(ct, es, layers, keep, f, pre, steps, dead, alive)
-		res.Explain = ex
-		obsExplainDecisions.Add(nDecisions)
-		obsExplainLowMargin.Add(nLowMargin)
+		res.Explain, fw.nDecisions, fw.nLowMargin = m.buildExplain(ct, es, layers, fw.keep, f, pre, steps, dead, alive)
 	}
-	res.Degraded = int(deg)
+	return res
+}
+
+// flush adds a finished match's counts to the matcher's telemetry.
+func (fw *forward) flush(res *Result) {
 	obsMatches.Inc()
-	obsCandidates.Add(nCand)
-	obsTransEval.Add(nEval)
-	obsTransBlocked.Add(nBlocked)
-	obsViterbiBreaks.Add(nBreaks)
-	sc.flush()
-	obsPointsSkipped.Add(nSkipped)
-	obsMatchDegraded.Add(deg)
+	obsCandidates.Add(fw.nCand)
+	obsTransEval.Add(fw.nEval)
+	obsTransBlocked.Add(fw.nBlocked)
+	obsViterbiBreaks.Add(fw.nBreaks)
+	fw.sc.flush()
+	obsPointsSkipped.Add(fw.nSkipped)
+	obsMatchDegraded.Add(fw.deg)
 	obsMatchGaps.Add(int64(len(res.Gaps)))
-	obsDeadPoints.Add(int64(n - len(alive)))
-	if timed {
-		elapsed := time.Since(start).Seconds()
-		obsMatchSeconds.Observe(elapsed)
-		if traced {
-			st.TotalS = elapsed
-			if trace != nil {
-				trace.Stages = st
-				trace.ShortcutAdoptions = sc.adoptions
-				trace.ShortcutAttempts = sc.attempts
-			}
-			emitStageSpans(sp, start, st)
-		}
-	}
-	return res, nil
+	obsDeadPoints.Add(int64(len(res.Dead) - len(fw.alive)))
+	obsExplainDecisions.Add(fw.nDecisions)
+	obsExplainLowMargin.Add(fw.nLowMargin)
 }
 
 // emitStageSpans attributes the measured stage wall-clock onto the
@@ -591,19 +668,62 @@ type table struct {
 	tops   colTops
 }
 
-// layer is the first half of the forward step: it appends the
-// candidate layer of the next point, i = len(t.layers), and returns it.
-// A dead point is appended as nil whatever the policy; under BreakError
-// it is also an error wrapping ErrNoCandidates. es (optional) receives
-// the layer's degraded-fallback flags.
-func (m *Matcher) layer(t *table, ct traj.CellTrajectory, es *explainState, deg *int64) ([]Candidate, error) {
-	i := len(t.layers)
-	layer, fellback := m.candidates(ct, i, es != nil, deg)
-	if es != nil {
-		es.fellback[i] = fellback
+// layerPrep is one point's candidate layer as candidates built it: the
+// layer, how many of its observation scores fell back (Degraded), and —
+// when explain is set — which; or, instead, what the model's Candidates
+// panicked with.
+type layerPrep struct {
+	layer    []Candidate
+	fellback []bool
+	deg      int64
+	panicked any
+}
+
+// prepareLayers prepares the layers of points from, from+1, … of ct in
+// order and hands each to emit. It stops after the last point, before a
+// point once ctx is done, once emit returns false, and after a point
+// whose Candidates call panicked: the panic is recovered into that
+// point's slot for addLayer to raise again, on the goroutine that owns
+// the table. A batch match runs it over the whole trajectory on a
+// helper goroutine; a stream push runs it inline over its one new
+// point.
+func (m *Matcher) prepareLayers(ctx context.Context, ct traj.CellTrajectory, from int, explain bool, emit func(layerPrep) bool) {
+	for i := from; i < len(ct) && ctx.Err() == nil; i++ {
+		var p layerPrep
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					p = layerPrep{panicked: r}
+				}
+			}()
+			p = m.candidates(ct, i, explain)
+		}()
+		if !emit(p) || p.panicked != nil {
+			return
+		}
 	}
-	if len(layer) == 0 {
+}
+
+// addLayer is the first half of the forward step: it appends p, the
+// prepared layer of the next point, i = len(t.layers), to t and returns
+// the layer, adding p's degraded count to deg. A dead point is appended
+// as nil whatever the policy; under BreakError it is also an error
+// wrapping ErrNoCandidates. es (optional) receives the layer's
+// degraded-fallback flags. A slot that carries a panic panics again
+// with its value, before anything is appended.
+func (m *Matcher) addLayer(t *table, p layerPrep, es *explainState, deg *int64) ([]Candidate, error) {
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
+	i := len(t.layers)
+	layer := p.layer
+	if fpDeadCandidates.Fail() || len(layer) == 0 {
 		layer = nil
+	} else {
+		*deg += p.deg
+		if es != nil {
+			es.fellback[i] = p.fellback
+		}
 	}
 	t.layers = append(t.layers, layer)
 	t.dead = append(t.dead, layer == nil)
@@ -650,32 +770,30 @@ func (m *Matcher) advance(ctx context.Context, t *table, ct traj.CellTrajectory,
 }
 
 // candidates prepares point i's candidate layer, Cfg.K roads (default
-// 30). Degraded mode: a NaN/Inf observation probability would poison
-// every path through the point, so it falls back to the classical
-// Eq. 2 Gaussian of the candidate's distance, counted in deg and — when
-// explain is set — flagged per candidate in fellback.
-func (m *Matcher) candidates(ct traj.CellTrajectory, i int, explain bool, deg *int64) (layer []Candidate, fellback []bool) {
+// 30), touching no matcher state. Degraded mode: a NaN/Inf observation
+// probability would poison every path through the point, so it falls
+// back to the classical Eq. 2 Gaussian of the candidate's distance,
+// counted in the slot's deg and — when explain is set — flagged per
+// candidate in its fellback.
+func (m *Matcher) candidates(ct traj.CellTrajectory, i int, explain bool) (p layerPrep) {
 	k := m.Cfg.K
 	if k <= 0 {
 		k = 30
 	}
-	layer = m.Obs.Candidates(ct, i, k)
-	if fpDeadCandidates.Fail() {
-		layer = nil
+	p.layer = m.Obs.Candidates(ct, i, k)
+	if explain && len(p.layer) > 0 {
+		p.fellback = make([]bool, len(p.layer))
 	}
-	if explain && len(layer) > 0 {
-		fellback = make([]bool, len(layer))
-	}
-	for j := range layer {
-		if o := layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
-			layer[j].Obs = m.fallbackObs(layer[j].Dist)
-			*deg++
+	for j := range p.layer {
+		if o := p.layer[j].Obs; math.IsNaN(o) || math.IsInf(o, 0) {
+			p.layer[j].Obs = m.fallbackObs(p.layer[j].Dist)
+			p.deg++
 			if explain {
-				fellback[j] = true
+				p.fellback[j] = true
 			}
 		}
 	}
-	return layer, fellback
+	return p
 }
 
 // restart seeds a layer's column of the Viterbi table from observation

@@ -303,7 +303,7 @@ func prepare(t testing.TB, m *Matcher, ct traj.CellTrajectory) table {
 	var tb table
 	var deg int64
 	for i := range ct {
-		if layer, err := m.layer(&tb, ct, nil, &deg); err != nil || layer == nil {
+		if layer, err := m.addLayer(&tb, m.candidates(ct, i, false), nil, &deg); err != nil || layer == nil {
 			t.Fatalf("point %d has no candidates", i)
 		}
 	}

@@ -33,11 +33,13 @@ var (
 // It owns the growing table and the emission window and nothing else:
 // each push admits the point by traj.SanitizeReport.Admit, the rule
 // traj.Sanitize applies to a whole trajectory, then runs MatchContext's
-// own forward step on it — layer, then advance, so a
+// own forward step on it — prepareLayers, addLayer, then advance, so a
 // TransitionBatchModel scores the fan-out in one call here too, and
 // Algorithm 2's shortcut window runs as part of the step — and
 // MatchContext's own backward pass (walkBack) over the unfinalized
-// tail.
+// tail. A push needs its own layer before its step, so it prepares the
+// layer inline, where MatchContext prepares its layers on a helper
+// goroutine: a stream calls its models on the pushing goroutine only.
 //
 // The window at point i rewrites only layer i-1 and f[i]/pre[i], and
 // at Lag ≥ 1 point i-1 is still unfinalized when point i arrives, so
@@ -105,7 +107,12 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 		s.deg.Add(deg)
 		obsMatchDegraded.Add(deg)
 	}()
-	layer, err := s.M.layer(&s.t, s.ct, nil, &deg)
+	var prep layerPrep
+	s.M.prepareLayers(context.TODO(), s.ct, len(s.ct)-1, false, func(q layerPrep) bool {
+		prep = q
+		return true
+	})
+	layer, err := s.M.addLayer(&s.t, prep, nil, &deg)
 	steps, st := s.M.advance(context.TODO(), &s.t, s.ct, nil, nil, &deg)
 	st.shortcuts.flush()
 	if i := len(s.t.steps) - 1; i > 0 {

@@ -43,7 +43,11 @@ type PointTrace struct {
 
 // StageTimings is wall-clock seconds per matching stage. TransitionS
 // is the transition-fill portion of ViterbiS (nested, not additive
-// with it); the other stages partition TotalS.
+// with it); the other stages partition TotalS. A batch match prepares
+// its candidate layers on a helper goroutine while the forward pass
+// runs, so CandidatesS is the time the forward pass waited for them:
+// the part of candidate preparation the overlap did not hide (the
+// learned matcher's "observation" span has the busy time).
 type StageTimings struct {
 	CandidatesS float64 `json:"candidates_s"`
 	ViterbiS    float64 `json:"viterbi_s"`
