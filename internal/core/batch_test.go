@@ -147,33 +147,8 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 		}
 	}
 
-	// Every pair shape in one step: a0 and a1 end at one node through
-	// different segments (two folds over one tree), targets sit ahead of
-	// and behind a0 on its own segment, on a segment adjacent to it, and
-	// wherever the learned candidates of the two points fall.
+	from, to := everyPairShape(t, m, whole, ct)
 	net := m.Net
-	at := func(sid roadnet.SegmentID, frac float64) hmm.Candidate {
-		return hmm.Candidate{Seg: sid, Frac: frac, Proj: net.Segment(sid).PointAt(frac)}
-	}
-	var from, to []hmm.Candidate
-	for sid := roadnet.SegmentID(0); int(sid) < net.NumSegments() && from == nil; sid++ {
-		into, next := net.In(net.Segment(sid).To), net.Next(sid)
-		if len(into) < 2 || len(next) == 0 {
-			continue
-		}
-		other := into[0]
-		if other == sid {
-			other = into[1]
-		}
-		from = []hmm.Candidate{at(sid, 0.3), at(other, 0.6)}
-		to = []hmm.Candidate{at(sid, 0.7), at(sid, 0.1), at(sid, 0.3), at(next[0], 0.4), at(other, 0.2)}
-	}
-	if from == nil {
-		t.Fatal("fixture network has no node with two segments in and one out")
-	}
-	from = append(from, whole.Candidates(ct, 0, m.Cfg.K)...)
-	to = append(to, whole.Candidates(ct, 1, m.Cfg.K)...)
-
 	loose := m.Router
 	defer func() { m.Router = loose }()
 	for _, rc := range []struct {
@@ -197,6 +172,37 @@ func TestScoreBatchMatchesTransScore(t *testing.T) {
 			}
 		}
 	}
+}
+
+// everyPairShape returns two layers whose step into point 1 holds every
+// pair shape: a0 and a1 end at one node through different segments (two
+// folds over one tree), targets sit ahead of and behind a0 on its own
+// segment, on a segment adjacent to it, and wherever the learned
+// candidates of points 0 and 1 fall.
+func everyPairShape(t *testing.T, m *Model, sess *session, ct traj.CellTrajectory) (from, to []hmm.Candidate) {
+	t.Helper()
+	net := m.Net
+	at := func(sid roadnet.SegmentID, frac float64) hmm.Candidate {
+		return hmm.Candidate{Seg: sid, Frac: frac, Proj: net.Segment(sid).PointAt(frac)}
+	}
+	for sid := roadnet.SegmentID(0); int(sid) < net.NumSegments() && from == nil; sid++ {
+		into, next := net.In(net.Segment(sid).To), net.Next(sid)
+		if len(into) < 2 || len(next) == 0 {
+			continue
+		}
+		other := into[0]
+		if other == sid {
+			other = into[1]
+		}
+		from = []hmm.Candidate{at(sid, 0.3), at(other, 0.6)}
+		to = []hmm.Candidate{at(sid, 0.7), at(sid, 0.1), at(sid, 0.3), at(next[0], 0.4), at(other, 0.2)}
+	}
+	if from == nil {
+		t.Fatal("fixture network has no node with two segments in and one out")
+	}
+	from = append(from, sess.Candidates(ct, 0, m.Cfg.K)...)
+	to = append(to, sess.Candidates(ct, 1, m.Cfg.K)...)
+	return from, to
 }
 
 // TestPairFeaturesMatchOracle: a phase-2 feature row — one pair through

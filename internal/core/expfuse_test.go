@@ -26,7 +26,7 @@ import (
 func (s *session) refScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
-	feat := s.foldFeatures(ws, ct, i, from, to, out)
+	feat := s.foldFeatures(ws, ct, i, from, to, nil, out)
 	logits := s.m.TransFuse.Apply(feat) // nPairs×2
 	g := s.m.transGamma.W.W[0]
 	nPairs := feat.R
@@ -154,7 +154,7 @@ func TestScoringMatchesScalarLoops(t *testing.T) {
 				straight := ct[i-1].P.Dist(ct[i].P)
 				ws.Reset()
 				mask := make([]float64, len(from)*len(to))
-				feat := sess.foldFeatures(ws, s.ct, i, from, to, mask)
+				feat := sess.foldFeatures(ws, s.ct, i, from, to, nil, mask)
 				var oracleRows [][3]float64
 				for a := range from {
 					for b := range to {

@@ -28,12 +28,24 @@ func (r replayObs) Candidates(_ traj.CellTrajectory, i, _ int) []hmm.Candidate {
 	return slices.Clone(r.layers[i])
 }
 
+// inlineTrans is the session's transition side without PrepareRoutes:
+// a match over it routes every step inline, on the caller.
+type inlineTrans struct{ t transAdapter }
+
+func (i inlineTrans) Score(ct traj.CellTrajectory, at int, from, to *hmm.Candidate) (float64, bool) {
+	return i.t.Score(ct, at, from, to)
+}
+
+func (i inlineTrans) ScoreBatch(ct traj.CellTrajectory, at int, from, to []hmm.Candidate, out []float64) int {
+	return i.t.ScoreBatch(ct, at, from, to, out)
+}
+
 // sequentialMatch is the reference for the matcher's helper goroutine
 // over a learned session: every point's Candidates runs on the calling
 // goroutine, in point order, before the forward pass starts, so no
-// observation call overlaps a transition call, and the match then
-// replays those layers. It takes a trajectory that needs no
-// sanitizing.
+// observation call overlaps a transition call; the match then replays
+// those layers and routes each step inline. It takes a trajectory that
+// needs no sanitizing.
 func sequentialMatch(m *Model, ct traj.CellTrajectory) (*hmm.Result, error) {
 	sess := m.newSession(ct)
 	defer sess.releaseTable()
@@ -43,23 +55,40 @@ func sequentialMatch(m *Model, ct traj.CellTrajectory) (*hmm.Result, error) {
 	}
 	matcher := m.streamMatcher(sess, m.Cfg.OnBreak, traj.SanitizeOff)
 	matcher.Obs = replayObs{sess, layers}
+	matcher.Trans = inlineTrans{transAdapter{sess}}
 	matcher.Cfg.Trace = m.Cfg.Trace
 	matcher.Cfg.Explain = m.Cfg.Explain
 	return matcher.MatchContext(context.Background(), ct)
 }
 
+// settle fails t unless the goroutine count comes back to base: the
+// helper closes its channel just before it returns, so it is given a
+// moment.
+func settle(t *testing.T, what string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after the match, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestPrepareHelperCoreEquivalent holds Model.MatchContext, whose
-// session's Candidates runs on the matcher's helper goroutine beside
-// the transition side and the shortcut pass's Score, to
-// sequentialMatch: the three break policies, with dead points injected
-// at the same hits in both runs, degraded transition scores, explain
-// and trace on, and a small K at which shortcuts adopt.
+// session's Candidates and step routing run on the matcher's helper
+// goroutine beside the rest of the transition side and the shortcut
+// pass's Score, to sequentialMatch: the three break policies, with dead
+// points injected at the same hits in both runs (the failpoint kills a
+// layer on the caller after the helper routed the steps into and out of
+// it), degraded transition scores, explain and trace on, and a small K
+// at which shortcuts adopt. Every match leaves no goroutine behind.
 func TestPrepareHelperCoreEquivalent(t *testing.T) {
 	t.Cleanup(faultinject.DisarmAll)
 	d := testDataset(t, 10)
 	m := streamModel(t, d)
 	m.Cfg.Trace, m.Cfg.Explain = true, true
 	trips := d.TestTrips()
+	base := runtime.NumGoroutine()
 	adopted, dead, failed := 0, 0, 0
 	for _, k := range []int{2, m.Cfg.K} {
 		m.Cfg.K = k
@@ -76,6 +105,7 @@ func TestPrepareHelperCoreEquivalent(t *testing.T) {
 						return match()
 					}
 					got, gotErr := run(func() (*hmm.Result, error) { return m.MatchContext(context.Background(), tr.Cell) })
+					settle(t, name, base)
 					want, wantErr := run(func() (*hmm.Result, error) { return sequentialMatch(m, tr.Cell) })
 					if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 						t.Fatalf("%s: error %v, reference %v", name, gotErr, wantErr)
@@ -124,11 +154,6 @@ func TestPrepareHelperShapeMismatch(t *testing.T) {
 		if res != nil || err == nil || !strings.HasPrefix(err.Error(), "core: match panicked") {
 			t.Fatalf("%s: result %v, error %v; want core's recovered panic", head, res, err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines after the match, %d before", head, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		settle(t, head, base)
 	}
 }

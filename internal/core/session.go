@@ -110,6 +110,10 @@ type session struct {
 	roadP *roadTable
 	whole bool
 
+	// routes recycles the routes a batch match prepares (MatchContext);
+	// nil in every other session.
+	routes *routeCache
+
 	// obsZ caches, per point, the softmax denominator over the
 	// candidate pool (Eq. 7 normalizes P_O across the candidate roads
 	// of the point); obsMax the max score for stable exponentials.
@@ -401,20 +405,170 @@ func (v foldAcc) over(p, bearing float64) foldAcc {
 }
 
 // foldScratch is one ScoreBatch step's scratch: the node-indexed
-// accumulators (32·|N| bytes) and the step-sized lists. Pooled and held
-// for one call, so no session pins one.
+// accumulators (32·|N| bytes), the segments the step's fill has to
+// score and, for a step routed inline, its routes. Pooled and held for
+// one call, so no session pins one.
 type foldScratch struct {
-	acc   []foldAcc
-	kind  []pairKind          // per pair
-	dist  []float64           // per pair: tree distance of a tree pair
-	steps []roadnet.TreeStep  // every from-candidate's tree steps, back to back
-	ends  []int               // ends[a] = end of from-candidate a's steps
-	tgt   []roadnet.NodeID    // one from-candidate's tree targets,
-	tdist []float64           // and what TreeWalk says of them
-	need  []roadnet.SegmentID // segments the step's fill has to score
+	acc    []foldAcc
+	need   []roadnet.SegmentID
+	routes stepRoutes
 }
 
 var foldPool sync.Pool // *foldScratch
+
+// stepRoutes is the routing half of one step's fan-out from → to, what
+// discover finds from the network, the router and the two layers alone:
+// a batch match prepares it on the matcher's helper goroutine
+// (transAdapter.PrepareRoutes), and every other ScoreBatch routes inline
+// into its foldScratch.
+type stepRoutes struct {
+	s     *session           // whose transition side scores them (prepared routes only)
+	kind  []pairKind         // per pair
+	dist  []float64          // per pair: tree distance of a tree pair (+Inf: unreachable)
+	steps []roadnet.TreeStep // every from-candidate's tree steps, back to back
+	ends  []int              // ends[a] = end of from-candidate a's steps
+	tgt   []roadnet.NodeID   // one from-candidate's tree targets
+	tdist []float64          // and what TreeWalk says of them
+}
+
+// routeCache recycles one batch match's prepared routes: the helper
+// takes them and the forward pass gives each back once its step is
+// scored, so a match allocates only as many as the matcher keeps out
+// ahead of its forward pass, however many matches run at once. The two
+// goroutines share it, hence the lock; nothing else takes it.
+// MatchContext takes a cache from routeCachePool for its session and
+// puts it back after the match, both on its own goroutine, so the
+// routes' buffers carry over to the next match.
+type routeCache struct {
+	mu   sync.Mutex
+	free []*stepRoutes
+}
+
+var routeCachePool sync.Pool // *routeCache
+
+// take returns routes for s to prepare: a free one, or with every one
+// out (or no cache, c nil), a new one.
+func (c *routeCache) take(s *session) *stepRoutes {
+	var r *stepRoutes
+	if c != nil {
+		c.mu.Lock()
+		if n := len(c.free); n > 0 {
+			r, c.free = c.free[n-1], c.free[:n-1]
+		}
+		c.mu.Unlock()
+	}
+	if r == nil {
+		r = new(stepRoutes)
+	}
+	r.s = s
+	return r
+}
+
+// Release implements hmm.StepRoutes: the routes go back to their
+// session's cache, if it has one, and let go of the session.
+func (r *stepRoutes) Release() {
+	c := r.s.routes
+	r.s = nil
+	if c != nil {
+		c.mu.Lock()
+		c.free = append(c.free, r)
+		c.mu.Unlock()
+	}
+}
+
+// ScoreBatch implements hmm.StepRoutes: the session's ScoreBatch over
+// these routes.
+func (r *stepRoutes) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
+	return r.s.scoreBatch(ct, i, from, to, r, out)
+}
+
+// touch is the step's pass over its routes on the session's side. It
+// writes the reachability mask into out (NaN = unreachable, 0
+// elsewhere; only a tree pair can be unreachable) and, with tab
+// non-nil, appends to need every segment the step reads a road
+// probability of that tab does not hold, each once, from-candidate by
+// from-candidate: its tree steps, its reachable targets' segments, then
+// its own segment if it reaches any. It returns need, the segments tab
+// already held and the unreachable pairs.
+func (r *stepRoutes) touch(tab *roadTable, from, to []hmm.Candidate, out []float64, need []roadnet.SegmentID) (_ []roadnet.SegmentID, hits, unreachable int) {
+	note := func(sid roadnet.SegmentID) {
+		if tab == nil {
+			return
+		}
+		switch st := tab.stamp[sid]; {
+		case st == tab.cur:
+			return
+		case st >= tab.base:
+			hits++
+		default:
+			need = append(need, sid)
+		}
+		tab.stamp[sid] = tab.cur
+	}
+	nTo := len(to)
+	lo := 0
+	for a := range from {
+		for _, st := range r.steps[lo:r.ends[a]] {
+			note(st.Seg)
+		}
+		lo = r.ends[a]
+		reached := false
+		for b := range to {
+			p := a*nTo + b
+			if r.kind[p] == pairTree && math.IsInf(r.dist[p], 1) {
+				out[p] = math.NaN()
+				unreachable++
+				continue
+			}
+			out[p] = 0
+			reached = true
+			note(to[b].Seg)
+		}
+		if reached {
+			note(from[a].Seg)
+		}
+	}
+	return need, hits, unreachable
+}
+
+// discover routes the fan-out from → to: each pair's kind, each tree
+// pair's tree distance, and, through one Router.TreeWalk per
+// from-candidate, the union of the paths to its tree targets as
+// parent-first steps. Of m it reads only the network and the router.
+func (r *stepRoutes) discover(m *Model, from, to []hmm.Candidate) {
+	net := m.Net
+	nTo := len(to)
+	nPairs := len(from) * nTo
+	r.kind = slices.Grow(r.kind[:0], nPairs)[:nPairs]
+	r.dist = slices.Grow(r.dist[:0], nPairs)[:nPairs]
+	steps, ends := r.steps[:0], r.ends[:0]
+	for a := range from {
+		segA := net.Segment(from[a].Seg)
+		tgt := r.tgt[:0]
+		for b := range to {
+			segB := net.Segment(to[b].Seg)
+			k := kindOf(&from[a], &to[b], segA, segB)
+			r.kind[a*nTo+b] = k
+			if k == pairTree {
+				tgt = append(tgt, segB.From)
+			}
+		}
+		r.tgt = tgt
+		if len(tgt) > 0 {
+			r.tdist = slices.Grow(r.tdist[:0], len(tgt))[:len(tgt)]
+			steps = m.Router.TreeWalk(segA.To, tgt, r.tdist, steps)
+			ti := 0
+			for b := range to {
+				if p := a*nTo + b; r.kind[p] == pairTree {
+					r.dist[p] = r.tdist[ti]
+					ti++
+				}
+			}
+		}
+		ends = append(ends, len(steps))
+	}
+	r.steps, r.ends = steps, ends
+}
 
 // pairKind orders the cases of a candidate pair exactly as
 // Router.RouteBetween does: both on one segment with b ahead (the route
@@ -447,12 +601,16 @@ func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
 // unreachable (its row is zero), 0 elsewhere. Everything Eq. 12 reads
 // off a route is a left-to-right fold over its segments, and the routes
 // out of one from-candidate share a shortest-path tree, so it runs in
-// three passes:
+// four passes:
 //
-//   - discover: one Router.TreeWalk per from-candidate yields the tree
-//     distance of each of its targets and the union of their paths as
-//     parent-first steps; every segment on a reachable pair's route is
-//     queued once for Eq. 10 unless the table already holds it;
+//   - discover (stepRoutes.discover): one Router.TreeWalk per
+//     from-candidate yields the tree distance of each of its targets and
+//     the union of their paths as parent-first steps. routes, when
+//     non-nil, holds them already (prepared on the matcher's helper);
+//   - touch: every segment on a reachable pair's route is queued once
+//     for Eq. 10 unless the table already holds it, from-candidate by
+//     from-candidate: its steps, its reachable targets' segments, its
+//     own segment;
 //   - fill: one roadProbRows call over the queue;
 //   - fold: per from-candidate, seed its end node with its own segment
 //     and scan its steps once, acc[node] = acc[parent].over(segment);
@@ -466,7 +624,7 @@ func kindOf(a, b *hmm.Candidate, segA, segB *roadnet.Segment) pairKind {
 // fold writes each reachable pair's two explicit-similarity exponents
 // into a 2·|pairs| vector, and one nn.ExpInto call turns them into the
 // rows' length and turn similarities.
-func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) *nn.Mat {
+func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, from, to []hmm.Candidate, routes *stepRoutes, out []float64) *nn.Mat {
 	s.extend(ct)
 	s.ensureKeys()
 	net := s.m.Net
@@ -481,10 +639,11 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 		fs = &foldScratch{acc: make([]foldAcc, net.NumNodes())}
 	}
 	defer foldPool.Put(fs)
-	fs.kind = slices.Grow(fs.kind[:0], nPairs)[:nPairs]
-	fs.dist = slices.Grow(fs.dist[:0], nPairs)[:nPairs]
-	kind, dist := fs.kind, fs.dist
-	steps, ends, need := fs.steps[:0], fs.ends[:0], fs.need[:0]
+	if routes == nil {
+		routes = &fs.routes
+		routes.discover(s.m, from, to)
+	}
+	kind, dist, steps, ends := routes.kind, routes.dist, routes.steps, routes.ends
 
 	// Without the implicit feature no road probability is read: P stays
 	// nil and is never indexed.
@@ -499,69 +658,8 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 		tab.advance()
 		P = tab.p
 	}
-	hits := 0
-	// touch notes that the step reads segment sid's road probability.
-	touch := func(sid roadnet.SegmentID) {
-		switch st := tab.stamp[sid]; {
-		case st == tab.cur:
-			return
-		case st >= tab.base:
-			hits++
-		default:
-			need = append(need, sid)
-		}
-		tab.stamp[sid] = tab.cur
-	}
-
-	// Discover. out doubles as the reachability mask (NaN = unreachable);
-	// only a tree pair can be unreachable.
-	unreachable := 0
-	for a := range from {
-		segA := net.Segment(from[a].Seg)
-		tgt := fs.tgt[:0]
-		for b := range to {
-			segB := net.Segment(to[b].Seg)
-			k := kindOf(&from[a], &to[b], segA, segB)
-			kind[a*nTo+b] = k
-			if k == pairTree {
-				tgt = append(tgt, segB.From)
-			}
-		}
-		fs.tgt = tgt
-		if len(tgt) > 0 {
-			n0 := len(steps)
-			fs.tdist = slices.Grow(fs.tdist[:0], len(tgt))[:len(tgt)]
-			steps = s.m.Router.TreeWalk(segA.To, tgt, fs.tdist, steps)
-			if implicit {
-				for _, st := range steps[n0:] {
-					touch(st.Seg)
-				}
-			}
-		}
-		ends = append(ends, len(steps))
-		reached, ti := false, 0
-		for b := range to {
-			p := a*nTo + b
-			if kind[p] == pairTree {
-				dist[p] = fs.tdist[ti]
-				ti++
-				if math.IsInf(dist[p], 1) {
-					out[p] = math.NaN()
-					unreachable++
-					continue
-				}
-			}
-			out[p] = 0
-			reached = true
-			if implicit {
-				touch(to[b].Seg)
-			}
-		}
-		if reached && implicit {
-			touch(from[a].Seg)
-		}
-	}
-	fs.steps, fs.ends, fs.need = steps, ends, need
+	need, hits, unreachable := routes.touch(tab, from, to, out, fs.need[:0])
+	fs.need = need
 	roadnet.CountRoutes(nPairs, unreachable)
 
 	// Fill.
@@ -639,7 +737,13 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 }
 
 // ScoreBatch implements hmm.TransitionBatchModel: the whole k×k
-// transition fan-out of one Viterbi step, its feature rows from
+// transition fan-out of one Viterbi step, routed inline.
+func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
+	return s.scoreBatch(ct, i, from, to, nil, out)
+}
+
+// scoreBatch is ScoreBatch over routes prepared for the step, or with
+// routes nil, routed inline: its feature rows from
 // foldFeatures, Eq. 12's logits from one nn.MLP.ApplyWS call over
 // the (k·k)×3 rows and its softmax from one softmaxP1Into call.
 // NaN in out is the unreachable sentinel of the batch protocol, so a
@@ -650,10 +754,10 @@ func (s *session) foldFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 // fallback's own, already computed into the feature row — instead of
 // silently reading as "unreachable" and breaking the chain. The return
 // value counts those degraded scores.
-func (s *session) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) (degraded int) {
+func (s *session) scoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, routes *stepRoutes, out []float64) (degraded int) {
 	ws := nn.GetWorkspace()
 	defer nn.PutWorkspace(ws)
-	feat := s.foldFeatures(ws, ct, i, from, to, out)
+	feat := s.foldFeatures(ws, ct, i, from, to, routes, out)
 	nPairs := feat.R
 	logits := s.m.TransFuse.ApplyWS(ws, feat) // nPairs×2
 	probs := ws.TakeVec(nPairs)
@@ -702,6 +806,15 @@ func (t transAdapter) Score(ct traj.CellTrajectory, i int, from, to *hmm.Candida
 // ScoreBatch forwards the batched fast path (hmm.TransitionBatchModel).
 func (t transAdapter) ScoreBatch(ct traj.CellTrajectory, i int, from, to []hmm.Candidate, out []float64) int {
 	return t.s.ScoreBatch(ct, i, from, to, out)
+}
+
+// PrepareRoutes implements hmm.TransitionRouteModel: it reads the
+// model's network and router and the two layers, and of the session
+// only its route cache.
+func (t transAdapter) PrepareRoutes(from, to []hmm.Candidate) hmm.StepRoutes {
+	r := t.s.routes.take(t.s)
+	r.discover(t.s.m, from, to)
+	return r
 }
 
 // Match map-matches one cellular trajectory with the trained model.
@@ -772,6 +885,11 @@ func (m *Model) MatchContext(ctx context.Context, ct traj.CellTrajectory) (res *
 	}
 	sess := m.newSession(ct)
 	defer sess.releaseTable()
+	sess.routes, _ = routeCachePool.Get().(*routeCache)
+	if sess.routes == nil {
+		sess.routes = new(routeCache)
+	}
+	defer routeCachePool.Put(sess.routes)
 	if msp != nil {
 		msp.ChildAt("session_init", spanT, time.Since(spanT))
 		sess.span = msp

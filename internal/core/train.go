@@ -735,5 +735,5 @@ func (s *session) pairFeatures(ws *nn.Workspace, ct traj.CellTrajectory, i int, 
 	b := [1]hmm.Candidate{{Seg: to.Seg, Frac: to.Frac}}
 	var out [1]float64
 	ws.Reset()
-	return [3]float64(s.foldFeatures(ws, ct, i, a[:], b[:], out[:]).W)
+	return [3]float64(s.foldFeatures(ws, ct, i, a[:], b[:], nil, out[:]).W)
 }

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -98,9 +97,10 @@ func (c *Candidate) Pos() roadnet.PointOnRoad {
 // ObservationModel scores the candidate roads of trajectory points.
 //
 // A batch match (MatchContext) calls Candidates for every point, in
-// point order, on a helper goroutine of its own, while the caller's
-// goroutine runs the forward pass: the TransitionModel, and Score for
-// the shortcut pass. Score(ct, i, …) is called only after
+// point order, on a helper goroutine of its own (with a
+// TransitionRouteModel's PrepareRoutes after each), while the caller's
+// goroutine runs the forward pass: the rest of the TransitionModel, and
+// Score for the shortcut pass. Score(ct, i, …) is called only after
 // Candidates(ct, i, …) has returned, and the channel that hands the
 // layer over orders the two. So Candidates for point j may run
 // concurrently with Score for a point i < j and with the transition
@@ -146,6 +146,34 @@ type TransitionBatchModel interface {
 	// replaced by, or dropped for want of, a classical fallback), which
 	// the matcher adds to the match's degraded count.
 	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) (degraded int)
+}
+
+// TransitionRouteModel is an optional extension of TransitionBatchModel
+// for a model whose step scoring starts by routing the fan-out. The
+// shortest paths between two layers depend on the layers alone, never
+// on the Viterbi scores, so a batch match (MatchContext) prepares them
+// on its helper goroutine, right after the layer they lead into, and
+// hands them to the step with the layer. A stream push, a shortcut
+// pseudo-candidate pair and anything else that calls ScoreBatch routes
+// inline.
+type TransitionRouteModel interface {
+	TransitionBatchModel
+	// PrepareRoutes routes every pair of the fan-out from → to. It reads
+	// only the two layers and the model's road network and router, so it
+	// may run concurrently with every other call of the model's; it
+	// writes no state that another call reads.
+	PrepareRoutes(from, to []Candidate) StepRoutes
+}
+
+// StepRoutes is one step's fan-out as a TransitionRouteModel routed it.
+type StepRoutes interface {
+	// ScoreBatch is the model's ScoreBatch for the same two layers with
+	// the routing already done: the same out, bit for bit, and the same
+	// degraded count. It runs on the goroutine that owns the match.
+	ScoreBatch(ct traj.CellTrajectory, i int, from, to []Candidate, out []float64) (degraded int)
+	// Release hands the routes back for reuse, scored or not; nothing
+	// reads them afterwards.
+	Release()
 }
 
 // BreakPolicy selects how the matcher treats a dead point — one whose
@@ -340,10 +368,11 @@ func (m *Matcher) Match(ct traj.CellTrajectory) (*Result, error) {
 // canceled or deadline-expired context stops the match within one
 // step's work and returns the context error wrapped.
 //
-// The layers are prepared on a helper goroutine (see ObservationModel
-// for what that asks of the model). The helper ends before
-// MatchContext returns, whatever the outcome, and a panic in
-// Candidates resurfaces here, on the caller's goroutine.
+// The layers, and a TransitionRouteModel's routes between them, are
+// prepared on a helper goroutine (see ObservationModel for what that
+// asks of the model). The helper ends before MatchContext returns,
+// whatever the outcome, and a panic in Candidates or PrepareRoutes
+// resurfaces here, on the caller's goroutine.
 func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Result, error) {
 	if len(ct) == 0 {
 		obsMatchErrors.Inc()
@@ -382,29 +411,58 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 	}
 
 	// Steps 1–3, one point at a time. A helper goroutine prepares the
-	// candidate layers (step 1) in point order while this one runs the
-	// forward pass (steps 2–3) over each layer as it arrives: the
-	// transition scores, the recurrence and each step's shortcut window
-	// (Algorithm 2). Dead points (no candidates) are fatal under the
-	// Error policy and recorded for segmentation under Skip/Split. The
-	// time spent waiting for a layer is the candidates stage and the
-	// windows' time is the shortcuts stage; both come out of the Viterbi
-	// stage.
+	// candidate layers (step 1) in point order, and with a
+	// TransitionRouteModel the routes of each step into them, while this
+	// one runs the forward pass (steps 2–3) over each layer as it
+	// arrives: the transition scores, the recurrence and each step's
+	// shortcut window (Algorithm 2). Dead points (no candidates) are
+	// fatal under the Error policy and recorded for segmentation under
+	// Skip/Split. The time spent waiting for a layer is the candidates
+	// stage and the windows' time is the shortcuts stage; both come out
+	// of the Viterbi stage.
 	fw := m.newForward(n)
-	prepared := make(chan layerPrep, n) // never full: the helper does not wait on the forward pass
-	var stop atomic.Bool
+	prepared := make(chan layerPrep, n) // a slot per point: a send never waits
+	quit := make(chan struct{})
 	explain := fw.es != nil
+	// Prepared routes are a step's largest scratch: at most routesAhead
+	// of them are out at a time, so the helper waits for the forward
+	// pass to release one before it routes further ahead.
+	var route func(from, to []Candidate) StepRoutes
+	ahead := make(chan struct{}, routesAhead)
+	if rm, ok := m.Trans.(TransitionRouteModel); ok {
+		route = func(from, to []Candidate) StepRoutes {
+			select {
+			case ahead <- struct{}{}:
+			case <-quit:
+				return nil
+			}
+			return rm.PrepareRoutes(from, to)
+		}
+	}
+	release := func(r StepRoutes) {
+		if r != nil {
+			r.Release()
+			<-ahead
+		}
+	}
 	go func() {
 		defer close(prepared)
-		m.prepareLayers(ctx, ct, 0, explain, func(p layerPrep) bool {
+		m.prepareLayers(ctx, ct, 0, explain, route, func(p layerPrep) bool {
 			prepared <- p
-			return !stop.Load()
+			select {
+			case <-quit:
+				return false
+			default:
+				return true
+			}
 		})
 	}()
 	defer func() {
-		// Whatever way the match ends, the helper ends before it.
-		stop.Store(true)
-		for range prepared {
+		// Whatever way the match ends, the helper ends before it, and the
+		// routes it prepared for steps that will not run go back.
+		close(quit)
+		for p := range prepared {
+			release(p.routes)
 		}
 	}()
 	done := stage(&st.ViterbiS)
@@ -423,16 +481,19 @@ func (m *Matcher) MatchContext(ctx context.Context, ct traj.CellTrajectory) (*Re
 		}
 		// The helper closes the channel early only once ctx is done.
 		if err := ctx.Err(); err != nil {
+			release(p.routes)
 			obsMatchErrors.Inc()
 			return nil, fmt.Errorf("hmm: match canceled at point %d: %w", i, err)
 		}
 		layer, err := m.addLayer(&fw.tb, p, fw.es, &fw.deg)
 		if err != nil {
+			release(p.routes)
 			obsMatchErrors.Inc()
 			return nil, err
 		}
 		fw.noteLayer(i, layer)
-		steps, ss := m.advance(ctx, &fw.tb, ct, transS, shortS, &fw.deg)
+		steps, ss := m.advance(ctx, &fw.tb, ct, p.routes, transS, shortS, &fw.deg)
+		release(p.routes)
 		fw.noteStep(i, layer, steps, ss)
 	}
 	done()
@@ -668,26 +729,35 @@ type table struct {
 	tops   colTops
 }
 
+// routesAhead bounds the steps a batch match's helper routes ahead of
+// the forward pass.
+const routesAhead = 3
+
 // layerPrep is one point's candidate layer as candidates built it: the
 // layer, how many of its observation scores fell back (Degraded), and —
-// when explain is set — which; or, instead, what the model's Candidates
-// panicked with.
+// when explain is set — which; the routes of the step into it, when
+// they were prepared with it; or, instead, what the model's Candidates
+// or PrepareRoutes panicked with.
 type layerPrep struct {
 	layer    []Candidate
 	fellback []bool
 	deg      int64
+	routes   StepRoutes
 	panicked any
 }
 
 // prepareLayers prepares the layers of points from, from+1, … of ct in
-// order and hands each to emit. It stops after the last point, before a
-// point once ctx is done, once emit returns false, and after a point
-// whose Candidates call panicked: the panic is recovered into that
-// point's slot for addLayer to raise again, on the goroutine that owns
-// the table. A batch match runs it over the whole trajectory on a
-// helper goroutine; a stream push runs it inline over its one new
-// point.
-func (m *Matcher) prepareLayers(ctx context.Context, ct traj.CellTrajectory, from int, explain bool, emit func(layerPrep) bool) {
+// order and hands each to emit; with route non-nil, it routes the step
+// from each non-empty layer into the next non-empty one right after the
+// latter (route may return nil: the step then routes inline). It stops
+// after the last point, before a point once ctx is done, once emit
+// returns false, and after a point whose Candidates or route call
+// panicked: the panic is recovered into that point's slot for addLayer
+// to raise again, on the goroutine that owns the table. A batch match
+// runs it over the whole trajectory on a helper goroutine; a stream
+// push runs it inline over its one new point, without route.
+func (m *Matcher) prepareLayers(ctx context.Context, ct traj.CellTrajectory, from int, explain bool, route func(from, to []Candidate) StepRoutes, emit func(layerPrep) bool) {
+	var prev []Candidate
 	for i := from; i < len(ct) && ctx.Err() == nil; i++ {
 		var p layerPrep
 		func() {
@@ -697,7 +767,11 @@ func (m *Matcher) prepareLayers(ctx context.Context, ct traj.CellTrajectory, fro
 				}
 			}()
 			p = m.candidates(ct, i, explain)
+			if route != nil && len(prev) > 0 && len(p.layer) > 0 {
+				p.routes = route(prev, p.layer)
+			}
 		}()
+		prev = p.layer
 		if !emit(p) || p.panicked != nil {
 			return
 		}
@@ -738,13 +812,14 @@ func (m *Matcher) addLayer(t *table, p layerPrep, es *explainState, deg *int64) 
 // dead point gets nil rows; the first alive point and the far side of a
 // dead gap restart from observation scores; otherwise fillSteps scores
 // the whole transition fan-out into a step table (timed into transS when
-// non-nil) and recur runs the recurrence over it, always sequentially so
+// non-nil), over routes when they were prepared for it (otherwise nil),
+// and recur runs the recurrence over it, always sequentially so
 // results do not depend on scheduling. Then, with Cfg.Shortcuts > 0 and
 // both steps[i-1] and steps[i] in t, the shortcut window of Eq. 21 lets
 // the grand-predecessors c_{i-2} compete for f[i] (timed into shortS)
 // before point i+1 reads it. It returns the step table — nil unless the
 // recurrence ran — and the step's stats.
-func (m *Matcher) advance(ctx context.Context, t *table, ct traj.CellTrajectory, transS, shortS *float64, deg *int64) (steps [][]float64, st stepStats) {
+func (m *Matcher) advance(ctx context.Context, t *table, ct traj.CellTrajectory, routes StepRoutes, transS, shortS *float64, deg *int64) (steps [][]float64, st stepStats) {
 	i := len(t.f)
 	var f []float64
 	var pre []int
@@ -754,7 +829,7 @@ func (m *Matcher) advance(ctx context.Context, t *table, ct traj.CellTrajectory,
 		f, pre = m.restart(t.layers[i])
 	default:
 		done := obs.Stage(transS)
-		steps = m.fillSteps(ctx, ct, i, t.layers[i-1], t.layers[i], deg)
+		steps = m.fillSteps(ctx, ct, i, t.layers[i-1], t.layers[i], routes, deg)
 		done()
 		f, pre, st = m.recur(steps, t.f[i-1], t.layers[i])
 	}
@@ -812,10 +887,11 @@ func (m *Matcher) restart(layer []Candidate) (f []float64, pre []int) {
 // fillSteps scores the transition fan-out into point i as a fresh step
 // table: steps[j][kk] = accum(P_T(from[j]→to[kk]) · P_O(to[kk])), NaN
 // where unreachable. A TransitionBatchModel scores the whole fan-out in
-// one call, straight into the table's backing array; otherwise pairwise
-// Score fills it column by column, stopping early when ctx is canceled
-// (the caller's per-step ctx check surfaces the error).
-func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, deg *int64) [][]float64 {
+// one call, straight into the table's backing array, over the step's
+// prepared routes when there are some; otherwise pairwise Score fills it
+// column by column, stopping early when ctx is canceled (the caller's
+// per-step ctx check surfaces the error).
+func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, from, to []Candidate, routes StepRoutes, deg *int64) [][]float64 {
 	nTo := len(to)
 	flat := make([]float64, len(from)*nTo)
 	steps := make([][]float64, len(from))
@@ -823,6 +899,9 @@ func (m *Matcher) fillSteps(ctx context.Context, ct traj.CellTrajectory, i int, 
 		steps[j] = flat[j*nTo : (j+1)*nTo : (j+1)*nTo]
 	}
 	if bm, ok := m.Trans.(TransitionBatchModel); ok {
+		if routes != nil {
+			bm = routes
+		}
 		*deg += int64(bm.ScoreBatch(ct, i, from, to, flat))
 		for j := range from {
 			row := steps[j]

@@ -316,7 +316,7 @@ func forwardLattice(t testing.TB, m *Matcher, ct traj.CellTrajectory) table {
 	tb := prepare(t, m, ct)
 	var deg int64
 	for range ct {
-		m.advance(context.Background(), &tb, ct, nil, nil, &deg)
+		m.advance(context.Background(), &tb, ct, nil, nil, nil, &deg)
 	}
 	return tb
 }
@@ -471,7 +471,7 @@ func TestShortcutPassMatchesReference(t *testing.T) {
 		var fPlain []float64 // f[i-1] as the recurrence formed it, before its window
 		for i := range ct {
 			want := cloneTable(got)
-			off.advance(context.Background(), &want, ct, nil, nil, &wantDeg)
+			off.advance(context.Background(), &want, ct, nil, nil, nil, &wantDeg)
 			if i >= 1 && fPlain != nil && want.steps[i] != nil {
 				// Would point i have chosen the same predecessors without
 				// point i-1's adoptions?
@@ -482,7 +482,7 @@ func TestShortcutPassMatchesReference(t *testing.T) {
 			fPlain = slices.Clone(want.f[i])
 			nMid := len(want.layers[max(i-1, 0)])
 			wantAdopt, wantTries := m.refAddShortcuts(ct, want.layers, want.f, want.pre, want.steps, i, &wantDeg)
-			_, ss := m.advance(context.Background(), &got, ct, nil, nil, &gotDeg)
+			_, ss := m.advance(context.Background(), &got, ct, nil, nil, nil, &gotDeg)
 			st := ss.shortcuts
 			if st.adoptions != wantAdopt || st.attempts != wantTries || gotDeg != wantDeg {
 				t.Fatalf("%s: window %d: %d adoptions of %d attempts (%d degraded), reference %d of %d (%d)",

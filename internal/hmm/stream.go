@@ -108,12 +108,12 @@ func (s *StreamMatcher) Push(p traj.CellPoint) ([]Candidate, error) {
 		obsMatchDegraded.Add(deg)
 	}()
 	var prep layerPrep
-	s.M.prepareLayers(context.TODO(), s.ct, len(s.ct)-1, false, func(q layerPrep) bool {
+	s.M.prepareLayers(context.TODO(), s.ct, len(s.ct)-1, false, nil, func(q layerPrep) bool {
 		prep = q
 		return true
 	})
 	layer, err := s.M.addLayer(&s.t, prep, nil, &deg)
-	steps, st := s.M.advance(context.TODO(), &s.t, s.ct, nil, nil, &deg)
+	steps, st := s.M.advance(context.TODO(), &s.t, s.ct, nil, nil, nil, &deg)
 	st.shortcuts.flush()
 	if i := len(s.t.steps) - 1; i > 0 {
 		s.t.steps[i-1] = nil // its window is closed

@@ -44,10 +44,13 @@ type PointTrace struct {
 // StageTimings is wall-clock seconds per matching stage. TransitionS
 // is the transition-fill portion of ViterbiS (nested, not additive
 // with it); the other stages partition TotalS. A batch match prepares
-// its candidate layers on a helper goroutine while the forward pass
-// runs, so CandidatesS is the time the forward pass waited for them:
-// the part of candidate preparation the overlap did not hide (the
-// learned matcher's "observation" span has the busy time).
+// its candidate layers, and with a route-preparing transition model the
+// shortest-path walks of each step into them, on a helper goroutine
+// while the forward pass runs, so CandidatesS is the time the forward
+// pass waited for them: the part of that preparation the overlap did
+// not hide (the learned matcher's "observation" span has the
+// observation side's busy time). TransitionS then holds no routing; a
+// stream push still routes inside it.
 type StageTimings struct {
 	CandidatesS float64 `json:"candidates_s"`
 	ViterbiS    float64 `json:"viterbi_s"`

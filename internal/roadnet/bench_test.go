@@ -37,6 +37,25 @@ func BenchmarkRouterCached(b *testing.B) {
 	}
 }
 
+// BenchmarkRouterCachedParallel is BenchmarkRouterCached from every P
+// at once, as a batch match's helper walks trees while its caller's
+// shortcut pass routes: the hits share the cache's lock.
+func BenchmarkRouterCachedParallel(b *testing.B) {
+	n := buildGrid(b, 30, 30)
+	r := NewRouter(n, WithCacheSize(1024))
+	qs := benchQueries(n, rand.New(rand.NewSource(1)), 1024)
+	for _, q := range qs {
+		r.NodeDist(q[0], q[1])
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			q := qs[i%len(qs)]
+			r.NodeDist(q[0], q[1])
+		}
+	})
+}
+
 // BenchmarkRouterUncached runs one search per query: a search stops at
 // its target, so each settles the nodes nearer its source than a random
 // target on the grid, about half of them on average.

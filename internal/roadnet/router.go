@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -61,10 +62,13 @@ type Router struct {
 	net     *Network
 	maxDist float64
 
+	// mu guards the cache's writers (keep). A hit takes no lock: it
+	// loads its source's slot from hot, which keep publishes to.
 	mu       sync.Mutex
 	cache    map[NodeID]int // source -> slot index in entries
-	entries  []cacheSlot
-	hand     int // CLOCK sweep position
+	entries  []*cacheSlot
+	hot      []atomic.Pointer[cacheSlot] // per source node: its slot, nil when none
+	hand     int                         // CLOCK sweep position
 	capacity int
 
 	scratch sync.Pool // *searchScratch
@@ -75,11 +79,22 @@ type Router struct {
 // hit and gives the entry a second chance during the eviction sweep, so
 // hot sources survive scans of cold ones — the property an exact LRU
 // has without its cost of mutating a shared recency list on every hit.
+// Only the bit ever changes: keep replaces a slot whose tree it replaces
+// or whose source it evicts with a new one, so a hit that loaded the old
+// one still reads a consistent (and still correct) tree.
 type cacheSlot struct {
 	source NodeID
 	tree   *ssspResult
 	last   int32 // the search's last settled node; -1 = it ran to exhaustion
-	ref    bool
+	ref    atomic.Bool
+}
+
+// touch sets the slot's reference bit, writing only when it is clear so
+// that hits on a hot slot leave its cache line shared.
+func (e *cacheSlot) touch() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 }
 
 // ssspResult holds a single-source shortest-path tree as the nodes its
@@ -231,6 +246,9 @@ func NewRouter(net *Network, opts ...RouterOption) *Router {
 	}
 	for _, o := range opts {
 		o(r)
+	}
+	if r.capacity > 0 {
+		r.hot = make([]atomic.Pointer[cacheSlot], net.NumNodes())
 	}
 	return r
 }
@@ -455,8 +473,8 @@ func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
 // tree returns a memoized shortest-path tree rooted at from that answers
 // every one of the (non-empty) targets, and writes each target's entry in
 // it to ents (-1 = unreachable within the bound). A cached tree that
-// covers them is a hit, checked outside the lock (cached trees are
-// immutable).
+// covers them is a hit, found and checked without a lock (slots are
+// published atomically and cached trees are immutable).
 // Otherwise the search runs again to the targets and its tree takes the
 // cached one's slot: an extension counts as a miss and evicts nothing.
 // It loses nothing either: a target the cached tree did not settle comes
@@ -465,13 +483,12 @@ func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
 func (r *Router) tree(from NodeID, targets []NodeID, ents []int32) *ssspResult {
 	var old *ssspResult
 	var oldLast int32
-	r.mu.Lock()
-	if i, ok := r.cache[from]; ok {
-		e := &r.entries[i]
-		e.ref = true
-		old, oldLast = e.tree, e.last
+	if r.hot != nil {
+		if e := r.hot[from].Load(); e != nil {
+			e.touch()
+			old, oldLast = e.tree, e.last
+		}
 	}
-	r.mu.Unlock()
 	if old != nil && old.covers(oldLast, targets, ents) {
 		obsCacheHits.Inc()
 		return old
@@ -503,38 +520,50 @@ func (r *Router) keep(from NodeID, t *ssspResult, last int32) *ssspResult {
 		// The slot may hold a tree another goroutine built or extended
 		// meanwhile. Both are prefixes of one settle order: keep the one
 		// that contains the other.
-		e := &r.entries[i]
-		e.ref = true
+		e := r.entries[i]
 		if e.last < 0 || last >= 0 && e.tree.entry(NodeID(last)) >= 0 {
+			e.ref.Store(true)
 			return e.tree
 		}
-		e.tree, e.last = t, last
+		r.publish(i, &cacheSlot{source: from, tree: t, last: last}, true)
 		return t
 	}
 	if r.capacity <= 0 {
 		return t
 	}
+	slot := &cacheSlot{source: from, tree: t, last: last}
 	if len(r.entries) < r.capacity {
 		r.cache[from] = len(r.entries)
-		r.entries = append(r.entries, cacheSlot{source: from, tree: t, last: last})
+		r.entries = append(r.entries, nil)
+		r.publish(len(r.entries)-1, slot, false)
 	} else {
 		// CLOCK sweep: pass over referenced slots clearing their bit,
 		// evict the first unreferenced one. New entries start with the
 		// bit clear, so a scan of one-shot sources recycles its own
 		// slots before it can push out a recently re-used tree.
-		for r.entries[r.hand].ref {
-			r.entries[r.hand].ref = false
+		for r.entries[r.hand].ref.Load() {
+			r.entries[r.hand].ref.Store(false)
 			r.hand = (r.hand + 1) % len(r.entries)
 		}
 		victim := r.hand
-		delete(r.cache, r.entries[victim].source)
+		gone := r.entries[victim].source
+		delete(r.cache, gone)
+		r.hot[gone].Store(nil)
 		obsCacheEvictions.Inc()
-		r.entries[victim] = cacheSlot{source: from, tree: t, last: last}
 		r.cache[from] = victim
+		r.publish(victim, slot, false)
 		r.hand = (victim + 1) % len(r.entries)
 	}
 	obsCacheSize.Set(int64(len(r.cache)))
 	return t
+}
+
+// publish puts slot into entries[i] and makes it its source's hit, with
+// the reference bit set when ref is. r.mu must be held.
+func (r *Router) publish(i int, slot *cacheSlot, ref bool) {
+	slot.ref.Store(ref)
+	r.entries[i] = slot
+	r.hot[slot.source].Store(slot)
 }
 
 // segTie returns the canonical tie-break value of a segment: a fixed
