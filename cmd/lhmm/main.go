@@ -64,8 +64,6 @@ func main() {
 		err = cmdEval(os.Args[2:])
 	case "replay":
 		err = cmdReplay(os.Args[2:])
-	case "net":
-		err = cmdNet(os.Args[2:])
 	case "sessions":
 		err = cmdSessions(os.Args[2:])
 	default:
@@ -87,8 +85,6 @@ commands:
   match     match one test trajectory and report metrics
   eval      evaluate methods on the test split
   replay    re-run requests from an lhmm-serve capture file and diff outputs
-  net       road-network tools: 'net build' compiles a dataset's network
-            into a binary .lnet file; 'net stat' inspects one
   sessions  durable-session tools: 'sessions inspect' summarizes a
             snapshot file from an lhmm-serve -checkpoint-dir store
 

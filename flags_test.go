@@ -13,11 +13,11 @@ import (
 	"testing"
 )
 
-// The ten flag sets the binaries expose, as argv before -h.
+// The eight flag sets the binaries expose, as argv before -h.
 var flagCommands = []string{
 	"lhmm-serve", "lhmm-bench",
 	"lhmm datagen", "lhmm train", "lhmm match", "lhmm eval", "lhmm replay",
-	"lhmm net build", "lhmm net stat", "lhmm sessions inspect",
+	"lhmm sessions inspect",
 }
 
 // Ceilings on the flag surface, a few flags above today's counts. A flag
@@ -25,7 +25,7 @@ var flagCommands = []string{
 // DESIGN §8d.
 const (
 	maxServeFlags = 14
-	maxTotalFlags = 94
+	maxTotalFlags = 82
 )
 
 // maxConfigFields is the ceiling on the exported fields of the four
@@ -38,7 +38,7 @@ var (
 	helpFlag = regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`)
 	// A command name and the rest of its command line, up to whatever
 	// ends one in a shell or in prose.
-	cmdLine = regexp.MustCompile("\\b(lhmm-serve|lhmm-bench|lhmm (?:datagen|train|match|eval|replay|net build|net stat|sessions inspect))\\b([^`|;&()#\n]*)")
+	cmdLine = regexp.MustCompile("\\b(lhmm-serve|lhmm-bench|lhmm (?:datagen|train|match|eval|replay|sessions inspect))\\b([^`|;&()#\n]*)")
 	// A -flag at the start of a word.
 	flagWord = regexp.MustCompile("(?:^|[\\s(\\[`\"'])-([a-z][a-z0-9-]*)")
 	// A README code span that opens with a flag: `-k`, `-trace-out FILE`.
@@ -47,7 +47,7 @@ var (
 
 // TestFlagSurfaceLint is the flag-side twin of
 // TestReadmeMetricFamiliesLint. It builds the three binaries, reads
-// each command's -h, and fails when (a) lhmm-serve or the ten commands
+// each command's -h, and fails when (a) lhmm-serve or the eight commands
 // together exceed their ceilings, or (b) README.md or the text of a
 // cmd/*/*.go file (comments, usage and help strings) names a flag the
 // command it is written after does not define — or, where no command
@@ -82,7 +82,7 @@ func TestFlagSurfaceLint(t *testing.T) {
 		}
 	}
 	if total > maxTotalFlags {
-		t.Errorf("the ten commands list %d flags between them, ceiling %d", total, maxTotalFlags)
+		t.Errorf("the eight commands list %d flags between them, ceiling %d", total, maxTotalFlags)
 	}
 
 	// check holds one logical line of documentation to the flag sets.

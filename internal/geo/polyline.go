@@ -146,13 +146,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
 }
 
-// Intersects reports whether the two rectangles overlap (boundary
-// contact counts as overlap).
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.X <= o.Max.X && o.Min.X <= r.Max.X &&
-		r.Min.Y <= o.Max.Y && o.Min.Y <= r.Max.Y
-}
-
 // Buffer returns r grown by d on every side.
 func (r Rect) Buffer(d float64) Rect {
 	return Rect{

@@ -127,14 +127,7 @@ func TestRect(t *testing.T) {
 	if r.Contains(Pt(10.1, 0)) {
 		t.Error("outside point contained")
 	}
-	o := Rect{Pt(5, 5), Pt(20, 20)}
-	if !r.Intersects(o) || !o.Intersects(r) {
-		t.Error("overlapping rects reported disjoint")
-	}
 	far := Rect{Pt(100, 100), Pt(110, 110)}
-	if r.Intersects(far) {
-		t.Error("disjoint rects reported intersecting")
-	}
 	u := r.Union(far)
 	if u.Min != Pt(-10, -10) || u.Max != Pt(110, 110) {
 		t.Errorf("Union = %v", u)

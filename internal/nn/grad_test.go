@@ -150,10 +150,6 @@ func TestGradGatherSumMean(t *testing.T) {
 		y := tp.SumRows(tp.Var(p))
 		return tp.SumAll(tp.Mul(y, y))
 	})
-	checkGrad(t, "meanrows", p, func(tp *Tape) *T {
-		y := tp.MeanRows(tp.Var(p))
-		return tp.SumAll(tp.Mul(y, y))
-	})
 }
 
 func TestGradCrossEntropy(t *testing.T) {

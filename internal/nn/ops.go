@@ -426,11 +426,6 @@ func (tp *Tape) SumRows(a *T) *T {
 	return out
 }
 
-// MeanRows returns the 1×c column-wise mean over all rows of a.
-func (tp *Tape) MeanRows(a *T) *T {
-	return tp.Scale(tp.SumRows(a), 1/float64(a.R()))
-}
-
 // SumAll returns the 1×1 sum of every element of a.
 func (tp *Tape) SumAll(a *T) *T {
 	val := NewMat(1, 1)

@@ -27,10 +27,6 @@ func init() {
 // Logger().Enabled(nil, level).
 func Logger() *slog.Logger { return logger.Load() }
 
-// SetLogger replaces the telemetry logger wholesale (tests, custom
-// handlers).
-func SetLogger(l *slog.Logger) { logger.Store(l) }
-
 // SetLogOutput routes structured logs to w at the current level in the
 // default text format.
 func SetLogOutput(w io.Writer) {

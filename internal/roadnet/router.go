@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/obs"
 )
 
@@ -270,15 +269,11 @@ func (r *Router) NodeDist(from, to NodeID) (float64, bool) {
 	return t.dist[ent[0]], true
 }
 
-// NodePath returns the segment sequence and length of the shortest
-// route between two nodes, or ok=false if unreachable within the bound.
-// An empty path with ok=true means from == to.
-func (r *Router) NodePath(from, to NodeID) ([]SegmentID, float64, bool) {
-	return r.nodePath(from, to, 0)
-}
-
-// nodePath is NodePath with pad unset slots on either side of the path,
-// where RouteBetween puts its end segments.
+// nodePath returns the segment sequence and length of the shortest
+// route between two nodes, or ok=false if unreachable within the bound;
+// an empty path with ok=true means from == to. The slice has pad unset
+// slots on either side of the path, where RouteBetween puts its end
+// segments.
 func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool) {
 	if from == to {
 		return nil, 0, true
@@ -302,7 +297,7 @@ func (r *Router) nodePath(from, to NodeID, pad int) ([]SegmentID, float64, bool)
 	return segs, t.dist[end], true
 }
 
-// TreeWalk is the one-source, many-targets form of NodePath for callers
+// TreeWalk is the one-source, many-targets form of nodePath for callers
 // that fold values along paths instead of reading segment lists. dist[i]
 // receives the route length from source to targets[i] (+Inf = unreachable
 // within the bound; the bits NodeDist reports), and the union of the
@@ -423,51 +418,6 @@ func (r *Router) RouteDist(a, b PointOnRoad) (float64, bool) {
 		return 0, false
 	}
 	return head + d + tail, true
-}
-
-// Geometry returns the polyline of a route's traversed segments,
-// trimmed to the start and end positions.
-func (r *Router) Geometry(route Route, a, b PointOnRoad) geo.Polyline {
-	if len(route.Segs) == 0 {
-		return nil
-	}
-	var pl geo.Polyline
-	if len(route.Segs) == 1 {
-		seg := r.net.Segment(route.Segs[0])
-		start, end := a.Frac*seg.Length, b.Frac*seg.Length
-		return clipShape(seg.Shape, start, end)
-	}
-	first := r.net.Segment(route.Segs[0])
-	pl = append(pl, clipShape(first.Shape, a.Frac*first.Length, first.Length)...)
-	for _, sid := range route.Segs[1 : len(route.Segs)-1] {
-		shape := r.net.Segment(sid).Shape
-		pl = append(pl, shape[1:]...)
-	}
-	last := r.net.Segment(route.Segs[len(route.Segs)-1])
-	clipped := clipShape(last.Shape, 0, b.Frac*last.Length)
-	if len(clipped) > 0 {
-		pl = append(pl, clipped[1:]...)
-	}
-	return pl
-}
-
-// clipShape returns the part of the polyline between distances d0 and
-// d1 from the start (d0 <= d1 assumed after swap).
-func clipShape(shape geo.Polyline, d0, d1 float64) geo.Polyline {
-	if d1 < d0 {
-		d0, d1 = d1, d0
-	}
-	out := geo.Polyline{shape.At(d0)}
-	var walked float64
-	for i := 1; i < len(shape); i++ {
-		seg := shape[i-1].Dist(shape[i])
-		if walked+seg > d0 && walked+seg < d1 {
-			out = append(out, shape[i])
-		}
-		walked += seg
-	}
-	out = append(out, shape.At(d1))
-	return out
 }
 
 // tree returns a memoized shortest-path tree rooted at from that answers

@@ -41,12 +41,12 @@ func TestNodeDist(t *testing.T) {
 func TestNodePath(t *testing.T) {
 	n := buildGrid(t, 3, 3)
 	r := NewRouter(n)
-	path, d, ok := r.NodePath(0, 8) // (0,0) to (2,2)
+	path, d, ok := r.nodePath(0, 8, 0) // (0,0) to (2,2)
 	if !ok || math.Abs(d-400) > 1e-9 {
-		t.Fatalf("NodePath dist = %v ok=%v", d, ok)
+		t.Fatalf("nodePath dist = %v ok=%v", d, ok)
 	}
 	if len(path) != 4 {
-		t.Fatalf("NodePath len = %d, want 4", len(path))
+		t.Fatalf("nodePath len = %d, want 4", len(path))
 	}
 	// Path must be contiguous and start/end correctly.
 	if n.Segment(path[0]).From != 0 || n.Segment(path[3]).To != 8 {
@@ -57,8 +57,8 @@ func TestNodePath(t *testing.T) {
 			t.Error("path not contiguous")
 		}
 	}
-	if p, d, ok := r.NodePath(4, 4); !ok || d != 0 || p != nil {
-		t.Errorf("self NodePath = %v %v %v", p, d, ok)
+	if p, d, ok := r.nodePath(4, 4, 0); !ok || d != 0 || p != nil {
+		t.Errorf("self nodePath = %v %v %v", p, d, ok)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestUnreachable(t *testing.T) {
 	if _, ok := r.NodeDist(a0, c1); ok {
 		t.Error("disconnected nodes reported reachable")
 	}
-	if _, _, ok := r.NodePath(a0, c1); ok {
-		t.Error("disconnected NodePath reported ok")
+	if _, _, ok := r.nodePath(a0, c1, 0); ok {
+		t.Error("disconnected nodePath reported ok")
 	}
 }
 
@@ -178,9 +178,9 @@ func TestNodeDistProperties(t *testing.T) {
 			t.Fatalf("triangle inequality broken: d(%d,%d)=%v > %v+%v", a, b, dab, dac, dcb)
 		}
 		// Path length equals reported distance.
-		path, d, ok := r.NodePath(a, b)
+		path, d, ok := r.nodePath(a, b, 0)
 		if !ok || math.Abs(d-dab) > 1e-9 {
-			t.Fatalf("NodePath dist %v != NodeDist %v", d, dab)
+			t.Fatalf("nodePath dist %v != NodeDist %v", d, dab)
 		}
 		var sum float64
 		for _, sid := range path {
@@ -226,9 +226,9 @@ func TestRouterConcurrent(t *testing.T) {
 				a := NodeID(rng.Intn(64))
 				b := NodeID(rng.Intn(64))
 				d, ok := r.NodeDist(a, b)
-				path, _, _ := r.NodePath(a, b)
+				path, _, _ := r.nodePath(a, b, 0)
 				wd, wok := want.NodeDist(a, b)
-				wpath, _, _ := want.NodePath(a, b)
+				wpath, _, _ := want.nodePath(a, b, 0)
 				if ok != wok || d != wd || !slices.Equal(path, wpath) {
 					t.Errorf("%d->%d: got %v/%v %v, want %v/%v %v", a, b, d, ok, path, wd, wok, wpath)
 					return
@@ -237,29 +237,6 @@ func TestRouterConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-}
-
-func TestGeometry(t *testing.T) {
-	n := buildGrid(t, 3, 1)
-	r := NewRouter(n)
-	s01 := segBetween(t, n, 0, 1)
-	s12 := segBetween(t, n, 1, 2)
-	a := PointOnRoad{s01, 0.5}
-	b := PointOnRoad{s12, 0.5}
-	route, _ := r.RouteBetween(a, b)
-	pl := r.Geometry(route, a, b)
-	if math.Abs(pl.Length()-route.Dist) > 1e-9 {
-		t.Errorf("geometry length %v != route dist %v", pl.Length(), route.Dist)
-	}
-	if pl[0].Dist(geo.Pt(50, 0)) > 1e-9 || pl[len(pl)-1].Dist(geo.Pt(150, 0)) > 1e-9 {
-		t.Errorf("geometry endpoints %v..%v", pl[0], pl[len(pl)-1])
-	}
-	// Single-segment geometry.
-	route1, _ := r.RouteBetween(PointOnRoad{s01, 0.1}, PointOnRoad{s01, 0.9})
-	pl1 := r.Geometry(route1, PointOnRoad{s01, 0.1}, PointOnRoad{s01, 0.9})
-	if math.Abs(pl1.Length()-80) > 1e-9 {
-		t.Errorf("single-seg geometry length = %v", pl1.Length())
-	}
 }
 
 func TestNetworkRoundTrip(t *testing.T) {
@@ -569,7 +546,7 @@ func refDijkstra(n *Network, from NodeID, maxDist float64) (map[NodeID]float64, 
 	return dist, parent
 }
 
-// refPath walks the reference tree the way NodePath used to.
+// refPath climbs the reference tree's parent segments from to back to from.
 func refPath(n *Network, parent map[NodeID]SegmentID, from, to NodeID) []SegmentID {
 	var path []SegmentID
 	for cur := to; cur != from; cur = n.Segment(path[len(path)-1]).From {

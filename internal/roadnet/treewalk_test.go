@@ -111,7 +111,7 @@ func TestTreeWalkMatchesReference(t *testing.T) {
 				for i, d := range dist {
 					if math.IsInf(d, 1) {
 						unreachable++
-					} else if path, _, _ := r.NodePath(NodeID(src), targets[i]); slices.Index(targets[:i], targets[i]) < 0 {
+					} else if path, _, _ := r.nodePath(NodeID(src), targets[i], 0); slices.Index(targets[:i], targets[i]) < 0 {
 						hops += len(path)
 					}
 				}
@@ -271,7 +271,7 @@ func refOrder(n *Network, src NodeID, dist map[NodeID]float64, parent map[NodeID
 }
 
 // Bounded trees against the reference search. On each fixture one router
-// answers a seeded random sequence of NodeDist, NodePath and TreeWalk
+// answers a seeded random sequence of NodeDist, nodePath and TreeWalk
 // queries from a few repeating sources, so cached trees get hit and
 // extended, with targets that mix near and far nodes, unreachable ones,
 // duplicates and the source itself. Every answer equals the reference;
@@ -372,17 +372,17 @@ func TestBoundedTreesMatchReference(t *testing.T) {
 					t.Fatalf("%s: NodeDist(%d,%d) = %v/%v, reference %v/%v", c.name, src, v, d, ok, wd, wok)
 				}
 			case 1:
-				what = "NodePath"
+				what = "nodePath"
 				v := target(src, ref)
 				targets = []NodeID{v}
-				path, d, ok := r.NodePath(src, v)
+				path, d, ok := r.nodePath(src, v, 0)
 				wd, wok := ref.dist[v]
 				var wpath []SegmentID
 				if wok && v != src {
 					wpath = refPath(c.net, ref.parent, src, v)
 				}
 				if ok != wok || math.Float64bits(d) != math.Float64bits(wd) || !slices.Equal(path, wpath) {
-					t.Fatalf("%s: NodePath(%d,%d) = %v %v/%v, reference %v %v/%v", c.name, src, v, path, d, ok, wpath, wd, wok)
+					t.Fatalf("%s: nodePath(%d,%d) = %v %v/%v, reference %v %v/%v", c.name, src, v, path, d, ok, wpath, wd, wok)
 				}
 			default:
 				what = "TreeWalk"

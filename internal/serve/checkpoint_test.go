@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 	"repro/internal/traj"
 )
 
@@ -472,6 +473,75 @@ func TestCheckpointWriteRetry(t *testing.T) {
 	}
 	if _, err := os.Stat(ck.path(s.ID)); err != nil {
 		t.Fatalf("no checkpoint after retried write: %v", err)
+	}
+}
+
+// A failed fsync of the temp file commits nothing: the live snapshot
+// keeps the previous state's bytes (the rename comes only after a
+// clean fsync) and the temp file is removed. The failpoint fires on
+// every hit until disarmed, so each retry fails too and the store goes
+// sick; the next sweep's write then lands the new state and heals it.
+// persist is driven synchronously, as in TestCheckpointWriteRetry, so
+// the store can be read between the failed write and the next one.
+func TestCheckpointFsyncFailureKeepsPreviousSnapshot(t *testing.T) {
+	_, m := fixture(t)
+	tr := sessionTrip(t)
+	obs.Default.Enable() // no server here turns the counters on
+
+	mgr := NewSessionManager(4, time.Minute)
+	ck, err := NewCheckpointer(CheckpointConfig{Dir: t.TempDir(), Backoff: time.Millisecond}, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	s, err := mgr.Create(m, [32]byte{}, 1, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.push(tr[:3], now); err != nil {
+		t.Fatal(err)
+	}
+	live := ck.path(s.ID)
+	ck.persist(s)
+	first, err := os.ReadFile(live)
+	if err != nil {
+		t.Fatalf("first snapshot did not land: %v", err)
+	}
+
+	faultinject.DisarmAll()
+	defer faultinject.DisarmAll()
+	if err := faultinject.Arm(fpCkptFsync.Name()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s.push(tr[3:4], now); err != nil {
+		t.Fatal(err)
+	}
+	errsBefore := obsCkptWriteErrors.Value()
+	ck.persist(s) // every attempt fails its fsync
+	if got := obsCkptWriteErrors.Value() - errsBefore; got != checkpointRetries+1 {
+		t.Fatalf("write.errors delta = %d, want %d (each attempt's fsync failed)", got, checkpointRetries+1)
+	}
+	if got, err := os.ReadFile(live); err != nil || !bytes.Equal(got, first) {
+		t.Fatalf("live snapshot changed under a failed fsync (err %v): a rename ran before the fsync succeeded", err)
+	}
+	if _, err := os.Stat(live + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left after a failed fsync: %v", err)
+	}
+	if !s.ckptDirty() || !ck.Sick() {
+		t.Fatalf("after the failed attempts: dirty %v, sick %v; want both true", s.ckptDirty(), ck.Sick())
+	}
+
+	faultinject.DisarmAll()
+	ck.persist(s) // the next sweep's retry
+	want, _, err := s.encodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(live); err != nil || !bytes.Equal(got, want) || bytes.Equal(got, first) {
+		t.Fatalf("retry did not land the new snapshot (err %v)", err)
+	}
+	if s.ckptDirty() || ck.Sick() {
+		t.Fatalf("after the retry: dirty %v, sick %v; want both false", s.ckptDirty(), ck.Sick())
 	}
 }
 

@@ -1,8 +1,7 @@
-// Package wire is the little-endian codec behind the repository's three
-// binary formats: the model weights (lhmm-weights, package nn), the
-// durable streaming session (lhmm-session, package core) and the road
-// network (LNET, package roadnet). Each
-// format keeps its own magic, version, CRC table and field layout; this
+// Package wire is the little-endian codec behind the repository's two
+// binary formats: the model weights (lhmm-weights, package nn) and the
+// durable streaming session (lhmm-session, package core). Each format
+// keeps its own magic, version, CRC table and field layout; this
 // package holds only what they share.
 //
 // A Writer appends fixed-width fields to a byte slice. A Reader consumes
