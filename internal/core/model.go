@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 
 	"repro/internal/cellular"
 	"repro/internal/mrg"
@@ -237,22 +238,42 @@ func (m *Model) RefreshEmbeddings() {
 }
 
 // segTables builds obsSeg, transSeg and transQ from the segment
-// embedding rows, one per segment.
+// embedding rows, one per segment: GOMAXPROCS workers take blocks of
+// segBlock segments, and for its block a worker computes all three
+// tables' rows. Every row of a product, and each transQ entry, depends
+// on its own segment's row alone, so the tables equal one pass over all
+// segments bit for bit at any worker count.
 func (m *Model) segTables(segs *nn.Mat) {
-	m.obsSeg = m.segHalf(m.ObsMLP, segs)
-	m.transSeg = m.segHalf(m.TransMLP, segs)
-	m.transQ = make([]float64, segs.R)
-	m.TransAtt.QueryScoresInto(m.transQ, nil, segs)
+	m.buildSegTables(segs, runtime.GOMAXPROCS(0), segBlock)
 }
 
-// segHalf returns segs·W1_seg + b1, the segment half of the first layer
-// of an MLP whose input is [segment embedding ; per-point half].
-func (m *Model) segHalf(mlp *nn.MLP, segs *nn.Mat) *nn.Mat {
+// segBlock is the number of segments a worker of segTables takes at a
+// time.
+const segBlock = 128
+
+// buildSegTables is segTables on the given number of workers and block
+// size.
+func (m *Model) buildSegTables(segs *nn.Mat, workers, block int) {
+	obs, trans := m.segHalf(m.ObsMLP), m.segHalf(m.TransMLP)
+	m.obsSeg = nn.NewMat(segs.R, m.Cfg.Dim)
+	m.transSeg = nn.NewMat(segs.R, m.Cfg.Dim)
+	m.transQ = make([]float64, segs.R)
+	wss := make([]nn.Workspace, workers)
+	nn.RowBlocks(segs.R, block, workers, func(w, lo, hi int) {
+		x := segs.Rows(lo, hi)
+		obs.ApplyInto(m.obsSeg.Rows(lo, hi), x)
+		trans.ApplyInto(m.transSeg.Rows(lo, hi), x)
+		wss[w].Reset()
+		m.TransAtt.QueryScoresInto(m.transQ[lo:hi], &wss[w], x)
+	})
+}
+
+// segHalf returns the layer x ↦ x·W1_seg + b1, the segment half of the
+// first layer of an MLP whose input is [segment embedding ; per-point
+// half].
+func (m *Model) segHalf(mlp *nn.MLP) *nn.Linear {
 	l1 := mlp.Layers[0]
-	half := nn.Linear{W: &nn.Param{W: l1.W.W.Rows(0, m.Cfg.Dim)}, B: l1.B}
-	out := nn.NewMat(segs.R, m.Cfg.Dim)
-	half.ApplyInto(out, segs)
-	return out
+	return &nn.Linear{W: &nn.Param{W: l1.W.W.Rows(0, m.Cfg.Dim)}, B: l1.B}
 }
 
 // obsCtxInto writes the context half of Eq. 7's first layer,
@@ -334,9 +355,12 @@ func (m *Model) load(pf *nn.ParamFile) error {
 	if err := pf.Apply(m.fileParams(nodes)); err != nil {
 		return err
 	}
+	// The hash reads only the file's bytes, so it runs beside the tables.
+	hashed := make(chan [32]byte, 1)
+	go func() { hashed <- sha256.Sum256(pf.Section()) }()
 	m.segTables(nodes.Rows(g.NumTowers, g.NumNodes()))
 	m.emb = nodes.Rows(0, g.NumTowers).Clone() // a copy, so the segment rows can go
-	m.weightsHash = sha256.Sum256(pf.Section())
+	m.weightsHash = <-hashed
 	m.Enc, m.nodes = nil, nil
 	g.ReleaseRelations()
 	return nil

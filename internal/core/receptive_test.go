@@ -84,7 +84,7 @@ func phase1Fixture(t testing.TB, d *traj.Dataset, cfg Config) (*Model, []*tripSa
 	}
 	m.calibrateDistScale(samples)
 	rng := rand.New(rand.NewSource(m.Cfg.Seed + 1))
-	m.pretrainFuse(rng)
+	m.pretrainFuse(drawFusePretrain(rng))
 	return m, samples, rng
 }
 

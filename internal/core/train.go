@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/hmm"
@@ -82,11 +83,24 @@ func (m *Model) fit(ds *traj.Dataset, trips []*traj.Trip) error {
 		"dim", m.Cfg.Dim, "epochs", m.Cfg.Epochs, "fuse_epochs", m.Cfg.FuseEpochs)
 
 	m.calibrateDistScale(samples)
-	m.pretrainFuse(rng)
-	if err := m.trainImplicit(samples, rng); err != nil {
+	// Fuse pretraining writes only the fuse MLPs, which phase 1 and the
+	// freeze pass neither read nor write, so it runs beside them. Its
+	// inputs are drawn first, so phase 1 reads the rng where it would
+	// after pretraining.
+	pre := drawFusePretrain(rng)
+	pretrained := make(chan struct{})
+	go func() {
+		defer close(pretrained)
+		m.pretrainFuse(pre)
+	}()
+	err := m.trainImplicit(samples, rng)
+	if err == nil {
+		m.RefreshEmbeddings()
+	}
+	<-pretrained
+	if err != nil {
 		return err
 	}
-	m.RefreshEmbeddings()
 	if err := m.trainFuse(samples, rng); err != nil {
 		return err
 	}
@@ -99,7 +113,10 @@ func (m *Model) fit(ds *traj.Dataset, trips []*traj.Trip) error {
 // fully-trained learner's, and a sharper P_T both punishes detours and
 // lets the shortcut optimization (Algorithm 2) outscore paths through
 // noisy points. Falls back to a training subset when the validation
-// split is empty.
+// split is empty. The candidate exponents are matched side by side, each
+// on a copy of m that holds its own γ (as WithShortcuts makes one) and
+// shares every other weight, which matching only reads; the lowest score
+// wins, the first in gammaGrid on a tie.
 func (m *Model) calibrateGamma(ds *traj.Dataset) {
 	trips := ds.ValidTrips()
 	if len(trips) == 0 {
@@ -111,30 +128,52 @@ func (m *Model) calibrateGamma(ds *traj.Dataset) {
 	if len(trips) == 0 {
 		return
 	}
+	scores := make([]float64, len(gammaGrid))
+	var wg sync.WaitGroup
+	for g, gamma := range gammaGrid {
+		mm := *m
+		mm.transGamma = nn.NewZeroParam(m.transGamma.Name, 1, 1)
+		mm.transGamma.W.W[0] = gamma
+		wg.Add(1)
+		go func(g int, mm *Model) {
+			defer wg.Done()
+			scores[g] = mm.gammaScore(trips)
+		}(g, &mm)
+	}
+	wg.Wait()
 	bestGamma, bestScore := 1.0, math.Inf(1)
-	for _, gamma := range []float64{1, 2, 4, 8} {
-		m.transGamma.W.W[0] = gamma
-		var cmf float64
-		var n int
-		for _, tr := range trips {
-			res, err := m.Match(tr.Cell)
-			if err != nil {
-				continue
-			}
-			pm := metrics.EvalPath(m.Net, res.Path, tr.Path, 50)
-			cmf += pm.CMF + 0.3*pm.RMF // corridor accuracy with a detour penalty
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		if score := cmf / float64(n); score < bestScore {
-			bestScore, bestGamma = score, gamma
+	for g, score := range scores {
+		if score < bestScore {
+			bestScore, bestGamma = score, gammaGrid[g]
 		}
 	}
 	m.transGamma.W.W[0] = bestGamma
 	obs.Logger().Debug("core: transition gamma calibrated",
 		"gamma", bestGamma, "validation_trips", len(trips))
+}
+
+// gammaGrid lists the exponents calibrateGamma tries, in order.
+var gammaGrid = [...]float64{1, 2, 4, 8}
+
+// gammaScore is calibrateGamma's score of m on the trips: the mean over
+// the trips m matches of CMF + 0.3·RMF, corridor accuracy with a detour
+// penalty; +Inf when it matches none.
+func (m *Model) gammaScore(trips []*traj.Trip) float64 {
+	var cmf float64
+	var n int
+	for _, tr := range trips {
+		res, err := m.Match(tr.Cell)
+		if err != nil {
+			continue
+		}
+		pm := metrics.EvalPath(m.Net, res.Path, tr.Path, 50)
+		cmf += pm.CMF + 0.3*pm.RMF
+		n++
+	}
+	if n == 0 {
+		return math.Inf(1)
+	}
+	return cmf / float64(n)
 }
 
 // WithShortcuts returns a copy of the trained model m that matches with
@@ -489,25 +528,22 @@ func (m *Model) towerRows(local func(int) int, s *tripSample) []int {
 // itself. This makes the untrained learners behave like the classical
 // distance models (Eqs. 2–3), so fine-tuning on real labels can only
 // refine from a physically sane baseline — important at small training
-// scales where the fuse nets would otherwise start arbitrary.
-func (m *Model) pretrainFuse(rng *rand.Rand) {
+// scales where the fuse nets would otherwise start arbitrary. Its
+// inputs come from drawFusePretrain; it draws nothing itself.
+func (m *Model) pretrainFuse(feats [2][fusePretrainSteps]*nn.Mat) {
 	opt := nn.NewAdam()
 	opt.LR = 0.01
 	opt.WeightDecay = 0
-	for _, fuse := range []*nn.MLP{m.ObsFuse, m.TransFuse} {
+	for k, fuse := range []*nn.MLP{m.ObsFuse, m.TransFuse} {
 		params := fuse.Params()
-		for step := 0; step < 300; step++ {
-			const batch = 32
-			feats := nn.NewMat(batch, 3)
-			target := nn.NewMat(batch, 2)
-			for i := 0; i < batch; i++ {
-				f := [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
-				copy(feats.Row(i), f[:])
-				target.Set(i, 0, 1-f[1])
-				target.Set(i, 1, f[1])
+		for _, x := range feats[k] {
+			target := nn.NewMat(x.R, 2)
+			for i := 0; i < x.R; i++ {
+				target.Set(i, 0, 1-x.At(i, 1))
+				target.Set(i, 1, x.At(i, 1))
 			}
 			tp := nn.NewTape()
-			loss := tp.CrossEntropy(fuse.Forward(tp, tp.Const(feats)), target)
+			loss := tp.CrossEntropy(fuse.Forward(tp, tp.Const(x)), target)
 			if err := tp.Backward(loss); err != nil {
 				// Pretraining failure is non-fatal; phase 2 still runs.
 				break
@@ -515,6 +551,29 @@ func (m *Model) pretrainFuse(rng *rand.Rand) {
 			opt.Step(params)
 		}
 	}
+}
+
+// fusePretrainSteps is the number of Adam steps pretrainFuse takes per
+// fuse MLP, each on a batch of fusePretrainBatch uniform feature rows.
+const (
+	fusePretrainSteps = 300
+	fusePretrainBatch = 32
+)
+
+// drawFusePretrain draws pretrainFuse's input rows from rng: every
+// step's batch for the observation fuse MLP, then for the transition
+// one, each row's three features in order.
+func drawFusePretrain(rng *rand.Rand) (feats [2][fusePretrainSteps]*nn.Mat) {
+	for k := range feats {
+		for step := range feats[k] {
+			x := nn.NewMat(fusePretrainBatch, 3)
+			for i := range x.W {
+				x.W[i] = rng.Float64()
+			}
+			feats[k][step] = x
+		}
+	}
+	return feats
 }
 
 // trainFuse runs phase 2: with embeddings and implicit networks frozen,

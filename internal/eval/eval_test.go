@@ -482,3 +482,38 @@ func TestLHMMSEqualsRetrain(t *testing.T) {
 		t.Fatalf("Table III row: LHMM-S %s, retrained %s", a, b)
 	}
 }
+
+// TestSuiteResolveConcurrent: resolving a table's methods side by side
+// gives the rows resolving them one at a time gives, AvgTimeS aside —
+// LHMM-S waits for the LHMM it is calibrated from, and every model is
+// trained once, as the sequential order trains it.
+func TestSuiteResolveConcurrent(t *testing.T) {
+	names := []string{"LHMM-S", "LHMM", "LHMM-H", "STM"}
+	table := func(workers int) []string {
+		s := tinySuite("resolve-test", 41)
+		ds, err := s.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		methods, err := s.resolve(names, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(names))
+		for i, m := range methods {
+			if m.Name() != names[i] {
+				t.Fatalf("method %d is %q, want %q", i, m.Name(), names[i])
+			}
+			sum, _ := EvaluateMethod(ds, m, ds.TestTrips(), CMFCorridor)
+			sum.AvgTimeS = 0
+			out[i] = fmt.Sprintf("%#v", sum)
+		}
+		return out
+	}
+	seq, conc := table(1), table(len(names))
+	for i := range names {
+		if seq[i] != conc[i] {
+			t.Errorf("%s: sequential %s, concurrent %s", names[i], seq[i], conc[i])
+		}
+	}
+}

@@ -118,36 +118,71 @@ type Row struct {
 }
 
 // rows resolves each named method through Method and evaluates it on
-// trips, one Row per name in order.
+// trips, one Row per name in order. Every method is resolved before any
+// is evaluated, at most runtime.NumCPU() at once: the suite's memo
+// trains each distinct model once however many names share it, and
+// training is deterministic, so the models — and every accuracy column —
+// are those a one-at-a-time resolution gives. Evaluation then runs one
+// method at a time, as before, so the trips' timings do not overlap
+// training.
 func (s *Suite) rows(names []string, trips []*traj.Trip) ([]Row, error) {
 	ds, err := s.Dataset()
 	if err != nil {
 		return nil, err
 	}
+	methods, err := s.resolve(names, runtime.NumCPU())
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Row, 0, len(names))
-	for _, name := range names {
-		m, err := s.Method(name)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		summary, _ := EvaluateMethod(ds, m, trips, CMFCorridor)
+	for i, name := range names {
+		summary, _ := EvaluateMethod(ds, methods[i], trips, CMFCorridor)
 		rows = append(rows, Row{Method: name, Summary: summary})
 	}
 	return rows, nil
 }
 
-// FormatRows renders rows in the paper's Table II shape.
+// resolve resolves each named method through Method on up to workers
+// goroutines and returns them in the order of names, or the first
+// name's error in that order.
+func (s *Suite) resolve(names []string, workers int) ([]baselines.Method, error) {
+	methods := make([]baselines.Method, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, max(workers, 1))
+	for i, name := range names {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			methods[i], errs[i] = s.Method(name)
+		}(i, name)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", names[i], err)
+		}
+	}
+	return methods, nil
+}
+
+// FormatRows renders rows in the paper's Table II shape, followed by
+// the matched paths' shape: the matched/true length ratio, U-turns per
+// trip and the revisited-entry share (metrics.Summary).
 func FormatRows(title string, rows []Row) string {
-	out := fmt.Sprintf("%s\n%-15s %9s %9s %9s %9s %9s %12s\n",
-		title, "Method", "Precision", "Recall", "RMF", "CMF50", "HR", "AvgTime(s)")
+	out := fmt.Sprintf("%s\n%-15s %9s %9s %9s %9s %9s %9s %9s %9s %12s\n",
+		title, "Method", "Precision", "Recall", "RMF", "CMF50", "HR", "LenRatio", "UTurns", "Revisit", "AvgTime(s)")
 	for _, r := range rows {
 		hr := "    -"
 		if !isNaN(r.Summary.HR) {
 			hr = fmt.Sprintf("%9.3f", r.Summary.HR)
 		}
-		out += fmt.Sprintf("%-15s %9.3f %9.3f %9.3f %9.3f %9s %12.4f\n",
+		out += fmt.Sprintf("%-15s %9.3f %9.3f %9.3f %9.3f %9s %9.3f %9.2f %9.3f %12.4f\n",
 			r.Method, r.Summary.Precision, r.Summary.Recall, r.Summary.RMF,
-			r.Summary.CMF, hr, r.Summary.AvgTimeS)
+			r.Summary.CMF, hr, r.Summary.LengthRatio, r.Summary.UTurns,
+			r.Summary.Revisits, r.Summary.AvgTimeS)
 	}
 	return out
 }

@@ -37,6 +37,9 @@ var (
 	obsTransEval     = obs.Default.Counter("hmm.transitions.evaluated")
 	obsTransBlocked  = obs.Default.Counter("hmm.transitions.unreachable")
 	obsViterbiBreaks = obs.Default.Counter("hmm.viterbi.breaks")
+	// Candidates no predecessor reached at a scored step (recur's
+	// restarts); a break is a step where every candidate restarted.
+	obsRestarts      = obs.Default.Counter("hmm.restarts")
 	obsShortcutTries = obs.Default.Counter("hmm.shortcut.attempts")
 	obsShortcutAdopt = obs.Default.Counter("hmm.shortcut.adoptions")
 	// Attempts that had to call the models; attempts − scored read the
@@ -533,7 +536,7 @@ type forward struct {
 	deg   int64 // degraded-mode scoring events
 
 	nCand, nEval, nBlocked, nBreaks, nSkipped int64
-	nDecisions, nLowMargin                    int64
+	nRestarts, nDecisions, nLowMargin         int64
 }
 
 func (m *Matcher) newForward(n int) *forward {
@@ -588,6 +591,7 @@ func (fw *forward) noteStep(i int, layer []Candidate, steps [][]float64, ss step
 	fw.nBlocked += int64(ss.blocked)
 	fw.nEval += int64(ss.reachable + ss.blocked)
 	fw.sc.add(ss.shortcuts)
+	fw.nRestarts += int64(ss.restarts)
 	if fw.trace != nil {
 		pt := &fw.trace.Points[i]
 		pt.TransEvaluated = ss.reachable + ss.blocked
@@ -674,6 +678,7 @@ func (fw *forward) flush(res *Result) {
 	obsTransEval.Add(fw.nEval)
 	obsTransBlocked.Add(fw.nBlocked)
 	obsViterbiBreaks.Add(fw.nBreaks)
+	obsRestarts.Add(fw.nRestarts)
 	fw.sc.flush()
 	obsPointsSkipped.Add(fw.nSkipped)
 	obsMatchDegraded.Add(fw.deg)
@@ -951,9 +956,14 @@ type stepStats struct {
 
 // recur is the Viterbi recurrence of Algorithm 1 for one point: each
 // candidate of layer to takes the best fPrev[j] + steps[j][kk] over its
-// reachable predecessors. A candidate with none restarts from its own
-// observation score (pre −1), so one broken layer cannot void the whole
-// trajectory.
+// reachable predecessors. A candidate with none restarts (pre −1), so
+// one broken layer cannot void the whole trajectory. Under ScoreSum it
+// restarts from its own observation score, accum(P_O). Under
+// ScoreLogProd that would be a bonus — log P_O alone beats any prefix
+// that has summed a few negative logs — so the blocked step is charged
+// as an unreachable pair instead: the best live predecessor's score plus
+// the floor accum(0), plus accum(P_O). Where no predecessor is live, it
+// restarts from accum(P_O) under either rule.
 func (m *Matcher) recur(steps [][]float64, fPrev []float64, to []Candidate) (f []float64, pre []int, st stepStats) {
 	f, pre = make([]float64, len(to)), make([]int, len(to))
 	for kk := range to {
@@ -973,13 +983,33 @@ func (m *Matcher) recur(steps [][]float64, fPrev []float64, to []Candidate) (f [
 			}
 		}
 		if bestJ < 0 {
-			f[kk], pre[kk] = m.accum(to[kk].Obs), -1
+			f[kk], pre[kk] = m.restartScore(fPrev, to[kk].Obs), -1
 			st.restarts++
 			continue
 		}
 		f[kk], pre[kk] = best, bestJ
 	}
 	return f, pre, st
+}
+
+// restartScore is recur's score for a candidate with observation
+// probability obs that no predecessor reaches: accum(obs) under
+// ScoreSum, and under ScoreLogProd max(fPrev) + accum(0) + accum(obs)
+// when some predecessor is live (its score above −Inf).
+func (m *Matcher) restartScore(fPrev []float64, obs float64) float64 {
+	if m.Cfg.Scoring != ScoreLogProd {
+		return m.accum(obs)
+	}
+	best := math.Inf(-1)
+	for _, v := range fPrev {
+		if v > best {
+			best = v
+		}
+	}
+	if math.IsInf(best, -1) {
+		return m.accum(obs)
+	}
+	return best + m.accum(0) + m.accum(obs)
 }
 
 // argmaxF returns the index of the largest score in a table column.

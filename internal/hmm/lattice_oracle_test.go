@@ -22,10 +22,13 @@ type skipArc struct{ i, grand, u, to int }
 // ScoreLogProd, matching is a shortest path over the candidate lattice
 // between two virtual terminals. Node 0 is the source, nodes 1… the
 // candidates layer by layer, the last node the target. Layer i−1 → layer
-// i weighs −accum(P_T·P_O) where the pair is reachable; a candidate no
-// predecessor reaches (every candidate of layer 0, and a Viterbi break)
-// is entered from the source at −accum(P_O); last layer → target weighs
-// 0. Each skip adds its two arcs, grand → u and u → to, weighted the same
+// i weighs −accum(P_T·P_O) where the pair is reachable. A candidate no
+// predecessor reaches is entered from the source at −accum(P_O) when
+// there is no layer before it (layer 0, the far side of a dead gap). At
+// a Viterbi break the blocked step is charged as an unreachable pair:
+// every candidate of the layer before enters layer i's break node, one
+// past the target, at −accum(0), and the break node enters the
+// candidate at −accum(P_O). Last layer → target weighs 0. Each skip adds its two arcs, grand → u and u → to, weighted the same
 // way, and is the only way into and out of its pseudo-candidate u.
 // Written against the two models only; it shares no code with the
 // matcher. It returns the distance, the chosen candidate per point (−1
@@ -49,6 +52,21 @@ func latticeShortestPath(t *testing.T, m *Matcher, ct traj.CellTrajectory, layer
 	}
 	target := first[len(layers)]
 	adj := make([][]edge, target+1)
+	breakNode := map[int]int{} // layer → its break node
+	enterBreak := func(i int) int {
+		if v, ok := breakNode[i]; ok {
+			return v
+		}
+		v := len(adj)
+		adj = append(adj, nil)
+		breakNode[i] = v
+		for j := range layers[i-1] {
+			if !layers[i-1][j].Pseudo {
+				adj[first[i-1]+j] = append(adj[first[i-1]+j], edge{v, -accum(0)})
+			}
+		}
+		return v
+	}
 	addEdge := func(from, to int, w float64) {
 		if !(w >= 0) {
 			t.Fatalf("edge %d → %d weighs %v: Dijkstra needs non-negative weights", from, to, w)
@@ -70,7 +88,11 @@ func latticeShortestPath(t *testing.T, m *Matcher, ct traj.CellTrajectory, layer
 					entered = true
 				}
 			}
-			if !entered {
+			switch {
+			case entered:
+			case i > 0 && len(layers[i-1]) > 0:
+				addEdge(enterBreak(i), first[i]+k, -accum(layer[k].Obs))
+			default:
 				addEdge(0, first[i]+k, -accum(layer[k].Obs))
 			}
 			if i == len(layers)-1 {
@@ -91,7 +113,8 @@ func latticeShortestPath(t *testing.T, m *Matcher, ct traj.CellTrajectory, layer
 	}
 	// Dijkstra with a linear scan; ties settle the lower node id first, so
 	// a node's path count is final before it is relaxed from.
-	d, prev, count, done := make([]float64, target+1), make([]int, target+1), make([]int, target+1), make([]bool, target+1)
+	nodes := len(adj)
+	d, prev, count, done := make([]float64, nodes), make([]int, nodes), make([]int, nodes), make([]bool, nodes)
 	for v := range d {
 		d[v], prev[v] = math.Inf(1), -1
 	}
@@ -122,8 +145,12 @@ func latticeShortestPath(t *testing.T, m *Matcher, ct traj.CellTrajectory, layer
 	for i := range path {
 		path[i] = -1
 	}
-	for v, i := prev[target], len(layers)-1; v > 0; v, i = prev[v], i-1 {
+	for v, i := prev[target], len(layers)-1; v > 0; v = prev[v] {
+		if v > target {
+			continue // a break node: the chain goes on into layer i-1
+		}
 		path[i] = v - first[i]
+		i--
 	}
 	return d[target], path, count[target] == 1
 }

@@ -31,8 +31,13 @@ type refDP struct {
 // two models only — it shares no code with Matcher's recurrence, its
 // accumulator or its backward walk. This repo's two additions to the
 // textbook fall out of one rule: a candidate no predecessor reaches
-// starts over from accum(P_O), which covers both a dead gap (the
+// starts over (no backpointer), which covers both a dead gap (the
 // previous layer is empty) and a Viterbi break (every pair unreachable).
+// It starts from accum(P_O), except at a break under the log-product:
+// there a restart from log P_O alone would outscore any path whose
+// prefix has summed some negative logs, so the blocked step costs what
+// an unreachable pair costs — the best previous score, plus accum(0) for
+// the missing transition, plus accum(P_O).
 func referenceDP(m *Matcher, ct traj.CellTrajectory) refDP {
 	accum := func(p float64) float64 {
 		if m.Cfg.Scoring != ScoreLogProd {
@@ -61,6 +66,9 @@ func referenceDP(m *Matcher, ct traj.CellTrajectory) refDP {
 			}
 			if arg < 0 {
 				best = accum(cur.Obs)
+				if m.Cfg.Scoring == ScoreLogProd && t > 0 && len(r.layers[t-1]) > 0 {
+					best = slices.Max(r.f[t-1]) + accum(0) + accum(cur.Obs)
+				}
 			}
 			r.f[t], r.pre[t] = append(r.f[t], best), append(r.pre[t], arg)
 		}

@@ -18,6 +18,15 @@ type PathMetrics struct {
 	Recall    float64 // correct length / truth length
 	RMF       float64 // (missing + redundant length) / truth length
 	CMF       float64 // corridor-uncovered truth length / truth length
+
+	// The matched path's shape, each entry counted as often as it
+	// occurs: LengthRatio is its travelled length over the truth's;
+	// UTurns counts steps onto the reverse of the segment just travelled
+	// (From and To swapped); Revisits is the share of its entries whose
+	// segment an earlier entry already holds.
+	LengthRatio float64
+	UTurns      int
+	Revisits    float64
 }
 
 // PathGeometry concatenates the segment shapes of a path.
@@ -36,36 +45,50 @@ func PathGeometry(net *roadnet.Network, path []roadnet.SegmentID) geo.Polyline {
 
 // EvalPath compares a matched path with the ground-truth path.
 // corridor is the CMF corridor radius in meters (the paper reports
-// CMF50). Duplicate segments in either path are counted once.
+// CMF50). Duplicate segments in either path are counted once in the
+// accuracy metrics, and every entry in the shape ones. Every sum runs in
+// path order, so equal paths give equal bits.
 func EvalPath(net *roadnet.Network, matched, truth []roadnet.SegmentID, corridor float64) PathMetrics {
 	truthSet := make(map[roadnet.SegmentID]bool, len(truth))
-	var truthLen float64
+	var truthLen, truthTravel float64
 	for _, s := range truth {
+		truthTravel += net.Segment(s).Length
 		if !truthSet[s] {
 			truthSet[s] = true
 			truthLen += net.Segment(s).Length
 		}
 	}
 	matchedSet := make(map[roadnet.SegmentID]bool, len(matched))
-	var matchedLen, correctLen float64
+	var matchedLen, correctLen, matchedTravel float64
+	var revisits int
 	for _, s := range matched {
-		if !matchedSet[s] {
-			matchedSet[s] = true
-			matchedLen += net.Segment(s).Length
-			if truthSet[s] {
-				correctLen += net.Segment(s).Length
-			}
+		matchedTravel += net.Segment(s).Length
+		if matchedSet[s] {
+			revisits++
+			continue
+		}
+		matchedSet[s] = true
+		matchedLen += net.Segment(s).Length
+		if truthSet[s] {
+			correctLen += net.Segment(s).Length
 		}
 	}
 	var missingLen float64
-	for s := range truthSet {
-		if !matchedSet[s] {
+	for _, s := range truth {
+		if truthSet[s] && !matchedSet[s] {
+			truthSet[s] = false // count each missing segment once
 			missingLen += net.Segment(s).Length
 		}
 	}
 	redundantLen := matchedLen - correctLen
 
-	m := PathMetrics{}
+	m := PathMetrics{UTurns: uTurns(net, matched)}
+	if len(matched) > 0 {
+		m.Revisits = float64(revisits) / float64(len(matched))
+	}
+	if truthTravel > 0 {
+		m.LengthRatio = matchedTravel / truthTravel
+	}
 	if matchedLen > 0 {
 		m.Precision = correctLen / matchedLen
 	}
@@ -75,6 +98,19 @@ func EvalPath(net *roadnet.Network, matched, truth []roadnet.SegmentID, corridor
 		m.CMF = cmf(net, matched, truth, truthLen, corridor)
 	}
 	return m
+}
+
+// uTurns counts the steps of path onto the reverse of the segment just
+// travelled.
+func uTurns(net *roadnet.Network, path []roadnet.SegmentID) int {
+	var n int
+	for i := 1; i < len(path); i++ {
+		a, b := net.Segment(path[i-1]), net.Segment(path[i])
+		if b.From == a.To && b.To == a.From {
+			n++
+		}
+	}
+	return n
 }
 
 // cmf samples the ground-truth geometry and measures the fraction of
@@ -122,14 +158,17 @@ func HittingRatio(cands [][]roadnet.SegmentID, truth []roadnet.SegmentID) float6
 
 // Accum accumulates per-trip metrics into means.
 type Accum struct {
-	n         int
-	precision float64
-	recall    float64
-	rmf       float64
-	cmf       float64
-	hr        float64
-	hrN       int
-	seconds   float64
+	n           int
+	precision   float64
+	recall      float64
+	rmf         float64
+	cmf         float64
+	lengthRatio float64
+	uTurns      int
+	revisits    float64
+	hr          float64
+	hrN         int
+	seconds     float64
 }
 
 // Add folds one trip's metrics into the accumulator.
@@ -139,6 +178,9 @@ func (a *Accum) Add(m PathMetrics) {
 	a.recall += m.Recall
 	a.rmf += m.RMF
 	a.cmf += m.CMF
+	a.lengthRatio += m.LengthRatio
+	a.uTurns += m.UTurns
+	a.revisits += m.Revisits
 }
 
 // AddHR folds one trip's hitting ratio (HMM-family methods only).
@@ -160,6 +202,12 @@ type Summary struct {
 	CMF       float64
 	HR        float64 // NaN when not applicable
 	AvgTimeS  float64
+
+	// Means of the per-trip path shape (PathMetrics): the matched/true
+	// length ratio, U-turns per trip and the revisited-entry share.
+	LengthRatio float64
+	UTurns      float64
+	Revisits    float64
 }
 
 // Summary returns the means accumulated so far.
@@ -173,6 +221,9 @@ func (a *Accum) Summary() Summary {
 	s.Recall = a.recall / fn
 	s.RMF = a.rmf / fn
 	s.CMF = a.cmf / fn
+	s.LengthRatio = a.lengthRatio / fn
+	s.UTurns = float64(a.uTurns) / fn
+	s.Revisits = a.revisits / fn
 	s.AvgTimeS = a.seconds / fn
 	if a.hrN > 0 {
 		s.HR = a.hr / float64(a.hrN)

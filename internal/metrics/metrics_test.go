@@ -85,7 +85,9 @@ func TestEvalPathDuplicatesCountedOnce(t *testing.T) {
 	dup := []roadnet.SegmentID{ids[0], ids[0], ids[1], ids[1]}
 	m := EvalPath(net, dup, ids, 50)
 	want := EvalPath(net, ids[:2], ids, 50)
-	if m != want {
+	// The accuracy metrics; the shape ones count every entry by design.
+	accuracy := func(p PathMetrics) [4]float64 { return [4]float64{p.Precision, p.Recall, p.RMF, p.CMF} }
+	if accuracy(m) != accuracy(want) {
 		t.Errorf("duplicate handling: %+v vs %+v", m, want)
 	}
 }
@@ -188,5 +190,81 @@ func TestPathGeometry(t *testing.T) {
 	}
 	if len(PathGeometry(net, nil)) != 0 {
 		t.Error("empty path produced geometry")
+	}
+}
+
+// TestPathShape: a hand-built path with one U-turn (B, then its reverse
+// B') and one revisit (A again at the end) reports exactly those, its
+// travelled length over the truth's, and keeps counting duplicates once
+// in the accuracy metrics; Accum averages the shape per trip.
+func TestPathShape(t *testing.T) {
+	var b roadnet.Builder
+	n0, n1 := b.AddNode(geo.Pt(0, 0)), b.AddNode(geo.Pt(100, 0))
+	n2, n3 := b.AddNode(geo.Pt(200, 0)), b.AddNode(geo.Pt(100, 100))
+	seg := func(from, to roadnet.NodeID) roadnet.SegmentID {
+		sid, err := b.AddSegment(from, to, roadnet.Local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sid
+	}
+	A, B, Br, C, D := seg(n0, n1), seg(n1, n2), seg(n2, n1), seg(n1, n3), seg(n3, n0)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := []roadnet.SegmentID{A, B, Br, C, D, A}
+	truth := []roadnet.SegmentID{A, B}
+	m := EvalPath(net, matched, truth, 50)
+	travelled := 500 + 100*math.Sqrt2
+	if m.UTurns != 1 {
+		t.Errorf("UTurns = %d, want 1", m.UTurns)
+	}
+	if m.Revisits != 1.0/6 {
+		t.Errorf("Revisits = %v, want 1/6", m.Revisits)
+	}
+	if math.Abs(m.LengthRatio-travelled/200) > 1e-9 {
+		t.Errorf("LengthRatio = %v, want %v", m.LengthRatio, travelled/200)
+	}
+	if want := 200 / (travelled - 100); math.Abs(m.Precision-want) > 1e-9 || m.Recall != 1 {
+		t.Errorf("Precision %v Recall %v, want %v and 1 (duplicates counted once)", m.Precision, m.Recall, want)
+	}
+	straight := EvalPath(net, truth, truth, 50)
+	if straight.UTurns != 0 || straight.Revisits != 0 || straight.LengthRatio != 1 {
+		t.Errorf("truth against itself: %+v", straight)
+	}
+	var acc Accum
+	acc.Add(m)
+	acc.Add(straight)
+	if s := acc.Summary(); s.UTurns != 0.5 || s.Revisits != 1.0/12 || math.Abs(s.LengthRatio-(travelled/200+1)/2) > 1e-9 {
+		t.Errorf("Summary shape = %v U-turns, %v revisits, %v length ratio", s.UTurns, s.Revisits, s.LengthRatio)
+	}
+}
+
+// TestEvalPathOrderFree: RMF's missing length is summed in path order,
+// not in a map's, so one pair of paths gives one set of bits however
+// often it is evaluated.
+func TestEvalPathOrderFree(t *testing.T) {
+	var b roadnet.Builder
+	prev, x := b.AddNode(geo.Pt(0, 0)), 0.0
+	var ids []roadnet.SegmentID
+	for i := 0; i < 40; i++ {
+		x += 100 + math.Pi*float64(i*i%17) // lengths whose sums round differently by order
+		next := b.AddNode(geo.Pt(x, 0))
+		sid, err := b.AddSegment(prev, next, roadnet.Local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, prev = append(ids, sid), next
+	}
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EvalPath(net, ids[:3], ids, 50)
+	for i := 0; i < 50; i++ {
+		if got := EvalPath(net, ids[:3], ids, 50); math.Float64bits(got.RMF) != math.Float64bits(want.RMF) {
+			t.Fatalf("RMF %v, then %v", want.RMF, got.RMF)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package mrg
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"repro/internal/nn"
@@ -164,18 +166,20 @@ type fieldRel struct {
 // runs over the same terms in the same order as the full one. Every
 // node as output is restricted the same way: each relation still reads
 // only its in-neighbours, for CO and SQ the training trips' footprint.
-// It panics on rows that are not strictly ascending node ids
-// (programmer error).
+// Each round marks its rows in a node-indexed table, reads it out in
+// node order and finds each node's position in a second one. It panics
+// on rows that are not strictly ascending node ids (programmer error).
 func (e *Encoder) Field(g *Graph, rows []int) *Field {
+	nodes := g.NumNodes()
 	if rows == nil {
-		rows = make([]int, g.NumNodes())
+		rows = make([]int, nodes)
 		for v := range rows {
 			rows[v] = v
 		}
 	}
 	for i, v := range rows {
-		if v < 0 || v >= g.NumNodes() || (i > 0 && v <= rows[i-1]) {
-			panic(fmt.Sprintf("mrg: Field: row %d (%d) is not a strictly ascending node id below %d", i, v, g.NumNodes()))
+		if v < 0 || v >= nodes || (i > 0 && v <= rows[i-1]) {
+			panic(fmt.Sprintf("mrg: Field: row %d (%d) is not a strictly ascending node id below %d", i, v, nodes))
 		}
 	}
 	rels := e.relations(g)
@@ -185,35 +189,52 @@ func (e *Encoder) Field(g *Graph, rows []int) *Field {
 	}
 	f := &Field{rows: make([][]int, rounds+1), rounds: make([]fieldRound, rounds)}
 	f.rows[rounds] = rows
+	read := make([]bool, nodes) // nodes of h^l the round reads
+	at := make([]int, nodes)    // node → its position in h^l's rows
 	for l := rounds - 1; l >= 0; l-- {
 		out := f.rows[l+1]
 		rd := &f.rounds[l]
-		in := append([]int(nil), out...)
+		clear(read)
+		n := 0
+		mark := func(vs []int) {
+			for _, v := range vs {
+				if !read[v] {
+					read[v] = true
+					n++
+				}
+			}
+		}
+		mark(out)
 		for _, r := range rels {
 			var fr fieldRel
 			if fr.nodes = r.Cols(out); len(fr.nodes) > 0 {
 				fr.a = r.Sub(out, fr.nodes)
-				in = append(in, fr.nodes...)
+				mark(fr.nodes)
 			}
 			rd.rels = append(rd.rels, fr)
 		}
-		slices.Sort(in)
-		in = slices.Compact(in)
+		in := make([]int, 0, n)
+		for v, ok := range read {
+			if ok {
+				at[v] = len(in)
+				in = append(in, v)
+			}
+		}
 		f.rows[l] = in
-		rd.self = positions(in, out)
+		rd.self = positions(at, out)
 		for i := range rd.rels {
-			rd.rels[i].in = positions(in, rd.rels[i].nodes)
+			rd.rels[i].in = positions(at, rd.rels[i].nodes)
 		}
 	}
 	return f
 }
 
-// positions returns the index in the ascending list of each of nodes,
-// all of which it holds.
-func positions(list, nodes []int) []int {
+// positions returns at[v] for each of nodes: their indexes in the
+// round's rows.
+func positions(at, nodes []int) []int {
 	pos := make([]int, len(nodes))
 	for i, v := range nodes {
-		pos[i], _ = slices.BinarySearch(list, v)
+		pos[i] = at[v]
 	}
 	return pos
 }
@@ -279,84 +300,138 @@ func (e *Encoder) Forward(tp *nn.Tape, f *Field) *nn.T {
 // Embed computes the embeddings of the field's output rows without a
 // tape: the encoder's inference form, as MLP.Apply is the MLP's. Row r
 // of the result is node Rows(last)[r], as in Forward, and every value
-// equals Forward's bit for bit, for any Init and weights. Each product
-// is the nn.MatMulInto or Sparse.MulInto of the tape op over the same
-// rows; a row set that is contiguous in h^l (all of it, say, or the
-// segments' in-neighbours of TP) is read in place instead of gathered,
-// which changes no row of a product. The sums and the ReLU run fused in
-// the tape's order: ((z_CO + z_SQ) + z_TP), then agg + self, then
-// v > 0 ? v : +0. A relation with no in-neighbours adds nothing, where
-// the tape adds its +0 mean: an Eq. 4 mean starts from +0, so the sum
-// is never −0 and adding +0 leaves it as it is. MLPOnly is MLP.Apply,
-// whose ReLU is the tape's. The rounds write into at most four buffers
-// of |Rows(0)|×d, reused across rounds; the result is one of them.
+// equals Forward's bit for bit, for any Init and weights, at any worker
+// count. Each product is the nn.MatMulInto or Sparse.MulInto of the
+// tape op over the same rows, and each output row is computed from
+// that row's inputs alone, so the rows can be split among workers; a
+// row set that is contiguous in h^l (all of it, say, or the segments'
+// in-neighbours of TP) is read in place instead of gathered, which
+// changes no row of a product.
+//
+// A round first takes each relation's product h^l_rel·W_rel, forked
+// across rows by nn.MatMulInto as any large product is. Then
+// GOMAXPROCS workers take blocks of embedBlock output rows
+// (nn.RowBlocks); for its block a worker computes each relation's mean
+// (Sparse.MulRowsInto), their sum in the tape's order ((z_CO + z_SQ) +
+// z_TP), agg = sum·W_agg straight into the block's rows of h^{l+1},
+// self = h^l_self·W_0, and the fused agg + self with the ReLU, whose
+// branch-free form (relu) maps NaN and −0 to +0 as the tape's does. A
+// relation with no in-neighbours adds nothing, where the tape adds its
+// +0 mean: an Eq. 4 mean starts from +0, so the sum is never −0 and
+// adding +0 leaves it as it is. MLPOnly is MLP.Apply, whose ReLU is the
+// tape's. A round holds h^l, h^{l+1} and, per relation, its product
+// and the gather of its rows when they are not contiguous, each sized
+// to its rows and reused across rounds, plus four blocks of scratch per
+// worker; the result is one of them.
 func (e *Encoder) Embed(f *Field) *nn.Mat {
-	d, size := e.Dim, len(f.rows[0])*e.Dim
+	return e.embed(f, runtime.GOMAXPROCS(0), embedBlock)
+}
+
+// embedBlock is the number of output rows a worker of Embed takes at a
+// time: at dim 128 its four scratch blocks take 256 KiB.
+const embedBlock = 64
+
+// embed is Embed on the given number of workers and block size.
+func (e *Encoder) embed(f *Field, workers, block int) *nn.Mat {
+	d := e.Dim
+	// take returns a free buffer that holds rows×d values, or a new one.
 	var free [][]float64
-	take := func() []float64 {
-		if k := len(free); k > 0 {
-			w := free[k-1]
-			free = free[:k-1]
-			return w
+	take := func(rows int) []float64 {
+		for k, w := range free {
+			if cap(w) >= rows*d {
+				free = append(free[:k], free[k+1:]...)
+				return w
+			}
 		}
-		return make([]float64, size)
+		return make([]float64, rows*d)
 	}
 	// hBuf is the buffer h^l lives in; nil while h⁰ is a view of Init.
 	var hBuf []float64
 	if !contiguous(f.rows[0]) {
-		hBuf = take()
+		hBuf = take(len(f.rows[0]))
 	}
 	h := rowsOf(e.Init.W, f.rows[0], hBuf)
 	if e.Mode == MLPOnly {
 		return e.MLP.Apply(h)
 	}
+	scratch := make([][4][]float64, workers)
 	for l, rd := range f.rounds {
 		n := len(f.rows[l+1])
 		ws := e.relWeights(l)
-		// g gathers rows of h^l and holds a relation's mean after the
-		// first; p holds the product the mean reads, then agg, which
-		// becomes h^{l+1}; s holds the sum of the means, then self.
-		g, p, s := take(), take(), take()
-		sum := mat(s, n, d)
-		first := true
+		prods := make([]*nn.Mat, len(rd.rels))
+		var bufs [][]float64 // this round's gathers and products
 		for r, fr := range rd.rels {
 			if fr.a == nil {
 				continue
 			}
-			prod := mat(p, len(fr.in), d)
-			nn.MatMulInto(prod, rowsOf(h, fr.in, g), ws[r].W)
+			var g []float64
+			if !contiguous(fr.in) {
+				g = take(len(fr.in))
+				bufs = append(bufs, g)
+			}
+			p := take(len(fr.in))
+			bufs = append(bufs, p)
+			prods[r] = mat(p, len(fr.in), d)
+			nn.MatMulInto(prods[r], rowsOf(h, fr.in, g), ws[r].W)
+		}
+		nextBuf := take(n)
+		next := mat(nextBuf, n, d)
+		nn.RowBlocks(n, block, workers, func(w, lo, hi int) {
+			sc := &scratch[w]
+			if sc[0] == nil {
+				for i := range sc {
+					sc[i] = make([]float64, block*d)
+				}
+			}
+			b := hi - lo
+			sum := mat(sc[0], b, d)
+			first := true
+			for r, fr := range rd.rels {
+				if fr.a == nil {
+					continue
+				}
+				if first {
+					fr.a.MulRowsInto(sum, prods[r], lo)
+					first = false
+					continue
+				}
+				z := mat(sc[1], b, d)
+				fr.a.MulRowsInto(z, prods[r], lo)
+				for i, v := range z.W {
+					sum.W[i] += v
+				}
+			}
 			if first {
-				fr.a.MulInto(sum, prod)
-				first = false
-				continue
+				sum.Zero()
 			}
-			z := mat(g, n, d)
-			fr.a.MulInto(z, prod)
-			for i, v := range z.W {
-				sum.W[i] += v
+			agg := next.Rows(lo, hi)
+			nn.MatMulInto(agg, sum, e.WAgg[l].W)
+			self := mat(sc[2], b, d)
+			nn.MatMulInto(self, rowsOf(h, rd.self[lo:hi], sc[3]), e.W0[l].W)
+			for i, v := range self.W {
+				agg.W[i] = relu(agg.W[i] + v)
 			}
-		}
-		if first {
-			sum.Zero()
-		}
-		agg := mat(p, n, d)
-		nn.MatMulInto(agg, sum, e.WAgg[l].W)
-		self := mat(s, n, d)
-		nn.MatMulInto(self, rowsOf(h, rd.self, g), e.W0[l].W)
-		for i, v := range self.W {
-			if v = agg.W[i] + v; v > 0 {
-				agg.W[i] = v
-			} else {
-				agg.W[i] = 0
-			}
-		}
-		free = append(free, g, s)
+		})
+		free = append(free, bufs...)
 		if hBuf != nil {
 			free = append(free, hBuf)
 		}
-		h, hBuf = agg, p
+		h, hBuf = next, nextBuf
 	}
 	return h
+}
+
+// relu returns v > 0 ? v : +0 without a branch, which the add+ReLU
+// loop would otherwise mispredict on its mix of signs. It keeps v's
+// bits b when 1 ≤ b ≤ +Inf's bits — the positive values, +Inf
+// included — and clears them for ±0, the negatives and every NaN. With
+// d = b − 1 that is d < +Inf's bits as unsigned: d's top bit clear and
+// d − +Inf's bits negative, so the mask is the sign of ^d & (d − inf).
+func relu(v float64) float64 {
+	const inf = 0x7FF0000000000000
+	b := math.Float64bits(v)
+	d := b - 1
+	return math.Float64frombits(b & uint64(int64(^d&(d-inf))>>63))
 }
 
 // mat returns an r×c matrix over the front of w.

@@ -623,3 +623,93 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestBlockedEmbedMatchesForward holds Embed's row-block pass to the
+// tape's Forward bit for bit at 1, 2 and 3 workers and at blocks of 1,
+// 7 (which divides no field's row count here) and more rows than any
+// field has: on the every-node field, a phase-1 field (two trips'
+// towers and path segments) and those towers alone, with Init rows of
+// −0, NaN and ±Inf among the rows every field reads, in every mode.
+func TestBlockedEmbedMatchesForward(t *testing.T) {
+	d, trips := testWorld(t)
+	g, err := BuildGraph(d.Net, d.Cells, trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, tr := range trips[:2] {
+		for _, cp := range tr.Cell {
+			seen[g.TowerNode(cp.Tower)] = true
+		}
+		for _, sid := range tr.Path {
+			seen[g.SegNode(sid)] = true
+		}
+	}
+	var rows, towers []int
+	for v := range seen {
+		rows = append(rows, v)
+	}
+	slices.Sort(rows)
+	for _, v := range rows {
+		if v < g.NumTowers {
+			towers = append(towers, v)
+		}
+	}
+	if g.NumNodes()%7 == 0 || len(rows)%7 == 0 || len(towers)%7 == 0 {
+		t.Fatalf("a block of 7 divides a field's rows (%d, %d, %d)", g.NumNodes(), len(rows), len(towers))
+	}
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(8))
+	for _, mode := range []EncoderMode{HetGNN, HomoGNN, MLPOnly} {
+		enc, err := NewEncoder(g, mode, 8, 2, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init := enc.Init.W
+		for j := range init.Row(rows[0]) {
+			init.Set(rows[0], j, math.Copysign(0, -1))
+		}
+		init.Set(rows[1], 3, math.NaN())
+		init.Set(rows[len(rows)/2], 0, math.Inf(1))
+		init.Set(rows[len(rows)-1], 5, math.Inf(-1))
+		for _, out := range [][]int{nil, rows, towers} {
+			f := enc.Field(g, out)
+			want := enc.Forward(nn.NewTape(), f).Val
+			for _, workers := range []int{1, 2, 3} {
+				for _, block := range []int{1, 7, g.NumNodes() + 1} {
+					got := enc.embed(f, workers, block)
+					if got.R != want.R || got.C != want.C {
+						t.Fatalf("%v, %d rows, %d workers, block %d: %d×%d, Forward %d×%d", mode, len(out), workers, block, got.R, got.C, want.R, want.C)
+					}
+					for i, w := range want.W {
+						if !bits(got.W[i], w) {
+							t.Fatalf("%v, %d rows, %d workers, block %d: [%d] = %v, Forward %v", mode, len(out), workers, block, i, got.W[i], w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReLUBits holds the branch-free relu to v > 0 ? v : +0 bit for bit
+// on both zeros, both infinities, NaNs of either sign and payload, the
+// extreme finite and subnormal values and random ones.
+func TestReLUBits(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000001),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range vals {
+		want := 0.0
+		if v > 0 {
+			want = v
+		}
+		if got := relu(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("relu(%v [%#x]) = %#x, want %#x", v, math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}

@@ -68,35 +68,58 @@ func (s *Sparse) Row(i int) (cols []int, vals []float64) {
 }
 
 // Cols returns the distinct columns stored in the given rows,
-// ascending.
+// ascending: it marks them in a column-indexed table and reads the
+// table out in order.
 func (s *Sparse) Cols(rows []int) []int {
-	var cols []int
+	seen := make([]bool, s.C)
+	n := 0
 	for _, i := range rows {
 		c, _ := s.Row(i)
-		cols = append(cols, c...)
+		for _, col := range c {
+			if !seen[col] {
+				seen[col] = true
+				n++
+			}
+		}
 	}
-	slices.Sort(cols)
-	return slices.Compact(cols)
+	cols := make([]int, 0, n)
+	for col, ok := range seen {
+		if ok {
+			cols = append(cols, col)
+		}
+	}
+	return cols
 }
 
 // Sub returns the len(rows)×len(cols) submatrix of s whose row r is
 // row rows[r] of s, each entry's column renumbered to its index in
-// cols. cols must be ascending and hold every column those rows store
+// cols through a column-indexed table. cols must be ascending and hold every column those rows store
 // (Cols(rows) or a superset); it panics otherwise (programmer error).
 // Entries keep their values and, since the renumbering is monotone,
 // their order within a row.
 func (s *Sparse) Sub(rows, cols []int) *Sparse {
-	out := &Sparse{R: len(rows), C: len(cols), rowPtr: make([]int, len(rows)+1)}
+	at := make([]int32, s.C) // column → its index in cols + 1; 0 = absent
+	for k, col := range cols {
+		if col < 0 || col >= s.C || (k > 0 && col <= cols[k-1]) {
+			panic(fmt.Sprintf("nn: Sparse.Sub: cols[%d] = %d is not an ascending column below %d", k, col, s.C))
+		}
+		at[col] = int32(k + 1)
+	}
+	nnz := 0
+	for _, i := range rows {
+		nnz += s.rowPtr[i+1] - s.rowPtr[i]
+	}
+	out := &Sparse{R: len(rows), C: len(cols), rowPtr: make([]int, len(rows)+1),
+		colIdx: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
 	for r, i := range rows {
 		c, v := s.Row(i)
-		for k, col := range c {
-			at, ok := slices.BinarySearch(cols, col)
-			if !ok {
+		for _, col := range c {
+			if at[col] == 0 {
 				panic(fmt.Sprintf("nn: Sparse.Sub: row %d stores column %d, not in cols", i, col))
 			}
-			out.colIdx = append(out.colIdx, at)
-			out.vals = append(out.vals, v[k])
+			out.colIdx = append(out.colIdx, int(at[col]-1))
 		}
+		out.vals = append(out.vals, v...)
 		out.rowPtr[r+1] = len(out.colIdx)
 	}
 	return out
@@ -159,10 +182,26 @@ func (s *Sparse) MulInto(dst, x *Mat) {
 	if x.R != s.C || dst.R != s.R || dst.C != x.C {
 		panic(fmt.Sprintf("nn: Sparse.MulInto: %d×%d · %d×%d -> %d×%d", s.R, s.C, x.R, x.C, dst.R, dst.C))
 	}
+	s.mulRows(dst, x, 0)
+}
+
+// MulRowsInto computes rows lo … lo+dst.R−1 of s · x into dst, each
+// row as MulInto computes it: from +0, over the row's entries in order.
+// dst must be dst.R×x.C with those rows inside s, and x s.C×x.C.
+func (s *Sparse) MulRowsInto(dst, x *Mat, lo int) {
+	if x.R != s.C || lo < 0 || lo+dst.R > s.R || dst.C != x.C {
+		panic(fmt.Sprintf("nn: Sparse.MulRowsInto: rows %d+%d of %d×%d · %d×%d -> %d×%d", lo, dst.R, s.R, s.C, x.R, x.C, dst.R, dst.C))
+	}
+	s.mulRows(dst, x, lo)
+}
+
+// mulRows writes row lo+i of s · x into row i of dst, for every row of
+// dst.
+func (s *Sparse) mulRows(dst, x *Mat, lo int) {
 	dst.Zero()
-	for i := 0; i < s.R; i++ {
+	for i := 0; i < dst.R; i++ {
 		dRow := dst.Row(i)
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+		for k := s.rowPtr[lo+i]; k < s.rowPtr[lo+i+1]; k++ {
 			v := s.vals[k]
 			xRow := x.Row(s.colIdx[k])
 			for j, xv := range xRow {

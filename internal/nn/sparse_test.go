@@ -249,3 +249,29 @@ func TestTransposeMatchesNewSparse(t *testing.T) {
 		t.Error("a column outside the shape did not error")
 	}
 }
+
+// TestSparseMulRowsInto holds every row range of MulRowsInto to the
+// same rows of MulInto bit for bit, over an x with −0, NaN and ±Inf.
+func TestSparseMulRowsInto(t *testing.T) {
+	s, err := NewSparse(5, 4, []Triple{
+		{0, 1, 0.5}, {0, 3, -2}, {1, 0, 3}, {2, 2, 0.25}, {2, 3, 1}, {4, 0, -1}, {4, 1, 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := FromSlice(4, 3, []float64{1, math.Copysign(0, -1), 2, math.NaN(), 4, -5, 6, math.Inf(1), 0.125, -3, math.Inf(-1), 9})
+	want := NewMat(5, 3)
+	s.MulInto(want, x)
+	for lo := 0; lo < s.R; lo++ {
+		for hi := lo + 1; hi <= s.R; hi++ {
+			got := NewMat(hi-lo, 3)
+			got.Fill(42) // MulRowsInto must overwrite, not add
+			s.MulRowsInto(got, x, lo)
+			for i, v := range got.W {
+				if w := want.W[lo*3+i]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("rows [%d,%d) element %d = %v, MulInto %v", lo, hi, i, v, w)
+				}
+			}
+		}
+	}
+}

@@ -433,6 +433,7 @@ func TestCheckpointDegradedModeAndHeal(t *testing.T) {
 func TestCheckpointWriteRetry(t *testing.T) {
 	_, m := fixture(t)
 	tr := sessionTrip(t)
+	obs.Default.Enable() // no server here turns the counters on
 
 	mgr := NewSessionManager(4, time.Minute)
 	ck, err := NewCheckpointer(CheckpointConfig{Dir: t.TempDir(), Backoff: time.Millisecond}, mgr)
